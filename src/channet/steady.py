@@ -11,7 +11,12 @@ decreases and the velocity strictly increases downstream, and the profile
 ceases to exist at a finite abscissa where the flow reaches the critical
 depth (Q / sqrt(g))^(2/3). Profiles are integrated with adaptive
 Runge-Kutta stepping and certified subcritical by an event on the margin
-g H - V^2; the event location is a rigorous lower bound for the blow-up point.
+g H - V^2. The equation has the first integral
+
+    P(H(x)) = P(H0) - g C Q^2 x,   P(H) = g H^(p+3)/(p+3) - Q^2 H^p / p
+
+(Q^2 log H in place of the second term when p = 0), so the blow-up bound,
+the abscissa where the margin reaches its tolerance, is closed form.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import (
     NegativeFlux,
@@ -181,6 +187,17 @@ class SteadyProfile:
         return self.gravity * H - self.velocity_of(H) ** 2
 
 
+def _potential_drop(H_hi, H_lo, flux, p, g):
+    """P(H_hi) - P(H_lo) for the depth potential P of the module docstring.
+
+    The Q^2 term is taken as H_lo^p expm1(p log r) / p with r = H_hi / H_lo,
+    which tends to its p = 0 form log r without cancellation as p -> 0.
+    """
+    log_r = math.log(H_hi / H_lo)
+    q_term = log_r if p == 0.0 else H_lo**p * math.expm1(p * log_r) / p
+    return g * (H_hi ** (p + 3.0) - H_lo ** (p + 3.0)) / (p + 3.0) - flux * flux * q_term
+
+
 def integrate_channel_steady(
     spec: ChannelSpec,
     inlet_depth: float,
@@ -192,7 +209,8 @@ def integrate_channel_steady(
     Raises SupercriticalStart if the inlet margin g H - V^2 is already within
     margin_tol * g * H0 of zero, and SteadyStateBlowup if the margin event
     fires at or before the channel end. The returned blow-up bound is the
-    event abscissa (+inf for frictionless or zero-flux channels).
+    abscissa where the margin reaches that tolerance, from the depth potential
+    (+inf for frictionless or zero-flux channels).
     """
     if flux < 0.0:
         raise NegativeFlux(f"channel {spec.id}: flux must be >= 0, got {flux!r}")
@@ -214,11 +232,6 @@ def integrate_channel_steady(
         blowup = math.inf
     else:
         p = spec.friction_exponent
-        # H decreases at least at rate C Q^2 / H0^(p+2), so the critical depth
-        # is reached no later than this abscissa; the margin event must fire
-        # strictly before it.
-        x_upper = (H0 - Hc) * H0 ** (p + 2.0) / (spec.friction * flux**2)
-        x_upper = 1.05 * x_upper + spec.length
         H_floor = 0.5 * Hc
         margin_floor = 0.25 * threshold
 
@@ -255,19 +268,10 @@ def integrate_channel_steady(
                 raise SteadyStateBlowup(spec.id, x_reached=float(sol.t[-1]))
             raise SupercriticalState(f"channel {spec.id}: steady integration failed: {sol.message}")
         depth_fn = _DenseDepth(sol.sol, spec.length)
-        # Locate the blow-up abscissa by continuing past the channel end at a
-        # tolerance loose enough to step up to the near-critical region even
-        # when it lies many channel lengths downstream.
-        tail = solve_ivp(
-            rhs,
-            (spec.length, x_upper),
-            (depth_fn(spec.length),),
-            method="RK45",
-            rtol=1e-8,
-            atol=1e-10,
-            events=margin_event,
-        )
-        blowup = float(tail.t_events[0][0]) if tail.t_events[0].size else float(tail.t[-1])
+        # The margin event fires at the depth H_t where g H^3 - threshold H^2
+        # = Q^2; the left side increases on (Hc, H0], so the root is unique.
+        H_t = brentq(lambda H: (g * H - threshold) * H * H - flux * flux, Hc, H0)
+        blowup = _potential_drop(H0, H_t, flux, p, g) / (g * spec.friction * flux**2)
 
     N = spec.cells
     x_faces = np.linspace(0.0, spec.length, N + 1)

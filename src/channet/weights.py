@@ -152,10 +152,6 @@ class PhiProfiles:
         s = self.state(x)
         return np.exp(s[1] + s[2])
 
-    def growth_factor(self, x):
-        """exp(I3), the squared-coupling growth factor."""
-        return np.exp(self.state(x)[3])
-
     def existence_integral(self, x):
         return self.state(x)[4]
 
@@ -462,8 +458,6 @@ class ChannelWeights:
     f2: np.ndarray
     Z: np.ndarray
     W: np.ndarray
-    Z_tilde: np.ndarray
-    W_tilde: np.ndarray
 
     @property
     def profile(self) -> SteadyProfile:
@@ -531,8 +525,8 @@ def _build_channel_weights(
         eta_bar = None
     f1 = alpha * phi1**2 / (lam1 * eta)
     f2 = alpha * phi2**2 * eta / lam2
-    z_t = phi1**2 / eta - phi2**2 * eta
-    w_t = phi1**2 / eta + phi2**2 * eta
+    a = phi1**2 / eta
+    b = phi2**2 * eta
     return ChannelWeights(
         coeffs=coeffs,
         phi_integrals=phi,
@@ -548,36 +542,9 @@ def _build_channel_weights(
         eta_eps=np.asarray(eta, dtype=float),
         f1=f1,
         f2=f2,
-        Z=alpha * z_t,
-        W=alpha * w_t,
-        Z_tilde=z_t,
-        W_tilde=w_t,
+        Z=alpha * (a - b),
+        W=alpha * (a + b),
     )
-
-
-def alpha_select(
-    topo: NetworkTopology,
-    w_tilde_start: dict[int, float],
-    w_tilde_end: dict[int, float],
-    root_alpha: float = 1.0,
-) -> dict[int, float]:
-    """Per-channel scales making W continuous across every junction.
-
-    alpha_child = alpha_parent * W~_parent(L) / W~_child(0); the root scale is
-    free (default 1) and an overall rescale leaves every certificate verdict
-    unchanged.
-    """
-    alphas: dict[int, float] = {}
-    for i in traversal_order(topo):
-        if i == topo.root_channel:
-            alphas[i] = root_alpha
-            continue
-        parent = topo.parent_of(i)
-        denom = w_tilde_start[i]
-        if abs(denom) < 1e-300:
-            raise ZeroW(f"channel {i}: W vanishes at the inlet")
-        alphas[i] = alphas[parent] * w_tilde_end[parent] / denom
-    return alphas
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,38 +556,58 @@ class WeightSet:
     channels: dict[int, ChannelWeights]
 
 
+def _w_tilde(state) -> float:
+    """W / alpha = phi1^2 / eta + phi2^2 eta from an eta state (H, I1, I2, eta)."""
+    return float(np.exp(2.0 * state[1]) / state[3] + np.exp(-2.0 * state[2]) * state[3])
+
+
+def _weighted_channels(
+    topo: NetworkTopology,
+    profiles: dict[int, SteadyProfile],
+    epsilon: float,
+    coeffs: dict[int, CharCoeffs],
+    phis: dict[int, PhiProfiles],
+    root_alpha: float = 1.0,
+):
+    """Yield the weights of every channel in traversal order, parents first.
+
+    alpha_child = alpha_parent * W~_parent(L) / W~_child(0) makes W continuous
+    across every junction; the root scale is free and an overall rescale
+    leaves every certificate verdict unchanged. ``coeffs`` and ``phis`` are
+    filled on the way. Raises EpsilonTooLarge at the first channel whose
+    comparison solution does not exist.
+    """
+    alphas: dict[int, float] = {}
+    w_end: dict[int, float] = {}
+    for i in traversal_order(topo):
+        profile = profiles[i]
+        if i not in coeffs:
+            coeffs[i] = CharCoeffs.from_profile(profile)
+        if i not in phis:
+            phis[i] = phi_profiles(profile)
+        eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel))
+        w_end[i] = _w_tilde(eta.state(profile.length))
+        if i == topo.root_channel:
+            alphas[i] = root_alpha
+        else:
+            w_start = _w_tilde(eta.state(0.0))
+            if abs(w_start) < 1e-300:
+                raise ZeroW(f"channel {i}: W vanishes at the inlet")
+            parent = topo.parent_of(i)
+            alphas[i] = alphas[parent] * w_end[parent] / w_start
+        yield _build_channel_weights(coeffs[i], phis[i], eta, alphas[i])
+
+
 def network_weights(
     topo: NetworkTopology,
     profiles: dict[int, SteadyProfile],
     epsilon: float,
-    phi_cache: dict[int, PhiProfiles] | None = None,
-    coeffs_cache: dict[int, CharCoeffs] | None = None,
     root_alpha: float = 1.0,
 ) -> WeightSet:
     """Assemble junction-matched weights for the whole tree at one epsilon."""
-    order = traversal_order(topo)
-    coeffs = coeffs_cache if coeffs_cache is not None else {}
-    phis = phi_cache if phi_cache is not None else {}
-    for i in order:
-        if i not in coeffs:
-            coeffs[i] = CharCoeffs.from_profile(profiles[i])
-        if i not in phis:
-            phis[i] = phi_profiles(profiles[i])
-
-    etas = {
-        i: eta_eps(profiles[i], epsilon, trunk_inlet=(i == topo.root_channel))
-        for i in order
-    }
-    w_start = {}
-    w_end = {}
-    for i in order:
-        s0 = etas[i].state(0.0)
-        sL = etas[i].state(profiles[i].length)
-        w_start[i] = float(np.exp(2.0 * s0[1]) / s0[3] + np.exp(-2.0 * s0[2]) * s0[3])
-        w_end[i] = float(np.exp(2.0 * sL[1]) / sL[3] + np.exp(-2.0 * sL[2]) * sL[3])
-    alphas = alpha_select(topo, w_start, w_end, root_alpha)
     channels = {
-        i: _build_channel_weights(coeffs[i], phis[i], etas[i], alphas[i]) for i in order
+        cw.channel: cw
+        for cw in _weighted_channels(topo, profiles, epsilon, {}, {}, root_alpha)
     }
     return WeightSet(topo=topo, epsilon=epsilon, channels=channels)
 
@@ -750,84 +737,118 @@ class NetworkCertificate:
         }
 
 
-def _run_checks(
-    topo: NetworkTopology,
-    profiles: dict[int, SteadyProfile],
-    ws: WeightSet,
-    gains: dict[int, float],
-    rel_tol: float,
-):
-    failed: list[str] = []
-    z_end: dict[int, float] = {}
-    z_start: dict[int, float] = {}
-    junction_min_eig: dict[int, float] = {}
-    terminal_margins: dict[int, float] = {}
-    reflection: dict[int, float] = {}
-    interior_min: dict[int, float] = {}
+CHECK_ORDER = (
+    "junction_outflow_positive",
+    "branch_inflow_negative",
+    "junction_matrix",
+    "trunk_inlet",
+    "terminal_margin",
+    "interior_matrix",
+)
 
-    for i in topo.internal_channels:
-        z = float(ws.channels[i].zw_at(profiles[i].length)[0])
-        z_end[i] = z
-        if z <= 0.0:
-            _note(failed, "junction_outflow_positive")
-    for i in topo.channels:
-        if i == topo.root_channel:
-            continue
-        z = float(ws.channels[i].zw_at(0.0)[0])
-        z_start[i] = z
-        if z >= 0.0:
-            _note(failed, "branch_inflow_negative")
 
-    for i in topo.internal_channels:
-        _, M_bar = junction_matrix(ws, i)
-        eigs = np.linalg.eigvalsh(M_bar)
-        junction_min_eig[i] = float(eigs[0])
-        norm = float(np.max(np.abs(eigs)))
-        if not eigs[0] > rel_tol * norm:
-            _note(failed, "junction_matrix")
-
-    f1 = trunk_inlet_coefficient(ws)
-    if f1 <= 0.0:
-        _note(failed, "trunk_inlet")
-
-    for j in topo.terminal_channels:
-        if j not in gains:
-            raise MissingGain(j)
-        k = float(gains[j])
-        prof = profiles[j]
-        c = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
-        reflection[j] = c
-        cw = ws.channels[j]
-        L = prof.length
-        f1_L, f2_L = cw.f_at(L)
-        H_L = prof.outlet_depth
-        lam1_L, lam2_L = eigenvalues(H_L, prof.outlet_velocity, prof.gravity)
-        margin = float(f1_L * lam1_L * c**2 - f2_L * lam2_L)
-        terminal_margins[j] = margin
-        if margin <= 0.0 or (prof.flux == 0.0 and k <= 0.0):
-            _note(failed, "terminal_margin")
-
-    for i, cw in ws.channels.items():
-        N11, N12, N22 = interior_matrix(cw)
-        low, norm = _sym2x2_eig_bounds(N11, N12, N22)
-        interior_min[i] = float(np.min(low))
-        if not np.all(low > rel_tol * norm):
-            _note(failed, "interior_matrix")
-
-    return failed, {
-        "z_end": z_end,
-        "z_start": z_start,
-        "junction_min_eig": junction_min_eig,
-        "trunk_inlet": f1,
-        "terminal_margins": terminal_margins,
-        "reflection": reflection,
-        "interior_min_eig": interior_min,
+def _empty_detail() -> dict:
+    return {
+        "z_end": {},
+        "z_start": {},
+        "junction_min_eig": {},
+        "trunk_inlet": math.nan,
+        "terminal_margins": {},
+        "reflection": {},
+        "interior_min_eig": {},
     }
 
 
-def _note(failed: list[str], name: str):
-    if name not in failed:
-        failed.append(name)
+def _channel_checks(
+    ws: WeightSet,
+    cw: ChannelWeights,
+    gains: dict[int, float],
+    rel_tol: float,
+    detail: dict,
+) -> list[str]:
+    """Checks that channel ``cw`` completes, given the channels built before it.
+
+    Records every margin in ``detail`` and returns the names of the failed
+    checks. A junction is checked once the last of its children is built.
+    """
+    topo = ws.topo
+    i = cw.channel
+    prof = cw.profile
+    failed: list[str] = []
+    if i in topo.junctions:
+        z = float(cw.zw_at(prof.length)[0])
+        detail["z_end"][i] = z
+        if z <= 0.0:
+            failed.append("junction_outflow_positive")
+    else:
+        k = float(gains[i])
+        c = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
+        detail["reflection"][i] = c
+        f1_L, f2_L = cw.f_at(prof.length)
+        lam1_L, lam2_L = eigenvalues(prof.outlet_depth, prof.outlet_velocity, prof.gravity)
+        margin = float(f1_L * lam1_L * c**2 - f2_L * lam2_L)
+        detail["terminal_margins"][i] = margin
+        if margin <= 0.0 or (prof.flux == 0.0 and k <= 0.0):
+            failed.append("terminal_margin")
+
+    if i == topo.root_channel:
+        f1 = trunk_inlet_coefficient(ws)
+        detail["trunk_inlet"] = f1
+        if f1 <= 0.0:
+            failed.append("trunk_inlet")
+    else:
+        z = float(cw.zw_at(0.0)[0])
+        detail["z_start"][i] = z
+        if z >= 0.0:
+            failed.append("branch_inflow_negative")
+        parent = topo.parent_of(i)
+        if all(c in ws.channels for c in topo.junctions[parent]):
+            _, M_bar = junction_matrix(ws, parent)
+            eigs = np.linalg.eigvalsh(M_bar)
+            detail["junction_min_eig"][parent] = float(eigs[0])
+            norm = float(np.max(np.abs(eigs)))
+            if not eigs[0] > rel_tol * norm:
+                failed.append("junction_matrix")
+
+    N11, N12, N22 = interior_matrix(cw)
+    low, norm = _sym2x2_eig_bounds(N11, N12, N22)
+    detail["interior_min_eig"][i] = float(np.min(low))
+    if not np.all(low > rel_tol * norm):
+        failed.append("interior_matrix")
+    return failed
+
+
+def _attempt(
+    topo: NetworkTopology,
+    profiles: dict[int, SteadyProfile],
+    gains: dict[int, float],
+    epsilon: float,
+    coeffs: dict[int, CharCoeffs],
+    phis: dict[int, PhiProfiles],
+    rel_tol: float,
+    stop_early: bool,
+):
+    """Build and check the weights at one epsilon, channel by channel.
+
+    Returns (weights, failed checks in CHECK_ORDER, margins). With
+    ``stop_early`` the attempt returns after the first channel with a failed
+    check and reports only the checks run so far: no check depends on a
+    channel built later, so the attempt fails either way. Without it every
+    check runs. A missing comparison solution fails the attempt as
+    "weight_existence" with no weights and no margins.
+    """
+    ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
+    detail = _empty_detail()
+    failed: set[str] = set()
+    try:
+        for cw in _weighted_channels(topo, profiles, epsilon, coeffs, phis):
+            ws.channels[cw.channel] = cw
+            failed.update(_channel_checks(ws, cw, gains, rel_tol, detail))
+            if failed and stop_early:
+                break
+    except EpsilonTooLarge:
+        return None, ["weight_existence"], _empty_detail()
+    return ws, [name for name in CHECK_ORDER if name in failed], detail
 
 
 def certify_network(
@@ -846,7 +867,10 @@ def certify_network(
     coefficient, positive terminal margins for the supplied gains, and a
     positive definite interior matrix N(x) at every fine-grid point of every
     channel. Epsilon is halved (at most ``max_halvings`` times) whenever the
-    comparison solution fails to exist or any check fails.
+    comparison solution fails to exist or any check fails. Each attempt
+    builds the channels root first and stops at the first failing check;
+    the last attempt runs every check, so a refused certificate lists every
+    failure at the final epsilon.
     """
     validate_topology(topo)
     for j in topo.terminal_channels:
@@ -855,49 +879,29 @@ def certify_network(
     coeffs_cache: dict[int, CharCoeffs] = {}
     phi_cache: dict[int, PhiProfiles] = {}
     epsilon = float(epsilon_start)
-    last: tuple | None = None
-    halvings = 0
-    for attempt in range(max_halvings + 1):
-        halvings = attempt
-        try:
-            ws = network_weights(
-                topo, profiles, epsilon, phi_cache=phi_cache, coeffs_cache=coeffs_cache
-            )
-        except EpsilonTooLarge:
-            last = (epsilon, None, ["weight_existence"], None)
-            epsilon *= 0.5
-            continue
-        failed, detail = _run_checks(topo, profiles, ws, gains, positivity_rel_tol)
-        last = (epsilon, ws, failed, detail)
-        if not failed:
+    for halvings in range(max_halvings + 1):
+        ws, failed, detail = _attempt(
+            topo,
+            profiles,
+            gains,
+            epsilon,
+            coeffs_cache,
+            phi_cache,
+            positivity_rel_tol,
+            stop_early=halvings < max_halvings,
+        )
+        if not failed or halvings == max_halvings:
             break
         epsilon *= 0.5
 
-    epsilon_used, ws, failed, detail = last
-    if detail is None:
-        detail = {
-            "z_end": {},
-            "z_start": {},
-            "junction_min_eig": {},
-            "trunk_inlet": math.nan,
-            "terminal_margins": {},
-            "reflection": {},
-            "interior_min_eig": {},
-        }
     return NetworkCertificate(
         certified=not failed,
-        epsilon=epsilon_used,
+        epsilon=epsilon,
         halvings=halvings,
         weights=ws,
         alphas={} if ws is None else {i: cw.alpha for i, cw in ws.channels.items()},
-        z_end=detail["z_end"],
-        z_start=detail["z_start"],
-        junction_min_eig=detail["junction_min_eig"],
-        trunk_inlet=detail["trunk_inlet"],
-        terminal_margins=detail["terminal_margins"],
-        reflection=detail["reflection"],
-        interior_min_eig=detail["interior_min_eig"],
         failed_checks=tuple(failed),
+        **detail,
     )
 
 

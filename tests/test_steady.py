@@ -22,6 +22,7 @@ from channet.topology import ChannelSpec
 
 from conftest import (
     G,
+    P_CHOICES,
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
     closed_form_blowup,
@@ -51,6 +52,26 @@ def test_blowup_bound_matches_closed_form():
         prof = integrate_channel_steady(spec, H0, flux)
         x0 = closed_form_blowup(H0, flux, spec.friction, spec.friction_exponent)
         assert prof.blowup_bound == pytest.approx(x0, rel=1e-5)
+
+
+def test_blowup_bound_is_potential_drop_to_margin_threshold():
+    # The bound is the abscissa where g H - V^2 falls to margin_tol * g * H0:
+    # the potential drop from H0 to that depth over g C Q^2.
+    rng = np.random.default_rng(303)
+    for p in P_CHOICES:
+        for _ in range(4):
+            base, H0, flux = draw_channel(rng)
+            x0 = closed_form_blowup(H0, flux, base.friction, p)
+            spec = dataclasses.replace(base, friction_exponent=p, length=0.5 * x0)
+            prof = integrate_channel_steady(spec, H0, flux)
+            threshold = prof.margin_tol * G * H0
+            roots = np.roots([G, -threshold, 0.0, -flux * flux])
+            H_t = max(r.real for r in roots if abs(r.imag) < 1e-12)
+            assert critical_depth(flux) < H_t < H0
+            drop = depth_potential(H0, flux, p) - depth_potential(H_t, flux, p)
+            expected = drop / (G * spec.friction * flux * flux)
+            assert prof.blowup_bound == pytest.approx(expected, rel=1e-10)
+            assert prof.blowup_bound < x0
 
 
 def test_depth_against_hand_rolled_rk4():

@@ -12,7 +12,11 @@ from channet.characteristics import coupling_coefficients, eigenvalues
 from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain
 from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
+import channet.weights as weights_module
+from channet.gains import is_admissible
 from channet.weights import (
+    DEFAULT_EPSILON,
+    MAX_HALVINGS,
     certify_network,
     eta_bar_by_ode,
     eta_bar_closed,
@@ -34,7 +38,10 @@ from conftest import (
     STAR_GAINS,
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
+    admissible_gain,
     draw_channel,
+    draw_star,
+    draw_tree,
     small_star,
 )
 
@@ -330,3 +337,64 @@ def test_lyapunov_value_positive_definite(star_weights):
         for i in topo.channels
     }
     assert lyapunov_value(ws, ys) > 0.0
+
+
+def _certificate_bytes(cert, halvings):
+    record = dict(cert.to_dict(), halvings=halvings)
+    arrays = {i: (cw.f1.tobytes(), cw.f2.tobytes()) for i, cw in cert.weights.channels.items()}
+    return json.dumps(record), arrays
+
+
+def test_stopping_search_never_skips_a_passing_epsilon(star_profiles):
+    # Each attempt of the search stops at its first failing check, except the
+    # last. A single full attempt at every earlier epsilon must fail too, and
+    # one at the reported epsilon must give the same certificate.
+    topo, profiles = star_profiles
+    a, b = is_admissible(profiles[2], 0.0).forbidden
+    forbidden = {**STAR_GAINS, 2: 0.5 * (a + b)}
+    cases = [(topo, profiles, STAR_GAINS), (topo, profiles, forbidden)]
+    rng = np.random.default_rng(4242)
+    for n in range(10):
+        net, H0, flux = draw_tree(rng) if n % 3 == 2 else draw_star(rng, 2 + n % 4)
+        profs = solve_network_steady(net, H0, flux)
+        gains = {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}
+        cases.append((net, profs, gains))
+
+    for net, profs, gains in cases:
+        cert = certify_network(net, profs, gains)
+        for k in range(cert.halvings):
+            single = certify_network(
+                net, profs, gains, epsilon_start=DEFAULT_EPSILON * 0.5**k, max_halvings=0
+            )
+            assert not single.certified
+        last = certify_network(net, profs, gains, epsilon_start=cert.epsilon, max_halvings=0)
+        assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
+
+    refused = certify_network(topo, profiles, forbidden)
+    assert not refused.certified
+    assert refused.halvings == MAX_HALVINGS
+    assert "terminal_margin" in refused.failed_checks
+    # the final attempt checked every channel, not only the failing branch 2
+    assert refused.terminal_margins[2] <= 0.0
+    assert set(refused.terminal_margins) == set(topo.terminal_channels)
+    assert set(refused.z_start) == {2, 3, 4}
+    assert set(refused.junction_min_eig) == {1}
+    assert set(refused.interior_min_eig) == set(topo.channels)
+
+
+def test_star_certificate_solve_count(star_weights, monkeypatch):
+    topo, profiles, cert = star_weights
+    calls = []
+    real = weights_module.eta_eps
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weights_module, "eta_eps", counting)
+    counted = certify_network(topo, profiles, STAR_GAINS)
+    # 13 attempts over 4 channels took 52 solves when every attempt built
+    # every channel
+    assert counted.halvings == 12
+    assert len(calls) <= 33
+    assert _certificate_bytes(counted, 12) == _certificate_bytes(cert, 12)
