@@ -25,7 +25,7 @@ from .errors import (
     WeightError,
 )
 from .gains import is_admissible
-from .simulate import Bump, NetworkSimulator
+from .simulate import Bump, NetworkSimulator, mass_balance
 from .steady import solve_network_steady
 from .topology import NetworkTopology, network_from_dict, network_to_dict
 from .weights import certify_network
@@ -283,6 +283,8 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
             "V0": trace.V[0],
             "VT": trace.V[-1],
             "cfl_dt": trace.dt,
+            "cfl_bound": trace.cfl_bound,
+            "mass_balance": mass_balance(trace),
             "zero_trace": trace.zero_trace,
             "mode": trace.mode,
             "T": config.T,

@@ -123,10 +123,14 @@ class CflViolation(SimulationError):
 
 
 class SubcriticalLoss(SimulationError):
-    def __init__(self, channel: int, cell: int):
+    """A cell left the subcritical regime, or a face (next to ``cell``) ran dry."""
+
+    def __init__(self, channel: int, cell: int, face: str | None = None):
         self.channel = channel
         self.cell = cell
-        super().__init__(f"channel {channel}, cell {cell}: flow left the subcritical regime")
+        self.face = face
+        where = f"{face} face" if face else f"cell {cell}"
+        super().__init__(f"channel {channel}, {where}: flow left the subcritical regime")
 
 
 class JunctionDivergence(SimulationError):

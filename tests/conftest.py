@@ -168,6 +168,20 @@ def small_star(cells=100):
     )
 
 
+def dry_outlet_cell(sim, state, channel):
+    """Leave the outlet cell of a channel nearly dry with a slow reverse flow.
+
+    The cell stays wet and subcritical, but its incoming invariant drops
+    below -2 sqrt(g H*) at the outlet face, so no face depth satisfies the
+    boundary relation there.
+    """
+    d = sim.data[channel]
+    depth = 1e-4
+    h, v = state.fields[channel]
+    h[-1] = depth - d.Hc[-1]
+    v[-1] = -0.5 * math.sqrt(sim.profiles[channel].gravity * depth) - d.Vc[-1]
+
+
 STAR_ROOT_DEPTH = 2.0
 STAR_ROOT_FLUX = 1.0
 STAR_GAINS = {2: 0.0, 3: 0.0, 4: 0.0}

@@ -13,7 +13,7 @@ from channet.gains import is_admissible
 from channet.steady import solve_network_steady
 from channet.topology import network_to_dict
 
-from conftest import STAR_ROOT_DEPTH, STAR_ROOT_FLUX, small_star
+from conftest import STAR_ROOT_DEPTH, STAR_ROOT_FLUX, dry_outlet_cell, small_star
 
 FLOAT_CELL = re.compile(rb"-?\d\.\d{16}e[+-]\d{2,3}")
 
@@ -175,6 +175,8 @@ def test_simulate_outputs(tmp_path):
     assert summary["mode"] == "linear"
     assert summary["T"] == 3.0
     assert summary["cfl_dt"] > 0.0
+    assert summary["cfl_dt"] <= summary["cfl_bound"]
+    assert summary["mass_balance"] <= 1e-10
     assert summary["V0"] > 0.0
     # certified network: the functional does not grow over the run
     assert summary["VT"] <= summary["V0"] * (1.0 + 1e-9)
@@ -319,6 +321,35 @@ def test_simulate_crash_exit_five(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "simulate", cfg)
     assert code == 5
     assert "simulation failed" in capsys.readouterr().err
+
+
+def test_simulate_nonlinear_outputs(tmp_path):
+    cfg = star_config(simulation={"mode": "nonlinear"})
+    code, outdir = run_cli(tmp_path, "simulate", cfg)
+    assert code == 0
+    summary = json.loads((outdir / "simulate_summary.json").read_text())
+    assert summary["mode"] == "nonlinear"
+    # the nonlinear run keeps 2% headroom below the initial bound
+    assert summary["cfl_dt"] <= 0.98 * summary["cfl_bound"] * (1.0 + 1e-12)
+    assert summary["mass_balance"] <= 1e-10
+
+
+def test_simulate_dry_face_exit_five(tmp_path, capsys, monkeypatch):
+    import channet.simulate
+
+    initial_state = channet.simulate.NetworkSimulator.initial_state
+
+    def drying(sim, perturbation=None):
+        state = initial_state(sim, perturbation)
+        dry_outlet_cell(sim, state, 4)
+        return state
+
+    monkeypatch.setattr(channet.simulate.NetworkSimulator, "initial_state", drying)
+    code, _ = run_cli(tmp_path, "simulate", star_config(simulation={"mode": "nonlinear"}))
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "simulation failed" in err
+    assert "channel 4, outlet face" in err
 
 
 def test_seed_flag_accepted(tmp_path):

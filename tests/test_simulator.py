@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from channet.errors import (
     CflViolation,
@@ -11,12 +12,12 @@ from channet.errors import (
     NonPositiveV,
     SubcriticalLoss,
 )
-from channet.simulate import Bump, NetworkSimulator, decay_fit, mass_balance, run
+from channet.simulate import Bump, NetworkSimulator, SimState, decay_fit, mass_balance, run
 from channet.steady import solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
 from channet.weights import certify_network, network_weights
 
-from conftest import G, STAR_GAINS, STAR_ROOT_DEPTH, STAR_ROOT_FLUX, small_star
+from conftest import G, STAR_GAINS, STAR_ROOT_DEPTH, STAR_ROOT_FLUX, dry_outlet_cell, small_star
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,12 @@ def test_mass_ledger_closes(star_sim_parts):
     assert mass_balance(trace) <= 1e-10
 
 
+def test_mass_ledger_closes_nonlinear(star_sim_parts):
+    topo, profiles, weights = star_sim_parts
+    trace = run(topo, profiles, STAR_GAINS, BUMP, T=20.0, mode="nonlinear", weights=weights)
+    assert mass_balance(trace) <= 1e-10
+
+
 def test_cfl_violation_rejected(star_sim_parts):
     sim = make_sim(star_sim_parts)
     state = sim.initial_state(BUMP)
@@ -153,6 +160,18 @@ def test_supercritical_initial_state_rejected(star_sim_parts):
     sim = make_sim(star_sim_parts, "nonlinear")
     with pytest.raises(SubcriticalLoss):
         sim.initial_state({2: Bump(amplitude_h=-1.8, amplitude_v=-2.0, center=0.5, width=0.5)})
+
+
+def test_dry_face_raises_subcritical_loss(star_sim_parts):
+    # the outlet cell stays wet and subcritical, but its incoming invariant
+    # lies below -2 sqrt(g H*), which no face depth can match
+    sim = make_sim(star_sim_parts, "nonlinear")
+    state = sim.initial_state(None)
+    dry_outlet_cell(sim, state, 4)
+    with pytest.raises(SubcriticalLoss) as exc:
+        sim.step(state, sim.cfl_dt(state))
+    assert (exc.value.channel, exc.value.face) == (4, "outlet")
+    assert "outlet face" in str(exc.value)
 
 
 def test_missing_gain_rejected(star_sim_parts):
@@ -274,3 +293,79 @@ def test_nonlinear_tracks_linear_at_small_amplitude(star_sim_parts):
         for i in lin.topo.channels
     )
     assert gap <= 50.0 * amp**2
+
+
+# V, V_ext, l2 and B of small_star(cells=40), T = 20, as the per-channel
+# simulator with scalar Newton face solves computed them
+PINNED = {
+    "linear": {
+        "t": (0.0, 4.9504950495049505, 9.900990099009901, 14.851485148514852, 19.801980198019802, 20.0),
+        "V": (2.1438163160871807e-05, 1.3175931186531002e-05, 1.0256204538934502e-05,
+              8.680460256902896e-06, 7.29430035595109e-06, 7.247913908828348e-06),
+        "V_ext": (3.81995151576559e-05, 1.637669823074996e-05, 1.1629032132492457e-05,
+                  9.50526194805026e-06, 7.830268147556888e-06, 7.775925878420556e-06),
+        "l2": (0.0035469157759611854, 0.004032167041063241, 0.003628857191680532,
+               0.003597696452919258, 0.0029561672698990953, 0.0029659919816098037),
+        "boundary_B": (0.0, 2.6307113095187377e-08, 2.3011526718893084e-08,
+                       4.957061064350993e-10, 4.638338864616344e-08, 4.971678869422203e-08),
+    },
+    "nonlinear": {
+        "t": (0.0, 4.854368932038835, 9.70873786407767, 14.563106796116505, 19.41747572815534, 20.0),
+        "V": (2.1434013140966676e-05, 1.3309386156804181e-05, 1.0305369046149133e-05,
+              8.770622174174779e-06, 7.387848120941268e-06, 7.247397395512864e-06),
+        "V_ext": (3.819070921697437e-05, 1.658129454418719e-05, 1.171132657995749e-05,
+                  9.619077214821453e-06, 7.939900884851411e-06, 7.77545342967475e-06),
+        "l2": (0.0035469157759611854, 0.004073563672192575, 0.003620677743568532,
+               0.003679838550173914, 0.0029348117455674787, 0.002965924060590944),
+        "boundary_B": (0.0, 2.300645425940177e-08, 2.5024825034493062e-08,
+                       6.571661495377207e-10, 3.9696312488143096e-08, 4.97268628597833e-08),
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_trace_matches_pinned_values(mode):
+    topo = small_star(cells=40)
+    profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+    cert = certify_network(topo, profiles, STAR_GAINS)
+    bump = {
+        2: Bump(amplitude_h=1e-3, center=0.5, width=0.5),
+        1: Bump(amplitude_v=5e-4, center=0.4, width=0.6),
+    }
+    sim = NetworkSimulator(topo, profiles, STAR_GAINS, weights=cert.weights, mode=mode)
+    trace = sim.run(bump, T=20.0, max_samples=4)
+    pins = PINNED[mode]
+    assert np.array_equal(trace.t, pins["t"])
+    for name in ("V", "V_ext", "l2"):
+        assert np.allclose(getattr(trace, name), pins[name], rtol=1e-9, atol=0.0), name
+    B = np.asarray(pins["boundary_B"])
+    assert np.max(np.abs(trace.boundary_B - B)) <= 1e-9 * np.max(np.abs(B))
+
+
+def test_linear_operator_is_jacobian_of_nonlinear_rhs(star_sim_parts):
+    lin = make_sim(star_sim_parts, "linear")
+    non = make_sim(star_sim_parts, "nonlinear")
+    A = lin.A.toarray()
+    n = A.shape[0]
+    assert n == 2 * sum(spec.cells for spec in lin.topo.channels.values())
+    face = np.zeros((2, 2 * non.m))
+    step = 1e-7
+    J = np.empty_like(A)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        up = non.rhs(SimState(0.0, e, face, non))[0]
+        down = non.rhs(SimState(0.0, -e, face, non))[0]
+        J[:, j] = (up - down) / (2.0 * step)
+    assert np.max(np.abs(J - A)) <= 1e-6 * np.max(np.abs(A))
+
+
+def test_spectral_rate_lies_below_fitted_rate(star_sim_parts):
+    # a fit over T = 200 still sees the faster transients of a non-normal
+    # operator, so it overstates the asymptotic rate -2 max Re(lambda)
+    sim = make_sim(star_sim_parts, "linear")
+    nu_spectral = -2.0 * float(np.max(scipy.linalg.eigvals(sim.A.toarray()).real))
+    assert nu_spectral == pytest.approx(0.00441, rel=5e-3)
+    trace = sim.run(BUMP, T=200.0)
+    assert trace.nu_hat == pytest.approx(0.00865, rel=5e-3)
+    assert nu_spectral < trace.nu_hat
