@@ -37,17 +37,29 @@ def eigenvalues(depth, velocity, gravity=9.81):
     return lam1, lam2
 
 
-def _bracket_terms(depth, velocity, friction_exponent, gravity):
-    c = np.sqrt(gravity * depth)
-    lam1 = velocity + c
-    lam2 = c - velocity
-    inv_v = 1.0 / velocity
-    half_p = friction_exponent / (2.0 * c)
-    b_g1 = -3.0 / (4.0 * lam1) + inv_v - half_p
-    b_d1 = -1.0 / (4.0 * lam1) + inv_v + half_p
-    b_g2 = 1.0 / (4.0 * lam2) + inv_v - half_p
-    b_d2 = 3.0 / (4.0 * lam2) + inv_v + half_p
-    return b_g1, b_d1, b_g2, b_d2
+def speeds_couplings(H, flux, friction, p, g):
+    """(lambda1, lambda2, gamma1, delta1, gamma2, delta2) at depth H, friction form.
+
+    The one kernel behind CharCoeffs and the weight ODEs. A scalar H takes
+    math.sqrt and an array H numpy, with the same bits either way. Needs
+    flux > 0.
+    """
+    if np.ndim(H) == 0:
+        c, Hp = math.sqrt(g * H), H**p
+    else:
+        # numpy's vectorised power can differ from the C library's by an ulp
+        c, Hp = np.sqrt(g * H), np.array([h**p for h in H.tolist()])
+    V = flux / H
+    lam1 = V + c
+    lam2 = c - V
+    K = g * friction * V * V / Hp
+    half_p = p / (2.0 * c)
+    inv_v = 1.0 / V
+    g1 = K * (-3.0 / (4.0 * lam1) + inv_v - half_p)
+    d1 = K * (-1.0 / (4.0 * lam1) + inv_v + half_p)
+    g2 = K * (1.0 / (4.0 * lam2) + inv_v - half_p)
+    d2 = K * (3.0 / (4.0 * lam2) + inv_v + half_p)
+    return lam1, lam2, g1, d1, g2, d2
 
 
 def coupling_coefficients(
@@ -64,7 +76,7 @@ def coupling_coefficients(
     Evaluated from the friction form; when ``check`` is set the steady-gradient
     form (with the depth slope taken analytically from the profile equation)
     is evaluated as well and FormMismatch is raised if any coefficient
-    disagrees beyond ``tol`` relative.
+    disagrees beyond ``tol`` relative. Array depth gives arrays.
     """
     H = np.atleast_1d(np.asarray(depth, dtype=float))
     scalar = np.ndim(depth) == 0
@@ -74,16 +86,15 @@ def coupling_coefficients(
         zeros = np.zeros_like(H)
         return (zeros, zeros.copy(), zeros.copy(), zeros.copy())
 
-    V = flux / H
-    b = _bracket_terms(H, V, friction_exponent, gravity)
-    K = gravity * friction * V**2 / H**friction_exponent
-    friction_form = tuple(K * bi for bi in b)
+    lam1, lam2, *friction_form = speeds_couplings(H, flux, friction, friction_exponent, gravity)
 
     if check:
+        # The two forms share the bracket factors and differ in the prefactor:
+        # the friction term g C V^2 / H^p against -(H_x / H) lambda1 lambda2.
         H_x = steady_rhs(H, flux, friction, friction_exponent, gravity)
-        c = np.sqrt(gravity * H)
-        P = -(H_x / H) * (V + c) * (c - V)
-        gradient_form = tuple(P * bi for bi in b)
+        V = flux / H
+        ratio = -(H_x / H) * lam1 * lam2 / (gravity * friction * V * V / H**friction_exponent)
+        gradient_form = tuple(a * ratio for a in friction_form)
         for name, a_f, a_g in zip(
             ("gamma1", "delta1", "gamma2", "delta2"), friction_form, gradient_form
         ):
@@ -99,7 +110,7 @@ def coupling_coefficients(
 
     if scalar:
         return tuple(float(a[0]) for a in friction_form)
-    return friction_form
+    return tuple(friction_form)
 
 
 def riemann_forward(h, v, depth_star, gravity=9.81):
@@ -178,10 +189,10 @@ class CharCoeffs:
             profile=profile,
             lambda1=lam1,
             lambda2=lam2,
-            gamma1=np.broadcast_to(g1, H.shape).copy() if np.ndim(g1) == 0 else g1,
-            delta1=np.broadcast_to(d1, H.shape).copy() if np.ndim(d1) == 0 else d1,
-            gamma2=np.broadcast_to(g2, H.shape).copy() if np.ndim(g2) == 0 else g2,
-            delta2=np.broadcast_to(d2, H.shape).copy() if np.ndim(d2) == 0 else d2,
+            gamma1=g1,
+            delta1=d1,
+            gamma2=g2,
+            delta2=d2,
         )
 
     def speeds_at(self, x):

@@ -25,12 +25,12 @@ from .errors import (
     WeightError,
 )
 from .gains import is_admissible
-from .simulate import Bump, NetworkSimulator, mass_balance
+from .simulate import CFL_SAFETY, Bump, NetworkSimulator, mass_balance
 from .steady import solve_network_steady
 from .topology import NetworkTopology, network_from_dict, network_to_dict
-from .weights import certify_network
+from .weights import DEFAULT_EPSILON, certify_network
 
-DEFAULT_EPSILON_START = 1e-3
+DEFAULT_EPSILON_START = DEFAULT_EPSILON
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class RunConfig:
     epsilon_start: float = DEFAULT_EPSILON_START
     mode: str = "linear"
     T: float = 100.0
-    cfl: float = 0.9
+    cfl: float = CFL_SAFETY
     perturbation: dict[int, Bump] = field(default_factory=dict)
     sample_stride: int | None = None
     trace_path: str = "trace.csv"
@@ -74,7 +74,7 @@ class RunConfig:
             epsilon_start=float(lyap.get("epsilon_start", DEFAULT_EPSILON_START)),
             mode=str(simc.get("mode", "linear")),
             T=float(simc.get("T", 100.0)),
-            cfl=float(simc.get("cfl", 0.9)),
+            cfl=float(simc.get("cfl", CFL_SAFETY)),
             perturbation=pert,
             sample_stride=None if stride is None else int(stride),
             trace_path=str(simc.get("trace_path", "trace.csv")),
@@ -256,15 +256,16 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
         state = sim.final_state
         rows = []
         for i in ids:
-            d = sim.data[i]
+            prof = profiles[i]
+            H, V = prof.H_centers, prof.V_centers
             h, v = state.fields[i]
-            for c in range(d.n):
+            for c in range(h.size):
                 rows.append(
                     (
                         str(i),
-                        _fmt(d.x_centers[c]),
-                        _fmt(d.Hc[c] + h[c]),
-                        _fmt(d.Vc[c] + v[c]),
+                        _fmt(prof.x_centers[c]),
+                        _fmt(H[c] + h[c]),
+                        _fmt(V[c] + v[c]),
                         _fmt(h[c]),
                         _fmt(v[c]),
                     )
@@ -313,12 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="reserved; all outputs are deterministic from the configuration",
-        )
         p.set_defaults(func=fn)
     return parser
 

@@ -200,19 +200,6 @@ def _gradient_matrix(x):
     return sparse.diags([lower, main, upper], [-1, 0, 1])
 
 
-class _ChannelData:
-    """Grid and steady samples of one channel."""
-
-    def __init__(self, profile: SteadyProfile):
-        self.n = profile.spec.cells
-        self.length = profile.length
-        self.x_centers = profile.x_centers
-        self.Hc = profile.H_centers
-        self.Vc = np.asarray(profile.V_centers, dtype=float)
-        self.Hf = profile.H_faces
-        self.Vf = np.asarray(profile.V_faces, dtype=float)
-
-
 class NetworkSimulator:
     """Upwind finite-volume integrator for one network configuration.
 
@@ -246,7 +233,6 @@ class NetworkSimulator:
         if weights is None:
             raise WeightError("no weight set available for Lyapunov instrumentation")
         self.weights = weights
-        self.data = {i: _ChannelData(profiles[i]) for i in topo.channels}
         self.root_flux = profiles[topo.root_channel].flux
         self.final_state: SimState | None = None
         self._layout()
@@ -262,16 +248,17 @@ class NetworkSimulator:
     def _layout(self):
         """Concatenate every channel's samples at its offset in the flat state."""
         self.ids = ids = list(self.topo.channels)
-        ds = [self.data[i] for i in ids]
-        m, n = len(ids), np.array([d.n for d in ds])
+        ps = [self.profiles[i] for i in ids]
+        m, n = len(ids), np.array([pr.spec.cells for pr in ps])
         N = self.N = int(n.sum())
         self.m, self._starts = m, np.concatenate(([0], np.cumsum(n)[:-1]))
         start = self._starts
         self._slices = [(i, slice(a, a + k), slice(N + a, N + a + k))
                         for i, a, k in zip(ids, start, n)]
-        Hc, Vc = np.concatenate([d.Hc for d in ds]), np.concatenate([d.Vc for d in ds])
+        Hc = np.concatenate([pr.H_centers for pr in ps])
+        Vc = np.concatenate([pr.V_centers for pr in ps])
         specs = [(s.gravity, s.friction, s.friction_exponent, s.length / s.cells)
-                 for s in (self.profiles[i].spec for i in ids)]
+                 for s in (pr.spec for pr in ps)]
         g, fr, p, dx = (np.repeat(a, n) for a in zip(*specs))
         self.Hc, self.Vc, self.g, self.friction, self.p, self.dx = Hc, Vc, g, fr, p, dx
         self.src_h = p * g * fr * Vc**2 / Hc ** (p + 1.0)
@@ -285,15 +272,16 @@ class NetworkSimulator:
         # steady Jacobian in the (h, v) basis: diagonal c, off-diagonal H V/c, g V/c
         self._il = np.flatnonzero(loc < np.repeat(n, n) - 1)
         self._ir = self._il + 1
-        self._Hi = np.concatenate([d.Hf[1:-1] for d in ds])
-        self._Vi = np.concatenate([d.Vf[1:-1] for d in ds])
+        Hf, Vf = [pr.H_faces for pr in ps], [pr.V_faces for pr in ps]
+        self._Hi = np.concatenate([H[1:-1] for H in Hf])
+        self._Vi = np.concatenate([V[1:-1] for V in Vf])
         self._gi = g[self._il]
         self._absAd = np.sqrt(self._gi * self._Hi)
         self._absA12 = self._Hi * self._Vi / self._absAd
         self._absA21 = self._gi * self._Vi / self._absAd
         # boundary faces, m inlets then m outlets, follow the interior ones in the flux array
-        self._Hb = np.array([d.Hf[0] for d in ds] + [d.Hf[-1] for d in ds])
-        self._Vb = np.array([d.Vf[0] for d in ds] + [d.Vf[-1] for d in ds])
+        self._Hb = np.array([H[0] for H in Hf] + [H[-1] for H in Hf])
+        self._Vb = np.array([V[0] for V in Vf] + [V[-1] for V in Vf])
         self._gb = np.concatenate((g[self._first], g[self._last]))
         self._sign = np.repeat([-1.0, 1.0], m)
         self._left = np.empty(N, dtype=int)
@@ -421,13 +409,13 @@ class NetworkSimulator:
     def initial_state(self, perturbation: dict[int, Bump] | None = None) -> SimState:
         y = np.zeros(2 * self.N)
         for i, (h, v) in self._views(y).items():
-            d = self.data[i]
+            pr = self.profiles[i]
             bump = None if perturbation is None else perturbation.get(i)
             if bump is not None and (bump.amplitude_h != 0.0 or bump.amplitude_v != 0.0):
-                r = (d.x_centers - bump.center * d.length) / (0.5 * bump.width * d.length)
+                r = (pr.x_centers - bump.center * pr.length) / (0.5 * bump.width * pr.length)
                 shape = (1.0 - np.minimum(r * r, 1.0)) ** 4
-                cells = np.arange(d.n, dtype=float)
-                edge = np.minimum(cells, d.n - 1 - cells)
+                cells = np.arange(h.size, dtype=float)
+                edge = np.minimum(cells, h.size - 1 - cells)
                 ramp = np.clip((edge - 1.0) / 2.0, 0.0, 1.0)
                 shape *= ramp * ramp * (3.0 - 2.0 * ramp)
                 h += bump.amplitude_h * shape
@@ -600,23 +588,24 @@ class NetworkSimulator:
         """
         if T <= 0.0:
             raise ValueError("T must be positive")
-        state = self.initial_state(perturbation)
-        bound = self.cfl_dt(state)
-        nsteps = max(1, math.ceil(T / (bound * self.phys.headroom)))
-        dt = T / nsteps
-        stride = max(1, nsteps // max_samples if sample_stride is None else int(sample_stride))
-
-        flux_integral = 0.0
-        rows = [(0.0, flux_integral, *self._sample(state))]
-        for n in range(1, nsteps + 1):
-            try:
+        now = 0.0  # time of the last state reached, stamped on a SimulationError
+        try:
+            state = self.initial_state(perturbation)
+            bound = self.cfl_dt(state)
+            nsteps = max(1, math.ceil(T / (bound * self.phys.headroom)))
+            dt = T / nsteps
+            stride = max(1, nsteps // max_samples if sample_stride is None else int(sample_stride))
+            flux_integral = 0.0
+            rows = [(0.0, flux_integral, *self._sample(state))]
+            for n in range(1, nsteps + 1):
                 state, dflux = self.step(state, dt)
-            except SimulationError as exc:
-                exc.sim_time = (n - 1) * dt
-                raise
-            flux_integral += dflux
-            if n % stride == 0 or n == nsteps:
-                rows.append((n * dt, flux_integral, *self._sample(state)))
+                now = n * dt
+                flux_integral += dflux
+                if n % stride == 0 or n == nsteps:
+                    rows.append((now, flux_integral, *self._sample(state)))
+        except SimulationError as exc:
+            exc.sim_time = now
+            raise
 
         self.final_state = state
         t, flux_integrals, V, V_ext, B, mass, *norms = np.array(rows).T

@@ -153,11 +153,6 @@ class SteadyProfile:
     def outlet_velocity(self) -> float:
         return self.flux / self.outlet_depth if self.flux != 0.0 else 0.0
 
-    @property
-    def depth_ratio(self) -> float:
-        """d = H*(L) / H*(0)."""
-        return self.outlet_depth / self.inlet_depth
-
     def velocity_of(self, H):
         if self.flux == 0.0:
             out = np.zeros_like(np.asarray(H, dtype=float))
@@ -177,11 +172,6 @@ class SteadyProfile:
             self.gravity,
         )
 
-    def velocity_slope(self, x):
-        """Analytic dV*/dx = -(V*/H*) dH*/dx."""
-        H = self.depth(x)
-        return -self.velocity_of(H) / H * self.depth_slope(x)
-
     def subcritical_margin(self, x):
         H = self.depth(x)
         return self.gravity * H - self.velocity_of(H) ** 2
@@ -196,6 +186,27 @@ def _potential_drop(H_hi, H_lo, flux, p, g):
     log_r = math.log(H_hi / H_lo)
     q_term = log_r if p == 0.0 else H_lo**p * math.expm1(p * log_r) / p
     return g * (H_hi ** (p + 3.0) - H_lo ** (p + 3.0)) / (p + 3.0) - flux * flux * q_term
+
+
+def guarded_depth_rhs(spec: ChannelSpec, flux: float, inlet_depth: float, margin_tol: float):
+    """Scalar dH/dx of the steady depth equation, guarded: H -> (H, dH/dx).
+
+    Every ODE that carries the steady depth (the profile itself and the
+    weight integrals) uses it. Depth is floored at half the critical depth
+    and the margin g H - V^2 at a quarter of the subcritical tolerance, so
+    trial evaluations beyond the terminal event stay finite; an accepted
+    solution never enters the guarded region. Needs flux > 0.
+    """
+    g, friction, p = spec.gravity, spec.friction, spec.friction_exponent
+    H_floor = 0.5 * critical_depth(flux, g)
+    margin_floor = 0.25 * (margin_tol * g * inlet_depth)
+
+    def rhs(H):
+        H = max(H, H_floor)
+        V2 = (flux / H) ** 2
+        return H, -g * friction * V2 / (H ** (p - 1.0) * max(g * H - V2, margin_floor))
+
+    return rhs
 
 
 def integrate_channel_steady(
@@ -232,15 +243,10 @@ def integrate_channel_steady(
         blowup = math.inf
     else:
         p = spec.friction_exponent
-        H_floor = 0.5 * Hc
-        margin_floor = 0.25 * threshold
+        depth_rhs = guarded_depth_rhs(spec, flux, H0, margin_tol)
 
         def rhs(x, y):
-            # Guarded for trial evaluations beyond the terminal event; the
-            # accepted solution never enters the guarded region.
-            H = max(y[0], H_floor)
-            margin = max(g * H - (flux / H) ** 2, margin_floor)
-            return (-g * spec.friction * (flux / H) ** 2 / (H ** (p - 1.0) * margin),)
+            return (depth_rhs(y[0])[1],)
 
         def margin_event(x, y):
             H = max(y[0], 1e-12 * H0)

@@ -24,21 +24,24 @@ rational function of the steady depth; an independent Riccati integration of
 the same equation serves as the verification oracle for it.
 
 All cumulative integrals are computed by adaptive Runge-Kutta integration of
-their derivative alongside the steady depth (closed-form right-hand sides,
-relative tolerance ~1e-12), so certificate accuracy does not depend on the
-simulation grid.
+their derivative alongside the steady depth (relative tolerance ~1e-12), so
+certificate accuracy does not depend on the simulation grid. One driver,
+``_integrate``, makes every such solve: the state is (H, I1, I2, extra...),
+with the guarded depth slope of ``steady.guarded_depth_rhs`` and the speeds
+and couplings of ``characteristics.speeds_couplings``, the same kernels that
+the steady profile and ``CharCoeffs`` use. ``_ChannelState`` evaluates the
+result anywhere on the channel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .characteristics import CharCoeffs, eigenvalues, reflection_coefficient
+from .characteristics import CharCoeffs, eigenvalues, reflection_coefficient, speeds_couplings
 from .errors import (
     DegenerateFlux,
     EpsilonTooLarge,
@@ -47,7 +50,7 @@ from .errors import (
     WeightError,
     ZeroW,
 )
-from .steady import SteadyProfile
+from .steady import SteadyProfile, guarded_depth_rhs
 from .topology import NetworkTopology, traversal_order, validate_topology
 
 ETA_BLOWUP = 1e12
@@ -61,63 +64,104 @@ DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
 
 
-def _closed_form_terms(profile: SteadyProfile):
-    """Bundle the channel constants used by every augmented ODE."""
+def _uncoupled(profile: SteadyProfile) -> bool:
+    """Zero flux or no friction: constant depth and vanishing couplings."""
+    return profile.flux == 0.0 or profile.spec.friction == 0.0
+
+
+def _integrate(profile: SteadyProfile, extra, init, rtol, atol, events=None):
+    """One adaptive solve of (H, I1, I2, extra...) over a coupled channel.
+
+    I1 = int gamma1/lambda1 and I2 = int delta2/lambda2 ride along the
+    guarded steady depth; ``extra(y, lam1, lam2, g1, d1, g2, d2)`` returns
+    the derivatives of the remaining components, which start at ``init``.
+    Returns the solve_ivp result for the caller to check.
+    """
     spec = profile.spec
-    return profile.flux, spec.friction, spec.friction_exponent, spec.gravity
+    flux, friction, p, g = profile.flux, spec.friction, spec.friction_exponent, spec.gravity
+    depth_rhs = guarded_depth_rhs(spec, flux, profile.inlet_depth, profile.margin_tol)
+
+    def rhs(x, y):
+        H, dH = depth_rhs(y[0])
+        lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, flux, friction, p, g)
+        return (dH, g1 / lam1, d2 / lam2, *extra(y, lam1, lam2, g1, d1, g2, d2))
+
+    return solve_ivp(
+        rhs,
+        (0.0, profile.length),
+        (profile.inlet_depth, 0.0, 0.0, *init),
+        method="RK45",
+        dense_output=True,
+        rtol=rtol,
+        atol=atol,
+        events=events,
+    )
 
 
-def _speeds_couplings(H, flux, friction, p, g):
-    """Scalar/array characteristic speeds and couplings as functions of depth."""
-    c = math.sqrt(g * H) if np.ndim(H) == 0 else np.sqrt(g * H)
-    V = flux / H
-    lam1 = V + c
-    lam2 = c - V
-    K = g * friction * V * V / H**p
-    half_p = p / (2.0 * c)
-    inv_v = 1.0 / V
-    g1 = K * (-3.0 / (4.0 * lam1) + inv_v - half_p)
-    d1 = K * (-1.0 / (4.0 * lam1) + inv_v + half_p)
-    g2 = K * (1.0 / (4.0 * lam2) + inv_v - half_p)
-    d2 = K * (3.0 / (4.0 * lam2) + inv_v + half_p)
-    return lam1, lam2, g1, d1, g2, d2
+def _eta_blowup(x, y):
+    return y[3] - ETA_BLOWUP
 
 
-def _depth_rhs_guarded(H, flux, friction, p, g, H_floor, margin_floor):
-    H = max(H, H_floor)
-    V2 = (flux / H) ** 2
-    margin = max(g * H - V2, margin_floor)
-    return -g * friction * V2 / (H ** (p - 1.0) * margin)
+_eta_blowup.terminal = True
+_eta_blowup.direction = 1
 
 
-def _guards(profile: SteadyProfile):
-    g = profile.gravity
-    H_floor = 0.5 * profile.critical_depth if profile.critical_depth > 0 else 1e-12
-    margin_floor = 0.25 * profile.margin_tol * g * profile.inlet_depth
-    return H_floor, margin_floor
+def _riccati(epsilon):
+    """Extra derivative of the comparison solution in the scaled variable
+    u = eta / phi: u' = |delta1/lambda1 + (gamma2/lambda2) u^2| - u (gamma1/
+    lambda1 + delta2/lambda2) + epsilon / phi (see eta_bar_by_ode)."""
+
+    def du(y, lam1, lam2, g1, d1, g2, d2):
+        u = y[3]
+        return (
+            abs(d1 / lam1 + g2 / lam2 * u * u)
+            - u * (g1 / lam1 + d2 / lam2)
+            + epsilon * math.exp(-(y[1] + y[2])),
+        )
+
+    return du
 
 
-class _ZeroCouplingIntegrals:
-    """Frictionless or zero-flux channel: all coefficient integrals vanish."""
+class _ChannelState:
+    """(H, I1, I2, extra...) of one channel at any abscissa, clamped to [0, L].
 
-    def __init__(self, profile: SteadyProfile):
+    ``sol`` is the driver's result; with ``scaled`` its component 3 is
+    u = eta / phi and is returned as eta. An uncoupled channel has no solve
+    (``sol`` None): the integrals vanish and every extra component is
+    init + epsilon x, the exact solution there.
+    """
+
+    def __init__(self, profile: SteadyProfile, sol=None, init=(), epsilon=0.0, scaled=False):
         self.profile = profile
+        self.init = init
+        self.epsilon = epsilon
+        self.scaled = scaled
+        if sol is not None:
+            self.dense, self.x_end = sol.sol, float(sol.t[-1])
+        else:
+            self.dense = None
 
     def state(self, x):
         x = np.asarray(x, dtype=float)
-        H = self.profile.depth(x)
-        zeros = np.zeros_like(np.asarray(H, dtype=float))
-        return np.stack([np.broadcast_to(H, zeros.shape), zeros, zeros, zeros, zeros])
+        if self.dense is None:
+            zeros = np.zeros(x.shape)
+            extra = (a + self.epsilon * x for a in self.init)
+            return np.stack([self.profile.depth(x), zeros, zeros, *extra])
+        s = self.dense(np.clip(x, 0.0, self.x_end))
+        if self.scaled:
+            s[3] = s[3] * np.exp(s[1] + s[2])
+        return s
 
-
-class _DenseIntegrals:
-    def __init__(self, dense, x_end):
-        self.dense = dense
-        self.x_end = x_end
-
-    def state(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.dense(np.clip(x, 0.0, self.x_end))
+    def slope(self, x):
+        """eta'(x) of a comparison solution, from its Riccati equation."""
+        if self.dense is None:
+            return np.full_like(np.asarray(x, dtype=float), self.epsilon)
+        H, I1, I2, eta = self.state(x)
+        spec = self.profile.spec
+        terms = (self.profile.flux, spec.friction, spec.friction_exponent, spec.gravity)
+        lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, *terms)
+        phi = np.exp(I1 + I2)
+        return np.abs(d1 * phi / lam1 + g2 / (lam2 * phi) * eta**2) + self.epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +178,7 @@ class PhiProfiles:
     """
 
     profile: SteadyProfile
-    _integrals: object
+    _integrals: _ChannelState
 
     def state(self, x):
         return self._integrals.state(x)
@@ -158,41 +202,18 @@ class PhiProfiles:
 
 def phi_profiles(profile: SteadyProfile) -> PhiProfiles:
     """Integrate the cumulative coefficient integrals over the channel."""
-    flux, friction, p, g = _closed_form_terms(profile)
-    if flux == 0.0 or friction == 0.0:
-        return PhiProfiles(profile=profile, _integrals=_ZeroCouplingIntegrals(profile))
+    if _uncoupled(profile):
+        return PhiProfiles(profile=profile, _integrals=_ChannelState(profile, init=(0.0, 0.0)))
 
-    H_floor, margin_floor = _guards(profile)
+    def extra(y, lam1, lam2, g1, d1, g2, d2):
+        return 2.0 * g2 / lam1, math.exp(y[3]) * g2 / (lam2 * math.exp(y[1] + y[2]))
 
-    def rhs(x, y):
-        H = max(y[0], H_floor)
-        lam1, lam2, g1, d1, g2, d2 = _speeds_couplings(H, flux, friction, p, g)
-        dH = _depth_rhs_guarded(H, flux, friction, p, g, H_floor, margin_floor)
-        phi = math.exp(y[1] + y[2])
-        return (
-            dH,
-            g1 / lam1,
-            d2 / lam2,
-            2.0 * g2 / lam1,
-            math.exp(y[3]) * g2 / (lam2 * phi),
-        )
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, profile.length),
-        (profile.inlet_depth, 0.0, 0.0, 0.0, 0.0),
-        method="RK45",
-        dense_output=True,
-        rtol=INTEGRAL_RTOL,
-        atol=INTEGRAL_ATOL,
-    )
+    sol = _integrate(profile, extra, (0.0, 0.0), INTEGRAL_RTOL, INTEGRAL_ATOL)
     if not sol.success:
         raise WeightError(
             f"channel {profile.channel}: coefficient integrals failed: {sol.message}"
         )
-    return PhiProfiles(
-        profile=profile, _integrals=_DenseIntegrals(sol.sol, float(sol.t[-1]))
-    )
+    return PhiProfiles(profile=profile, _integrals=_ChannelState(profile, sol))
 
 
 def eta_zero(phi: PhiProfiles, x):
@@ -257,57 +278,6 @@ def riccati_existence_margin(phi: PhiProfiles, x):
     return lam1_0 / (lam1_0 - lam2_0) - phi.existence_integral(x)
 
 
-class _AffineEta:
-    """eta for channels with zero coupling: eta' = epsilon exactly."""
-
-    def __init__(self, profile, init, epsilon):
-        self.profile = profile
-        self.init = init
-        self.epsilon = epsilon
-
-    def eta(self, x):
-        return self.init + self.epsilon * np.asarray(x, dtype=float)
-
-    def state(self, x):
-        x = np.asarray(x, dtype=float)
-        H = np.broadcast_to(self.profile.depth(x), x.shape if x.ndim else ())
-        zeros = np.zeros_like(np.asarray(H, dtype=float))
-        return np.stack([np.asarray(H, dtype=float), zeros, zeros, self.eta(x)])
-
-    def slope(self, x, eta=None):
-        return np.full_like(np.asarray(x, dtype=float), self.epsilon)
-
-
-class _DenseEta:
-    """Dense eta evaluator backed by the scaled integration state (H, I1, I2, u).
-
-    The stored fourth component is u = eta / phi; ``state`` converts back so
-    callers always see (H, I1, I2, eta).
-    """
-
-    def __init__(self, profile, dense, x_end, init, epsilon, rhs_fn):
-        self.profile = profile
-        self.dense = dense
-        self.x_end = x_end
-        self.init = init
-        self.epsilon = epsilon
-        self._rhs = rhs_fn
-
-    def eta(self, x):
-        return self.state(x)[3]
-
-    def state(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.array(self.dense(np.clip(x, 0.0, self.x_end)))
-        s[3] = s[3] * np.exp(s[1] + s[2])
-        return s
-
-    def slope(self, x, eta=None):
-        """eta'(x) through the Riccati right-hand side (vectorized)."""
-        s = self.state(x)
-        return self._rhs(s[0], s[1], s[2], s[3])
-
-
 def eta_eps(
     profile: SteadyProfile,
     epsilon: float,
@@ -322,120 +292,64 @@ def eta_eps(
     Raises EpsilonTooLarge if the solution leaves [0, 1e12] before the
     channel end.
     """
-    flux, friction, p, g = _closed_form_terms(profile)
     if trunk_inlet:
-        if flux == 0.0:
+        if profile.flux == 0.0:
             raise DegenerateFlux("trunk channels carry positive flux")
-        lam1_0, lam2_0 = eigenvalues(profile.inlet_depth, profile.velocity(0.0), g)
+        lam1_0, lam2_0 = eigenvalues(profile.inlet_depth, profile.velocity(0.0), profile.gravity)
         init = lam2_0 / lam1_0 + epsilon
     else:
         init = 1.0 + epsilon
 
-    if flux == 0.0 or friction == 0.0:
-        return _AffineEta(profile, init, epsilon)
+    if _uncoupled(profile):
+        return _ChannelState(profile, init=(init,), epsilon=epsilon)
 
-    H_floor, margin_floor = _guards(profile)
-
-    def vec_rhs(H, I1, I2, eta):
-        lam1, lam2, g1, d1, g2, d2 = _speeds_couplings(
-            np.maximum(H, H_floor), flux, friction, p, g
-        )
-        phi = np.exp(I1 + I2)
-        return np.abs(d1 * phi / lam1 + g2 / (lam2 * phi) * eta**2) + epsilon
-
-    def rhs(x, y):
-        H = max(y[0], H_floor)
-        lam1, lam2, g1, d1, g2, d2 = _speeds_couplings(H, flux, friction, p, g)
-        dH = _depth_rhs_guarded(H, flux, friction, p, g, H_floor, margin_floor)
-        u = y[3]
-        du = (
-            abs(d1 / lam1 + g2 / lam2 * u * u)
-            - u * (g1 / lam1 + d2 / lam2)
-            + epsilon * math.exp(-(y[1] + y[2]))
-        )
-        return (dH, g1 / lam1, d2 / lam2, du)
-
-    def blowup(x, y):
-        return y[3] - ETA_BLOWUP
-
-    blowup.terminal = True
-    blowup.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, profile.length),
-        (profile.inlet_depth, 0.0, 0.0, init),
-        method="RK45",
-        dense_output=True,
-        rtol=ETA_RTOL,
-        atol=ETA_ATOL,
-        events=blowup,
-    )
+    sol = _integrate(profile, _riccati(epsilon), (init,), ETA_RTOL, ETA_ATOL, _eta_blowup)
     if sol.t_events[0].size or not sol.success or sol.t[-1] < profile.length:
         raise EpsilonTooLarge(
             f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
             f"does not exist on the whole channel"
         )
-    return _DenseEta(profile, sol.sol, float(sol.t[-1]), init, epsilon, vec_rhs)
+    return _ChannelState(profile, sol, epsilon=epsilon, scaled=True)
 
 
 def eta_bar_by_ode(profile: SteadyProfile, rtol: float = ORACLE_TOL, atol: float = ORACLE_TOL):
     """Independent Riccati integration of the unit-inlet comparison solution.
 
     Re-integrates the steady depth and the phi exponents alongside the Riccati
-    solution in a single adaptive solve (closed-form right-hand sides; no
-    reuse of cached profiles), so it can serve as a verification oracle for
-    the closed form. The Riccati equation is advanced in the scaled variable
-    u = eta_bar / phi, whose equation u' = delta1/lambda1 + (gamma2/lambda2)
-    u^2 - u (gamma1/lambda1 + delta2/lambda2) has the neutral exponential
-    drift removed: the raw eta_bar equation amplifies truncation error by
-    exp(int 2 gamma2 eta_bar / (lambda2 phi)), which overwhelms any tolerance
-    on channels approaching the blow-up length, while the scaled form stays
-    well conditioned. Returns a callable evaluating eta_bar(x).
+    solution in a single adaptive solve (no reuse of cached profiles, and
+    nothing of the closed form), so it can serve as a verification oracle
+    for the closed form. The Riccati equation is advanced in the scaled
+    variable u = eta_bar / phi, whose equation u' = delta1/lambda1 +
+    (gamma2/lambda2) u^2 - u (gamma1/lambda1 + delta2/lambda2) has the
+    neutral exponential drift removed: the raw eta_bar equation amplifies
+    truncation error by exp(int 2 gamma2 eta_bar / (lambda2 phi)), which
+    overwhelms any tolerance on channels approaching the blow-up length,
+    while the scaled form stays well conditioned. Returns a callable
+    evaluating eta_bar(x).
     """
-    flux, friction, p, g = _closed_form_terms(profile)
-    if flux == 0.0 or friction == 0.0:
-        return lambda x: np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-
-    H_floor, margin_floor = _guards(profile)
-
-    def rhs(x, y):
-        H = max(y[0], H_floor)
-        lam1, lam2, g1, d1, g2, d2 = _speeds_couplings(H, flux, friction, p, g)
-        dH = _depth_rhs_guarded(H, flux, friction, p, g, H_floor, margin_floor)
-        u = y[3]
-        du = abs(d1 / lam1 + g2 / lam2 * u * u) - u * (g1 / lam1 + d2 / lam2)
-        return (dH, g1 / lam1, d2 / lam2, du)
-
-    def blowup(x, y):
-        return y[3] - ETA_BLOWUP
-
-    blowup.terminal = True
-    blowup.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, profile.length),
-        (profile.inlet_depth, 0.0, 0.0, 1.0),
-        method="RK45",
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-        events=blowup,
-    )
-    if sol.t_events[0].size:
-        raise RiccatiBlowup(profile.channel, float(sol.t_events[0][0]))
-    if not sol.success:
-        raise WeightError(f"channel {profile.channel}: Riccati integration failed: {sol.message}")
-    dense, x_end = sol.sol, float(sol.t[-1])
+    if _uncoupled(profile):
+        state = _ChannelState(profile, init=(1.0,))
+    else:
+        sol = _integrate(profile, _riccati(0.0), (1.0,), rtol, atol, _eta_blowup)
+        if sol.t_events[0].size:
+            raise RiccatiBlowup(profile.channel, float(sol.t_events[0][0]))
+        if not sol.success:
+            raise WeightError(f"channel {profile.channel}: Riccati integration failed: {sol.message}")
+        state = _ChannelState(profile, sol, scaled=True)
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        s = dense(np.clip(x, 0.0, x_end))
-        out = s[3] * np.exp(s[1] + s[2])
-        return float(out) if x.ndim == 0 else out
+        out = state.state(x)[3]
+        return float(out) if np.ndim(x) == 0 else out
 
     return evaluate
+
+
+def _weight_pair(s, alpha=1.0, lam1=1.0, lam2=1.0):
+    """(f1, f2) = (alpha phi1^2 / (lambda1 eta), alpha phi2^2 eta / lambda2)
+    from an eta state (H, I1, I2, eta). With unit alpha and speeds it is the
+    pair (phi1^2 / eta, phi2^2 eta), whose difference and sum are Z / alpha
+    and W / alpha."""
+    return alpha * np.exp(s[1]) ** 2 / (lam1 * s[3]), alpha * np.exp(-s[2]) ** 2 * s[3] / lam2
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,20 +357,12 @@ class ChannelWeights:
     """Weight profiles of one channel, sampled on its fine grid."""
 
     coeffs: CharCoeffs
-    phi_integrals: PhiProfiles
-    eta_solution: object
+    eta_solution: _ChannelState
     alpha: float
     epsilon: float
-    phi1: np.ndarray
-    phi2: np.ndarray
-    phi: np.ndarray
-    eta0: np.ndarray
-    m: np.ndarray | None
-    eta_bar: np.ndarray | None
     eta_eps: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    Z: np.ndarray
     W: np.ndarray
 
     @property
@@ -467,83 +373,35 @@ class ChannelWeights:
     def channel(self) -> int:
         return self.profile.channel
 
-    def _pieces_at(self, x):
-        s = self.eta_solution.state(x)
-        H, I1, I2, eta = s[0], s[1], s[2], s[3]
-        lam1, lam2 = eigenvalues(H, self.profile.velocity_of(H), self.profile.gravity)
-        phi1 = np.exp(I1)
-        phi2 = np.exp(-I2)
-        return H, lam1, lam2, phi1, phi2, eta
-
     def f_at(self, x):
         """(f1, f2) at arbitrary abscissae."""
-        H, lam1, lam2, phi1, phi2, eta = self._pieces_at(x)
-        return (
-            self.alpha * phi1**2 / (lam1 * eta),
-            self.alpha * phi2**2 * eta / lam2,
-        )
+        s = self.eta_solution.state(x)
+        lam1, lam2 = eigenvalues(s[0], self.profile.velocity_of(s[0]), self.profile.gravity)
+        return _weight_pair(s, self.alpha, lam1, lam2)
 
     def zw_at(self, x):
         """(Z, W) = (lambda1 f1 -/+ lambda2 f2) at arbitrary abscissae."""
-        H, lam1, lam2, phi1, phi2, eta = self._pieces_at(x)
-        a = phi1**2 / eta
-        b = phi2**2 * eta
+        a, b = _weight_pair(self.eta_solution.state(x))
         return self.alpha * (a - b), self.alpha * (a + b)
 
     def w_tilde_at(self, x):
-        H, lam1, lam2, phi1, phi2, eta = self._pieces_at(x)
-        return phi1**2 / eta + phi2**2 * eta
+        """W / alpha at arbitrary abscissae."""
+        a, b = _weight_pair(self.eta_solution.state(x))
+        return a + b
 
 
-def _build_channel_weights(
-    coeffs: CharCoeffs,
-    phi: PhiProfiles,
-    eta_sol,
-    alpha: float,
-) -> ChannelWeights:
-    profile = coeffs.profile
-    x = profile.x_fine
-    s = eta_sol.state(x)
-    H, I1, I2, eta = s[0], s[1], s[2], s[3]
-    lam1, lam2 = coeffs.lambda1, coeffs.lambda2
-    phi1 = np.exp(I1)
-    phi2 = np.exp(-I2)
-    phiv = phi1 / phi2
-    eta0 = (lam2 / lam1) * phiv
-    if profile.flux > 0.0:
-        m = m_value(
-            profile.H_fine,
-            profile.inlet_depth,
-            profile.flux,
-            profile.spec.friction_exponent,
-            profile.gravity,
-        )
-        m = np.broadcast_to(np.asarray(m, dtype=float), x.shape).copy()
-        eta_bar = m * eta0
-    else:
-        m = None
-        eta_bar = None
-    f1 = alpha * phi1**2 / (lam1 * eta)
-    f2 = alpha * phi2**2 * eta / lam2
-    a = phi1**2 / eta
-    b = phi2**2 * eta
+def _build_channel_weights(coeffs: CharCoeffs, eta_sol: _ChannelState, alpha: float) -> ChannelWeights:
+    s = eta_sol.state(coeffs.profile.x_fine)
+    f1, f2 = _weight_pair(s, alpha, coeffs.lambda1, coeffs.lambda2)
     return ChannelWeights(
         coeffs=coeffs,
-        phi_integrals=phi,
         eta_solution=eta_sol,
         alpha=alpha,
         epsilon=eta_sol.epsilon,
-        phi1=phi1,
-        phi2=phi2,
-        phi=phiv,
-        eta0=eta0,
-        m=m,
-        eta_bar=eta_bar,
-        eta_eps=np.asarray(eta, dtype=float),
+        eta_eps=s[3],
         f1=f1,
         f2=f2,
-        Z=alpha * (a - b),
-        W=alpha * (a + b),
+        W=alpha * sum(_weight_pair(s)),
     )
 
 
@@ -556,25 +414,19 @@ class WeightSet:
     channels: dict[int, ChannelWeights]
 
 
-def _w_tilde(state) -> float:
-    """W / alpha = phi1^2 / eta + phi2^2 eta from an eta state (H, I1, I2, eta)."""
-    return float(np.exp(2.0 * state[1]) / state[3] + np.exp(-2.0 * state[2]) * state[3])
-
-
 def _weighted_channels(
     topo: NetworkTopology,
     profiles: dict[int, SteadyProfile],
     epsilon: float,
     coeffs: dict[int, CharCoeffs],
-    phis: dict[int, PhiProfiles],
     root_alpha: float = 1.0,
 ):
     """Yield the weights of every channel in traversal order, parents first.
 
     alpha_child = alpha_parent * W~_parent(L) / W~_child(0) makes W continuous
     across every junction; the root scale is free and an overall rescale
-    leaves every certificate verdict unchanged. ``coeffs`` and ``phis`` are
-    filled on the way. Raises EpsilonTooLarge at the first channel whose
+    leaves every certificate verdict unchanged. ``coeffs`` is filled on the
+    way. Raises EpsilonTooLarge at the first channel whose
     comparison solution does not exist.
     """
     alphas: dict[int, float] = {}
@@ -583,19 +435,17 @@ def _weighted_channels(
         profile = profiles[i]
         if i not in coeffs:
             coeffs[i] = CharCoeffs.from_profile(profile)
-        if i not in phis:
-            phis[i] = phi_profiles(profile)
         eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel))
-        w_end[i] = _w_tilde(eta.state(profile.length))
+        w_end[i] = float(sum(_weight_pair(eta.state(profile.length))))
         if i == topo.root_channel:
             alphas[i] = root_alpha
         else:
-            w_start = _w_tilde(eta.state(0.0))
+            w_start = float(sum(_weight_pair(eta.state(0.0))))
             if abs(w_start) < 1e-300:
                 raise ZeroW(f"channel {i}: W vanishes at the inlet")
             parent = topo.parent_of(i)
             alphas[i] = alphas[parent] * w_end[parent] / w_start
-        yield _build_channel_weights(coeffs[i], phis[i], eta, alphas[i])
+        yield _build_channel_weights(coeffs[i], eta, alphas[i])
 
 
 def network_weights(
@@ -607,7 +457,7 @@ def network_weights(
     """Assemble junction-matched weights for the whole tree at one epsilon."""
     channels = {
         cw.channel: cw
-        for cw in _weighted_channels(topo, profiles, epsilon, {}, {}, root_alpha)
+        for cw in _weighted_channels(topo, profiles, epsilon, {}, root_alpha)
     }
     return WeightSet(topo=topo, epsilon=epsilon, channels=channels)
 
@@ -824,7 +674,6 @@ def _attempt(
     gains: dict[int, float],
     epsilon: float,
     coeffs: dict[int, CharCoeffs],
-    phis: dict[int, PhiProfiles],
     rel_tol: float,
     stop_early: bool,
 ):
@@ -841,7 +690,7 @@ def _attempt(
     detail = _empty_detail()
     failed: set[str] = set()
     try:
-        for cw in _weighted_channels(topo, profiles, epsilon, coeffs, phis):
+        for cw in _weighted_channels(topo, profiles, epsilon, coeffs):
             ws.channels[cw.channel] = cw
             failed.update(_channel_checks(ws, cw, gains, rel_tol, detail))
             if failed and stop_early:
@@ -877,7 +726,6 @@ def certify_network(
         if j not in gains:
             raise MissingGain(j)
     coeffs_cache: dict[int, CharCoeffs] = {}
-    phi_cache: dict[int, PhiProfiles] = {}
     epsilon = float(epsilon_start)
     for halvings in range(max_halvings + 1):
         ws, failed, detail = _attempt(
@@ -886,7 +734,6 @@ def certify_network(
             gains,
             epsilon,
             coeffs_cache,
-            phi_cache,
             positivity_rel_tol,
             stop_early=halvings < max_halvings,
         )

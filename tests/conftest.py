@@ -175,11 +175,11 @@ def dry_outlet_cell(sim, state, channel):
     below -2 sqrt(g H*) at the outlet face, so no face depth satisfies the
     boundary relation there.
     """
-    d = sim.data[channel]
+    prof = sim.profiles[channel]
     depth = 1e-4
     h, v = state.fields[channel]
-    h[-1] = depth - d.Hc[-1]
-    v[-1] = -0.5 * math.sqrt(sim.profiles[channel].gravity * depth) - d.Vc[-1]
+    h[-1] = depth - prof.H_centers[-1]
+    v[-1] = -0.5 * math.sqrt(prof.gravity * depth) - prof.V_centers[-1]
 
 
 STAR_ROOT_DEPTH = 2.0

@@ -14,12 +14,13 @@ from channet.characteristics import (
     reflection_coefficient,
     riemann_forward,
     riemann_inverse,
+    speeds_couplings,
 )
 from channet.errors import FormMismatch, ReflectionPole
 from channet.steady import integrate_channel_steady, steady_rhs
 from channet.topology import ChannelSpec
 
-from conftest import G, draw_channel
+from conftest import G, P_CHOICES, draw_channel
 
 
 def test_eigenvalues_frozen_point():
@@ -121,6 +122,22 @@ def test_coupling_mismatch_detected():
     H = np.linspace(1.2, 3.0, 7)
     with pytest.raises(FormMismatch):
         coupling_coefficients(H, 1.0, 2e-3, 1.0, G, check=True, tol=0.0)
+
+
+def test_speeds_couplings_scalar_path_matches_array_path():
+    # CharCoeffs evaluates the kernel on arrays and the weight ODEs on scalars;
+    # the two must agree bit for bit
+    rng = np.random.default_rng(55)
+    for p in P_CHOICES:
+        flux = rng.uniform(0.2, 3.0)
+        Hc = (flux / math.sqrt(G)) ** (2.0 / 3.0)
+        H = Hc * rng.uniform(1.01, 4.0, size=64)
+        friction = rng.uniform(1e-4, 5e-3)
+        arrays = speeds_couplings(H, flux, friction, p, G)
+        for k, h in enumerate(H):
+            scalars = speeds_couplings(float(h), flux, friction, p, G)
+            assert all(type(v) is float for v in scalars)
+            assert scalars == tuple(float(a[k]) for a in arrays), (p, k)
 
 
 def test_zero_friction_couplings_vanish():

@@ -86,8 +86,8 @@ def test_root_face_keeps_inflow_flux(star_sim_parts, mode):
         state, _ = sim.step(state, dt)
     faces = sim.face_states(state)
     h0, v0, _, _ = faces[1]
-    d = sim.data[1]
-    H0, V0 = float(d.Hf[0]), float(d.Vf[0])
+    prof = sim.profiles[1]
+    H0, V0 = float(prof.H_faces[0]), float(prof.V_faces[0])
     if mode == "linear":
         residual = H0 * v0 + V0 * h0
     else:
@@ -120,9 +120,9 @@ def test_junction_faces_share_depth_and_conserve_flux(star_sim_parts, mode):
     flux_scale = sim.root_flux
 
     def face_flux(i, h, v, at_end):
-        d = sim.data[i]
-        H_star = float(d.Hf[-1] if at_end else d.Hf[0])
-        V_star = float(d.Vf[-1] if at_end else d.Vf[0])
+        prof = sim.profiles[i]
+        H_star = float(prof.H_faces[-1] if at_end else prof.H_faces[0])
+        V_star = float(prof.V_faces[-1] if at_end else prof.V_faces[0])
         q = H_star * v + V_star * h
         if mode == "nonlinear":
             q += h * v
@@ -215,8 +215,7 @@ def test_pulse_travels_at_characteristic_speed():
         state, _ = sim.step(state, T / n)
     lam1 = float(prof.velocity(center)) + math.sqrt(G * float(prof.depth(center)))
     x_expected = center + lam1 * T
-    d = sim.data[1]
-    x_peak = float(d.x_centers[int(np.argmax(state.fields[1][0]))])
+    x_peak = float(prof.x_centers[int(np.argmax(state.fields[1][0]))])
     assert abs(x_peak - x_expected) <= 3.0 * spec.length / spec.cells
 
 

@@ -398,3 +398,38 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
     assert counted.halvings == 12
     assert len(calls) <= 33
     assert _certificate_bytes(counted, 12) == _certificate_bytes(cert, 12)
+
+
+# README-star certificate (cells = 100, zero gains) as computed before the
+# speeds-and-couplings kernel and the ODE driver were shared; a rewrite that
+# only reorders floating-point operations moves each margin by about 1e-11.
+PINNED_STAR_CERTIFICATE = {
+    "certified": True,
+    "epsilon": 2.44140625e-07,
+    "halvings": 12,
+    "alphas": {"1": 1.0, "2": 0.9795494762083256, "3": 0.9795494762083256, "4": 0.9795494762083256},
+    "z_end": {"1": 0.4433353271900923},
+    "z_start": {"2": -4.78295584377551e-07, "3": -4.78295584377551e-07, "4": -4.78295584377551e-07},
+    "junction_min_eig": {"1": 4.782955840786954e-07},
+    "trunk_inlet": 4.745984999487973e-05,
+    "terminal_margins": {"2": 0.0006323600602700097, "3": 4.930408603409653e-05,
+                         "4": 1.7855914357878255e-05},
+    "reflection": {"2": -1.0, "3": -1.0, "4": -1.0},
+    "interior_min_eig": {"1": 2.370368596244475e-07, "2": 2.256569606391744e-07,
+                         "3": 2.3564930704298792e-07, "4": 2.3034920639116926e-07},
+    "failed_checks": [],
+}
+
+
+def test_star_certificate_matches_pinned_values(star_weights):
+    got = star_weights[2].to_dict()
+    pins = PINNED_STAR_CERTIFICATE
+    assert got.keys() == pins.keys()
+    for key in ("certified", "epsilon", "halvings", "failed_checks"):
+        assert got[key] == pins[key], key
+    for key in ("alphas", "z_end", "z_start", "junction_min_eig", "terminal_margins",
+                "reflection", "interior_min_eig"):
+        assert got[key].keys() == pins[key].keys(), key
+        for i, value in pins[key].items():
+            assert got[key][i] == pytest.approx(value, rel=1e-9, abs=0.0), (key, i)
+    assert got["trunk_inlet"] == pytest.approx(pins["trunk_inlet"], rel=1e-9, abs=0.0)
