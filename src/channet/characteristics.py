@@ -44,7 +44,8 @@ def speeds_couplings(H, flux, friction, p, g):
     math.sqrt and an array H numpy, with the same bits either way. Needs
     flux > 0.
     """
-    if np.ndim(H) == 0:
+    # np.ndim(H) == 0, without its microsecond of overhead per ODE step
+    if not isinstance(H, np.ndarray) or H.ndim == 0:
         c, Hp = math.sqrt(g * H), H**p
     else:
         # numpy's vectorised power can differ from the C library's by an ulp
@@ -60,6 +61,30 @@ def speeds_couplings(H, flux, friction, p, g):
     g2 = K * (1.0 / (4.0 * lam2) + inv_v - half_p)
     d2 = K * (3.0 / (4.0 * lam2) + inv_v + half_p)
     return lam1, lam2, g1, d1, g2, d2
+
+
+def phi_exponents(H, inlet_depth, flux, p, g):
+    """(I1, I2) = (int gamma1/lambda1, int delta2/lambda2) from the inlet to depth H.
+
+    With the inverse Froude number s = sqrt(g H^3)/Q (s > 1 when subcritical)
+    and H_x = -K H/(lambda1 lambda2), both integrands are rational in s:
+
+        I1 = -(2/3) [s - (1/4 + p/2) ln s - (3/2) ln(s + 1) - p/(2s)],
+        I2 = -(2/3) [s + (1/4 + p/2) ln s + (3/2) ln(s - 1) - p/(2s)],
+
+    each minus its value at the inlet. The differences are taken term by
+    term, so both are exactly 0 at the inlet depth. A scalar H takes math
+    and an array H numpy. Needs flux > 0 and H above the critical depth.
+    """
+    array = isinstance(H, np.ndarray) and H.ndim > 0
+    sqrt, log = (np.sqrt, np.log) if array else (math.sqrt, math.log)
+    s = sqrt(g * H * H * H) / flux
+    s0 = math.sqrt(g * inlet_depth * inlet_depth * inlet_depth) / flux
+    shared = 0.5 * p * (1.0 / s - 1.0 / s0) - (s - s0)
+    log_s = (0.25 + 0.5 * p) * log(s / s0)
+    I1 = (2.0 / 3.0) * (shared + log_s + 1.5 * log((s + 1.0) / (s0 + 1.0)))
+    I2 = (2.0 / 3.0) * (shared - log_s - 1.5 * log((s - 1.0) / (s0 - 1.0)))
+    return I1, I2
 
 
 def coupling_coefficients(
@@ -119,12 +144,6 @@ def riemann_forward(h, v, depth_star, gravity=9.81):
     return v + h * s, v - h * s
 
 
-def riemann_inverse(y1, y2, depth_star, gravity=9.81):
-    """Characteristic variables back to deviation fields (h, v)."""
-    s = np.sqrt(gravity / np.asarray(depth_star, dtype=float))
-    return (y1 - y2) / (2.0 * s), 0.5 * (y1 + y2)
-
-
 def nonlinear_change(H, V, depth_star, velocity_star, gravity=9.81):
     """Exact characteristic coordinates of the full flow state.
 
@@ -134,14 +153,6 @@ def nonlinear_change(H, V, depth_star, velocity_star, gravity=9.81):
     d = 2.0 * (np.sqrt(gravity * np.asarray(H, dtype=float)) - np.sqrt(gravity * np.asarray(depth_star, dtype=float)))
     w = np.asarray(V, dtype=float) - velocity_star
     return w + d, w - d
-
-
-def nonlinear_inverse(y1, y2, depth_star, velocity_star, gravity=9.81):
-    """Invert nonlinear_change back to (H, V)."""
-    s = np.sqrt(gravity * np.asarray(depth_star, dtype=float)) + (np.asarray(y1, dtype=float) - np.asarray(y2, dtype=float)) / 4.0
-    H = s**2 / gravity
-    V = np.asarray(velocity_star, dtype=float) + (np.asarray(y1, dtype=float) + np.asarray(y2, dtype=float)) / 2.0
-    return H, V
 
 
 def reflection_coefficient(gain, outlet_depth, gravity=9.81):

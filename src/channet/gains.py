@@ -12,7 +12,10 @@ ratio m_L = m(L). Both endpoints are negative, their product is g/H*(L), and
 as friction vanishes the interval degenerates to the half-line (-inf, 0].
 The interval criterion is equivalent to c^2 > eta_bar(L)^2 / phi(L)^2 for the
 boundary reflection coefficient c, and that equivalence is re-asserted on
-every admissibility query as a cross-check.
+every admissibility query as a cross-check. Everything here is explicit in
+the outlet state: phi(L) comes from the closed-form exponents of
+``characteristics.phi_exponents`` at the outlet depth and
+eta_bar(L) = m_L (lam-/lam+) phi(L), so the screen solves no ODE.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristics import reflection_coefficient
+from .characteristics import phi_exponents, reflection_coefficient
 from .errors import DegenerateFlux, ReflectionPole
 from .steady import SteadyProfile
-from .weights import eta_bar_closed, m_profile, phi_profiles
+from .weights import m_profile
 
 HALF_LINE_TOL = 1e-12
 CROSS_CHECK_DEADBAND = 1e-9
@@ -117,7 +120,7 @@ def is_admissible(
     floating-point dead-band raises.
 
     eta_bar_L and phi_L may be supplied to avoid recomputing them; both are
-    evaluated from the closed forms otherwise.
+    evaluated in closed form at the outlet depth otherwise.
     """
     k = float(gain)
     HL = profile.outlet_depth
@@ -133,9 +136,9 @@ def is_admissible(
         lam_p, lam_m, m_L = boundary_constants(profile)
         a, b, half = forbidden_interval(lam_p, lam_m, m_L, HL, g)
         if eta_bar_L is None or phi_L is None:
-            phi = phi_profiles(profile)
-            eta_bar_L = float(eta_bar_closed(phi, profile.length))
-            phi_L = float(phi.phi(profile.length))
+            p = profile.spec.friction_exponent
+            phi_L = math.exp(sum(phi_exponents(HL, profile.inlet_depth, profile.flux, p, g)))
+            eta_bar_L = m_L * (lam_m / lam_p) * phi_L
 
     admissible = k > b if half else not (a <= k <= b)
     try:
@@ -169,36 +172,3 @@ def is_admissible(
         eta_bar_L=eta_bar_L,
         phi_L=phi_L,
     )
-
-
-def inlet_reflection(gain: float, inlet_depth: float, gravity: float = 9.81) -> float:
-    """Inlet reflection coefficient c0 = (k0 H0 + sqrt(g H0)) / (k0 H0 - sqrt(g H0)).
-
-    |c0| <= 1 exactly when k0 <= 0.
-    """
-    num = gain * inlet_depth + math.sqrt(gravity * inlet_depth)
-    den = gain * inlet_depth - math.sqrt(gravity * inlet_depth)
-    if abs(den) <= 1e-300:
-        raise ReflectionPole(f"inlet gain {gain:g} pins the outgoing characteristic")
-    return num / den
-
-
-def single_channel_conditions(profile: SteadyProfile, k0: float, kL: float) -> bool:
-    """Verdict for a single channel controlled at both ends.
-
-    True iff the inlet gain lies in (-inf, 0] and the outlet gain avoids the
-    closed forbidden interval. The inlet condition is cross-checked against
-    |c0| <= 1 for the inlet reflection coefficient.
-    """
-    inlet_ok = k0 <= 0.0
-    try:
-        c0 = inlet_reflection(k0, profile.inlet_depth, profile.gravity)
-    except ReflectionPole:
-        c0 = None
-    if c0 is not None:
-        gap = c0 * c0 - 1.0
-        if abs(gap) > CROSS_CHECK_DEADBAND and (gap <= 0.0) != inlet_ok:
-            raise AssertionError(
-                f"inlet verdict and reflection criterion disagree for k0 = {k0:g}"
-            )
-    return inlet_ok and is_admissible(profile, kL).admissible

@@ -192,14 +192,17 @@ def guarded_depth_rhs(spec: ChannelSpec, flux: float, inlet_depth: float, margin
     """Scalar dH/dx of the steady depth equation, guarded: H -> (H, dH/dx).
 
     Every ODE that carries the steady depth (the profile itself and the
-    weight integrals) uses it. Depth is floored at half the critical depth
-    and the margin g H - V^2 at a quarter of the subcritical tolerance, so
-    trial evaluations beyond the terminal event stay finite; an accepted
-    solution never enters the guarded region. Needs flux > 0.
+    weight ODEs) uses it. The margin g H - V^2 is floored at a quarter of
+    the subcritical tolerance, and the depth just above critical, where the
+    margin is at most that floor: trial evaluations beyond the terminal
+    event stay finite, the returned depth is subcritical for every kernel
+    taken at it, and an accepted solution never enters the guarded region.
+    Needs flux > 0.
     """
     g, friction, p = spec.gravity, spec.friction, spec.friction_exponent
-    H_floor = 0.5 * critical_depth(flux, g)
     margin_floor = 0.25 * (margin_tol * g * inlet_depth)
+    # the margin grows with slope at most 3 g on [Hc, Hc + margin_floor / (3 g)]
+    H_floor = critical_depth(flux, g) + margin_floor / (3.0 * g)
 
     def rhs(H):
         H = max(H, H_floor)
@@ -327,25 +330,3 @@ def solve_network_steady(
             Q = topo.split_of(parent, i) * upstream.flux
         profiles[i] = integrate_channel_steady(spec, H0, Q, margin_tol)
     return profiles
-
-
-@dataclass(frozen=True)
-class FeedbackLaw:
-    """Affine outlet control V = V*(L) + k (H - H*(L))."""
-
-    gain: float
-    depth_ref: float
-    velocity_ref: float
-
-    def __call__(self, depth):
-        out = self.velocity_ref + self.gain * (np.asarray(depth, dtype=float) - self.depth_ref)
-        return float(out) if out.ndim == 0 else out
-
-
-def feedback_law(profile: SteadyProfile, gain: float) -> FeedbackLaw:
-    """Terminal feedback law anchored at the channel's steady outlet state."""
-    return FeedbackLaw(
-        gain=float(gain),
-        depth_ref=profile.outlet_depth,
-        velocity_ref=profile.outlet_velocity,
-    )

@@ -23,14 +23,16 @@ eta_bar = m(x) eta0(x) with eta0 = (lambda2/lambda1) phi and m an explicit
 rational function of the steady depth; an independent Riccati integration of
 the same equation serves as the verification oracle for it.
 
-All cumulative integrals are computed by adaptive Runge-Kutta integration of
-their derivative alongside the steady depth (relative tolerance ~1e-12), so
-certificate accuracy does not depend on the simulation grid. One driver,
-``_integrate``, makes every such solve: the state is (H, I1, I2, extra...),
-with the guarded depth slope of ``steady.guarded_depth_rhs`` and the speeds
-and couplings of ``characteristics.speeds_couplings``, the same kernels that
-the steady profile and ``CharCoeffs`` use. ``_ChannelState`` evaluates the
-result anywhere on the channel.
+The exponents of phi1 and phi2 are closed-form functions of the local depth
+(``characteristics.phi_exponents``). The remaining quantity of each solve,
+the comparison solution or the existence integral, is integrated by
+adaptive Runge-Kutta alongside the steady depth (relative tolerance ~1e-11
+or tighter), so certificate accuracy does not depend on the simulation grid.
+One function, ``_integrate``, makes every such solve: the state is (H, w),
+with the guarded depth slope of ``steady.guarded_depth_rhs`` and the speeds,
+couplings and exponents of ``characteristics``, the same kernels that the
+steady profile and ``CharCoeffs`` use. ``_ChannelState`` evaluates the
+result, (H, I1, I2, w), anywhere on the channel.
 """
 
 from __future__ import annotations
@@ -41,7 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .characteristics import CharCoeffs, eigenvalues, reflection_coefficient, speeds_couplings
+from .characteristics import (
+    CharCoeffs,
+    eigenvalues,
+    phi_exponents,
+    reflection_coefficient,
+    speeds_couplings,
+)
 from .errors import (
     DegenerateFlux,
     EpsilonTooLarge,
@@ -58,7 +66,7 @@ INTEGRAL_RTOL = 1e-12
 INTEGRAL_ATOL = 1e-14
 ETA_RTOL = 1e-11
 ETA_ATOL = 1e-13
-ORACLE_TOL = 1e-11
+ORACLE_TOL = 1e-12
 POSITIVITY_REL_TOL = 1e-12
 DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
@@ -69,27 +77,31 @@ def _uncoupled(profile: SteadyProfile) -> bool:
     return profile.flux == 0.0 or profile.spec.friction == 0.0
 
 
-def _integrate(profile: SteadyProfile, extra, init, rtol, atol, events=None):
-    """One adaptive solve of (H, I1, I2, extra...) over a coupled channel.
+def _integrate(profile: SteadyProfile, dw, init, rtol, atol, events=None):
+    """One adaptive solve of (H, w) over a coupled channel.
 
-    I1 = int gamma1/lambda1 and I2 = int delta2/lambda2 ride along the
-    guarded steady depth; ``extra(y, lam1, lam2, g1, d1, g2, d2)`` returns
-    the derivatives of the remaining components, which start at ``init``.
+    ``dw(w, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the derivative of w,
+    which starts at ``init``; the exponents I1, I2 and the speeds and
+    couplings come from the closed-form kernels at the guarded depth.
     Returns the solve_ivp result for the caller to check.
     """
     spec = profile.spec
-    flux, friction, p, g = profile.flux, spec.friction, spec.friction_exponent, spec.gravity
-    depth_rhs = guarded_depth_rhs(spec, flux, profile.inlet_depth, profile.margin_tol)
+    H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
+    p, g = spec.friction_exponent, spec.gravity
+    depth_rhs = guarded_depth_rhs(spec, flux, H0, profile.margin_tol)
 
     def rhs(x, y):
-        H, dH = depth_rhs(y[0])
-        lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, flux, friction, p, g)
-        return (dH, g1 / lam1, d2 / lam2, *extra(y, lam1, lam2, g1, d1, g2, d2))
+        # Python floats: the same arithmetic on numpy scalars costs about
+        # twice as much per evaluation
+        H, w = y.tolist()
+        H, dH = depth_rhs(H)
+        I1, I2 = phi_exponents(H, H0, flux, p, g)
+        return dH, dw(w, H, I1, I2, *speeds_couplings(H, flux, friction, p, g))
 
     return solve_ivp(
         rhs,
         (0.0, profile.length),
-        (profile.inlet_depth, 0.0, 0.0, *init),
+        (H0, init),
         method="RK45",
         dense_output=True,
         rtol=rtol,
@@ -99,7 +111,7 @@ def _integrate(profile: SteadyProfile, extra, init, rtol, atol, events=None):
 
 
 def _eta_blowup(x, y):
-    return y[3] - ETA_BLOWUP
+    return y[1] - ETA_BLOWUP
 
 
 _eta_blowup.terminal = True
@@ -107,31 +119,30 @@ _eta_blowup.direction = 1
 
 
 def _riccati(epsilon):
-    """Extra derivative of the comparison solution in the scaled variable
+    """Derivative of the comparison solution in the scaled variable
     u = eta / phi: u' = |delta1/lambda1 + (gamma2/lambda2) u^2| - u (gamma1/
     lambda1 + delta2/lambda2) + epsilon / phi (see eta_bar_by_ode)."""
 
-    def du(y, lam1, lam2, g1, d1, g2, d2):
-        u = y[3]
+    def du(u, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
         return (
             abs(d1 / lam1 + g2 / lam2 * u * u)
             - u * (g1 / lam1 + d2 / lam2)
-            + epsilon * math.exp(-(y[1] + y[2])),
+            + epsilon * math.exp(-(I1 + I2))
         )
 
     return du
 
 
 class _ChannelState:
-    """(H, I1, I2, extra...) of one channel at any abscissa, clamped to [0, L].
+    """(H, I1, I2, w) of one channel at any abscissa, clamped to [0, L].
 
-    ``sol`` is the driver's result; with ``scaled`` its component 3 is
-    u = eta / phi and is returned as eta. An uncoupled channel has no solve
-    (``sol`` None): the integrals vanish and every extra component is
-    init + epsilon x, the exact solution there.
+    ``sol`` is the result of ``_integrate``, whose depth gives I1 and I2 in
+    closed form; with ``scaled`` its w is u = eta / phi and is returned as
+    eta. An uncoupled channel has no solve (``sol`` None): the exponents
+    vanish and w is init + epsilon x, the exact solution there.
     """
 
-    def __init__(self, profile: SteadyProfile, sol=None, init=(), epsilon=0.0, scaled=False):
+    def __init__(self, profile: SteadyProfile, sol=None, init=0.0, epsilon=0.0, scaled=False):
         self.profile = profile
         self.init = init
         self.epsilon = epsilon
@@ -145,12 +156,15 @@ class _ChannelState:
         x = np.asarray(x, dtype=float)
         if self.dense is None:
             zeros = np.zeros(x.shape)
-            extra = (a + self.epsilon * x for a in self.init)
-            return np.stack([self.profile.depth(x), zeros, zeros, *extra])
-        s = self.dense(np.clip(x, 0.0, self.x_end))
+            return np.array([self.profile.depth(x), zeros, zeros, self.init + self.epsilon * x])
+        H, w = self.dense(np.clip(x, 0.0, self.x_end))
+        spec = self.profile.spec
+        I1, I2 = phi_exponents(
+            H, self.profile.inlet_depth, self.profile.flux, spec.friction_exponent, spec.gravity
+        )
         if self.scaled:
-            s[3] = s[3] * np.exp(s[1] + s[2])
-        return s
+            w = w * np.exp(I1 + I2)
+        return np.array([H, I1, I2, w])
 
     def slope(self, x):
         """eta'(x) of a comparison solution, from its Riccati equation."""
@@ -168,13 +182,15 @@ class _ChannelState:
 class PhiProfiles:
     """Cumulative coefficient integrals of one channel.
 
-    The underlying state is (H, I1, I2, I3, I4) with
+    The underlying state is (H, I1, I2, I4) with
 
         I1 = int gamma1/lambda1,    I2 = int delta2/lambda2,
         I3 = int 2 gamma2/lambda1,  I4 = int exp(I3) gamma2/(lambda2 phi),
 
     so phi1 = exp(I1), phi2 = exp(-I2), phi = exp(I1 + I2), and I4 is the
     integral whose smallness guarantees the comparison solution exists.
+    I1 and I2 are closed form in the depth, and so is
+    exp(I3) = phi1^2 (lambda1(0)/lambda1)^2 H(0)/H; only I4 is integrated.
     """
 
     profile: SteadyProfile
@@ -197,18 +213,21 @@ class PhiProfiles:
         return np.exp(s[1] + s[2])
 
     def existence_integral(self, x):
-        return self.state(x)[4]
+        return self.state(x)[3]
 
 
 def phi_profiles(profile: SteadyProfile) -> PhiProfiles:
-    """Integrate the cumulative coefficient integrals over the channel."""
+    """Integrate the existence integral I4 alongside the steady depth."""
     if _uncoupled(profile):
-        return PhiProfiles(profile=profile, _integrals=_ChannelState(profile, init=(0.0, 0.0)))
+        return PhiProfiles(profile=profile, _integrals=_ChannelState(profile))
+    H0 = profile.inlet_depth
+    lam1_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)[0]
 
-    def extra(y, lam1, lam2, g1, d1, g2, d2):
-        return 2.0 * g2 / lam1, math.exp(y[3]) * g2 / (lam2 * math.exp(y[1] + y[2]))
+    def dI4(w, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
+        # exp(I3) / phi = phi1 phi2 (lambda1(0)/lambda1)^2 H(0)/H
+        return math.exp(I1 - I2) * (lam1_0 / lam1) ** 2 * (H0 / H) * g2 / lam2
 
-    sol = _integrate(profile, extra, (0.0, 0.0), INTEGRAL_RTOL, INTEGRAL_ATOL)
+    sol = _integrate(profile, dI4, 0.0, INTEGRAL_RTOL, INTEGRAL_ATOL)
     if not sol.success:
         raise WeightError(
             f"channel {profile.channel}: coefficient integrals failed: {sol.message}"
@@ -301,9 +320,9 @@ def eta_eps(
         init = 1.0 + epsilon
 
     if _uncoupled(profile):
-        return _ChannelState(profile, init=(init,), epsilon=epsilon)
+        return _ChannelState(profile, init=init, epsilon=epsilon)
 
-    sol = _integrate(profile, _riccati(epsilon), (init,), ETA_RTOL, ETA_ATOL, _eta_blowup)
+    sol = _integrate(profile, _riccati(epsilon), init, ETA_RTOL, ETA_ATOL, _eta_blowup)
     if sol.t_events[0].size or not sol.success or sol.t[-1] < profile.length:
         raise EpsilonTooLarge(
             f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
@@ -315,22 +334,24 @@ def eta_eps(
 def eta_bar_by_ode(profile: SteadyProfile, rtol: float = ORACLE_TOL, atol: float = ORACLE_TOL):
     """Independent Riccati integration of the unit-inlet comparison solution.
 
-    Re-integrates the steady depth and the phi exponents alongside the Riccati
-    solution in a single adaptive solve (no reuse of cached profiles, and
-    nothing of the closed form), so it can serve as a verification oracle
-    for the closed form. The Riccati equation is advanced in the scaled
-    variable u = eta_bar / phi, whose equation u' = delta1/lambda1 +
-    (gamma2/lambda2) u^2 - u (gamma1/lambda1 + delta2/lambda2) has the
-    neutral exponential drift removed: the raw eta_bar equation amplifies
-    truncation error by exp(int 2 gamma2 eta_bar / (lambda2 phi)), which
-    overwhelms any tolerance on channels approaching the blow-up length,
-    while the scaled form stays well conditioned. Returns a callable
-    evaluating eta_bar(x).
+    Re-integrates the steady depth alongside the Riccati solution in a single
+    adaptive solve (no reuse of cached profiles, and nothing of the closed
+    form m), so it can serve as a verification oracle for the closed form.
+    The Riccati equation is advanced in the scaled variable u = eta_bar /
+    phi, whose equation u' = delta1/lambda1 + (gamma2/lambda2) u^2 -
+    u (gamma1/lambda1 + delta2/lambda2) has the neutral exponential drift
+    removed: the raw eta_bar equation amplifies truncation error by
+    exp(int 2 gamma2 eta_bar / (lambda2 phi)), which overwhelms any
+    tolerance on channels approaching the blow-up length, while the scaled
+    form stays well conditioned. The default tolerance is ten times tighter
+    than the certificate's, because with only (H, u) in the RK45 error norm
+    a tolerance of 1e-11 leaves u about ten times less accurate than the
+    closed form it checks. Returns a callable evaluating eta_bar(x).
     """
     if _uncoupled(profile):
-        state = _ChannelState(profile, init=(1.0,))
+        state = _ChannelState(profile, init=1.0)
     else:
-        sol = _integrate(profile, _riccati(0.0), (1.0,), rtol, atol, _eta_blowup)
+        sol = _integrate(profile, _riccati(0.0), 1.0, rtol, atol, _eta_blowup)
         if sol.t_events[0].size:
             raise RiccatiBlowup(profile.channel, float(sol.t_events[0][0]))
         if not sol.success:
@@ -494,29 +515,22 @@ def junction_matrix(ws: WeightSet, incoming: int):
     return M, M_bar
 
 
-def junction_reduction(z_in_end: float, z_out_starts) -> np.ndarray:
-    """Determinant-preserving diagonal of the junction velocity block.
-
-    Row/column elimination turns the m x m velocity block into a diagonal
-    matrix whose entries are all positive exactly when the block is positive
-    definite; the product of the entries equals the block determinant.
-    """
-    z0 = [float(z) for z in z_out_starts]
-    if not z0:
-        raise ValueError("junction has no outgoing channels")
-    theta2 = z_in_end - z0[0] + sum(z0[0] * z_in_end / z for z in z0[1:])
-    return np.array([theta2] + [-z for z in z0[1:]])
-
-
 def trunk_inlet_coefficient(ws: WeightSet) -> float:
-    """Dissipation coefficient of the imposed-flux inlet at the trunk."""
+    """Dissipation coefficient (lambda2 lambda1^2 f2 - lambda1 lambda2^2 f1) / V^2
+    of the imposed-flux inlet at the trunk.
+
+    At the inlet phi1 = phi2 = 1 and eta = lambda2/lambda1 + epsilon, so it is
+    alpha lambda1 epsilon (2 lambda2 + lambda1 epsilon) / (eta V^2) exactly;
+    in that form it keeps every digit, where the difference of the two terms
+    would lose about 1/epsilon of them.
+    """
     cw = ws.channels[ws.topo.root_channel]
     prof = cw.profile
     V0 = prof.velocity(0.0)
-    H0 = prof.inlet_depth
-    lam1, lam2 = eigenvalues(H0, V0, prof.gravity)
-    f1_0, f2_0 = (float(v) for v in cw.f_at(0.0))
-    return (lam2 * lam1**2 * f2_0 - lam1 * lam2**2 * f1_0) / V0**2
+    lam1, lam2 = eigenvalues(prof.inlet_depth, V0, prof.gravity)
+    eps = cw.epsilon
+    eta0 = lam2 / lam1 + eps
+    return cw.alpha * lam1 * eps * (2.0 * lam2 + lam1 * eps) / (eta0 * V0**2)
 
 
 def interior_matrix(cw: ChannelWeights):

@@ -10,10 +10,9 @@ from channet.characteristics import (
     coupling_coefficients,
     eigenvalues,
     nonlinear_change,
-    nonlinear_inverse,
+    phi_exponents,
     reflection_coefficient,
     riemann_forward,
-    riemann_inverse,
     speeds_couplings,
 )
 from channet.errors import FormMismatch, ReflectionPole
@@ -21,6 +20,19 @@ from channet.steady import integrate_channel_steady, steady_rhs
 from channet.topology import ChannelSpec
 
 from conftest import G, P_CHOICES, draw_channel
+
+
+def riemann_inverse(y1, y2, depth_star, gravity=9.81):
+    """Characteristic variables back to deviation fields (h, v)."""
+    s = np.sqrt(gravity / np.asarray(depth_star, dtype=float))
+    return (y1 - y2) / (2.0 * s), 0.5 * (y1 + y2)
+
+
+def nonlinear_inverse(y1, y2, depth_star, velocity_star, gravity=9.81):
+    """Invert nonlinear_change back to (H, V)."""
+    y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+    s = np.sqrt(gravity * np.asarray(depth_star, dtype=float)) + (y1 - y2) / 4.0
+    return s**2 / gravity, np.asarray(velocity_star, dtype=float) + (y1 + y2) / 2.0
 
 
 def test_eigenvalues_frozen_point():
@@ -138,6 +150,36 @@ def test_speeds_couplings_scalar_path_matches_array_path():
             scalars = speeds_couplings(float(h), flux, friction, p, G)
             assert all(type(v) is float for v in scalars)
             assert scalars == tuple(float(a[k]) for a in arrays), (p, k)
+
+
+def test_phi_exponents_match_their_definition():
+    # dI1/dx = gamma1/lambda1 and dI2/dx = delta2/lambda2 along the steady
+    # depth equation: dI/dx = dI/dH H_x, with dI/dH a fourth-order central
+    # difference; no ODE is involved. gamma1 = K (-3/(4 lambda1) + 1/V -
+    # p/(2c)) changes sign at some depths when p > 0, so its error is taken
+    # relative to the sum of the magnitudes of its terms; every term of
+    # delta2 is positive, and that sum is delta2 itself.
+    rng = np.random.default_rng(58)
+    for p in P_CHOICES:
+        flux = rng.uniform(0.2, 3.0)
+        Hc = (flux / math.sqrt(G)) ** (2.0 / 3.0)
+        H = Hc * rng.uniform(1.01, 4.0, size=64)
+        H0 = 4.2 * Hc
+        friction = rng.uniform(1e-4, 5e-3)
+        h = 3e-5 * H
+        I = [phi_exponents(H + k * h, H0, flux, p, G) for k in (-2, -1, 1, 2)]
+        H_x = steady_rhs(H, flux, friction, p, G)
+        dI1, dI2 = ((a - 8.0 * b + 8.0 * c - d) / (12.0 * h) * H_x for a, b, c, d in zip(*I))
+        lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, flux, friction, p, G)
+        V, c = flux / H, np.sqrt(G * H)
+        K = G * friction * V * V / H**p
+        scale1 = K * (3.0 / (4.0 * lam1) + 1.0 / V + p / (2.0 * c)) / lam1
+        assert np.max(np.abs(dI1 - g1 / lam1) / scale1) <= 1e-8, p
+        assert np.max(np.abs(dI2 - d2 / lam2) / (d2 / lam2)) <= 1e-8, p
+        # both exponents vanish exactly at the inlet, on either path
+        assert phi_exponents(H0, H0, flux, p, G) == (0.0, 0.0)
+        I1, I2 = phi_exponents(np.array([H0, H[0]]), H0, flux, p, G)
+        assert I1[0] == 0.0 and I2[0] == 0.0
 
 
 def test_zero_friction_couplings_vanish():

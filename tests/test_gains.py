@@ -6,18 +6,93 @@ import numpy as np
 import pytest
 
 from channet.characteristics import reflection_coefficient
+from channet.errors import ReflectionPole
 from channet.gains import (
+    CROSS_CHECK_DEADBAND,
     boundary_constants,
     forbidden_interval,
-    inlet_reflection,
     is_admissible,
-    single_channel_conditions,
 )
-from channet.steady import integrate_channel_steady
+import channet.steady
+import channet.weights
+from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec
 from channet.weights import eta_bar_closed, phi_profiles
 
-from conftest import G, draw_channel
+from conftest import (
+    G,
+    STAR_GAINS,
+    admissible_gain,
+    draw_channel,
+    draw_star,
+    draw_tree,
+)
+
+
+def inlet_reflection(gain: float, inlet_depth: float, gravity: float = 9.81) -> float:
+    """Inlet reflection coefficient c0 = (k0 H0 + sqrt(g H0)) / (k0 H0 - sqrt(g H0)).
+
+    |c0| <= 1 exactly when k0 <= 0.
+    """
+    num = gain * inlet_depth + math.sqrt(gravity * inlet_depth)
+    den = gain * inlet_depth - math.sqrt(gravity * inlet_depth)
+    if abs(den) <= 1e-300:
+        raise ReflectionPole(f"inlet gain {gain:g} pins the outgoing characteristic")
+    return num / den
+
+
+def single_channel_conditions(profile, k0: float, kL: float) -> bool:
+    """Verdict for a single channel controlled at both ends.
+
+    True iff the inlet gain lies in (-inf, 0] and the outlet gain avoids the
+    closed forbidden interval. The inlet condition is cross-checked against
+    |c0| <= 1 for the inlet reflection coefficient.
+    """
+    inlet_ok = k0 <= 0.0
+    try:
+        c0 = inlet_reflection(k0, profile.inlet_depth, profile.gravity)
+    except ReflectionPole:
+        c0 = None
+    if c0 is not None:
+        gap = c0 * c0 - 1.0
+        if abs(gap) > CROSS_CHECK_DEADBAND and (gap <= 0.0) != inlet_ok:
+            raise AssertionError(
+                f"inlet verdict and reflection criterion disagree for k0 = {k0:g}"
+            )
+    return inlet_ok and is_admissible(profile, kL).admissible
+
+
+def test_gain_screen_solves_no_ode(star_profiles, monkeypatch):
+    # every terminal of the README star and of the criterion-5 networks: the
+    # explicit screen gives the verdict, interval and c that the screen fed
+    # by the integrated phi profiles gives
+    rng = np.random.default_rng(31514)
+    networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
+    networks += [draw_tree(rng) for _ in range(20)]
+    cases = [(star_profiles[1][j], k) for j, k in STAR_GAINS.items()]
+    for topo, H0, flux in networks:
+        profiles = solve_network_steady(topo, H0, flux)
+        for j in topo.terminal_channels:
+            cases += [(profiles[j], 0.0), (profiles[j], admissible_gain(rng, profiles[j]))]
+    expected = []
+    for prof, k in cases:
+        phi = phi_profiles(prof)
+        L = prof.length
+        expected.append(
+            is_admissible(prof, k, eta_bar_L=float(eta_bar_closed(phi, L)), phi_L=float(phi.phi(L)))
+        )
+
+    def no_ode(*args, **kwargs):
+        raise AssertionError("the gain screen solved an ODE")
+
+    monkeypatch.setattr(channet.weights, "solve_ivp", no_ode)
+    monkeypatch.setattr(channet.steady, "solve_ivp", no_ode)
+    for (prof, k), ref in zip(cases, expected):
+        rec = is_admissible(prof, k)
+        assert rec.admissible == ref.admissible
+        assert (rec.forbidden, rec.half_line, rec.c) == (ref.forbidden, ref.half_line, ref.c)
+        assert rec.phi_L == pytest.approx(ref.phi_L, rel=1e-9)
+        assert rec.eta_bar_L == pytest.approx(ref.eta_bar_L, rel=1e-9)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from channet.errors import (
     SteadyStateBlowup,
     SupercriticalStart,
 )
+from channet.characteristics import phi_exponents
 from channet.steady import (
+    MARGIN_TOL,
     critical_depth,
-    feedback_law,
+    guarded_depth_rhs,
     integrate_channel_steady,
     solve_network_steady,
     steady_rhs,
@@ -191,6 +194,36 @@ def test_network_with_zero_split_branch():
     assert profiles[4].flux == 0.0
     assert np.all(profiles[4].V_fine == 0.0)
     assert np.all(profiles[4].H_fine == profiles[1].outlet_depth)
+
+
+def test_guarded_depth_is_subcritical():
+    # trial depths at or below critical come back just above it, where every
+    # kernel is finite, and still below the subcritical threshold that an
+    # accepted profile keeps
+    flux, H0 = 1.0, 2.0
+    Hc = critical_depth(flux, G)
+    for p in P_CHOICES:
+        spec = ChannelSpec(id=1, length=10.0, friction=2e-3, friction_exponent=p, cells=8)
+        rhs = guarded_depth_rhs(spec, flux, H0, MARGIN_TOL)
+        assert rhs(H0)[0] == H0
+        for H in (-1.0, 0.1 * Hc, Hc, Hc * (1.0 + 1e-12)):
+            H_g, dH = rhs(H)
+            assert H_g > Hc
+            assert G * H_g - (flux / H_g) ** 2 <= 0.25 * MARGIN_TOL * G * H0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert all(math.isfinite(v) for v in (dH, *phi_exponents(H_g, H0, flux, p, G)))
+
+
+def feedback_law(profile, gain: float):
+    """Terminal feedback law V = V*(L) + k (H - H*(L)) anchored at the outlet."""
+    H_L, V_L, k = profile.outlet_depth, profile.outlet_velocity, float(gain)
+
+    def law(depth):
+        out = V_L + k * (np.asarray(depth, dtype=float) - H_L)
+        return float(out) if out.ndim == 0 else out
+
+    return law
 
 
 def test_feedback_law_anchored_at_outlet():

