@@ -12,12 +12,15 @@ an exact fixed point. Both the nonlinear system and its linearization fit
 with S the friction source relative to the steady baseline; the modes differ
 only in the bracketed terms, the characteristic depth shift and the source.
 Interior fluxes are upwinded in the characteristic variables of the frozen
-steady Jacobian. Each boundary and junction face carries an exactly imposed
-state: the invariant of the nearest cell with the imposed flux, feedback law
-or junction coupling leaves one scalar equation in the face depth, and one
-vectorised Newton iteration from the previous face values solves them all.
-In linear mode every relation is linear, y' = A y with faces F y: both sparse
-operators are probed once, and a Heun step is two matrix-vector products.
+steady Jacobian. Every flux is linear in the cell values, in their products
+h v and v^2 / 2 and in the boundary-face fluxes, so the tendency is one sparse
+matrix, built once, applied to those, plus the friction source. Each boundary
+and junction face carries an exactly imposed state: the invariant of the
+nearest cell with the imposed flux, feedback law or junction coupling leaves
+one scalar equation in the face depth, and Newton's method on Python floats
+solves them one at a time from the previous face values. In linear mode every
+relation is linear, y' = A y with faces F y: both sparse operators are probed
+once, and a Heun step is two matrix-vector products.
 """
 
 from __future__ import annotations
@@ -106,20 +109,20 @@ class LyapunovTrace:
     zero_trace: bool
 
 
-def _flux(h, v, H, V, g, q):
-    """(F1, F2) in deviation form; q = 1 keeps the quadratic terms, q = 0 drops them."""
-    return H * v + V * h + q * (h * v), V * v + q * (0.5 * v * v) + g * h
-
-
 class _Linear:
     """Linearized deviation physics. shift returns the depth part of the
-    characteristic variables and its slope in h; admit checks a state."""
+    characteristic variables and its slope in h, face_shift the same on
+    Python floats given c = sqrt(g H); admit checks a state."""
 
     quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms
     headroom = 1.0  # share of the initial stability bound taken as the step
 
-    def shift(self, h, H, g, site):
+    def shift(self, h, H, g, where):
         s = np.sqrt(g / H)
+        return h * s, s
+
+    def face_shift(self, h, H, g, c, site):
+        s = math.sqrt(g / H)
         return h * s, s
 
     def source(self, sim, h, v):
@@ -135,13 +138,18 @@ class _Nonlinear:
     quadratic = 1.0
     headroom = 0.98  # the bound tightens as speeds grow
 
-    def shift(self, h, H, g, site):
+    def shift(self, h, H, g, where):
         arg = H + h
         dry = arg <= 0.0
         if dry.any():
-            where, idx = site
-            raise SubcriticalLoss(*where[idx[int(np.flatnonzero(dry)[0]) % np.shape(dry)[-1]]])
+            raise SubcriticalLoss(*where[int(np.flatnonzero(dry)[0])])
         return 2.0 * (np.sqrt(g * arg) - np.sqrt(g * H)), np.sqrt(g / arg)
+
+    def face_shift(self, h, H, g, c, site):
+        arg = H + h
+        if arg <= 0.0:
+            raise SubcriticalLoss(*site)
+        return 2.0 * (math.sqrt(g * arg) - c), math.sqrt(g / arg)
 
     def source(self, sim, h, v):
         V = sim.Vc + v
@@ -157,30 +165,29 @@ class _Nonlinear:
 _PHYSICS = {"linear": _Linear(), "nonlinear": _Nonlinear()}
 
 
-def _newton(residual, start, scale, fail):
-    """Newton iteration per face, each stopping at |G| <= NEWTON_TOL * scale.
+def _solve_relation(residual, start, scale, fail):
+    """Newton iteration on one face relation in Python floats, stopping at
+    |G| <= NEWTON_TOL * scale.
 
-    start None takes the one step from zero that solves linear relations
-    exactly. fail(k) builds the typed error of face k.
+    residual(h) returns (G, dG/dh). start None takes the one step from zero
+    that solves a linear relation exactly. fail() builds the typed error.
     """
     if start is None:
         G, dG = residual(0.0)
+        if dG == 0.0:
+            raise fail()
         return -G / dG
     h = start
     for _ in range(NEWTON_MAX_ITER):
         G, dG = residual(h)
-        live = ~(np.abs(G) <= NEWTON_TOL * scale)
-        if not live.any():
+        if abs(G) <= NEWTON_TOL * scale:
             return h
         # a non-finite iterate shows up here as a non-finite slope
-        bad = live & ~(np.isfinite(dG) & (np.abs(dG) >= 1e-14))
-        if bad.any():
-            raise fail(int(np.flatnonzero(bad)[0]))
-        h = h.copy()
-        h[live] -= G[live] / dG[live]
-    over = ~(np.abs(residual(h)[0]) <= 10.0 * NEWTON_TOL * scale)
-    if over.any():
-        raise fail(int(np.flatnonzero(over)[0]))
+        if not (math.isfinite(dG) and abs(dG) >= 1e-14):
+            raise fail()
+        h -= G / dG
+    if not abs(residual(h)[0]) <= 10.0 * NEWTON_TOL * scale:
+        raise fail()
     return h
 
 
@@ -268,71 +275,80 @@ class NetworkSimulator:
         self._first, self._last = start, start + n - 1
         self._interior = (loc > 0) & (loc < np.repeat(n, n) - 1)
         self._loc = loc
-        # interior faces: left and right cell, frozen coefficients, and |A| of the
-        # steady Jacobian in the (h, v) basis: diagonal c, off-diagonal H V/c, g V/c
-        self._il = np.flatnonzero(loc < np.repeat(n, n) - 1)
-        self._ir = self._il + 1
+        # boundary faces: m inlets then m outlets
         Hf, Vf = [pr.H_faces for pr in ps], [pr.V_faces for pr in ps]
-        self._Hi = np.concatenate([H[1:-1] for H in Hf])
-        self._Vi = np.concatenate([V[1:-1] for V in Vf])
-        self._gi = g[self._il]
-        self._absAd = np.sqrt(self._gi * self._Hi)
-        self._absA12 = self._Hi * self._Vi / self._absAd
-        self._absA21 = self._gi * self._Vi / self._absAd
-        # boundary faces, m inlets then m outlets, follow the interior ones in the flux array
         self._Hb = np.array([H[0] for H in Hf] + [H[-1] for H in Hf])
         self._Vb = np.array([V[0] for V in Vf] + [V[-1] for V in Vf])
         self._gb = np.concatenate((g[self._first], g[self._last]))
         self._sign = np.repeat([-1.0, 1.0], m)
-        self._left = np.empty(N, dtype=int)
-        self._left[self._first] = N - m + np.arange(m)
-        self._left[self._ir] = np.arange(N - m)
-        self._right = np.empty(N, dtype=int)
-        self._right[self._last] = N + np.arange(m)
-        self._right[self._il] = np.arange(N - m)
-        # sites (table, index) name the channel and cell[, face] of a dry entry
-        cell = self._where_cell = [(i, int(k)) for i, k in zip(np.repeat(ids, n), loc)]
-        face = [(i, 0, "inlet") for i in ids] + [(i, int(k) - 1, "outlet") for i, k in zip(ids, n)]
-        self._site_cells, self._site_faces = (cell, np.arange(N)), (face, np.arange(2 * m))
-        self._site_first, self._site_last = (cell, self._first), (cell, self._last)
+        # dy = K [h, v, q h v, q v^2 / 2, B1, B2] plus the source, B the boundary
+        # fluxes: a cell takes its left face's flux minus its right one's, over dx.
+        # Interior face j between cells il[j] and il[j] + 1 carries the mean of
+        # their fluxes less half of |A| times their jump, |A| the absolute steady
+        # Jacobian in the (h, v) basis: diagonal c, off-diagonal H V / c, g V / c
+        il = np.flatnonzero(loc < np.repeat(n, n) - 1)
+        Hi, Vi = (np.concatenate([a[1:-1] for a in f]) for f in (Hf, Vf))
+        gi, c = g[il], np.sqrt(g[il] * Hi)
+        terms = ((0, 0, Vi, c), (0, N, Hi, Hi * Vi / c), (1, 0, gi, gi * Vi / c), (1, N, Vi, c),
+                 (0, 2 * N, 1.0, 0.0), (1, 3 * N, 1.0, 0.0))  # (flux, column, mean, |A|)
+        rows, cols, vals = map(list, zip(*(
+            (k * N + to, col + cell, sign * 0.5 * (a + side * d) / dx[to])
+            for cell, side in ((il, 1.0), (il + 1, -1.0)) for k, col, a, d in terms
+            for to, sign in ((il + 1, 1.0), (il, -1.0)))))  # into the right cell, out of the left
+        bnd = np.concatenate((self._first, self._last))
+        self._ends = np.concatenate((bnd, N + bnd))  # h, then v, of the inlet then outlet cells
+        rows += [bnd, N + bnd]
+        cols += [4 * N + np.arange(2 * m), 4 * N + 2 * m + np.arange(2 * m)]
+        vals += [-self._sign / dx[bnd]] * 2
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        self._K = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * N, 4 * N + 4 * m))
+        # the channel and cell[, face] of each cell and boundary face, named when it runs dry
+        self._where_cell = [(i, int(k)) for i, k in zip(np.repeat(ids, n), loc)]
+        self._where_face = ([(i, 0, "inlet") for i in ids]
+                            + [(i, int(k) - 1, "outlet") for i, k in zip(ids, n)])
 
     def _face_relations(self):
-        """Unknowns and coefficients of the face relations (see _solve_faces)."""
-        m = self.m
+        """Unknowns and coefficients of the face relations in Python floats (see _solve_faces)."""
+        m, q = self.m, self.phys.quadratic
         ordinal = {i: k for k, i in enumerate(self.ids)}
-        # one unknown depth per relation: the root inlet, every terminal outlet,
-        # and every junction, at the outlet of its incoming channel
+        # one unknown depth per relation: root inlet, terminal outlets, junctions' incoming outlets
         terminals, internal = list(self.topo.terminal_channels), list(self.topo.internal_channels)
         children = [self.topo.junctions[i] for i in internal]
-        nt = len(terminals)
         self._kr = ordinal[self.topo.root_channel]
-        self._kt = np.array([ordinal[j] for j in terminals], dtype=int)
-        self._kj = np.array([ordinal[i] for i in internal], dtype=int)
-        self._ku = np.concatenate(([self._kr], m + self._kt, m + self._kj))
-        self._site_unknown = (self._site_faces[0], self._ku)
-        self._kc = np.array([ordinal[c] for ch in children for c in ch], dtype=int)
-        self._uc = np.array([1 + nt + j for j, ch in enumerate(children) for _ in ch], dtype=int)
-        self._incidence = np.zeros((m, len(internal)))
-        self._incidence[self._kc, self._uc - 1 - nt] = 1.0
-        self._k = np.array([self.gains[j] for j in terminals])
-        self._Hu, self._gu = self._Hb[self._ku], self._gb[self._ku]
+        self._kt, self._kj = [ordinal[j] for j in terminals], [ordinal[i] for i in internal]
+        self._kc = [[ordinal[c] for c in ch] for ch in children]
+        self._k = [self.gains[j] for j in terminals]
+        ku = [self._kr] + [m + k for k in self._kt + self._kj]
+
+        def at(H, g, sites):  # (H, g, sqrt(g H), site) of each face or cell
+            return list(zip(H.tolist(), g.tolist(), np.sqrt(g * H).tolist(), sites))
+
+        ends = self._ends[: 2 * m]
+        self._end_cells = at(self.Hc[ends], self.g[ends], [self._where_cell[k] for k in ends])
+        faces = at(self._Hb[ku], self._gb[ku], [self._where_face[k] for k in ku])
+        self._Hr, self._Vr = faces[0][0], float(self._Vb[self._kr])
         # steady velocity mismatch of the stored baselines, a few ulp at most
         pr = self.profiles
         dust = [pr[i].flux / pr[i].outlet_depth - sum(pr[c].flux / pr[i].outlet_depth for c in ch)
                 for i, ch in zip(internal, children)]
-        ones, zeros = np.ones(self._ku.size), np.zeros(self._ku.size)
-        self._e_root = np.concatenate(([1.0], zeros[1:]))
-        self._a1 = np.concatenate(([self._Vb[self._kr]], self._k, zeros[1 + nt :]))
-        self._a2 = np.r_[self._Hu[0], ones[1 : 1 + nt], [-1.0 - len(c) for c in children]]
-        self._b = self.phys.quadratic * self._e_root
-        self._c = np.concatenate((zeros[: 1 + nt], dust))
-        c_u = np.sqrt(self._gu * self._Hu)
-        self._scale = np.concatenate(([self._Hu[0] * c_u[0]], c_u[1:]))
-        root = self.topo.root_channel
-        message = "channel {}: terminal feedback solve diverged"
-        self._fail = [lambda: RootSolveFailure(f"channel {root}: inlet flux solve diverged")]
-        self._fail += [lambda j=j: TerminalSolveFailure(message.format(j)) for j in terminals]
-        self._fail += [lambda i=i: JunctionDivergence(i) for i in internal]
+        nt = len(terminals)
+        a2 = [self._Hr] + [1.0] * nt + [-1.0 - len(ch) for ch in children]
+        b = [q] + [0.0] * (len(ku) - 1)
+        # the root's tolerance scales with its steady flux, the others' with
+        # the wave speed or the invariant, whichever is larger
+        scale = [self._Hr * faces[0][2]] + [c for _, _, c, _ in faces[1:]]
+        message = "channel {}: {} solve diverged"
+        fail = [lambda i=self.topo.root_channel: RootSolveFailure(message.format(i, "inlet flux"))]
+        fail += [lambda j=j: TerminalSolveFailure(message.format(j, "terminal feedback"))
+                 for j in terminals]
+        fail += [lambda i=i: JunctionDivergence(i) for i in internal]
+        wide = [0.0] + [1.0] * (len(ku) - 1)  # weight of |a0| in the scale
+        self._relations = list(zip(ku, faces, a2, b, [0.0] * (1 + nt) + dust, scale, wide, fail))
+        # each face's unknown, the sign of s in its velocity, and a terminal's gain
+        unknown = {f: u for u, f in enumerate(ku)}
+        unknown |= {c: u for u, ch in enumerate(self._kc, 1 + nt) for c in ch}
+        gain = {m + k: g for k, g in zip(self._kt, self._k)}
+        self._face_map = [(unknown[f], 1.0 if f < m else -1.0, gain.get(f)) for f in range(2 * m)]
 
     def _instrumentation(self):
         """Trapezoid and Lyapunov weights, boundary-form terms, and the
@@ -384,8 +400,8 @@ class NetworkSimulator:
         for g, (part, r) in enumerate(groups):
             Y[g, part * N + np.flatnonzero(self._interior & (loc % 3 == r))] = 1.0
         Y[len(groups) + np.arange(bcols.size), bcols] = 1.0
-        face = self._solve_faces(Y, None)
-        dY, _, influx = self._tendency(Y, face)
+        face = np.array([self._solve_faces(y, None) for y in Y])
+        dY, _, influx = (np.array(a) for a in zip(*map(self._tendency, Y, face)))
         dY_b, face_b = dY[len(groups) :], face[len(groups) :].reshape(bcols.size, -1)
         cell = np.arange(2 * N) % N
         rows, cols = [], []
@@ -433,7 +449,7 @@ class NetworkSimulator:
         return self.cfl * float(np.min(self.dx / speed))
 
     def _solve_faces(self, y, start):
-        """Face depths and velocities, shape (..., 2, 2m), of the flat state(s) y.
+        """Face depths and velocities, shape (2, 2m), of the flat state y.
 
         Each face relation is G(h) = a0 + a1 h + a2 s(h) + b h s(h) +
         c h / (H + q h) = 0 in a face depth h, with s the depth shift, y2 the
@@ -445,41 +461,33 @@ class NetworkSimulator:
         steady velocity mismatch (a0 = y1 - sum y2, a2 = -(n + 1)). Newton
         starts from the faces in start; None takes the exact linear step.
         """
-        N, m, q, shift = self.N, self.m, self.phys.quadratic, self.phys.shift
-        h, v = y[..., :N], y[..., N:]
-        f0, fl, kr, kt, kj = self._first, self._last, self._kr, self._kt, self._kj
-        y2 = v[..., f0] - shift(h[..., f0], self.Hc[f0], self.g[f0], self._site_first)[0]
-        y1 = v[..., fl] + shift(h[..., fl], self.Hc[fl], self.g[fl], self._site_last)[0]
-        y2r = y2[..., kr : kr + 1]
-        total = y1[..., kj] - y2 @ self._incidence
-        a0 = np.concatenate((self._Hu[:1] * y2r, -y1[..., kt], total), axis=-1)
-        a1 = self._a1 + self._e_root * (q * y2r)
-        H, g, a2, b, c = self._Hu, self._gu, self._a2, self._b, self._c
+        m, q, shift = self.m, self.phys.quadratic, self.phys.face_shift
+        end = y[self._ends].tolist()
+        sh = [shift(h, *cell)[0] for h, cell in zip(end, self._end_cells)]
+        y2 = [v - s for v, s in zip(end[2 * m : 3 * m], sh)]
+        y1 = [v + s for v, s in zip(end[3 * m :], sh[m:])]
+        y2r = y2[self._kr]
+        a0 = [self._Hr * y2r] + [-y1[k] for k in self._kt]
+        a0 += [y1[k] - sum(y2[c] for c in ch) for k, ch in zip(self._kj, self._kc)]
+        a1 = [self._Vr + q * y2r] + self._k + [0.0] * len(self._kj)
+        start = None if start is None else start[0].tolist()
+        hu, su = [], []
+        for A0, A1, (k, face, a2, b, dust, scale, wide, fail) in zip(a0, a1, self._relations):
+            H = face[0]
 
-        def residual(hf):
-            s, ds = shift(hf, H, g, self._site_unknown)
-            hh = H + q * hf
-            return (
-                a0 + a1 * hf + a2 * s + b * (hf * s) + c * hf / hh,
-                a1 + a2 * ds + b * (s + hf * ds) + c * H / (hh * hh),
-            )
+            def residual(hf):
+                s, ds = shift(hf, *face)
+                hh = H + q * hf
+                return (A0 + A1 * hf + a2 * s + b * (hf * s) + dust * hf / hh,
+                        A1 + a2 * ds + b * (s + hf * ds) + dust * H / (hh * hh))
 
-        # the root's tolerance scales with its steady flux, the others' with
-        # the wave speed or the invariant, whichever is larger
-        scale = np.maximum(self._scale, (1.0 - self._e_root) * np.abs(a0))
-        start = None if start is None else start[0, self._ku]
-        hu = _newton(residual, start, scale, lambda k: self._fail[k]())
-        s = shift(hu, H, g, self._site_unknown)[0]
-        nt = kt.size
-        f = np.empty(y.shape[:-1] + (2, 2 * m))
-        f[..., 0, self._ku] = hu
-        f[..., 1, kr] = y2r[..., 0] + s[..., 0]
-        f[..., 1, m + kt] = self._k * hu[..., 1 : 1 + nt]
-        f[..., 1, m + kj] = y1[..., kj] - s[..., 1 + nt :]
-        kc, uc = self._kc, self._uc
-        f[..., 0, kc] = hu[..., uc]
-        f[..., 1, kc] = y2[..., kc] + s[..., uc]
-        return f
+            scale = max(scale, wide * abs(A0))
+            hu.append(_solve_relation(residual, None if start is None else start[k], scale, fail))
+            su.append(shift(hu[-1], *face)[0])
+        invariant = y2 + y1
+        velocity = [invariant[f] + sign * su[u] if gain is None else gain * hu[u]
+                    for f, (u, sign, gain) in enumerate(self._face_map)]
+        return np.array(([hu[u] for u, _, _ in self._face_map], velocity))
 
     def face_states(self, state: SimState, flat: bool = False):
         """Every boundary and junction face: channel id -> (h0, v0, hL, vL), or
@@ -494,23 +502,15 @@ class NetworkSimulator:
     # -- semi-discrete right-hand side ---------------------------------------
 
     def _tendency(self, y, face):
-        """(dy, face, net boundary mass influx) of flat state(s) y and their faces."""
-        N, M, q = self.N, self.N - self.m, self.phys.quadratic
-        u = y.reshape(y.shape[:-1] + (2, N))
-        ul, ur = u[..., self._il], u[..., self._ir]
-        F1_l, F2_l = _flux(ul[..., 0, :], ul[..., 1, :], self._Hi, self._Vi, self._gi, q)
-        F1_r, F2_r = _flux(ur[..., 0, :], ur[..., 1, :], self._Hi, self._Vi, self._gi, q)
-        du = ur - ul
-        dh, dv = du[..., 0, :], du[..., 1, :]
-        flux = np.empty(y.shape[:-1] + (2, N + self.m))
-        flux[..., 0, :M] = 0.5 * (F1_l + F1_r) - 0.5 * (self._absAd * dh + self._absA12 * dv)
-        flux[..., 1, :M] = 0.5 * (F2_l + F2_r) - 0.5 * (self._absA21 * dh + self._absAd * dv)
-        B1, B2 = _flux(face[..., 0, :], face[..., 1, :], self._Hb, self._Vb, self._gb, q)
-        flux[..., 0, M:] = B1
-        flux[..., 1, M:] = B2
-        dy = (flux[..., self._left] - flux[..., self._right]) / self.dx
-        dy[..., 1, :] += self.phys.source(self, u[..., 0, :], u[..., 1, :])
-        return dy.reshape(y.shape), face, -(B1 @ self._sign)
+        """(dy, face, net boundary mass influx) of the flat state y and its faces."""
+        N, q = self.N, self.phys.quadratic
+        h, v = y[:N], y[N:]
+        fh, fv = face
+        B1 = self._Hb * fv + self._Vb * fh + q * (fh * fv)
+        B2 = self._Vb * fv + q * (0.5 * fv * fv) + self._gb * fh
+        dy = self._K @ np.concatenate((y, q * (h * v), q * (0.5 * v * v), B1, B2))
+        dy[N:] += self.phys.source(self, h, v)
+        return dy, face, -(B1 @ self._sign)
 
     def rhs(self, state: SimState):
         """Flat tendencies, solved faces, and the net boundary mass influx."""
@@ -539,7 +539,7 @@ class NetworkSimulator:
     # -- instrumentation -----------------------------------------------------
 
     def _char_fields(self, y):
-        s = self.phys.shift(y[: self.N], self.Hc, self.g, self._site_cells)[0]
+        s = self.phys.shift(y[: self.N], self.Hc, self.g, self._where_cell)[0]
         v = y[self.N :]
         return np.concatenate((v + s, v - s))
 
@@ -563,7 +563,7 @@ class NetworkSimulator:
     def boundary_form(self, state: SimState) -> float:
         """B(t), the sum over channels of [f1 lam1 y1^2 - f2 lam2 y2^2]_0^L."""
         f = self.face_states(state, flat=True)
-        s = self.phys.shift(f[0], self._Hb, self._gb, self._site_faces)[0]
+        s = self.phys.shift(f[0], self._Hb, self._gb, self._where_face)[0]
         y1, y2 = f[1] + s, f[1] - s
         return float(self._sign @ (self._f1lam1 * y1**2 - self._f2lam2 * y2**2))
 

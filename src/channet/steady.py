@@ -248,11 +248,12 @@ def integrate_channel_steady(
         p = spec.friction_exponent
         depth_rhs = guarded_depth_rhs(spec, flux, H0, margin_tol)
 
+        # Python floats: numpy scalar arithmetic costs more and gives the same bits
         def rhs(x, y):
-            return (depth_rhs(y[0])[1],)
+            return (depth_rhs(float(y[0]))[1],)
 
         def margin_event(x, y):
-            H = max(y[0], 1e-12 * H0)
+            H = max(float(y[0]), 1e-12 * H0)
             return g * H - (flux / H) ** 2 - threshold
 
         margin_event.terminal = True

@@ -166,11 +166,12 @@ class _ChannelState:
             w = w * np.exp(I1 + I2)
         return np.array([H, I1, I2, w])
 
-    def slope(self, x):
-        """eta'(x) of a comparison solution, from its Riccati equation."""
+    def slope(self, s):
+        """eta' of a comparison solution at the state s = state(x), from its
+        Riccati equation."""
         if self.dense is None:
-            return np.full_like(np.asarray(x, dtype=float), self.epsilon)
-        H, I1, I2, eta = self.state(x)
+            return np.full_like(s[0], self.epsilon)
+        H, I1, I2, eta = s
         spec = self.profile.spec
         terms = (self.profile.flux, spec.friction, spec.friction_exponent, spec.gravity)
         lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, *terms)
@@ -382,6 +383,7 @@ class ChannelWeights:
     alpha: float
     epsilon: float
     eta_eps: np.ndarray
+    eta_slope: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
     W: np.ndarray
@@ -420,6 +422,7 @@ def _build_channel_weights(coeffs: CharCoeffs, eta_sol: _ChannelState, alpha: fl
         alpha=alpha,
         epsilon=eta_sol.epsilon,
         eta_eps=s[3],
+        eta_slope=eta_sol.slope(s),
         f1=f1,
         f2=f2,
         W=alpha * sum(_weight_pair(s)),
@@ -541,12 +544,11 @@ def interior_matrix(cw: ChannelWeights):
     taken analytically through the weight definitions and the eta equation.
     Returns (N11, N12, N22) arrays.
     """
-    x = cw.profile.x_fine
     lam1, lam2 = cw.coeffs.lambda1, cw.coeffs.lambda2
     g1, d1 = cw.coeffs.gamma1, cw.coeffs.delta1
     g2, d2 = cw.coeffs.gamma2, cw.coeffs.delta2
     eta = cw.eta_eps
-    eta_slope = cw.eta_solution.slope(x)
+    eta_slope = cw.eta_slope
     f1l1 = cw.f1 * lam1
     f2l2 = cw.f2 * lam2
     d_f1l1 = f1l1 * (2.0 * g1 / lam1 - eta_slope / eta)

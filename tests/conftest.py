@@ -182,6 +182,26 @@ def dry_outlet_cell(sim, state, channel):
     v[-1] = -0.5 * math.sqrt(prof.gravity * depth) - prof.V_centers[-1]
 
 
+# a face solve that fails on each kind of face relation of the star: the
+# channel, the end (0 inlet, -1 outlet) whose cell is perturbed, the error
+# type's name and the text that names the channel
+FACE_FAILURES = {
+    "root": (1, 0, "RootSolveFailure", "channel 1: inlet flux solve diverged"),
+    "terminal": (4, -1, "TerminalSolveFailure", "channel 4: terminal feedback solve diverged"),
+    "junction": (1, -1, "JunctionDivergence", "junction fed by channel 1"),
+}
+
+
+def nudge_face_cell(state, channel, end):
+    """Raise the depth of the cell next to one face of a channel by 1e-4.
+
+    Only the relation of that face sees a changed invariant, so with no
+    Newton iteration allowed only its solve fails.
+    """
+    h, _ = state.fields[channel]
+    h[end] += 1e-4
+
+
 STAR_ROOT_DEPTH = 2.0
 STAR_ROOT_FLUX = 1.0
 STAR_GAINS = {2: 0.0, 3: 0.0, 4: 0.0}

@@ -13,7 +13,14 @@ from channet.gains import is_admissible
 from channet.steady import solve_network_steady
 from channet.topology import network_to_dict
 
-from conftest import STAR_ROOT_DEPTH, STAR_ROOT_FLUX, dry_outlet_cell, small_star
+from conftest import (
+    FACE_FAILURES,
+    STAR_ROOT_DEPTH,
+    STAR_ROOT_FLUX,
+    dry_outlet_cell,
+    nudge_face_cell,
+    small_star,
+)
 
 FLOAT_CELL = re.compile(rb"-?\d\.\d{16}e[+-]\d{2,3}")
 
@@ -350,6 +357,27 @@ def test_simulate_dry_face_exit_five(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "simulation failed at t = 0.000000e+00" in err
     assert "channel 4, outlet face" in err
+
+
+@pytest.mark.parametrize("face", sorted(FACE_FAILURES))
+def test_simulate_face_solve_failure_exit_five(tmp_path, capsys, monkeypatch, face):
+    import channet.simulate
+
+    channel, end, _, text = FACE_FAILURES[face]
+    initial_state = channet.simulate.NetworkSimulator.initial_state
+
+    def nudged(sim, perturbation=None):
+        state = initial_state(sim, perturbation)
+        nudge_face_cell(state, channel, end)
+        return state
+
+    monkeypatch.setattr(channet.simulate.NetworkSimulator, "initial_state", nudged)
+    monkeypatch.setattr(channet.simulate, "NEWTON_MAX_ITER", 0)
+    code, _ = run_cli(tmp_path, "simulate", star_config(simulation={"mode": "nonlinear"}))
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "simulation failed at t = 0.000000e+00" in err
+    assert text in err
 
 
 def test_module_entry_point(tmp_path):

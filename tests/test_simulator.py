@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import channet.errors
+import channet.simulate
 from channet.errors import (
     CflViolation,
     MissingGain,
@@ -17,7 +19,18 @@ from channet.steady import solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
 from channet.weights import certify_network, network_weights
 
-from conftest import G, STAR_GAINS, STAR_ROOT_DEPTH, STAR_ROOT_FLUX, dry_outlet_cell, small_star
+from conftest import (
+    FACE_FAILURES,
+    G,
+    STAR_GAINS,
+    STAR_ROOT_DEPTH,
+    STAR_ROOT_FLUX,
+    admissible_gain,
+    draw_tree,
+    dry_outlet_cell,
+    nudge_face_cell,
+    small_star,
+)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +185,31 @@ def test_dry_face_raises_subcritical_loss(star_sim_parts):
         sim.step(state, sim.cfl_dt(state))
     assert (exc.value.channel, exc.value.face) == (4, "outlet")
     assert "outlet face" in str(exc.value)
+
+
+@pytest.mark.parametrize("face", sorted(FACE_FAILURES))
+def test_face_solve_failure_is_typed_and_stamped(star_sim_parts, monkeypatch, face):
+    channel, end, error, text = FACE_FAILURES[face]
+    sim = make_sim(star_sim_parts, "nonlinear")
+    initial_state = sim.initial_state
+
+    def nudged(perturbation=None):
+        state = initial_state(perturbation)
+        nudge_face_cell(state, channel, end)
+        return state
+
+    monkeypatch.setattr(sim, "initial_state", nudged)
+    # the nudged state itself is admissible: the solves converge given iterations
+    sim.run(None, T=1.0)
+    monkeypatch.setattr(channet.simulate, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(channet.errors.SimulationError) as exc:
+        sim.run(None, T=1.0)
+    assert type(exc.value) is getattr(channet.errors, error)
+    assert text in str(exc.value)
+    if face == "junction":
+        assert exc.value.channel == channel
+    # the t = 0 sample solves the faces before the first step
+    assert exc.value.sim_time == 0.0
 
 
 def test_missing_gain_rejected(star_sim_parts):
@@ -368,3 +406,115 @@ def test_spectral_rate_lies_below_fitted_rate(star_sim_parts):
     trace = sim.run(BUMP, T=200.0)
     assert trace.nu_hat == pytest.approx(0.00865, rel=5e-3)
     assert nu_spectral < trace.nu_hat
+
+
+def reference_tendency(sim, y, face):
+    """dy of the flat state y and its faces, channel by channel from two-sided
+    face fluxes: at an interior face the mean of the left and right cells'
+    fluxes less half of |A| times their jump, at a boundary face the flux of
+    the face state; plus the friction source relative to the steady baseline."""
+    q = sim.phys.quadratic
+    faces = sim._face_dict(face)
+    out = np.empty_like(y)
+
+    def flux(h, v, H, V, g):
+        return H * v + V * h + q * (h * v), V * v + q * (0.5 * v * v) + g * h
+
+    fields, tendencies = sim._views(y), sim._views(out)
+    for i in sim.ids:
+        (h, v), (dh, dv) = fields[i], tendencies[i]
+        pr, spec = sim.profiles[i], sim.profiles[i].spec
+        g, C, p = spec.gravity, spec.friction, spec.friction_exponent
+        H, V = pr.H_faces[1:-1], pr.V_faces[1:-1]
+        c = np.sqrt(g * H)
+        F1_l, F2_l = flux(h[:-1], v[:-1], H, V, g)
+        F1_r, F2_r = flux(h[1:], v[1:], H, V, g)
+        jh, jv = h[1:] - h[:-1], v[1:] - v[:-1]
+        h0, v0, hL, vL = faces[i]
+        B0 = flux(h0, v0, pr.H_faces[0], pr.V_faces[0], g)
+        BL = flux(hL, vL, pr.H_faces[-1], pr.V_faces[-1], g)
+        G1 = 0.5 * (F1_l + F1_r) - 0.5 * (c * jh + H * V / c * jv)
+        G2 = 0.5 * (F2_l + F2_r) - 0.5 * (g * V / c * jh + c * jv)
+        F1, F2 = (np.concatenate(([b0], G, [bL])) for b0, G, bL in zip(B0, (G1, G2), BL))
+        Hc, Vc = pr.H_centers, pr.V_centers
+        if q:
+            source = -g * C * ((Vc + v) ** 2 / (Hc + h) ** p - Vc**2 / Hc**p)
+        else:
+            source = g * C * (p * Vc**2 / Hc ** (p + 1.0) * h - 2.0 * Vc / Hc**p * v)
+        dx = spec.length / spec.cells
+        dh[:] = (F1[:-1] - F1[1:]) / dx
+        dv[:] = (F2[:-1] - F2[1:]) / dx + source
+    return out
+
+
+def face_residuals(sim, y, face):
+    """(residual, scale) of every face relation, from the solved faces and the
+    invariants of the cells next to them: the root's mass flux, a terminal's
+    incoming invariant at the face against its cell's, and a junction's mass
+    balance over H* + q h. The scales are those at which the face solve stops."""
+    q, topo = sim.phys.quadratic, sim.topo
+    faces, fields = sim._face_dict(face), sim._views(y)
+
+    def shift(h, H, g):
+        return 2.0 * (np.sqrt(g * (H + h)) - np.sqrt(g * H)) if q else h * np.sqrt(g / H)
+
+    def inlet(i):  # mass flux at the face, and the cell's outgoing invariant y2
+        pr, (h, v), (hf, vf, _, _) = sim.profiles[i], fields[i], faces[i]
+        flux = pr.H_faces[0] * vf + pr.V_faces[0] * hf + q * hf * vf
+        return flux, v[0] - shift(h[0], pr.H_centers[0], pr.gravity)
+
+    def outlet(i):  # mass flux at the face, and the cell's incoming invariant y1
+        pr, (h, v), (_, _, hf, vf) = sim.profiles[i], fields[i], faces[i]
+        flux = pr.H_faces[-1] * vf + pr.V_faces[-1] * hf + q * hf * vf
+        return flux, v[-1] + shift(h[-1], pr.H_centers[-1], pr.gravity)
+
+    pr = sim.profiles[topo.root_channel]
+    H = pr.H_faces[0]
+    out = [(inlet(topo.root_channel)[0], H * np.sqrt(pr.gravity * H))]
+    for j in topo.terminal_channels:
+        pr, (_, _, hL, vL) = sim.profiles[j], faces[j]
+        H, y1 = pr.H_faces[-1], outlet(j)[1]
+        out.append((vL + shift(hL, H, pr.gravity) - y1, max(np.sqrt(pr.gravity * H), abs(y1))))
+    for i in topo.internal_channels:
+        pr, children = sim.profiles[i], topo.junctions[i]
+        H, h = pr.H_faces[-1], faces[i][2]
+        assert all(faces[c][0] == h for c in children)
+        (flux_in, y1), out_flows = outlet(i), [inlet(c) for c in children]
+        balance = (flux_in - sum(f for f, _ in out_flows)) / (H + q * h)
+        a0 = y1 - sum(y2 for _, y2 in out_flows)
+        out.append((balance, max(np.sqrt(pr.gravity * H), abs(a0))))
+    return out
+
+
+@pytest.fixture(scope="module")
+def tree_parts():
+    rng = np.random.default_rng(5)
+    topo, H0, flux = draw_tree(rng)
+    profiles = solve_network_steady(topo, H0, flux)
+    gains = {j: admissible_gain(rng, profiles[j]) for j in topo.terminal_channels}
+    cert = certify_network(topo, profiles, gains)
+    assert cert.certified
+    return topo, profiles, cert.weights, gains
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("network", ["star", "tree"])
+def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts, network, mode):
+    if network == "star":
+        sim = make_sim(star_sim_parts, mode)
+    else:
+        topo, profiles, weights, gains = tree_parts
+        sim = NetworkSimulator(topo, profiles, gains, weights=weights, mode=mode)
+    assert len(sim.topo.internal_channels) == (1 if network == "star" else 2)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        # admissible: a few percent of the steady depth and of the wave speed
+        y = np.concatenate((0.05 * sim.Hc, 0.05 * np.sqrt(sim.g * sim.Hc)))
+        y *= rng.uniform(-1.0, 1.0, y.size)
+        state = SimState(0.0, y, np.zeros((2, 2 * sim.m)), sim)
+        dy, face, _ = sim.rhs(state)
+        ref = reference_tendency(sim, y, face)
+        for block in (slice(0, sim.N), slice(sim.N, None)):
+            assert np.max(np.abs(dy[block] - ref[block])) <= 1e-12 * np.max(np.abs(ref[block]))
+        for residual, scale in face_residuals(sim, y, face):
+            assert abs(residual) <= channet.simulate.NEWTON_TOL * scale
