@@ -87,6 +87,36 @@ def phi_exponents(H, inlet_depth, flux, p, g):
     return I1, I2
 
 
+def existence_integral(H, inlet_depth, flux, p, g):
+    """I4 = int exp(I1 - I2) (lambda1(0)/lambda1)^2 (H(0)/H) gamma2/lambda2
+    from the inlet to depth H, the integral whose smallness guarantees that
+    the epsilon = 0 comparison solution exists.
+
+    In the s of ``phi_exponents`` the integrand is a power of s times a
+    quadratic in s, and the friction coefficient drops out:
+
+        I4 = -(s0 + 1)^2 / (6 s0^a (s0^2 - 1)) [F(s) - F(s0)],  a = (2p + 3)/3,
+        F(t) = 6 t^(a+1)/(p + 3) - 3 t^a + 3 t^(a-1).
+
+    Each power is differenced as t^e - s0^e = s0^e expm1(e ln(s/s0)), so I4
+    is exactly 0 at the inlet depth and keeps its digits near it; at p = 0
+    the last term vanishes. A scalar H takes math and an array H numpy.
+    Needs flux > 0 and H above the critical depth.
+    """
+    array = isinstance(H, np.ndarray) and H.ndim > 0
+    sqrt, log, expm1 = (np.sqrt, np.log, np.expm1) if array else (math.sqrt, math.log, math.expm1)
+    s = sqrt(g * H * H * H) / flux
+    s0 = math.sqrt(g * inlet_depth * inlet_depth * inlet_depth) / flux
+    log_r = log(s / s0)
+    a = (2.0 * p + 3.0) / 3.0
+    dF = (
+        s0 * expm1((a + 1.0) * log_r) / (p + 3.0)
+        - 0.5 * expm1(a * log_r)
+        + 0.5 * expm1((a - 1.0) * log_r) / s0
+    )
+    return -(s0 + 1.0) / (s0 - 1.0) * dF
+
+
 def coupling_coefficients(
     depth,
     flux,
@@ -138,23 +168,6 @@ def coupling_coefficients(
     return tuple(friction_form)
 
 
-def riemann_forward(h, v, depth_star, gravity=9.81):
-    """Deviation fields to characteristic variables (y1, y2)."""
-    s = np.sqrt(gravity / np.asarray(depth_star, dtype=float))
-    return v + h * s, v - h * s
-
-
-def nonlinear_change(H, V, depth_star, velocity_star, gravity=9.81):
-    """Exact characteristic coordinates of the full flow state.
-
-    y1/y2 agree with the linear transform to second order in the deviation and
-    vanish exactly on the steady state.
-    """
-    d = 2.0 * (np.sqrt(gravity * np.asarray(H, dtype=float)) - np.sqrt(gravity * np.asarray(depth_star, dtype=float)))
-    w = np.asarray(V, dtype=float) - velocity_star
-    return w + d, w - d
-
-
 def reflection_coefficient(gain, outlet_depth, gravity=9.81):
     """Ratio c of outgoing to incoming characteristic at a feedback outlet.
 
@@ -204,18 +217,4 @@ class CharCoeffs:
             delta1=d1,
             gamma2=g2,
             delta2=d2,
-        )
-
-    def speeds_at(self, x):
-        H = self.profile.depth(x)
-        return eigenvalues(H, self.profile.velocity_of(H), self.profile.gravity)
-
-    def couplings_at(self, x):
-        return coupling_coefficients(
-            self.profile.depth(x),
-            self.profile.flux,
-            self.profile.spec.friction,
-            self.profile.spec.friction_exponent,
-            self.profile.gravity,
-            check=False,
         )

@@ -85,13 +85,6 @@ class DegenerateFlux(WeightError):
     """Quantity undefined for a zero-flux channel."""
 
 
-class RiccatiBlowup(WeightError):
-    def __init__(self, channel: int, x: float):
-        self.channel = channel
-        self.x = x
-        super().__init__(f"channel {channel}: comparison solution exceeds 1e12 near x = {x:.6g}")
-
-
 class EpsilonTooLarge(WeightError):
     """The perturbed weight ODE ceases to exist on [0, L] for this epsilon."""
 

@@ -142,10 +142,6 @@ class SteadyProfile:
         return self.velocity_of(self.H_centers)
 
     @property
-    def V_fine(self) -> np.ndarray:
-        return self.velocity_of(self.H_fine)
-
-    @property
     def outlet_depth(self) -> float:
         return float(self.H_faces[-1])
 
@@ -161,20 +157,6 @@ class SteadyProfile:
 
     def velocity(self, x):
         return self.velocity_of(self.depth(x))
-
-    def depth_slope(self, x):
-        """Analytic dH*/dx evaluated through the profile equation."""
-        return steady_rhs(
-            self.depth(x),
-            self.flux,
-            self.spec.friction,
-            self.spec.friction_exponent,
-            self.gravity,
-        )
-
-    def subcritical_margin(self, x):
-        H = self.depth(x)
-        return self.gravity * H - self.velocity_of(H) ** 2
 
 
 def _potential_drop(H_hi, H_lo, flux, p, g):

@@ -20,19 +20,22 @@ controlled by the signs of Z = lambda1 f1 - lambda2 f2 and by small symmetric
 matrices assembled from Z and W = lambda1 f1 + lambda2 f2. The epsilon = 0
 comparison solution with unit inlet value has the closed form
 eta_bar = m(x) eta0(x) with eta0 = (lambda2/lambda1) phi and m an explicit
-rational function of the steady depth; an independent Riccati integration of
-the same equation serves as the verification oracle for it.
+rational function of the steady depth.
 
-The exponents of phi1 and phi2 are closed-form functions of the local depth
-(``characteristics.phi_exponents``). The remaining quantity of each solve,
-the comparison solution or the existence integral, is integrated by
-adaptive Runge-Kutta alongside the steady depth (relative tolerance ~1e-11
-or tighter), so certificate accuracy does not depend on the simulation grid.
-One function, ``_integrate``, makes every such solve: the state is (H, w),
-with the guarded depth slope of ``steady.guarded_depth_rhs`` and the speeds,
-couplings and exponents of ``characteristics``, the same kernels that the
-steady profile and ``CharCoeffs`` use. ``_ChannelState`` evaluates the
-result, (H, I1, I2, w), anywhere on the channel.
+The exponents of phi1 and phi2 and the existence integral I4 are closed-form
+functions of the local depth (``characteristics.phi_exponents`` and
+``characteristics.existence_integral``), so ``phi_profiles`` and the
+existence margin solve no ODE. Only the comparison solution at epsilon > 0
+is integrated, by adaptive Runge-Kutta alongside the steady depth (relative
+tolerance 1e-11), so certificate accuracy does not depend on the simulation
+grid. One function, ``_integrate``, makes that solve: the state is (H, u)
+with u = eta / phi, the guarded depth slope of ``steady.guarded_depth_rhs``
+and the speeds, couplings and exponents of ``characteristics``, the same
+kernels that the steady profile and ``CharCoeffs`` use. ``_ChannelState`` evaluates the
+result, (H, I1, I2, eta), anywhere on the channel. The test suite
+(``tests/conftest.py``) keeps the ODE forms of I4 and of the unit-inlet
+comparison solution, solved by the same driver, as oracles of the closed
+forms.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from scipy.integrate import solve_ivp
 from .characteristics import (
     CharCoeffs,
     eigenvalues,
+    existence_integral,
     phi_exponents,
     reflection_coefficient,
     speeds_couplings,
@@ -54,7 +58,6 @@ from .errors import (
     DegenerateFlux,
     EpsilonTooLarge,
     MissingGain,
-    RiccatiBlowup,
     WeightError,
     ZeroW,
 )
@@ -62,19 +65,11 @@ from .steady import SteadyProfile, guarded_depth_rhs
 from .topology import NetworkTopology, traversal_order, validate_topology
 
 ETA_BLOWUP = 1e12
-INTEGRAL_RTOL = 1e-12
-INTEGRAL_ATOL = 1e-14
 ETA_RTOL = 1e-11
 ETA_ATOL = 1e-13
-ORACLE_TOL = 1e-12
 POSITIVITY_REL_TOL = 1e-12
 DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
-
-
-def _uncoupled(profile: SteadyProfile) -> bool:
-    """Zero flux or no friction: constant depth and vanishing couplings."""
-    return profile.flux == 0.0 or profile.spec.friction == 0.0
 
 
 def _integrate(profile: SteadyProfile, dw, init, rtol, atol, events=None):
@@ -121,7 +116,13 @@ _eta_blowup.direction = 1
 def _riccati(epsilon):
     """Derivative of the comparison solution in the scaled variable
     u = eta / phi: u' = |delta1/lambda1 + (gamma2/lambda2) u^2| - u (gamma1/
-    lambda1 + delta2/lambda2) + epsilon / phi (see eta_bar_by_ode)."""
+    lambda1 + delta2/lambda2) + epsilon / phi.
+
+    The scaled form has the neutral exponential drift removed: the raw eta
+    equation amplifies truncation error by exp(int 2 gamma2 eta / (lambda2
+    phi)), which overwhelms any tolerance on channels approaching the
+    blow-up length, while the scaled form stays well conditioned.
+    """
 
     def du(u, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
         return (
@@ -134,19 +135,18 @@ def _riccati(epsilon):
 
 
 class _ChannelState:
-    """(H, I1, I2, w) of one channel at any abscissa, clamped to [0, L].
+    """(H, I1, I2, eta) of one channel at any abscissa, clamped to [0, L].
 
-    ``sol`` is the result of ``_integrate``, whose depth gives I1 and I2 in
-    closed form; with ``scaled`` its w is u = eta / phi and is returned as
-    eta. An uncoupled channel has no solve (``sol`` None): the exponents
-    vanish and w is init + epsilon x, the exact solution there.
+    ``sol`` is a solve of u = eta / phi by ``_integrate``, whose depth gives
+    I1 and I2 in closed form and so eta = u phi. An uncoupled channel has no
+    solve (``sol`` None): the exponents vanish and eta is init + epsilon x,
+    the exact solution there.
     """
 
-    def __init__(self, profile: SteadyProfile, sol=None, init=0.0, epsilon=0.0, scaled=False):
+    def __init__(self, profile: SteadyProfile, sol=None, init=0.0, epsilon=0.0):
         self.profile = profile
         self.init = init
         self.epsilon = epsilon
-        self.scaled = scaled
         if sol is not None:
             self.dense, self.x_end = sol.sol, float(sol.t[-1])
         else:
@@ -157,14 +157,12 @@ class _ChannelState:
         if self.dense is None:
             zeros = np.zeros(x.shape)
             return np.array([self.profile.depth(x), zeros, zeros, self.init + self.epsilon * x])
-        H, w = self.dense(np.clip(x, 0.0, self.x_end))
+        H, u = self.dense(np.clip(x, 0.0, self.x_end))
         spec = self.profile.spec
         I1, I2 = phi_exponents(
             H, self.profile.inlet_depth, self.profile.flux, spec.friction_exponent, spec.gravity
         )
-        if self.scaled:
-            w = w * np.exp(I1 + I2)
-        return np.array([H, I1, I2, w])
+        return np.array([H, I1, I2, u * np.exp(I1 + I2)])
 
     def slope(self, s):
         """eta' of a comparison solution at the state s = state(x), from its
@@ -181,24 +179,30 @@ class _ChannelState:
 
 @dataclass(frozen=True, eq=False)
 class PhiProfiles:
-    """Cumulative coefficient integrals of one channel.
+    """Cumulative coefficient integrals of one channel, in closed form.
 
-    The underlying state is (H, I1, I2, I4) with
+    The state is (H, I1, I2, I4) with
 
         I1 = int gamma1/lambda1,    I2 = int delta2/lambda2,
         I3 = int 2 gamma2/lambda1,  I4 = int exp(I3) gamma2/(lambda2 phi),
 
     so phi1 = exp(I1), phi2 = exp(-I2), phi = exp(I1 + I2), and I4 is the
     integral whose smallness guarantees the comparison solution exists.
-    I1 and I2 are closed form in the depth, and so is
-    exp(I3) = phi1^2 (lambda1(0)/lambda1)^2 H(0)/H; only I4 is integrated.
+    With exp(I3) = phi1^2 (lambda1(0)/lambda1)^2 H(0)/H, all three are
+    closed form in the steady depth. A zero-flux channel has constant depth
+    and no coupling, and all three vanish.
     """
 
     profile: SteadyProfile
-    _integrals: _ChannelState
 
     def state(self, x):
-        return self._integrals.state(x)
+        prof = self.profile
+        H = prof.depth(x)
+        if prof.flux == 0.0:
+            zeros = np.zeros(np.shape(H))
+            return np.array([H, zeros, zeros, zeros])
+        terms = (prof.inlet_depth, prof.flux, prof.spec.friction_exponent, prof.gravity)
+        return np.array([H, *phi_exponents(H, *terms), existence_integral(H, *terms)])
 
     def depth(self, x):
         return self.state(x)[0]
@@ -218,29 +222,8 @@ class PhiProfiles:
 
 
 def phi_profiles(profile: SteadyProfile) -> PhiProfiles:
-    """Integrate the existence integral I4 alongside the steady depth."""
-    if _uncoupled(profile):
-        return PhiProfiles(profile=profile, _integrals=_ChannelState(profile))
-    H0 = profile.inlet_depth
-    lam1_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)[0]
-
-    def dI4(w, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
-        # exp(I3) / phi = phi1 phi2 (lambda1(0)/lambda1)^2 H(0)/H
-        return math.exp(I1 - I2) * (lam1_0 / lam1) ** 2 * (H0 / H) * g2 / lam2
-
-    sol = _integrate(profile, dI4, 0.0, INTEGRAL_RTOL, INTEGRAL_ATOL)
-    if not sol.success:
-        raise WeightError(
-            f"channel {profile.channel}: coefficient integrals failed: {sol.message}"
-        )
-    return PhiProfiles(profile=profile, _integrals=_ChannelState(profile, sol))
-
-
-def eta_zero(phi: PhiProfiles, x):
-    """eta0 = (lambda2/lambda1) phi, the epsilon = 0 trunk comparison solution."""
-    H = phi.depth(x)
-    lam1, lam2 = eigenvalues(H, phi.profile.velocity_of(H), phi.profile.gravity)
-    return (lam2 / lam1) * phi.phi(x)
+    """The coefficient integrals of one channel; no ODE is solved."""
+    return PhiProfiles(profile)
 
 
 def m_value(H, inlet_depth, flux, friction_exponent, gravity):
@@ -276,15 +259,6 @@ def m_profile(profile: SteadyProfile, x):
     )
 
 
-def eta_bar_closed(phi: PhiProfiles, x):
-    """Closed-form eta_bar = m(x) eta0(x) (unit inlet value)."""
-    H = phi.depth(x)
-    prof = phi.profile
-    m = m_value(H, prof.inlet_depth, prof.flux, prof.spec.friction_exponent, prof.gravity)
-    lam1, lam2 = eigenvalues(H, prof.velocity_of(H), prof.gravity)
-    return m * (lam2 / lam1) * phi.phi(x)
-
-
 def riccati_existence_margin(phi: PhiProfiles, x):
     """Positive margin certifying the unit-inlet comparison solution up to x.
 
@@ -308,7 +282,7 @@ def eta_eps(
     Solves eta' = |delta1 phi / lambda1 + (gamma2/(lambda2 phi)) eta^2| +
     epsilon with inlet value lambda2(0)/lambda1(0) + epsilon on the trunk and
     1 + epsilon on branch channels, advanced in the scaled variable
-    u = eta / phi (see eta_bar_by_ode for the conditioning rationale).
+    u = eta / phi (see _riccati for the conditioning rationale).
     Raises EpsilonTooLarge if the solution leaves [0, 1e12] before the
     channel end.
     """
@@ -320,7 +294,8 @@ def eta_eps(
     else:
         init = 1.0 + epsilon
 
-    if _uncoupled(profile):
+    if profile.flux == 0.0 or profile.spec.friction == 0.0:
+        # constant depth and vanishing couplings
         return _ChannelState(profile, init=init, epsilon=epsilon)
 
     sol = _integrate(profile, _riccati(epsilon), init, ETA_RTOL, ETA_ATOL, _eta_blowup)
@@ -329,41 +304,7 @@ def eta_eps(
             f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
             f"does not exist on the whole channel"
         )
-    return _ChannelState(profile, sol, epsilon=epsilon, scaled=True)
-
-
-def eta_bar_by_ode(profile: SteadyProfile, rtol: float = ORACLE_TOL, atol: float = ORACLE_TOL):
-    """Independent Riccati integration of the unit-inlet comparison solution.
-
-    Re-integrates the steady depth alongside the Riccati solution in a single
-    adaptive solve (no reuse of cached profiles, and nothing of the closed
-    form m), so it can serve as a verification oracle for the closed form.
-    The Riccati equation is advanced in the scaled variable u = eta_bar /
-    phi, whose equation u' = delta1/lambda1 + (gamma2/lambda2) u^2 -
-    u (gamma1/lambda1 + delta2/lambda2) has the neutral exponential drift
-    removed: the raw eta_bar equation amplifies truncation error by
-    exp(int 2 gamma2 eta_bar / (lambda2 phi)), which overwhelms any
-    tolerance on channels approaching the blow-up length, while the scaled
-    form stays well conditioned. The default tolerance is ten times tighter
-    than the certificate's, because with only (H, u) in the RK45 error norm
-    a tolerance of 1e-11 leaves u about ten times less accurate than the
-    closed form it checks. Returns a callable evaluating eta_bar(x).
-    """
-    if _uncoupled(profile):
-        state = _ChannelState(profile, init=1.0)
-    else:
-        sol = _integrate(profile, _riccati(0.0), 1.0, rtol, atol, _eta_blowup)
-        if sol.t_events[0].size:
-            raise RiccatiBlowup(profile.channel, float(sol.t_events[0][0]))
-        if not sol.success:
-            raise WeightError(f"channel {profile.channel}: Riccati integration failed: {sol.message}")
-        state = _ChannelState(profile, sol, scaled=True)
-
-    def evaluate(x):
-        out = state.state(x)[3]
-        return float(out) if np.ndim(x) == 0 else out
-
-    return evaluate
+    return _ChannelState(profile, sol, epsilon=epsilon)
 
 
 def _weight_pair(s, alpha=1.0, lam1=1.0, lam2=1.0):
@@ -406,11 +347,6 @@ class ChannelWeights:
         """(Z, W) = (lambda1 f1 -/+ lambda2 f2) at arbitrary abscissae."""
         a, b = _weight_pair(self.eta_solution.state(x))
         return self.alpha * (a - b), self.alpha * (a + b)
-
-    def w_tilde_at(self, x):
-        """W / alpha at arbitrary abscissae."""
-        a, b = _weight_pair(self.eta_solution.state(x))
-        return a + b
 
 
 def _build_channel_weights(coeffs: CharCoeffs, eta_sol: _ChannelState, alpha: float) -> ChannelWeights:
@@ -766,14 +702,3 @@ def certify_network(
         failed_checks=tuple(failed),
         **detail,
     )
-
-
-def lyapunov_value(ws: WeightSet, ys: dict[int, tuple]) -> float:
-    """V = sum_i int f1 y1^2 + f2 y2^2 dx over cell centers (trapezoid rule)."""
-    total = 0.0
-    for ch, (y1, y2) in ys.items():
-        cw = ws.channels[ch]
-        x = cw.profile.x_centers
-        f1, f2 = cw.f_at(x)
-        total += float(np.trapezoid(f1 * np.asarray(y1) ** 2 + f2 * np.asarray(y2) ** 2, x))
-    return total

@@ -1,8 +1,9 @@
-"""Shared fixtures: closed-form steady-flow oracles and network generators.
+"""Shared fixtures: steady-flow and weight oracles and network generators.
 
 The potential helpers invert the steady depth equation with plain algebra so
 library output can be checked against something that never touches an ODE
-solver.
+solver. The weight oracles go the other way: they integrate the ODE forms of
+quantities that the library evaluates in closed form.
 """
 
 import math
@@ -10,14 +11,21 @@ import math
 import numpy as np
 import pytest
 
+import channet.weights as weights
+from channet.characteristics import eigenvalues
+from channet.errors import WeightError
 from channet.gains import is_admissible
 from channet.steady import critical_depth, integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
+from channet.weights import m_value
 
 G = 9.81
 SUITE_SEED = 20240817
 SUITE_SIZE = 100
 P_CHOICES = (0.0, 1.0, 4.0 / 3.0, 2.0)
+INTEGRAL_RTOL = 1e-12
+INTEGRAL_ATOL = 1e-14
+ORACLE_TOL = 1e-12
 
 
 def depth_potential(H, flux, exponent):
@@ -37,6 +45,62 @@ def closed_form_blowup(H0, flux, friction, exponent):
     Hc = critical_depth(flux)
     drop = depth_potential(H0, flux, exponent) - depth_potential(Hc, flux, exponent)
     return drop / (G * friction * flux * flux)
+
+
+def eta_bar_closed(phi, x):
+    """Closed-form eta_bar = m(x) (lambda2/lambda1) phi(x) (unit inlet value)."""
+    H = phi.depth(x)
+    prof = phi.profile
+    m = m_value(H, prof.inlet_depth, prof.flux, prof.spec.friction_exponent, prof.gravity)
+    lam1, lam2 = eigenvalues(H, prof.velocity_of(H), prof.gravity)
+    return m * (lam2 / lam1) * phi.phi(x)
+
+
+def eta_bar_by_ode(profile, rtol=ORACLE_TOL, atol=ORACLE_TOL):
+    """Independent Riccati integration of the unit-inlet comparison solution.
+
+    Re-integrates the steady depth alongside u = eta_bar / phi in one solve
+    of the certificate's ODE driver (nothing of the closed form m), so it is
+    an oracle of the closed form. The default tolerance is ten times tighter
+    than the certificate's, because with only (H, u) in the RK45 error norm
+    a tolerance of 1e-11 leaves u about ten times less accurate than the
+    closed form it checks. Raises WeightError where the solution blows up.
+    Needs a channel with flux and friction. Returns x -> eta_bar(x).
+    """
+    sol = weights._integrate(
+        profile, weights._riccati(0.0), 1.0, rtol, atol, weights._eta_blowup
+    )
+    if sol.t_events[0].size or not sol.success:
+        raise WeightError(
+            f"channel {profile.channel}: no unit-inlet comparison solution: {sol.message}"
+        )
+    state = weights._ChannelState(profile, sol)
+
+    def evaluate(x):
+        out = state.state(x)[3]
+        return float(out) if np.ndim(x) == 0 else out
+
+    return evaluate
+
+
+def existence_integral_by_ode(profile, rtol=INTEGRAL_RTOL, atol=INTEGRAL_ATOL):
+    """The existence integral I4 solved alongside the steady depth.
+
+    dI4/dx = exp(I1 - I2) (lambda1(0)/lambda1)^2 (H(0)/H) gamma2/lambda2,
+    by the certificate's ODE driver, is an oracle of
+    ``characteristics.existence_integral``. Needs a channel with flux and
+    friction. Returns x -> (H, I4), with its own depth.
+    """
+    H0 = profile.inlet_depth
+    lam1_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)[0]
+
+    def dI4(w, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
+        return math.exp(I1 - I2) * (lam1_0 / lam1) ** 2 * (H0 / H) * g2 / lam2
+
+    sol = weights._integrate(profile, dI4, 0.0, rtol, atol)
+    if not sol.success:
+        raise WeightError(f"channel {profile.channel}: I4 integration failed: {sol.message}")
+    return lambda x: sol.sol(np.clip(x, 0.0, sol.t[-1]))
 
 
 def draw_channel(rng, cid=1, cells=32, length_fraction=0.8):

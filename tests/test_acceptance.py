@@ -21,8 +21,6 @@ from channet.steady import integrate_channel_steady, solve_network_steady, stead
 from channet.topology import ChannelSpec, network_to_dict
 from channet.weights import (
     certify_network,
-    eta_bar_by_ode,
-    eta_bar_closed,
     m_value,
     network_weights,
     phi_profiles,
@@ -37,6 +35,8 @@ from conftest import (
     draw_channel,
     draw_star,
     draw_tree,
+    eta_bar_by_ode,
+    eta_bar_closed,
     small_star,
 )
 

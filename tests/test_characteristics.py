@@ -9,10 +9,9 @@ from channet.characteristics import (
     CharCoeffs,
     coupling_coefficients,
     eigenvalues,
-    nonlinear_change,
+    existence_integral,
     phi_exponents,
     reflection_coefficient,
-    riemann_forward,
     speeds_couplings,
 )
 from channet.errors import FormMismatch, ReflectionPole
@@ -20,6 +19,23 @@ from channet.steady import integrate_channel_steady, steady_rhs
 from channet.topology import ChannelSpec
 
 from conftest import G, P_CHOICES, draw_channel
+
+
+def riemann_forward(h, v, depth_star, gravity=9.81):
+    """Deviation fields to characteristic variables (y1, y2)."""
+    s = np.sqrt(gravity / np.asarray(depth_star, dtype=float))
+    return v + h * s, v - h * s
+
+
+def nonlinear_change(H, V, depth_star, velocity_star, gravity=9.81):
+    """Exact characteristic coordinates of the full flow state.
+
+    y1/y2 agree with the linear transform to second order in the deviation and
+    vanish exactly on the steady state.
+    """
+    d = 2.0 * (np.sqrt(gravity * np.asarray(H, dtype=float)) - np.sqrt(gravity * np.asarray(depth_star, dtype=float)))
+    w = np.asarray(V, dtype=float) - velocity_star
+    return w + d, w - d
 
 
 def riemann_inverse(y1, y2, depth_star, gravity=9.81):
@@ -182,6 +198,36 @@ def test_phi_exponents_match_their_definition():
         assert I1[0] == 0.0 and I2[0] == 0.0
 
 
+def test_existence_integral_matches_its_definition():
+    # dI4/dx = exp(I1 - I2) (lambda1(0)/lambda1)^2 (H0/H) gamma2/lambda2,
+    # with dI4/dH a fourth-order central difference as for the phi
+    # exponents. gamma2 = K (1/(4 lambda2) + 1/V - p/(2c)) can change sign,
+    # so the error is taken relative to the integrand with the sum of the
+    # magnitudes of its terms in place of gamma2.
+    rng = np.random.default_rng(59)
+    for p in (*P_CHOICES, *rng.uniform(0.0, 3.0, size=4)):
+        flux = rng.uniform(0.2, 3.0)
+        Hc = (flux / math.sqrt(G)) ** (2.0 / 3.0)
+        H = Hc * rng.uniform(1.01, 4.0, size=64)
+        H0 = 4.2 * Hc
+        friction = rng.uniform(1e-4, 5e-3)
+        h = 3e-5 * H
+        I4 = [existence_integral(H + k * h, H0, flux, p, G) for k in (-2, -1, 1, 2)]
+        dI4_dH = (I4[0] - 8.0 * I4[1] + 8.0 * I4[2] - I4[3]) / (12.0 * h)
+        dI4 = dI4_dH * steady_rhs(H, flux, friction, p, G)
+        lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, flux, friction, p, G)
+        I1, I2 = phi_exponents(H, H0, flux, p, G)
+        lam1_0 = speeds_couplings(H0, flux, friction, p, G)[0]
+        factor = np.exp(I1 - I2) * (lam1_0 / lam1) ** 2 * (H0 / H) / lam2
+        V, c = flux / H, np.sqrt(G * H)
+        K = G * friction * V * V / H**p
+        scale = factor * K * (1.0 / (4.0 * lam2) + 1.0 / V + p / (2.0 * c))
+        assert np.max(np.abs(dI4 - factor * g2) / scale) <= 1e-8, p
+        # I4 vanishes exactly at the inlet, on either path
+        assert existence_integral(H0, H0, flux, p, G) == 0.0
+        assert existence_integral(np.array([H0, H[0]]), H0, flux, p, G)[0] == 0.0
+
+
 def test_zero_friction_couplings_vanish():
     vals = coupling_coefficients(2.0, 1.0, 0.0, 1.0, G)
     assert vals == (0.0, 0.0, 0.0, 0.0)
@@ -195,11 +241,10 @@ def test_char_coeffs_from_profile():
     prof = integrate_channel_steady(spec, H0, flux)
     cc = CharCoeffs.from_profile(prof)
     x = prof.x_fine[5]
-    lam1, lam2 = cc.speeds_at(x)
     e1, e2 = eigenvalues(prof.depth(x), prof.velocity(x), G)
-    assert lam1 == pytest.approx(e1, rel=1e-10)
-    assert lam2 == pytest.approx(e2, rel=1e-10)
-    g1, d1, g2, d2 = cc.couplings_at(x)
+    assert cc.lambda1[5] == pytest.approx(e1, rel=1e-10)
+    assert cc.lambda2[5] == pytest.approx(e2, rel=1e-10)
+    g1, d1, g2, d2 = (cc.gamma1[5], cc.delta1[5], cc.gamma2[5], cc.delta2[5])
     ref = coupling_coefficients(
         float(prof.depth(x)), flux, spec.friction, spec.friction_exponent, G, check=False
     )

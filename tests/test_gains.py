@@ -17,7 +17,7 @@ import channet.steady
 import channet.weights
 from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec
-from channet.weights import eta_bar_closed, phi_profiles
+from channet.weights import phi_profiles
 
 from conftest import (
     G,
@@ -26,6 +26,7 @@ from conftest import (
     draw_channel,
     draw_star,
     draw_tree,
+    eta_bar_closed,
 )
 
 
@@ -65,7 +66,7 @@ def single_channel_conditions(profile, k0: float, kL: float) -> bool:
 def test_gain_screen_solves_no_ode(star_profiles, monkeypatch):
     # every terminal of the README star and of the criterion-5 networks: the
     # explicit screen gives the verdict, interval and c that the screen fed
-    # by the integrated phi profiles gives
+    # by phi_profiles and eta_bar = m eta0 along the dense depth gives
     rng = np.random.default_rng(31514)
     networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
     networks += [draw_tree(rng) for _ in range(20)]

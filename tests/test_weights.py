@@ -9,23 +9,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from channet.characteristics import coupling_coefficients, eigenvalues
+from channet.characteristics import coupling_coefficients, eigenvalues, existence_integral
 from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain
 from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
+import channet.steady as steady_module
 import channet.weights as weights_module
 from channet.gains import is_admissible
 from channet.weights import (
     DEFAULT_EPSILON,
     MAX_HALVINGS,
     certify_network,
-    eta_bar_by_ode,
-    eta_bar_closed,
     eta_eps,
-    eta_zero,
     interior_matrix,
     junction_matrix,
-    lyapunov_value,
     m_profile,
     network_weights,
     phi_profiles,
@@ -42,8 +39,29 @@ from conftest import (
     draw_channel,
     draw_star,
     draw_tree,
+    eta_bar_by_ode,
+    eta_bar_closed,
+    existence_integral_by_ode,
     small_star,
 )
+
+
+def eta_zero(phi, x):
+    """eta0 = (lambda2/lambda1) phi, the epsilon = 0 trunk comparison solution."""
+    H = phi.depth(x)
+    lam1, lam2 = eigenvalues(H, phi.profile.velocity_of(H), phi.profile.gravity)
+    return (lam2 / lam1) * phi.phi(x)
+
+
+def lyapunov_value(ws, ys):
+    """V = sum_i int f1 y1^2 + f2 y2^2 dx over cell centers (trapezoid rule)."""
+    total = 0.0
+    for ch, (y1, y2) in ys.items():
+        cw = ws.channels[ch]
+        x = cw.profile.x_centers
+        f1, f2 = cw.f_at(x)
+        total += float(np.trapezoid(f1 * np.asarray(y1) ** 2 + f2 * np.asarray(y2) ** 2, x))
+    return total
 
 
 def quad_exponent(prof, x_end, which):
@@ -125,6 +143,70 @@ def test_existence_margin_zero_flux_rejected():
         riccati_existence_margin(phi_profiles(prof), 10.0)
 
 
+def coupled_suite_profiles(star_profiles):
+    """Every channel of the README star and of the 70 criterion-5 networks."""
+    rng = np.random.default_rng(31514)
+    networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
+    networks += [draw_tree(rng) for _ in range(20)]
+    profiles = list(star_profiles[1].values())
+    for topo, H0, flux in networks:
+        profiles += solve_network_steady(topo, H0, flux).values()
+    return profiles
+
+
+def test_existence_integral_matches_its_oracle(star_profiles):
+    # the closed form at the oracle's own depth isolates the I4 solve; at
+    # profile.depth it also carries the gap between the two depth solves
+    profiles = coupled_suite_profiles(star_profiles)
+    assert len(profiles) == 367
+    for prof in profiles:
+        x = np.linspace(0.0, prof.length, 200)
+        H, I4 = existence_integral_by_ode(prof)(x)
+        spec = prof.spec
+        at_own_depth = existence_integral(
+            H, prof.inlet_depth, prof.flux, spec.friction_exponent, prof.gravity
+        )
+        scale = np.max(np.abs(I4))
+        assert np.max(np.abs(at_own_depth - I4)) <= 1e-9 * scale, prof.channel
+        closed = phi_profiles(prof).existence_integral(x)
+        assert np.max(np.abs(closed - I4)) <= 1e-8 * scale, prof.channel
+
+
+def test_phi_profiles_and_existence_margin_solve_no_ode(star_profiles, monkeypatch):
+    # a coupled, a frictionless and a zero-flux channel, each with its
+    # closed-form state at the inlet
+    topo, profiles = star_profiles
+    frictionless = ChannelSpec(id=5, length=200.0, friction=0.0, cells=16)
+    standing = ChannelSpec(id=6, length=20.0, friction=1e-3, cells=16)
+    cases = [
+        *profiles.values(),
+        integrate_channel_steady(frictionless, 2.0, 1.0),
+        integrate_channel_steady(standing, 1.5, 0.0),
+    ]
+
+    def no_ode(*args, **kwargs):
+        raise AssertionError("the epsilon = 0 layer solved an ODE")
+
+    monkeypatch.setattr(weights_module, "solve_ivp", no_ode)
+    monkeypatch.setattr(steady_module, "solve_ivp", no_ode)
+    for prof in cases:
+        phi = phi_profiles(prof)
+        x = np.linspace(0.0, prof.length, 30)
+        H, I1, I2, I4 = phi.state(x)
+        assert np.array_equal(H, prof.depth(x))
+        assert (I1[0], I2[0], I4[0]) == (0.0, 0.0, 0.0)
+        assert np.array_equal(phi.depth(x), H)
+        assert np.array_equal(phi.phi1(x), np.exp(I1))
+        assert np.array_equal(phi.phi2(x), np.exp(-I2))
+        assert np.array_equal(phi.phi(x), np.exp(I1 + I2))
+        assert np.array_equal(phi.existence_integral(x), I4)
+        if prof.flux > 0.0:
+            margin = riccati_existence_margin(phi, x)
+            assert np.all(margin > 0.0) and np.all(np.diff(margin) <= 0.0)
+        if prof.flux == 0.0 or prof.spec.friction == 0.0:
+            assert not np.any([I1, I2, I4])
+
+
 @pytest.fixture(scope="module")
 def star_weights(star_profiles):
     topo, profiles = star_profiles
@@ -166,10 +248,10 @@ def test_weight_trace_continuous_across_junction(star_weights):
     topo, profiles, cert = star_weights
     ws = cert.weights
     trunk = ws.channels[1]
-    w_in = trunk.alpha * float(trunk.w_tilde_at(profiles[1].length))
+    w_in = float(trunk.zw_at(profiles[1].length)[1])
     for child in (2, 3, 4):
         cw = ws.channels[child]
-        w_out = cw.alpha * float(cw.w_tilde_at(0.0))
+        w_out = float(cw.zw_at(0.0)[1])
         assert w_out == pytest.approx(w_in, rel=1e-12)
         assert cw.W[0] == pytest.approx(trunk.W[-1], rel=1e-12)
 
@@ -232,10 +314,9 @@ def test_weight_odes_carry_depth_and_one_more_component(star_profiles, monkeypat
 
     monkeypatch.setattr(weights_module, "solve_ivp", recording)
     prof = star_profiles[1][2]
-    phi_profiles(prof)
     eta_eps(prof, 1e-3)
     eta_bar_by_ode(prof)
-    assert sizes == [2, 2, 2]
+    assert sizes == [2, 2]
 
 
 def test_junction_reduction_product_matches_determinant():
