@@ -56,8 +56,8 @@ class SupercriticalStart(SteadyStateError):
 class SteadyStateBlowup(SteadyStateError):
     """The steady profile loses subcriticality before the end of the channel.
 
-    ``x_reached`` is the last abscissa at which the profile is certified
-    subcritical (the margin event location).
+    ``x_reached`` is the blow-up bound: the abscissa, closed form in the
+    depth potential, where the margin g H - V^2 falls to its tolerance.
     """
 
     def __init__(self, channel: int, x_reached: float):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .characteristics import phi_exponents, reflection_coefficient
 from .errors import DegenerateFlux, ReflectionPole
 from .steady import SteadyProfile
-from .weights import m_profile
+from .weights import m_value
 
 HALF_LINE_TOL = 1e-12
 CROSS_CHECK_DEADBAND = 1e-9
@@ -76,7 +76,8 @@ def boundary_constants(profile: SteadyProfile) -> tuple[float, float, float]:
     HL = profile.outlet_depth
     VL = profile.outlet_velocity
     cL = math.sqrt(profile.gravity * HL)
-    m_L = float(m_profile(profile, profile.length))
+    p = profile.spec.friction_exponent
+    m_L = float(m_value(HL, profile.inlet_depth, profile.flux, p, profile.gravity))
     return cL + VL, cL - VL, m_L
 
 

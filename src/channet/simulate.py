@@ -112,7 +112,8 @@ class LyapunovTrace:
 class _Linear:
     """Linearized deviation physics. shift returns the depth part of the
     characteristic variables and its slope in h, face_shift the same on
-    Python floats given c = sqrt(g H); admit checks a state."""
+    Python floats given c = sqrt(g H); admit checks the cell depths and
+    velocities H, V of a state."""
 
     quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms
     headroom = 1.0  # share of the initial stability bound taken as the step
@@ -128,7 +129,7 @@ class _Linear:
     def source(self, sim, h, v):
         return sim.src_h * h - sim.src_v * v
 
-    def admit(self, sim, y):
+    def admit(self, sim, H, V):
         """The linearized system has no depth or Froude limit."""
 
 
@@ -155,8 +156,7 @@ class _Nonlinear:
         V = sim.Vc + v
         return -sim.g * sim.friction * (V * V / (sim.Hc + h) ** sim.p - sim.src0)
 
-    def admit(self, sim, y):
-        H, V = sim.Hc + y[: sim.N], sim.Vc + y[sim.N :]
+    def admit(self, sim, H, V):
         bad = (H <= 0.0) | (sim.g * H - V * V <= 0.0)
         if bad.any():
             raise SubcriticalLoss(*sim._where_cell[int(np.argmax(bad))])
@@ -358,9 +358,9 @@ class NetworkSimulator:
         for i in self.ids:
             pr, cw, spec = self.profiles[i], self.weights.channels[i], self.profiles[i].spec
             w.append(_trapezoid_weights(pr.x_centers))
-            f.append(cw.f_at(pr.x_centers))
-            f_in.append(cw.f_at(0.0))
-            f_out.append(cw.f_at(pr.length))
+            f.append(cw.f_at("centers"))
+            f_in.append(cw.f_at("inlet"))
+            f_out.append(cw.f_at("outlet"))
             args = (pr.H_centers, pr.flux, spec.friction, spec.friction_exponent, spec.gravity)
             coupling.append(coupling_coefficients(*args, check=False))
             D.append(_gradient_matrix(pr.x_centers))
@@ -436,17 +436,25 @@ class NetworkSimulator:
                 shape *= ramp * ramp * (3.0 - 2.0 * ramp)
                 h += bump.amplitude_h * shape
                 v += bump.amplitude_v * shape
-        self.phys.admit(self, y)
+        self._admit(y)
         return SimState(0.0, y, np.zeros((2, 2 * self.m)), self)
+
+    def _admit(self, y):
+        """Cell depths and velocities (H, V) of the flat state y, admitted by
+        the physics."""
+        H, V = self.Hc + y[: self.N], self.Vc + y[self.N :]
+        self.phys.admit(self, H, V)
+        return H, V
 
     def cfl_dt(self, state: SimState) -> float:
         """Largest stable step, CFL safety times min over cells of dx / speed;
-        the linear operator path freezes the speeds at the steady state."""
+        the linear operator path freezes the speeds at the steady state. The
+        speeds come from the pass that admits the state, so step does not
+        check it again."""
         if self.A is not None:
             return self._frozen_bound
-        h, v = state.y[: self.N], state.y[self.N :]
-        speed = np.abs(self.Vc + v) + np.sqrt(self.g * np.maximum(self.Hc + h, 1e-12))
-        return self.cfl * float(np.min(self.dx / speed))
+        H, V = self._admit(state.y)
+        return self.cfl * float(np.min(self.dx / (np.abs(V) + np.sqrt(self.g * H))))
 
     def _solve_faces(self, y, start):
         """Face depths and velocities, shape (2, 2m), of the flat state y.
@@ -513,8 +521,8 @@ class NetworkSimulator:
         return dy, face, -(B1 @ self._sign)
 
     def rhs(self, state: SimState):
-        """Flat tendencies, solved faces, and the net boundary mass influx."""
-        self.phys.admit(self, state.y)
+        """Flat tendencies, solved faces, and the net boundary mass influx of
+        an admitted state."""
         return self._tendency(state.y, self.face_states(state, flat=True))
 
     def _linear_stage(self, state: SimState):
@@ -525,13 +533,15 @@ class NetworkSimulator:
 
         The flux integral applies the scheme's own quadrature to the net
         boundary mass influx, so stored mass and ledger agree to round-off."""
-        bound = self.cfl_dt(state)
+        bound = self.cfl_dt(state)  # admits the state
         if dt > bound * (1.0 + 1e-12):
             raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e} "
                                f"at t = {state.time:.6e}")
         stage = self._linear_stage if self.A is not None else self.rhs
         k1, face1, influx1 = stage(state)
         mid = SimState(state.time + dt, state.y + dt * k1, face1, self)
+        if self.A is None:
+            self._admit(mid.y)
         k2, face2, influx2 = stage(mid)
         new = SimState(state.time + dt, state.y + 0.5 * dt * (k1 + k2), face2, self)
         return new, 0.5 * dt * (influx1 + influx2)

@@ -9,24 +9,26 @@ with friction coefficient C >= 0 and friction exponent p >= 0 (p = 1 is the
 Chezy law, p = 4/3 Manning-Strickler). With C > 0 and Q > 0 the depth strictly
 decreases and the velocity strictly increases downstream, and the profile
 ceases to exist at a finite abscissa where the flow reaches the critical
-depth (Q / sqrt(g))^(2/3). Profiles are integrated with adaptive
-Runge-Kutta stepping and certified subcritical by an event on the margin
-g H - V^2. The equation has the first integral
+depth (Q / sqrt(g))^(2/3). The equation has the first integral
 
     P(H(x)) = P(H0) - g C Q^2 x,   P(H) = g H^(p+3)/(p+3) - Q^2 H^p / p
 
-(Q^2 log H in place of the second term when p = 0), so the blow-up bound,
-the abscissa where the margin reaches its tolerance, is closed form.
+(Q^2 log H in place of the second term when p = 0), so nothing is
+integrated. The blow-up bound, the abscissa where the margin g H - V^2
+reaches its tolerance, is closed form, and a channel that reaches it is
+refused. The depth at any abscissa inverts P by Newton's method, which on
+the subcritical range needs no safeguard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# Not called here: perfbench/spans.py wraps channet.steady.solve_ivp to count
+# the steady layer's ODE solves, so the name must resolve; the count is zero.
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
 from .errors import (
@@ -39,8 +41,6 @@ from .topology import ChannelSpec, NetworkTopology, traversal_order, validate_to
 
 MARGIN_TOL = 1e-6
 FINE_REFINEMENT = 4
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-14
 
 
 def critical_depth(flux: float, gravity: float = 9.81) -> float:
@@ -70,41 +70,15 @@ def steady_rhs(depth, flux, friction=0.0, friction_exponent=1.0, gravity=9.81):
     return float(rhs) if rhs.ndim == 0 else rhs
 
 
-class _ConstantDepth:
-    """Depth evaluator for frictionless or zero-flux channels."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.value)
-        return float(out) if out.ndim == 0 else out
-
-
-class _DenseDepth:
-    """Clamped evaluator over the dense ODE solution."""
-
-    def __init__(self, interpolant, x_end: float):
-        self.interpolant = interpolant
-        self.x_end = x_end
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 0.0, self.x_end)
-        out = self.interpolant(clipped)[0]
-        return float(out) if np.ndim(x) == 0 else np.asarray(out, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class SteadyProfile:
     """Steady state of one channel, sampled on the simulation grids.
 
     Depth/velocity samples are provided at cell centers, cell interfaces and
     on a finer uniform grid used for coefficient quadratures and positivity
-    scans. ``depth`` evaluates the profile anywhere in [0, L] from the dense
-    integrator output; velocities are always flux / depth so the flux identity
-    holds to round-off.
+    scans. ``depth`` evaluates the profile anywhere in [0, L] from the depth
+    potential, as the samples were; velocities are always flux / depth so the
+    flux identity holds to round-off.
     """
 
     spec: ChannelSpec
@@ -119,7 +93,6 @@ class SteadyProfile:
     H_faces: np.ndarray
     H_centers: np.ndarray
     H_fine: np.ndarray
-    depth: Callable
 
     @property
     def channel(self) -> int:
@@ -155,6 +128,26 @@ class SteadyProfile:
             return float(out) if out.ndim == 0 else out
         return self.flux / H
 
+    def depth(self, x):
+        """Depth at abscissae x, clipped to [0, L], inverting the depth
+        potential; on the sample grids, H_faces, H_centers and H_fine hold
+        it already."""
+        x = np.clip(x, 0.0, self.length)
+        H = _depth_from_potential(self.spec, self.inlet_depth, self.flux, x)
+        return float(H) if H.ndim == 0 else H
+
+    def points(self, where):
+        """(x, H) at the "inlet", the "outlet", or the "faces", "centers" or
+        "fine" grid, with the depths held here; at other abscissae ``where``
+        the depth is inverted anew."""
+        if not isinstance(where, str):
+            return where, self.depth(where)
+        if where == "inlet":
+            return 0.0, self.inlet_depth
+        if where == "outlet":
+            return self.length, self.outlet_depth
+        return getattr(self, "x_" + where), getattr(self, "H_" + where)
+
     def velocity(self, x):
         return self.velocity_of(self.depth(x))
 
@@ -164,34 +157,43 @@ def _potential_drop(H_hi, H_lo, flux, p, g):
 
     The Q^2 term is taken as H_lo^p expm1(p log r) / p with r = H_hi / H_lo,
     which tends to its p = 0 form log r without cancellation as p -> 0.
+    A scalar H_lo takes math and an array H_lo numpy.
     """
-    log_r = math.log(H_hi / H_lo)
-    q_term = log_r if p == 0.0 else H_lo**p * math.expm1(p * log_r) / p
+    log, expm1 = (np.log, np.expm1) if isinstance(H_lo, np.ndarray) else (math.log, math.expm1)
+    log_r = log(H_hi / H_lo)
+    q_term = log_r if p == 0.0 else H_lo**p * expm1(p * log_r) / p
     return g * (H_hi ** (p + 3.0) - H_lo ** (p + 3.0)) / (p + 3.0) - flux * flux * q_term
 
 
-def guarded_depth_rhs(spec: ChannelSpec, flux: float, inlet_depth: float, margin_tol: float):
-    """Scalar dH/dx of the steady depth equation, guarded: H -> (H, dH/dx).
+def potential_slope(H, flux, p, g):
+    """P'(H) = H^(p-1) (g H^3 - Q^2), positive on the subcritical range.
 
-    Every ODE that carries the steady depth (the profile itself and the
-    weight ODEs) uses it. The margin g H - V^2 is floored at a quarter of
-    the subcritical tolerance, and the depth just above critical, where the
-    margin is at most that floor: trial evaluations beyond the terminal
-    event stay finite, the returned depth is subcritical for every kernel
-    taken at it, and an accepted solution never enters the guarded region.
-    Needs flux > 0.
+    The depth slope along a profile is H' = -g C Q^2 / P'(H). Scalar or
+    array H.
     """
-    g, friction, p = spec.gravity, spec.friction, spec.friction_exponent
-    margin_floor = 0.25 * (margin_tol * g * inlet_depth)
-    # the margin grows with slope at most 3 g on [Hc, Hc + margin_floor / (3 g)]
-    H_floor = critical_depth(flux, g) + margin_floor / (3.0 * g)
+    return H ** (p - 1.0) * (g * H * H * H - flux * flux)
 
-    def rhs(H):
-        H = max(H, H_floor)
-        V2 = (flux / H) ** 2
-        return H, -g * friction * V2 / (H ** (p - 1.0) * max(g * H - V2, margin_floor))
 
-    return rhs
+def _depth_from_potential(spec: ChannelSpec, inlet_depth: float, flux: float, x):
+    """Depths H(x) with P(H0) - P(H) = g C Q^2 x, by Newton's method on arrays.
+
+    Newton starts from the inlet tangent H0 + H'(0) x. The profile is
+    concave in x, so the start lies above it; P is increasing and convex on
+    the subcritical range, so the iterates fall monotonically to the root.
+    Each sample stops at its first step that does not fall. A zero drop rate
+    (no flux or no friction) returns H0 bitwise.
+    """
+    g, p = spec.gravity, spec.friction_exponent
+    rate = g * spec.friction * flux * flux
+    x = np.asarray(x, dtype=float)
+    H = inlet_depth - rate / potential_slope(inlet_depth, flux, p, g) * x
+    falling = np.ones(x.shape, dtype=bool)
+    while falling.any():
+        residual = rate * x - _potential_drop(inlet_depth, H, flux, p, g)
+        H_next = H - residual / potential_slope(H, flux, p, g)
+        falling &= H_next < H
+        H = np.where(falling, H_next, H)
+    return H
 
 
 def integrate_channel_steady(
@@ -200,13 +202,14 @@ def integrate_channel_steady(
     flux: float,
     margin_tol: float = MARGIN_TOL,
 ) -> SteadyProfile:
-    """Integrate the steady profile over [0, L] and certify subcriticality.
+    """Sample the steady profile over [0, L] and certify subcriticality.
 
     Raises SupercriticalStart if the inlet margin g H - V^2 is already within
-    margin_tol * g * H0 of zero, and SteadyStateBlowup if the margin event
-    fires at or before the channel end. The returned blow-up bound is the
-    abscissa where the margin reaches that tolerance, from the depth potential
-    (+inf for frictionless or zero-flux channels).
+    margin_tol * g * H0 of zero, and SteadyStateBlowup if the margin reaches
+    that tolerance at or before the channel end: the blow-up bound, the
+    abscissa where it does, is closed form in the depth potential (+inf for
+    frictionless or zero-flux channels). The samples invert the potential
+    in one Newton solve.
     """
     if flux < 0.0:
         raise NegativeFlux(f"channel {spec.id}: flux must be >= 0, got {flux!r}")
@@ -223,52 +226,23 @@ def integrate_channel_steady(
             f"{margin_tol:g} * g * H0 of critical"
         )
 
-    if flux == 0.0 or spec.friction == 0.0:
-        depth_fn: Callable = _ConstantDepth(H0)
-        blowup = math.inf
-    else:
-        p = spec.friction_exponent
-        depth_rhs = guarded_depth_rhs(spec, flux, H0, margin_tol)
-
-        # Python floats: numpy scalar arithmetic costs more and gives the same bits
-        def rhs(x, y):
-            return (depth_rhs(float(y[0]))[1],)
-
-        def margin_event(x, y):
-            H = max(float(y[0]), 1e-12 * H0)
-            return g * H - (flux / H) ** 2 - threshold
-
-        margin_event.terminal = True
-        margin_event.direction = -1
-
-        sol = solve_ivp(
-            rhs,
-            (0.0, spec.length),
-            (H0,),
-            method="RK45",
-            dense_output=True,
-            rtol=ODE_RTOL,
-            atol=ODE_ATOL,
-            events=margin_event,
-        )
-        if sol.t_events[0].size:
-            raise SteadyStateBlowup(spec.id, x_reached=float(sol.t_events[0][0]))
-        if not sol.success:
-            # Step-size underflow before the event resolves: the profile is
-            # collapsing onto the critical depth inside the channel.
-            if sol.t[-1] < spec.length:
-                raise SteadyStateBlowup(spec.id, x_reached=float(sol.t[-1]))
-            raise SupercriticalState(f"channel {spec.id}: steady integration failed: {sol.message}")
-        depth_fn = _DenseDepth(sol.sol, spec.length)
-        # The margin event fires at the depth H_t where g H^3 - threshold H^2
-        # = Q^2; the left side increases on (Hc, H0], so the root is unique.
+    blowup = math.inf
+    if flux > 0.0 and spec.friction > 0.0:
+        # The margin reaches its tolerance at the depth H_t where g H^3 -
+        # threshold H^2 = Q^2; the left side increases on (Hc, H0], so the
+        # root is unique.
         H_t = brentq(lambda H: (g * H - threshold) * H * H - flux * flux, Hc, H0)
-        blowup = _potential_drop(H0, H_t, flux, p, g) / (g * spec.friction * flux**2)
+        drop = _potential_drop(H0, H_t, flux, spec.friction_exponent, g)
+        blowup = float(drop) / (g * spec.friction * flux**2)
+        if blowup <= spec.length:
+            raise SteadyStateBlowup(spec.id, x_reached=blowup)
 
     N = spec.cells
     x_faces = np.linspace(0.0, spec.length, N + 1)
     x_centers = 0.5 * (x_faces[:-1] + x_faces[1:])
     x_fine = np.linspace(0.0, spec.length, FINE_REFINEMENT * N + 1)
+    H = _depth_from_potential(spec, H0, flux, np.concatenate((x_faces, x_centers, x_fine)))
+    H_faces, H_centers, H_fine = np.split(H, [N + 1, 2 * N + 1])
     return SteadyProfile(
         spec=spec,
         flux=float(flux),
@@ -279,10 +253,9 @@ def integrate_channel_steady(
         x_faces=x_faces,
         x_centers=x_centers,
         x_fine=x_fine,
-        H_faces=np.asarray(depth_fn(x_faces), dtype=float),
-        H_centers=np.asarray(depth_fn(x_centers), dtype=float),
-        H_fine=np.asarray(depth_fn(x_fine), dtype=float),
-        depth=depth_fn,
+        H_faces=H_faces,
+        H_centers=H_centers,
+        H_fine=H_fine,
     )
 
 

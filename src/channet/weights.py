@@ -26,16 +26,17 @@ The exponents of phi1 and phi2 and the existence integral I4 are closed-form
 functions of the local depth (``characteristics.phi_exponents`` and
 ``characteristics.existence_integral``), so ``phi_profiles`` and the
 existence margin solve no ODE. Only the comparison solution at epsilon > 0
-is integrated, by adaptive Runge-Kutta alongside the steady depth (relative
-tolerance 1e-11), so certificate accuracy does not depend on the simulation
-grid. One function, ``_integrate``, makes that solve: the state is (H, u)
-with u = eta / phi, the guarded depth slope of ``steady.guarded_depth_rhs``
-and the speeds, couplings and exponents of ``characteristics``, the same
-kernels that the steady profile and ``CharCoeffs`` use. ``_ChannelState`` evaluates the
-result, (H, I1, I2, eta), anywhere on the channel. The test suite
-(``tests/conftest.py``) keeps the ODE forms of I4 and of the unit-inlet
-comparison solution, solved by the same driver, as oracles of the closed
-forms.
+is integrated, by adaptive Runge-Kutta (relative tolerance 1e-11), so
+certificate accuracy does not depend on the simulation grid. One function,
+``_integrate``, makes that solve, with the steady depth as the independent
+variable: from the inlet depth down to the outlet depth, its state is
+w = eta / phi - epsilon x alone, and the speeds, couplings and exponents
+come from the kernels of ``characteristics`` that ``CharCoeffs`` uses too.
+``_ChannelState`` evaluates the result, (H, I1, I2, eta), at the abscissae
+and depths the steady profile holds (``SteadyProfile.points``). The test
+suite (``tests/conftest.py``) keeps the ODE forms of I4 and of the
+unit-inlet comparison solution, solved by the same driver, as oracles of
+the closed forms.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .errors import (
     WeightError,
     ZeroW,
 )
-from .steady import SteadyProfile, guarded_depth_rhs
+from .steady import SteadyProfile, _potential_drop, potential_slope
 from .topology import NetworkTopology, traversal_order, validate_topology
 
 ETA_BLOWUP = 1e12
@@ -73,30 +74,35 @@ MAX_HALVINGS = 20
 
 
 def _integrate(profile: SteadyProfile, dw, init, rtol, atol, events=None):
-    """One adaptive solve of (H, w) over a coupled channel.
+    """One adaptive solve of w over a coupled channel, in the steady depth.
 
-    ``dw(w, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the derivative of w,
-    which starts at ``init``; the exponents I1, I2 and the speeds and
-    couplings come from the closed-form kernels at the guarded depth.
-    Returns the solve_ivp result for the caller to check.
+    ``dw(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the derivative of
+    w in x, which starts at ``init``; the abscissa x, the exponents I1, I2
+    and the speeds and couplings come from the closed-form kernels at H. The
+    solve runs from the inlet depth down to the outlet depth with dw/dH =
+    w'(x) / H', where H' = -g C Q^2 / P'(H): every depth it visits is on the
+    profile, so no guard is needed. On a nearly flat profile dw/dH is large
+    unless w'(x) is of the size of the couplings, which vanish with the
+    drop. Returns the solve_ivp result for the caller to check.
     """
     spec = profile.spec
     H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
     p, g = spec.friction_exponent, spec.gravity
-    depth_rhs = guarded_depth_rhs(spec, flux, H0, profile.margin_tol)
+    rate = g * friction * flux * flux
 
-    def rhs(x, y):
+    def rhs(H, y):
         # Python floats: the same arithmetic on numpy scalars costs about
         # twice as much per evaluation
-        H, w = y.tolist()
-        H, dH = depth_rhs(H)
+        H = float(H)
         I1, I2 = phi_exponents(H, H0, flux, p, g)
-        return dH, dw(w, H, I1, I2, *speeds_couplings(H, flux, friction, p, g))
+        x = _potential_drop(H0, H, flux, p, g) / rate
+        w_x = dw(float(y[0]), x, H, I1, I2, *speeds_couplings(H, flux, friction, p, g))
+        return (-w_x * potential_slope(H, flux, p, g) / rate,)
 
     return solve_ivp(
         rhs,
-        (0.0, profile.length),
-        (H0, init),
+        (H0, profile.outlet_depth),
+        (init,),
         method="RK45",
         dense_output=True,
         rtol=rtol,
@@ -105,8 +111,8 @@ def _integrate(profile: SteadyProfile, dw, init, rtol, atol, events=None):
     )
 
 
-def _eta_blowup(x, y):
-    return y[1] - ETA_BLOWUP
+def _eta_blowup(H, y):
+    return y[0] - ETA_BLOWUP
 
 
 _eta_blowup.terminal = True
@@ -115,49 +121,53 @@ _eta_blowup.direction = 1
 
 def _riccati(epsilon):
     """Derivative of the comparison solution in the scaled variable
-    u = eta / phi: u' = |delta1/lambda1 + (gamma2/lambda2) u^2| - u (gamma1/
-    lambda1 + delta2/lambda2) + epsilon / phi.
+    w = eta / phi - epsilon x: with u = w + epsilon x, w' = |delta1/lambda1 +
+    (gamma2/lambda2) u^2| - u (gamma1/lambda1 + delta2/lambda2) + epsilon
+    (1/phi - 1).
 
     The scaled form has the neutral exponential drift removed: the raw eta
     equation amplifies truncation error by exp(int 2 gamma2 eta / (lambda2
     phi)), which overwhelms any tolerance on channels approaching the
-    blow-up length, while the scaled form stays well conditioned.
+    blow-up length, while the scaled form stays well conditioned. Taking
+    epsilon x out leaves w' of the size of the couplings, so w is smooth
+    in the depth however flat the profile.
     """
 
-    def du(u, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
+    def dw(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
+        u = w + epsilon * x
         return (
             abs(d1 / lam1 + g2 / lam2 * u * u)
             - u * (g1 / lam1 + d2 / lam2)
-            + epsilon * math.exp(-(I1 + I2))
+            + epsilon * math.expm1(-(I1 + I2))
         )
 
-    return du
+    return dw
 
 
 class _ChannelState:
-    """(H, I1, I2, eta) of one channel at any abscissa, clamped to [0, L].
+    """(H, I1, I2, eta) of one channel at the points ``where`` of
+    ``SteadyProfile.points``.
 
-    ``sol`` is a solve of u = eta / phi by ``_integrate``, whose depth gives
-    I1 and I2 in closed form and so eta = u phi. An uncoupled channel has no
+    ``sol`` is a solve of w = eta / phi - epsilon x in the depth by
+    ``_integrate``; I1 and I2 are closed form in H, and eta = (w(H) +
+    epsilon x) phi. A channel whose depth stays H0 to the last bit has no
     solve (``sol`` None): the exponents vanish and eta is init + epsilon x,
-    the exact solution there.
+    the exact solution of an uncoupled channel.
     """
 
     def __init__(self, profile: SteadyProfile, sol=None, init=0.0, epsilon=0.0):
         self.profile = profile
         self.init = init
         self.epsilon = epsilon
-        if sol is not None:
-            self.dense, self.x_end = sol.sol, float(sol.t[-1])
-        else:
-            self.dense = None
+        self.dense = None if sol is None else sol.sol
 
-    def state(self, x):
-        x = np.asarray(x, dtype=float)
+    def state(self, where):
+        x, H = self.profile.points(where)
+        H = np.asarray(H, dtype=float)
         if self.dense is None:
-            zeros = np.zeros(x.shape)
-            return np.array([self.profile.depth(x), zeros, zeros, self.init + self.epsilon * x])
-        H, u = self.dense(np.clip(x, 0.0, self.x_end))
+            zeros = np.zeros(H.shape)
+            return np.array([H, zeros, zeros, self.init + self.epsilon * np.asarray(x)])
+        u = self.dense(H)[0] + self.epsilon * np.asarray(x)
         spec = self.profile.spec
         I1, I2 = phi_exponents(
             H, self.profile.inlet_depth, self.profile.flux, spec.friction_exponent, spec.gravity
@@ -165,9 +175,9 @@ class _ChannelState:
         return np.array([H, I1, I2, u * np.exp(I1 + I2)])
 
     def slope(self, s):
-        """eta' of a comparison solution at the state s = state(x), from its
-        Riccati equation."""
-        if self.dense is None:
+        """eta' of a comparison solution at the state s = state(where), from
+        its Riccati equation."""
+        if self.profile.flux == 0.0:
             return np.full_like(s[0], self.epsilon)
         H, I1, I2, eta = s
         spec = self.profile.spec
@@ -268,7 +278,8 @@ def riccati_existence_margin(phi: PhiProfiles, x):
     prof = phi.profile
     if prof.flux == 0.0:
         raise DegenerateFlux("existence margin is undefined for a zero-flux channel")
-    lam1_0, lam2_0 = eigenvalues(prof.inlet_depth, prof.velocity(0.0), prof.gravity)
+    H0 = prof.inlet_depth
+    lam1_0, lam2_0 = eigenvalues(H0, prof.velocity_of(H0), prof.gravity)
     return lam1_0 / (lam1_0 - lam2_0) - phi.existence_integral(x)
 
 
@@ -282,24 +293,26 @@ def eta_eps(
     Solves eta' = |delta1 phi / lambda1 + (gamma2/(lambda2 phi)) eta^2| +
     epsilon with inlet value lambda2(0)/lambda1(0) + epsilon on the trunk and
     1 + epsilon on branch channels, advanced in the scaled variable
-    u = eta / phi (see _riccati for the conditioning rationale).
+    w = eta / phi - epsilon x (see _riccati for the conditioning rationale).
     Raises EpsilonTooLarge if the solution leaves [0, 1e12] before the
     channel end.
     """
     if trunk_inlet:
         if profile.flux == 0.0:
             raise DegenerateFlux("trunk channels carry positive flux")
-        lam1_0, lam2_0 = eigenvalues(profile.inlet_depth, profile.velocity(0.0), profile.gravity)
+        H0 = profile.inlet_depth
+        lam1_0, lam2_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)
         init = lam2_0 / lam1_0 + epsilon
     else:
         init = 1.0 + epsilon
 
-    if profile.flux == 0.0 or profile.spec.friction == 0.0:
-        # constant depth and vanishing couplings
+    if profile.outlet_depth == profile.inlet_depth:
+        # the depth stays H0 (no flux, no friction, or a drop below
+        # rounding), and with it the exponents
         return _ChannelState(profile, init=init, epsilon=epsilon)
 
     sol = _integrate(profile, _riccati(epsilon), init, ETA_RTOL, ETA_ATOL, _eta_blowup)
-    if sol.t_events[0].size or not sol.success or sol.t[-1] < profile.length:
+    if sol.t_events[0].size or not sol.success:
         raise EpsilonTooLarge(
             f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
             f"does not exist on the whole channel"
@@ -337,20 +350,21 @@ class ChannelWeights:
     def channel(self) -> int:
         return self.profile.channel
 
-    def f_at(self, x):
-        """(f1, f2) at arbitrary abscissae."""
-        s = self.eta_solution.state(x)
+    def f_at(self, where):
+        """(f1, f2) at the points ``where`` of ``SteadyProfile.points``."""
+        s = self.eta_solution.state(where)
         lam1, lam2 = eigenvalues(s[0], self.profile.velocity_of(s[0]), self.profile.gravity)
         return _weight_pair(s, self.alpha, lam1, lam2)
 
-    def zw_at(self, x):
-        """(Z, W) = (lambda1 f1 -/+ lambda2 f2) at arbitrary abscissae."""
-        a, b = _weight_pair(self.eta_solution.state(x))
+    def zw_at(self, where):
+        """(Z, W) = (lambda1 f1 -/+ lambda2 f2) at the points ``where``."""
+        a, b = _weight_pair(self.eta_solution.state(where))
         return self.alpha * (a - b), self.alpha * (a + b)
 
 
 def _build_channel_weights(coeffs: CharCoeffs, eta_sol: _ChannelState, alpha: float) -> ChannelWeights:
-    s = eta_sol.state(coeffs.profile.x_fine)
+    prof = coeffs.profile
+    s = eta_sol.state("fine")
     f1, f2 = _weight_pair(s, alpha, coeffs.lambda1, coeffs.lambda2)
     return ChannelWeights(
         coeffs=coeffs,
@@ -396,11 +410,11 @@ def _weighted_channels(
         if i not in coeffs:
             coeffs[i] = CharCoeffs.from_profile(profile)
         eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel))
-        w_end[i] = float(sum(_weight_pair(eta.state(profile.length))))
+        w_end[i] = float(sum(_weight_pair(eta.state("outlet"))))
         if i == topo.root_channel:
             alphas[i] = root_alpha
         else:
-            w_start = float(sum(_weight_pair(eta.state(0.0))))
+            w_start = float(sum(_weight_pair(eta.state("inlet"))))
             if abs(w_start) < 1e-300:
                 raise ZeroW(f"channel {i}: W vanishes at the inlet")
             parent = topo.parent_of(i)
@@ -436,10 +450,9 @@ def junction_matrix(ws: WeightSet, incoming: int):
     prof = cw_in.profile
     H_B = prof.outlet_depth
     g = prof.gravity
-    L = prof.length
-    Z_in, W_in = (float(v) for v in cw_in.zw_at(L))
-    Z0 = [float(ws.channels[c].zw_at(0.0)[0]) for c in children]
-    W0 = [float(ws.channels[c].zw_at(0.0)[1]) for c in children]
+    Z_in, W_in = (float(v) for v in cw_in.zw_at("outlet"))
+    # every outgoing channel starts at the junction depth H_B
+    Z0, W0 = zip(*(ws.channels[c].zw_at("inlet") for c in children))
     m = len(children)
     M = np.full((m + 1, m + 1), Z_in)
     for l in range(m):
@@ -465,7 +478,7 @@ def trunk_inlet_coefficient(ws: WeightSet) -> float:
     """
     cw = ws.channels[ws.topo.root_channel]
     prof = cw.profile
-    V0 = prof.velocity(0.0)
+    V0 = prof.velocity_of(prof.inlet_depth)
     lam1, lam2 = eigenvalues(prof.inlet_depth, V0, prof.gravity)
     eps = cw.epsilon
     eta0 = lam2 / lam1 + eps
@@ -578,7 +591,7 @@ def _channel_checks(
     prof = cw.profile
     failed: list[str] = []
     if i in topo.junctions:
-        z = float(cw.zw_at(prof.length)[0])
+        z = float(cw.zw_at("outlet")[0])
         detail["z_end"][i] = z
         if z <= 0.0:
             failed.append("junction_outflow_positive")
@@ -586,7 +599,7 @@ def _channel_checks(
         k = float(gains[i])
         c = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
         detail["reflection"][i] = c
-        f1_L, f2_L = cw.f_at(prof.length)
+        f1_L, f2_L = cw.f_at("outlet")
         lam1_L, lam2_L = eigenvalues(prof.outlet_depth, prof.outlet_velocity, prof.gravity)
         margin = float(f1_L * lam1_L * c**2 - f2_L * lam2_L)
         detail["terminal_margins"][i] = margin
@@ -599,7 +612,7 @@ def _channel_checks(
         if f1 <= 0.0:
             failed.append("trunk_inlet")
     else:
-        z = float(cw.zw_at(0.0)[0])
+        z = float(cw.zw_at("inlet")[0])
         detail["z_start"][i] = z
         if z >= 0.0:
             failed.append("branch_inflow_negative")

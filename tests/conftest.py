@@ -1,21 +1,27 @@
 """Shared fixtures: steady-flow and weight oracles and network generators.
 
-The potential helpers invert the steady depth equation with plain algebra so
-library output can be checked against something that never touches an ODE
-solver. The weight oracles go the other way: they integrate the ODE forms of
-quantities that the library evaluates in closed form.
+The potential helpers evaluate the first integral of the steady depth
+equation with plain algebra. The ODE oracles go the other way: they
+integrate the ODE forms of quantities that the library evaluates in closed
+form, the steady depth included.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import channet.weights as weights
-from channet.characteristics import eigenvalues
+from channet.characteristics import coupling_coefficients, eigenvalues
 from channet.errors import WeightError
 from channet.gains import is_admissible
-from channet.steady import critical_depth, integrate_channel_steady, solve_network_steady
+from channet.steady import (
+    critical_depth,
+    integrate_channel_steady,
+    solve_network_steady,
+    steady_rhs,
+)
 from channet.topology import ChannelSpec, NetworkTopology
 from channet.weights import m_value
 
@@ -56,16 +62,33 @@ def eta_bar_closed(phi, x):
     return m * (lam2 / lam1) * phi.phi(x)
 
 
+def steady_depth_by_ode(profile, rtol=1e-13, atol=1e-15):
+    """The steady depth equation solved by DOP853, an oracle of the depth
+    potential's inverse. Returns x -> H(x) on [0, L]."""
+    spec = profile.spec
+    terms = (profile.flux, spec.friction, spec.friction_exponent, spec.gravity)
+    sol = solve_ivp(
+        lambda x, y: (steady_rhs(y[0], *terms),),
+        (0.0, profile.length),
+        (profile.inlet_depth,),
+        method="DOP853",
+        dense_output=True,
+        rtol=rtol,
+        atol=atol,
+    )
+    assert sol.success, sol.message
+    return lambda x: sol.sol(x)[0]
+
+
 def eta_bar_by_ode(profile, rtol=ORACLE_TOL, atol=ORACLE_TOL):
     """Independent Riccati integration of the unit-inlet comparison solution.
 
-    Re-integrates the steady depth alongside u = eta_bar / phi in one solve
-    of the certificate's ODE driver (nothing of the closed form m), so it is
-    an oracle of the closed form. The default tolerance is ten times tighter
-    than the certificate's, because with only (H, u) in the RK45 error norm
-    a tolerance of 1e-11 leaves u about ten times less accurate than the
-    closed form it checks. Raises WeightError where the solution blows up.
-    Needs a channel with flux and friction. Returns x -> eta_bar(x).
+    Solves u = eta_bar / phi by the certificate's ODE driver (nothing of the
+    closed form m), so it is an oracle of the closed form. The default
+    tolerance is ten times tighter than the certificate's, so that the
+    oracle's own error stays well below the gap it is asked to bound.
+    Raises WeightError where the solution blows up. Needs a channel with
+    flux and friction. Returns x -> eta_bar(x), at the profile's depth.
     """
     sol = weights._integrate(
         profile, weights._riccati(0.0), 1.0, rtol, atol, weights._eta_blowup
@@ -83,24 +106,58 @@ def eta_bar_by_ode(profile, rtol=ORACLE_TOL, atol=ORACLE_TOL):
     return evaluate
 
 
+def eta_eps_by_ode_in_x(profile, epsilon, init, rtol=1e-13, atol=1e-16):
+    """The comparison solution at epsilon solved in x by DOP853, with the
+    depth and both phi exponents integrated beside u = eta / phi, so that
+    nothing is sampled through the depth. Needs a channel with flux.
+    Returns x -> eta(x).
+    """
+    spec = profile.spec
+    terms = (profile.flux, spec.friction, spec.friction_exponent, spec.gravity)
+
+    def rhs(x, y):
+        H, I1, I2, u = y
+        lam1, lam2 = eigenvalues(H, profile.flux / H, spec.gravity)
+        g1, d1, g2, d2 = coupling_coefficients(H, *terms, check=False)
+        du = abs(d1 / lam1 + g2 / lam2 * u * u) - u * (g1 / lam1 + d2 / lam2)
+        return steady_rhs(H, *terms), g1 / lam1, d2 / lam2, du + epsilon * math.exp(-I1 - I2)
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, profile.length),
+        (profile.inlet_depth, 0.0, 0.0, init),
+        method="DOP853",
+        dense_output=True,
+        rtol=rtol,
+        atol=atol,
+    )
+    assert sol.success, sol.message
+
+    def evaluate(x):
+        _, I1, I2, u = sol.sol(x)
+        return u * np.exp(I1 + I2)
+
+    return evaluate
+
+
 def existence_integral_by_ode(profile, rtol=INTEGRAL_RTOL, atol=INTEGRAL_ATOL):
-    """The existence integral I4 solved alongside the steady depth.
+    """The existence integral I4 solved in the steady depth.
 
     dI4/dx = exp(I1 - I2) (lambda1(0)/lambda1)^2 (H(0)/H) gamma2/lambda2,
     by the certificate's ODE driver, is an oracle of
     ``characteristics.existence_integral``. Needs a channel with flux and
-    friction. Returns x -> (H, I4), with its own depth.
+    friction. Returns H -> I4 for depths H on the profile.
     """
     H0 = profile.inlet_depth
     lam1_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)[0]
 
-    def dI4(w, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
+    def dI4(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
         return math.exp(I1 - I2) * (lam1_0 / lam1) ** 2 * (H0 / H) * g2 / lam2
 
     sol = weights._integrate(profile, dI4, 0.0, rtol, atol)
     if not sol.success:
         raise WeightError(f"channel {profile.channel}: I4 integration failed: {sol.message}")
-    return lambda x: sol.sol(np.clip(x, 0.0, sol.t[-1]))
+    return lambda H: sol.sol(H)[0]
 
 
 def draw_channel(rng, cid=1, cells=32, length_fraction=0.8):

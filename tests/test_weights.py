@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from channet.characteristics import coupling_coefficients, eigenvalues, existence_integral
+from channet.characteristics import coupling_coefficients, eigenvalues
 from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain
 from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
@@ -41,6 +41,7 @@ from conftest import (
     draw_tree,
     eta_bar_by_ode,
     eta_bar_closed,
+    eta_eps_by_ode_in_x,
     existence_integral_by_ode,
     small_star,
 )
@@ -59,7 +60,7 @@ def lyapunov_value(ws, ys):
     for ch, (y1, y2) in ys.items():
         cw = ws.channels[ch]
         x = cw.profile.x_centers
-        f1, f2 = cw.f_at(x)
+        f1, f2 = cw.f_at("centers")
         total += float(np.trapezoid(f1 * np.asarray(y1) ** 2 + f2 * np.asarray(y2) ** 2, x))
     return total
 
@@ -155,40 +156,33 @@ def coupled_suite_profiles(star_profiles):
 
 
 def test_existence_integral_matches_its_oracle(star_profiles):
-    # the closed form at the oracle's own depth isolates the I4 solve; at
-    # profile.depth it also carries the gap between the two depth solves
+    # the oracle solves I4 in the depth, so both sides are taken at the
+    # profile's depth and the gap is the I4 solve's alone
     profiles = coupled_suite_profiles(star_profiles)
     assert len(profiles) == 367
     for prof in profiles:
         x = np.linspace(0.0, prof.length, 200)
-        H, I4 = existence_integral_by_ode(prof)(x)
-        spec = prof.spec
-        at_own_depth = existence_integral(
-            H, prof.inlet_depth, prof.flux, spec.friction_exponent, prof.gravity
-        )
-        scale = np.max(np.abs(I4))
-        assert np.max(np.abs(at_own_depth - I4)) <= 1e-9 * scale, prof.channel
+        I4 = existence_integral_by_ode(prof)(prof.depth(x))
         closed = phi_profiles(prof).existence_integral(x)
-        assert np.max(np.abs(closed - I4)) <= 1e-8 * scale, prof.channel
+        assert np.max(np.abs(closed - I4)) <= 1e-9 * np.max(np.abs(I4)), prof.channel
 
 
-def test_phi_profiles_and_existence_margin_solve_no_ode(star_profiles, monkeypatch):
-    # a coupled, a frictionless and a zero-flux channel, each with its
-    # closed-form state at the inlet
-    topo, profiles = star_profiles
-    frictionless = ChannelSpec(id=5, length=200.0, friction=0.0, cells=16)
-    standing = ChannelSpec(id=6, length=20.0, friction=1e-3, cells=16)
-    cases = [
-        *profiles.values(),
-        integrate_channel_steady(frictionless, 2.0, 1.0),
-        integrate_channel_steady(standing, 1.5, 0.0),
-    ]
-
+def test_phi_profiles_and_existence_margin_solve_no_ode(monkeypatch):
+    # coupled, frictionless and zero-flux channels, each with its closed-form
+    # state at the inlet; the profiles are built with every ODE solve
+    # refused, so the steady layer solves none either
     def no_ode(*args, **kwargs):
         raise AssertionError("the epsilon = 0 layer solved an ODE")
 
     monkeypatch.setattr(weights_module, "solve_ivp", no_ode)
     monkeypatch.setattr(steady_module, "solve_ivp", no_ode)
+    frictionless = ChannelSpec(id=5, length=200.0, friction=0.0, cells=16)
+    standing = ChannelSpec(id=6, length=20.0, friction=1e-3, cells=16)
+    cases = [
+        *solve_network_steady(small_star(), STAR_ROOT_DEPTH, STAR_ROOT_FLUX).values(),
+        integrate_channel_steady(frictionless, 2.0, 1.0),
+        integrate_channel_steady(standing, 1.5, 0.0),
+    ]
     for prof in cases:
         phi = phi_profiles(prof)
         x = np.linspace(0.0, prof.length, 30)
@@ -224,7 +218,7 @@ def test_weight_product_is_eta_free(star_weights):
         f1, f2 = cw.f_at(x)
         lam1, lam2 = eigenvalues(prof.depth(x), prof.velocity(x), G)
         expected = cw.alpha**2 * phi.phi1(x) ** 2 * phi.phi2(x) ** 2 / (lam1 * lam2)
-        assert np.allclose(f1 * f2, expected, rtol=1e-9)
+        assert np.allclose(f1 * f2, expected, rtol=1e-9, atol=0.0)
 
 
 def test_branch_weights_approach_closed_form_as_epsilon_shrinks(star_weights):
@@ -248,10 +242,10 @@ def test_weight_trace_continuous_across_junction(star_weights):
     topo, profiles, cert = star_weights
     ws = cert.weights
     trunk = ws.channels[1]
-    w_in = float(trunk.zw_at(profiles[1].length)[1])
+    w_in = float(trunk.zw_at("outlet")[1])
     for child in (2, 3, 4):
         cw = ws.channels[child]
-        w_out = float(cw.zw_at(0.0)[1])
+        w_out = float(cw.zw_at("inlet")[1])
         assert w_out == pytest.approx(w_in, rel=1e-12)
         assert cw.W[0] == pytest.approx(trunk.W[-1], rel=1e-12)
 
@@ -316,7 +310,8 @@ def test_weight_odes_carry_depth_and_one_more_component(star_profiles, monkeypat
     prof = star_profiles[1][2]
     eta_eps(prof, 1e-3)
     eta_bar_by_ode(prof)
-    assert sizes == [2, 2]
+    # the depth is the independent variable, so it is no component
+    assert sizes == [1, 1]
 
 
 def test_junction_reduction_product_matches_determinant():
@@ -345,10 +340,10 @@ def test_junction_reduction_product_matches_determinant():
 def test_branch_inflow_trace_negative(star_weights):
     topo, profiles, cert = star_weights
     ws = cert.weights
-    z_in, _ = (float(v) for v in ws.channels[1].zw_at(profiles[1].length))
+    z_in, _ = (float(v) for v in ws.channels[1].zw_at("outlet"))
     assert z_in > 0.0
     for child in (2, 3, 4):
-        z0, _ = (float(v) for v in ws.channels[child].zw_at(0.0))
+        z0, _ = (float(v) for v in ws.channels[child].zw_at("inlet"))
         assert z0 < 0.0
 
 
@@ -364,12 +359,12 @@ def test_interior_matrix_matches_finite_differences(star_weights):
     prof = profiles[2]
     x = prof.x_fine
     N11, N12, N22 = interior_matrix(cw)
-    f1, f2 = cw.f_at(x)
+    f1, f2 = cw.f_at("fine")
     lam1, lam2 = eigenvalues(prof.depth(x), prof.velocity(x), G)
     g1, d1, g2, d2 = coupling_coefficients(
         prof.depth(x), prof.flux, prof.spec.friction, prof.spec.friction_exponent, G, check=False
     )
-    assert np.allclose(N12, f1 * d1 + f2 * g2, rtol=1e-10)
+    assert np.allclose(N12, f1 * d1 + f2 * g2, rtol=1e-10, atol=0.0)
     d_f1l1 = np.gradient(f1 * lam1, x, edge_order=2)
     d_f2l2 = np.gradient(f2 * lam2, x, edge_order=2)
     sl = slice(4, -4)
@@ -434,6 +429,27 @@ def test_zero_flux_branch_certified_with_positive_gain():
     bad = certify_network(topo, profiles, {2: 0.0, 3: 0.0, 4: -0.5})
     assert not bad.certified
     assert "terminal_margin" in bad.failed_checks
+
+
+def test_near_zero_split_branch_matches_oracle_in_x():
+    # the branch depth drops by 1e-12 of itself at split 1e-5 and not at
+    # all in floating point at 1e-8, yet eta still grows by epsilon x
+    certs = []
+    for split in (1e-5, 1e-8):
+        topo = dataclasses.replace(
+            small_star(cells=16), split_fractions={1: (0.6, 0.4 - split, split)}
+        )
+        profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+        prof = profiles[4]
+        cw = network_weights(topo, profiles, 1e-3).channels[4]
+        ref = eta_eps_by_ode_in_x(prof, 1e-3, 1.0 + 1e-3)(prof.x_fine)
+        assert np.max(np.abs(cw.eta_eps - ref) / ref) <= 1e-8
+        certs.append(certify_network(topo, profiles, {2: 0.0, 3: 0.0, 4: 0.5}))
+    # the branch's margins are continuous in its split fraction
+    a, b = certs
+    assert a.certified and b.certified and (a.epsilon, a.halvings) == (b.epsilon, b.halvings)
+    for key in ("z_start", "terminal_margins", "interior_min_eig"):
+        assert getattr(b, key)[4] == pytest.approx(getattr(a, key)[4], rel=1e-4)
 
 
 def test_single_frictionless_channel_certified():
