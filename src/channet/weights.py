@@ -29,14 +29,20 @@ existence margin solve no ODE. Only the comparison solution at epsilon > 0
 is integrated, by adaptive Runge-Kutta (relative tolerance 1e-11), so
 certificate accuracy does not depend on the simulation grid. One function,
 ``_integrate``, makes that solve, with the steady depth as the independent
-variable: from the inlet depth down to the outlet depth, its state is
-w = eta / phi - epsilon x alone, and the speeds, couplings and exponents
-come from the kernels of ``characteristics`` that ``CharCoeffs`` uses too.
-``_ChannelState`` evaluates the result, (H, I1, I2, eta), at the abscissae
-and depths the steady profile holds (``SteadyProfile.points``). The test
+variable: from the inlet depth down to the outlet depth, its state is the
+angle theta = arctan(w) of w = eta / phi - epsilon x alone, and the speeds,
+couplings and exponents come from the kernels of ``characteristics`` that
+``CharCoeffs`` uses too. As eta' >= epsilon > 0, eta can leave its range
+only upward; where w blows up inside the channel, theta crosses
+arctan(1e12) smoothly and the solve stops at that event. ``_ChannelState``
+reads eta = (tan theta + epsilon x) phi at the abscissae and depths the
+steady profile holds (``SteadyProfile.points``). An epsilon attempt does
+only epsilon-dependent work: per channel one solve and one evaluation of
+it on the fine grid, while the speeds, couplings and phi factors there
+(``_FineFactors``) are computed once per channel and certificate. The test
 suite (``tests/conftest.py``) keeps the ODE forms of I4 and of the
-unit-inlet comparison solution, solved by the same driver, as oracles of
-the closed forms.
+unit-inlet comparison solution, in w and with a driver of their own, as
+oracles of the closed forms.
 """
 
 from __future__ import annotations
@@ -73,17 +79,19 @@ DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
 
 
-def _integrate(profile: SteadyProfile, dw, init, rtol, atol, events=None):
-    """One adaptive solve of w over a coupled channel, in the steady depth.
+def _integrate(profile: SteadyProfile, dtheta, init, events=None):
+    """One adaptive solve of the comparison solution over a coupled channel,
+    in its angle theta = arctan(w), with the steady depth as the variable.
 
-    ``dw(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the derivative of
-    w in x, which starts at ``init``; the abscissa x, the exponents I1, I2
-    and the speeds and couplings come from the closed-form kernels at H. The
-    solve runs from the inlet depth down to the outlet depth with dw/dH =
-    w'(x) / H', where H' = -g C Q^2 / P'(H): every depth it visits is on the
-    profile, so no guard is needed. On a nearly flat profile dw/dH is large
-    unless w'(x) is of the size of the couplings, which vanish with the
-    drop. Returns the solve_ivp result for the caller to check.
+    ``dtheta(theta, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the
+    derivative of theta in x, which starts at arctan(init); the abscissa x,
+    the exponents I1, I2 and the speeds and couplings come from the
+    closed-form kernels at H. The solve runs from the inlet depth down to
+    the outlet depth with dtheta/dH = theta'(x) / H', where H' = -g C Q^2 /
+    P'(H): every depth it visits is on the profile, so no guard is needed.
+    On a nearly flat profile dtheta/dH is large unless theta'(x) is of the
+    size of the couplings, which vanish with the drop. Returns the solve_ivp
+    result for the caller to check.
     """
     spec = profile.spec
     H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
@@ -96,23 +104,23 @@ def _integrate(profile: SteadyProfile, dw, init, rtol, atol, events=None):
         H = float(H)
         I1, I2 = phi_exponents(H, H0, flux, p, g)
         x = _potential_drop(H0, H, flux, p, g) / rate
-        w_x = dw(float(y[0]), x, H, I1, I2, *speeds_couplings(H, flux, friction, p, g))
-        return (-w_x * potential_slope(H, flux, p, g) / rate,)
+        theta_x = dtheta(float(y[0]), x, H, I1, I2, *speeds_couplings(H, flux, friction, p, g))
+        return (-theta_x * potential_slope(H, flux, p, g) / rate,)
 
     return solve_ivp(
         rhs,
         (H0, profile.outlet_depth),
-        (init,),
+        (math.atan(init),),
         method="RK45",
         dense_output=True,
-        rtol=rtol,
-        atol=atol,
+        rtol=ETA_RTOL,
+        atol=ETA_ATOL,
         events=events,
     )
 
 
 def _eta_blowup(H, y):
-    return y[0] - ETA_BLOWUP
+    return y[0] - math.atan(ETA_BLOWUP)
 
 
 _eta_blowup.terminal = True
@@ -120,10 +128,19 @@ _eta_blowup.direction = 1
 
 
 def _riccati(epsilon):
-    """Derivative of the comparison solution in the scaled variable
-    w = eta / phi - epsilon x: with u = w + epsilon x, w' = |delta1/lambda1 +
-    (gamma2/lambda2) u^2| - u (gamma1/lambda1 + delta2/lambda2) + epsilon
-    (1/phi - 1).
+    """Derivative of the comparison solution in the angle theta = arctan(w)
+    of the scaled variable w = eta / phi - epsilon x.
+
+    With u = w + epsilon x, w' = |delta1/lambda1 + (gamma2/lambda2) u^2| -
+    u (gamma1/lambda1 + delta2/lambda2) + epsilon (1/phi - 1), and theta' =
+    w' cos^2 theta. With v = u cos theta = sin theta + epsilon x cos theta,
+
+        theta' = |(delta1/lambda1) cos^2 theta + (gamma2/lambda2) v^2|
+                 - (gamma1/lambda1 + delta2/lambda2) v cos theta
+                 + epsilon (1/phi - 1) cos^2 theta,
+
+    bounded however large w grows: a blow-up of w is a smooth crossing of
+    theta = arctan(ETA_BLOWUP), where the solve stops at its event.
 
     The scaled form has the neutral exponential drift removed: the raw eta
     equation amplifies truncation error by exp(int 2 gamma2 eta / (lambda2
@@ -133,26 +150,79 @@ def _riccati(epsilon):
     in the depth however flat the profile.
     """
 
-    def dw(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
-        u = w + epsilon * x
+    def dtheta(theta, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
+        c = math.cos(theta)
+        v = math.sin(theta) + epsilon * x * c
         return (
-            abs(d1 / lam1 + g2 / lam2 * u * u)
-            - u * (g1 / lam1 + d2 / lam2)
-            + epsilon * math.expm1(-(I1 + I2))
+            abs(d1 / lam1 * c * c + g2 / lam2 * v * v)
+            - v * c * (g1 / lam1 + d2 / lam2)
+            + epsilon * math.expm1(-(I1 + I2)) * c * c
         )
 
-    return dw
+    return dtheta
+
+
+@dataclass(frozen=True, eq=False)
+class _Factors:
+    """The epsilon-free factors of a channel's weights at some of its points:
+    the abscissae x, the depths H, phi = exp(I1 + I2), phi1^2 = exp(I1)^2 and
+    phi2^2 = exp(-I2)^2. On a channel whose depth stays H0 to the last bit
+    the exponents vanish."""
+
+    x: np.ndarray
+    H: np.ndarray
+    phi: np.ndarray
+    phi1_sq: np.ndarray
+    phi2_sq: np.ndarray
+
+    @classmethod
+    def at(cls, profile: SteadyProfile, where) -> "_Factors":
+        """The factors at the points ``where`` of ``SteadyProfile.points``."""
+        x, H = profile.points(where)
+        H = np.asarray(H, dtype=float)
+        if profile.outlet_depth == profile.inlet_depth:
+            I1 = I2 = np.zeros(H.shape)
+        else:
+            spec = profile.spec
+            terms = (profile.inlet_depth, profile.flux, spec.friction_exponent, spec.gravity)
+            I1, I2 = phi_exponents(H, *terms)
+        return cls(np.asarray(x, dtype=float), H, np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2)
+
+    def pair(self, eta):
+        """(phi1^2 / eta, phi2^2 eta): times alpha and over (lambda1,
+        lambda2) they are (f1, f2), and their difference and sum are Z /
+        alpha and W / alpha."""
+        return self.phi1_sq / eta, self.phi2_sq * eta
+
+
+@dataclass(frozen=True, eq=False)
+class _FineFactors:
+    """What every epsilon attempt needs of a channel on its fine grid and
+    does not depend on epsilon: its CharCoeffs, its ``_Factors``, and the
+    coefficients A = delta1 phi / lambda1 and B = gamma2 / (lambda2 phi) of
+    the Riccati slope eta' = |A + B eta^2| + epsilon. A certificate builds
+    them once per channel."""
+
+    coeffs: CharCoeffs
+    at: _Factors
+    A: np.ndarray
+    B: np.ndarray
+
+    @classmethod
+    def of(cls, profile: SteadyProfile) -> "_FineFactors":
+        c = CharCoeffs.from_profile(profile)
+        at = _Factors.at(profile, "fine")
+        return cls(c, at, c.delta1 * at.phi / c.lambda1, c.gamma2 / (c.lambda2 * at.phi))
 
 
 class _ChannelState:
-    """(H, I1, I2, eta) of one channel at the points ``where`` of
-    ``SteadyProfile.points``.
+    """The comparison solution of one channel at one epsilon.
 
-    ``sol`` is a solve of w = eta / phi - epsilon x in the depth by
-    ``_integrate``; I1 and I2 are closed form in H, and eta = (w(H) +
-    epsilon x) phi. A channel whose depth stays H0 to the last bit has no
-    solve (``sol`` None): the exponents vanish and eta is init + epsilon x,
-    the exact solution of an uncoupled channel.
+    ``sol`` is a solve of theta = arctan(w), w = eta / phi - epsilon x, in
+    the depth by ``_integrate``, and eta = (tan theta(H) + epsilon x) phi. A
+    channel whose depth stays H0 to the last bit has no solve (``sol``
+    None): phi = 1 and eta is init + epsilon x, the exact solution of an
+    uncoupled channel.
     """
 
     def __init__(self, profile: SteadyProfile, sol=None, init=0.0, epsilon=0.0):
@@ -161,30 +231,10 @@ class _ChannelState:
         self.epsilon = epsilon
         self.dense = None if sol is None else sol.sol
 
-    def state(self, where):
-        x, H = self.profile.points(where)
-        H = np.asarray(H, dtype=float)
-        if self.dense is None:
-            zeros = np.zeros(H.shape)
-            return np.array([H, zeros, zeros, self.init + self.epsilon * np.asarray(x)])
-        u = self.dense(H)[0] + self.epsilon * np.asarray(x)
-        spec = self.profile.spec
-        I1, I2 = phi_exponents(
-            H, self.profile.inlet_depth, self.profile.flux, spec.friction_exponent, spec.gravity
-        )
-        return np.array([H, I1, I2, u * np.exp(I1 + I2)])
-
-    def slope(self, s):
-        """eta' of a comparison solution at the state s = state(where), from
-        its Riccati equation."""
-        if self.profile.flux == 0.0:
-            return np.full_like(s[0], self.epsilon)
-        H, I1, I2, eta = s
-        spec = self.profile.spec
-        terms = (self.profile.flux, spec.friction, spec.friction_exponent, spec.gravity)
-        lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, *terms)
-        phi = np.exp(I1 + I2)
-        return np.abs(d1 * phi / lam1 + g2 / (lam2 * phi) * eta**2) + self.epsilon
+    def eta(self, at: _Factors):
+        """eta at the points of ``at``, one evaluation of the dense solution."""
+        w = self.init if self.dense is None else np.tan(self.dense(at.H)[0])
+        return (w + self.epsilon * at.x) * at.phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,10 +342,11 @@ def eta_eps(
 
     Solves eta' = |delta1 phi / lambda1 + (gamma2/(lambda2 phi)) eta^2| +
     epsilon with inlet value lambda2(0)/lambda1(0) + epsilon on the trunk and
-    1 + epsilon on branch channels, advanced in the scaled variable
-    w = eta / phi - epsilon x (see _riccati for the conditioning rationale).
-    Raises EpsilonTooLarge if the solution leaves [0, 1e12] before the
-    channel end.
+    1 + epsilon on branch channels, advanced in the angle theta = arctan(w)
+    of the scaled variable w = eta / phi - epsilon x (see _riccati for the
+    conditioning rationale). As eta' >= epsilon > 0, eta leaves its range
+    only upward: EpsilonTooLarge is raised if w passes 1e12 before the
+    channel end, where the solve stops at its event.
     """
     if trunk_inlet:
         if profile.flux == 0.0:
@@ -311,7 +362,7 @@ def eta_eps(
         # rounding), and with it the exponents
         return _ChannelState(profile, init=init, epsilon=epsilon)
 
-    sol = _integrate(profile, _riccati(epsilon), init, ETA_RTOL, ETA_ATOL, _eta_blowup)
+    sol = _integrate(profile, _riccati(epsilon), init, _eta_blowup)
     if sol.t_events[0].size or not sol.success:
         raise EpsilonTooLarge(
             f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
@@ -320,17 +371,10 @@ def eta_eps(
     return _ChannelState(profile, sol, epsilon=epsilon)
 
 
-def _weight_pair(s, alpha=1.0, lam1=1.0, lam2=1.0):
-    """(f1, f2) = (alpha phi1^2 / (lambda1 eta), alpha phi2^2 eta / lambda2)
-    from an eta state (H, I1, I2, eta). With unit alpha and speeds it is the
-    pair (phi1^2 / eta, phi2^2 eta), whose difference and sum are Z / alpha
-    and W / alpha."""
-    return alpha * np.exp(s[1]) ** 2 / (lam1 * s[3]), alpha * np.exp(-s[2]) ** 2 * s[3] / lam2
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelWeights:
-    """Weight profiles of one channel, sampled on its fine grid."""
+    """Weight profiles of one channel, sampled on its fine grid, whose first
+    and last points are the inlet and the outlet."""
 
     coeffs: CharCoeffs
     eta_solution: _ChannelState
@@ -340,6 +384,7 @@ class ChannelWeights:
     eta_slope: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
+    Z: np.ndarray
     W: np.ndarray
 
     @property
@@ -350,33 +395,20 @@ class ChannelWeights:
     def channel(self) -> int:
         return self.profile.channel
 
+    def _pair_at(self, where):
+        at = _Factors.at(self.profile, where)
+        return (at.H, *at.pair(self.eta_solution.eta(at)))
+
     def f_at(self, where):
         """(f1, f2) at the points ``where`` of ``SteadyProfile.points``."""
-        s = self.eta_solution.state(where)
-        lam1, lam2 = eigenvalues(s[0], self.profile.velocity_of(s[0]), self.profile.gravity)
-        return _weight_pair(s, self.alpha, lam1, lam2)
+        H, a, b = self._pair_at(where)
+        lam1, lam2 = eigenvalues(H, self.profile.velocity_of(H), self.profile.gravity)
+        return self.alpha * a / lam1, self.alpha * b / lam2
 
     def zw_at(self, where):
         """(Z, W) = (lambda1 f1 -/+ lambda2 f2) at the points ``where``."""
-        a, b = _weight_pair(self.eta_solution.state(where))
+        _, a, b = self._pair_at(where)
         return self.alpha * (a - b), self.alpha * (a + b)
-
-
-def _build_channel_weights(coeffs: CharCoeffs, eta_sol: _ChannelState, alpha: float) -> ChannelWeights:
-    prof = coeffs.profile
-    s = eta_sol.state("fine")
-    f1, f2 = _weight_pair(s, alpha, coeffs.lambda1, coeffs.lambda2)
-    return ChannelWeights(
-        coeffs=coeffs,
-        eta_solution=eta_sol,
-        alpha=alpha,
-        epsilon=eta_sol.epsilon,
-        eta_eps=s[3],
-        eta_slope=eta_sol.slope(s),
-        f1=f1,
-        f2=f2,
-        W=alpha * sum(_weight_pair(s)),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,34 +424,52 @@ def _weighted_channels(
     topo: NetworkTopology,
     profiles: dict[int, SteadyProfile],
     epsilon: float,
-    coeffs: dict[int, CharCoeffs],
+    fixed: dict[int, _FineFactors],
     root_alpha: float = 1.0,
 ):
     """Yield the weights of every channel in traversal order, parents first.
 
     alpha_child = alpha_parent * W~_parent(L) / W~_child(0) makes W continuous
     across every junction; the root scale is free and an overall rescale
-    leaves every certificate verdict unchanged. ``coeffs`` is filled on the
-    way. Raises EpsilonTooLarge at the first channel whose
-    comparison solution does not exist.
+    leaves every certificate verdict unchanged. ``fixed`` holds the
+    epsilon-free factors of each channel and is filled on the way, so each
+    channel of an attempt costs one solve and one evaluation of it on the
+    fine grid. Raises EpsilonTooLarge at the first channel whose comparison
+    solution does not exist.
     """
     alphas: dict[int, float] = {}
     w_end: dict[int, float] = {}
     for i in traversal_order(topo):
         profile = profiles[i]
-        if i not in coeffs:
-            coeffs[i] = CharCoeffs.from_profile(profile)
-        eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel))
-        w_end[i] = float(sum(_weight_pair(eta.state("outlet"))))
+        if i not in fixed:
+            fixed[i] = _FineFactors.of(profile)
+        fine = fixed[i]
+        sol = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel))
+        eta = sol.eta(fine.at)
+        a, b = fine.at.pair(eta)
+        w_tilde = a + b
+        w_end[i] = float(w_tilde[-1])
         if i == topo.root_channel:
             alphas[i] = root_alpha
         else:
-            w_start = float(sum(_weight_pair(eta.state("inlet"))))
+            w_start = float(w_tilde[0])
             if abs(w_start) < 1e-300:
                 raise ZeroW(f"channel {i}: W vanishes at the inlet")
             parent = topo.parent_of(i)
             alphas[i] = alphas[parent] * w_end[parent] / w_start
-        yield _build_channel_weights(coeffs[i], eta, alphas[i])
+        alpha = alphas[i]
+        yield ChannelWeights(
+            coeffs=fine.coeffs,
+            eta_solution=sol,
+            alpha=alpha,
+            epsilon=epsilon,
+            eta_eps=eta,
+            eta_slope=np.abs(fine.A + fine.B * eta**2) + epsilon,
+            f1=alpha * a / fine.coeffs.lambda1,
+            f2=alpha * b / fine.coeffs.lambda2,
+            Z=alpha * (a - b),
+            W=alpha * w_tilde,
+        )
 
 
 def network_weights(
@@ -450,9 +500,10 @@ def junction_matrix(ws: WeightSet, incoming: int):
     prof = cw_in.profile
     H_B = prof.outlet_depth
     g = prof.gravity
-    Z_in, W_in = (float(v) for v in cw_in.zw_at("outlet"))
+    Z_in, W_in = float(cw_in.Z[-1]), float(cw_in.W[-1])
     # every outgoing channel starts at the junction depth H_B
-    Z0, W0 = zip(*(ws.channels[c].zw_at("inlet") for c in children))
+    Z0 = [float(ws.channels[c].Z[0]) for c in children]
+    W0 = [float(ws.channels[c].W[0]) for c in children]
     m = len(children)
     M = np.full((m + 1, m + 1), Z_in)
     for l in range(m):
@@ -591,7 +642,7 @@ def _channel_checks(
     prof = cw.profile
     failed: list[str] = []
     if i in topo.junctions:
-        z = float(cw.zw_at("outlet")[0])
+        z = float(cw.Z[-1])
         detail["z_end"][i] = z
         if z <= 0.0:
             failed.append("junction_outflow_positive")
@@ -599,9 +650,8 @@ def _channel_checks(
         k = float(gains[i])
         c = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
         detail["reflection"][i] = c
-        f1_L, f2_L = cw.f_at("outlet")
-        lam1_L, lam2_L = eigenvalues(prof.outlet_depth, prof.outlet_velocity, prof.gravity)
-        margin = float(f1_L * lam1_L * c**2 - f2_L * lam2_L)
+        lam1_L, lam2_L = cw.coeffs.lambda1[-1], cw.coeffs.lambda2[-1]
+        margin = float(cw.f1[-1] * lam1_L * c**2 - cw.f2[-1] * lam2_L)
         detail["terminal_margins"][i] = margin
         if margin <= 0.0 or (prof.flux == 0.0 and k <= 0.0):
             failed.append("terminal_margin")
@@ -612,7 +662,7 @@ def _channel_checks(
         if f1 <= 0.0:
             failed.append("trunk_inlet")
     else:
-        z = float(cw.zw_at("inlet")[0])
+        z = float(cw.Z[0])
         detail["z_start"][i] = z
         if z >= 0.0:
             failed.append("branch_inflow_negative")
@@ -638,7 +688,7 @@ def _attempt(
     profiles: dict[int, SteadyProfile],
     gains: dict[int, float],
     epsilon: float,
-    coeffs: dict[int, CharCoeffs],
+    fixed: dict[int, _FineFactors],
     rel_tol: float,
     stop_early: bool,
 ):
@@ -655,7 +705,7 @@ def _attempt(
     detail = _empty_detail()
     failed: set[str] = set()
     try:
-        for cw in _weighted_channels(topo, profiles, epsilon, coeffs):
+        for cw in _weighted_channels(topo, profiles, epsilon, fixed):
             ws.channels[cw.channel] = cw
             failed.update(_channel_checks(ws, cw, gains, rel_tol, detail))
             if failed and stop_early:
@@ -690,7 +740,7 @@ def certify_network(
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)
-    coeffs_cache: dict[int, CharCoeffs] = {}
+    fixed: dict[int, _FineFactors] = {}
     epsilon = float(epsilon_start)
     for halvings in range(max_halvings + 1):
         ws, failed, detail = _attempt(
@@ -698,7 +748,7 @@ def certify_network(
             profiles,
             gains,
             epsilon,
-            coeffs_cache,
+            fixed,
             positivity_rel_tol,
             stop_early=halvings < max_halvings,
         )

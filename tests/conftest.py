@@ -12,13 +12,19 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-import channet.weights as weights
-from channet.characteristics import coupling_coefficients, eigenvalues
+from channet.characteristics import (
+    coupling_coefficients,
+    eigenvalues,
+    phi_exponents,
+    speeds_couplings,
+)
 from channet.errors import WeightError
 from channet.gains import is_admissible
 from channet.steady import (
+    _potential_drop,
     critical_depth,
     integrate_channel_steady,
+    potential_slope,
     solve_network_steady,
     steady_rhs,
 )
@@ -80,27 +86,75 @@ def steady_depth_by_ode(profile, rtol=1e-13, atol=1e-15):
     return lambda x: sol.sol(x)[0]
 
 
+def _solve_w_in_depth(profile, dw, init, rtol, atol, events=None):
+    """RK45 solve of a scalar w over a coupled channel, in the steady depth.
+
+    ``dw(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the derivative of
+    w in x, which starts at ``init``; the abscissa x, the exponents I1, I2
+    and the speeds and couplings come from the closed-form kernels at H, and
+    dw/dH = w'(x) / H' with H' = -g C Q^2 / P'(H). The oracles below use it;
+    the certificate solves its comparison solution in an angle of its own.
+    """
+    spec = profile.spec
+    H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
+    p, g = spec.friction_exponent, spec.gravity
+    rate = g * friction * flux * flux
+
+    def rhs(H, y):
+        H = float(H)
+        I1, I2 = phi_exponents(H, H0, flux, p, g)
+        x = _potential_drop(H0, H, flux, p, g) / rate
+        w_x = dw(float(y[0]), x, H, I1, I2, *speeds_couplings(H, flux, friction, p, g))
+        return (-w_x * potential_slope(H, flux, p, g) / rate,)
+
+    return solve_ivp(
+        rhs,
+        (H0, profile.outlet_depth),
+        (init,),
+        method="RK45",
+        dense_output=True,
+        rtol=rtol,
+        atol=atol,
+        events=events,
+    )
+
+
+def _w_blowup(H, y):
+    return y[0] - 1e12
+
+
+_w_blowup.terminal = True
+_w_blowup.direction = 1
+
+
 def eta_bar_by_ode(profile, rtol=ORACLE_TOL, atol=ORACLE_TOL):
     """Independent Riccati integration of the unit-inlet comparison solution.
 
-    Solves u = eta_bar / phi by the certificate's ODE driver (nothing of the
-    closed form m), so it is an oracle of the closed form. The default
-    tolerance is ten times tighter than the certificate's, so that the
-    oracle's own error stays well below the gap it is asked to bound.
-    Raises WeightError where the solution blows up. Needs a channel with
-    flux and friction. Returns x -> eta_bar(x), at the profile's depth.
+    Solves u = eta_bar / phi, u' = |delta1/lambda1 + (gamma2/lambda2) u^2| -
+    u (gamma1/lambda1 + delta2/lambda2), by ``_solve_w_in_depth`` (nothing
+    of the closed form m, nor the certificate's angle form), so it is an
+    oracle of the closed form. The default tolerance is ten times tighter
+    than the certificate's, so that the oracle's own error stays well below
+    the gap it is asked to bound. Raises WeightError where the solution
+    blows up. Needs a channel with flux and friction. Returns x ->
+    eta_bar(x), at the profile's depth.
     """
-    sol = weights._integrate(
-        profile, weights._riccati(0.0), 1.0, rtol, atol, weights._eta_blowup
-    )
+
+    def du(u, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
+        return abs(d1 / lam1 + g2 / lam2 * u * u) - u * (g1 / lam1 + d2 / lam2)
+
+    sol = _solve_w_in_depth(profile, du, 1.0, rtol, atol, _w_blowup)
     if sol.t_events[0].size or not sol.success:
         raise WeightError(
             f"channel {profile.channel}: no unit-inlet comparison solution: {sol.message}"
         )
-    state = weights._ChannelState(profile, sol)
+    spec = profile.spec
+    terms = (profile.inlet_depth, profile.flux, spec.friction_exponent, spec.gravity)
 
     def evaluate(x):
-        out = state.state(x)[3]
+        H = np.asarray(profile.depth(x), dtype=float)
+        I1, I2 = phi_exponents(H, *terms)
+        out = sol.sol(H)[0] * np.exp(I1 + I2)
         return float(out) if np.ndim(x) == 0 else out
 
     return evaluate
@@ -144,7 +198,7 @@ def existence_integral_by_ode(profile, rtol=INTEGRAL_RTOL, atol=INTEGRAL_ATOL):
     """The existence integral I4 solved in the steady depth.
 
     dI4/dx = exp(I1 - I2) (lambda1(0)/lambda1)^2 (H(0)/H) gamma2/lambda2,
-    by the certificate's ODE driver, is an oracle of
+    by ``_solve_w_in_depth``, is an oracle of
     ``characteristics.existence_integral``. Needs a channel with flux and
     friction. Returns H -> I4 for depths H on the profile.
     """
@@ -154,7 +208,7 @@ def existence_integral_by_ode(profile, rtol=INTEGRAL_RTOL, atol=INTEGRAL_ATOL):
     def dI4(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
         return math.exp(I1 - I2) * (lam1_0 / lam1) ** 2 * (H0 / H) * g2 / lam2
 
-    sol = weights._integrate(profile, dI4, 0.0, rtol, atol)
+    sol = _solve_w_in_depth(profile, dI4, 0.0, rtol, atol)
     if not sol.success:
         raise WeightError(f"channel {profile.channel}: I4 integration failed: {sol.message}")
     return lambda H: sol.sol(H)[0]

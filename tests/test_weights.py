@@ -15,6 +15,7 @@ from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
 import channet.steady as steady_module
 import channet.weights as weights_module
+import conftest
 from channet.gains import is_admissible
 from channet.weights import (
     DEFAULT_EPSILON,
@@ -306,7 +307,9 @@ def test_weight_odes_carry_depth_and_one_more_component(star_profiles, monkeypat
         sizes.append(len(y0))
         return solve(fun, t_span, y0, **kwargs)
 
+    # the oracle solves through a driver of its own in conftest
     monkeypatch.setattr(weights_module, "solve_ivp", recording)
+    monkeypatch.setattr(conftest, "solve_ivp", recording)
     prof = star_profiles[1][2]
     eta_eps(prof, 1e-3)
     eta_bar_by_ode(prof)
@@ -391,10 +394,24 @@ def test_missing_gain_rejected(star_profiles):
         certify_network(topo, profiles, {2: 0.0, 3: 0.0})
 
 
-def test_epsilon_too_large(star_profiles):
+def test_epsilon_too_large(star_profiles, monkeypatch):
+    # w = eta / phi - epsilon x blows up inside the channel; in its angle
+    # that is a smooth crossing, and the solve ends at its event rather
+    # than in a step-size underflow after thousands of evaluations
     topo, profiles = star_profiles
+    solves = []
+    solve = weights_module.solve_ivp
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(weights_module, "solve_ivp", recording)
     with pytest.raises(EpsilonTooLarge):
         eta_eps(profiles[2], 1e3)
+    (sol,) = solves
+    assert sol.status == 1 and sol.t_events[0].size == 1
+    assert sol.nfev < 500
 
 
 def test_trunk_start_needs_flux():
@@ -559,6 +576,20 @@ PINNED_STAR_CERTIFICATE = {
                          "3": 2.3564930704298792e-07, "4": 2.3034920639116926e-07},
     "failed_checks": [],
 }
+
+
+def test_star_certificate_does_not_depend_on_the_grid():
+    # the comparison solution is solved in the depth and scanned on the fine
+    # grid of 4 cells + 1 points; the verdict stays the same on a grid 16
+    # times finer than the coarsest
+    outcomes = set()
+    for cells in (25, 100, 400):
+        topo = small_star(cells=cells)
+        profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+        cert = certify_network(topo, profiles, STAR_GAINS)
+        outcomes.add((cert.certified, cert.epsilon, cert.halvings, cert.failed_checks))
+    pins = PINNED_STAR_CERTIFICATE
+    assert outcomes == {(True, pins["epsilon"], pins["halvings"], ())}
 
 
 def test_star_certificate_matches_pinned_values(star_weights):
