@@ -118,20 +118,15 @@ def existence_integral(H, inlet_depth, flux, p, g):
 
 
 def coupling_coefficients(
-    depth,
-    flux,
-    friction,
-    friction_exponent=1.0,
-    gravity=9.81,
-    check=True,
-    tol=DUAL_FORM_TOL,
+    depth, flux, friction, friction_exponent=1.0, gravity=9.81, tol=DUAL_FORM_TOL
 ):
     """Zero-order coupling coefficients (gamma1, delta1, gamma2, delta2).
 
-    Evaluated from the friction form; when ``check`` is set the steady-gradient
-    form (with the depth slope taken analytically from the profile equation)
-    is evaluated as well and FormMismatch is raised if any coefficient
-    disagrees beyond ``tol`` relative. Array depth gives arrays.
+    Evaluated from the friction form and checked against the steady-gradient
+    form (with the depth slope taken analytically from the profile equation):
+    FormMismatch is raised if any coefficient disagrees beyond ``tol``
+    relative. Array depth gives arrays; ``speeds_couplings`` is the
+    unchecked friction form.
     """
     H = np.atleast_1d(np.asarray(depth, dtype=float))
     scalar = np.ndim(depth) == 0
@@ -143,25 +138,24 @@ def coupling_coefficients(
 
     lam1, lam2, *friction_form = speeds_couplings(H, flux, friction, friction_exponent, gravity)
 
-    if check:
-        # The two forms share the bracket factors and differ in the prefactor:
-        # the friction term g C V^2 / H^p against -(H_x / H) lambda1 lambda2.
-        H_x = steady_rhs(H, flux, friction, friction_exponent, gravity)
-        V = flux / H
-        ratio = -(H_x / H) * lam1 * lam2 / (gravity * friction * V * V / H**friction_exponent)
-        gradient_form = tuple(a * ratio for a in friction_form)
-        for name, a_f, a_g in zip(
-            ("gamma1", "delta1", "gamma2", "delta2"), friction_form, gradient_form
-        ):
-            scale = np.maximum(np.abs(a_f), np.abs(a_g))
-            gap = np.abs(a_f - a_g)
-            bad = gap > tol * np.maximum(scale, 1e-300)
-            if np.any(bad & (scale > 0.0)):
-                worst = float(np.max(gap / np.maximum(scale, 1e-300)))
-                raise FormMismatch(
-                    f"{name}: friction and gradient forms disagree "
-                    f"(worst relative gap {worst:.3e})"
-                )
+    # The two forms share the bracket factors and differ in the prefactor:
+    # the friction term g C V^2 / H^p against -(H_x / H) lambda1 lambda2.
+    H_x = steady_rhs(H, flux, friction, friction_exponent, gravity)
+    V = flux / H
+    ratio = -(H_x / H) * lam1 * lam2 / (gravity * friction * V * V / H**friction_exponent)
+    gradient_form = tuple(a * ratio for a in friction_form)
+    for name, a_f, a_g in zip(
+        ("gamma1", "delta1", "gamma2", "delta2"), friction_form, gradient_form
+    ):
+        scale = np.maximum(np.abs(a_f), np.abs(a_g))
+        gap = np.abs(a_f - a_g)
+        bad = gap > tol * np.maximum(scale, 1e-300)
+        if np.any(bad & (scale > 0.0)):
+            worst = float(np.max(gap / np.maximum(scale, 1e-300)))
+            raise FormMismatch(
+                f"{name}: friction and gradient forms disagree "
+                f"(worst relative gap {worst:.3e})"
+            )
 
     if scalar:
         return tuple(float(a[0]) for a in friction_form)
@@ -198,7 +192,7 @@ class CharCoeffs:
     delta2: np.ndarray
 
     @classmethod
-    def from_profile(cls, profile: SteadyProfile, check=True) -> "CharCoeffs":
+    def from_profile(cls, profile: SteadyProfile) -> "CharCoeffs":
         H = profile.H_fine
         lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)
         g1, d1, g2, d2 = coupling_coefficients(
@@ -207,7 +201,6 @@ class CharCoeffs:
             profile.spec.friction,
             profile.spec.friction_exponent,
             profile.gravity,
-            check=check,
         )
         return cls(
             profile=profile,

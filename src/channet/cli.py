@@ -30,8 +30,6 @@ from .steady import solve_network_steady
 from .topology import NetworkTopology, network_from_dict, network_to_dict
 from .weights import DEFAULT_EPSILON, certify_network
 
-DEFAULT_EPSILON_START = DEFAULT_EPSILON
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -41,7 +39,7 @@ class RunConfig:
     root_flux: float
     root_inlet_depth: float
     gains: dict[int, float]
-    epsilon_start: float = DEFAULT_EPSILON_START
+    epsilon_start: float = DEFAULT_EPSILON
     mode: str = "linear"
     T: float = 100.0
     cfl: float = CFL_SAFETY
@@ -71,7 +69,7 @@ class RunConfig:
             root_flux=float(root["Q"]),
             root_inlet_depth=float(root["H0"]),
             gains=gains,
-            epsilon_start=float(lyap.get("epsilon_start", DEFAULT_EPSILON_START)),
+            epsilon_start=float(lyap.get("epsilon_start", DEFAULT_EPSILON)),
             mode=str(simc.get("mode", "linear")),
             T=float(simc.get("T", 100.0)),
             cfl=float(simc.get("cfl", CFL_SAFETY)),

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .characteristics import coupling_coefficients, eigenvalues
 from .errors import CflViolation, JunctionDivergence, MissingGain, NonPositiveV, RootSolveFailure
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure, WeightError
-from .steady import SteadyProfile
+from .steady import FINE_REFINEMENT, SteadyProfile
 from .topology import NetworkTopology, validate_topology
 from .weights import WeightSet, certify_network
 
@@ -353,26 +352,26 @@ class NetworkSimulator:
     def _instrumentation(self):
         """Trapezoid and Lyapunov weights, boundary-form terms, and the
         linearized characteristic system dt (y1, y2) = L (y1, y2) with
-        centered spatial differences."""
-        w, f, f_in, f_out, coupling, D = [], [], [], [], [], []
+        centered spatial differences. The weights, speeds and couplings are
+        the certificate's fine-grid arrays: at the centers their slice
+        [R/2::R], R = FINE_REFINEMENT, at the inlet and outlet faces their
+        first and last elements."""
+        fine = []  # f1, f2, lambda1, lambda2, gamma1, delta1, gamma2, delta2 of each channel
         for i in self.ids:
-            pr, cw, spec = self.profiles[i], self.weights.channels[i], self.profiles[i].spec
-            w.append(_trapezoid_weights(pr.x_centers))
-            f.append(cw.f_at("centers"))
-            f_in.append(cw.f_at("inlet"))
-            f_out.append(cw.f_at("outlet"))
-            args = (pr.H_centers, pr.flux, spec.friction, spec.friction_exponent, spec.gravity)
-            coupling.append(coupling_coefficients(*args, check=False))
-            D.append(_gradient_matrix(pr.x_centers))
-        self._w = np.concatenate(w)
-        f1, f2 = np.concatenate(f, axis=1)
+            cw = self.weights.channels[i]
+            c = cw.coeffs
+            fine.append((cw.f1, cw.f2, c.lambda1, c.lambda2, c.gamma1, c.delta1, c.gamma2,
+                         c.delta2))
+        # the boundary terms at the m inlets, then the m outlets
+        f1, f2, lam1, lam2 = np.array([[a[k] for a in q[:4]] for k in (0, -1) for q in fine]).T
+        self._f1lam1, self._f2lam2 = f1 * lam1, f2 * lam2
+        R = FINE_REFINEMENT
+        f1, f2, lam1, lam2, g1, d1, g2, d2 = (
+            np.concatenate([a[R // 2 :: R] for a in arrays]) for arrays in zip(*fine))
+        x = [self.profiles[i].x_centers for i in self.ids]
+        self._w = np.concatenate([_trapezoid_weights(xc) for xc in x])
         self._wf = np.concatenate((self._w * f1, self._w * f2))
-        f_ends = np.array(f_in + f_out, dtype=float)
-        lam1, lam2 = eigenvalues(self._Hb, self._Vb, self._gb)
-        self._f1lam1, self._f2lam2 = f_ends[:, 0] * lam1, f_ends[:, 1] * lam2
-        lam1, lam2 = eigenvalues(self.Hc, self.Vc, self.g)
-        g1, d1, g2, d2 = np.concatenate(coupling, axis=1)
-        D = sparse.block_diag(D)
+        D = sparse.block_diag([_gradient_matrix(xc) for xc in x])
         diag = sparse.diags
         self._L = sparse.bmat(
             [[-diag(lam1) @ D - diag(g1), -diag(d1)], [-diag(g2), diag(lam2) @ D - diag(d2)]]
@@ -587,14 +586,13 @@ class NetworkSimulator:
     # -- driver --------------------------------------------------------------
 
     def run(self, perturbation: dict[int, Bump] | None, T: float,
-            max_samples: int = DEFAULT_SAMPLES, sample_stride: int | None = None,
-            fit_fraction: float = 0.2) -> LyapunovTrace:
+            max_samples: int = DEFAULT_SAMPLES, sample_stride: int | None = None) -> LyapunovTrace:
         """Advance the perturbed steady state to time T and sample the decay.
 
         The time step is fixed from the initial CFL bound (re-checked every
         step). Samples land every sample_stride steps when given, otherwise
         about max_samples times over the run. The decay rate is fitted on
-        ln V over [fit_fraction * T, T].
+        ln V over [0.2 T, T].
         """
         if T <= 0.0:
             raise ValueError("T must be positive")
@@ -620,7 +618,7 @@ class NetworkSimulator:
         self.final_state = state
         t, flux_integrals, V, V_ext, B, mass, *norms = np.array(rows).T
         zero = bool(np.all(V == 0.0))
-        window = (fit_fraction * T, T)
+        window = (0.2 * T, T)
         nu_hat, r2 = (math.nan, math.nan) if zero else decay_fit((t, V), window)
         return LyapunovTrace(
             mode=self.mode, dt=dt, cfl_bound=bound, t=t, V=V, V_ext=V_ext,

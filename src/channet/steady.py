@@ -17,7 +17,10 @@ depth (Q / sqrt(g))^(2/3). The equation has the first integral
 integrated. The blow-up bound, the abscissa where the margin g H - V^2
 reaches its tolerance, is closed form, and a channel that reaches it is
 refused. The depth at any abscissa inverts P by Newton's method, which on
-the subcritical range needs no safeguard.
+the subcritical range needs no safeguard. A profile is sampled once, on its
+fine grid of FINE_REFINEMENT * cells + 1 points: every face is the fine
+point R k and every center the fine point R k + R/2, R = FINE_REFINEMENT, so
+the face and center samples are slices of the fine ones.
 """
 
 from __future__ import annotations
@@ -72,13 +75,15 @@ def steady_rhs(depth, flux, friction=0.0, friction_exponent=1.0, gravity=9.81):
 
 @dataclass(frozen=True, eq=False)
 class SteadyProfile:
-    """Steady state of one channel, sampled on the simulation grids.
+    """Steady state of one channel, sampled on its fine grid.
 
-    Depth/velocity samples are provided at cell centers, cell interfaces and
-    on a finer uniform grid used for coefficient quadratures and positivity
-    scans. ``depth`` evaluates the profile anywhere in [0, L] from the depth
-    potential, as the samples were; velocities are always flux / depth so the
-    flux identity holds to round-off.
+    The fine grid x_fine, with FINE_REFINEMENT points per cell, carries the
+    coefficient quadratures and positivity scans; the cell interfaces
+    (x_faces, H_faces) and cell centers (x_centers, H_centers) are its every
+    FINE_REFINEMENT-th points, starting at the first and at the middle of
+    the first cell. ``depth`` evaluates the profile anywhere in [0, L] from
+    the depth potential, as the samples were; velocities are always flux /
+    depth so the flux identity holds to round-off.
     """
 
     spec: ChannelSpec
@@ -86,7 +91,6 @@ class SteadyProfile:
     inlet_depth: float
     critical_depth: float
     blowup_bound: float
-    margin_tol: float
     x_faces: np.ndarray
     x_centers: np.ndarray
     x_fine: np.ndarray
@@ -136,18 +140,6 @@ class SteadyProfile:
         H = _depth_from_potential(self.spec, self.inlet_depth, self.flux, x)
         return float(H) if H.ndim == 0 else H
 
-    def points(self, where):
-        """(x, H) at the "inlet", the "outlet", or the "faces", "centers" or
-        "fine" grid, with the depths held here; at other abscissae ``where``
-        the depth is inverted anew."""
-        if not isinstance(where, str):
-            return where, self.depth(where)
-        if where == "inlet":
-            return 0.0, self.inlet_depth
-        if where == "outlet":
-            return self.length, self.outlet_depth
-        return getattr(self, "x_" + where), getattr(self, "H_" + where)
-
     def velocity(self, x):
         return self.velocity_of(self.depth(x))
 
@@ -196,20 +188,15 @@ def _depth_from_potential(spec: ChannelSpec, inlet_depth: float, flux: float, x)
     return H
 
 
-def integrate_channel_steady(
-    spec: ChannelSpec,
-    inlet_depth: float,
-    flux: float,
-    margin_tol: float = MARGIN_TOL,
-) -> SteadyProfile:
+def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float) -> SteadyProfile:
     """Sample the steady profile over [0, L] and certify subcriticality.
 
     Raises SupercriticalStart if the inlet margin g H - V^2 is already within
-    margin_tol * g * H0 of zero, and SteadyStateBlowup if the margin reaches
+    MARGIN_TOL * g * H0 of zero, and SteadyStateBlowup if the margin reaches
     that tolerance at or before the channel end: the blow-up bound, the
     abscissa where it does, is closed form in the depth potential (+inf for
-    frictionless or zero-flux channels). The samples invert the potential
-    in one Newton solve.
+    frictionless or zero-flux channels). One Newton solve inverts the
+    potential on the fine grid, and the faces and centers are its slices.
     """
     if flux < 0.0:
         raise NegativeFlux(f"channel {spec.id}: flux must be >= 0, got {flux!r}")
@@ -218,12 +205,12 @@ def integrate_channel_steady(
     if H0 <= 0.0:
         raise SupercriticalStart(f"channel {spec.id}: inlet depth must be positive")
     Hc = critical_depth(flux, g)
-    threshold = margin_tol * g * H0
+    threshold = MARGIN_TOL * g * H0
     inlet_margin = g * H0 - (0.0 if flux == 0.0 else (flux / H0) ** 2)
     if inlet_margin <= threshold:
         raise SupercriticalStart(
             f"channel {spec.id}: inlet margin {inlet_margin:.3e} is within "
-            f"{margin_tol:g} * g * H0 of critical"
+            f"{MARGIN_TOL:g} * g * H0 of critical"
         )
 
     blowup = math.inf
@@ -237,33 +224,27 @@ def integrate_channel_steady(
         if blowup <= spec.length:
             raise SteadyStateBlowup(spec.id, x_reached=blowup)
 
-    N = spec.cells
-    x_faces = np.linspace(0.0, spec.length, N + 1)
-    x_centers = 0.5 * (x_faces[:-1] + x_faces[1:])
-    x_fine = np.linspace(0.0, spec.length, FINE_REFINEMENT * N + 1)
-    H = _depth_from_potential(spec, H0, flux, np.concatenate((x_faces, x_centers, x_fine)))
-    H_faces, H_centers, H_fine = np.split(H, [N + 1, 2 * N + 1])
+    R = FINE_REFINEMENT
+    x_fine = np.linspace(0.0, spec.length, R * spec.cells + 1)
+    H_fine = _depth_from_potential(spec, H0, flux, x_fine)
+    faces, centers = slice(None, None, R), slice(R // 2, None, R)
     return SteadyProfile(
         spec=spec,
         flux=float(flux),
         inlet_depth=H0,
         critical_depth=Hc,
         blowup_bound=blowup,
-        margin_tol=margin_tol,
-        x_faces=x_faces,
-        x_centers=x_centers,
+        x_faces=x_fine[faces],
+        x_centers=x_fine[centers],
         x_fine=x_fine,
-        H_faces=H_faces,
-        H_centers=H_centers,
+        H_faces=H_fine[faces],
+        H_centers=H_fine[centers],
         H_fine=H_fine,
     )
 
 
 def solve_network_steady(
-    topo: NetworkTopology,
-    root_depth: float,
-    root_flux: float,
-    margin_tol: float = MARGIN_TOL,
+    topo: NetworkTopology, root_depth: float, root_flux: float
 ) -> dict[int, SteadyProfile]:
     """Propagate the steady state root-first through the tree.
 
@@ -284,5 +265,5 @@ def solve_network_steady(
             upstream = profiles[parent]
             H0 = upstream.outlet_depth
             Q = topo.split_of(parent, i) * upstream.flux
-        profiles[i] = integrate_channel_steady(spec, H0, Q, margin_tol)
+        profiles[i] = integrate_channel_steady(spec, H0, Q)
     return profiles

@@ -57,7 +57,8 @@ class NetworkTopology:
     channel ids. ``split_fractions`` maps the same incoming channel id to the
     flux fraction assigned to each outgoing channel, in the same order. The
     fractions are prescribed data, not derived from any resistance model; they
-    must be in [0, 1) and sum to 1. A zero fraction is allowed and produces a
+    must be in [0, 1] and sum to 1, so a junction with one outgoing channel
+    passes the fraction 1.0. A zero fraction is allowed and produces a
     zero-flux branch (standing water held by its outlet).
     """
 
@@ -96,18 +97,12 @@ class NetworkTopology:
         return self.split_fractions[parent][out.index(child)]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    internal_channels: tuple[int, ...]
-    terminal_channels: tuple[int, ...]
-    junction_degrees: dict[int, int]
-
-
-def validate_topology(topo: NetworkTopology) -> ValidationReport:
+def validate_topology(topo: NetworkTopology) -> None:
     """Check tree-ness and split-fraction consistency.
 
-    Raises CycleDetected, MultipleParents, DisconnectedChannel or BadSplitSum;
-    on success returns the internal/terminal partition and junction degrees.
+    Raises CycleDetected, MultipleParents, DisconnectedChannel or BadSplitSum.
+    The internal/terminal partition is ``NetworkTopology.internal_channels``
+    and ``terminal_channels``.
     """
     ids = set(topo.channels)
     if topo.root_channel not in ids:
@@ -160,12 +155,6 @@ def validate_topology(topo: NetworkTopology) -> ValidationReport:
         total = sum(fracs)
         if abs(total - 1.0) > SPLIT_SUM_TOL:
             raise BadSplitSum(i, f"fractions sum to {total!r}, expected 1")
-
-    return ValidationReport(
-        internal_channels=topo.internal_channels,
-        terminal_channels=topo.terminal_channels,
-        junction_degrees={i: 1 + len(out) for i, out in topo.junctions.items()},
-    )
 
 
 def traversal_order(topo: NetworkTopology) -> list[int]:

@@ -35,14 +35,15 @@ couplings and exponents come from the kernels of ``characteristics`` that
 ``CharCoeffs`` uses too. As eta' >= epsilon > 0, eta can leave its range
 only upward; where w blows up inside the channel, theta crosses
 arctan(1e12) smoothly and the solve stops at that event. ``_ChannelState``
-reads eta = (tan theta + epsilon x) phi at the abscissae and depths the
-steady profile holds (``SteadyProfile.points``). An epsilon attempt does
-only epsilon-dependent work: per channel one solve and one evaluation of
-it on the fine grid, while the speeds, couplings and phi factors there
-(``_FineFactors``) are computed once per channel and certificate. The test
-suite (``tests/conftest.py``) keeps the ODE forms of I4 and of the
-unit-inlet comparison solution, in w and with a driver of their own, as
-oracles of the closed forms.
+reads eta = (tan theta + epsilon x) phi on the fine grid only, at the
+depths the steady profile holds there; the weights, speeds and couplings at
+the faces and centers are elements and slices of the fine-grid arrays. An
+epsilon attempt does only epsilon-dependent work: per channel one solve and
+one evaluation of it on the fine grid, while the speeds, couplings and phi
+factors there (``_FineFactors``) are computed once per channel and
+certificate. The test suite (``tests/conftest.py``) keeps the ODE forms of
+I4 and of the unit-inlet comparison solution, in w and with a driver of
+their own, as oracles of the closed forms.
 """
 
 from __future__ import annotations
@@ -163,56 +164,40 @@ def _riccati(epsilon):
 
 
 @dataclass(frozen=True, eq=False)
-class _Factors:
-    """The epsilon-free factors of a channel's weights at some of its points:
-    the abscissae x, the depths H, phi = exp(I1 + I2), phi1^2 = exp(I1)^2 and
-    phi2^2 = exp(-I2)^2. On a channel whose depth stays H0 to the last bit
-    the exponents vanish."""
+class _FineFactors:
+    """What every epsilon attempt needs of a channel on its fine grid and
+    does not depend on epsilon: its CharCoeffs, phi = exp(I1 + I2), phi1^2 =
+    exp(I1)^2 and phi2^2 = exp(-I2)^2, and the coefficients A = delta1 phi /
+    lambda1 and B = gamma2 / (lambda2 phi) of the Riccati slope eta' = |A +
+    B eta^2| + epsilon. On a channel whose depth stays H0 to the last bit
+    the exponents vanish. A certificate builds them once per channel."""
 
-    x: np.ndarray
-    H: np.ndarray
+    coeffs: CharCoeffs
     phi: np.ndarray
     phi1_sq: np.ndarray
     phi2_sq: np.ndarray
-
-    @classmethod
-    def at(cls, profile: SteadyProfile, where) -> "_Factors":
-        """The factors at the points ``where`` of ``SteadyProfile.points``."""
-        x, H = profile.points(where)
-        H = np.asarray(H, dtype=float)
-        if profile.outlet_depth == profile.inlet_depth:
-            I1 = I2 = np.zeros(H.shape)
-        else:
-            spec = profile.spec
-            terms = (profile.inlet_depth, profile.flux, spec.friction_exponent, spec.gravity)
-            I1, I2 = phi_exponents(H, *terms)
-        return cls(np.asarray(x, dtype=float), H, np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2)
-
-    def pair(self, eta):
-        """(phi1^2 / eta, phi2^2 eta): times alpha and over (lambda1,
-        lambda2) they are (f1, f2), and their difference and sum are Z /
-        alpha and W / alpha."""
-        return self.phi1_sq / eta, self.phi2_sq * eta
-
-
-@dataclass(frozen=True, eq=False)
-class _FineFactors:
-    """What every epsilon attempt needs of a channel on its fine grid and
-    does not depend on epsilon: its CharCoeffs, its ``_Factors``, and the
-    coefficients A = delta1 phi / lambda1 and B = gamma2 / (lambda2 phi) of
-    the Riccati slope eta' = |A + B eta^2| + epsilon. A certificate builds
-    them once per channel."""
-
-    coeffs: CharCoeffs
-    at: _Factors
     A: np.ndarray
     B: np.ndarray
 
     @classmethod
     def of(cls, profile: SteadyProfile) -> "_FineFactors":
         c = CharCoeffs.from_profile(profile)
-        at = _Factors.at(profile, "fine")
-        return cls(c, at, c.delta1 * at.phi / c.lambda1, c.gamma2 / (c.lambda2 * at.phi))
+        H = profile.H_fine
+        if profile.outlet_depth == profile.inlet_depth:
+            I1 = I2 = np.zeros(H.shape)
+        else:
+            spec = profile.spec
+            terms = (profile.inlet_depth, profile.flux, spec.friction_exponent, spec.gravity)
+            I1, I2 = phi_exponents(H, *terms)
+        phi = np.exp(I1 + I2)
+        A, B = c.delta1 * phi / c.lambda1, c.gamma2 / (c.lambda2 * phi)
+        return cls(c, phi, np.exp(I1) ** 2, np.exp(-I2) ** 2, A, B)
+
+    def pair(self, eta):
+        """(phi1^2 / eta, phi2^2 eta): times alpha and over (lambda1,
+        lambda2) they are (f1, f2), and their difference and sum are Z /
+        alpha and W / alpha."""
+        return self.phi1_sq / eta, self.phi2_sq * eta
 
 
 class _ChannelState:
@@ -231,10 +216,11 @@ class _ChannelState:
         self.epsilon = epsilon
         self.dense = None if sol is None else sol.sol
 
-    def eta(self, at: _Factors):
-        """eta at the points of ``at``, one evaluation of the dense solution."""
-        w = self.init if self.dense is None else np.tan(self.dense(at.H)[0])
-        return (w + self.epsilon * at.x) * at.phi
+    def eta(self, fine: _FineFactors):
+        """eta on the fine grid, one evaluation of the dense solution."""
+        prof = self.profile
+        w = self.init if self.dense is None else np.tan(self.dense(prof.H_fine)[0])
+        return (w + self.epsilon * prof.x_fine) * fine.phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,10 +360,11 @@ def eta_eps(
 @dataclass(frozen=True, eq=False)
 class ChannelWeights:
     """Weight profiles of one channel, sampled on its fine grid, whose first
-    and last points are the inlet and the outlet."""
+    and last points are the inlet and the outlet and whose every
+    FINE_REFINEMENT-th points from the middle of the first cell are the
+    cell centers."""
 
     coeffs: CharCoeffs
-    eta_solution: _ChannelState
     alpha: float
     epsilon: float
     eta_eps: np.ndarray
@@ -394,21 +381,6 @@ class ChannelWeights:
     @property
     def channel(self) -> int:
         return self.profile.channel
-
-    def _pair_at(self, where):
-        at = _Factors.at(self.profile, where)
-        return (at.H, *at.pair(self.eta_solution.eta(at)))
-
-    def f_at(self, where):
-        """(f1, f2) at the points ``where`` of ``SteadyProfile.points``."""
-        H, a, b = self._pair_at(where)
-        lam1, lam2 = eigenvalues(H, self.profile.velocity_of(H), self.profile.gravity)
-        return self.alpha * a / lam1, self.alpha * b / lam2
-
-    def zw_at(self, where):
-        """(Z, W) = (lambda1 f1 -/+ lambda2 f2) at the points ``where``."""
-        _, a, b = self._pair_at(where)
-        return self.alpha * (a - b), self.alpha * (a + b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,9 +416,8 @@ def _weighted_channels(
         if i not in fixed:
             fixed[i] = _FineFactors.of(profile)
         fine = fixed[i]
-        sol = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel))
-        eta = sol.eta(fine.at)
-        a, b = fine.at.pair(eta)
+        eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel)).eta(fine)
+        a, b = fine.pair(eta)
         w_tilde = a + b
         w_end[i] = float(w_tilde[-1])
         if i == topo.root_channel:
@@ -460,7 +431,6 @@ def _weighted_channels(
         alpha = alphas[i]
         yield ChannelWeights(
             coeffs=fine.coeffs,
-            eta_solution=sol,
             alpha=alpha,
             epsilon=epsilon,
             eta_eps=eta,
@@ -629,7 +599,6 @@ def _channel_checks(
     ws: WeightSet,
     cw: ChannelWeights,
     gains: dict[int, float],
-    rel_tol: float,
     detail: dict,
 ) -> list[str]:
     """Checks that channel ``cw`` completes, given the channels built before it.
@@ -672,13 +641,13 @@ def _channel_checks(
             eigs = np.linalg.eigvalsh(M_bar)
             detail["junction_min_eig"][parent] = float(eigs[0])
             norm = float(np.max(np.abs(eigs)))
-            if not eigs[0] > rel_tol * norm:
+            if not eigs[0] > POSITIVITY_REL_TOL * norm:
                 failed.append("junction_matrix")
 
     N11, N12, N22 = interior_matrix(cw)
     low, norm = _sym2x2_eig_bounds(N11, N12, N22)
     detail["interior_min_eig"][i] = float(np.min(low))
-    if not np.all(low > rel_tol * norm):
+    if not np.all(low > POSITIVITY_REL_TOL * norm):
         failed.append("interior_matrix")
     return failed
 
@@ -689,7 +658,6 @@ def _attempt(
     gains: dict[int, float],
     epsilon: float,
     fixed: dict[int, _FineFactors],
-    rel_tol: float,
     stop_early: bool,
 ):
     """Build and check the weights at one epsilon, channel by channel.
@@ -707,7 +675,7 @@ def _attempt(
     try:
         for cw in _weighted_channels(topo, profiles, epsilon, fixed):
             ws.channels[cw.channel] = cw
-            failed.update(_channel_checks(ws, cw, gains, rel_tol, detail))
+            failed.update(_channel_checks(ws, cw, gains, detail))
             if failed and stop_early:
                 break
     except EpsilonTooLarge:
@@ -721,7 +689,6 @@ def certify_network(
     gains: dict[int, float],
     epsilon_start: float = DEFAULT_EPSILON,
     max_halvings: int = MAX_HALVINGS,
-    positivity_rel_tol: float = POSITIVITY_REL_TOL,
 ) -> NetworkCertificate:
     """Search a decreasing epsilon schedule for a full positivity certificate.
 
@@ -744,13 +711,7 @@ def certify_network(
     epsilon = float(epsilon_start)
     for halvings in range(max_halvings + 1):
         ws, failed, detail = _attempt(
-            topo,
-            profiles,
-            gains,
-            epsilon,
-            fixed,
-            positivity_rel_tol,
-            stop_early=halvings < max_halvings,
+            topo, profiles, gains, epsilon, fixed, stop_early=halvings < max_halvings
         )
         if not failed or halvings == max_halvings:
             break

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from channet.characteristics import (
-    coupling_coefficients,
     eigenvalues,
     phi_exponents,
     speeds_couplings,
@@ -172,7 +171,7 @@ def eta_eps_by_ode_in_x(profile, epsilon, init, rtol=1e-13, atol=1e-16):
     def rhs(x, y):
         H, I1, I2, u = y
         lam1, lam2 = eigenvalues(H, profile.flux / H, spec.gravity)
-        g1, d1, g2, d2 = coupling_coefficients(H, *terms, check=False)
+        g1, d1, g2, d2 = speeds_couplings(H, *terms)[2:]
         du = abs(d1 / lam1 + g2 / lam2 * u * u) - u * (g1 / lam1 + d2 / lam2)
         return steady_rhs(H, *terms), g1 / lam1, d2 / lam2, du + epsilon * math.exp(-I1 - I2)
 

@@ -278,7 +278,7 @@ def test_criterion_08_nonlinear_decay_and_quadratic_remainder(decay_setup):
 
 def test_criterion_09_dual_coupling_forms_agree(channel_suite):
     for prof in channel_suite:
-        CharCoeffs.from_profile(prof, check=True)
+        CharCoeffs.from_profile(prof)
         spec = prof.spec
         H = prof.H_fine
         V = prof.velocity_of(H)

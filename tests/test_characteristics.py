@@ -126,7 +126,7 @@ def test_coupling_frozen_point():
     c = math.sqrt(G * H)
     lam1, lam2 = c + V, c - V
     K = G * C * V**2 / H**p
-    g1, d1, g2, d2 = coupling_coefficients(H, Q, C, p, G, check=False)
+    g1, d1, g2, d2 = speeds_couplings(H, Q, C, p, G)[2:]
     assert g1 == pytest.approx(K * (-3.0 / (4 * lam1) + 1.0 / V - p / (2 * c)), rel=1e-13)
     assert d1 == pytest.approx(K * (-1.0 / (4 * lam1) + 1.0 / V + p / (2 * c)), rel=1e-13)
     assert g2 == pytest.approx(K * (1.0 / (4 * lam2) + 1.0 / V - p / (2 * c)), rel=1e-13)
@@ -142,14 +142,14 @@ def test_coupling_gradient_form_agrees():
     P = -(H_x / H) * (V + c) * (c - V)
     K = G * C * V**2 / H**p
     assert P == pytest.approx(K, rel=1e-12)
-    coupling_coefficients(H, Q, C, p, G, check=True, tol=1e-10)
+    coupling_coefficients(H, Q, C, p, G, tol=1e-10)
 
 
 def test_coupling_mismatch_detected():
     # the two forms agree to rounding, not bitwise; a zero tolerance trips
     H = np.linspace(1.2, 3.0, 7)
     with pytest.raises(FormMismatch):
-        coupling_coefficients(H, 1.0, 2e-3, 1.0, G, check=True, tol=0.0)
+        coupling_coefficients(H, 1.0, 2e-3, 1.0, G, tol=0.0)
 
 
 def test_speeds_couplings_scalar_path_matches_array_path():
@@ -245,7 +245,5 @@ def test_char_coeffs_from_profile():
     assert cc.lambda1[5] == pytest.approx(e1, rel=1e-10)
     assert cc.lambda2[5] == pytest.approx(e2, rel=1e-10)
     g1, d1, g2, d2 = (cc.gamma1[5], cc.delta1[5], cc.gamma2[5], cc.delta2[5])
-    ref = coupling_coefficients(
-        float(prof.depth(x)), flux, spec.friction, spec.friction_exponent, G, check=False
-    )
+    ref = speeds_couplings(float(prof.depth(x)), flux, spec.friction, spec.friction_exponent, G)[2:]
     assert (g1, d1, g2, d2) == pytest.approx(ref, rel=1e-8)

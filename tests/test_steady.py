@@ -18,6 +18,7 @@ from channet.steady import (
     steady_rhs,
 )
 from channet.topology import ChannelSpec
+import channet.steady as steady_module
 
 from conftest import (
     G,
@@ -55,7 +56,7 @@ def test_blowup_bound_matches_closed_form():
 
 
 def test_blowup_bound_is_potential_drop_to_margin_threshold():
-    # The bound is the abscissa where g H - V^2 falls to margin_tol * g * H0:
+    # The bound is the abscissa where g H - V^2 falls to MARGIN_TOL * g * H0:
     # the potential drop from H0 to that depth over g C Q^2.
     rng = np.random.default_rng(303)
     for p in P_CHOICES:
@@ -64,7 +65,7 @@ def test_blowup_bound_is_potential_drop_to_margin_threshold():
             x0 = closed_form_blowup(H0, flux, base.friction, p)
             spec = dataclasses.replace(base, friction_exponent=p, length=0.5 * x0)
             prof = integrate_channel_steady(spec, H0, flux)
-            threshold = prof.margin_tol * G * H0
+            threshold = steady_module.MARGIN_TOL * G * H0
             roots = np.roots([G, -threshold, 0.0, -flux * flux])
             H_t = max(r.real for r in roots if abs(r.imag) < 1e-12)
             assert critical_depth(flux) < H_t < H0
@@ -244,3 +245,14 @@ def test_grid_layout():
     assert prof.x_fine.size == 81
     assert prof.x_faces[0] == 0.0 and prof.x_faces[-1] == spec.length
     assert np.allclose(prof.x_centers, 0.5 * (prof.x_faces[:-1] + prof.x_faces[1:]))
+    # faces and centers are every R-th fine point, the faces bitwise the
+    # uniform grid of the cells (R is a power of two), so the face samples
+    # keep their abscissae; 73.3 / 17 is not a binary fraction
+    R = steady_module.FINE_REFINEMENT
+    assert R % 2 == 0
+    for spec in (spec, ChannelSpec(id=1, length=73.3, friction=1e-3, cells=17)):
+        prof = integrate_channel_steady(spec, 2.0, 1.0)
+        assert np.array_equal(prof.x_faces, np.linspace(0.0, spec.length, spec.cells + 1))
+        assert np.array_equal(prof.x_centers, prof.x_fine[R // 2 :: R])
+        assert np.array_equal(prof.H_faces, prof.H_fine[::R])
+        assert np.array_equal(prof.H_centers, prof.H_fine[R // 2 :: R])

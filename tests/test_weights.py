@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from channet.characteristics import coupling_coefficients, eigenvalues
+from channet.characteristics import eigenvalues, speeds_couplings
 from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain
 from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
@@ -61,7 +61,8 @@ def lyapunov_value(ws, ys):
     for ch, (y1, y2) in ys.items():
         cw = ws.channels[ch]
         x = cw.profile.x_centers
-        f1, f2 = cw.f_at("centers")
+        R = steady_module.FINE_REFINEMENT
+        f1, f2 = cw.f1[R // 2 :: R], cw.f2[R // 2 :: R]
         total += float(np.trapezoid(f1 * np.asarray(y1) ** 2 + f2 * np.asarray(y2) ** 2, x))
     return total
 
@@ -73,9 +74,8 @@ def quad_exponent(prof, x_end, which):
     def integrand(t):
         H = float(prof.depth(t))
         lam1, lam2 = eigenvalues(H, prof.velocity_of(H), G)
-        g1, d1, g2, d2 = coupling_coefficients(
-            H, prof.flux, spec.friction, spec.friction_exponent, G, check=False
-        )
+        terms = (prof.flux, spec.friction, spec.friction_exponent, G)
+        g1, d1, g2, d2 = speeds_couplings(H, *terms)[2:]
         return g1 / lam1 if which == 1 else d2 / lam2
 
     val, err = quad(integrand, 0.0, x_end, epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -215,8 +215,8 @@ def test_weight_product_is_eta_free(star_weights):
     for i, cw in cert.weights.channels.items():
         prof = profiles[i]
         phi = phi_profiles(prof)
-        x = np.linspace(0.0, prof.length, 25)
-        f1, f2 = cw.f_at(x)
+        x = prof.x_fine
+        f1, f2 = cw.f1, cw.f2
         lam1, lam2 = eigenvalues(prof.depth(x), prof.velocity(x), G)
         expected = cw.alpha**2 * phi.phi1(x) ** 2 * phi.phi2(x) ** 2 / (lam1 * lam2)
         assert np.allclose(f1 * f2, expected, rtol=1e-9, atol=0.0)
@@ -229,8 +229,8 @@ def test_branch_weights_approach_closed_form_as_epsilon_shrinks(star_weights):
         cw = ws.channels[i]
         prof = profiles[i]
         phi = phi_profiles(prof)
-        x = np.linspace(0.0, prof.length, 25)
-        f1, f2 = cw.f_at(x)
+        x = prof.x_fine
+        f1, f2 = cw.f1, cw.f2
         lam1, lam2 = eigenvalues(prof.depth(x), prof.velocity(x), G)
         m = m_profile(prof, x)
         p12 = phi.phi1(x) * phi.phi2(x)
@@ -243,12 +243,8 @@ def test_weight_trace_continuous_across_junction(star_weights):
     topo, profiles, cert = star_weights
     ws = cert.weights
     trunk = ws.channels[1]
-    w_in = float(trunk.zw_at("outlet")[1])
     for child in (2, 3, 4):
-        cw = ws.channels[child]
-        w_out = float(cw.zw_at("inlet")[1])
-        assert w_out == pytest.approx(w_in, rel=1e-12)
-        assert cw.W[0] == pytest.approx(trunk.W[-1], rel=1e-12)
+        assert ws.channels[child].W[0] == pytest.approx(trunk.W[-1], rel=1e-12)
 
 
 def test_root_alpha_scales_weights(star_weights):
@@ -257,10 +253,9 @@ def test_root_alpha_scales_weights(star_weights):
     base = network_weights(topo, profiles, eps)
     doubled = network_weights(topo, profiles, eps, root_alpha=2.0)
     for i in topo.channels:
-        f1a, f2a = base.channels[i].f_at(10.0)
-        f1b, f2b = doubled.channels[i].f_at(10.0)
-        assert f1b == pytest.approx(2.0 * f1a, rel=1e-13)
-        assert f2b == pytest.approx(2.0 * f2a, rel=1e-13)
+        a, b = base.channels[i], doubled.channels[i]
+        assert b.f1 == pytest.approx(2.0 * a.f1, rel=1e-13)
+        assert b.f2 == pytest.approx(2.0 * a.f2, rel=1e-13)
 
 
 def test_junction_matrix_symmetric_and_decoupled(star_weights):
@@ -343,11 +338,9 @@ def test_junction_reduction_product_matches_determinant():
 def test_branch_inflow_trace_negative(star_weights):
     topo, profiles, cert = star_weights
     ws = cert.weights
-    z_in, _ = (float(v) for v in ws.channels[1].zw_at("outlet"))
-    assert z_in > 0.0
+    assert ws.channels[1].Z[-1] > 0.0
     for child in (2, 3, 4):
-        z0, _ = (float(v) for v in ws.channels[child].zw_at("inlet"))
-        assert z0 < 0.0
+        assert ws.channels[child].Z[0] < 0.0
 
 
 def test_trunk_inlet_coefficient_positive(star_weights):
@@ -362,11 +355,11 @@ def test_interior_matrix_matches_finite_differences(star_weights):
     prof = profiles[2]
     x = prof.x_fine
     N11, N12, N22 = interior_matrix(cw)
-    f1, f2 = cw.f_at("fine")
+    f1, f2 = cw.f1, cw.f2
     lam1, lam2 = eigenvalues(prof.depth(x), prof.velocity(x), G)
-    g1, d1, g2, d2 = coupling_coefficients(
-        prof.depth(x), prof.flux, prof.spec.friction, prof.spec.friction_exponent, G, check=False
-    )
+    g1, d1, g2, d2 = speeds_couplings(
+        prof.depth(x), prof.flux, prof.spec.friction, prof.spec.friction_exponent, G
+    )[2:]
     assert np.allclose(N12, f1 * d1 + f2 * g2, rtol=1e-10, atol=0.0)
     d_f1l1 = np.gradient(f1 * lam1, x, edge_order=2)
     d_f2l2 = np.gradient(f2 * lam2, x, edge_order=2)
