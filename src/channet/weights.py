@@ -28,22 +28,25 @@ functions of the local depth (``characteristics.phi_exponents`` and
 existence margin solve no ODE. Only the comparison solution at epsilon > 0
 is integrated, by adaptive Runge-Kutta (relative tolerance 1e-11), so
 certificate accuracy does not depend on the simulation grid. One function,
-``_integrate``, makes that solve, with the steady depth as the independent
-variable: from the inlet depth down to the outlet depth, its state is the
-angle theta = arctan(w) of w = eta / phi - epsilon x alone, and the speeds,
-couplings and exponents come from the kernels of ``characteristics`` that
-``CharCoeffs`` uses too. As eta' >= epsilon > 0, eta can leave its range
-only upward; where w blows up inside the channel, theta crosses
-arctan(1e12) smoothly and the solve stops at that event. ``_ChannelState``
-reads eta = (tan theta + epsilon x) phi on the fine grid only, at the
-depths the steady profile holds there; the weights, speeds and couplings at
-the faces and centers are elements and slices of the fine-grid arrays. An
-epsilon attempt does only epsilon-dependent work: per channel one solve and
-one evaluation of it on the fine grid, while the speeds, couplings and phi
-factors there (``_FineFactors``) are computed once per channel and
-certificate. The test suite (``tests/conftest.py``) keeps the ODE forms of
-I4 and of the unit-inlet comparison solution, in w and with a driver of
-their own, as oracles of the closed forms.
+``_integrate``, makes that solve: a Dormand-Prince 5(4) step loop on Python
+floats with the steady depth as the independent variable. From the inlet
+depth down to the outlet depth, its state is the angle theta = arctan(w) of
+w = eta / phi - epsilon x alone, and its right-hand side (``_riccati``)
+fuses the depth kernels of ``steady`` and ``characteristics``, those that
+``CharCoeffs`` uses too, with their per-channel constants computed once.
+As eta' >= epsilon > 0, eta can leave its range only upward; where w blows
+up inside the channel, theta crosses arctan(1e12) smoothly and the solve
+stops at the first step end past it. Inside each step the loop writes
+theta on the fine grid from the step's interpolant, at the depths the
+steady profile holds there, and ``eta_eps`` returns eta / phi = tan theta +
+epsilon x there; the weights, speeds and couplings at the faces and centers
+are elements and slices of the fine-grid arrays. An epsilon attempt does
+only epsilon-dependent work: per channel one solve, while the speeds,
+couplings and phi factors on the fine grid (``_FineFactors``) are computed
+once per channel and certificate. The test suite (``tests/conftest.py``)
+keeps the ODE forms of I4 and of the unit-inlet comparison solution, in w
+and with a driver of their own, as oracles of the closed forms, and scipy's
+RK45 as the oracle of the step loop.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# Not called here: perfbench/spans.py wraps channet.weights.solve_ivp to count
+# the weight layer's ODE solves, so the name must resolve; the count is zero.
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .characteristics import (
     CharCoeffs,
@@ -60,7 +65,6 @@ from .characteristics import (
     existence_integral,
     phi_exponents,
     reflection_coefficient,
-    speeds_couplings,
 )
 from .errors import (
     DegenerateFlux,
@@ -69,7 +73,7 @@ from .errors import (
     WeightError,
     ZeroW,
 )
-from .steady import SteadyProfile, _potential_drop, potential_slope
+from .steady import SteadyProfile
 from .topology import NetworkTopology, traversal_order, validate_topology
 
 ETA_BLOWUP = 1e12
@@ -80,57 +84,92 @@ DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
 
 
-def _integrate(profile: SteadyProfile, dtheta, init, events=None):
-    """One adaptive solve of the comparison solution over a coupled channel,
-    in its angle theta = arctan(w), with the steady depth as the variable.
+def _integrate(rhs, theta, depths):
+    """theta at ``depths`` by one adaptive Dormand-Prince 5(4) solve of
+    dtheta/dH = rhs(H, theta) from theta(depths[0]) = ``theta``, or None
+    where the solution does not exist.
 
-    ``dtheta(theta, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the
-    derivative of theta in x, which starts at arctan(init); the abscissa x,
-    the exponents I1, I2 and the speeds and couplings come from the
-    closed-form kernels at H. The solve runs from the inlet depth down to
-    the outlet depth with dtheta/dH = theta'(x) / H', where H' = -g C Q^2 /
-    P'(H): every depth it visits is on the profile, so no guard is needed.
-    On a nearly flat profile dtheta/dH is large unless theta'(x) is of the
-    size of the couplings, which vanish with the drop. Returns the solve_ivp
-    result for the caller to check.
+    ``depths`` decreases from the inlet depth to the outlet depth. The
+    solve is scipy's RK45 on Python floats: its tableau, initial step,
+    error norm and step-size control (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4-II.6) at relative tolerance ETA_RTOL and absolute
+    tolerance ETA_ATOL. Inside each accepted step, the depths it covers
+    take the step's quartic interpolant, so no dense solution is kept. It
+    returns None when theta reaches arctan(ETA_BLOWUP) at a step end, and
+    when the step falls below ten spacings of the depth.
     """
-    spec = profile.spec
-    H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
-    p, g = spec.friction_exponent, spec.gravity
-    rate = g * friction * flux * flux
+    depths = depths.tolist()
+    t, t_end = depths[0], depths[-1]
+    y, f = theta, rhs(t, theta)
+    span = t - t_end
+    # the initial step of scipy's select_initial_step
+    scale = ETA_ATOL + abs(y) * ETA_RTOL
+    d0, d1 = abs(y) / scale, abs(f) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = abs(rhs(t - h0, y - h0 * f) - f) / scale / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, span)
+    blowup = math.atan(ETA_BLOWUP)
+    out, j = [], 0
+    while True:
+        min_step = 10.0 * (t - math.nextafter(t, -math.inf))
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return None
+            t_new = max(t - h_abs, t_end)
+            h = t_new - t
+            h_abs = -h
+            k1 = f
+            k2 = rhs(t + 0.2 * h, y + h * (0.2 * k1))
+            k3 = rhs(t + 0.3 * h, y + h * (3 / 40 * k1 + 9 / 40 * k2))
+            k4 = rhs(t + 0.8 * h, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+            k5 = rhs(t + 8 / 9 * h, y + h * (
+                19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
+            k6 = rhs(t + h, y + h * (
+                9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                - 5103 / 18656 * k5))
+            y_new = y + h * (
+                35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6)
+            k7 = rhs(t + h, y_new)
+            error = h * (
+                -71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4 + 17253 / 339200 * k5
+                - 22 / 525 * k6 + 1 / 40 * k7)
+            norm = abs(error) / (ETA_ATOL + max(abs(y), abs(y_new)) * ETA_RTOL)
+            if norm < 1.0:
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * norm**-0.2)
+            rejected = True
+        if y_new >= blowup:
+            return None
+        if depths[j] > t_new:
+            # the dense output: theta(t + s h) = y + s h (q1 + s (q2 + s (q3 + s q4)))
+            q2 = (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
+                  - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
+                  - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7)
+            q3 = (8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
+                  + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
+                  + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7)
+            q4 = (-12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
+                  - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
+                  - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
+            while depths[j] > t_new:
+                s = (depths[j] - t) / h
+                out.append(y + s * h * (k1 + s * (q2 + s * (q3 + s * q4))))
+                j += 1
+        t, y, f = t_new, y_new, k7
+        if t <= t_end:
+            out += [y] * (len(depths) - j)
+            return np.array(out)
 
-    def rhs(H, y):
-        # Python floats: the same arithmetic on numpy scalars costs about
-        # twice as much per evaluation
-        H = float(H)
-        I1, I2 = phi_exponents(H, H0, flux, p, g)
-        x = _potential_drop(H0, H, flux, p, g) / rate
-        theta_x = dtheta(float(y[0]), x, H, I1, I2, *speeds_couplings(H, flux, friction, p, g))
-        return (-theta_x * potential_slope(H, flux, p, g) / rate,)
 
-    return solve_ivp(
-        rhs,
-        (H0, profile.outlet_depth),
-        (math.atan(init),),
-        method="RK45",
-        dense_output=True,
-        rtol=ETA_RTOL,
-        atol=ETA_ATOL,
-        events=events,
-    )
-
-
-def _eta_blowup(H, y):
-    return y[0] - math.atan(ETA_BLOWUP)
-
-
-_eta_blowup.terminal = True
-_eta_blowup.direction = 1
-
-
-def _riccati(epsilon):
-    """Derivative of the comparison solution in the angle theta = arctan(w)
-    of the scaled variable w = eta / phi - epsilon x.
+def _riccati(profile: SteadyProfile, epsilon):
+    """dtheta/dH for the comparison solution in the angle theta = arctan(w)
+    of the scaled variable w = eta / phi - epsilon x, with the steady depth
+    H as the variable.
 
     With u = w + epsilon x, w' = |delta1/lambda1 + (gamma2/lambda2) u^2| -
     u (gamma1/lambda1 + delta2/lambda2) + epsilon (1/phi - 1), and theta' =
@@ -141,7 +180,7 @@ def _riccati(epsilon):
                  + epsilon (1/phi - 1) cos^2 theta,
 
     bounded however large w grows: a blow-up of w is a smooth crossing of
-    theta = arctan(ETA_BLOWUP), where the solve stops at its event.
+    theta = arctan(ETA_BLOWUP), where the solve stops.
 
     The scaled form has the neutral exponential drift removed: the raw eta
     equation amplifies truncation error by exp(int 2 gamma2 eta / (lambda2
@@ -149,18 +188,57 @@ def _riccati(epsilon):
     blow-up length, while the scaled form stays well conditioned. Taking
     epsilon x out leaves w' of the size of the couplings, so w is smooth
     in the depth however flat the profile.
+
+    In the depth, dtheta/dH = theta' / H' with H' = -g C Q^2 / P'(H), and
+    every depth the solve visits is on the profile, so no guard is needed.
+    The abscissa x, the exponents and the speeds and couplings are those of
+    ``_potential_drop``, ``phi_exponents`` and ``speeds_couplings``, with
+    their per-channel constants taken out and each operation in its order,
+    so every value has the kernels' bits (``tests/test_weights.py``).
     """
+    spec = profile.spec
+    H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
+    p, g = spec.friction_exponent, spec.gravity
+    gC, QQ = g * friction, flux * flux
+    rate = gC * flux * flux
+    s0 = math.sqrt(g * H0 * H0 * H0) / flux
+    inv_s0, s0_up, s0_down = 1.0 / s0, s0 + 1.0, s0 - 1.0
+    half_p, log_weight = 0.5 * p, 0.25 + 0.5 * p
+    p3 = p + 3.0
+    H0_p3 = H0**p3
 
-    def dtheta(theta, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2):
-        c = math.cos(theta)
-        v = math.sin(theta) + epsilon * x * c
-        return (
-            abs(d1 / lam1 * c * c + g2 / lam2 * v * v)
-            - v * c * (g1 / lam1 + d2 / lam2)
-            + epsilon * math.expm1(-(I1 + I2)) * c * c
+    def rhs(H, theta):
+        # phi_exponents: only I1 + I2 enters
+        s = math.sqrt(g * H * H * H) / flux
+        shared = half_p * (1.0 / s - inv_s0) - (s - s0)
+        log_s = log_weight * math.log(s / s0)
+        I1 = (2.0 / 3.0) * (shared + log_s + 1.5 * math.log((s + 1.0) / s0_up))
+        I2 = (2.0 / 3.0) * (shared - log_s - 1.5 * math.log((s - 1.0) / s0_down))
+        # _potential_drop(H0, H) / rate
+        log_r = math.log(H0 / H)
+        q_term = log_r if p == 0.0 else H**p * math.expm1(p * log_r) / p
+        x = (g * (H0_p3 - H**p3) / p3 - QQ * q_term) / rate
+        # speeds_couplings
+        c = math.sqrt(g * H)
+        V = flux / H
+        lam1, lam2 = V + c, c - V
+        K = gC * V * V / H**p
+        half_c, inv_v = p / (2.0 * c), 1.0 / V
+        g1 = K * (-3.0 / (4.0 * lam1) + inv_v - half_c)
+        d1 = K * (-1.0 / (4.0 * lam1) + inv_v + half_c)
+        g2 = K * (1.0 / (4.0 * lam2) + inv_v - half_c)
+        d2 = K * (3.0 / (4.0 * lam2) + inv_v + half_c)
+        cos = math.cos(theta)
+        v = math.sin(theta) + epsilon * x * cos
+        theta_x = (
+            abs(d1 / lam1 * cos * cos + g2 / lam2 * v * v)
+            - v * cos * (g1 / lam1 + d2 / lam2)
+            + epsilon * math.expm1(-(I1 + I2)) * cos * cos
         )
+        # potential_slope
+        return -theta_x * (H ** (p - 1.0) * (g * H * H * H - QQ)) / rate
 
-    return dtheta
+    return rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,29 +276,6 @@ class _FineFactors:
         lambda2) they are (f1, f2), and their difference and sum are Z /
         alpha and W / alpha."""
         return self.phi1_sq / eta, self.phi2_sq * eta
-
-
-class _ChannelState:
-    """The comparison solution of one channel at one epsilon.
-
-    ``sol`` is a solve of theta = arctan(w), w = eta / phi - epsilon x, in
-    the depth by ``_integrate``, and eta = (tan theta(H) + epsilon x) phi. A
-    channel whose depth stays H0 to the last bit has no solve (``sol``
-    None): phi = 1 and eta is init + epsilon x, the exact solution of an
-    uncoupled channel.
-    """
-
-    def __init__(self, profile: SteadyProfile, sol=None, init=0.0, epsilon=0.0):
-        self.profile = profile
-        self.init = init
-        self.epsilon = epsilon
-        self.dense = None if sol is None else sol.sol
-
-    def eta(self, fine: _FineFactors):
-        """eta on the fine grid, one evaluation of the dense solution."""
-        prof = self.profile
-        w = self.init if self.dense is None else np.tan(self.dense(prof.H_fine)[0])
-        return (w + self.epsilon * prof.x_fine) * fine.phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,16 +378,21 @@ def eta_eps(
     profile: SteadyProfile,
     epsilon: float,
     trunk_inlet: bool = False,
-) -> object:
-    """Strictly increasing comparison solution with slope margin epsilon.
+) -> np.ndarray:
+    """Strictly increasing comparison solution with slope margin epsilon,
+    as eta / phi on the channel's fine grid.
 
     Solves eta' = |delta1 phi / lambda1 + (gamma2/(lambda2 phi)) eta^2| +
     epsilon with inlet value lambda2(0)/lambda1(0) + epsilon on the trunk and
-    1 + epsilon on branch channels, advanced in the angle theta = arctan(w)
-    of the scaled variable w = eta / phi - epsilon x (see _riccati for the
-    conditioning rationale). As eta' >= epsilon > 0, eta leaves its range
-    only upward: EpsilonTooLarge is raised if w passes 1e12 before the
-    channel end, where the solve stops at its event.
+    1 + epsilon on branch channels, advanced by ``_integrate`` in the angle
+    theta = arctan(w) of the scaled variable w = eta / phi - epsilon x (see
+    _riccati for the conditioning rationale), and returns tan theta +
+    epsilon x at the depths of ``H_fine``. As eta' >= epsilon > 0, eta
+    leaves its range only upward: EpsilonTooLarge is raised if w passes
+    ETA_BLOWUP before the channel end, where the solve stops, or if the
+    step size underflows. A channel whose depth stays H0 to the last bit
+    has phi = 1 and no solve: eta is init + epsilon x, the exact solution
+    of an uncoupled channel.
     """
     if trunk_inlet:
         if profile.flux == 0.0:
@@ -346,15 +406,15 @@ def eta_eps(
     if profile.outlet_depth == profile.inlet_depth:
         # the depth stays H0 (no flux, no friction, or a drop below
         # rounding), and with it the exponents
-        return _ChannelState(profile, init=init, epsilon=epsilon)
+        return init + epsilon * profile.x_fine
 
-    sol = _integrate(profile, _riccati(epsilon), init, _eta_blowup)
-    if sol.t_events[0].size or not sol.success:
+    theta = _integrate(_riccati(profile, epsilon), math.atan(init), profile.H_fine)
+    if theta is None:
         raise EpsilonTooLarge(
             f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
             f"does not exist on the whole channel"
         )
-    return _ChannelState(profile, sol, epsilon=epsilon)
+    return np.tan(theta) + epsilon * profile.x_fine
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +476,7 @@ def _weighted_channels(
         if i not in fixed:
             fixed[i] = _FineFactors.of(profile)
         fine = fixed[i]
-        eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel)).eta(fine)
+        eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel)) * fine.phi
         a, b = fine.pair(eta)
         w_tilde = a + b
         w_end[i] = float(w_tilde[-1])

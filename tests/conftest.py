@@ -28,7 +28,7 @@ from channet.steady import (
     steady_rhs,
 )
 from channet.topology import ChannelSpec, NetworkTopology
-from channet.weights import m_value
+from channet.weights import ETA_ATOL, ETA_BLOWUP, ETA_RTOL, m_value
 
 G = 9.81
 SUITE_SEED = 20240817
@@ -211,6 +211,34 @@ def existence_integral_by_ode(profile, rtol=INTEGRAL_RTOL, atol=INTEGRAL_ATOL):
     if not sol.success:
         raise WeightError(f"channel {profile.channel}: I4 integration failed: {sol.message}")
     return lambda H: sol.sol(H)[0]
+
+
+def theta_by_scipy_rk45(rhs, theta0, depths):
+    """scipy's RK45 on dtheta/dH = rhs(H, theta) from theta0 at depths[0]
+    down to depths[-1], at the certificate's tolerances, with a terminal
+    event where theta crosses arctan(ETA_BLOWUP) upward: the oracle of the
+    certificate's own step loop, ``weights._integrate``. Returns (theta at
+    ``depths`` from the dense solution, or None if the solve did not reach
+    the end; the solve_ivp status; its count of right-hand sides).
+    """
+
+    def blowup(H, y):
+        return y[0] - math.atan(ETA_BLOWUP)
+
+    blowup.terminal = True
+    blowup.direction = 1
+    sol = solve_ivp(
+        lambda H, y: (rhs(float(H), float(y[0])),),
+        (depths[0], depths[-1]),
+        (theta0,),
+        method="RK45",
+        dense_output=True,
+        rtol=ETA_RTOL,
+        atol=ETA_ATOL,
+        events=blowup,
+    )
+    theta = sol.sol(depths)[0] if sol.status == 0 else None
+    return theta, sol.status, sol.nfev
 
 
 def draw_channel(rng, cid=1, cells=32, length_fraction=0.8):

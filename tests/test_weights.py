@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from channet.characteristics import eigenvalues, speeds_couplings
+from channet.characteristics import eigenvalues, phi_exponents, speeds_couplings
 from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain
-from channet.steady import integrate_channel_steady, solve_network_steady
+from channet.steady import (
+    _potential_drop,
+    integrate_channel_steady,
+    potential_slope,
+    solve_network_steady,
+)
 from channet.topology import ChannelSpec, NetworkTopology
 import channet.steady as steady_module
 import channet.weights as weights_module
@@ -45,6 +50,7 @@ from conftest import (
     eta_eps_by_ode_in_x,
     existence_integral_by_ode,
     small_star,
+    theta_by_scipy_rk45,
 )
 
 
@@ -176,6 +182,7 @@ def test_phi_profiles_and_existence_margin_solve_no_ode(monkeypatch):
         raise AssertionError("the epsilon = 0 layer solved an ODE")
 
     monkeypatch.setattr(weights_module, "solve_ivp", no_ode)
+    monkeypatch.setattr(weights_module, "_integrate", no_ode)
     monkeypatch.setattr(steady_module, "solve_ivp", no_ode)
     frictionless = ChannelSpec(id=5, length=200.0, friction=0.0, cells=16)
     standing = ChannelSpec(id=6, length=20.0, friction=1e-3, cells=16)
@@ -296,20 +303,95 @@ def test_trunk_inlet_coefficient_keeps_every_digit(star_profiles):
 
 def test_weight_odes_carry_depth_and_one_more_component(star_profiles, monkeypatch):
     sizes = []
-    solve = weights_module.solve_ivp
+    integrate, solve = weights_module._integrate, conftest.solve_ivp
 
-    def recording(fun, t_span, y0, **kwargs):
+    def recording(rhs, theta, depths):
+        sizes.append(np.size(theta))
+        return integrate(rhs, theta, depths)
+
+    def recording_ivp(fun, t_span, y0, **kwargs):
         sizes.append(len(y0))
         return solve(fun, t_span, y0, **kwargs)
 
     # the oracle solves through a driver of its own in conftest
-    monkeypatch.setattr(weights_module, "solve_ivp", recording)
-    monkeypatch.setattr(conftest, "solve_ivp", recording)
+    monkeypatch.setattr(weights_module, "_integrate", recording)
+    monkeypatch.setattr(conftest, "solve_ivp", recording_ivp)
     prof = star_profiles[1][2]
     eta_eps(prof, 1e-3)
     eta_bar_by_ode(prof)
     # the depth is the independent variable, so it is no component
     assert sizes == [1, 1]
+
+
+def comparison_slope_by_kernels(profile, epsilon, H, theta):
+    """dtheta/dH of the comparison solution composed from the kernels that
+    ``weights._riccati`` fuses, each called as it stands."""
+    spec = profile.spec
+    H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
+    p, g = spec.friction_exponent, spec.gravity
+    rate = g * friction * flux * flux
+    I1, I2 = phi_exponents(H, H0, flux, p, g)
+    x = _potential_drop(H0, H, flux, p, g) / rate
+    lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, flux, friction, p, g)
+    c = math.cos(theta)
+    v = math.sin(theta) + epsilon * x * c
+    theta_x = (
+        abs(d1 / lam1 * c * c + g2 / lam2 * v * v)
+        - v * c * (g1 / lam1 + d2 / lam2)
+        + epsilon * math.expm1(-(I1 + I2)) * c * c
+    )
+    return -theta_x * potential_slope(H, flux, p, g) / rate
+
+
+def test_comparison_slope_has_the_kernels_bits(star_profiles):
+    # the fused right-hand side keeps every operation of the kernels in its
+    # order, with only the per-channel constants taken out
+    profiles = coupled_suite_profiles(star_profiles)[::9]
+    checked = 0
+    for prof in profiles:
+        if prof.outlet_depth == prof.inlet_depth:
+            continue
+        for epsilon in (1e-3, 1e-7):
+            rhs = weights_module._riccati(prof, epsilon)
+            for H in prof.H_fine.tolist():
+                for theta in (-0.4, 0.7, 1.5):
+                    assert rhs(H, theta) == comparison_slope_by_kernels(prof, epsilon, H, theta)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_step_loop_matches_scipy_rk45(star_profiles):
+    # the loop is scipy's RK45 on Python floats: on the same right-hand side
+    # it makes the same evaluations, ends at the same blow-ups and agrees on
+    # theta at the fine grid to rounding; star channel 2 at epsilon = 1e3
+    # and three suite channels at 1e-3 blow up
+    cases = [
+        (prof, epsilon)
+        for prof in coupled_suite_profiles(star_profiles)[:60]
+        for epsilon in (1e-3, 1e-5, 1e-7)
+        if prof.outlet_depth != prof.inlet_depth
+    ]
+    cases.append((star_profiles[1][2], 1e3))
+    blowups = 0
+    for prof, epsilon in cases:
+        rhs = weights_module._riccati(prof, epsilon)
+        calls = []
+
+        def counted(H, theta):
+            calls.append(H)
+            return rhs(H, theta)
+
+        theta0 = math.atan(1.0 + epsilon)
+        theta = weights_module._integrate(counted, theta0, prof.H_fine)
+        ref, status, nfev = theta_by_scipy_rk45(rhs, theta0, prof.H_fine)
+        assert status in (0, 1)
+        assert (theta is None) == (status == 1), (prof.channel, epsilon)
+        assert len(calls) == nfev, (prof.channel, epsilon)
+        if theta is None:
+            blowups += 1
+        else:
+            assert np.max(np.abs(theta - ref)) <= 1e-11, (prof.channel, epsilon)
+    assert blowups == 4
 
 
 def test_junction_reduction_product_matches_determinant():
@@ -387,24 +469,59 @@ def test_missing_gain_rejected(star_profiles):
         certify_network(topo, profiles, {2: 0.0, 3: 0.0})
 
 
+def recording_riccati(monkeypatch, jump_below=None, jump=0.0):
+    """Patch the comparison slope so that it records each (H, theta) it is
+    called with, and adds ``jump`` below the depth ``jump_below``. A solve
+    that runs past 10000 evaluations fails the test there."""
+    calls = []
+    riccati = weights_module._riccati
+
+    def patched(profile, epsilon):
+        rhs = riccati(profile, epsilon)
+
+        def recorded(H, theta):
+            calls.append((H, theta))
+            if len(calls) > 10000:
+                raise AssertionError("the comparison solve runs on")
+            step = jump if jump_below is not None and H < jump_below else 0.0
+            return rhs(H, theta) + step
+
+        return recorded
+
+    monkeypatch.setattr(weights_module, "_riccati", patched)
+    return calls
+
+
 def test_epsilon_too_large(star_profiles, monkeypatch):
     # w = eta / phi - epsilon x blows up inside the channel; in its angle
-    # that is a smooth crossing, and the solve ends at its event rather
-    # than in a step-size underflow after thousands of evaluations
+    # that is a smooth crossing, and the solve ends at the first step end
+    # past arctan(ETA_BLOWUP) rather than in a step-size underflow after
+    # thousands of evaluations
     topo, profiles = star_profiles
-    solves = []
-    solve = weights_module.solve_ivp
-
-    def recording(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(weights_module, "solve_ivp", recording)
+    calls = recording_riccati(monkeypatch)
     with pytest.raises(EpsilonTooLarge):
         eta_eps(profiles[2], 1e3)
-    (sol,) = solves
-    assert sol.status == 1 and sol.t_events[0].size == 1
-    assert sol.nfev < 500
+    # the last evaluation is the slope at that accepted step end
+    assert calls[-1][1] >= math.atan(weights_module.ETA_BLOWUP)
+    assert len(calls) < 500
+
+
+def test_step_underflow_fails_the_epsilon_promptly(star_profiles, monkeypatch):
+    # A slope that jumps by J at mid-depth: a step across the jump has an
+    # error estimate of at least (71/57600) J h, which the tolerance (about
+    # 1e-11 here) admits only below the ten depth spacings (at least
+    # 2.2e-15) that the step may not undercut once J passes about 4e6.
+    # theta falls past the jump, so it cannot blow up: the solve ends at
+    # the jump.
+    topo, profiles = star_profiles
+    for prof in profiles.values():
+        mid = 0.5 * (prof.inlet_depth + prof.outlet_depth)
+        with monkeypatch.context() as patch:
+            calls = recording_riccati(patch, jump_below=mid, jump=1e7)
+            with pytest.raises(EpsilonTooLarge):
+                eta_eps(prof, 1e-3)
+        assert len(calls) < 1000
+        assert abs(calls[-1][0] - mid) <= 1e-12 * mid
 
 
 def test_trunk_start_needs_flux():
