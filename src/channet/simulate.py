@@ -29,8 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+# scipy.sparse is imported where the operators are built, so that only a
+# simulation loads it: importing channet loads no scipy.
 from .errors import CflViolation, JunctionDivergence, MissingGain, NonPositiveV, RootSolveFailure
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure, WeightError
 from .steady import FINE_REFINEMENT, SteadyProfile
@@ -198,6 +199,8 @@ def _trapezoid_weights(x):
 
 def _gradient_matrix(x):
     """Sparse matrix of np.gradient(., x, edge_order=1)."""
+    from scipy import sparse
+
     dx = np.diff(x)
     d1, d2 = dx[:-1], dx[1:]
     lower = np.concatenate((-d2 / (d1 * (d1 + d2)), [-1.0 / dx[-1]]))
@@ -240,7 +243,7 @@ class NetworkSimulator:
             raise WeightError("no weight set available for Lyapunov instrumentation")
         self.weights = weights
         self.root_flux = profiles[topo.root_channel].flux
-        self.final_state: SimState | None = None
+        self._final = None  # time, y and face of the last run's end state
         self._layout()
         self._face_relations()
         self._instrumentation()
@@ -249,10 +252,20 @@ class NetworkSimulator:
             self._frozen_bound = self.cfl_dt(SimState(0.0, np.zeros(2 * self.N), None, self))
             self.A, self.F, self._influx = self._linear_operator()
 
+    @property
+    def final_state(self) -> SimState | None:
+        """State at the end of the last run, None before one. It is built on
+        access, so the simulator keeps no state that refers back to it: that
+        cycle would hold a finished simulator until the cyclic garbage
+        collector ran."""
+        return None if self._final is None else SimState(*self._final, self)
+
     # -- flat layout ---------------------------------------------------------
 
     def _layout(self):
         """Concatenate every channel's samples at its offset in the flat state."""
+        from scipy import sparse
+
         self.ids = ids = list(self.topo.channels)
         ps = [self.profiles[i] for i in ids]
         m, n = len(ids), np.array([pr.spec.cells for pr in ps])
@@ -356,6 +369,8 @@ class NetworkSimulator:
         the certificate's fine-grid arrays: at the centers their slice
         [R/2::R], R = FINE_REFINEMENT, at the inlet and outlet faces their
         first and last elements."""
+        from scipy import sparse
+
         fine = []  # f1, f2, lambda1, lambda2, gamma1, delta1, gamma2, delta2 of each channel
         for i in self.ids:
             cw = self.weights.channels[i]
@@ -391,6 +406,8 @@ class NetworkSimulator:
         so interior cells three apart share a probe; a boundary cell, which
         also reaches the faces, is probed alone. No dense N x N array is formed.
         """
+        from scipy import sparse
+
         N, loc = self.N, self._loc
         groups = [(part, r) for part in (0, 1) for r in range(3)]
         bnd = np.flatnonzero(~self._interior)
@@ -615,7 +632,7 @@ class NetworkSimulator:
             exc.sim_time = now
             raise
 
-        self.final_state = state
+        self._final = state.time, state.y, state.face
         t, flux_integrals, V, V_ext, B, mass, *norms = np.array(rows).T
         zero = bool(np.all(V == 0.0))
         window = (0.2 * T, T)

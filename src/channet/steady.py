@@ -29,10 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Not called here: perfbench/spans.py wraps channet.steady.solve_ivp to count
-# the steady layer's ODE solves, so the name must resolve; the count is zero.
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.optimize import brentq
 
 from .errors import (
     NegativeFlux,
@@ -44,6 +40,18 @@ from .topology import ChannelSpec, NetworkTopology, traversal_order, validate_to
 
 MARGIN_TOL = 1e-6
 FINE_REFINEMENT = 4
+
+
+def __getattr__(name):
+    # Nothing here solves an ODE, but perfbench/spans.py wraps
+    # channet.steady.solve_ivp to count the steady layer's ODE solves (zero),
+    # so the name resolves, importing scipy.integrate only when looked up.
+    # The shim goes when ROADMAP item 4 drops the solve_ivp spans.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def critical_depth(flux: float, gravity: float = 9.81) -> float:
@@ -188,6 +196,30 @@ def _depth_from_potential(spec: ChannelSpec, inlet_depth: float, flux: float, x)
     return H
 
 
+def _margin_excess(H, flux, threshold, g):
+    """g H^3 - threshold H^2 - Q^2: H^2 times the margin g H - V^2 less its
+    tolerance threshold."""
+    return (g * H - threshold) * H * H - flux * flux
+
+
+def _blowup_depth(inlet_depth, flux, threshold, g):
+    """Depth H_t in (Hc, H0] where the margin g H - V^2 falls to threshold,
+    the root of _margin_excess, by Newton's method from H0.
+
+    The excess is positive at H0, and increasing and convex on [H_t, H0]:
+    there g H > threshold, so its slope H (3 g H - 2 threshold) and its
+    curvature 6 g H - 2 threshold are positive. The iterates therefore fall
+    monotonically to the root, and the iteration stops at its first step
+    that does not fall.
+    """
+    H = inlet_depth
+    while True:
+        H_next = H - _margin_excess(H, flux, threshold, g) / ((3.0 * g * H - 2.0 * threshold) * H)
+        if not H_next < H:
+            return H
+        H = H_next
+
+
 def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float) -> SteadyProfile:
     """Sample the steady profile over [0, L] and certify subcriticality.
 
@@ -215,10 +247,7 @@ def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float)
 
     blowup = math.inf
     if flux > 0.0 and spec.friction > 0.0:
-        # The margin reaches its tolerance at the depth H_t where g H^3 -
-        # threshold H^2 = Q^2; the left side increases on (Hc, H0], so the
-        # root is unique.
-        H_t = brentq(lambda H: (g * H - threshold) * H * H - flux * flux, Hc, H0)
+        H_t = _blowup_depth(H0, flux, threshold, g)
         drop = _potential_drop(H0, H_t, flux, spec.friction_exponent, g)
         blowup = float(drop) / (g * spec.friction * flux**2)
         if blowup <= spec.length:

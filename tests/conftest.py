@@ -3,7 +3,8 @@
 The potential helpers evaluate the first integral of the steady depth
 equation with plain algebra. The ODE oracles go the other way: they
 integrate the ODE forms of quantities that the library evaluates in closed
-form, the steady depth included.
+form, the steady depth included. brentq, at its tightest setting, is the
+oracle of the Newton solve for the blow-up depth.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from channet.characteristics import (
     eigenvalues,
@@ -20,6 +22,7 @@ from channet.characteristics import (
 from channet.errors import WeightError
 from channet.gains import is_admissible
 from channet.steady import (
+    MARGIN_TOL,
     _potential_drop,
     critical_depth,
     integrate_channel_steady,
@@ -56,6 +59,29 @@ def closed_form_blowup(H0, flux, friction, exponent):
     Hc = critical_depth(flux)
     drop = depth_potential(H0, flux, exponent) - depth_potential(Hc, flux, exponent)
     return drop / (G * friction * flux * flux)
+
+
+def blowup_depth_by_brentq(H0, flux, g=G):
+    """Depth H_t in (Hc, H0] where g H^3 - threshold H^2 = Q^2, threshold =
+    MARGIN_TOL g H0, by brentq at its tightest setting: rtol 4 eps, its
+    floor, and an xtol far below any root, as an absolute xtol would be loose
+    on tiny roots."""
+    threshold = MARGIN_TOL * g * H0
+    return brentq(
+        lambda H: (g * H - threshold) * H * H - flux * flux,
+        critical_depth(flux, g),
+        H0,
+        xtol=1e-300,
+        rtol=4.0 * np.finfo(float).eps,
+    )
+
+
+def blowup_bound_by_brentq(spec, H0, flux):
+    """Abscissa where the margin g H - V^2 falls to MARGIN_TOL g H0: the
+    potential drop from H0 to the brentq root H_t over g C Q^2."""
+    g = spec.gravity
+    drop = _potential_drop(H0, blowup_depth_by_brentq(H0, flux, g), flux, spec.friction_exponent, g)
+    return drop / (g * spec.friction * flux * flux)
 
 
 def eta_bar_closed(phi, x):

@@ -1,13 +1,16 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import channet
 from channet.cli import RunConfig, main
 from channet.gains import is_admissible
 from channet.steady import solve_network_steady
@@ -391,3 +394,37 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (outdir / "steady_summary.json").exists()
+
+
+LOADED_SCIPY = """
+import json, sys
+from channet.cli import main
+codes = [main([c, "--config", sys.argv[1], "--out", sys.argv[2] + "/" + c]) for c in sys.argv[3:]]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_loaded_by(tmp_path, *commands):
+    """Exit codes of the commands, run one after another through main in a
+    fresh process on the README star, and the scipy modules loaded then."""
+    path = write_config(tmp_path, star_config(network=network_to_dict(small_star())))
+    src = str(Path(channet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, path, str(tmp_path), *commands],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    return loaded
+
+
+def test_steady_gains_certify_load_no_scipy(tmp_path):
+    # numpy only: the steady state, the gain screen and the certificate solve
+    # no ODE and no sparse system, so scipy is never imported
+    assert scipy_loaded_by(tmp_path, "steady", "gains", "certify") == []
+
+
+def test_simulate_loads_scipy_sparse_only(tmp_path):
+    loaded = scipy_loaded_by(tmp_path, "simulate")
+    assert "scipy.sparse" in loaded
+    assert not {"scipy.integrate", "scipy.optimize"} & set(loaded)

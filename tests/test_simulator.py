@@ -1,6 +1,8 @@
 """Finite-volume network integrator: exactness, faces, stability, decay."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -222,6 +224,23 @@ def test_run_rejects_nonpositive_horizon(star_sim_parts):
     sim = make_sim(star_sim_parts)
     with pytest.raises(ValueError):
         sim.run(BUMP, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_finished_simulator_is_freed_by_reference_counting(star_sim_parts, mode):
+    # a simulator and its final state form no reference cycle, so a finished
+    # run's operators are freed as soon as the caller drops them
+    sim = make_sim(star_sim_parts, mode)
+    sim.run(BUMP, T=1.0)
+    h, _ = sim.final_state.fields[2]
+    assert np.any(h != 0.0)
+    freed = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_zero_perturbation_gives_zero_trace(star_sim_parts):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from channet.errors import (
     NegativeFlux,
@@ -19,15 +20,20 @@ from channet.steady import (
 )
 from channet.topology import ChannelSpec
 import channet.steady as steady_module
+import channet.weights as weights_module
 
 from conftest import (
     G,
     P_CHOICES,
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
+    blowup_bound_by_brentq,
+    blowup_depth_by_brentq,
     closed_form_blowup,
     depth_potential,
     draw_channel,
+    draw_star,
+    draw_tree,
     small_star,
     steady_depth_by_ode,
 )
@@ -73,6 +79,78 @@ def test_blowup_bound_is_potential_drop_to_margin_threshold():
             expected = drop / (G * spec.friction * flux * flux)
             assert prof.blowup_bound == pytest.approx(expected, rel=1e-10)
             assert prof.blowup_bound < x0
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """Steps of each blow-up depth solve, one residual evaluation each."""
+    steps = []
+    excess, blowup_depth = steady_module._margin_excess, steady_module._blowup_depth
+
+    def counted_excess(*args):
+        steps[-1] += 1
+        return excess(*args)
+
+    def counted_solve(*args):
+        steps.append(0)
+        return blowup_depth(*args)
+
+    monkeypatch.setattr(steady_module, "_margin_excess", counted_excess)
+    monkeypatch.setattr(steady_module, "_blowup_depth", counted_solve)
+    return steps
+
+
+def _blowup_depth(H0, flux, g=G):
+    return steady_module._blowup_depth(H0, flux, steady_module.MARGIN_TOL * g * H0, g)
+
+
+def test_blowup_depth_newton_matches_brentq(newton_steps):
+    # on the README star, the 363 channels of the criterion-5 suite, a branch
+    # carrying 1e-8 of the flux and a grid of depths and fluxes
+    rng = np.random.default_rng(31514)
+    networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
+    networks += [draw_tree(rng) for _ in range(20)]
+    networks.append((small_star(), STAR_ROOT_DEPTH, STAR_ROOT_FLUX))
+    profiles = [p for net in networks for p in solve_network_steady(*net).values()]
+    assert len(profiles) == 363 + 4
+    tiny = ChannelSpec(id=1, length=80.0, friction=2e-3, cells=16)
+    profiles.append(integrate_channel_steady(tiny, profiles[-1].inlet_depth, 1e-8))
+    assert 0.5e-6 < _blowup_depth(profiles[-1].inlet_depth, 1e-8) / profiles[-1].inlet_depth < 2e-6
+    for prof in profiles:
+        H0, flux = prof.inlet_depth, prof.flux
+        H_t = _blowup_depth(H0, flux, prof.gravity)
+        assert abs(H_t / blowup_depth_by_brentq(H0, flux, prof.gravity) - 1.0) <= 1e-15
+        assert abs(prof.blowup_bound / blowup_bound_by_brentq(prof.spec, H0, flux) - 1.0) <= 1e-15
+    for H0 in np.geomspace(0.05, 10.0, 12).tolist():
+        for flux in np.geomspace(1e-8, 5.0, 12).tolist():
+            if G * H0 - (flux / H0) ** 2 > steady_module.MARGIN_TOL * G * H0:
+                assert abs(_blowup_depth(H0, flux) / blowup_depth_by_brentq(H0, flux) - 1.0) <= 1e-15
+    assert max(newton_steps) <= 60
+
+
+def test_blowup_depth_at_the_margin_tolerance(newton_steps):
+    # an inlet margin just above MARGIN_TOL g H0: H_t lies within about 1e-12
+    # of H0, and the channel is refused at once. The bound itself is the
+    # difference of two nearly equal potentials there, so only H_t is compared.
+    H0 = 2.0
+    threshold = steady_module.MARGIN_TOL * G * H0
+    flux = H0 * math.sqrt(G * H0 - threshold * (1.0 + 1e-6))
+    assert G * H0 - (flux / H0) ** 2 > threshold
+    H_t = _blowup_depth(H0, flux)
+    assert 0.0 < 1.0 - H_t / H0 < 1e-11
+    assert abs(H_t / blowup_depth_by_brentq(H0, flux) - 1.0) <= 1e-15
+    spec = ChannelSpec(id=1, length=10.0, friction=2e-3, cells=16)
+    with pytest.raises(SteadyStateBlowup):
+        integrate_channel_steady(spec, H0, flux)
+    assert max(newton_steps) <= 60
+
+
+def test_solve_ivp_resolves_on_lookup():
+    # steady and weights solve no ODE but keep the name for the benchmark's
+    # ODE spans; any other missing name is still an AttributeError
+    for module in (steady_module, weights_module):
+        assert module.solve_ivp is scipy.integrate.solve_ivp
+        assert not hasattr(module, "no_such_name")
 
 
 def test_depth_against_hand_rolled_rk4():
@@ -172,6 +250,7 @@ def test_blowup_raised_past_the_bound():
     with pytest.raises(SteadyStateBlowup) as err:
         integrate_channel_steady(spec, H0, flux)
     assert err.value.x_reached == pytest.approx(x0, rel=1e-3)
+    assert abs(err.value.x_reached / blowup_bound_by_brentq(spec, H0, flux) - 1.0) <= 1e-15
 
 
 def test_negative_flux_rejected():
