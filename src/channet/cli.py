@@ -237,37 +237,24 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
     header = ["t", "V", "V_ext", "l2_norm", "boundary_B"] + [
         f"l2_channel_{i}" for i in ids
     ]
-    rows = []
-    for n in range(trace.t.size):
-        row = [
-            _fmt(trace.t[n]),
-            _fmt(trace.V[n]),
-            _fmt(trace.V_ext[n]),
-            _fmt(trace.l2[n]),
-            _fmt(trace.boundary_B[n]),
-        ]
-        row.extend(_fmt(trace.channel_l2[i][n]) for i in ids)
-        rows.append(row)
+    # columns as lists of Python floats: indexing numpy arrays per value
+    # would box a numpy scalar for every number written
+    columns = [trace.t, trace.V, trace.V_ext, trace.l2, trace.boundary_B]
+    columns += [trace.channel_l2[i] for i in ids]
+    rows = [[_fmt(x) for x in row] for row in zip(*(c.tolist() for c in columns))]
     _write_csv(outdir / config.trace_path, header, rows)
 
     if config.snapshot_path is not None:
-        state = sim.final_state
+        fields = sim.final_state.fields
         rows = []
         for i in ids:
             prof = profiles[i]
-            H, V = prof.H_centers, prof.V_centers
-            h, v = state.fields[i]
-            for c in range(h.size):
-                rows.append(
-                    (
-                        str(i),
-                        _fmt(prof.x_centers[c]),
-                        _fmt(H[c] + h[c]),
-                        _fmt(V[c] + v[c]),
-                        _fmt(h[c]),
-                        _fmt(v[c]),
-                    )
-                )
+            h, v = fields[i]
+            H, V = prof.H_centers + h, prof.V_centers + v
+            rows.extend(
+                (str(i), *map(_fmt, cell))
+                for cell in zip(*(a.tolist() for a in (prof.x_centers, H, V, h, v)))
+            )
         _write_csv(
             outdir / config.snapshot_path,
             ["channel", "x", "H", "V", "h", "v"],

@@ -17,10 +17,14 @@ h v and v^2 / 2 and in the boundary-face fluxes, so the tendency is one sparse
 matrix, built once, applied to those, plus the friction source. Each boundary
 and junction face carries an exactly imposed state: the invariant of the
 nearest cell with the imposed flux, feedback law or junction coupling leaves
-one scalar equation in the face depth, and Newton's method on Python floats
-solves them one at a time from the previous face values. In linear mode every
-relation is linear, y' = A y with faces F y: both sparse operators are probed
-once, and a Heun step is two matrix-vector products.
+one scalar equation in the face depth. A terminal's feedback law is a
+quadratic in the face celerity and is solved in closed form; Newton's method
+on Python floats solves the root and junction relations one at a time from
+the previous face values. In linear mode every relation is linear, y' = A y
+with faces F y: both sparse operators are probed once. The time step is
+fixed, so a Heun step is one fixed matrix M, and a linear run advances from
+one sample to the next by cached powers of M, at most _BLOCK steps per
+product, and reads each sample through one stacked observation operator.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ CFL_SAFETY = 0.9
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
 DEFAULT_SAMPLES = 400
+# most Heun steps one cached power of M takes: the cost per step is flat from
+# about 6 steps up, while building M^b costs about b^2 and densifies it
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,9 @@ class _Linear:
     """Linearized deviation physics. shift returns the depth part of the
     characteristic variables and its slope in h, face_shift the same on
     Python floats given c = sqrt(g H); admit checks the cell depths and
-    velocities H, V of a state."""
+    velocities H, V of a state; terminal_depth solves a terminal's feedback
+    law. march yields the states a run reaches (step count, state, flux
+    integral since the last one) and sample reads one for the trace."""
 
     quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms
     headroom = 1.0  # share of the initial stability bound taken as the step
@@ -131,6 +140,19 @@ class _Linear:
 
     def admit(self, sim, H, V):
         """The linearized system has no depth or Froude limit."""
+
+    def terminal_depth(self, y1, k, H, g, c, site, fail):
+        """Face depth h of the feedback law k h + s(h) = y1, s(h) = h sqrt(g / H)."""
+        slope = k + math.sqrt(g / H)
+        if slope == 0.0:
+            raise fail()
+        return y1 / slope
+
+    def march(self, sim, state, dt, nsteps, stride):
+        return sim._propagate(state, dt, nsteps, stride)
+
+    def sample(self, sim, state):
+        return sim._observe(state.y)
 
 
 class _Nonlinear:
@@ -160,6 +182,30 @@ class _Nonlinear:
         bad = (H <= 0.0) | (sim.g * H - V * V <= 0.0)
         if bad.any():
             raise SubcriticalLoss(*sim._where_cell[int(np.argmax(bad))])
+
+    def terminal_depth(self, y1, k, H, g, c, site, fail):
+        """Face depth h of the feedback law k h + s(h) = y1.
+
+        With d = sqrt(g (H + h)) - c, s = 2 d and h = d (2 c + d) / g, so the
+        law reads (k / g) d^2 + B d - y1 = 0 with B = 2 (1 + k c / g). The
+        root that tends to y1 / B as k -> 0 is taken in the form that does
+        not cancel. No real root, or B = 0 (the reflection pole), raises
+        fail(); a root with c + d <= 0 has no wet face depth.
+        """
+        a, B = k / g, 2.0 * (1.0 + k * c / g)
+        disc = B * B + 4.0 * a * y1
+        if disc < 0.0 or B == 0.0:
+            raise fail()
+        d = 2.0 * y1 / (B + math.copysign(math.sqrt(disc), B))
+        if c + d <= 0.0:
+            raise SubcriticalLoss(*site)
+        return d * (2.0 * c + d) / g
+
+    def march(self, sim, state, dt, nsteps, stride):
+        return sim._step_through(state, dt, nsteps, stride)
+
+    def sample(self, sim, state):
+        return sim._sample(state)
 
 
 _PHYSICS = {"linear": _Linear(), "nonlinear": _Nonlinear()}
@@ -191,6 +237,11 @@ def _solve_relation(residual, start, scale, fail):
     return h
 
 
+def _split(n, size):
+    """n as parts of size and a smaller remainder: _split(13, 8) == [8, 5]."""
+    return [size] * (n // size) + ([n % size] if n % size else [])
+
+
 def _trapezoid_weights(x):
     """Weights w with w @ f = np.trapezoid(f, x)."""
     dx = np.diff(x)
@@ -217,7 +268,11 @@ class NetworkSimulator:
     the full equations written in deviation form. The Lyapunov weights are
     taken from ``weights`` or recomputed by certifying the supplied gains.
     In linear mode A is the sparse operator of y' = A y and F the sparse
-    face map (faces = F y); both are None in nonlinear mode.
+    face map (faces = F y); both are None in nonlinear mode. The physics
+    pair holds the other difference between the modes: a linear run
+    advances by cached powers of its Heun matrix and reads its samples
+    through one stacked observation operator, a nonlinear run calls step
+    and the instrumentation methods.
     """
 
     def __init__(self, topo: NetworkTopology, profiles: dict[int, SteadyProfile],
@@ -251,6 +306,7 @@ class NetworkSimulator:
         if mode == "linear":
             self._frozen_bound = self.cfl_dt(SimState(0.0, np.zeros(2 * self.N), None, self))
             self.A, self.F, self._influx = self._linear_operator()
+            self._O, self._W = self._observation()
 
     @property
     def final_state(self) -> SimState | None:
@@ -344,18 +400,25 @@ class NetworkSimulator:
         dust = [pr[i].flux / pr[i].outlet_depth - sum(pr[c].flux / pr[i].outlet_depth for c in ch)
                 for i, ch in zip(internal, children)]
         nt = len(terminals)
-        a2 = [self._Hr] + [1.0] * nt + [-1.0 - len(ch) for ch in children]
-        b = [q] + [0.0] * (len(ku) - 1)
-        # the root's tolerance scales with its steady flux, the others' with
+        self._unknown_faces = faces
+        # the terminals' feedback laws, solved in closed form
+        self._terminals = [
+            (k, gain, face, lambda j=j: TerminalSolveFailure(
+                f"channel {j}: terminal feedback has no face depth"))
+            for k, gain, face, j in zip(self._kt, self._k, faces[1 : 1 + nt], terminals)]
+        # the root's and the junctions' relations, solved by Newton's method
+        iterated = [0] + list(range(1 + nt, len(ku)))
+        kn, fn = [ku[u] for u in iterated], [faces[u] for u in iterated]
+        a2 = [self._Hr] + [-1.0 - len(ch) for ch in children]
+        b = [q] + [0.0] * len(children)
+        # the root's tolerance scales with its steady flux, a junction's with
         # the wave speed or the invariant, whichever is larger
-        scale = [self._Hr * faces[0][2]] + [c for _, _, c, _ in faces[1:]]
-        message = "channel {}: {} solve diverged"
-        fail = [lambda i=self.topo.root_channel: RootSolveFailure(message.format(i, "inlet flux"))]
-        fail += [lambda j=j: TerminalSolveFailure(message.format(j, "terminal feedback"))
-                 for j in terminals]
+        scale = [self._Hr * fn[0][2]] + [c for _, _, c, _ in fn[1:]]
+        fail = [lambda i=self.topo.root_channel: RootSolveFailure(
+            f"channel {i}: inlet flux solve diverged")]
         fail += [lambda i=i: JunctionDivergence(i) for i in internal]
-        wide = [0.0] + [1.0] * (len(ku) - 1)  # weight of |a0| in the scale
-        self._relations = list(zip(ku, faces, a2, b, [0.0] * (1 + nt) + dust, scale, wide, fail))
+        wide = [0.0] + [1.0] * len(children)  # weight of |a0| in the scale
+        self._relations = list(zip(kn, fn, a2, b, [0.0] + dust, scale, wide, fail))
         # each face's unknown, the sign of s in its velocity, and a terminal's gain
         unknown = {f: u for u, f in enumerate(ku)}
         unknown |= {c: u for u, ch in enumerate(self._kc, 1 + nt) for c in ch}
@@ -462,6 +525,32 @@ class NetworkSimulator:
         self.phys.admit(self, H, V)
         return H, V
 
+    def _observation(self):
+        """(O, W) of the linear samples: O stacks [C; L C; L^2 C; C_b F; I]
+        and W turns the squares of O y into V, V_ext, B and the squared
+        channel L2 norms. C maps the flat state to the linear characteristic
+        fields (v + s h, v - s h), s = sqrt(g / H), C_b does so at the faces."""
+        from scipy import sparse
+
+        def char(s):
+            S, I = sparse.diags(s), sparse.identity(s.size)
+            return sparse.bmat([[S, I], [-S, I]])
+
+        C = char(np.sqrt(self.g / self.Hc))
+        LC = self._L @ C
+        Cb = char(np.sqrt(self._gb / self._Hb)) @ self.F
+        O = sparse.vstack([C, LC, self._L @ LC, Cb, sparse.identity(2 * self.N)]).tocsr()
+        wf = sparse.csr_matrix(self._wf)
+        sign = self._sign
+        bw = sparse.csr_matrix(np.concatenate((sign * self._f1lam1, -sign * self._f2lam2)))
+        channel = np.repeat(np.arange(self.m), np.diff(np.append(self._starts, self.N)))
+        E = sparse.csr_matrix((self._w, (channel, np.arange(self.N))), shape=(self.m, self.N))
+        W = sparse.bmat([[wf, None, None, None, None],
+                         [wf, wf, wf, None, None],
+                         [None, None, None, bw, None],
+                         [None, None, None, None, sparse.hstack([E, E])]])
+        return O, W.tocsr()
+
     def cfl_dt(self, state: SimState) -> float:
         """Largest stable step, CFL safety times min over cells of dx / speed;
         the linear operator path freezes the speeds at the steady state. The
@@ -479,11 +568,11 @@ class NetworkSimulator:
         c h / (H + q h) = 0 in a face depth h, with s the depth shift, y2 the
         outgoing invariant of an inlet cell and y1 the incoming one of an
         outlet cell: the root's mass flux H v + V h + q h v with v = y2 + s
-        (a0 = H y2, a1 = V + q y2, a2 = H, b = q); a terminal's feedback law
-        k h = y1 - s (a0 = -y1, a1 = k, a2 = 1); a junction's mass balance
+        (a0 = H y2, a1 = V + q y2, a2 = H, b = q); a junction's mass balance
         y1 - sum y2 = (n + 1) s - c h / (H + q h) over n children, c the
         steady velocity mismatch (a0 = y1 - sum y2, a2 = -(n + 1)). Newton
-        starts from the faces in start; None takes the exact linear step.
+        starts from the faces in start; None takes the exact linear step. A
+        terminal's feedback law k h = y1 - s is solved in closed form.
         """
         m, q, shift = self.m, self.phys.quadratic, self.phys.face_shift
         end = y[self._ends].tolist()
@@ -491,12 +580,12 @@ class NetworkSimulator:
         y2 = [v - s for v, s in zip(end[2 * m : 3 * m], sh)]
         y1 = [v + s for v, s in zip(end[3 * m :], sh[m:])]
         y2r = y2[self._kr]
-        a0 = [self._Hr * y2r] + [-y1[k] for k in self._kt]
+        a0 = [self._Hr * y2r]
         a0 += [y1[k] - sum(y2[c] for c in ch) for k, ch in zip(self._kj, self._kc)]
-        a1 = [self._Vr + q * y2r] + self._k + [0.0] * len(self._kj)
+        a1 = [self._Vr + q * y2r] + [0.0] * len(self._kj)
         start = None if start is None else start[0].tolist()
-        hu, su = [], []
-        for A0, A1, (k, face, a2, b, dust, scale, wide, fail) in zip(a0, a1, self._relations):
+
+        def newton(A0, A1, k, face, a2, b, dust, scale, wide, fail):
             H = face[0]
 
             def residual(hf):
@@ -506,8 +595,14 @@ class NetworkSimulator:
                         A1 + a2 * ds + b * (s + hf * ds) + dust * H / (hh * hh))
 
             scale = max(scale, wide * abs(A0))
-            hu.append(_solve_relation(residual, None if start is None else start[k], scale, fail))
-            su.append(shift(hu[-1], *face)[0])
+            return _solve_relation(residual, None if start is None else start[k], scale, fail)
+
+        root, *junctions = [(A0, A1, *r) for A0, A1, r in zip(a0, a1, self._relations)]
+        hu = [newton(*root)]  # the unknowns in order: root, terminals, junctions
+        hu += [self.phys.terminal_depth(y1[k], gain, *face, fail)
+               for k, gain, face, fail in self._terminals]
+        hu += [newton(*r) for r in junctions]
+        su = [shift(h, *face)[0] for h, face in zip(hu, self._unknown_faces)]
         invariant = y2 + y1
         velocity = [invariant[f] + sign * su[u] if gain is None else gain * hu[u]
                     for f, (u, sign, gain) in enumerate(self._face_map)]
@@ -544,15 +639,19 @@ class NetworkSimulator:
     def _linear_stage(self, state: SimState):
         return self.A @ state.y, None, float(self._influx @ state.y)
 
+    def _check_step(self, state: SimState, dt: float):
+        """Admit the state and refuse a step dt above its stability bound."""
+        bound = self.cfl_dt(state)
+        if dt > bound * (1.0 + 1e-12):
+            raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e} "
+                               f"at t = {state.time:.6e}")
+
     def step(self, state: SimState, dt: float):
         """One Heun (two-stage Runge-Kutta) step: (new state, flux integral).
 
         The flux integral applies the scheme's own quadrature to the net
         boundary mass influx, so stored mass and ledger agree to round-off."""
-        bound = self.cfl_dt(state)  # admits the state
-        if dt > bound * (1.0 + 1e-12):
-            raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e} "
-                               f"at t = {state.time:.6e}")
+        self._check_step(state, dt)
         stage = self._linear_stage if self.A is not None else self.rhs
         k1, face1, influx1 = stage(state)
         mid = SimState(state.time + dt, state.y + dt * k1, face1, self)
@@ -600,16 +699,69 @@ class NetworkSimulator:
         V, V_ext = self.lyapunov_extended(state)
         return (V, V_ext, self.boundary_form(state), float(self.dx @ h), *norms)
 
+    def _observe(self, y):
+        """_sample of the flat state y on the linear operator path, through
+        the stacked observation operator."""
+        u = self._O @ y
+        V, V_ext, B, *squares = (self._W @ (u * u)).tolist()
+        return (V, V_ext, B, float(self.dx @ y[: self.N]), *map(math.sqrt, squares))
+
+    # -- marching ------------------------------------------------------------
+
+    def _step_through(self, state: SimState, dt: float, nsteps: int, stride: int):
+        """Every state of the run through step: (step count, state, flux
+        integral of the step)."""
+        for n in range(1, nsteps + 1):
+            state, dflux = self.step(state, dt)
+            yield n, state, dflux
+
+    def _propagate(self, state: SimState, dt: float, nsteps: int, stride: int):
+        """The sampled states of a linear run: (step count, state, flux
+        integral since the last sample).
+
+        A Heun step of y' = A y is the fixed matrix M = I + dt A + dt^2 A^2 / 2,
+        and its ledger increment the fixed row r = dt q + dt^2 A^T q / 2, q the
+        influx row. The run advances by the cached powers M^b and rows
+        R_b = sum_{j<b} r M^j of the blocks of at most _BLOCK steps that make
+        up each stride and the final partial stride. The speeds are frozen,
+        so one stability check covers every step.
+        """
+        from scipy import sparse
+
+        self._check_step(state, dt)
+        A, q = self.A, self._influx
+        M = (sparse.identity(2 * self.N) + dt * A + (0.5 * dt * dt) * (A @ A)).tocsr()
+        r = dt * q + (0.5 * dt * dt) * (A.T @ q)
+        gaps = _split(nsteps, stride)
+        plans = {g: _split(g, _BLOCK) for g in gaps}
+        sizes = {b for plan in plans.values() for b in plan}
+        powers, P, R, u = {}, M, r, r
+        for b in range(1, max(sizes) + 1):
+            if b > 1:
+                P, u = P @ M, M.T @ u
+                R = R + u
+            if b in sizes:
+                powers[b] = P, R
+        y, n = state.y, 0
+        for gap in gaps:
+            dflux = 0.0
+            for b in plans[gap]:
+                P, R = powers[b]
+                dflux += float(R @ y)
+                y = P @ y
+            n += gap
+            yield n, SimState(n * dt, y, None, self), dflux
+
     # -- driver --------------------------------------------------------------
 
     def run(self, perturbation: dict[int, Bump] | None, T: float,
             max_samples: int = DEFAULT_SAMPLES, sample_stride: int | None = None) -> LyapunovTrace:
         """Advance the perturbed steady state to time T and sample the decay.
 
-        The time step is fixed from the initial CFL bound (re-checked every
-        step). Samples land every sample_stride steps when given, otherwise
-        about max_samples times over the run. The decay rate is fitted on
-        ln V over [0.2 T, T].
+        The time step is fixed from the initial CFL bound, re-checked every
+        step, or once where the speeds are frozen. Samples land every
+        sample_stride steps when given, otherwise about max_samples times
+        over the run. The decay rate is fitted on ln V over [0.2 T, T].
         """
         if T <= 0.0:
             raise ValueError("T must be positive")
@@ -621,13 +773,12 @@ class NetworkSimulator:
             dt = T / nsteps
             stride = max(1, nsteps // max_samples if sample_stride is None else int(sample_stride))
             flux_integral = 0.0
-            rows = [(0.0, flux_integral, *self._sample(state))]
-            for n in range(1, nsteps + 1):
-                state, dflux = self.step(state, dt)
+            rows = [(0.0, flux_integral, *self.phys.sample(self, state))]
+            for n, state, dflux in self.phys.march(self, state, dt, nsteps, stride):
                 now = n * dt
                 flux_integral += dflux
                 if n % stride == 0 or n == nsteps:
-                    rows.append((now, flux_integral, *self._sample(state)))
+                    rows.append((now, flux_integral, *self.phys.sample(self, state)))
         except SimulationError as exc:
             exc.sim_time = now
             raise

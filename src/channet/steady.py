@@ -165,6 +165,26 @@ def _potential_drop(H_hi, H_lo, flux, p, g):
     return g * (H_hi ** (p + 3.0) - H_lo ** (p + 3.0)) / (p + 3.0) - flux * flux * q_term
 
 
+def _blowup_drop(H0, H_t, flux, p, g):
+    """P(H0) - P(H_t) for the blow-up bound, positive whenever H_t < H0.
+
+    The difference of the two potentials is accurate only to the rounding of
+    P(H0). Near the inlet-margin tolerance, where H_t lies within about
+    1e-12 of H0, it is all rounding and can be negative. Up to H0 = 1.5 H_t
+    each power difference a^n - b^n is taken instead as b^n expm1(n l),
+    l = log1p((H0 - H_t) / H_t), accurate to a few ulp of itself. Their
+    difference, the integral of P' > 0 over [H_t, H0], is at least about
+    MARGIN_TOL times the first term, so it keeps its sign. For a wider drop
+    expm1 of the larger argument is the less accurate, and the difference
+    of the potentials is used as it is.
+    """
+    if H0 - H_t >= 0.5 * H_t:
+        return _potential_drop(H0, H_t, flux, p, g)
+    log_r = math.log1p((H0 - H_t) / H_t)
+    q_term = log_r if p == 0.0 else H_t**p * math.expm1(p * log_r) / p
+    return g * H_t ** (p + 3.0) * math.expm1((p + 3.0) * log_r) / (p + 3.0) - flux * flux * q_term
+
+
 def potential_slope(H, flux, p, g):
     """P'(H) = H^(p-1) (g H^3 - Q^2), positive on the subcritical range.
 
@@ -248,8 +268,8 @@ def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float)
     blowup = math.inf
     if flux > 0.0 and spec.friction > 0.0:
         H_t = _blowup_depth(H0, flux, threshold, g)
-        drop = _potential_drop(H0, H_t, flux, spec.friction_exponent, g)
-        blowup = float(drop) / (g * spec.friction * flux**2)
+        drop = _blowup_drop(H0, H_t, flux, spec.friction_exponent, g)
+        blowup = drop / (g * spec.friction * flux**2)
         if blowup <= spec.length:
             raise SteadyStateBlowup(spec.id, x_reached=blowup)
 

@@ -410,12 +410,12 @@ def dry_outlet_cell(sim, state, channel):
     v[-1] = -0.5 * math.sqrt(prof.gravity * depth) - prof.V_centers[-1]
 
 
-# a face solve that fails on each kind of face relation of the star: the
-# channel, the end (0 inlet, -1 outlet) whose cell is perturbed, the error
-# type's name and the text that names the channel
+# a face solve that fails on each kind of face relation of the star that
+# Newton's method solves: the channel, the end (0 inlet, -1 outlet) whose
+# cell is perturbed, the error type's name and the text that names the
+# channel. A terminal's relation is solved in closed form.
 FACE_FAILURES = {
     "root": (1, 0, "RootSolveFailure", "channel 1: inlet flux solve diverged"),
-    "terminal": (4, -1, "TerminalSolveFailure", "channel 4: terminal feedback solve diverged"),
     "junction": (1, -1, "JunctionDivergence", "junction fed by channel 1"),
 }
 

@@ -15,8 +15,17 @@ from channet.errors import (
     MissingGain,
     NonPositiveV,
     SubcriticalLoss,
+    TerminalSolveFailure,
 )
-from channet.simulate import Bump, NetworkSimulator, SimState, decay_fit, mass_balance, run
+from channet.simulate import (
+    DEFAULT_SAMPLES,
+    Bump,
+    NetworkSimulator,
+    SimState,
+    decay_fit,
+    mass_balance,
+    run,
+)
 from channet.steady import solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
 from channet.weights import certify_network, network_weights
@@ -211,6 +220,28 @@ def test_face_solve_failure_is_typed_and_stamped(star_sim_parts, monkeypatch, fa
     if face == "junction":
         assert exc.value.channel == channel
     # the t = 0 sample solves the faces before the first step
+    assert exc.value.sim_time == 0.0
+
+
+def test_terminal_face_without_root_is_typed_and_stamped(star_sim_parts, monkeypatch):
+    # a gain 1e-3 short of the reflection pole -sqrt(g / H) bounds the left
+    # side of the feedback law k h + s(h) = y1 by about 1e-6 sqrt(g H), so
+    # raising the outlet cell by 1e-4 m leaves the closed form no real root
+    prof = star_sim_parts[1][4]
+    pole = -math.sqrt(prof.gravity / float(prof.H_faces[-1]))
+    sim = make_sim(star_sim_parts, "nonlinear", gains={**STAR_GAINS, 4: (1.0 - 1e-3) * pole})
+    sim.run(None, T=1.0)
+    initial_state = sim.initial_state
+
+    def nudged(perturbation=None):
+        state = initial_state(perturbation)
+        nudge_face_cell(state, 4, -1)
+        return state
+
+    monkeypatch.setattr(sim, "initial_state", nudged)
+    with pytest.raises(TerminalSolveFailure) as exc:
+        sim.run(None, T=1.0)
+    assert "channel 4: terminal feedback has no face depth" in str(exc.value)
     assert exc.value.sim_time == 0.0
 
 
@@ -537,3 +568,59 @@ def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts
             assert np.max(np.abs(dy[block] - ref[block])) <= 1e-12 * np.max(np.abs(ref[block]))
         for residual, scale in face_residuals(sim, y, face):
             assert abs(residual) <= channet.simulate.NEWTON_TOL * scale
+
+
+def relative_gap(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("T, stride", [(200.0, None), (20.0, 1), (20.0, 13), (20.0, 16)])
+def test_linear_run_matches_the_step_loop(star_sim_parts, T, stride):
+    # the block propagator against the public step at the run's dt: the
+    # default stride (6 of 2505 steps), one step per sample, and strides
+    # that end in a partial block, with 251 steps a multiple of neither
+    sim = make_sim(star_sim_parts, "linear")
+    trace = sim.run(BUMP, T=T, sample_stride=stride)
+    nsteps = round(T / trace.dt)
+    assert T / nsteps == trace.dt
+    every = stride or nsteps // DEFAULT_SAMPLES
+    assert every == 1 or nsteps % every != 0
+    state = sim.initial_state(BUMP)
+    flux, rows = 0.0, [(0.0, 0.0, *sim._sample(state))]
+    for n in range(1, nsteps + 1):
+        state, dflux = sim.step(state, trace.dt)
+        flux += dflux
+        if n % every == 0 or n == nsteps:
+            rows.append((n * trace.dt, flux, *sim._sample(state)))
+    t, flux, V, V_ext, B, mass, *norms = np.array(rows).T
+    assert np.array_equal(trace.t, t)
+    assert relative_gap(trace.V, V) <= 1e-12
+    assert relative_gap(trace.V_ext, V_ext) <= 1e-12
+    assert relative_gap(trace.boundary_B, B) <= 1e-12
+    assert relative_gap(trace.mass_deviation, mass) <= 1e-12
+    assert relative_gap(trace.mass_flux_integral, flux) <= 1e-12
+    assert relative_gap(trace.l2, np.sqrt(np.sum(np.square(norms), axis=0))) <= 1e-12
+    for i, norm in zip(sim.ids, norms):
+        assert relative_gap(trace.channel_l2[i], norm) <= 1e-12
+    assert relative_gap(sim.final_state.y, state.y) <= 1e-12
+
+
+@pytest.mark.parametrize("network", ["star", "tree"])
+def test_stacked_observation_matches_instrumentation(star_sim_parts, tree_parts, network):
+    if network == "star":
+        sim = make_sim(star_sim_parts, "linear")
+    else:
+        topo, profiles, weights, gains = tree_parts
+        sim = NetworkSimulator(topo, profiles, gains, weights=weights)
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
+        state = SimState(0.0, y, None, sim)
+        V, V_ext, B, mass, *norms = sim._observe(y)
+        ref = sim._sample(state)
+        assert (V, V_ext) == pytest.approx(sim.lyapunov_extended(state), rel=1e-12, abs=0.0)
+        assert B == pytest.approx(sim.boundary_form(state), rel=1e-12, abs=0.0)
+        assert mass == float(sim.dx @ y[: sim.N])
+        assert norms == pytest.approx(ref[4:], rel=1e-12, abs=0.0)
+        assert len(norms) == sim.m

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from channet.errors import (
     SupercriticalStart,
 )
 from channet.steady import (
+    _potential_drop,
     critical_depth,
     integrate_channel_steady,
     solve_network_steady,
@@ -104,15 +106,22 @@ def _blowup_depth(H0, flux, g=G):
     return steady_module._blowup_depth(H0, flux, steady_module.MARGIN_TOL * g * H0, g)
 
 
-def test_blowup_depth_newton_matches_brentq(newton_steps):
-    # on the README star, the 363 channels of the criterion-5 suite, a branch
-    # carrying 1e-8 of the flux and a grid of depths and fluxes
+@pytest.fixture(scope="module")
+def suite_profiles():
+    """The 363 channels of the criterion-5 suite, then the README star's 4."""
     rng = np.random.default_rng(31514)
     networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
     networks += [draw_tree(rng) for _ in range(20)]
     networks.append((small_star(), STAR_ROOT_DEPTH, STAR_ROOT_FLUX))
     profiles = [p for net in networks for p in solve_network_steady(*net).values()]
     assert len(profiles) == 363 + 4
+    return profiles
+
+
+def test_blowup_depth_newton_matches_brentq(newton_steps, suite_profiles):
+    # on the README star, the 363 channels of the criterion-5 suite, a branch
+    # carrying 1e-8 of the flux and a grid of depths and fluxes
+    profiles = list(suite_profiles)
     tiny = ChannelSpec(id=1, length=80.0, friction=2e-3, cells=16)
     profiles.append(integrate_channel_steady(tiny, profiles[-1].inlet_depth, 1e-8))
     assert 0.5e-6 < _blowup_depth(profiles[-1].inlet_depth, 1e-8) / profiles[-1].inlet_depth < 2e-6
@@ -143,6 +152,50 @@ def test_blowup_depth_at_the_margin_tolerance(newton_steps):
     with pytest.raises(SteadyStateBlowup):
         integrate_channel_steady(spec, H0, flux)
     assert max(newton_steps) <= 60
+
+
+def potential_drop_by_decimal(H0, H_t, flux, p, g):
+    """P(H0) - P(H_t) in 60-digit decimal arithmetic from the binary64 inputs."""
+    getcontext().prec = 60
+
+    def P(H):
+        H, n = Decimal(H), Decimal(p)
+        Q2 = Decimal(flux) ** 2 * (H.ln() if p == 0.0 else H**n / n)
+        return Decimal(g) * H ** (n + 3) / (n + 3) - Q2
+
+    return float(P(H0) - P(H_t))
+
+
+@pytest.mark.parametrize("p", P_CHOICES)
+@pytest.mark.parametrize("above", [1e-9, 1e-4])
+def test_blowup_bound_keeps_its_sign_at_the_margin_tolerance(p, above):
+    # an inlet margin 1e-9 or 1e-4 above MARGIN_TOL g H0 puts H_t within
+    # 1e-10 of H0, where P(H0) - P(H_t) is all rounding; the drop keeps its
+    # sign and is accurate to the conditioning of g H_t^3 - Q^2, about
+    # 1 / MARGIN_TOL ulp
+    H0 = 2.0
+    flux = H0 * math.sqrt(G * H0 - steady_module.MARGIN_TOL * G * H0 * (1.0 + above))
+    spec = ChannelSpec(id=1, length=10.0, friction=2e-3, friction_exponent=p, cells=16)
+    with pytest.raises(SteadyStateBlowup) as exc:
+        integrate_channel_steady(spec, H0, flux)
+    H_t = _blowup_depth(H0, flux)
+    assert 0.0 < 1.0 - H_t / H0 < 1e-9
+    x = potential_drop_by_decimal(H0, H_t, flux, p, G) / (G * spec.friction * flux**2)
+    assert exc.value.x_reached > 0.0
+    assert exc.value.x_reached == pytest.approx(x, rel=1e-8, abs=0.0)
+
+
+def test_blowup_bound_is_the_potential_drop_where_it_is_large(suite_profiles):
+    # on the suite and the star H0 > 1.5 H_t, and the bound is the difference
+    # of the two potentials bit for bit, within 1e-12 of the decimal drop
+    for prof in suite_profiles:
+        H0, flux, p, g = prof.inlet_depth, prof.flux, prof.spec.friction_exponent, prof.gravity
+        H_t = _blowup_depth(H0, flux, g)
+        rate = g * prof.spec.friction * flux**2
+        assert H0 > 1.5 * H_t
+        assert prof.blowup_bound == _potential_drop(H0, H_t, flux, p, g) / rate
+        x = potential_drop_by_decimal(H0, H_t, flux, p, g) / rate
+        assert prof.blowup_bound == pytest.approx(x, rel=1e-12, abs=0.0)
 
 
 def test_solve_ivp_resolves_on_lookup():
