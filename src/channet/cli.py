@@ -25,7 +25,7 @@ from .errors import (
     WeightError,
 )
 from .gains import is_admissible
-from .simulate import CFL_SAFETY, Bump, NetworkSimulator, mass_balance
+from .simulate import CFL_SAFETY, Bump, NetworkSimulator, check_run_options, mass_balance
 from .steady import solve_network_steady
 from .topology import NetworkTopology, network_from_dict, network_to_dict
 from .weights import DEFAULT_EPSILON, certify_network
@@ -64,7 +64,7 @@ class RunConfig:
                 width=float(entry.get("width", 0.5)),
             )
         stride = simc.get("sample_stride")
-        return cls(
+        config = cls(
             topology=topo,
             root_flux=float(root["Q"]),
             root_inlet_depth=float(root["H0"]),
@@ -78,6 +78,9 @@ class RunConfig:
             trace_path=str(simc.get("trace_path", "trace.csv")),
             snapshot_path=simc.get("snapshot_path"),
         )
+        check_run_options(mode=config.mode, cfl=config.cfl, T=config.T,
+                          sample_stride=config.sample_stride)
+        return config
 
     def to_dict(self) -> dict:
         return {
@@ -188,13 +191,14 @@ def cmd_gains(config: RunConfig, profiles, outdir: Path) -> int:
     return 0
 
 
-def cmd_certify(config: RunConfig, profiles, outdir: Path) -> int:
-    cert = certify_network(
-        config.topology,
-        profiles,
-        config.gains,
-        epsilon_start=config.epsilon_start,
+def _certificate(config: RunConfig, profiles):
+    return certify_network(
+        config.topology, profiles, config.gains, epsilon_start=config.epsilon_start
     )
+
+
+def cmd_certify(config: RunConfig, profiles, outdir: Path) -> int:
+    cert = _certificate(config, profiles)
     _write_json(outdir / "certificate.json", cert.to_dict())
     if not cert.certified:
         print(
@@ -206,12 +210,7 @@ def cmd_certify(config: RunConfig, profiles, outdir: Path) -> int:
 
 
 def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
-    cert = certify_network(
-        config.topology,
-        profiles,
-        config.gains,
-        epsilon_start=config.epsilon_start,
-    )
+    cert = _certificate(config, profiles)
     if cert.weights is None:
         print(
             "error: no Lyapunov weight set exists for this configuration "
@@ -219,19 +218,10 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
             file=sys.stderr,
         )
         return 5
-    sim = NetworkSimulator(
-        config.topology,
-        profiles,
-        config.gains,
-        weights=cert.weights,
-        mode=config.mode,
-        cfl=config.cfl,
-    )
-    trace = sim.run(
-        config.perturbation or None,
-        config.T,
-        sample_stride=config.sample_stride,
-    )
+    sim = NetworkSimulator(config.topology, profiles, config.gains,
+                           weights=cert.weights, mode=config.mode, cfl=config.cfl)
+    trace = sim.run(config.perturbation or None, config.T,
+                    sample_stride=config.sample_stride)
 
     ids = sorted(config.topology.channels)
     header = ["t", "V", "V_ext", "l2_norm", "boundary_B"] + [
@@ -245,7 +235,7 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
     _write_csv(outdir / config.trace_path, header, rows)
 
     if config.snapshot_path is not None:
-        fields = sim.final_state.fields
+        fields = sim.fields(sim.final_state.y)
         rows = []
         for i in ids:
             prof = profiles[i]

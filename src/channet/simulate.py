@@ -10,21 +10,22 @@ an exact fixed point. Both the nonlinear system and its linearization fit
     dt v + dx F2 = S,          F2 = V* v + g h (+ v^2 / 2),
 
 with S the friction source relative to the steady baseline; the modes differ
-only in the bracketed terms, the characteristic depth shift and the source.
+only in the bracketed terms, the characteristic depth shift and the source,
+and the physics pair _Linear, _Nonlinear holds every difference between them.
 Interior fluxes are upwinded in the characteristic variables of the frozen
 steady Jacobian. Every flux is linear in the cell values, in their products
 h v and v^2 / 2 and in the boundary-face fluxes, so the tendency is one sparse
 matrix, built once, applied to those, plus the friction source. Each boundary
 and junction face carries an exactly imposed state: the invariant of the
 nearest cell with the imposed flux, feedback law or junction coupling leaves
-one scalar equation in the face depth. A terminal's feedback law is a
-quadratic in the face celerity and is solved in closed form; Newton's method
-on Python floats solves the root and junction relations one at a time from
-the previous face values. In linear mode every relation is linear, y' = A y
-with faces F y: both sparse operators are probed once. The time step is
-fixed, so a Heun step is one fixed matrix M, and a linear run advances from
-one sample to the next by cached powers of M, at most _BLOCK steps per
-product, and reads each sample through one stacked observation operator.
+one scalar equation in the face depth. A terminal's feedback law is solved in
+closed form. Newton's method on Python floats solves a nonlinear root or
+junction relation from the previous face values, one exact step a linear one.
+A linear run does not call step: its tendency is y' = A y, with A from the
+chain rule through the face map F, so a Heun step is one fixed matrix M. The
+run advances from one sample to the next by cached powers of M, at most
+_BLOCK steps per product, and reads each sample through one stacked
+observation operator.
 """
 
 from __future__ import annotations
@@ -72,25 +73,13 @@ class SimState:
     """Flat deviation vector y (h of every channel, then v) and solved faces.
 
     face holds the depths and velocities of the m inlet then m outlet faces,
-    shape (2, 2m), and seeds the next Newton face solve; it is None on the
-    linear operator path, where the faces are F y. fields and faces give the
-    per-channel views: id -> (h, v), and id -> (h0, v0, hL, vL).
+    shape (2, 2m), from which a nonlinear face solve starts (None: from
+    zero). NetworkSimulator.fields and face_states give per-channel views.
     """
 
     time: float
     y: np.ndarray
     face: np.ndarray | None
-    sim: "NetworkSimulator"
-
-    @property
-    def fields(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        return self.sim._views(self.y)
-
-    @property
-    def faces(self) -> dict[int, tuple[float, float, float, float]]:
-        if self.face is None:
-            return self.sim.face_states(self)
-        return self.sim._face_dict(self.face)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +108,10 @@ class LyapunovTrace:
 class _Linear:
     """Linearized deviation physics. shift returns the depth part of the
     characteristic variables and its slope in h, face_shift the same on
-    Python floats given c = sqrt(g H); admit checks the cell depths and
-    velocities H, V of a state; terminal_depth solves a terminal's feedback
-    law. march yields the states a run reaches (step count, state, flux
-    integral since the last one) and sample reads one for the trace."""
+    Python floats given c = sqrt(g H); admit checks the cells of a flat state
+    and returns the depths and velocities whose speeds bound a step from it.
+    march yields the states a run reaches (step count, state, flux integral
+    since the last one) and sample reads one for the trace."""
 
     quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms
     headroom = 1.0  # share of the initial stability bound taken as the step
@@ -138,8 +127,13 @@ class _Linear:
     def source(self, sim, h, v):
         return sim.src_h * h - sim.src_v * v
 
-    def admit(self, sim, H, V):
-        """The linearized system has no depth or Froude limit."""
+    def admit(self, sim, y):
+        """No depth or Froude limit; the steady speeds bound every step."""
+        return sim.Hc, sim.Vc
+
+    def face_start(self, sim, face):
+        """Every face relation is linear: None solves it exactly in one step."""
+        return None
 
     def terminal_depth(self, y1, k, H, g, c, site, fail):
         """Face depth h of the feedback law k h + s(h) = y1, s(h) = h sqrt(g / H)."""
@@ -147,6 +141,11 @@ class _Linear:
         if slope == 0.0:
             raise fail()
         return y1 / slope
+
+    def prepare(self, sim):
+        """The operators A, F and the influx row, and the stacked observation."""
+        sim.A, sim.F, sim._influx = sim._linear_operator()
+        sim._O, sim._W = sim._observation()
 
     def march(self, sim, state, dt, nsteps, stride):
         return sim._propagate(state, dt, nsteps, stride)
@@ -178,10 +177,16 @@ class _Nonlinear:
         V = sim.Vc + v
         return -sim.g * sim.friction * (V * V / (sim.Hc + h) ** sim.p - sim.src0)
 
-    def admit(self, sim, H, V):
+    def admit(self, sim, y):
+        H, V = sim.Hc + y[: sim.N], sim.Vc + y[sim.N :]
         bad = (H <= 0.0) | (sim.g * H - V * V <= 0.0)
         if bad.any():
             raise SubcriticalLoss(*sim._where_cell[int(np.argmax(bad))])
+        return H, V
+
+    def face_start(self, sim, face):
+        """Newton starts from the previous faces, or from zero."""
+        return np.zeros((2, 2 * sim.m)) if face is None else face
 
     def terminal_depth(self, y1, k, H, g, c, site, fail):
         """Face depth h of the feedback law k h + s(h) = y1.
@@ -201,14 +206,33 @@ class _Nonlinear:
             raise SubcriticalLoss(*site)
         return d * (2.0 * c + d) / g
 
+    def prepare(self, sim):
+        """A nonlinear run steps the shared physics: it has no operators."""
+        sim.A = sim.F = None
+
     def march(self, sim, state, dt, nsteps, stride):
-        return sim._step_through(state, dt, nsteps, stride)
+        for n in range(1, nsteps + 1):
+            state, dflux = sim.step(state, dt)
+            yield n, state, dflux
 
     def sample(self, sim, state):
         return sim._sample(state)
 
 
 _PHYSICS = {"linear": _Linear(), "nonlinear": _Nonlinear()}
+
+
+def check_run_options(**options) -> None:
+    """Raise ValueError for the first named run option (mode, cfl, T or
+    sample_stride) that the simulator does not accept."""
+    rules = {"mode": (lambda x: x in _PHYSICS, "'linear' or 'nonlinear'"),
+             "cfl": (lambda x: 0.0 < x <= 0.95, "in (0, 0.95]"),
+             "T": (lambda x: x > 0.0, "positive"),
+             "sample_stride": (lambda x: x is None or x >= 1, "at least 1")}
+    for name, value in options.items():
+        accepts, text = rules[name]
+        if not accepts(value):
+            raise ValueError(f"{name} must be {text}, not {value!r}")
 
 
 def _solve_relation(residual, start, scale, fail):
@@ -267,21 +291,16 @@ class NetworkSimulator:
     deviation equations (the setting of the decay certificates), "nonlinear"
     the full equations written in deviation form. The Lyapunov weights are
     taken from ``weights`` or recomputed by certifying the supplied gains.
-    In linear mode A is the sparse operator of y' = A y and F the sparse
-    face map (faces = F y); both are None in nonlinear mode. The physics
-    pair holds the other difference between the modes: a linear run
-    advances by cached powers of its Heun matrix and reads its samples
-    through one stacked observation operator, a nonlinear run calls step
-    and the instrumentation methods.
+    Every public method runs the same code in both modes. Only a linear run
+    reads A, the sparse operator of y' = A y, and F, the sparse face map
+    (faces = F y); both are None in nonlinear mode. final_state is the state
+    the last run ended in, None before one.
     """
 
     def __init__(self, topo: NetworkTopology, profiles: dict[int, SteadyProfile],
                  gains: dict[int, float], weights: WeightSet | None = None,
                  mode: str = "linear", cfl: float = CFL_SAFETY):
-        if mode not in _PHYSICS:
-            raise ValueError(f"unknown mode {mode!r}")
-        if not 0.0 < cfl <= 0.95:
-            raise ValueError("cfl must lie in (0, 0.95]")
+        check_run_options(mode=mode, cfl=cfl)
         self.cfl = cfl
         validate_topology(topo)
         for j in topo.terminal_channels:
@@ -298,23 +317,11 @@ class NetworkSimulator:
             raise WeightError("no weight set available for Lyapunov instrumentation")
         self.weights = weights
         self.root_flux = profiles[topo.root_channel].flux
-        self._final = None  # time, y and face of the last run's end state
+        self.final_state: SimState | None = None  # set by run
         self._layout()
         self._face_relations()
         self._instrumentation()
-        self.A = self.F = None
-        if mode == "linear":
-            self._frozen_bound = self.cfl_dt(SimState(0.0, np.zeros(2 * self.N), None, self))
-            self.A, self.F, self._influx = self._linear_operator()
-            self._O, self._W = self._observation()
-
-    @property
-    def final_state(self) -> SimState | None:
-        """State at the end of the last run, None before one. It is built on
-        access, so the simulator keeps no state that refers back to it: that
-        cycle would hold a finished simulator until the cyclic garbage
-        collector ran."""
-        return None if self._final is None else SimState(*self._final, self)
+        self.phys.prepare(self)
 
     # -- flat layout ---------------------------------------------------------
 
@@ -341,8 +348,6 @@ class NetworkSimulator:
         self.src0 = Vc * Vc / Hc**p
         loc = np.arange(N) - np.repeat(start, n)
         self._first, self._last = start, start + n - 1
-        self._interior = (loc > 0) & (loc < np.repeat(n, n) - 1)
-        self._loc = loc
         # boundary faces: m inlets then m outlets
         Hf, Vf = [pr.H_faces for pr in ps], [pr.V_faces for pr in ps]
         self._Hb = np.array([H[0] for H in Hf] + [H[-1] for H in Hf])
@@ -455,7 +460,8 @@ class NetworkSimulator:
             [[-diag(lam1) @ D - diag(g1), -diag(d1)], [-diag(g2), diag(lam2) @ D - diag(d2)]]
         ).tocsr()
 
-    def _views(self, y):
+    def fields(self, y: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per-channel views of the flat state y: id -> (h, v)."""
         return {i: (y[sh], y[sv]) for i, sh, sv in self._slices}
 
     def _face_dict(self, f):
@@ -463,47 +469,35 @@ class NetworkSimulator:
         return {i: (*inlet[k], *outlet[k]) for k, i in enumerate(self.ids)}
 
     def _linear_operator(self):
-        """(A, F, influx row) of the linear right-hand side, probed once.
+        """(A, F, influx row) of the linear right-hand side, by the chain rule.
 
-        An interior cell reaches only its own and its neighbours' tendencies,
-        so interior cells three apart share a probe; a boundary cell, which
-        also reaches the faces, is probed alone. No dense N x N array is formed.
+        The faces are linear in the end cells, F holding the faces of each
+        unit end cell, and the tendency is linear in the state and the faces:
+        A is the state's part of the flux matrix plus the source's diagonals
+        plus T F, T the tendencies of the 4m unit faces at y = 0. The influx
+        row is likewise that of the unit faces times F.
         """
         from scipy import sparse
 
-        N, loc = self.N, self._loc
-        groups = [(part, r) for part in (0, 1) for r in range(3)]
-        bnd = np.flatnonzero(~self._interior)
-        bcols = np.concatenate((bnd, N + bnd))
-        Y = np.zeros((len(groups) + bcols.size, 2 * N))
-        for g, (part, r) in enumerate(groups):
-            Y[g, part * N + np.flatnonzero(self._interior & (loc % 3 == r))] = 1.0
-        Y[len(groups) + np.arange(bcols.size), bcols] = 1.0
-        face = np.array([self._solve_faces(y, None) for y in Y])
-        dY, _, influx = (np.array(a) for a in zip(*map(self._tendency, Y, face)))
-        dY_b, face_b = dY[len(groups) :], face[len(groups) :].reshape(bcols.size, -1)
-        cell = np.arange(2 * N) % N
-        rows, cols = [], []
-        for g, (part, r) in enumerate(groups):
-            # the row of cell c belongs to the probed cell among c - 1, c, c + 1
-            owner = np.clip(cell + (r - loc[cell] + 1) % 3 - 1, 0, N - 1)
-            sel = np.flatnonzero(self._interior[owner] & (dY[g] != 0.0))
-            rows.append((np.full(sel.size, g), sel))
-            cols.append(part * N + owner[sel])
-        b, sel = np.nonzero(dY_b)
-        rows.append((len(groups) + b, sel))
-        cols.append(bcols[b])
-        probe, row = (np.concatenate(a) for a in zip(*rows))
-        A = sparse.csr_matrix((dY[probe, row], (row, np.concatenate(cols))), shape=(2 * N, 2 * N))
-        b, k = np.nonzero(face_b)
-        F = sparse.csr_matrix((face_b[b, k], (k, bcols[b])), shape=(face_b.shape[1], 2 * N))
-        q = np.zeros(2 * N)
-        q[bcols] = influx[len(groups) :]
-        return A, F, q
+        N, m4, ends = self.N, 4 * self.m, np.unique(self._ends)
+        unit = np.zeros((ends.size, 2 * N))
+        unit[np.arange(ends.size), ends] = 1.0
+        face = np.array([self._solve_faces(y, None).ravel() for y in unit])
+        b, k = np.nonzero(face)
+        F = sparse.csr_matrix((face[b, k], (k, ends[b])), shape=(m4, 2 * N))
+        zero, unit_faces = np.zeros(2 * N), np.identity(m4).reshape(m4, 2, -1)
+        dY, _, influx = zip(*(self._tendency(zero, f) for f in unit_faces))
+        T = sparse.csr_matrix(np.array(dY).T)
+        one, none = np.ones(N), np.zeros(N)
+        source = sparse.diags([self.phys.source(self, one, none),
+                               np.concatenate((none, self.phys.source(self, none, one)))],
+                              [-N, 0], shape=(2 * N, 2 * N))
+        A = (self._K[:, : 2 * N] + source + T @ F).tocsr()
+        return A, F, F.T @ np.array(influx)
 
     def initial_state(self, perturbation: dict[int, Bump] | None = None) -> SimState:
         y = np.zeros(2 * self.N)
-        for i, (h, v) in self._views(y).items():
+        for i, (h, v) in self.fields(y).items():
             pr = self.profiles[i]
             bump = None if perturbation is None else perturbation.get(i)
             if bump is not None and (bump.amplitude_h != 0.0 or bump.amplitude_v != 0.0):
@@ -515,15 +509,8 @@ class NetworkSimulator:
                 shape *= ramp * ramp * (3.0 - 2.0 * ramp)
                 h += bump.amplitude_h * shape
                 v += bump.amplitude_v * shape
-        self._admit(y)
-        return SimState(0.0, y, np.zeros((2, 2 * self.m)), self)
-
-    def _admit(self, y):
-        """Cell depths and velocities (H, V) of the flat state y, admitted by
-        the physics."""
-        H, V = self.Hc + y[: self.N], self.Vc + y[self.N :]
-        self.phys.admit(self, H, V)
-        return H, V
+        self.phys.admit(self, y)
+        return SimState(0.0, y, np.zeros((2, 2 * self.m)))
 
     def _observation(self):
         """(O, W) of the linear samples: O stacks [C; L C; L^2 C; C_b F; I]
@@ -552,13 +539,10 @@ class NetworkSimulator:
         return O, W.tocsr()
 
     def cfl_dt(self, state: SimState) -> float:
-        """Largest stable step, CFL safety times min over cells of dx / speed;
-        the linear operator path freezes the speeds at the steady state. The
-        speeds come from the pass that admits the state, so step does not
-        check it again."""
-        if self.A is not None:
-            return self._frozen_bound
-        H, V = self._admit(state.y)
+        """Largest stable step, CFL safety times min over cells of dx / speed.
+        The speeds come from the pass that admits the state, so step does not
+        check it again; in linear mode they are the steady ones."""
+        H, V = self.phys.admit(self, state.y)
         return self.cfl * float(np.min(self.dx / (np.abs(V) + np.sqrt(self.g * H))))
 
     def _solve_faces(self, y, start):
@@ -610,12 +594,9 @@ class NetworkSimulator:
 
     def face_states(self, state: SimState, flat: bool = False):
         """Every boundary and junction face: channel id -> (h0, v0, hL, vL), or
-        the (2, 2m) array if flat; F y on the linear operator path."""
-        if self.A is not None:
-            f = (self.F @ state.y).reshape(2, 2 * self.m)
-        else:
-            start = state.face if state.face is not None else np.zeros((2, 2 * self.m))
-            f = self._solve_faces(state.y, start)
+        the (2, 2m) array if flat. A nonlinear solve starts from the state's
+        faces, a linear one is exact from None."""
+        f = self._solve_faces(state.y, self.phys.face_start(self, state.face))
         return f if flat else self._face_dict(f)
 
     # -- semi-discrete right-hand side ---------------------------------------
@@ -636,9 +617,6 @@ class NetworkSimulator:
         an admitted state."""
         return self._tendency(state.y, self.face_states(state, flat=True))
 
-    def _linear_stage(self, state: SimState):
-        return self.A @ state.y, None, float(self._influx @ state.y)
-
     def _check_step(self, state: SimState, dt: float):
         """Admit the state and refuse a step dt above its stability bound."""
         bound = self.cfl_dt(state)
@@ -652,13 +630,11 @@ class NetworkSimulator:
         The flux integral applies the scheme's own quadrature to the net
         boundary mass influx, so stored mass and ledger agree to round-off."""
         self._check_step(state, dt)
-        stage = self._linear_stage if self.A is not None else self.rhs
-        k1, face1, influx1 = stage(state)
-        mid = SimState(state.time + dt, state.y + dt * k1, face1, self)
-        if self.A is None:
-            self._admit(mid.y)
-        k2, face2, influx2 = stage(mid)
-        new = SimState(state.time + dt, state.y + 0.5 * dt * (k1 + k2), face2, self)
+        k1, face1, influx1 = self.rhs(state)
+        mid = SimState(state.time + dt, state.y + dt * k1, face1)
+        self.phys.admit(self, mid.y)
+        k2, face2, influx2 = self.rhs(mid)
+        new = SimState(state.time + dt, state.y + 0.5 * dt * (k1 + k2), face2)
         return new, 0.5 * dt * (influx1 + influx2)
 
     # -- instrumentation -----------------------------------------------------
@@ -708,13 +684,6 @@ class NetworkSimulator:
 
     # -- marching ------------------------------------------------------------
 
-    def _step_through(self, state: SimState, dt: float, nsteps: int, stride: int):
-        """Every state of the run through step: (step count, state, flux
-        integral of the step)."""
-        for n in range(1, nsteps + 1):
-            state, dflux = self.step(state, dt)
-            yield n, state, dflux
-
     def _propagate(self, state: SimState, dt: float, nsteps: int, stride: int):
         """The sampled states of a linear run: (step count, state, flux
         integral since the last sample).
@@ -750,7 +719,7 @@ class NetworkSimulator:
                 dflux += float(R @ y)
                 y = P @ y
             n += gap
-            yield n, SimState(n * dt, y, None, self), dflux
+            yield n, SimState(n * dt, y, None), dflux
 
     # -- driver --------------------------------------------------------------
 
@@ -761,17 +730,17 @@ class NetworkSimulator:
         The time step is fixed from the initial CFL bound, re-checked every
         step, or once where the speeds are frozen. Samples land every
         sample_stride steps when given, otherwise about max_samples times
-        over the run. The decay rate is fitted on ln V over [0.2 T, T].
+        over the run. The decay rate and its R^2 are fitted on ln V over
+        [0.2 T, T], and are NaN where V is zero or under two samples fall in it.
         """
-        if T <= 0.0:
-            raise ValueError("T must be positive")
+        check_run_options(T=T, sample_stride=sample_stride)
         now = 0.0  # time of the last state reached, stamped on a SimulationError
         try:
             state = self.initial_state(perturbation)
             bound = self.cfl_dt(state)
             nsteps = max(1, math.ceil(T / (bound * self.phys.headroom)))
             dt = T / nsteps
-            stride = max(1, nsteps // max_samples if sample_stride is None else int(sample_stride))
+            stride = max(1, nsteps // max_samples) if sample_stride is None else int(sample_stride)
             flux_integral = 0.0
             rows = [(0.0, flux_integral, *self.phys.sample(self, state))]
             for n, state, dflux in self.phys.march(self, state, dt, nsteps, stride):
@@ -783,11 +752,13 @@ class NetworkSimulator:
             exc.sim_time = now
             raise
 
-        self._final = state.time, state.y, state.face
+        self.final_state = state
         t, flux_integrals, V, V_ext, B, mass, *norms = np.array(rows).T
         zero = bool(np.all(V == 0.0))
         window = (0.2 * T, T)
-        nu_hat, r2 = (math.nan, math.nan) if zero else decay_fit((t, V), window)
+        nu_hat, r2 = math.nan, math.nan
+        if not zero and np.count_nonzero(_in_window(t, window)) >= 2:
+            nu_hat, r2 = decay_fit((t, V), window)
         return LyapunovTrace(
             mode=self.mode, dt=dt, cfl_bound=bound, t=t, V=V, V_ext=V_ext,
             l2=np.sqrt(np.sum(np.square(norms), axis=0)), boundary_B=B,
@@ -797,16 +768,19 @@ class NetworkSimulator:
         )
 
 
-def decay_fit(trace, window: tuple[float, float]) -> tuple[float, float]:
+def _in_window(t, window):
+    return (t >= window[0]) & (t <= window[1])
+
+
+def decay_fit(samples, window: tuple[float, float]) -> tuple[float, float]:
     """Least-squares decay rate of ln V over the window: (nu_hat, r_squared).
 
-    trace is a LyapunovTrace or a plain (t, V) pair of arrays. Raises
-    NonPositiveV when V is not strictly positive on the window.
+    samples is a (t, V) pair of arrays. Raises ValueError when fewer than
+    two samples fall in the window, NonPositiveV when V is not strictly
+    positive on it.
     """
-    t, V = (trace.t, trace.V) if isinstance(trace, LyapunovTrace) else trace
-    t = np.asarray(t, dtype=float)
-    V = np.asarray(V, dtype=float)
-    mask = (t >= window[0]) & (t <= window[1])
+    t, V = (np.asarray(a, dtype=float) for a in samples)
+    mask = _in_window(t, window)
     if np.count_nonzero(mask) < 2:
         raise ValueError("fit window contains fewer than two samples")
     if np.any(V[mask] <= 0.0):
@@ -830,11 +804,3 @@ def mass_balance(trace: LyapunovTrace) -> float:
     t = np.maximum(trace.t, trace.dt)
     return float(np.max(defect / t))
 
-
-def run(topo: NetworkTopology, profiles: dict[int, SteadyProfile], gains: dict[int, float],
-        perturbation: dict[int, Bump] | None, T: float, mode: str = "linear",
-        weights: WeightSet | None = None, max_samples: int = DEFAULT_SAMPLES,
-        sample_stride: int | None = None, cfl: float = CFL_SAFETY) -> LyapunovTrace:
-    """Build a simulator and advance the perturbed steady state to time T."""
-    sim = NetworkSimulator(topo, profiles, gains, weights=weights, mode=mode, cfl=cfl)
-    return sim.run(perturbation, T, max_samples=max_samples, sample_stride=sample_stride)

@@ -405,7 +405,7 @@ def dry_outlet_cell(sim, state, channel):
     """
     prof = sim.profiles[channel]
     depth = 1e-4
-    h, v = state.fields[channel]
+    h, v = sim.fields(state.y)[channel]
     h[-1] = depth - prof.H_centers[-1]
     v[-1] = -0.5 * math.sqrt(prof.gravity * depth) - prof.V_centers[-1]
 
@@ -420,13 +420,13 @@ FACE_FAILURES = {
 }
 
 
-def nudge_face_cell(state, channel, end):
+def nudge_face_cell(sim, state, channel, end):
     """Raise the depth of the cell next to one face of a channel by 1e-4.
 
     Only the relation of that face sees a changed invariant, so with no
     Newton iteration allowed only its solve fails.
     """
-    h, _ = state.fields[channel]
+    h, _ = sim.fields(state.y)[channel]
     h[end] += 1e-4
 
 

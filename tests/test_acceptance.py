@@ -223,7 +223,7 @@ def test_criterion_06_nonlinear_scheme_preserves_steady_state():
         state, _ = sim.step(state, dt)
     drift = max(
         max(float(np.max(np.abs(h))), float(np.max(np.abs(v))))
-        for h, v in state.fields.values()
+        for h, v in sim.fields(state.y).values()
     )
     assert drift <= 1e-10
 
@@ -267,10 +267,11 @@ def test_criterion_08_nonlinear_decay_and_quadratic_remainder(decay_setup):
         sa, _ = non.step(sa, dt)
         sh, _ = non.step(sh, dt)
     rem_full = max(
-        float(np.max(np.abs(sa.fields[i][0] - sl.fields[i][0]))) for i in topo.channels
+        float(np.max(np.abs(non.fields(sa.y)[i][0] - lin.fields(sl.y)[i][0])))
+        for i in topo.channels
     )
     rem_half = max(
-        float(np.max(np.abs(sh.fields[i][0] - 0.5 * sl.fields[i][0])))
+        float(np.max(np.abs(non.fields(sh.y)[i][0] - 0.5 * lin.fields(sl.y)[i][0])))
         for i in topo.channels
     )
     assert 3.0 <= rem_full / rem_half <= 5.0

@@ -243,6 +243,36 @@ def test_bad_config_exit_two(tmp_path):
     assert main(["steady", "--config", str(absent), "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("mode", "nonlinar"), ("cfl", 1.5), ("T", -1.0), ("sample_stride", 0), ("sample_stride", -3),
+])
+def test_bad_simulation_option_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         option, value):
+    import channet.cli
+
+    def solve(*args):
+        raise AssertionError("the steady state was solved")
+
+    monkeypatch.setattr(channet.cli, "solve_network_steady", solve)
+    code, outdir = run_cli(tmp_path, "simulate", star_config(simulation={option: value}))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and option in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_simulate_too_short_to_fit(tmp_path, mode):
+    # one step: the fit window [0.2 T, T] holds the final sample alone
+    cfg = star_config(simulation={"mode": mode, "T": 0.05})
+    code, outdir = run_cli(tmp_path, "simulate", cfg)
+    assert code == 0
+    summary = json.loads((outdir / "simulate_summary.json").read_text())
+    assert summary["nu_hat"] is None and summary["r2"] is None
+    assert summary["zero_trace"] is False and summary["cfl_dt"] == 0.05
+    assert len((outdir / "trace.csv").read_text().splitlines()) == 3
+
+
 def test_blowup_exit_two(tmp_path, capsys):
     cfg = star_config()
     for entry in cfg["network"]["channels"]:
@@ -371,7 +401,7 @@ def test_simulate_face_solve_failure_exit_five(tmp_path, capsys, monkeypatch, fa
 
     def nudged(sim, perturbation=None):
         state = initial_state(sim, perturbation)
-        nudge_face_cell(state, channel, end)
+        nudge_face_cell(sim, state, channel, end)
         return state
 
     monkeypatch.setattr(channet.simulate.NetworkSimulator, "initial_state", nudged)

@@ -24,7 +24,6 @@ from channet.simulate import (
     SimState,
     decay_fit,
     mass_balance,
-    run,
 )
 from channet.steady import solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
@@ -70,7 +69,7 @@ def test_steady_state_preserved_exactly(star_sim_parts, mode):
     for _ in range(50):
         state, _ = sim.step(state, dt)
     for i in sim.topo.channels:
-        h, v = state.fields[i]
+        h, v = sim.fields(state.y)[i]
         assert np.all(h == 0.0)
         assert np.all(v == 0.0)
 
@@ -78,10 +77,10 @@ def test_steady_state_preserved_exactly(star_sim_parts, mode):
 def test_initial_bump_is_compatible(star_sim_parts):
     sim = make_sim(star_sim_parts)
     state = sim.initial_state(BUMP)
-    h, v = state.fields[2]
+    h, v = sim.fields(state.y)[2]
     assert h[0] == 0.0 and h[1] == 0.0 and h[-1] == 0.0 and h[-2] == 0.0
     assert np.max(h) == pytest.approx(1e-3, rel=0.05)
-    assert state.faces[2] == (0.0, 0.0, 0.0, 0.0)
+    assert sim.face_states(state)[2] == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_linear_mode_is_linear(star_sim_parts):
@@ -93,10 +92,10 @@ def test_linear_mode_is_linear(star_sim_parts):
         state_a, _ = sim.step(state_a, dt)
         state_b, _ = sim.step(state_b, dt)
     for i in sim.topo.channels:
-        ha, _ = state_a.fields[i]
-        hb, _ = state_b.fields[i]
-        # face solves stop at an absolute tolerance, so doubling is exact
-        # only up to the accumulated Newton stopping error
+        ha, _ = sim.fields(state_a.y)[i]
+        hb, _ = sim.fields(state_b.y)[i]
+        # each linear face solve is one exact step, so doubling holds to
+        # round-off, well inside this bound
         assert np.allclose(2.0 * ha, hb, rtol=0.0, atol=1e-11)
 
 
@@ -163,13 +162,14 @@ def test_junction_faces_share_depth_and_conserve_flux(star_sim_parts, mode):
 
 def test_mass_ledger_closes(star_sim_parts):
     topo, profiles, weights = star_sim_parts
-    trace = run(topo, profiles, STAR_GAINS, BUMP, T=20.0, weights=weights)
+    trace = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights).run(BUMP, T=20.0)
     assert mass_balance(trace) <= 1e-10
 
 
 def test_mass_ledger_closes_nonlinear(star_sim_parts):
     topo, profiles, weights = star_sim_parts
-    trace = run(topo, profiles, STAR_GAINS, BUMP, T=20.0, mode="nonlinear", weights=weights)
+    sim = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights, mode="nonlinear")
+    trace = sim.run(BUMP, T=20.0)
     assert mass_balance(trace) <= 1e-10
 
 
@@ -206,7 +206,7 @@ def test_face_solve_failure_is_typed_and_stamped(star_sim_parts, monkeypatch, fa
 
     def nudged(perturbation=None):
         state = initial_state(perturbation)
-        nudge_face_cell(state, channel, end)
+        nudge_face_cell(sim, state, channel, end)
         return state
 
     monkeypatch.setattr(sim, "initial_state", nudged)
@@ -235,7 +235,7 @@ def test_terminal_face_without_root_is_typed_and_stamped(star_sim_parts, monkeyp
 
     def nudged(perturbation=None):
         state = initial_state(perturbation)
-        nudge_face_cell(state, 4, -1)
+        nudge_face_cell(sim, state, 4, -1)
         return state
 
     monkeypatch.setattr(sim, "initial_state", nudged)
@@ -263,7 +263,7 @@ def test_finished_simulator_is_freed_by_reference_counting(star_sim_parts, mode)
     # run's operators are freed as soon as the caller drops them
     sim = make_sim(star_sim_parts, mode)
     sim.run(BUMP, T=1.0)
-    h, _ = sim.final_state.fields[2]
+    h, _ = sim.fields(sim.final_state.y)[2]
     assert np.any(h != 0.0)
     freed = weakref.ref(sim)
     gc.disable()
@@ -276,7 +276,7 @@ def test_finished_simulator_is_freed_by_reference_counting(star_sim_parts, mode)
 
 def test_zero_perturbation_gives_zero_trace(star_sim_parts):
     topo, profiles, weights = star_sim_parts
-    trace = run(topo, profiles, STAR_GAINS, None, T=3.0, weights=weights)
+    trace = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights).run(None, T=3.0)
     assert trace.zero_trace
     assert np.all(trace.V == 0.0)
     assert math.isnan(trace.nu_hat) and math.isnan(trace.r2)
@@ -303,7 +303,7 @@ def test_pulse_travels_at_characteristic_speed():
         state, _ = sim.step(state, T / n)
     lam1 = float(prof.velocity(center)) + math.sqrt(G * float(prof.depth(center)))
     x_expected = center + lam1 * T
-    x_peak = float(prof.x_centers[int(np.argmax(state.fields[1][0]))])
+    x_peak = float(prof.x_centers[int(np.argmax(sim.fields(state.y)[1][0]))])
     assert abs(x_peak - x_expected) <= 3.0 * spec.length / spec.cells
 
 
@@ -346,7 +346,7 @@ def test_scheme_converges_at_first_order():
         weights = network_weights(topo, profiles, 1e-5)
         sim = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights)
         sim.run(BUMP, T=6.0, max_samples=4)
-        fields = {i: sim.final_state.fields[i][0] for i in topo.channels}
+        fields = {i: h for i, (h, _) in sim.fields(sim.final_state.y).items()}
         if cells == 1600:
             reference = fields
         else:
@@ -376,7 +376,7 @@ def test_nonlinear_tracks_linear_at_small_amplitude(star_sim_parts):
         sa, _ = lin.step(sa, dt)
         sb, _ = non.step(sb, dt)
     gap = max(
-        float(np.max(np.abs(sa.fields[i][0] - sb.fields[i][0])))
+        float(np.max(np.abs(lin.fields(sa.y)[i][0] - non.fields(sb.y)[i][0])))
         for i in lin.topo.channels
     )
     assert gap <= 50.0 * amp**2
@@ -441,8 +441,8 @@ def test_linear_operator_is_jacobian_of_nonlinear_rhs(star_sim_parts):
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
-        up = non.rhs(SimState(0.0, e, face, non))[0]
-        down = non.rhs(SimState(0.0, -e, face, non))[0]
+        up = non.rhs(SimState(0.0, e, face))[0]
+        down = non.rhs(SimState(0.0, -e, face))[0]
         J[:, j] = (up - down) / (2.0 * step)
     assert np.max(np.abs(J - A)) <= 1e-6 * np.max(np.abs(A))
 
@@ -470,7 +470,7 @@ def reference_tendency(sim, y, face):
     def flux(h, v, H, V, g):
         return H * v + V * h + q * (h * v), V * v + q * (0.5 * v * v) + g * h
 
-    fields, tendencies = sim._views(y), sim._views(out)
+    fields, tendencies = sim.fields(y), sim.fields(out)
     for i in sim.ids:
         (h, v), (dh, dv) = fields[i], tendencies[i]
         pr, spec = sim.profiles[i], sim.profiles[i].spec
@@ -503,7 +503,7 @@ def face_residuals(sim, y, face):
     incoming invariant at the face against its cell's, and a junction's mass
     balance over H* + q h. The scales are those at which the face solve stops."""
     q, topo = sim.phys.quadratic, sim.topo
-    faces, fields = sim._face_dict(face), sim._views(y)
+    faces, fields = sim._face_dict(face), sim.fields(y)
 
     def shift(h, H, g):
         return 2.0 * (np.sqrt(g * (H + h)) - np.sqrt(g * H)) if q else h * np.sqrt(g / H)
@@ -561,7 +561,7 @@ def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts
         # admissible: a few percent of the steady depth and of the wave speed
         y = np.concatenate((0.05 * sim.Hc, 0.05 * np.sqrt(sim.g * sim.Hc)))
         y *= rng.uniform(-1.0, 1.0, y.size)
-        state = SimState(0.0, y, np.zeros((2, 2 * sim.m)), sim)
+        state = SimState(0.0, y, np.zeros((2, 2 * sim.m)))
         dy, face, _ = sim.rhs(state)
         ref = reference_tendency(sim, y, face)
         for block in (slice(0, sim.N), slice(sim.N, None)):
@@ -616,7 +616,7 @@ def test_stacked_observation_matches_instrumentation(star_sim_parts, tree_parts,
     rng = np.random.default_rng(13)
     for _ in range(10):
         y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
-        state = SimState(0.0, y, None, sim)
+        state = SimState(0.0, y, None)
         V, V_ext, B, mass, *norms = sim._observe(y)
         ref = sim._sample(state)
         assert (V, V_ext) == pytest.approx(sim.lyapunov_extended(state), rel=1e-12, abs=0.0)
@@ -624,3 +624,23 @@ def test_stacked_observation_matches_instrumentation(star_sim_parts, tree_parts,
         assert mass == float(sim.dx @ y[: sim.N])
         assert norms == pytest.approx(ref[4:], rel=1e-12, abs=0.0)
         assert len(norms) == sim.m
+
+
+@pytest.mark.parametrize("network", ["star", "tree"])
+def test_operators_are_the_linear_physics(star_sim_parts, tree_parts, network):
+    # A, F and the influx row against the linear rhs and face solve that
+    # every other linear method runs
+    if network == "star":
+        sim = make_sim(star_sim_parts, "linear")
+    else:
+        topo, profiles, weights, gains = tree_parts
+        sim = NetworkSimulator(topo, profiles, gains, weights=weights)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
+        state = SimState(0.0, y, None)
+        dy, face, influx = sim.rhs(state)
+        assert relative_gap(sim.A @ y, dy) <= 1e-12
+        assert relative_gap(sim.F @ y, face.ravel()) <= 1e-12
+        assert np.array_equal(face, sim.face_states(state, flat=True))
+        assert abs(sim._influx @ y - influx) <= 1e-12 * abs(influx)
