@@ -64,6 +64,7 @@ class RunConfig:
                 width=float(entry.get("width", 0.5)),
             )
         stride = simc.get("sample_stride")
+        check_run_options(sample_stride=stride)  # before int() could truncate it
         config = cls(
             topology=topo,
             root_flux=float(root["Q"]),
@@ -78,8 +79,7 @@ class RunConfig:
             trace_path=str(simc.get("trace_path", "trace.csv")),
             snapshot_path=simc.get("snapshot_path"),
         )
-        check_run_options(mode=config.mode, cfl=config.cfl, T=config.T,
-                          sample_stride=config.sample_stride)
+        check_run_options(mode=config.mode, cfl=config.cfl, T=config.T)
         return config
 
     def to_dict(self) -> dict:

@@ -21,16 +21,23 @@ nearest cell with the imposed flux, feedback law or junction coupling leaves
 one scalar equation in the face depth. A terminal's feedback law is solved in
 closed form. Newton's method on Python floats solves a nonlinear root or
 junction relation from the previous face values, one exact step a linear one.
-A linear run does not call step: its tendency is y' = A y, with A from the
-chain rule through the face map F, so a Heun step is one fixed matrix M. The
-run advances from one sample to the next by cached powers of M, at most
-_BLOCK steps per product, and reads each sample through one stacked
-observation operator.
+Each Heun stage is one pass over its state: one admission gives the depths,
+velocities, g H and V^2 that the subcriticality check, the stability bound
+(first stage) and the friction source share; one face solve on Python floats
+gives the faces with their boundary fluxes and net influx; and the sparse
+matrix acts on a preallocated vector that the stage fills in place. The
+nonlinear run steps these stages and reads V_ext from one product with the
+stacked [L; L^2]. A linear run does not call step: its tendency is y' = A y,
+with A from the chain rule through the face map F, so a Heun step is one
+fixed matrix M. The run advances from one sample to the next by cached powers
+of M, at most _BLOCK steps per product, and reads each sample through one
+stacked observation operator built on the same [L; L^2].
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,41 +113,54 @@ class LyapunovTrace:
 
 
 class _Linear:
-    """Linearized deviation physics. shift returns the depth part of the
-    characteristic variables and its slope in h, face_shift the same on
-    Python floats given c = sqrt(g H); admit checks the cells of a flat state
-    and returns the depths and velocities whose speeds bound a step from it.
-    march yields the states a run reaches (step count, state, flux integral
-    since the last one) and sample reads one for the trace."""
+    """Linearized deviation physics. shift returns the depth part s(h) of the
+    characteristic variables, face_shift s and its slope in h on Python
+    floats given c = sqrt(g H), and invariants gives v + sign s(h) of
+    a list of end cells (H, g, c, site, sign) in one pass. admit checks the
+    cells of a flat state and returns the (H, V, g H, V^2) whose speeds bound
+    a step from it and from which the source is taken. march yields the
+    states a run reaches (step count, state, flux integral since the last
+    one) and sample reads one for the trace."""
 
     quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms
     headroom = 1.0  # share of the initial stability bound taken as the step
 
     def shift(self, h, H, g, where):
-        s = np.sqrt(g / H)
-        return h * s, s
+        return h * np.sqrt(g / H)
 
     def face_shift(self, h, H, g, c, site):
         s = math.sqrt(g / H)
         return h * s, s
 
-    def source(self, sim, h, v):
+    def invariants(self, hs, vs, cells):
+        return [v + sign * (h * math.sqrt(g / H))
+                for h, v, (H, g, _, _, sign) in zip(hs, vs, cells)]
+
+    def products(self, h, v, hv, vv):
+        """The h v and v^2 / 2 flux terms, which stay zero."""
+
+    def source(self, sim, h, v, admitted):
         return sim.src_h * h - sim.src_v * v
 
     def admit(self, sim, y):
         """No depth or Froude limit; the steady speeds bound every step."""
-        return sim.Hc, sim.Vc
+        H, V = sim.Hc, sim.Vc
+        return H, V, sim.g * H, V * V
 
     def face_start(self, sim, face):
         """Every face relation is linear: None solves it exactly in one step."""
         return None
 
-    def terminal_depth(self, y1, k, H, g, c, site, fail):
-        """Face depth h of the feedback law k h + s(h) = y1, s(h) = h sqrt(g / H)."""
-        slope = k + math.sqrt(g / H)
-        if slope == 0.0:
-            raise fail()
-        return y1 / slope
+    def terminal_depths(self, inv, terminals):
+        """Face depth h of each terminal's feedback law k h + s(h) = y1,
+        s(h) = h sqrt(g / H)."""
+        out = []
+        for f, k, (H, g, c, site), fail in terminals:
+            slope = k + math.sqrt(g / H)
+            if slope == 0.0:
+                raise fail()
+            out.append(inv[f] / slope)
+        return out
 
     def prepare(self, sim):
         """The operators A, F and the influx row, and the stacked observation."""
@@ -165,7 +185,7 @@ class _Nonlinear:
         dry = arg <= 0.0
         if dry.any():
             raise SubcriticalLoss(*where[int(np.flatnonzero(dry)[0])])
-        return 2.0 * (np.sqrt(g * arg) - np.sqrt(g * H)), np.sqrt(g / arg)
+        return 2.0 * (np.sqrt(g * arg) - np.sqrt(g * H))
 
     def face_shift(self, h, H, g, c, site):
         arg = H + h
@@ -173,38 +193,63 @@ class _Nonlinear:
             raise SubcriticalLoss(*site)
         return 2.0 * (math.sqrt(g * arg) - c), math.sqrt(g / arg)
 
-    def source(self, sim, h, v):
-        V = sim.Vc + v
-        return -sim.g * sim.friction * (V * V / (sim.Hc + h) ** sim.p - sim.src0)
+    def invariants(self, hs, vs, cells):
+        out = []
+        for h, v, (H, g, c, site, sign) in zip(hs, vs, cells):
+            arg = H + h
+            if arg <= 0.0:
+                raise SubcriticalLoss(*site)
+            out.append(v + sign * (2.0 * (math.sqrt(g * arg) - c)))
+        return out
+
+    def products(self, h, v, hv, vv):
+        """Write h v into hv and v^2 / 2 into vv."""
+        np.multiply(h, v, out=hv)
+        np.multiply(0.5, v, out=vv)
+        vv *= v
+
+    def source(self, sim, h, v, admitted):
+        H, _, _, VV = admitted
+        return sim.neg_gC * (VV / H**sim.p - sim.src0)
 
     def admit(self, sim, y):
-        H, V = sim.Hc + y[: sim.N], sim.Vc + y[sim.N :]
-        bad = (H <= 0.0) | (sim.g * H - V * V <= 0.0)
+        """Raise SubcriticalLoss at the first cell with g H <= V^2, which
+        takes in every cell with H <= 0 as g > 0."""
+        HV = sim.HVc + y
+        H, V = HV[: sim.N], HV[sim.N :]
+        gH, VV = sim.g * H, V * V
+        bad = gH <= VV
         if bad.any():
             raise SubcriticalLoss(*sim._where_cell[int(np.argmax(bad))])
-        return H, V
+        return H, V, gH, VV
 
     def face_start(self, sim, face):
         """Newton starts from the previous faces, or from zero."""
         return np.zeros((2, 2 * sim.m)) if face is None else face
 
-    def terminal_depth(self, y1, k, H, g, c, site, fail):
-        """Face depth h of the feedback law k h + s(h) = y1.
+    def terminal_depths(self, inv, terminals):
+        """Face depth h of each terminal's feedback law k h + s(h) = y1.
 
         With d = sqrt(g (H + h)) - c, s = 2 d and h = d (2 c + d) / g, so the
         law reads (k / g) d^2 + B d - y1 = 0 with B = 2 (1 + k c / g). The
         root that tends to y1 / B as k -> 0 is taken in the form that does
         not cancel. No real root, or B = 0 (the reflection pole), raises
-        fail(); a root with c + d <= 0 has no wet face depth.
+        fail(); a root with c + d <= 0, or H + h <= 0 in rounding, has no
+        wet face depth.
         """
-        a, B = k / g, 2.0 * (1.0 + k * c / g)
-        disc = B * B + 4.0 * a * y1
-        if disc < 0.0 or B == 0.0:
-            raise fail()
-        d = 2.0 * y1 / (B + math.copysign(math.sqrt(disc), B))
-        if c + d <= 0.0:
-            raise SubcriticalLoss(*site)
-        return d * (2.0 * c + d) / g
+        out = []
+        for f, k, (H, g, c, site), fail in terminals:
+            y1 = inv[f]
+            a, B = k / g, 2.0 * (1.0 + k * c / g)
+            disc = B * B + 4.0 * a * y1
+            if disc < 0.0 or B == 0.0:
+                raise fail()
+            d = 2.0 * y1 / (B + math.copysign(math.sqrt(disc), B))
+            h = d * (2.0 * c + d) / g
+            if c + d <= 0.0 or H + h <= 0.0:
+                raise SubcriticalLoss(*site)
+            out.append(h)
+        return out
 
     def prepare(self, sim):
         """A nonlinear run steps the shared physics: it has no operators."""
@@ -222,43 +267,58 @@ class _Nonlinear:
 _PHYSICS = {"linear": _Linear(), "nonlinear": _Nonlinear()}
 
 
+def _count(x):
+    """Whether x is a whole number of at least 1; a bool is not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return x >= 1 and (isinstance(x, numbers.Integral) or float(x).is_integer())
+
+
 def check_run_options(**options) -> None:
-    """Raise ValueError for the first named run option (mode, cfl, T or
-    sample_stride) that the simulator does not accept."""
+    """Raise ValueError for the first named run option (mode, cfl, T,
+    sample_stride or max_samples) that the simulator does not accept."""
     rules = {"mode": (lambda x: x in _PHYSICS, "'linear' or 'nonlinear'"),
              "cfl": (lambda x: 0.0 < x <= 0.95, "in (0, 0.95]"),
              "T": (lambda x: x > 0.0, "positive"),
-             "sample_stride": (lambda x: x is None or x >= 1, "at least 1")}
+             "sample_stride": (lambda x: x is None or _count(x), "a whole number, at least 1"),
+             "max_samples": (_count, "a whole number, at least 1")}
     for name, value in options.items():
         accepts, text = rules[name]
         if not accepts(value):
             raise ValueError(f"{name} must be {text}, not {value!r}")
 
 
-def _solve_relation(residual, start, scale, fail):
-    """Newton iteration on one face relation in Python floats, stopping at
-    |G| <= NEWTON_TOL * scale.
+def _solve_relation(shift, q, a0, a1, face, a2, b, dust, scale, fail, h):
+    """(h, s(h)) of Newton's method on one face relation G(h) = a0 + a1 h +
+    a2 s(h) + b h s(h) + dust h / (H + q h) = 0 in Python floats (see
+    NetworkSimulator._solve_faces), stopping at |G| <= NEWTON_TOL * scale.
 
-    residual(h) returns (G, dG/dh). start None takes the one step from zero
-    that solves a linear relation exactly. fail() builds the typed error.
+    shift(h, *face) returns s(h) and its slope. The start h None takes the
+    one step from zero that solves a linear relation exactly. fail() builds
+    the typed error.
     """
-    if start is None:
-        G, dG = residual(0.0)
-        if dG == 0.0:
-            raise fail()
-        return -G / dG
-    h = start
-    for _ in range(NEWTON_MAX_ITER):
-        G, dG = residual(h)
-        if abs(G) <= NEWTON_TOL * scale:
-            return h
+    H, exact = face[0], h is None
+    h, left = (0.0, 0) if exact else (h, NEWTON_MAX_ITER)
+    while True:
+        s, ds = shift(h, *face)
+        hh = H + q * h
+        G = a0 + a1 * h + a2 * s + b * (h * s) + dust * h / hh
+        if not exact and (abs(G) <= NEWTON_TOL * scale or left == 0):
+            break
+        dG = a1 + a2 * ds + b * (s + h * ds) + dust * H / (hh * hh)
+        if exact:
+            if dG == 0.0:
+                raise fail()
+            h = -G / dG
+            return h, shift(h, *face)[0]
         # a non-finite iterate shows up here as a non-finite slope
         if not (math.isfinite(dG) and abs(dG) >= 1e-14):
             raise fail()
         h -= G / dG
-    if not abs(residual(h)[0]) <= 10.0 * NEWTON_TOL * scale:
+        left -= 1
+    if not abs(G) <= 10.0 * NEWTON_TOL * scale:
         raise fail()
-    return h
+    return h, s
 
 
 def _split(n, size):
@@ -343,9 +403,11 @@ class NetworkSimulator:
                  for s in (pr.spec for pr in ps)]
         g, fr, p, dx = (np.repeat(a, n) for a in zip(*specs))
         self.Hc, self.Vc, self.g, self.friction, self.p, self.dx = Hc, Vc, g, fr, p, dx
+        self.HVc = np.concatenate((Hc, Vc))
         self.src_h = p * g * fr * Vc**2 / Hc ** (p + 1.0)
         self.src_v = 2.0 * g * fr * Vc / Hc**p
         self.src0 = Vc * Vc / Hc**p
+        self.neg_gC = -g * fr
         loc = np.arange(N) - np.repeat(start, n)
         self._first, self._last = start, start + n - 1
         # boundary faces: m inlets then m outlets
@@ -353,6 +415,7 @@ class NetworkSimulator:
         self._Hb = np.array([H[0] for H in Hf] + [H[-1] for H in Hf])
         self._Vb = np.array([V[0] for V in Vf] + [V[-1] for V in Vf])
         self._gb = np.concatenate((g[self._first], g[self._last]))
+        self._bfaces = list(zip(self._Hb.tolist(), self._Vb.tolist(), self._gb.tolist()))
         self._sign = np.repeat([-1.0, 1.0], m)
         # dy = K [h, v, q h v, q v^2 / 2, B1, B2] plus the source, B the boundary
         # fluxes: a cell takes its left face's flux minus its right one's, over dx.
@@ -375,6 +438,10 @@ class NetworkSimulator:
         vals += [-self._sign / dx[bnd]] * 2
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
         self._K = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * N, 4 * N + 4 * m))
+        # the vector [h, v, q h v, q v^2 / 2, B1, B2] that K acts on, which each
+        # stage fills in place through views of its four parts
+        self._u = u = np.zeros(4 * N + 4 * m)
+        self._u_parts = (u[: 2 * N], u[2 * N : 3 * N], u[3 * N : 4 * N], u[4 * N :])
         # the channel and cell[, face] of each cell and boundary face, named when it runs dry
         self._where_cell = [(i, int(k)) for i, k in zip(np.repeat(ids, n), loc)]
         self._where_face = ([(i, 0, "inlet") for i in ids]
@@ -382,52 +449,48 @@ class NetworkSimulator:
 
     def _face_relations(self):
         """Unknowns and coefficients of the face relations in Python floats (see _solve_faces)."""
-        m, q = self.m, self.phys.quadratic
+        m = self.m
         ordinal = {i: k for k, i in enumerate(self.ids)}
-        # one unknown depth per relation: root inlet, terminal outlets, junctions' incoming outlets
+        # one unknown depth per relation: root inlet, terminal outlets, junctions' incoming
+        # outlets; an unknown's face f is also the index of its cell's invariant (_solve_faces)
         terminals, internal = list(self.topo.terminal_channels), list(self.topo.internal_channels)
-        children = [self.topo.junctions[i] for i in internal]
-        self._kr = ordinal[self.topo.root_channel]
-        self._kt, self._kj = [ordinal[j] for j in terminals], [ordinal[i] for i in internal]
-        self._kc = [[ordinal[c] for c in ch] for ch in children]
-        self._k = [self.gains[j] for j in terminals]
-        ku = [self._kr] + [m + k for k in self._kt + self._kj]
+        children = [[ordinal[c] for c in self.topo.junctions[i]] for i in internal]
+        kr = ordinal[self.topo.root_channel]
+        kt, kj = [m + ordinal[j] for j in terminals], [m + ordinal[i] for i in internal]
+        ku = [kr] + kt + kj
 
         def at(H, g, sites):  # (H, g, sqrt(g H), site) of each face or cell
             return list(zip(H.tolist(), g.tolist(), np.sqrt(g * H).tolist(), sites))
 
         ends = self._ends[: 2 * m]
-        self._end_cells = at(self.Hc[ends], self.g[ends], [self._where_cell[k] for k in ends])
-        faces = at(self._Hb[ku], self._gb[ku], [self._where_face[k] for k in ku])
-        self._Hr, self._Vr = faces[0][0], float(self._Vb[self._kr])
-        # steady velocity mismatch of the stored baselines, a few ulp at most
-        pr = self.profiles
-        dust = [pr[i].flux / pr[i].outlet_depth - sum(pr[c].flux / pr[i].outlet_depth for c in ch)
-                for i, ch in zip(internal, children)]
-        nt = len(terminals)
-        self._unknown_faces = faces
+        cells = at(self.Hc[ends], self.g[ends], [self._where_cell[k] for k in ends])
+        self._end_cells = [(*cell, sign) for cell, sign in zip(cells, self._sign.tolist())]
+        faces = dict(zip(ku, at(self._Hb[ku], self._gb[ku], [self._where_face[k] for k in ku])))
+        # the root's mass flux, whose tolerance scales with the steady flux
+        H, _, c, _ = faces[kr]
+        self._root = (kr, H, float(self._Vb[kr]), faces[kr], H * c,
+                      lambda i=self.topo.root_channel: RootSolveFailure(
+                          f"channel {i}: inlet flux solve diverged"))
         # the terminals' feedback laws, solved in closed form
+        gains = [self.gains[j] for j in terminals]
         self._terminals = [
-            (k, gain, face, lambda j=j: TerminalSolveFailure(
+            (f, gain, faces[f], lambda j=j: TerminalSolveFailure(
                 f"channel {j}: terminal feedback has no face depth"))
-            for k, gain, face, j in zip(self._kt, self._k, faces[1 : 1 + nt], terminals)]
-        # the root's and the junctions' relations, solved by Newton's method
-        iterated = [0] + list(range(1 + nt, len(ku)))
-        kn, fn = [ku[u] for u in iterated], [faces[u] for u in iterated]
-        a2 = [self._Hr] + [-1.0 - len(ch) for ch in children]
-        b = [q] + [0.0] * len(children)
-        # the root's tolerance scales with its steady flux, a junction's with
-        # the wave speed or the invariant, whichever is larger
-        scale = [self._Hr * fn[0][2]] + [c for _, _, c, _ in fn[1:]]
-        fail = [lambda i=self.topo.root_channel: RootSolveFailure(
-            f"channel {i}: inlet flux solve diverged")]
-        fail += [lambda i=i: JunctionDivergence(i) for i in internal]
-        wide = [0.0] + [1.0] * len(children)  # weight of |a0| in the scale
-        self._relations = list(zip(kn, fn, a2, b, [0.0] + dust, scale, wide, fail))
+            for f, gain, j in zip(kt, gains, terminals)]
+        # the junctions' mass balances, with the steady velocity mismatch of
+        # the stored baselines (a few ulp at most); the tolerance scales with
+        # the wave speed or the invariant, whichever is larger (_solve_faces)
+        pr = self.profiles
+        dust = [pr[i].flux / pr[i].outlet_depth
+                - sum(pr[c].flux / pr[i].outlet_depth for c in self.topo.junctions[i])
+                for i in internal]
+        self._junctions = [(f, ch, faces[f], -1.0 - len(ch), d, faces[f][2],
+                            lambda i=i: JunctionDivergence(i))
+                           for f, ch, d, i in zip(kj, children, dust, internal)]
         # each face's unknown, the sign of s in its velocity, and a terminal's gain
         unknown = {f: u for u, f in enumerate(ku)}
-        unknown |= {c: u for u, ch in enumerate(self._kc, 1 + nt) for c in ch}
-        gain = {m + k: g for k, g in zip(self._kt, self._k)}
+        unknown |= {c: u for u, ch in enumerate(children, 1 + len(kt)) for c in ch}
+        gain = dict(zip(kt, gains))
         self._face_map = [(unknown[f], 1.0 if f < m else -1.0, gain.get(f)) for f in range(2 * m)]
 
     def _instrumentation(self):
@@ -456,9 +519,10 @@ class NetworkSimulator:
         self._wf = np.concatenate((self._w * f1, self._w * f2))
         D = sparse.block_diag([_gradient_matrix(xc) for xc in x])
         diag = sparse.diags
-        self._L = sparse.bmat(
+        L = sparse.bmat(
             [[-diag(lam1) @ D - diag(g1), -diag(d1)], [-diag(g2), diag(lam2) @ D - diag(d2)]]
         ).tocsr()
+        self._LL = sparse.vstack([L, L @ L]).tocsr()  # [L; L^2], one product for V_ext
 
     def fields(self, y: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per-channel views of the flat state y: id -> (h, v)."""
@@ -482,15 +546,18 @@ class NetworkSimulator:
         N, m4, ends = self.N, 4 * self.m, np.unique(self._ends)
         unit = np.zeros((ends.size, 2 * N))
         unit[np.arange(ends.size), ends] = 1.0
-        face = np.array([self._solve_faces(y, None).ravel() for y in unit])
+        face = np.array([self._solve_faces(y, None)[0].ravel() for y in unit])
         b, k = np.nonzero(face)
         F = sparse.csr_matrix((face[b, k], (k, ends[b])), shape=(m4, 2 * N))
         zero, unit_faces = np.zeros(2 * N), np.identity(m4).reshape(m4, 2, -1)
-        dY, _, influx = zip(*(self._tendency(zero, f) for f in unit_faces))
+        steady = self.phys.admit(self, zero)
+        dY, _, influx = zip(*(
+            self._tendency(zero, (f, *self._boundary_fluxes(*f.tolist())), steady)
+            for f in unit_faces))
         T = sparse.csr_matrix(np.array(dY).T)
         one, none = np.ones(N), np.zeros(N)
-        source = sparse.diags([self.phys.source(self, one, none),
-                               np.concatenate((none, self.phys.source(self, none, one)))],
+        source = sparse.diags([self.phys.source(self, one, none, steady),
+                               np.concatenate((none, self.phys.source(self, none, one, steady)))],
                               [-N, 0], shape=(2 * N, 2 * N))
         A = (self._K[:, : 2 * N] + source + T @ F).tocsr()
         return A, F, F.T @ np.array(influx)
@@ -524,9 +591,8 @@ class NetworkSimulator:
             return sparse.bmat([[S, I], [-S, I]])
 
         C = char(np.sqrt(self.g / self.Hc))
-        LC = self._L @ C
         Cb = char(np.sqrt(self._gb / self._Hb)) @ self.F
-        O = sparse.vstack([C, LC, self._L @ LC, Cb, sparse.identity(2 * self.N)]).tocsr()
+        O = sparse.vstack([C, self._LL @ C, Cb, sparse.identity(2 * self.N)]).tocsr()
         wf = sparse.csr_matrix(self._wf)
         sign = self._sign
         bw = sparse.csr_matrix(np.concatenate((sign * self._f1lam1, -sign * self._f2lam2)))
@@ -539,14 +605,21 @@ class NetworkSimulator:
         return O, W.tocsr()
 
     def cfl_dt(self, state: SimState) -> float:
-        """Largest stable step, CFL safety times min over cells of dx / speed.
-        The speeds come from the pass that admits the state, so step does not
-        check it again; in linear mode they are the steady ones."""
-        H, V = self.phys.admit(self, state.y)
-        return self.cfl * float(np.min(self.dx / (np.abs(V) + np.sqrt(self.g * H))))
+        """Largest stable step, CFL safety times min over cells of dx / speed,
+        with the speeds of the state's admission; in linear mode the steady
+        ones."""
+        return self._bound(self.phys.admit(self, state.y))
+
+    def _bound(self, admitted):
+        _, V, gH, _ = admitted
+        speed = np.sqrt(gH)
+        speed += np.abs(V)
+        return self.cfl * float((self.dx / speed).min())
 
     def _solve_faces(self, y, start):
-        """Face depths and velocities, shape (2, 2m), of the flat state y.
+        """(faces, B1, B2, net boundary mass influx) of the flat state y: the
+        face depths and velocities, shape (2, 2m), and the boundary fluxes
+        of the inlet then outlet faces as lists.
 
         Each face relation is G(h) = a0 + a1 h + a2 s(h) + b h s(h) +
         c h / (H + q h) = 0 in a face depth h, with s the depth shift, y2 the
@@ -556,83 +629,93 @@ class NetworkSimulator:
         y1 - sum y2 = (n + 1) s - c h / (H + q h) over n children, c the
         steady velocity mismatch (a0 = y1 - sum y2, a2 = -(n + 1)). Newton
         starts from the faces in start; None takes the exact linear step. A
-        terminal's feedback law k h = y1 - s is solved in closed form.
+        terminal's feedback law k h = y1 - s is solved in closed form. One
+        pass on Python floats: one physics call gives the end cells'
+        invariants, Newton returns the shift at each unknown it solves, and
+        the boundary fluxes follow from the faces.
         """
-        m, q, shift = self.m, self.phys.quadratic, self.phys.face_shift
+        m, phys = self.m, self.phys
+        q, shift = phys.quadratic, phys.face_shift
         end = y[self._ends].tolist()
-        sh = [shift(h, *cell)[0] for h, cell in zip(end, self._end_cells)]
-        y2 = [v - s for v, s in zip(end[2 * m : 3 * m], sh)]
-        y1 = [v + s for v, s in zip(end[3 * m :], sh[m:])]
-        y2r = y2[self._kr]
-        a0 = [self._Hr * y2r]
-        a0 += [y1[k] - sum(y2[c] for c in ch) for k, ch in zip(self._kj, self._kc)]
-        a1 = [self._Vr + q * y2r] + [0.0] * len(self._kj)
+        # y2 of the m inlet cells, then y1 of the m outlet cells
+        inv = phys.invariants(end[: 2 * m], end[2 * m :], self._end_cells)
         start = None if start is None else start[0].tolist()
+        f, H, V, face, scale, fail = self._root
+        h, s = _solve_relation(shift, q, H * inv[f], V + q * inv[f], face, H, q, 0.0, scale, fail,
+                               None if start is None else start[f])
+        # the unknowns and their shifts in order: root, terminals, junctions;
+        # a terminal face's velocity is its gain times its depth, not a shift
+        hu = [h, *phys.terminal_depths(inv, self._terminals)]
+        su = [s] + [0.0] * len(self._terminals)
+        for f, children, face, a2, dust, speed, fail in self._junctions:
+            a0 = inv[f] - sum([inv[k] for k in children])
+            h, s = _solve_relation(shift, q, a0, 0.0, face, a2, 0.0, dust, max(speed, abs(a0)),
+                                   fail, None if start is None else start[f])
+            hu.append(h)
+            su.append(s)
+        fh, fv = [], []
+        for f, (u, sign, gain) in enumerate(self._face_map):
+            h = hu[u]
+            fh.append(h)
+            fv.append(inv[f] + sign * su[u] if gain is None else gain * h)
+        return (np.array((fh, fv)), *self._boundary_fluxes(fh, fv))
 
-        def newton(A0, A1, k, face, a2, b, dust, scale, wide, fail):
-            H = face[0]
-
-            def residual(hf):
-                s, ds = shift(hf, *face)
-                hh = H + q * hf
-                return (A0 + A1 * hf + a2 * s + b * (hf * s) + dust * hf / hh,
-                        A1 + a2 * ds + b * (s + hf * ds) + dust * H / (hh * hh))
-
-            scale = max(scale, wide * abs(A0))
-            return _solve_relation(residual, None if start is None else start[k], scale, fail)
-
-        root, *junctions = [(A0, A1, *r) for A0, A1, r in zip(a0, a1, self._relations)]
-        hu = [newton(*root)]  # the unknowns in order: root, terminals, junctions
-        hu += [self.phys.terminal_depth(y1[k], gain, *face, fail)
-               for k, gain, face, fail in self._terminals]
-        hu += [newton(*r) for r in junctions]
-        su = [shift(h, *face)[0] for h, face in zip(hu, self._unknown_faces)]
-        invariant = y2 + y1
-        velocity = [invariant[f] + sign * su[u] if gain is None else gain * hu[u]
-                    for f, (u, sign, gain) in enumerate(self._face_map)]
-        return np.array(([hu[u] for u, _, _ in self._face_map], velocity))
+    def _boundary_fluxes(self, fh, fv):
+        """(B1, B2, net boundary mass influx) of the lists fh, fv of face
+        depths and velocities, inlets then outlets; B1 and B2 as lists."""
+        q, m, B1, B2 = self.phys.quadratic, self.m, [], []
+        for (H, V, g), h, v in zip(self._bfaces, fh, fv):
+            B1.append(H * v + V * h + q * (h * v))
+            B2.append(V * v + q * (0.5 * v * v) + g * h)
+        return B1, B2, sum(B1[:m]) - sum(B1[m:])
 
     def face_states(self, state: SimState, flat: bool = False):
         """Every boundary and junction face: channel id -> (h0, v0, hL, vL), or
         the (2, 2m) array if flat. A nonlinear solve starts from the state's
         faces, a linear one is exact from None."""
-        f = self._solve_faces(state.y, self.phys.face_start(self, state.face))
+        f = self._solve_faces(state.y, self.phys.face_start(self, state.face))[0]
         return f if flat else self._face_dict(f)
 
     # -- semi-discrete right-hand side ---------------------------------------
 
-    def _tendency(self, y, face):
-        """(dy, face, net boundary mass influx) of the flat state y and its faces."""
-        N, q = self.N, self.phys.quadratic
+    def _tendency(self, y, faces, admitted):
+        """(dy, face, net boundary mass influx) of the flat state y, its
+        admission and its solved faces, B1 and B2 (_solve_faces)."""
+        N, (uy, hv, vv, uB) = self.N, self._u_parts
+        face, B1, B2, influx = faces
         h, v = y[:N], y[N:]
-        fh, fv = face
-        B1 = self._Hb * fv + self._Vb * fh + q * (fh * fv)
-        B2 = self._Vb * fv + q * (0.5 * fv * fv) + self._gb * fh
-        dy = self._K @ np.concatenate((y, q * (h * v), q * (0.5 * v * v), B1, B2))
-        dy[N:] += self.phys.source(self, h, v)
-        return dy, face, -(B1 @ self._sign)
+        uy[:] = y
+        self.phys.products(h, v, hv, vv)
+        uB[:] = B1 + B2
+        dy = self._K @ self._u
+        dy[N:] += self.phys.source(self, h, v, admitted)
+        return dy, face, influx
 
-    def rhs(self, state: SimState):
+    def rhs(self, state: SimState, dt: float | None = None):
         """Flat tendencies, solved faces, and the net boundary mass influx of
-        an admitted state."""
-        return self._tendency(state.y, self.face_states(state, flat=True))
+        the state, which one pass admits. Given dt, a step dt above the
+        state's stability bound raises CflViolation first."""
+        admitted = self.phys.admit(self, state.y)
+        if dt is not None:
+            self._check_step(dt, self._bound(admitted), state.time)
+        faces = self._solve_faces(state.y, self.phys.face_start(self, state.face))
+        return self._tendency(state.y, faces, admitted)
 
-    def _check_step(self, state: SimState, dt: float):
-        """Admit the state and refuse a step dt above its stability bound."""
-        bound = self.cfl_dt(state)
+    def _check_step(self, dt: float, bound: float, time: float):
+        """Refuse a step dt above the stability bound of the state at time."""
         if dt > bound * (1.0 + 1e-12):
             raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e} "
-                               f"at t = {state.time:.6e}")
+                               f"at t = {time:.6e}")
 
     def step(self, state: SimState, dt: float):
         """One Heun (two-stage Runge-Kutta) step: (new state, flux integral).
 
-        The flux integral applies the scheme's own quadrature to the net
-        boundary mass influx, so stored mass and ledger agree to round-off."""
-        self._check_step(state, dt)
-        k1, face1, influx1 = self.rhs(state)
+        Each stage admits its state once; the first stage's admission also
+        bounds dt. The flux integral applies the scheme's own quadrature to
+        the net boundary mass influx, so stored mass and ledger agree to
+        round-off."""
+        k1, face1, influx1 = self.rhs(state, dt)
         mid = SimState(state.time + dt, state.y + dt * k1, face1)
-        self.phys.admit(self, mid.y)
         k2, face2, influx2 = self.rhs(mid)
         new = SimState(state.time + dt, state.y + 0.5 * dt * (k1 + k2), face2)
         return new, 0.5 * dt * (influx1 + influx2)
@@ -640,7 +723,7 @@ class NetworkSimulator:
     # -- instrumentation -----------------------------------------------------
 
     def _char_fields(self, y):
-        s = self.phys.shift(y[: self.N], self.Hc, self.g, self._where_cell)[0]
+        s = self.phys.shift(y[: self.N], self.Hc, self.g, self._where_cell)
         v = y[self.N :]
         return np.concatenate((v + s, v - s))
 
@@ -658,13 +741,13 @@ class NetworkSimulator:
         dt y2 = lam2 dx y2 - gamma2 y1 - delta2 y2 (the operator L), twice."""
         z = self._char_fields(state.y)
         V = self._weighted(z)
-        z1 = self._L @ z
-        return V, V + self._weighted(z1) + self._weighted(self._L @ z1)
+        u = self._LL @ z
+        return V, V + self._weighted(u[: z.size]) + self._weighted(u[z.size :])
 
     def boundary_form(self, state: SimState) -> float:
         """B(t), the sum over channels of [f1 lam1 y1^2 - f2 lam2 y2^2]_0^L."""
         f = self.face_states(state, flat=True)
-        s = self.phys.shift(f[0], self._Hb, self._gb, self._where_face)[0]
+        s = self.phys.shift(f[0], self._Hb, self._gb, self._where_face)
         y1, y2 = f[1] + s, f[1] - s
         return float(self._sign @ (self._f1lam1 * y1**2 - self._f2lam2 * y2**2))
 
@@ -697,7 +780,7 @@ class NetworkSimulator:
         """
         from scipy import sparse
 
-        self._check_step(state, dt)
+        self._check_step(dt, self.cfl_dt(state), state.time)
         A, q = self.A, self._influx
         M = (sparse.identity(2 * self.N) + dt * A + (0.5 * dt * dt) * (A @ A)).tocsr()
         r = dt * q + (0.5 * dt * dt) * (A.T @ q)
@@ -733,14 +816,15 @@ class NetworkSimulator:
         over the run. The decay rate and its R^2 are fitted on ln V over
         [0.2 T, T], and are NaN where V is zero or under two samples fall in it.
         """
-        check_run_options(T=T, sample_stride=sample_stride)
+        check_run_options(T=T, sample_stride=sample_stride, max_samples=max_samples)
         now = 0.0  # time of the last state reached, stamped on a SimulationError
         try:
             state = self.initial_state(perturbation)
             bound = self.cfl_dt(state)
             nsteps = max(1, math.ceil(T / (bound * self.phys.headroom)))
             dt = T / nsteps
-            stride = max(1, nsteps // max_samples) if sample_stride is None else int(sample_stride)
+            stride = (max(1, nsteps // int(max_samples)) if sample_stride is None
+                      else int(sample_stride))
             flux_integral = 0.0
             rows = [(0.0, flux_integral, *self.phys.sample(self, state))]
             for n, state, dflux in self.phys.march(self, state, dt, nsteps, stride):

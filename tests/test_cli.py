@@ -210,8 +210,10 @@ def test_simulate_outputs(tmp_path):
         assert float(row[2]) > 0.0
 
 
-def test_simulate_byte_identical(tmp_path):
-    cfg = star_config()
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_simulate_byte_identical(tmp_path, mode):
+    # a nonlinear stage fills one flux buffer in place on every call
+    cfg = star_config(simulation={"mode": mode})
     code_a, out_a = run_cli(tmp_path, "simulate", cfg, out="a")
     code_b, out_b = run_cli(tmp_path, "simulate", cfg, out="b")
     assert code_a == code_b == 0
@@ -245,6 +247,7 @@ def test_bad_config_exit_two(tmp_path):
 
 @pytest.mark.parametrize("option, value", [
     ("mode", "nonlinar"), ("cfl", 1.5), ("T", -1.0), ("sample_stride", 0), ("sample_stride", -3),
+    ("sample_stride", 2.5), ("sample_stride", True),
 ])
 def test_bad_simulation_option_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
                                                          option, value):

@@ -173,11 +173,22 @@ def test_mass_ledger_closes_nonlinear(star_sim_parts):
     assert mass_balance(trace) <= 1e-10
 
 
-def test_cfl_violation_rejected(star_sim_parts):
-    sim = make_sim(star_sim_parts)
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_cfl_violation_rejected(star_sim_parts, mode):
+    # a nonlinear step takes its bound from the first stage's admission
+    sim = make_sim(star_sim_parts, mode)
     state = sim.initial_state(BUMP)
     with pytest.raises(CflViolation):
         sim.step(state, 3.0 * sim.cfl_dt(state))
+
+
+@pytest.mark.parametrize("option, value", [
+    ("max_samples", 0), ("max_samples", -1), ("sample_stride", 2.5), ("sample_stride", True),
+])
+def test_bad_run_option_raises_value_error(star_sim_parts, option, value):
+    sim = make_sim(star_sim_parts)
+    with pytest.raises(ValueError, match=option):
+        sim.run(BUMP, T=1.0, **{option: value})
 
 
 def test_supercritical_initial_state_rejected(star_sim_parts):
@@ -624,6 +635,26 @@ def test_stacked_observation_matches_instrumentation(star_sim_parts, tree_parts,
         assert mass == float(sim.dx @ y[: sim.N])
         assert norms == pytest.approx(ref[4:], rel=1e-12, abs=0.0)
         assert len(norms) == sim.m
+
+
+@pytest.mark.parametrize("network", ["star", "tree"])
+def test_nonlinear_extended_value_matches_two_products(star_sim_parts, tree_parts, network):
+    # a nonlinear sample takes L z and L^2 z from one product with the
+    # stacked [L; L^2]; against L applied twice to the characteristic fields
+    if network == "star":
+        sim = make_sim(star_sim_parts, "nonlinear")
+    else:
+        topo, profiles, weights, gains = tree_parts
+        sim = NetworkSimulator(topo, profiles, gains, weights=weights, mode="nonlinear")
+    L = sim._LL[: 2 * sim.N]
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
+        z = sim._char_fields(y)
+        z1 = L @ z
+        V, V1, V2 = (float(sim._wf @ (a * a)) for a in (z, z1, L @ z1))
+        got = sim.lyapunov_extended(SimState(0.0, y, None))
+        assert got == pytest.approx((V, V + V1 + V2), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("network", ["star", "tree"])
