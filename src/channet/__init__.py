@@ -9,7 +9,6 @@ measure exponential decay.
 
 from .characteristics import (
     CharCoeffs,
-    coupling_coefficients,
     eigenvalues,
     reflection_coefficient,
 )
@@ -22,7 +21,6 @@ from .errors import (
     DegenerateFlux,
     DisconnectedChannel,
     EpsilonTooLarge,
-    FormMismatch,
     JunctionDivergence,
     MissingGain,
     MultipleParents,
@@ -73,17 +71,12 @@ from .topology import (
 from .weights import (
     ChannelWeights,
     NetworkCertificate,
-    PhiProfiles,
     WeightSet,
     certify_network,
     eta_eps,
     interior_matrix,
     junction_matrix,
-    m_profile,
     m_value,
-    network_weights,
-    phi_profiles,
-    riccati_existence_margin,
     trunk_inlet_coefficient,
 )
 
@@ -102,7 +95,6 @@ __all__ = [
     "DegenerateFlux",
     "DisconnectedChannel",
     "EpsilonTooLarge",
-    "FormMismatch",
     "GainRecord",
     "JunctionDivergence",
     "LyapunovTrace",
@@ -113,7 +105,6 @@ __all__ = [
     "NetworkSimulator",
     "NetworkTopology",
     "NonPositiveV",
-    "PhiProfiles",
     "ReflectionPole",
     "RootSolveFailure",
     "SimState",
@@ -131,7 +122,6 @@ __all__ = [
     "ZeroW",
     "boundary_constants",
     "certify_network",
-    "coupling_coefficients",
     "critical_depth",
     "decay_fit",
     "eigenvalues",
@@ -141,15 +131,11 @@ __all__ = [
     "interior_matrix",
     "is_admissible",
     "junction_matrix",
-    "m_profile",
     "m_value",
     "mass_balance",
     "network_from_dict",
     "network_to_dict",
-    "network_weights",
-    "phi_profiles",
     "reflection_coefficient",
-    "riccati_existence_margin",
     "solve_network_steady",
     "steady_rhs",
     "traversal_order",

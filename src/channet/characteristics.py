@@ -7,10 +7,12 @@ into characteristic variables
 
 travelling with speeds lambda1 = V* + sqrt(g H*) (downstream) and
 -lambda2 = V* - sqrt(g H*) (upstream). Friction couples the two families
-through four non-negative zero-order coefficients gamma1, delta1, gamma2,
-delta2. Two algebraically equivalent expressions exist for them: one written
-with the friction term g C V*^2 / H*^p, one with the steady depth gradient.
-Both are computed and cross-checked; the friction form is returned.
+through four zero-order coefficients gamma1, delta1, gamma2, delta2. One
+kernel, ``speeds_couplings``, gives the speeds and the couplings together,
+written with the friction term g C V*^2 / H*^p; ``CharCoeffs`` samples it on
+a profile's fine grid, and the weight ODEs call it on scalars. The same
+term is -(H*_x / H*) lambda1 lambda2 through the steady depth gradient; the
+tests check that identity, and the code does not form it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormMismatch, ReflectionPole
-from .steady import SteadyProfile, steady_rhs
-
-DUAL_FORM_TOL = 1e-10
+from .errors import ReflectionPole
+from .steady import SteadyProfile
 
 
 def eigenvalues(depth, velocity, gravity=9.81):
@@ -117,51 +117,6 @@ def existence_integral(H, inlet_depth, flux, p, g):
     return -(s0 + 1.0) / (s0 - 1.0) * dF
 
 
-def coupling_coefficients(
-    depth, flux, friction, friction_exponent=1.0, gravity=9.81, tol=DUAL_FORM_TOL
-):
-    """Zero-order coupling coefficients (gamma1, delta1, gamma2, delta2).
-
-    Evaluated from the friction form and checked against the steady-gradient
-    form (with the depth slope taken analytically from the profile equation):
-    FormMismatch is raised if any coefficient disagrees beyond ``tol``
-    relative. Array depth gives arrays; ``speeds_couplings`` is the
-    unchecked friction form.
-    """
-    H = np.atleast_1d(np.asarray(depth, dtype=float))
-    scalar = np.ndim(depth) == 0
-    if flux == 0.0 or friction == 0.0:
-        if scalar:
-            return (0.0, 0.0, 0.0, 0.0)
-        zeros = np.zeros_like(H)
-        return (zeros, zeros.copy(), zeros.copy(), zeros.copy())
-
-    lam1, lam2, *friction_form = speeds_couplings(H, flux, friction, friction_exponent, gravity)
-
-    # The two forms share the bracket factors and differ in the prefactor:
-    # the friction term g C V^2 / H^p against -(H_x / H) lambda1 lambda2.
-    H_x = steady_rhs(H, flux, friction, friction_exponent, gravity)
-    V = flux / H
-    ratio = -(H_x / H) * lam1 * lam2 / (gravity * friction * V * V / H**friction_exponent)
-    gradient_form = tuple(a * ratio for a in friction_form)
-    for name, a_f, a_g in zip(
-        ("gamma1", "delta1", "gamma2", "delta2"), friction_form, gradient_form
-    ):
-        scale = np.maximum(np.abs(a_f), np.abs(a_g))
-        gap = np.abs(a_f - a_g)
-        bad = gap > tol * np.maximum(scale, 1e-300)
-        if np.any(bad & (scale > 0.0)):
-            worst = float(np.max(gap / np.maximum(scale, 1e-300)))
-            raise FormMismatch(
-                f"{name}: friction and gradient forms disagree "
-                f"(worst relative gap {worst:.3e})"
-            )
-
-    if scalar:
-        return tuple(float(a[0]) for a in friction_form)
-    return tuple(friction_form)
-
-
 def reflection_coefficient(gain, outlet_depth, gravity=9.81):
     """Ratio c of outgoing to incoming characteristic at a feedback outlet.
 
@@ -193,21 +148,12 @@ class CharCoeffs:
 
     @classmethod
     def from_profile(cls, profile: SteadyProfile) -> "CharCoeffs":
-        H = profile.H_fine
-        lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)
-        g1, d1, g2, d2 = coupling_coefficients(
-            H,
-            profile.flux,
-            profile.spec.friction,
-            profile.spec.friction_exponent,
-            profile.gravity,
-        )
-        return cls(
-            profile=profile,
-            lambda1=lam1,
-            lambda2=lam2,
-            gamma1=g1,
-            delta1=d1,
-            gamma2=g2,
-            delta2=d2,
-        )
+        """One ``speeds_couplings`` call on the fine grid. A channel without
+        flow or without friction has no coupling: its couplings are exact
+        zeros and its speeds come from ``eigenvalues``."""
+        H, spec = profile.H_fine, profile.spec
+        if profile.flux == 0.0 or spec.friction == 0.0:
+            lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)
+            return cls(profile, lam1, lam2, *(np.zeros_like(H) for _ in range(4)))
+        return cls(profile, *speeds_couplings(
+            H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity))

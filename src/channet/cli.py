@@ -27,7 +27,7 @@ from .errors import (
 from .gains import is_admissible
 from .simulate import CFL_SAFETY, Bump, NetworkSimulator, check_run_options, mass_balance
 from .steady import solve_network_steady
-from .topology import NetworkTopology, network_from_dict, network_to_dict
+from .topology import NetworkTopology, network_from_dict, network_to_dict, validate_topology
 from .weights import DEFAULT_EPSILON, certify_network
 
 
@@ -50,10 +50,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """Parse and check a configuration. A bad topology, a NaN or
+        infinite number, a count that is not whole or a run option the
+        simulator refuses raises TopologyError or ValueError here, before
+        any solve."""
         topo = network_from_dict(data["network"])
+        validate_topology(topo)
         root = data["root"]
-        gains = {int(j): float(k) for j, k in data.get("gains", {}).items()}
+        gains = {int(j): _finite(k, f"gain {j}") for j, k in data.get("gains", {}).items()}
         lyap = data.get("lyapunov", {})
+        epsilon_start = float(lyap.get("epsilon_start", DEFAULT_EPSILON))
+        if not 0.0 < epsilon_start < math.inf:
+            raise ValueError(f"epsilon_start must be positive and finite, not {epsilon_start!r}")
         simc = data.get("simulation", {})
         pert = {}
         for j, entry in simc.get("perturbation", {}).items():
@@ -67,10 +75,10 @@ class RunConfig:
         check_run_options(sample_stride=stride)  # before int() could truncate it
         config = cls(
             topology=topo,
-            root_flux=float(root["Q"]),
-            root_inlet_depth=float(root["H0"]),
+            root_flux=_finite(root["Q"], "Q"),
+            root_inlet_depth=_finite(root["H0"], "H0"),
             gains=gains,
-            epsilon_start=float(lyap.get("epsilon_start", DEFAULT_EPSILON)),
+            epsilon_start=epsilon_start,
             mode=str(simc.get("mode", "linear")),
             T=float(simc.get("T", 100.0)),
             cfl=float(simc.get("cfl", CFL_SAFETY)),
@@ -106,6 +114,14 @@ class RunConfig:
                 "snapshot_path": self.snapshot_path,
             },
         }
+
+
+def _finite(value, name: str) -> float:
+    """value as a float; ValueError, naming it, if it is NaN or infinite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return x
 
 
 def _fmt(x: float) -> str:

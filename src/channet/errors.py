@@ -69,12 +69,6 @@ class SteadyStateBlowup(SteadyStateError):
         )
 
 
-# --- characteristic coefficients -------------------------------------------
-
-class FormMismatch(ChannetError):
-    """The two algebraic forms of the coupling coefficients disagree."""
-
-
 # --- Lyapunov weights -------------------------------------------------------
 
 class WeightError(ChannetError):

@@ -141,7 +141,8 @@ def is_admissible(
             phi_L = math.exp(sum(phi_exponents(HL, profile.inlet_depth, profile.flux, p, g)))
             eta_bar_L = m_L * (lam_m / lam_p) * phi_L
 
-    admissible = k > b if half else not (a <= k <= b)
+    # strictly outside [a, b] (a = -inf on the half-line); a NaN gain is not
+    admissible = k < a or k > b
     try:
         c = reflection_coefficient(k, HL, g)
         pole = False

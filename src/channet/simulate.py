@@ -37,7 +37,6 @@ stacked observation operator built on the same [L; L^2].
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from .errors import CflViolation, JunctionDivergence, MissingGain, NonPositiveV, RootSolveFailure
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure, WeightError
 from .steady import FINE_REFINEMENT, SteadyProfile
-from .topology import NetworkTopology, validate_topology
+from .topology import NetworkTopology, _count, validate_topology
 from .weights import WeightSet, certify_network
 
 CFL_SAFETY = 0.9
@@ -73,6 +72,13 @@ class Bump:
     amplitude_v: float = 0.0
     center: float = 0.5
     width: float = 0.5
+
+    def __post_init__(self):
+        for name in ("amplitude_h", "amplitude_v", "center"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"bump {name} must be finite, not {getattr(self, name)!r}")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"bump width must be positive and finite, not {self.width!r}")
 
 
 @dataclass
@@ -267,19 +273,12 @@ class _Nonlinear:
 _PHYSICS = {"linear": _Linear(), "nonlinear": _Nonlinear()}
 
 
-def _count(x):
-    """Whether x is a whole number of at least 1; a bool is not."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    return x >= 1 and (isinstance(x, numbers.Integral) or float(x).is_integer())
-
-
 def check_run_options(**options) -> None:
     """Raise ValueError for the first named run option (mode, cfl, T,
     sample_stride or max_samples) that the simulator does not accept."""
     rules = {"mode": (lambda x: x in _PHYSICS, "'linear' or 'nonlinear'"),
              "cfl": (lambda x: 0.0 < x <= 0.95, "in (0, 0.95]"),
-             "T": (lambda x: x > 0.0, "positive"),
+             "T": (lambda x: 0.0 < x < math.inf, "positive and finite"),
              "sample_stride": (lambda x: x is None or _count(x), "a whole number, at least 1"),
              "max_samples": (_count, "a whole number, at least 1")}
     for name, value in options.items():

@@ -250,16 +250,17 @@ def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float)
     frictionless or zero-flux channels). One Newton solve inverts the
     potential on the fine grid, and the faces and centers are its slices.
     """
-    if flux < 0.0:
-        raise NegativeFlux(f"channel {spec.id}: flux must be >= 0, got {flux!r}")
+    # each check in a form that NaN fails
+    if not 0.0 <= flux < math.inf:
+        raise NegativeFlux(f"channel {spec.id}: flux must be >= 0 and finite, got {flux!r}")
     g = spec.gravity
     H0 = float(inlet_depth)
-    if H0 <= 0.0:
-        raise SupercriticalStart(f"channel {spec.id}: inlet depth must be positive")
+    if not 0.0 < H0 < math.inf:
+        raise SupercriticalStart(f"channel {spec.id}: inlet depth must be positive and finite")
     Hc = critical_depth(flux, g)
     threshold = MARGIN_TOL * g * H0
     inlet_margin = g * H0 - (0.0 if flux == 0.0 else (flux / H0) ** 2)
-    if inlet_margin <= threshold:
+    if not inlet_margin > threshold:
         raise SupercriticalStart(
             f"channel {spec.id}: inlet margin {inlet_margin:.3e} is within "
             f"{MARGIN_TOL:g} * g * H0 of critical"
@@ -302,8 +303,8 @@ def solve_network_steady(
     prescribed fractions.
     """
     validate_topology(topo)
-    if root_flux <= 0.0:
-        raise NegativeFlux(f"root flux must be positive, got {root_flux!r}")
+    if not 0.0 < root_flux < math.inf:
+        raise NegativeFlux(f"root flux must be positive and finite, got {root_flux!r}")
     profiles: dict[int, SteadyProfile] = {}
     for i in traversal_order(topo):
         spec = topo.channels[i]

@@ -8,6 +8,8 @@ junction end at a controlled outlet.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -19,6 +21,13 @@ from .errors import (
 )
 
 SPLIT_SUM_TOL = 1e-12
+
+
+def _count(x):
+    """Whether x is a whole number of at least 1; a bool is not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return x >= 1 and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
 @dataclass(frozen=True)
@@ -37,15 +46,16 @@ class ChannelSpec:
     cells: int = 100
 
     def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError(f"channel {self.id}: length must be positive")
-        if self.friction < 0.0:
-            raise ValueError(f"channel {self.id}: friction must be >= 0")
-        if self.friction_exponent < 0.0:
-            raise ValueError(f"channel {self.id}: friction exponent must be >= 0")
-        if self.gravity <= 0.0:
-            raise ValueError(f"channel {self.id}: gravity must be positive")
-        if self.cells < 8:
+        # each check in a form that NaN fails
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"channel {self.id}: length must be positive and finite")
+        if not 0.0 <= self.friction < math.inf:
+            raise ValueError(f"channel {self.id}: friction must be >= 0 and finite")
+        if not 0.0 <= self.friction_exponent < math.inf:
+            raise ValueError(f"channel {self.id}: friction exponent must be >= 0 and finite")
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError(f"channel {self.id}: gravity must be positive and finite")
+        if not self.cells >= 8:
             raise ValueError(f"channel {self.id}: at least 8 cells required")
 
 
@@ -173,13 +183,16 @@ def network_from_dict(data: dict) -> NetworkTopology:
     """Build a topology from parsed JSON (channel ids may arrive as strings)."""
     channels = {}
     for entry in data["channels"]:
+        cells = entry.get("cells", 100)
+        if not _count(cells):  # before int() could truncate it
+            raise ValueError(f"channel {entry.get('id')}: cells must be a whole number, not {cells!r}")
         spec = ChannelSpec(
             id=int(entry["id"]),
             length=float(entry["length"]),
             friction=float(entry.get("friction", 0.0)),
             friction_exponent=float(entry.get("friction_exponent", 1.0)),
             gravity=float(entry.get("gravity", 9.81)),
-            cells=int(entry.get("cells", 100)),
+            cells=int(cells),
         )
         channels[spec.id] = spec
     junctions = {int(i): tuple(int(c) for c in out) for i, out in data.get("junctions", {}).items()}

@@ -675,6 +675,7 @@ def _channel_checks(
 
     Records every margin in ``detail`` and returns the names of the failed
     checks. A junction is checked once the last of its children is built.
+    Each check passes only on a strict margin, so a NaN margin fails it.
     """
     topo = ws.topo
     i = cw.channel
@@ -683,7 +684,7 @@ def _channel_checks(
     if i in topo.junctions:
         z = float(cw.Z[-1])
         detail["z_end"][i] = z
-        if z <= 0.0:
+        if not z > 0.0:
             failed.append("junction_outflow_positive")
     else:
         k = float(gains[i])
@@ -692,18 +693,18 @@ def _channel_checks(
         lam1_L, lam2_L = cw.coeffs.lambda1[-1], cw.coeffs.lambda2[-1]
         margin = float(cw.f1[-1] * lam1_L * c**2 - cw.f2[-1] * lam2_L)
         detail["terminal_margins"][i] = margin
-        if margin <= 0.0 or (prof.flux == 0.0 and k <= 0.0):
+        if not margin > 0.0 or (prof.flux == 0.0 and not k > 0.0):
             failed.append("terminal_margin")
 
     if i == topo.root_channel:
         f1 = trunk_inlet_coefficient(ws)
         detail["trunk_inlet"] = f1
-        if f1 <= 0.0:
+        if not f1 > 0.0:
             failed.append("trunk_inlet")
     else:
         z = float(cw.Z[0])
         detail["z_start"][i] = z
-        if z >= 0.0:
+        if not z < 0.0:
             failed.append("branch_inflow_negative")
         parent = topo.parent_of(i)
         if all(c in ws.channels for c in topo.junctions[parent]):
@@ -771,9 +772,12 @@ def certify_network(
     comparison solution fails to exist or any check fails. Each attempt
     builds the channels root first and stops at the first failing check;
     the last attempt runs every check, so a refused certificate lists every
-    failure at the final epsilon.
+    failure at the final epsilon. An ``epsilon_start`` that is not positive
+    and finite raises ValueError.
     """
     validate_topology(topo)
+    if not 0.0 < epsilon_start < math.inf:
+        raise ValueError(f"epsilon_start must be positive and finite, not {epsilon_start!r}")
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)

@@ -7,14 +7,13 @@ import pytest
 
 from channet.characteristics import (
     CharCoeffs,
-    coupling_coefficients,
     eigenvalues,
     existence_integral,
     phi_exponents,
     reflection_coefficient,
     speeds_couplings,
 )
-from channet.errors import FormMismatch, ReflectionPole
+from channet.errors import ReflectionPole
 from channet.steady import integrate_channel_steady, steady_rhs
 from channet.topology import ChannelSpec
 
@@ -134,22 +133,22 @@ def test_coupling_frozen_point():
 
 
 def test_coupling_gradient_form_agrees():
-    # same coefficients from the depth gradient instead of the friction slope
-    H, Q, C, p = 1.7, 0.8, 1.5e-3, 4.0 / 3.0
-    V = Q / H
-    c = math.sqrt(G * H)
-    H_x = steady_rhs(H, Q, C, p, G)
-    P = -(H_x / H) * (V + c) * (c - V)
-    K = G * C * V**2 / H**p
-    assert P == pytest.approx(K, rel=1e-12)
-    coupling_coefficients(H, Q, C, p, G, tol=1e-10)
-
-
-def test_coupling_mismatch_detected():
-    # the two forms agree to rounding, not bitwise; a zero tolerance trips
-    H = np.linspace(1.2, 3.0, 7)
-    with pytest.raises(FormMismatch):
-        coupling_coefficients(H, 1.0, 2e-3, 1.0, G, tol=0.0)
+    # the friction term K = g C V^2 / H^p of the couplings equals the
+    # gradient form P = -(H_x / H) lambda1 lambda2 with H_x from the steady
+    # depth equation. Both are exact, so they agree to rounding where the
+    # margin g H - V^2 inside H_x keeps its digits: the depths stay at
+    # least 1.1 critical depths, where the margin is above a quarter of g H.
+    rng = np.random.default_rng(57)
+    for p in P_CHOICES:
+        flux = rng.uniform(0.2, 3.0)
+        Hc = (flux / math.sqrt(G)) ** (2.0 / 3.0)
+        H = Hc * rng.uniform(1.1, 4.0, size=64)
+        friction = rng.uniform(1e-4, 5e-3)
+        V, c = flux / H, np.sqrt(G * H)
+        H_x = steady_rhs(H, flux, friction, p, G)
+        P = -(H_x / H) * (V + c) * (c - V)
+        K = G * friction * V**2 / H**p
+        assert np.max(np.abs(P - K) / K) <= 1e-12, p
 
 
 def test_speeds_couplings_scalar_path_matches_array_path():
@@ -229,10 +228,17 @@ def test_existence_integral_matches_its_definition():
 
 
 def test_zero_friction_couplings_vanish():
-    vals = coupling_coefficients(2.0, 1.0, 0.0, 1.0, G)
-    assert vals == (0.0, 0.0, 0.0, 0.0)
-    vals = coupling_coefficients(2.0, 0.0, 2e-3, 1.0, G)
-    assert vals == (0.0, 0.0, 0.0, 0.0)
+    # a frictionless channel and a zero-flux channel have no coupling: their
+    # couplings are exact (positive) zeros, and their speeds the eigenvalues
+    for friction, flux in ((0.0, 1.0), (2e-3, 0.0)):
+        spec = ChannelSpec(id=1, length=10.0, friction=friction, cells=8)
+        prof = integrate_channel_steady(spec, 2.0, flux)
+        cc = CharCoeffs.from_profile(prof)
+        for a in (cc.gamma1, cc.delta1, cc.gamma2, cc.delta2):
+            assert a.shape == prof.H_fine.shape
+            assert np.all(a == 0.0) and not np.any(np.signbit(a))
+        lam1, lam2 = eigenvalues(prof.H_fine, prof.velocity_of(prof.H_fine), G)
+        assert np.array_equal(cc.lambda1, lam1) and np.array_equal(cc.lambda2, lam2)
 
 
 def test_char_coeffs_from_profile():

@@ -1,6 +1,8 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,13 +13,16 @@ import numpy as np
 import pytest
 
 import channet
+from channet.characteristics import CharCoeffs
 from channet.cli import RunConfig, main
+from channet.errors import BadSplitSum, CycleDetected, DisconnectedChannel, MultipleParents
 from channet.gains import is_admissible
-from channet.steady import solve_network_steady
-from channet.topology import network_to_dict
+from channet.steady import integrate_channel_steady, solve_network_steady
+from channet.topology import ChannelSpec, NetworkTopology, network_to_dict
 
 from conftest import (
     FACE_FAILURES,
+    G,
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
     dry_outlet_cell,
@@ -245,23 +250,126 @@ def test_bad_config_exit_two(tmp_path):
     assert main(["steady", "--config", str(absent), "--out", str(tmp_path / "y")]) == 2
 
 
-@pytest.mark.parametrize("option, value", [
-    ("mode", "nonlinar"), ("cfl", 1.5), ("T", -1.0), ("sample_stride", 0), ("sample_stride", -3),
-    ("sample_stride", 2.5), ("sample_stride", True),
-])
-def test_bad_simulation_option_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
-                                                         option, value):
+def refuse_solve(monkeypatch):
     import channet.cli
 
     def solve(*args):
         raise AssertionError("the steady state was solved")
 
     monkeypatch.setattr(channet.cli, "solve_network_steady", solve)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("mode", "nonlinar"), ("cfl", 1.5), ("T", -1.0), ("sample_stride", 0), ("sample_stride", -3),
+    ("sample_stride", 2.5), ("sample_stride", True), ("T", math.inf),
+])
+def test_bad_simulation_option_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         option, value):
+    refuse_solve(monkeypatch)
     code, outdir = run_cli(tmp_path, "simulate", star_config(simulation={option: value}))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration") and option in err
     assert not outdir.exists()
+
+
+def _set(cfg, path, value):
+    *keys, last = path
+    for key in keys:
+        cfg = cfg[key]
+    cfg[last] = value
+
+
+def _extra_channel(cfg):
+    cfg["network"]["channels"].append(dict(cfg["network"]["channels"][-1], id=5))
+
+
+# each topology error on the star: split fractions that sum to 0.6, a junction
+# that feeds the root back, channel 3 claimed twice, and a channel that no
+# junction feeds
+TOPOLOGY_ERRORS = {
+    "BadSplitSum": (BadSplitSum, lambda cfg: _set(cfg, ("network", "split_fractions", "1"),
+                                                   [0.1, 0.3, 0.2])),
+    "CycleDetected": (CycleDetected, lambda cfg: _set(cfg, ("network", "junctions", "2"), [1])),
+    "MultipleParents": (MultipleParents, lambda cfg: _set(cfg, ("network", "junctions", "2"), [3])),
+    "DisconnectedChannel": (DisconnectedChannel, _extra_channel),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_ERRORS))
+def test_topology_error_exit_two_before_any_solve(tmp_path, capsys, monkeypatch, name):
+    error, mutate = TOPOLOGY_ERRORS[name]
+    cfg = star_config()
+    mutate(cfg)
+    with pytest.raises(error):
+        RunConfig.from_dict(cfg)
+    refuse_solve(monkeypatch)
+    code, outdir = run_cli(tmp_path, "steady", cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid configuration")
+    assert not outdir.exists()
+
+
+# values that would hang the certificate, write NaN outputs or be truncated,
+# each with the text its refusal names; simulate parses the configuration as
+# every command does, and runs the certificate too
+BAD_VALUES = {
+    "Q-nan": (("root", "Q"), math.nan, "Q must be finite"),
+    "H0-nan": (("root", "H0"), math.nan, "H0 must be finite"),
+    "friction-nan": (("network", "channels", 1, "friction"), math.nan, "friction"),
+    "length-nan": (("network", "channels", 1, "length"), math.nan, "length"),
+    "cells-9.7": (("network", "channels", 1, "cells"), 9.7, "cells"),
+    "gain-nan": (("gains", "2"), math.nan, "gain 2 must be finite"),
+    "gain-inf": (("gains", "3"), -math.inf, "gain 3 must be finite"),
+    "epsilon_start-nan": (("lyapunov", "epsilon_start"), math.nan, "epsilon_start"),
+    "epsilon_start-inf": (("lyapunov", "epsilon_start"), math.inf, "epsilon_start"),
+    "epsilon_start-0": (("lyapunov", "epsilon_start"), 0.0, "epsilon_start"),
+    "epsilon_start--1": (("lyapunov", "epsilon_start"), -1.0, "epsilon_start"),
+    "width-0": (("simulation", "perturbation", "2", "width"), 0.0, "bump width"),
+    "amplitude_h-nan": (("simulation", "perturbation", "2", "amplitude_h"), math.nan,
+                        "bump amplitude_h"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_value_exit_two_before_any_solve(tmp_path, capsys, monkeypatch, case):
+    path, value, text = BAD_VALUES[case]
+    cfg = star_config()
+    _set(cfg, path, value)
+    refuse_solve(monkeypatch)
+    code, outdir = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and text in err
+    assert not outdir.exists()
+
+
+def near_critical_config():
+    """One channel whose outlet margin g H - V^2 is 1.8e-6 g H, just above
+    the steady solve's 1e-6 tolerance: its length is the blow-up bound less
+    1e-12 of it."""
+    spec = ChannelSpec(id=1, length=0.1, friction=0.05, friction_exponent=4.0 / 3.0)
+    bound = integrate_channel_steady(spec, 1.0, 2.0).blowup_bound
+    near = dataclasses.replace(spec, length=bound * (1.0 - 1e-12))
+    network = network_to_dict(NetworkTopology(channels={1: near}, root_channel=1))
+    return {"network": network, "root": {"Q": 2.0, "H0": 1.0}, "gains": {"1": 0.0}}
+
+
+def test_near_critical_channel_gets_a_certificate_verdict(tmp_path):
+    cfg = near_critical_config()
+    config = RunConfig.from_dict(cfg)
+    prof = solve_network_steady(config.topology, 1.0, 2.0)[1]
+    H_L = prof.outlet_depth
+    assert 1e-6 < (G * H_L - (2.0 / H_L) ** 2) / (G * H_L) < 2e-6
+    cc = CharCoeffs.from_profile(prof)
+    assert all(np.all(np.isfinite(getattr(cc, name))) for name in
+               ("lambda1", "lambda2", "gamma1", "delta1", "gamma2", "delta2"))
+    for command in ("steady", "gains"):
+        assert run_cli(tmp_path, command, cfg, out=command)[0] == 0
+    code, outdir = run_cli(tmp_path, "certify", cfg, out="certify")
+    assert code in (0, 4)
+    cert = json.loads((outdir / "certificate.json").read_text())
+    assert cert["certified"] is (code == 0)
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])

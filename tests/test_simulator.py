@@ -191,6 +191,21 @@ def test_bad_run_option_raises_value_error(star_sim_parts, option, value):
         sim.run(BUMP, T=1.0, **{option: value})
 
 
+def test_infinite_duration_raises_value_error(star_sim_parts):
+    sim = make_sim(star_sim_parts)
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        sim.run(BUMP, T=math.inf)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"width": 0.0}, {"width": -0.5}, {"width": math.nan}, {"width": math.inf},
+    {"amplitude_h": math.nan}, {"amplitude_v": math.inf}, {"center": math.nan},
+])
+def test_bump_rejects_values_that_are_not_finite_or_a_width_of_zero(kwargs):
+    with pytest.raises(ValueError, match="bump"):
+        Bump(**{"amplitude_h": 1e-3, **kwargs})
+
+
 def test_supercritical_initial_state_rejected(star_sim_parts):
     sim = make_sim(star_sim_parts, "nonlinear")
     with pytest.raises(SubcriticalLoss):

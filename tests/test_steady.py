@@ -312,6 +312,22 @@ def test_negative_flux_rejected():
         integrate_channel_steady(spec, 2.0, -1.0)
 
 
+@pytest.mark.parametrize("H0, flux, error", [
+    (math.nan, 1.0, SupercriticalStart), (math.inf, 1.0, SupercriticalStart),
+    (2.0, math.nan, NegativeFlux), (2.0, math.inf, NegativeFlux),
+])
+def test_non_finite_inlet_rejected(H0, flux, error):
+    spec = ChannelSpec(id=1, length=50.0, friction=1e-3, cells=16)
+    with pytest.raises(error):
+        integrate_channel_steady(spec, H0, flux)
+
+
+@pytest.mark.parametrize("root_flux", [math.nan, math.inf])
+def test_non_finite_root_flux_rejected(root_flux):
+    with pytest.raises(NegativeFlux):
+        solve_network_steady(small_star(cells=8), STAR_ROOT_DEPTH, root_flux)
+
+
 def test_network_propagates_depth_and_flux():
     topo = small_star()
     profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)

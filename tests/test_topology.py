@@ -1,6 +1,7 @@
 """Network description and validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -165,8 +166,23 @@ def test_missing_root():
         {"length": 10.0, "friction_exponent": -0.5},
         {"length": 10.0, "gravity": 0.0},
         {"length": 10.0, "cells": 4},
+        {"length": math.nan},
+        {"length": math.inf},
+        {"length": 10.0, "friction": math.nan},
+        {"length": 10.0, "friction": math.inf},
+        {"length": 10.0, "friction_exponent": math.nan},
+        {"length": 10.0, "gravity": math.nan},
+        {"length": 10.0, "cells": math.nan},
     ],
 )
 def test_channel_spec_validation(kwargs):
     with pytest.raises(ValueError):
         ChannelSpec(id=1, **kwargs)
+
+
+@pytest.mark.parametrize("cells", [9.7, True, "24"])
+def test_non_whole_cells_rejected_before_truncation(cells):
+    data = network_to_dict(small_star(cells=24))
+    data["channels"][1]["cells"] = cells
+    with pytest.raises(ValueError, match="cells"):
+        network_from_dict(data)

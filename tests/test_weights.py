@@ -524,6 +524,23 @@ def test_step_underflow_fails_the_epsilon_promptly(star_profiles, monkeypatch):
         assert abs(calls[-1][0] - mid) <= 1e-12 * mid
 
 
+@pytest.mark.parametrize("epsilon_start", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_epsilon_start_raises_value_error(star_profiles, epsilon_start):
+    topo, profiles = star_profiles
+    with pytest.raises(ValueError, match="epsilon_start"):
+        certify_network(topo, profiles, STAR_GAINS, epsilon_start=epsilon_start)
+
+
+def test_nan_gain_is_neither_admissible_nor_certified(star_profiles):
+    # every check passes only on a strict margin, so a NaN margin fails it
+    topo, profiles = star_profiles
+    assert is_admissible(profiles[2], math.nan).admissible is False
+    cert = certify_network(topo, profiles, {**STAR_GAINS, 2: math.nan})
+    assert cert.certified is False
+    assert "terminal_margin" in cert.failed_checks
+    assert math.isnan(cert.terminal_margins[2])
+
+
 def test_trunk_start_needs_flux():
     spec = ChannelSpec(id=1, length=20.0, friction=1e-3, cells=16)
     prof = integrate_channel_steady(spec, 1.5, 0.0)
