@@ -51,13 +51,18 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Parse and check a configuration. A bad topology, a NaN or
-        infinite number, a count that is not whole or a run option the
-        simulator refuses raises TopologyError or ValueError here, before
-        any solve."""
+        infinite number, a count that is not whole, a gain for a channel
+        that is not terminal, a perturbation of a channel that is not in the
+        network or a run option the simulator refuses raises TopologyError
+        or ValueError here, before any solve."""
         topo = network_from_dict(data["network"])
         validate_topology(topo)
         root = data["root"]
         gains = {int(j): _finite(k, f"gain {j}") for j, k in data.get("gains", {}).items()}
+        stray = sorted(set(gains) - set(topo.terminal_channels))
+        if stray:
+            raise ValueError(f"gains for channel(s) {', '.join(map(str, stray))}, "
+                             "which are not terminal channels")
         lyap = data.get("lyapunov", {})
         epsilon_start = float(lyap.get("epsilon_start", DEFAULT_EPSILON))
         if not 0.0 < epsilon_start < math.inf:
@@ -65,6 +70,8 @@ class RunConfig:
         simc = data.get("simulation", {})
         pert = {}
         for j, entry in simc.get("perturbation", {}).items():
+            if int(j) not in topo.channels:
+                raise ValueError(f"perturbation of channel {j}, which is not in the network")
             pert[int(j)] = Bump(
                 amplitude_h=float(entry.get("amplitude_h", 0.0)),
                 amplitude_v=float(entry.get("amplitude_v", 0.0)),

@@ -9,9 +9,12 @@ an exact fixed point. Both the nonlinear system and its linearization fit
     dt h + dx F1 = 0,          F1 = H* v + V* h (+ h v),
     dt v + dx F2 = S,          F2 = V* v + g h (+ v^2 / 2),
 
-with S the friction source relative to the steady baseline; the modes differ
-only in the bracketed terms, the characteristic depth shift and the source,
-and the physics pair _Linear, _Nonlinear holds every difference between them.
+with S the friction source relative to the steady baseline. The bracketed
+terms carry the weight q, 0 linear and 1 nonlinear, and so does the depth
+shift s(h) = h 2 g / (sqrt(g (H + q h)) + sqrt(g H)) of the characteristic
+variables v +- s(h): both modes share one shift and one terminal feedback law
+in q. The physics pair _Linear, _Nonlinear holds what else differs: the
+source, the admission of a state, and how a run marches and samples.
 Interior fluxes are upwinded in the characteristic variables of the frozen
 steady Jacobian. Every flux is linear in the cell values, in their products
 h v and v^2 / 2 and in the boundary-face fluxes, so the tendency is one sparse
@@ -44,10 +47,12 @@ import numpy as np
 # scipy.sparse is imported where the operators are built, so that only a
 # simulation loads it: importing channet loads no scipy.
 from .errors import CflViolation, JunctionDivergence, MissingGain, NonPositiveV, RootSolveFailure
-from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure, WeightError
+from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure
 from .steady import FINE_REFINEMENT, SteadyProfile
 from .topology import NetworkTopology, _count, validate_topology
-from .weights import WeightSet, certify_network
+# certify_network is not called here: perfbench's span test looks it up in
+# this module by name, so the import goes when that test does
+from .weights import WeightSet, certify_network  # noqa: F401
 
 CFL_SAFETY = 0.9
 NEWTON_TOL = 1e-13
@@ -119,28 +124,15 @@ class LyapunovTrace:
 
 
 class _Linear:
-    """Linearized deviation physics. shift returns the depth part s(h) of the
-    characteristic variables, face_shift s and its slope in h on Python
-    floats given c = sqrt(g H), and invariants gives v + sign s(h) of
-    a list of end cells (H, g, c, site, sign) in one pass. admit checks the
-    cells of a flat state and returns the (H, V, g H, V^2) whose speeds bound
-    a step from it and from which the source is taken. march yields the
-    states a run reaches (step count, state, flux integral since the last
-    one) and sample reads one for the trace."""
+    """Linearized deviation physics. admit checks the cells of a flat state
+    and returns the (H, V, g H, V^2) whose speeds bound a step from it and
+    from which the source is taken. march yields the states a run reaches
+    (step count, state, flux integral since the last one) and sample reads
+    one for the trace. The depth shift and the terminal law are shared
+    (_shift, _face_shift, _terminal_depths): quadratic weighs them too."""
 
-    quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms
+    quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms and of h in the shift
     headroom = 1.0  # share of the initial stability bound taken as the step
-
-    def shift(self, h, H, g, where):
-        return h * np.sqrt(g / H)
-
-    def face_shift(self, h, H, g, c, site):
-        s = math.sqrt(g / H)
-        return h * s, s
-
-    def invariants(self, hs, vs, cells):
-        return [v + sign * (h * math.sqrt(g / H))
-                for h, v, (H, g, _, _, sign) in zip(hs, vs, cells)]
 
     def products(self, h, v, hv, vv):
         """The h v and v^2 / 2 flux terms, which stay zero."""
@@ -156,17 +148,6 @@ class _Linear:
     def face_start(self, sim, face):
         """Every face relation is linear: None solves it exactly in one step."""
         return None
-
-    def terminal_depths(self, inv, terminals):
-        """Face depth h of each terminal's feedback law k h + s(h) = y1,
-        s(h) = h sqrt(g / H)."""
-        out = []
-        for f, k, (H, g, c, site), fail in terminals:
-            slope = k + math.sqrt(g / H)
-            if slope == 0.0:
-                raise fail()
-            out.append(inv[f] / slope)
-        return out
 
     def prepare(self, sim):
         """The operators A, F and the influx row, and the stacked observation."""
@@ -185,28 +166,6 @@ class _Nonlinear:
 
     quadratic = 1.0
     headroom = 0.98  # the bound tightens as speeds grow
-
-    def shift(self, h, H, g, where):
-        arg = H + h
-        dry = arg <= 0.0
-        if dry.any():
-            raise SubcriticalLoss(*where[int(np.flatnonzero(dry)[0])])
-        return 2.0 * (np.sqrt(g * arg) - np.sqrt(g * H))
-
-    def face_shift(self, h, H, g, c, site):
-        arg = H + h
-        if arg <= 0.0:
-            raise SubcriticalLoss(*site)
-        return 2.0 * (math.sqrt(g * arg) - c), math.sqrt(g / arg)
-
-    def invariants(self, hs, vs, cells):
-        out = []
-        for h, v, (H, g, c, site, sign) in zip(hs, vs, cells):
-            arg = H + h
-            if arg <= 0.0:
-                raise SubcriticalLoss(*site)
-            out.append(v + sign * (2.0 * (math.sqrt(g * arg) - c)))
-        return out
 
     def products(self, h, v, hv, vv):
         """Write h v into hv and v^2 / 2 into vv."""
@@ -232,30 +191,6 @@ class _Nonlinear:
     def face_start(self, sim, face):
         """Newton starts from the previous faces, or from zero."""
         return np.zeros((2, 2 * sim.m)) if face is None else face
-
-    def terminal_depths(self, inv, terminals):
-        """Face depth h of each terminal's feedback law k h + s(h) = y1.
-
-        With d = sqrt(g (H + h)) - c, s = 2 d and h = d (2 c + d) / g, so the
-        law reads (k / g) d^2 + B d - y1 = 0 with B = 2 (1 + k c / g). The
-        root that tends to y1 / B as k -> 0 is taken in the form that does
-        not cancel. No real root, or B = 0 (the reflection pole), raises
-        fail(); a root with c + d <= 0, or H + h <= 0 in rounding, has no
-        wet face depth.
-        """
-        out = []
-        for f, k, (H, g, c, site), fail in terminals:
-            y1 = inv[f]
-            a, B = k / g, 2.0 * (1.0 + k * c / g)
-            disc = B * B + 4.0 * a * y1
-            if disc < 0.0 or B == 0.0:
-                raise fail()
-            d = 2.0 * y1 / (B + math.copysign(math.sqrt(disc), B))
-            h = d * (2.0 * c + d) / g
-            if c + d <= 0.0 or H + h <= 0.0:
-                raise SubcriticalLoss(*site)
-            out.append(h)
-        return out
 
     def prepare(self, sim):
         """A nonlinear run steps the shared physics: it has no operators."""
@@ -287,19 +222,73 @@ def check_run_options(**options) -> None:
             raise ValueError(f"{name} must be {text}, not {value!r}")
 
 
-def _solve_relation(shift, q, a0, a1, face, a2, b, dust, scale, fail, h):
+def _shift(h, H, g, q, where):
+    """The depth shift s(h) of the characteristic variables v +- s(h) at the
+    depths H, element-wise; where names the site of each element.
+
+    With c = sqrt(g H) and e = sqrt(g (H + q h)), s = 2 (e - c) written as
+    h 2 g / (e + c), which does not cancel as h -> 0; at q = 0 it is the
+    linear h g / c. A depth H + q h <= 0 raises SubcriticalLoss.
+    """
+    arg = H + q * h
+    dry = arg <= 0.0
+    if dry.any():
+        raise SubcriticalLoss(*where[int(np.flatnonzero(dry)[0])])
+    return h * (2.0 * g / (np.sqrt(g * arg) + np.sqrt(g * H)))
+
+
+def _face_shift(h, q, H, g, c, site):
+    """(s(h), ds/dh) of _shift at one face in Python floats, c = sqrt(g H):
+    the slope is g / e, so at q = 0 s is exactly the slope times h."""
+    arg = H + q * h
+    if arg <= 0.0:
+        raise SubcriticalLoss(*site)
+    e = math.sqrt(g * arg)
+    return h * (2.0 * g / (e + c)), g / e
+
+
+def _terminal_depths(q, inv, terminals):
+    """Face depth h of each terminal's feedback law k h + s(h) = y1.
+
+    With d = e - c (_shift), q s = 2 d and q h = d (2 c + d) / g, so q
+    times the law reads (k / g) d^2 + B d - q y1 = 0 with B = 2 (1 + k c /
+    g). The root that tends to q y1 / B as k -> 0 is taken in the form that
+    does not cancel, and h = 2 y1 (2 c + d) / (g (B + R)), R = +-sqrt(B^2 +
+    4 (k / g) q y1) of the sign of B; at q = 0 that is y1 / (k + g / c),
+    exactly linear in y1. No real root, or |B| <= 1e-12 (the reflection pole
+    k = -g / c, to within the rounding of either way of writing it), raises
+    fail(); a root with c + d <= 0, or H + q h <= 0 in rounding, has no wet
+    face depth.
+    """
+    out = []
+    for f, k, (H, g, c, site), fail in terminals:
+        y1 = inv[f]
+        B = 2.0 * (1.0 + k * c / g)
+        disc = B * B + 4.0 * (k / g) * q * y1
+        if disc < 0.0 or abs(B) <= 1e-12:
+            raise fail()
+        BR = B + math.copysign(math.sqrt(disc), B)
+        d = 2.0 * q * y1 / BR
+        h = 2.0 * y1 * (2.0 * c + d) / (g * BR)
+        if c + d <= 0.0 or H + q * h <= 0.0:
+            raise SubcriticalLoss(*site)
+        out.append(h)
+    return out
+
+
+def _solve_relation(q, a0, a1, face, a2, b, dust, scale, fail, h):
     """(h, s(h)) of Newton's method on one face relation G(h) = a0 + a1 h +
     a2 s(h) + b h s(h) + dust h / (H + q h) = 0 in Python floats (see
     NetworkSimulator._solve_faces), stopping at |G| <= NEWTON_TOL * scale.
 
-    shift(h, *face) returns s(h) and its slope. The start h None takes the
+    face is the (H, g, c, site) of _face_shift. The start h None takes the
     one step from zero that solves a linear relation exactly. fail() builds
     the typed error.
     """
     H, exact = face[0], h is None
     h, left = (0.0, 0) if exact else (h, NEWTON_MAX_ITER)
     while True:
-        s, ds = shift(h, *face)
+        s, ds = _face_shift(h, q, *face)
         hh = H + q * h
         G = a0 + a1 * h + a2 * s + b * (h * s) + dust * h / hh
         if not exact and (abs(G) <= NEWTON_TOL * scale or left == 0):
@@ -309,7 +298,7 @@ def _solve_relation(shift, q, a0, a1, face, a2, b, dust, scale, fail, h):
             if dG == 0.0:
                 raise fail()
             h = -G / dG
-            return h, shift(h, *face)[0]
+            return h, _face_shift(h, q, *face)[0]
         # a non-finite iterate shows up here as a non-finite slope
         if not (math.isfinite(dG) and abs(dG) >= 1e-14):
             raise fail()
@@ -349,15 +338,15 @@ class NetworkSimulator:
     mode selects the evolved system: "linear" advances the linearized
     deviation equations (the setting of the decay certificates), "nonlinear"
     the full equations written in deviation form. The Lyapunov weights are
-    taken from ``weights`` or recomputed by certifying the supplied gains.
-    Every public method runs the same code in both modes. Only a linear run
-    reads A, the sparse operator of y' = A y, and F, the sparse face map
-    (faces = F y); both are None in nonlinear mode. final_state is the state
-    the last run ended in, None before one.
+    those of ``weights``, a certificate's weight set. Every public method
+    runs the same code in both modes. Only a linear run reads A, the sparse
+    operator of y' = A y, and F, the sparse face map (faces = F y); both are
+    None in nonlinear mode. final_state is the state the last run ended in,
+    None before one.
     """
 
     def __init__(self, topo: NetworkTopology, profiles: dict[int, SteadyProfile],
-                 gains: dict[int, float], weights: WeightSet | None = None,
+                 gains: dict[int, float], weights: WeightSet,
                  mode: str = "linear", cfl: float = CFL_SAFETY):
         check_run_options(mode=mode, cfl=cfl)
         self.cfl = cfl
@@ -370,10 +359,6 @@ class NetworkSimulator:
         self.gains = {j: float(k) for j, k in gains.items()}
         self.mode = mode
         self.phys = _PHYSICS[mode]
-        if weights is None:
-            weights = certify_network(topo, profiles, gains).weights
-        if weights is None:
-            raise WeightError("no weight set available for Lyapunov instrumentation")
         self.weights = weights
         self.root_flux = profiles[topo.root_channel].flux
         self.final_state: SimState | None = None  # set by run
@@ -562,6 +547,12 @@ class NetworkSimulator:
         return A, F, F.T @ np.array(influx)
 
     def initial_state(self, perturbation: dict[int, Bump] | None = None) -> SimState:
+        """The steady state plus each channel's bump; ValueError if a key of
+        perturbation names no channel."""
+        stray = sorted(set(perturbation or ()) - set(self.ids))
+        if stray:
+            raise ValueError(f"perturbation of channel(s) {', '.join(map(str, stray))}, "
+                             "which are not in the network")
         y = np.zeros(2 * self.N)
         for i, (h, v) in self.fields(y).items():
             pr = self.profiles[i]
@@ -582,15 +573,15 @@ class NetworkSimulator:
         """(O, W) of the linear samples: O stacks [C; L C; L^2 C; C_b F; I]
         and W turns the squares of O y into V, V_ext, B and the squared
         channel L2 norms. C maps the flat state to the linear characteristic
-        fields (v + s h, v - s h), s = sqrt(g / H), C_b does so at the faces."""
+        fields (v + s h, v - s h), s = g / sqrt(g H), C_b does so at the faces."""
         from scipy import sparse
 
         def char(s):
             S, I = sparse.diags(s), sparse.identity(s.size)
             return sparse.bmat([[S, I], [-S, I]])
 
-        C = char(np.sqrt(self.g / self.Hc))
-        Cb = char(np.sqrt(self._gb / self._Hb)) @ self.F
+        C = char(self.g / np.sqrt(self.g * self.Hc))
+        Cb = char(self._gb / np.sqrt(self._gb * self._Hb)) @ self.F
         O = sparse.vstack([C, self._LL @ C, Cb, sparse.identity(2 * self.N)]).tocsr()
         wf = sparse.csr_matrix(self._wf)
         sign = self._sign
@@ -629,26 +620,30 @@ class NetworkSimulator:
         steady velocity mismatch (a0 = y1 - sum y2, a2 = -(n + 1)). Newton
         starts from the faces in start; None takes the exact linear step. A
         terminal's feedback law k h = y1 - s is solved in closed form. One
-        pass on Python floats: one physics call gives the end cells'
-        invariants, Newton returns the shift at each unknown it solves, and
-        the boundary fluxes follow from the faces.
+        pass on Python floats: one loop gives the end cells' invariants with
+        _shift's formula, Newton returns the shift at each unknown it
+        solves, and the boundary fluxes follow from the faces.
         """
-        m, phys = self.m, self.phys
-        q, shift = phys.quadratic, phys.face_shift
+        m, q = self.m, self.phys.quadratic
         end = y[self._ends].tolist()
         # y2 of the m inlet cells, then y1 of the m outlet cells
-        inv = phys.invariants(end[: 2 * m], end[2 * m :], self._end_cells)
+        inv = []
+        for h, v, (H, g, c, site, sign) in zip(end[: 2 * m], end[2 * m :], self._end_cells):
+            arg = H + q * h
+            if arg <= 0.0:
+                raise SubcriticalLoss(*site)
+            inv.append(v + sign * (h * (2.0 * g / (math.sqrt(g * arg) + c))))
         start = None if start is None else start[0].tolist()
         f, H, V, face, scale, fail = self._root
-        h, s = _solve_relation(shift, q, H * inv[f], V + q * inv[f], face, H, q, 0.0, scale, fail,
+        h, s = _solve_relation(q, H * inv[f], V + q * inv[f], face, H, q, 0.0, scale, fail,
                                None if start is None else start[f])
         # the unknowns and their shifts in order: root, terminals, junctions;
         # a terminal face's velocity is its gain times its depth, not a shift
-        hu = [h, *phys.terminal_depths(inv, self._terminals)]
+        hu = [h, *_terminal_depths(q, inv, self._terminals)]
         su = [s] + [0.0] * len(self._terminals)
         for f, children, face, a2, dust, speed, fail in self._junctions:
             a0 = inv[f] - sum([inv[k] for k in children])
-            h, s = _solve_relation(shift, q, a0, 0.0, face, a2, 0.0, dust, max(speed, abs(a0)),
+            h, s = _solve_relation(q, a0, 0.0, face, a2, 0.0, dust, max(speed, abs(a0)),
                                    fail, None if start is None else start[f])
             hu.append(h)
             su.append(s)
@@ -722,7 +717,7 @@ class NetworkSimulator:
     # -- instrumentation -----------------------------------------------------
 
     def _char_fields(self, y):
-        s = self.phys.shift(y[: self.N], self.Hc, self.g, self._where_cell)
+        s = _shift(y[: self.N], self.Hc, self.g, self.phys.quadratic, self._where_cell)
         v = y[self.N :]
         return np.concatenate((v + s, v - s))
 
@@ -746,7 +741,7 @@ class NetworkSimulator:
     def boundary_form(self, state: SimState) -> float:
         """B(t), the sum over channels of [f1 lam1 y1^2 - f2 lam2 y2^2]_0^L."""
         f = self.face_states(state, flat=True)
-        s = self.phys.shift(f[0], self._Hb, self._gb, self._where_face)
+        s = _shift(f[0], self._Hb, self._gb, self.phys.quadratic, self._where_face)
         y1, y2 = f[1] + s, f[1] - s
         return float(self._sign @ (self._f1lam1 * y1**2 - self._f2lam2 * y2**2))
 

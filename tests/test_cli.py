@@ -344,6 +344,31 @@ def test_bad_value_exit_two_before_any_solve(tmp_path, capsys, monkeypatch, case
     assert not outdir.exists()
 
 
+# channels that a configuration names but the network has no use for: a bump
+# on a channel that is not in it, and gains for a junction channel or for no
+# channel, each with the command it is given to
+STRAY_CHANNELS = {
+    "perturbation-9": ("simulate", ("simulation", "perturbation"),
+                       {"9": {"amplitude_h": 1e-3, "center": 0.5, "width": 0.5}},
+                       "perturbation of channel 9"),
+    "gain-junction": ("gains", ("gains", "1"), 0.5, "gains for channel(s) 1,"),
+    "gain-absent": ("certify", ("gains", "7"), -3.0, "gains for channel(s) 7,"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRAY_CHANNELS))
+def test_stray_channel_exit_two_before_any_solve(tmp_path, capsys, monkeypatch, case):
+    command, path, value, text = STRAY_CHANNELS[case]
+    cfg = star_config()
+    _set(cfg, path, value)
+    refuse_solve(monkeypatch)
+    code, outdir = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and text in err
+    assert not outdir.exists()
+
+
 def near_critical_config():
     """One channel whose outlet margin g H - V^2 is 1.8e-6 g H, just above
     the steady solve's 1e-6 tolerance: its length is the blow-up bound less

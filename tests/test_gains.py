@@ -8,7 +8,6 @@ import pytest
 from channet.characteristics import reflection_coefficient
 from channet.errors import ReflectionPole
 from channet.gains import (
-    CROSS_CHECK_DEADBAND,
     boundary_constants,
     forbidden_interval,
     is_admissible,
@@ -28,6 +27,9 @@ from conftest import (
     draw_tree,
     eta_bar_closed,
 )
+
+# floating-point dead-band of the inlet verdict's reflection cross-check
+CROSS_CHECK_DEADBAND = 1e-9
 
 
 def inlet_reflection(gain: float, inlet_depth: float, gravity: float = 9.81) -> float:

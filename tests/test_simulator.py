@@ -1,5 +1,6 @@
 """Finite-volume network integrator: exactness, faces, stability, decay."""
 
+import decimal
 import gc
 import math
 import weakref
@@ -22,6 +23,8 @@ from channet.simulate import (
     Bump,
     NetworkSimulator,
     SimState,
+    _face_shift,
+    _terminal_depths,
     decay_fit,
     mass_balance,
 )
@@ -271,10 +274,96 @@ def test_terminal_face_without_root_is_typed_and_stamped(star_sim_parts, monkeyp
     assert exc.value.sim_time == 0.0
 
 
+def exact_shift(h, H, g):
+    """2 (sqrt(g (H + h)) - sqrt(g H)) in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        h, H, g = decimal.Decimal(h), decimal.Decimal(H), decimal.Decimal(g)
+        return float(2 * ((g * (H + h)).sqrt() - (g * H).sqrt()))
+
+
+@pytest.mark.parametrize("fraction", [1e-3, 1e-6, 1e-9, 1e-12, -1e-3, -1e-12])
+def test_nonlinear_shift_does_not_cancel(star_sim_parts, fraction):
+    # the characteristic fields of a small perturbation h = fraction H
+    # against the exact shift: the difference of two square roots would
+    # lose about 1e-16 H / h of it, 4e-4 at 1e-12
+    sim = make_sim(star_sim_parts, "nonlinear")
+    y = np.concatenate((fraction * sim.Hc, np.zeros(sim.N)))
+    s = sim._char_fields(y)[: sim.N]
+    ref = np.array([exact_shift(h, H, g)
+                    for h, H, g in zip(y[: sim.N].tolist(), sim.Hc.tolist(), sim.g.tolist())])
+    assert np.all(np.abs(s - ref) <= 1e-15 * np.abs(ref))
+
+
+def star_terminal_faces(sim):
+    """(H, g, c, site) of each terminal face of the simulator's network."""
+    return [face for _, _, face, _ in sim._terminals]
+
+
+def test_terminal_law_at_q_zero_is_the_linear_law(star_sim_parts):
+    # the shared closed form at q = 0 against y1 / (k + g / c), and exactly
+    # linear in y1: doubling y1 doubles the depth bit for bit
+    faces = star_terminal_faces(make_sim(star_sim_parts))
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for _ in range(2000):
+        H, g, c, site = faces[int(rng.integers(len(faces)))]
+        k, y1 = rng.uniform(-20.0, 20.0), rng.uniform(-1.0, 1.0)
+        terminal = (0, k, (H, g, c, site), TerminalSolveFailure)
+        h, twice = (_terminal_depths(0.0, [y], [terminal])[0] for y in (y1, 2.0 * y1))
+        ref = y1 / (k + g / c)
+        worst = max(worst, abs(h - ref) / abs(ref))
+        assert twice == 2.0 * h
+    assert worst <= 1e-12
+
+
+def test_terminal_law_at_q_one_solves_the_feedback_law(star_sim_parts):
+    # k h + s(h) = y1 at the closed form's depth, for gains at least 5 % of
+    # g / c away from the reflection pole -g / c at every star terminal
+    faces = star_terminal_faces(make_sim(star_sim_parts, "nonlinear"))
+    rng = np.random.default_rng(29)
+    checked = 0
+    for H, g, c, site in faces:
+        pole = -g / c
+        for _ in range(500):
+            k = rng.uniform(-20.0, 20.0)
+            if abs(k - pole) < 0.05 * abs(pole):
+                continue
+            y1 = rng.uniform(-0.2, 0.2) * c
+            try:
+                h = _terminal_depths(1.0, [y1], [(0, k, (H, g, c, site), TerminalSolveFailure)])[0]
+            except (TerminalSolveFailure, SubcriticalLoss):
+                continue
+            s = _face_shift(h, 1.0, H, g, c, site)[0]
+            assert abs(k * h + s - y1) <= 1e-14 * max(abs(y1), abs(k * h), abs(s))
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("channel", [2, 3, 4])
+def test_gain_at_the_reflection_pole_has_no_face_depth(star_sim_parts, mode, channel):
+    # the feedback law k h + s(h) = y1 fixes no depth at k = -g / c. Both
+    # ways of writing that gain are refused: at channel 2's outlet they
+    # differ by an ulp, so a test for an exact zero misses one of them, and
+    # a linear run then overflows without an error
+    prof = star_sim_parts[1][channel]
+    g, H = prof.gravity, float(prof.H_faces[-1])
+    for k in (-g / math.sqrt(g * H), -math.sqrt(g / H)):
+        with pytest.raises(TerminalSolveFailure, match=f"channel {channel}"):
+            make_sim(star_sim_parts, mode, gains={**STAR_GAINS, channel: k}).run(None, T=1.0)
+
+
 def test_missing_gain_rejected(star_sim_parts):
     topo, profiles, weights = star_sim_parts
     with pytest.raises(MissingGain):
         NetworkSimulator(topo, profiles, {2: 0.0, 3: 0.0}, weights=weights)
+
+
+def test_perturbation_of_a_channel_not_in_the_network_rejected(star_sim_parts):
+    sim = make_sim(star_sim_parts)
+    with pytest.raises(ValueError, match="channel\\(s\\) 9, which are not in the network"):
+        sim.run({**BUMP, 9: BUMP[2]}, T=1.0)
 
 
 def test_run_rejects_nonpositive_horizon(star_sim_parts):
