@@ -241,8 +241,7 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
             file=sys.stderr,
         )
         return 5
-    sim = NetworkSimulator(config.topology, profiles, config.gains,
-                           weights=cert.weights, mode=config.mode, cfl=config.cfl)
+    sim = NetworkSimulator(cert.weights, config.gains, mode=config.mode, cfl=config.cfl)
     trace = sim.run(config.perturbation or None, config.T,
                     sample_stride=config.sample_stride)
 

@@ -22,8 +22,9 @@ matrix, built once, applied to those, plus the friction source. Each boundary
 and junction face carries an exactly imposed state: the invariant of the
 nearest cell with the imposed flux, feedback law or junction coupling leaves
 one scalar equation in the face depth. A terminal's feedback law is solved in
-closed form. Newton's method on Python floats solves a nonlinear root or
-junction relation from the previous face values, one exact step a linear one.
+closed form. Newton's method on Python floats solves a root or junction
+relation from zero: its first step is the exact linear face, which ends a
+linear solve, so the faces are a function of the state alone.
 Each Heun stage is one pass over its state: one admission gives the depths,
 velocities, g H and V^2 that the subcriticality check, the stability bound
 (first stage) and the friction source share; one face solve on Python floats
@@ -39,6 +40,7 @@ stacked observation operator built on the same [L; L^2].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,8 +50,8 @@ import numpy as np
 # simulation loads it: importing channet loads no scipy.
 from .errors import CflViolation, JunctionDivergence, MissingGain, NonPositiveV, RootSolveFailure
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure
-from .steady import FINE_REFINEMENT, SteadyProfile
-from .topology import NetworkTopology, _count, validate_topology
+from .steady import FINE_REFINEMENT
+from .topology import _count, validate_topology
 # certify_network is not called here: perfbench's span test looks it up in
 # this module by name, so the import goes when that test does
 from .weights import WeightSet, certify_network  # noqa: F401
@@ -88,16 +90,13 @@ class Bump:
 
 @dataclass
 class SimState:
-    """Flat deviation vector y (h of every channel, then v) and solved faces.
-
-    face holds the depths and velocities of the m inlet then m outlet faces,
-    shape (2, 2m), from which a nonlinear face solve starts (None: from
-    zero). NetworkSimulator.fields and face_states give per-channel views.
+    """Flat deviation vector y (h of every channel, then v) at a time. The
+    faces are solved from y alone; NetworkSimulator.fields and face_states
+    give per-channel views.
     """
 
     time: float
     y: np.ndarray
-    face: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +115,8 @@ class LyapunovTrace:
     channel_l2: dict[int, np.ndarray]
     mass_deviation: np.ndarray
     mass_flux_integral: np.ndarray
-    root_flux: float
     nu_hat: float
     r2: float
-    fit_window: tuple[float, float]
     zero_trace: bool
 
 
@@ -144,10 +141,6 @@ class _Linear:
         """No depth or Froude limit; the steady speeds bound every step."""
         H, V = sim.Hc, sim.Vc
         return H, V, sim.g * H, V * V
-
-    def face_start(self, sim, face):
-        """Every face relation is linear: None solves it exactly in one step."""
-        return None
 
     def prepare(self, sim):
         """The operators A, F and the influx row, and the stacked observation."""
@@ -187,10 +180,6 @@ class _Nonlinear:
         if bad.any():
             raise SubcriticalLoss(*sim._where_cell[int(np.argmax(bad))])
         return H, V, gH, VV
-
-    def face_start(self, sim, face):
-        """Newton starts from the previous faces, or from zero."""
-        return np.zeros((2, 2 * sim.m)) if face is None else face
 
     def prepare(self, sim):
         """A nonlinear run steps the shared physics: it has no operators."""
@@ -276,34 +265,33 @@ def _terminal_depths(q, inv, terminals):
     return out
 
 
-def _solve_relation(q, a0, a1, face, a2, b, dust, scale, fail, h):
-    """(h, s(h)) of Newton's method on one face relation G(h) = a0 + a1 h +
-    a2 s(h) + b h s(h) + dust h / (H + q h) = 0 in Python floats (see
-    NetworkSimulator._solve_faces), stopping at |G| <= NEWTON_TOL * scale.
+def _solve_relation(q, a0, a1, face, a2, b, dust, scale, fail):
+    """(h, s(h)) of Newton's method from h = 0 on one face relation G(h) =
+    a0 + a1 h + a2 s(h) + b h s(h) + dust h / (H + q h) = 0 in Python floats
+    (see NetworkSimulator._solve_faces).
 
-    face is the (H, g, c, site) of _face_shift. The start h None takes the
-    one step from zero that solves a linear relation exactly. fail() builds
-    the typed error.
+    The first step solves the relation linearized at zero exactly. At q = 0
+    that is the relation itself, so the solve ends there; at q = 1 Newton
+    goes on until |G| <= NEWTON_TOL * scale, for at most NEWTON_MAX_ITER
+    more steps. face is the (H, g, c, site) of _face_shift, and fail()
+    builds the typed error.
     """
-    H, exact = face[0], h is None
-    h, left = (0.0, 0) if exact else (h, NEWTON_MAX_ITER)
+    H, g, c, _ = face
+    h, s, ds, steps = 0.0, 0.0, g / c, 0  # (s, ds/dh) of _face_shift at h = 0
     while True:
-        s, ds = _face_shift(h, q, *face)
         hh = H + q * h
         G = a0 + a1 * h + a2 * s + b * (h * s) + dust * h / hh
-        if not exact and (abs(G) <= NEWTON_TOL * scale or left == 0):
+        if steps and (abs(G) <= NEWTON_TOL * scale or steps > NEWTON_MAX_ITER):
             break
         dG = a1 + a2 * ds + b * (s + h * ds) + dust * H / (hh * hh)
-        if exact:
-            if dG == 0.0:
-                raise fail()
-            h = -G / dG
-            return h, _face_shift(h, q, *face)[0]
         # a non-finite iterate shows up here as a non-finite slope
         if not (math.isfinite(dG) and abs(dG) >= 1e-14):
             raise fail()
         h -= G / dG
-        left -= 1
+        steps += 1
+        s, ds = _face_shift(h, q, *face)
+        if not q:
+            return h, s
     if not abs(G) <= 10.0 * NEWTON_TOL * scale:
         raise fail()
     return h, s
@@ -337,30 +325,31 @@ class NetworkSimulator:
 
     mode selects the evolved system: "linear" advances the linearized
     deviation equations (the setting of the decay certificates), "nonlinear"
-    the full equations written in deviation form. The Lyapunov weights are
-    those of ``weights``, a certificate's weight set. Every public method
+    the full equations written in deviation form. ``weights`` is a
+    certificate's weight set: the network, its steady profiles and the
+    Lyapunov weights are those it was built on. Every public method
     runs the same code in both modes. Only a linear run reads A, the sparse
     operator of y' = A y, and F, the sparse face map (faces = F y); both are
     None in nonlinear mode. final_state is the state the last run ended in,
     None before one.
     """
 
-    def __init__(self, topo: NetworkTopology, profiles: dict[int, SteadyProfile],
-                 gains: dict[int, float], weights: WeightSet,
+    def __init__(self, weights: WeightSet, gains: dict[int, float],
                  mode: str = "linear", cfl: float = CFL_SAFETY):
         check_run_options(mode=mode, cfl=cfl)
         self.cfl = cfl
+        topo = weights.topo
         validate_topology(topo)
         for j in topo.terminal_channels:
             if j not in gains:
                 raise MissingGain(j)
         self.topo = topo
-        self.profiles = profiles
+        self.profiles = {i: cw.profile for i, cw in weights.channels.items()}
         self.gains = {j: float(k) for j, k in gains.items()}
         self.mode = mode
         self.phys = _PHYSICS[mode]
         self.weights = weights
-        self.root_flux = profiles[topo.root_channel].flux
+        self.root_flux = self.profiles[topo.root_channel].flux
         self.final_state: SimState | None = None  # set by run
         self._layout()
         self._face_relations()
@@ -530,7 +519,7 @@ class NetworkSimulator:
         N, m4, ends = self.N, 4 * self.m, np.unique(self._ends)
         unit = np.zeros((ends.size, 2 * N))
         unit[np.arange(ends.size), ends] = 1.0
-        face = np.array([self._solve_faces(y, None)[0].ravel() for y in unit])
+        face = np.array([self._solve_faces(y)[0].ravel() for y in unit])
         b, k = np.nonzero(face)
         F = sparse.csr_matrix((face[b, k], (k, ends[b])), shape=(m4, 2 * N))
         zero, unit_faces = np.zeros(2 * N), np.identity(m4).reshape(m4, 2, -1)
@@ -567,7 +556,7 @@ class NetworkSimulator:
                 h += bump.amplitude_h * shape
                 v += bump.amplitude_v * shape
         self.phys.admit(self, y)
-        return SimState(0.0, y, np.zeros((2, 2 * self.m)))
+        return SimState(0.0, y)
 
     def _observation(self):
         """(O, W) of the linear samples: O stacks [C; L C; L^2 C; C_b F; I]
@@ -606,7 +595,7 @@ class NetworkSimulator:
         speed += np.abs(V)
         return self.cfl * float((self.dx / speed).min())
 
-    def _solve_faces(self, y, start):
+    def _solve_faces(self, y):
         """(faces, B1, B2, net boundary mass influx) of the flat state y: the
         face depths and velocities, shape (2, 2m), and the boundary fluxes
         of the inlet then outlet faces as lists.
@@ -618,7 +607,7 @@ class NetworkSimulator:
         (a0 = H y2, a1 = V + q y2, a2 = H, b = q); a junction's mass balance
         y1 - sum y2 = (n + 1) s - c h / (H + q h) over n children, c the
         steady velocity mismatch (a0 = y1 - sum y2, a2 = -(n + 1)). Newton
-        starts from the faces in start; None takes the exact linear step. A
+        starts from zero, and its first step is the exact linear face. A
         terminal's feedback law k h = y1 - s is solved in closed form. One
         pass on Python floats: one loop gives the end cells' invariants with
         _shift's formula, Newton returns the shift at each unknown it
@@ -633,18 +622,15 @@ class NetworkSimulator:
             if arg <= 0.0:
                 raise SubcriticalLoss(*site)
             inv.append(v + sign * (h * (2.0 * g / (math.sqrt(g * arg) + c))))
-        start = None if start is None else start[0].tolist()
         f, H, V, face, scale, fail = self._root
-        h, s = _solve_relation(q, H * inv[f], V + q * inv[f], face, H, q, 0.0, scale, fail,
-                               None if start is None else start[f])
+        h, s = _solve_relation(q, H * inv[f], V + q * inv[f], face, H, q, 0.0, scale, fail)
         # the unknowns and their shifts in order: root, terminals, junctions;
         # a terminal face's velocity is its gain times its depth, not a shift
         hu = [h, *_terminal_depths(q, inv, self._terminals)]
         su = [s] + [0.0] * len(self._terminals)
         for f, children, face, a2, dust, speed, fail in self._junctions:
             a0 = inv[f] - sum([inv[k] for k in children])
-            h, s = _solve_relation(q, a0, 0.0, face, a2, 0.0, dust, max(speed, abs(a0)),
-                                   fail, None if start is None else start[f])
+            h, s = _solve_relation(q, a0, 0.0, face, a2, 0.0, dust, max(speed, abs(a0)), fail)
             hu.append(h)
             su.append(s)
         fh, fv = [], []
@@ -665,9 +651,8 @@ class NetworkSimulator:
 
     def face_states(self, state: SimState, flat: bool = False):
         """Every boundary and junction face: channel id -> (h0, v0, hL, vL), or
-        the (2, 2m) array if flat. A nonlinear solve starts from the state's
-        faces, a linear one is exact from None."""
-        f = self._solve_faces(state.y, self.phys.face_start(self, state.face))[0]
+        the (2, 2m) array if flat, solved from the state's y alone."""
+        f = self._solve_faces(state.y)[0]
         return f if flat else self._face_dict(f)
 
     # -- semi-discrete right-hand side ---------------------------------------
@@ -692,7 +677,7 @@ class NetworkSimulator:
         admitted = self.phys.admit(self, state.y)
         if dt is not None:
             self._check_step(dt, self._bound(admitted), state.time)
-        faces = self._solve_faces(state.y, self.phys.face_start(self, state.face))
+        faces = self._solve_faces(state.y)
         return self._tendency(state.y, faces, admitted)
 
     def _check_step(self, dt: float, bound: float, time: float):
@@ -708,10 +693,9 @@ class NetworkSimulator:
         bounds dt. The flux integral applies the scheme's own quadrature to
         the net boundary mass influx, so stored mass and ledger agree to
         round-off."""
-        k1, face1, influx1 = self.rhs(state, dt)
-        mid = SimState(state.time + dt, state.y + dt * k1, face1)
-        k2, face2, influx2 = self.rhs(mid)
-        new = SimState(state.time + dt, state.y + 0.5 * dt * (k1 + k2), face2)
+        k1, _, influx1 = self.rhs(state, dt)
+        k2, _, influx2 = self.rhs(SimState(state.time + dt, state.y + dt * k1))
+        new = SimState(state.time + dt, state.y + 0.5 * dt * (k1 + k2))
         return new, 0.5 * dt * (influx1 + influx2)
 
     # -- instrumentation -----------------------------------------------------
@@ -796,7 +780,7 @@ class NetworkSimulator:
                 dflux += float(R @ y)
                 y = P @ y
             n += gap
-            yield n, SimState(n * dt, y, None), dflux
+            yield n, SimState(n * dt, y), dflux
 
     # -- driver --------------------------------------------------------------
 
@@ -807,8 +791,10 @@ class NetworkSimulator:
         The time step is fixed from the initial CFL bound, re-checked every
         step, or once where the speeds are frozen. Samples land every
         sample_stride steps when given, otherwise about max_samples times
-        over the run. The decay rate and its R^2 are fitted on ln V over
-        [0.2 T, T], and are NaN where V is zero or under two samples fall in it.
+        over the run; a sample whose V is not finite, as when a linear run
+        with an unstable gain overflows, raises SimulationError. The decay
+        rate and its R^2 are fitted on ln V over [0.2 T, T], and are NaN
+        where V is zero or under two samples fall in it.
         """
         check_run_options(T=T, sample_stride=sample_stride, max_samples=max_samples)
         now = 0.0  # time of the last state reached, stamped on a SimulationError
@@ -819,13 +805,16 @@ class NetworkSimulator:
             dt = T / nsteps
             stride = (max(1, nsteps // int(max_samples)) if sample_stride is None
                       else int(sample_stride))
-            flux_integral = 0.0
-            rows = [(0.0, flux_integral, *self.phys.sample(self, state))]
-            for n, state, dflux in self.phys.march(self, state, dt, nsteps, stride):
+            flux_integral, rows = 0.0, []
+            reached = self.phys.march(self, state, dt, nsteps, stride)
+            for n, state, dflux in itertools.chain([(0, state, 0.0)], reached):
                 now = n * dt
                 flux_integral += dflux
                 if n % stride == 0 or n == nsteps:
                     rows.append((now, flux_integral, *self.phys.sample(self, state)))
+                    if not math.isfinite(rows[-1][2]):
+                        raise SimulationError(f"the Lyapunov value V = {rows[-1][2]} "
+                                              "is not finite")
         except SimulationError as exc:
             exc.sim_time = now
             raise
@@ -841,8 +830,7 @@ class NetworkSimulator:
             mode=self.mode, dt=dt, cfl_bound=bound, t=t, V=V, V_ext=V_ext,
             l2=np.sqrt(np.sum(np.square(norms), axis=0)), boundary_B=B,
             channel_l2=dict(zip(self.ids, norms)), mass_deviation=mass,
-            mass_flux_integral=flux_integrals, root_flux=self.root_flux,
-            nu_hat=nu_hat, r2=r2, fit_window=window, zero_trace=zero,
+            mass_flux_integral=flux_integrals, nu_hat=nu_hat, r2=r2, zero_trace=zero,
         )
 
 

@@ -76,7 +76,7 @@ def decay_setup():
     assert cert.certified, cert.failed_checks
     T = 5.05 * transit_time(topo, profiles)
     bump = {1: Bump(amplitude_h=1e-3 * STAR_ROOT_DEPTH, center=0.5, width=0.8)}
-    lin = NetworkSimulator(topo, profiles, gains, weights=cert.weights, mode="linear")
+    lin = NetworkSimulator(cert.weights, gains, mode="linear")
     trace = lin.run(bump, T)
     return topo, profiles, gains, cert, T, bump, trace
 
@@ -214,9 +214,7 @@ def test_criterion_06_nonlinear_scheme_preserves_steady_state():
     profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
     cert = certify_network(topo, profiles, {2: 0.0, 3: 0.0, 4: 0.0})
     assert cert.certified
-    sim = NetworkSimulator(
-        topo, profiles, {2: 0.0, 3: 0.0, 4: 0.0}, weights=cert.weights, mode="nonlinear"
-    )
+    sim = NetworkSimulator(cert.weights, {2: 0.0, 3: 0.0, 4: 0.0}, mode="nonlinear")
     state = sim.initial_state(None)
     dt = sim.cfl_dt(state)
     for _ in range(10000):
@@ -238,7 +236,7 @@ def test_criterion_07_linear_decay_with_consistent_rate(decay_setup):
     fine = small_star(cells=200)
     profiles_f = solve_network_steady(fine, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
     ws_f = network_weights(fine, profiles_f, cert.epsilon)
-    sim_f = NetworkSimulator(fine, profiles_f, gains, weights=ws_f, mode="linear")
+    sim_f = NetworkSimulator(ws_f, gains, mode="linear")
     trace_f = sim_f.run(bump, T)
     viol_fine = float(max(0.0, np.max(np.diff(trace_f.V)))) / trace_f.V[0]
     assert viol_fine <= max(viol_coarse, 1e-12)
@@ -247,7 +245,7 @@ def test_criterion_07_linear_decay_with_consistent_rate(decay_setup):
 
 def test_criterion_08_nonlinear_decay_and_quadratic_remainder(decay_setup):
     topo, profiles, gains, cert, T, bump, trace = decay_setup
-    non = NetworkSimulator(topo, profiles, gains, weights=cert.weights, mode="nonlinear")
+    non = NetworkSimulator(cert.weights, gains, mode="nonlinear")
     tr = non.run(bump, T)
     ratio = tr.V_ext[-1] / tr.V_ext[0]
     target = math.exp(-trace.nu_hat * T)
@@ -255,7 +253,7 @@ def test_criterion_08_nonlinear_decay_and_quadratic_remainder(decay_setup):
 
     # halving the amplitude must shrink the defect against the linear run
     # by the quadratic factor four
-    lin = NetworkSimulator(topo, profiles, gains, weights=cert.weights, mode="linear")
+    lin = NetworkSimulator(cert.weights, gains, mode="linear")
     amp = bump[1].amplitude_h
     half = {1: Bump(amplitude_h=0.5 * amp, center=0.5, width=0.8)}
     sl = lin.initial_state(bump)

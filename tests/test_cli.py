@@ -549,6 +549,29 @@ def test_simulate_face_solve_failure_exit_five(tmp_path, capsys, monkeypatch, fa
     assert text in err
 
 
+def test_linear_overflow_exit_five(tmp_path):
+    # a gain 1e-9 past the reflection pole -sqrt(g / H) on channel 2 makes
+    # the linear run grow until V overflows; in a fresh process, where the
+    # overflow is only a warning, that exits 5 and writes no summary
+    cfg = star_config(simulation={"T": 20.0})
+    _, profiles = star_profiles_for_config(cfg)
+    prof = profiles[2]
+    cfg["gains"]["2"] = (1.0 + 1e-9) * -math.sqrt(prof.gravity / prof.outlet_depth)
+    path = write_config(tmp_path, cfg)
+    outdir = tmp_path / "overflow"
+    proc = subprocess.run(
+        [sys.executable, "-m", "channet.cli", "simulate",
+         "--config", path, "--out", str(outdir)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "error: simulation failed at t =" in proc.stderr
+    assert "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (outdir / "simulate_summary.json").exists()
+
+
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path, star_config())
     outdir = tmp_path / "proc"

@@ -15,6 +15,7 @@ from channet.errors import (
     CflViolation,
     MissingGain,
     NonPositiveV,
+    SimulationError,
     SubcriticalLoss,
     TerminalSolveFailure,
 )
@@ -55,10 +56,8 @@ def star_sim_parts(star_profiles):
 
 
 def make_sim(parts, mode="linear", gains=None):
-    topo, profiles, weights = parts
-    return NetworkSimulator(
-        topo, profiles, gains or STAR_GAINS, weights=weights, mode=mode
-    )
+    _, _, weights = parts
+    return NetworkSimulator(weights, gains or STAR_GAINS, mode=mode)
 
 
 BUMP = {2: Bump(amplitude_h=1e-3, center=0.5, width=0.5)}
@@ -164,14 +163,14 @@ def test_junction_faces_share_depth_and_conserve_flux(star_sim_parts, mode):
 
 
 def test_mass_ledger_closes(star_sim_parts):
-    topo, profiles, weights = star_sim_parts
-    trace = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights).run(BUMP, T=20.0)
+    _, _, weights = star_sim_parts
+    trace = NetworkSimulator(weights, STAR_GAINS).run(BUMP, T=20.0)
     assert mass_balance(trace) <= 1e-10
 
 
 def test_mass_ledger_closes_nonlinear(star_sim_parts):
-    topo, profiles, weights = star_sim_parts
-    sim = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights, mode="nonlinear")
+    _, _, weights = star_sim_parts
+    sim = NetworkSimulator(weights, STAR_GAINS, mode="nonlinear")
     trace = sim.run(BUMP, T=20.0)
     assert mass_balance(trace) <= 1e-10
 
@@ -274,6 +273,24 @@ def test_terminal_face_without_root_is_typed_and_stamped(star_sim_parts, monkeyp
     assert exc.value.sim_time == 0.0
 
 
+def test_linear_overflow_is_typed_and_stamped(star_sim_parts):
+    # a gain 1e-9 past the reflection pole -sqrt(g / H) on channel 2 makes
+    # the linear run grow until V overflows: the first sample whose V is not
+    # finite raises, stamped with its own time
+    prof = star_sim_parts[1][2]
+    k = (1.0 + 1e-9) * -math.sqrt(prof.gravity / float(prof.H_faces[-1]))
+    sim = make_sim(star_sim_parts, gains={**STAR_GAINS, 2: k})
+    T, stride = 20.0, 5
+    dt = T / math.ceil(T / sim.cfl_dt(sim.initial_state(BUMP)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match="not finite") as exc:
+            sim.run(BUMP, T=T, sample_stride=stride)
+    n = round(exc.value.sim_time / dt)
+    assert 0 < n * dt < T and n % stride == 0
+    assert exc.value.sim_time == n * dt
+    assert sim.final_state is None
+
+
 def exact_shift(h, H, g):
     """2 (sqrt(g (H + h)) - sqrt(g H)) in 50-digit decimal arithmetic."""
     with decimal.localcontext() as ctx:
@@ -355,9 +372,9 @@ def test_gain_at_the_reflection_pole_has_no_face_depth(star_sim_parts, mode, cha
 
 
 def test_missing_gain_rejected(star_sim_parts):
-    topo, profiles, weights = star_sim_parts
+    _, _, weights = star_sim_parts
     with pytest.raises(MissingGain):
-        NetworkSimulator(topo, profiles, {2: 0.0, 3: 0.0}, weights=weights)
+        NetworkSimulator(weights, {2: 0.0, 3: 0.0})
 
 
 def test_perturbation_of_a_channel_not_in_the_network_rejected(star_sim_parts):
@@ -390,8 +407,8 @@ def test_finished_simulator_is_freed_by_reference_counting(star_sim_parts, mode)
 
 
 def test_zero_perturbation_gives_zero_trace(star_sim_parts):
-    topo, profiles, weights = star_sim_parts
-    trace = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights).run(None, T=3.0)
+    _, _, weights = star_sim_parts
+    trace = NetworkSimulator(weights, STAR_GAINS).run(None, T=3.0)
     assert trace.zero_trace
     assert np.all(trace.V == 0.0)
     assert math.isnan(trace.nu_hat) and math.isnan(trace.r2)
@@ -404,7 +421,7 @@ def test_pulse_travels_at_characteristic_speed():
     )
     profiles = solve_network_steady(topo, 2.0, 1.0)
     weights = network_weights(topo, profiles, 1e-6)
-    sim = NetworkSimulator(topo, profiles, {1: 0.5}, weights=weights)
+    sim = NetworkSimulator(weights, {1: 0.5})
     prof = profiles[1]
     center = 0.3 * spec.length
     s = math.sqrt(G / float(prof.depth(center)))
@@ -459,7 +476,7 @@ def test_scheme_converges_at_first_order():
         topo = small_star(cells=cells)
         profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
         weights = network_weights(topo, profiles, 1e-5)
-        sim = NetworkSimulator(topo, profiles, STAR_GAINS, weights=weights)
+        sim = NetworkSimulator(weights, STAR_GAINS)
         sim.run(BUMP, T=6.0, max_samples=4)
         fields = {i: h for i, (h, _) in sim.fields(sim.final_state.y).items()}
         if cells == 1600:
@@ -534,7 +551,7 @@ def test_trace_matches_pinned_values(mode):
         2: Bump(amplitude_h=1e-3, center=0.5, width=0.5),
         1: Bump(amplitude_v=5e-4, center=0.4, width=0.6),
     }
-    sim = NetworkSimulator(topo, profiles, STAR_GAINS, weights=cert.weights, mode=mode)
+    sim = NetworkSimulator(cert.weights, STAR_GAINS, mode=mode)
     trace = sim.run(bump, T=20.0, max_samples=4)
     pins = PINNED[mode]
     assert np.array_equal(trace.t, pins["t"])
@@ -550,14 +567,13 @@ def test_linear_operator_is_jacobian_of_nonlinear_rhs(star_sim_parts):
     A = lin.A.toarray()
     n = A.shape[0]
     assert n == 2 * sum(spec.cells for spec in lin.topo.channels.values())
-    face = np.zeros((2, 2 * non.m))
     step = 1e-7
     J = np.empty_like(A)
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
-        up = non.rhs(SimState(0.0, e, face))[0]
-        down = non.rhs(SimState(0.0, -e, face))[0]
+        up = non.rhs(SimState(0.0, e))[0]
+        down = non.rhs(SimState(0.0, -e))[0]
         J[:, j] = (up - down) / (2.0 * step)
     assert np.max(np.abs(J - A)) <= 1e-6 * np.max(np.abs(A))
 
@@ -668,15 +684,15 @@ def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts
     if network == "star":
         sim = make_sim(star_sim_parts, mode)
     else:
-        topo, profiles, weights, gains = tree_parts
-        sim = NetworkSimulator(topo, profiles, gains, weights=weights, mode=mode)
+        _, _, weights, gains = tree_parts
+        sim = NetworkSimulator(weights, gains, mode=mode)
     assert len(sim.topo.internal_channels) == (1 if network == "star" else 2)
     rng = np.random.default_rng(11)
     for _ in range(20):
         # admissible: a few percent of the steady depth and of the wave speed
         y = np.concatenate((0.05 * sim.Hc, 0.05 * np.sqrt(sim.g * sim.Hc)))
         y *= rng.uniform(-1.0, 1.0, y.size)
-        state = SimState(0.0, y, np.zeros((2, 2 * sim.m)))
+        state = SimState(0.0, y)
         dy, face, _ = sim.rhs(state)
         ref = reference_tendency(sim, y, face)
         for block in (slice(0, sim.N), slice(sim.N, None)):
@@ -726,12 +742,12 @@ def test_stacked_observation_matches_instrumentation(star_sim_parts, tree_parts,
     if network == "star":
         sim = make_sim(star_sim_parts, "linear")
     else:
-        topo, profiles, weights, gains = tree_parts
-        sim = NetworkSimulator(topo, profiles, gains, weights=weights)
+        _, _, weights, gains = tree_parts
+        sim = NetworkSimulator(weights, gains)
     rng = np.random.default_rng(13)
     for _ in range(10):
         y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
-        state = SimState(0.0, y, None)
+        state = SimState(0.0, y)
         V, V_ext, B, mass, *norms = sim._observe(y)
         ref = sim._sample(state)
         assert (V, V_ext) == pytest.approx(sim.lyapunov_extended(state), rel=1e-12, abs=0.0)
@@ -748,8 +764,8 @@ def test_nonlinear_extended_value_matches_two_products(star_sim_parts, tree_part
     if network == "star":
         sim = make_sim(star_sim_parts, "nonlinear")
     else:
-        topo, profiles, weights, gains = tree_parts
-        sim = NetworkSimulator(topo, profiles, gains, weights=weights, mode="nonlinear")
+        _, _, weights, gains = tree_parts
+        sim = NetworkSimulator(weights, gains, mode="nonlinear")
     L = sim._LL[: 2 * sim.N]
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -757,7 +773,7 @@ def test_nonlinear_extended_value_matches_two_products(star_sim_parts, tree_part
         z = sim._char_fields(y)
         z1 = L @ z
         V, V1, V2 = (float(sim._wf @ (a * a)) for a in (z, z1, L @ z1))
-        got = sim.lyapunov_extended(SimState(0.0, y, None))
+        got = sim.lyapunov_extended(SimState(0.0, y))
         assert got == pytest.approx((V, V + V1 + V2), rel=1e-12, abs=0.0)
 
 
@@ -768,14 +784,40 @@ def test_operators_are_the_linear_physics(star_sim_parts, tree_parts, network):
     if network == "star":
         sim = make_sim(star_sim_parts, "linear")
     else:
-        topo, profiles, weights, gains = tree_parts
-        sim = NetworkSimulator(topo, profiles, gains, weights=weights)
+        _, _, weights, gains = tree_parts
+        sim = NetworkSimulator(weights, gains)
     rng = np.random.default_rng(17)
     for _ in range(10):
         y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
-        state = SimState(0.0, y, None)
+        state = SimState(0.0, y)
         dy, face, influx = sim.rhs(state)
         assert relative_gap(sim.A @ y, dy) <= 1e-12
         assert relative_gap(sim.F @ y, face.ravel()) <= 1e-12
         assert np.array_equal(face, sim.face_states(state, flat=True))
         assert abs(sim._influx @ y - influx) <= 1e-12 * abs(influx)
+
+
+def test_faces_depend_only_on_the_state(star_sim_parts):
+    # a stepped state and a fresh copy of its y solve to the same faces,
+    # bit for bit: no face solve starts from faces an earlier stage left
+    sim = make_sim(star_sim_parts, "nonlinear")
+    state = sim.initial_state({1: Bump(amplitude_h=1e-3, center=0.7, width=0.4)})
+    dt = 0.97 * sim.cfl_dt(state)
+    for _ in range(20):
+        state, _ = sim.step(state, dt)
+    fresh = SimState(state.time, state.y.copy())
+    (dy, face, influx), (dy0, face0, influx0) = sim.rhs(state), sim.rhs(fresh)
+    assert np.any(face != 0.0)
+    assert np.array_equal(dy, dy0) and np.array_equal(face, face0) and influx == influx0
+    assert np.array_equal(sim.face_states(state, flat=True), sim.face_states(fresh, flat=True))
+
+
+def test_linear_face_solve_is_exact_at_any_amplitude(star_sim_parts):
+    # the linear face relations end after their one exact step: no absolute
+    # residual test refuses the rounding of a state of amplitude up to 1e12
+    sim = make_sim(star_sim_parts, "linear")
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        y = rng.standard_normal(2 * sim.N) * 10.0 ** rng.uniform(0.0, 12.0)
+        face = sim._solve_faces(y)[0]
+        assert relative_gap(face.ravel(), sim.F @ y) <= 1e-12
