@@ -26,7 +26,6 @@ from .errors import (
     MultipleParents,
     NegativeFlux,
     NonPositiveV,
-    ReflectionPole,
     RootSolveFailure,
     SimulationError,
     SteadyStateBlowup,
@@ -105,7 +104,6 @@ __all__ = [
     "NetworkSimulator",
     "NetworkTopology",
     "NonPositiveV",
-    "ReflectionPole",
     "RootSolveFailure",
     "SimState",
     "SimulationError",

@@ -13,6 +13,9 @@ written with the friction term g C V*^2 / H*^p; ``CharCoeffs`` samples it on
 a profile's fine grid, and the weight ODEs call it on scalars. The same
 term is -(H*_x / H*) lambda1 lambda2 through the steady depth gradient; the
 tests check that identity, and the code does not form it.
+``outlet_traces`` gives the characteristic traces that a feedback outlet
+sets, and ``reflection_coefficient`` the share of an arriving wave that it
+sends back.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReflectionPole
 from .steady import SteadyProfile
 
 
@@ -117,21 +119,23 @@ def existence_integral(H, inlet_depth, flux, p, g):
     return -(s0 + 1.0) / (s0 - 1.0) * dF
 
 
-def reflection_coefficient(gain, outlet_depth, gravity=9.81):
-    """Ratio c of outgoing to incoming characteristic at a feedback outlet.
-
-    The affine outlet law v = k h ties the characteristic traces together as
-    y1 = c y2 with c = (1 + k sqrt(H/g)) / (k sqrt(H/g) - 1). The ratio has a
-    pole at k = sqrt(g/H), where the law pins the incoming characteristic to
-    zero; that gain is rejected.
-    """
+def outlet_traces(gain, outlet_depth, gravity=9.81):
+    """Characteristic traces (y1, y2) = (1 + r, r - 1), r = k sqrt(H/g), that
+    the affine outlet law v = k h sets, per unit sqrt(g/H) h."""
     r = gain * math.sqrt(outlet_depth / gravity)
-    den = r - 1.0
-    if abs(den) <= 1e-12 * max(1.0, abs(r)):
-        raise ReflectionPole(
-            f"gain {gain:g} sits at the reflection pole sqrt(g/H) for depth {outlet_depth:g}"
-        )
-    return (1.0 + r) / den
+    return 1.0 + r, r - 1.0
+
+
+def reflection_coefficient(gain, outlet_depth, gravity=9.81):
+    """Reflection rho = y2 / y1 of a feedback outlet: the share of the
+    arriving characteristic y1 that the outlet sends back as y2.
+
+    It is 0 at the non-reflecting gain k = sqrt(g/H) and -1 at k = 0. At the
+    ill-posed gain k = -sqrt(g/H) the law fixes y1 alone, and rho is
+    math.inf.
+    """
+    y1, y2 = outlet_traces(gain, outlet_depth, gravity)
+    return math.inf if y1 == 0.0 else y2 / y1
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
-    ReflectionPole,
     SimulationError,
     SteadyStateError,
     TopologyError,
@@ -203,14 +202,6 @@ def cmd_gains(config: RunConfig, profiles, outdir: Path) -> int:
         outdir / "gains_report.json",
         {"terminals": [r.to_dict() for r in records]},
     )
-    if any(r.pole for r in records):
-        bad = [r.channel for r in records if r.pole]
-        print(
-            f"error: gain at the reflection pole for terminal channel(s) "
-            f"{', '.join(map(str, bad))}",
-            file=sys.stderr,
-        )
-        return 3
     return 0
 
 
@@ -345,9 +336,6 @@ def main(argv=None) -> int:
 
     try:
         return args.func(config, profiles, outdir)
-    except ReflectionPole as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SimulationError as exc:
         t = getattr(exc, "sim_time", None)
         stamp = "" if t is None else f" at t = {t:.6e}"

@@ -93,12 +93,6 @@ class MissingGain(WeightError):
         super().__init__(f"no feedback gain supplied for terminal channel {channel}")
 
 
-# --- gains ------------------------------------------------------------------
-
-class ReflectionPole(ChannetError):
-    """The feedback gain sits at the reflection-coefficient pole sqrt(g/H*(L))."""
-
-
 # --- simulator --------------------------------------------------------------
 
 class SimulationError(ChannetError):

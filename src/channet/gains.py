@@ -10,12 +10,13 @@ explicit closed interval
 built from the outlet characteristic speeds lam+- and the closed-form weight
 ratio m_L = m(L). Both endpoints are negative, their product is g/H*(L), and
 as friction vanishes the interval degenerates to the half-line (-inf, 0].
-The interval criterion is equivalent to c^2 > eta_bar(L)^2 / phi(L)^2 for the
-boundary reflection coefficient c, which the tests check; the verdict is the
-interval's alone. Everything here is explicit in the outlet state: phi(L)
-comes from the closed-form exponents of ``characteristics.phi_exponents`` at
-the outlet depth and eta_bar(L) = m_L (lam-/lam+) phi(L), so the screen
-solves no ODE.
+The interval criterion is equivalent to rho^2 < phi(L)^2 / eta_bar(L)^2 for
+the outlet reflection rho of ``characteristics.reflection_coefficient``, which
+the tests check; the verdict is the interval's alone. The non-reflecting gain
+sqrt(g/H*(L)), where rho = 0, is positive and so always admissible.
+Everything here is explicit in the outlet state: phi(L) comes from the
+closed-form exponents of ``characteristics.phi_exponents`` at the outlet
+depth and eta_bar(L) = m_L (lam-/lam+) phi(L), so the screen solves no ODE.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .characteristics import phi_exponents, reflection_coefficient
-from .errors import DegenerateFlux, ReflectionPole
+from .errors import DegenerateFlux
 from .steady import SteadyProfile
 from .weights import m_value
 
@@ -42,9 +43,8 @@ class GainRecord:
     m_L: float
     forbidden: tuple[float, float]
     half_line: bool
-    c: float
+    reflection: float
     admissible: bool
-    pole: bool
     eta_bar_L: float
     phi_L: float
 
@@ -58,8 +58,7 @@ class GainRecord:
             "a": None if math.isinf(self.forbidden[0]) else self.forbidden[0],
             "b": self.forbidden[1],
             "half_line": self.half_line,
-            "k_pole": self.pole,
-            "c": None if math.isnan(self.c) else self.c,
+            "reflection": self.reflection,
             "admissible": self.admissible,
             "eta_bar_L": self.eta_bar_L,
             "phi_L": self.phi_L,
@@ -115,7 +114,9 @@ def is_admissible(
 
     The verdict is the interval criterion (gain strictly outside the closed
     forbidden interval; for zero-flux terminals the forbidden set is
-    (-inf, 0]). A gain at the reflection pole is not admissible.
+    (-inf, 0]). The record carries the outlet reflection rho, which is
+    math.inf at the ill-posed gain -sqrt(g/H*(L)); that gain is always
+    forbidden.
 
     eta_bar_L and phi_L may be supplied to avoid recomputing them; both are
     evaluated in closed form at the outlet depth otherwise.
@@ -140,14 +141,6 @@ def is_admissible(
 
     # strictly outside [a, b] (a = -inf on the half-line); a NaN gain is not
     admissible = k < a or k > b
-    try:
-        c = reflection_coefficient(k, HL, g)
-        pole = False
-    except ReflectionPole:
-        c = math.nan
-        pole = True
-        admissible = False
-
     return GainRecord(
         channel=profile.channel,
         k=k,
@@ -156,9 +149,8 @@ def is_admissible(
         m_L=m_L,
         forbidden=(a, b),
         half_line=half,
-        c=c,
+        reflection=reflection_coefficient(k, HL, g),
         admissible=admissible,
-        pole=pole,
         eta_bar_L=eta_bar_L,
         phi_L=phi_L,
     )

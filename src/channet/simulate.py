@@ -738,9 +738,11 @@ class NetworkSimulator:
 
     def _observe(self, y):
         """_sample of the flat state y on the linear operator path, through
-        the stacked observation operator."""
+        the stacked observation operator. A state that overflows samples
+        as inf or nan, which run refuses."""
         u = self._O @ y
-        V, V_ext, B, *squares = (self._W @ (u * u)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            V, V_ext, B, *squares = (self._W @ (u * u)).tolist()
         return (V, V_ext, B, float(self.dx @ y[: self.N]), *map(math.sqrt, squares))
 
     # -- marching ------------------------------------------------------------

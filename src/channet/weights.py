@@ -60,6 +60,7 @@ from .characteristics import (
     CharCoeffs,
     eigenvalues,
     existence_integral,
+    outlet_traces,
     phi_exponents,
     reflection_coefficient,
 )
@@ -676,6 +677,9 @@ def _channel_checks(
     Records every margin in ``detail`` and returns the names of the failed
     checks. A junction is checked once the last of its children is built.
     Each check passes only on a strict margin, so a NaN margin fails it.
+    A terminal's margin is its outlet term f1 lam1 y1^2 - f2 lam2 y2^2 at
+    the traces of ``outlet_traces``: it has no pole in the gain, and it is
+    negative at the ill-posed gain, where y1 = 0.
     """
     topo = ws.topo
     i = cw.channel
@@ -688,10 +692,10 @@ def _channel_checks(
             failed.append("junction_outflow_positive")
     else:
         k = float(gains[i])
-        c = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
-        detail["reflection"][i] = c
+        detail["reflection"][i] = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
+        y1, y2 = outlet_traces(k, prof.outlet_depth, prof.gravity)
         lam1_L, lam2_L = cw.coeffs.lambda1[-1], cw.coeffs.lambda2[-1]
-        margin = float(cw.f1[-1] * lam1_L * c**2 - cw.f2[-1] * lam2_L)
+        margin = float(cw.f1[-1] * lam1_L * y1**2 - cw.f2[-1] * lam2_L * y2**2)
         detail["terminal_margins"][i] = margin
         if not margin > 0.0 or (prof.flux == 0.0 and not k > 0.0):
             failed.append("terminal_margin")

@@ -13,7 +13,6 @@ from channet.characteristics import (
     reflection_coefficient,
     speeds_couplings,
 )
-from channet.errors import ReflectionPole
 from channet.steady import integrate_channel_steady, steady_rhs
 from channet.topology import ChannelSpec
 
@@ -108,15 +107,18 @@ def test_nonlinear_change_matches_linear_to_second_order():
 
 
 def test_reflection_frozen_point():
-    # H* = g makes sqrt(H/g) = 1, so r = k and c = (1 + k)/(k - 1)
-    assert reflection_coefficient(3.0, G, G) == pytest.approx(2.0, rel=1e-14)
+    # H* = g makes sqrt(H/g) = 1, so r = k and rho = (k - 1)/(k + 1)
+    assert reflection_coefficient(3.0, G, G) == pytest.approx(0.5, rel=1e-14)
     assert reflection_coefficient(0.0, G, G) == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_reflection_pole():
+    # the non-reflecting gain sqrt(g/H) sends nothing back; the pole of rho
+    # sits at the ill-posed gain -sqrt(g/H), and neither raises
     H = 2.5
-    with pytest.raises(ReflectionPole):
-        reflection_coefficient(math.sqrt(G / H), H, G)
+    assert reflection_coefficient(math.sqrt(G / H), H, G) == pytest.approx(0.0, abs=1e-15)
+    rho = reflection_coefficient(-math.sqrt(G / H), H, G)
+    assert math.isinf(rho) or abs(rho) > 1e15
 
 
 def test_coupling_frozen_point():

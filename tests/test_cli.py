@@ -155,7 +155,8 @@ def test_gains_report(tmp_path):
     for rec in records.values():
         assert rec["admissible"] is True
         assert rec["k"] == 0.0
-        assert rec["k_pole"] is False
+        assert rec["reflection"] == -1.0
+        assert "k_pole" not in rec
         # both endpoints share a sign (their product is g over the outlet
         # depth), so an admissible zero gain lies entirely outside
         assert rec["a"] < rec["b"]
@@ -431,18 +432,74 @@ def test_missing_gain_exit_three(tmp_path, capsys):
 
 
 def test_pole_gain_exit_three(tmp_path, capsys):
+    # the non-reflecting gain sqrt(g / H_L) is admissible and reflects
+    # nothing; exit 3 is left to missing gains
     cfg = star_config()
     _, profiles = star_profiles_for_config(cfg)
-    k_pole = float(np.sqrt(profiles[3].gravity / profiles[3].outlet_depth))
-    cfg["gains"]["3"] = k_pole
+    cfg["gains"]["3"] = float(np.sqrt(profiles[3].gravity / profiles[3].outlet_depth))
     code, outdir = run_cli(tmp_path, "gains", cfg)
-    assert code == 3
-    assert "channel" in capsys.readouterr().err
+    assert code == 0
+    assert capsys.readouterr().err == ""
     report = json.loads((outdir / "gains_report.json").read_text())
     rec = next(r for r in report["terminals"] if r["channel"] == 3)
-    assert rec["k_pole"] is True
-    assert rec["admissible"] is False
-    assert rec["c"] is None
+    assert "k_pole" not in rec
+    assert rec["admissible"] is True
+    assert abs(rec["reflection"]) < 1e-15
+
+
+def readme_star(mode, factor):
+    """The README star (100 cells, T = 200) with every terminal gain at
+    factor * sqrt(g / H_L)."""
+    topo = small_star(cells=100)
+    cfg = star_config(network=network_to_dict(topo), simulation={"mode": mode, "T": 200.0})
+    del cfg["simulation"]["sample_stride"]
+    profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+    cfg["gains"] = {
+        str(j): factor * math.sqrt(profiles[j].gravity / profiles[j].outlet_depth)
+        for j in topo.terminal_channels
+    }
+    return cfg
+
+
+def test_non_reflecting_gains_pass_on_the_readme_star(tmp_path, capsys):
+    # sqrt(g / H_L) sends no wave back: the screen admits it at every
+    # terminal, and the certificate passes at its first epsilon
+    cfg = readme_star("linear", 1.0)
+    code, outdir = run_cli(tmp_path, "gains", cfg)
+    assert code == 0
+    records = json.loads((outdir / "gains_report.json").read_text())["terminals"]
+    assert [r["channel"] for r in records] == [2, 3, 4]
+    for rec in records:
+        assert rec["admissible"] is True
+        assert abs(rec["reflection"]) < 1e-15
+    code, outdir = run_cli(tmp_path, "certify", cfg, out="cert")
+    assert code == 0
+    cert = json.loads((outdir / "certificate.json").read_text())
+    assert cert["certified"] is True
+    assert (cert["epsilon"], cert["halvings"]) == (1e-3, 0)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_non_reflecting_gains_simulate_the_readme_star(tmp_path, mode):
+    # zero gains decay at nu_hat = 0.0087; the non-reflecting gains at about 0.066
+    code, outdir = run_cli(tmp_path, "simulate", readme_star(mode, 1.0))
+    assert code == 0
+    summary = json.loads((outdir / "simulate_summary.json").read_text())
+    assert summary["certified"] is True
+    assert summary["nu_hat"] > 0.06
+
+
+def test_ill_posed_gain_exit_four(tmp_path, capsys):
+    # at -sqrt(g / H_L) the law fixes the characteristic that arrives from
+    # the channel: the terminal margins are negative and certify refuses
+    code, outdir = run_cli(tmp_path, "certify", readme_star("linear", -1.0))
+    assert code == 4
+    assert "terminal_margin" in capsys.readouterr().err
+    cert = json.loads((outdir / "certificate.json").read_text())
+    assert cert["certified"] is False
+    assert "terminal_margin" in cert["failed_checks"]
+    assert all(m < 0.0 for m in cert["terminal_margins"].values())
 
 
 def test_certify_failure_exit_four(tmp_path, capsys):
@@ -550,9 +607,10 @@ def test_simulate_face_solve_failure_exit_five(tmp_path, capsys, monkeypatch, fa
 
 
 def test_linear_overflow_exit_five(tmp_path):
-    # a gain 1e-9 past the reflection pole -sqrt(g / H) on channel 2 makes
-    # the linear run grow until V overflows; in a fresh process, where the
-    # overflow is only a warning, that exits 5 and writes no summary
+    # a gain 1e-9 past the ill-posed gain -sqrt(g / H) on channel 2 makes
+    # the linear run grow until V overflows; in a fresh process that turns
+    # RuntimeWarnings into errors, numpy warns of nothing, and the run exits
+    # 5 and writes no summary
     cfg = star_config(simulation={"T": 20.0})
     _, profiles = star_profiles_for_config(cfg)
     prof = profiles[2]
@@ -560,7 +618,7 @@ def test_linear_overflow_exit_five(tmp_path):
     path = write_config(tmp_path, cfg)
     outdir = tmp_path / "overflow"
     proc = subprocess.run(
-        [sys.executable, "-m", "channet.cli", "simulate",
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "channet.cli", "simulate",
          "--config", path, "--out", str(outdir)],
         capture_output=True,
         text=True,
@@ -569,6 +627,7 @@ def test_linear_overflow_exit_five(tmp_path):
     assert "error: simulation failed at t =" in proc.stderr
     assert "not finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not (outdir / "simulate_summary.json").exists()
 
 

@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from channet.characteristics import reflection_coefficient
-from channet.errors import ReflectionPole
 from channet.gains import (
     boundary_constants,
     forbidden_interval,
@@ -32,6 +30,10 @@ from conftest import (
 CROSS_CHECK_DEADBAND = 1e-9
 
 
+class InletPole(ArithmeticError):
+    """The inlet gain pins the outgoing characteristic: c0 has a pole."""
+
+
 def inlet_reflection(gain: float, inlet_depth: float, gravity: float = 9.81) -> float:
     """Inlet reflection coefficient c0 = (k0 H0 + sqrt(g H0)) / (k0 H0 - sqrt(g H0)).
 
@@ -40,7 +42,7 @@ def inlet_reflection(gain: float, inlet_depth: float, gravity: float = 9.81) -> 
     num = gain * inlet_depth + math.sqrt(gravity * inlet_depth)
     den = gain * inlet_depth - math.sqrt(gravity * inlet_depth)
     if abs(den) <= 1e-300:
-        raise ReflectionPole(f"inlet gain {gain:g} pins the outgoing characteristic")
+        raise InletPole(f"inlet gain {gain:g} pins the outgoing characteristic")
     return num / den
 
 
@@ -54,7 +56,7 @@ def single_channel_conditions(profile, k0: float, kL: float) -> bool:
     inlet_ok = k0 <= 0.0
     try:
         c0 = inlet_reflection(k0, profile.inlet_depth, profile.gravity)
-    except ReflectionPole:
+    except InletPole:
         c0 = None
     if c0 is not None:
         gap = c0 * c0 - 1.0
@@ -94,7 +96,8 @@ def test_gain_screen_solves_no_ode(star_profiles, monkeypatch):
     for (prof, k), ref in zip(cases, expected):
         rec = is_admissible(prof, k)
         assert rec.admissible == ref.admissible
-        assert (rec.forbidden, rec.half_line, rec.c) == (ref.forbidden, ref.half_line, ref.c)
+        assert (rec.forbidden, rec.half_line, rec.reflection) == (
+            ref.forbidden, ref.half_line, ref.reflection)
         assert rec.phi_L == pytest.approx(ref.phi_L, rel=1e-9)
         assert rec.eta_bar_L == pytest.approx(ref.eta_bar_L, rel=1e-9)
 
@@ -143,11 +146,9 @@ def test_interval_verdict_matches_reflection_inequality(sample_profiles):
             if min(abs(k - a), abs(k - b)) < 1e-6 * scale:
                 continue
             rec = is_admissible(prof, k)
-            if rec.pole:
-                continue
-            c2 = reflection_coefficient(k, prof.outlet_depth, G) ** 2
+            r = k * math.sqrt(prof.outlet_depth / G)
             assert rec.admissible == (k < a or k > b)
-            assert rec.admissible == (c2 > ratio)
+            assert rec.admissible == ((1.0 + r) ** 2 > ratio * (1.0 - r) ** 2)
             checked += 1
     assert checked > 150
 
@@ -174,11 +175,16 @@ def test_zero_flux_outlet_needs_positive_gain():
 
 
 def test_pole_gain_rejected(sample_profiles):
+    # the non-reflecting gain sqrt(g/H) is admissible; the ill-posed gain
+    # -sqrt(g/H), where rho has its pole, is not
     prof = sample_profiles[1]
-    k_pole = math.sqrt(G / prof.outlet_depth)
-    rec = is_admissible(prof, k_pole)
-    assert rec.pole
+    s = math.sqrt(G / prof.outlet_depth)
+    rec = is_admissible(prof, s)
+    assert rec.admissible
+    assert abs(rec.reflection) < 1e-15
+    rec = is_admissible(prof, -s)
     assert not rec.admissible
+    assert math.isinf(rec.reflection) or abs(rec.reflection) > 1e15
 
 
 def test_gain_record_serialization(sample_profiles):
@@ -186,7 +192,8 @@ def test_gain_record_serialization(sample_profiles):
     d = is_admissible(prof, 0.9).to_dict()
     assert d["channel"] == prof.channel
     assert d["admissible"] in (True, False)
-    assert "k_pole" in d
+    assert "reflection" in d
+    assert "k_pole" not in d
 
 
 def test_inlet_reflection_bounded_iff_gain_nonpositive():

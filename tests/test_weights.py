@@ -564,6 +564,25 @@ def test_gain_at_endpoint_fails_terminal_margin(star_weights):
     assert redo.failed_checks == ("terminal_margin",)
 
 
+def test_non_reflecting_gains_certify_every_criterion_05_network():
+    # the networks of acceptance criterion 5 with every terminal at
+    # sqrt(g / H_L), the gain that sends no wave back into its channel
+    rng = np.random.default_rng(31514)
+    networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
+    networks += [draw_tree(rng) for _ in range(20)]
+    for topo, H0, flux in networks:
+        profiles = solve_network_steady(topo, H0, flux)
+        gains = {
+            j: math.sqrt(profiles[j].gravity / profiles[j].outlet_depth)
+            for j in topo.terminal_channels
+        }
+        assert all(is_admissible(profiles[j], k).admissible for j, k in gains.items())
+        cert = certify_network(topo, profiles, gains, epsilon_start=1e-3)
+        assert cert.certified, cert.failed_checks
+        assert all(abs(rho) < 1e-15 for rho in cert.reflection.values())
+        assert all(m > 0.0 for m in cert.terminal_margins.values())
+
+
 def test_zero_flux_branch_certified_with_positive_gain():
     topo = small_star(cells=16)
     topo = dataclasses.replace(topo, split_fractions={1: (0.6, 0.4, 0.0)})
