@@ -21,7 +21,6 @@ from .errors import (
     DegenerateFlux,
     DisconnectedChannel,
     EpsilonTooLarge,
-    JunctionDivergence,
     MissingGain,
     MultipleParents,
     NegativeFlux,
@@ -95,7 +94,6 @@ __all__ = [
     "DisconnectedChannel",
     "EpsilonTooLarge",
     "GainRecord",
-    "JunctionDivergence",
     "LyapunovTrace",
     "MissingGain",
     "MultipleParents",

@@ -114,12 +114,6 @@ class SubcriticalLoss(SimulationError):
         super().__init__(f"channel {channel}, {where}: flow left the subcritical regime")
 
 
-class JunctionDivergence(SimulationError):
-    def __init__(self, channel: int):
-        self.channel = channel
-        super().__init__(f"junction fed by channel {channel}: Newton iteration did not converge")
-
-
 class BoundarySolveFailure(SimulationError):
     pass
 

@@ -20,11 +20,13 @@ steady Jacobian. Every flux is linear in the cell values, in their products
 h v and v^2 / 2 and in the boundary-face fluxes, so the tendency is one sparse
 matrix, built once, applied to those, plus the friction source. Each boundary
 and junction face carries an exactly imposed state: the invariant of the
-nearest cell with the imposed flux, feedback law or junction coupling leaves
-one scalar equation in the face depth. A terminal's feedback law is solved in
-closed form. Newton's method on Python floats solves a root or junction
-relation from zero: its first step is the exact linear face, which ends a
-linear solve, so the faces are a function of the state alone.
+nearest cell with the imposed flux or outlet law leaves one scalar equation
+in the face depth. Every outlet face, a terminal's or a junction's, obeys
+one feedback law k h + s(h) = Y, solved in closed form: a junction is the
+law at gain zero on the combined invariant of its faces. Newton's method on
+Python floats solves only the root's imposed flux, from zero: its first step
+is the exact linear face, which ends a linear solve, so the faces are a
+function of the state alone.
 Each Heun stage is one pass over its state: one admission gives the depths,
 velocities, g H and V^2 that the subcriticality check, the stability bound
 (first stage) and the friction source share; one face solve on Python floats
@@ -48,7 +50,7 @@ import numpy as np
 
 # scipy.sparse is imported where the operators are built, so that only a
 # simulation loads it: importing channet loads no scipy.
-from .errors import CflViolation, JunctionDivergence, MissingGain, NonPositiveV, RootSolveFailure
+from .errors import CflViolation, MissingGain, NonPositiveV, RootSolveFailure
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure
 from .steady import FINE_REFINEMENT
 from .topology import _count, validate_topology
@@ -125,8 +127,8 @@ class _Linear:
     and returns the (H, V, g H, V^2) whose speeds bound a step from it and
     from which the source is taken. march yields the states a run reaches
     (step count, state, flux integral since the last one) and sample reads
-    one for the trace. The depth shift and the terminal law are shared
-    (_shift, _face_shift, _terminal_depths): quadratic weighs them too."""
+    one for the trace. The depth shift and the outlet law are shared
+    (_shift, _face_shift, _outlet_depths): quadratic weighs them too."""
 
     quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms and of h in the shift
     headroom = 1.0  # share of the initial stability bound taken as the step
@@ -236,64 +238,71 @@ def _face_shift(h, q, H, g, c, site):
     return h * (2.0 * g / (e + c)), g / e
 
 
-def _terminal_depths(q, inv, terminals):
-    """Face depth h of each terminal's feedback law k h + s(h) = y1.
+def _outlet_depths(q, inv, outlets):
+    """(face depth h, Y) of each outlet law k h + s(h) = Y.
 
-    With d = e - c (_shift), q s = 2 d and q h = d (2 c + d) / g, so q
-    times the law reads (k / g) d^2 + B d - q y1 = 0 with B = 2 (1 + k c /
-    g). The root that tends to q y1 / B as k -> 0 is taken in the form that
-    does not cancel, and h = 2 y1 (2 c + d) / (g (B + R)), R = +-sqrt(B^2 +
-    4 (k / g) q y1) of the sign of B; at q = 0 that is y1 / (k + g / c),
-    exactly linear in y1. No real root, or |B| <= 1e-12 (the reflection pole
+    A terminal's Y is its outlet cell's invariant y1 and k its gain. A
+    junction fed by an outlet with invariant y1 and n children with inlet
+    invariants y2_c shares one face depth, so its velocity balance
+    v_in = sum v_c, with v_in = y1 - s and v_c = y2_c + s, is the law at
+    k = 0 with Y = (y1 - sum y2_c) / (n + 1); Y is then the shift of all its
+    faces. With d = e - c (_shift), q s = 2 d and q h = d (2 c + d) / g, so
+    q times the law reads (k / g) d^2 + B d - q Y = 0 with B = 2 (1 + k c /
+    g). The root that tends to q Y / B as k -> 0 is taken in the form that
+    does not cancel, and h = 2 Y (2 c + d) / (g (B + R)), R = +-sqrt(B^2 +
+    4 (k / g) q Y) of the sign of B; at q = 0 that is Y / (k + g / c),
+    exactly linear in Y. No real root, or |B| <= 1e-12 (the reflection pole
     k = -g / c, to within the rounding of either way of writing it), raises
-    fail(); a root with c + d <= 0, or H + q h <= 0 in rounding, has no wet
-    face depth.
+    TerminalSolveFailure; at k = 0, B = 2 and both are out of reach. A root
+    with c + d <= 0, or H + q h <= 0 in rounding, has no wet face depth.
     """
     out = []
-    for f, k, (H, g, c, site), fail in terminals:
-        y1 = inv[f]
+    for f, children, k, (H, g, c, site) in outlets:
+        Y = (inv[f] - sum([inv[i] for i in children])) / (1 + len(children))
         B = 2.0 * (1.0 + k * c / g)
-        disc = B * B + 4.0 * (k / g) * q * y1
+        disc = B * B + 4.0 * (k / g) * q * Y
         if disc < 0.0 or abs(B) <= 1e-12:
-            raise fail()
+            raise TerminalSolveFailure(f"channel {site[0]}: terminal feedback has no face depth")
         BR = B + math.copysign(math.sqrt(disc), B)
-        d = 2.0 * q * y1 / BR
-        h = 2.0 * y1 * (2.0 * c + d) / (g * BR)
+        d = 2.0 * q * Y / BR
+        h = 2.0 * Y * (2.0 * c + d) / (g * BR)
         if c + d <= 0.0 or H + q * h <= 0.0:
             raise SubcriticalLoss(*site)
-        out.append(h)
+        out.append((h, Y))
     return out
 
 
-def _solve_relation(q, a0, a1, face, a2, b, dust, scale, fail):
-    """(h, s(h)) of Newton's method from h = 0 on one face relation G(h) =
-    a0 + a1 h + a2 s(h) + b h s(h) + dust h / (H + q h) = 0 in Python floats
-    (see NetworkSimulator._solve_faces).
+def _solve_relation(q, y2, V, face):
+    """(h, s(h)) of Newton's method from h = 0 on the root's mass flux
+    G(h) = (H + q h) (y2 + s(h)) + V h = 0 in Python floats, y2 the outgoing
+    invariant of the root's inlet cell and V the steady inlet velocity. At
+    q = 1, in the face celerity e = sqrt(g (H + h)), it is the cubic
+    2 e^3 + (V + y2 - 2 c) e^2 - V c^2 = 0, c = sqrt(g H).
 
     The first step solves the relation linearized at zero exactly. At q = 0
     that is the relation itself, so the solve ends there; at q = 1 Newton
-    goes on until |G| <= NEWTON_TOL * scale, for at most NEWTON_MAX_ITER
-    more steps. face is the (H, g, c, site) of _face_shift, and fail()
-    builds the typed error.
+    goes on until |G| <= NEWTON_TOL H c, for at most NEWTON_MAX_ITER more
+    steps. face is the (H, g, c, site) of _face_shift; a solve that ends
+    with |G| > 10 NEWTON_TOL H c raises RootSolveFailure.
     """
-    H, g, c, _ = face
+    H, g, c, site = face
+    a0, a1, scale = H * y2, V + q * y2, H * c
     h, s, ds, steps = 0.0, 0.0, g / c, 0  # (s, ds/dh) of _face_shift at h = 0
     while True:
-        hh = H + q * h
-        G = a0 + a1 * h + a2 * s + b * (h * s) + dust * h / hh
+        G = a0 + a1 * h + H * s + q * (h * s)
         if steps and (abs(G) <= NEWTON_TOL * scale or steps > NEWTON_MAX_ITER):
             break
-        dG = a1 + a2 * ds + b * (s + h * ds) + dust * H / (hh * hh)
+        dG = a1 + H * ds + q * (s + h * ds)
         # a non-finite iterate shows up here as a non-finite slope
         if not (math.isfinite(dG) and abs(dG) >= 1e-14):
-            raise fail()
+            break
         h -= G / dG
         steps += 1
         s, ds = _face_shift(h, q, *face)
         if not q:
             return h, s
     if not abs(G) <= 10.0 * NEWTON_TOL * scale:
-        raise fail()
+        raise RootSolveFailure(f"channel {site[0]}: inlet flux solve diverged")
     return h, s
 
 
@@ -421,16 +430,17 @@ class NetworkSimulator:
                             + [(i, int(k) - 1, "outlet") for i, k in zip(ids, n)])
 
     def _face_relations(self):
-        """Unknowns and coefficients of the face relations in Python floats (see _solve_faces)."""
-        m = self.m
+        """Unknowns and constants of the face relations in Python floats (see _solve_faces)."""
+        m, topo = self.m, self.topo
         ordinal = {i: k for k, i in enumerate(self.ids)}
-        # one unknown depth per relation: root inlet, terminal outlets, junctions' incoming
-        # outlets; an unknown's face f is also the index of its cell's invariant (_solve_faces)
-        terminals, internal = list(self.topo.terminal_channels), list(self.topo.internal_channels)
-        children = [[ordinal[c] for c in self.topo.junctions[i]] for i in internal]
-        kr = ordinal[self.topo.root_channel]
-        kt, kj = [m + ordinal[j] for j in terminals], [m + ordinal[i] for i in internal]
-        ku = [kr] + kt + kj
+        # one unknown depth per relation: the root inlet, then the outlet of each
+        # outlet law, terminals at their gains and junctions at gain zero; an
+        # unknown's face f is also the index of its cell's invariant (_solve_faces)
+        laws = [(j, (), self.gains[j]) for j in topo.terminal_channels]
+        laws += [(i, tuple(ordinal[c] for c in topo.junctions[i]), 0.0)
+                 for i in topo.internal_channels]
+        kr = ordinal[topo.root_channel]
+        ku = [kr] + [m + ordinal[i] for i, _, _ in laws]
 
         def at(H, g, sites):  # (H, g, sqrt(g H), site) of each face or cell
             return list(zip(H.tolist(), g.tolist(), np.sqrt(g * H).tolist(), sites))
@@ -438,32 +448,14 @@ class NetworkSimulator:
         ends = self._ends[: 2 * m]
         cells = at(self.Hc[ends], self.g[ends], [self._where_cell[k] for k in ends])
         self._end_cells = [(*cell, sign) for cell, sign in zip(cells, self._sign.tolist())]
-        faces = dict(zip(ku, at(self._Hb[ku], self._gb[ku], [self._where_face[k] for k in ku])))
-        # the root's mass flux, whose tolerance scales with the steady flux
-        H, _, c, _ = faces[kr]
-        self._root = (kr, H, float(self._Vb[kr]), faces[kr], H * c,
-                      lambda i=self.topo.root_channel: RootSolveFailure(
-                          f"channel {i}: inlet flux solve diverged"))
-        # the terminals' feedback laws, solved in closed form
-        gains = [self.gains[j] for j in terminals]
-        self._terminals = [
-            (f, gain, faces[f], lambda j=j: TerminalSolveFailure(
-                f"channel {j}: terminal feedback has no face depth"))
-            for f, gain, j in zip(kt, gains, terminals)]
-        # the junctions' mass balances, with the steady velocity mismatch of
-        # the stored baselines (a few ulp at most); the tolerance scales with
-        # the wave speed or the invariant, whichever is larger (_solve_faces)
-        pr = self.profiles
-        dust = [pr[i].flux / pr[i].outlet_depth
-                - sum(pr[c].flux / pr[i].outlet_depth for c in self.topo.junctions[i])
-                for i in internal]
-        self._junctions = [(f, ch, faces[f], -1.0 - len(ch), d, faces[f][2],
-                            lambda i=i: JunctionDivergence(i))
-                           for f, ch, d, i in zip(kj, children, dust, internal)]
+        faces = at(self._Hb[ku], self._gb[ku], [self._where_face[k] for k in ku])
+        # the root's mass flux, whose tolerance scales with H sqrt(g H)
+        self._root = (kr, float(self._Vb[kr]), faces[0])
+        self._outlets = [(f, ch, k, face) for f, (_, ch, k), face in zip(ku[1:], laws, faces[1:])]
         # each face's unknown, the sign of s in its velocity, and a terminal's gain
         unknown = {f: u for u, f in enumerate(ku)}
-        unknown |= {c: u for u, ch in enumerate(children, 1 + len(kt)) for c in ch}
-        gain = dict(zip(kt, gains))
+        unknown |= {c: u for u, (_, ch, _, _) in enumerate(self._outlets, 1) for c in ch}
+        gain = {f: k for f, ch, k, _ in self._outlets if not ch}
         self._face_map = [(unknown[f], 1.0 if f < m else -1.0, gain.get(f)) for f in range(2 * m)]
 
     def _instrumentation(self):
@@ -600,18 +592,16 @@ class NetworkSimulator:
         face depths and velocities, shape (2, 2m), and the boundary fluxes
         of the inlet then outlet faces as lists.
 
-        Each face relation is G(h) = a0 + a1 h + a2 s(h) + b h s(h) +
-        c h / (H + q h) = 0 in a face depth h, with s the depth shift, y2 the
-        outgoing invariant of an inlet cell and y1 the incoming one of an
-        outlet cell: the root's mass flux H v + V h + q h v with v = y2 + s
-        (a0 = H y2, a1 = V + q y2, a2 = H, b = q); a junction's mass balance
-        y1 - sum y2 = (n + 1) s - c h / (H + q h) over n children, c the
-        steady velocity mismatch (a0 = y1 - sum y2, a2 = -(n + 1)). Newton
-        starts from zero, and its first step is the exact linear face. A
-        terminal's feedback law k h = y1 - s is solved in closed form. One
-        pass on Python floats: one loop gives the end cells' invariants with
-        _shift's formula, Newton returns the shift at each unknown it
-        solves, and the boundary fluxes follow from the faces.
+        The root's relation is its mass flux H v + V h + q h v with v = y2 +
+        s(h), s the depth shift and y2 the outgoing invariant of its inlet
+        cell, solved by Newton (_solve_relation). Every outlet face obeys
+        the feedback law k h + s(h) = Y in closed form (_outlet_depths): a
+        terminal at its gain with Y its cell's incoming invariant y1, a
+        junction at gain zero with its combined invariant, whose faces share
+        the depth and the shift Y. One pass on Python floats: one loop gives
+        the end cells' invariants with _shift's formula, the solves return
+        each unknown's depth and shift, and the boundary fluxes follow from
+        the faces; a terminal face's velocity is its gain times its depth.
         """
         m, q = self.m, self.phys.quadratic
         end = y[self._ends].tolist()
@@ -622,17 +612,8 @@ class NetworkSimulator:
             if arg <= 0.0:
                 raise SubcriticalLoss(*site)
             inv.append(v + sign * (h * (2.0 * g / (math.sqrt(g * arg) + c))))
-        f, H, V, face, scale, fail = self._root
-        h, s = _solve_relation(q, H * inv[f], V + q * inv[f], face, H, q, 0.0, scale, fail)
-        # the unknowns and their shifts in order: root, terminals, junctions;
-        # a terminal face's velocity is its gain times its depth, not a shift
-        hu = [h, *_terminal_depths(q, inv, self._terminals)]
-        su = [s] + [0.0] * len(self._terminals)
-        for f, children, face, a2, dust, speed, fail in self._junctions:
-            a0 = inv[f] - sum([inv[k] for k in children])
-            h, s = _solve_relation(q, a0, 0.0, face, a2, 0.0, dust, max(speed, abs(a0)), fail)
-            hu.append(h)
-            su.append(s)
+        f, V, face = self._root
+        hu, su = zip(_solve_relation(q, inv[f], V, face), *_outlet_depths(q, inv, self._outlets))
         fh, fv = [], []
         for f, (u, sign, gain) in enumerate(self._face_map):
             h = hu[u]

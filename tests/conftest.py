@@ -410,13 +410,28 @@ def dry_outlet_cell(sim, state, channel):
     v[-1] = -0.5 * math.sqrt(prof.gravity * depth) - prof.V_centers[-1]
 
 
+def dry_junction(sim, state):
+    """Set the velocities next to the star's junction so that its combined
+    invariant Y = (y1 - sum y2) / 4 is -2.5 sqrt(g H*) at the junction face:
+    the velocity deviation is -4 sqrt(g H*) in channel 1's outlet cell and
+    +2 sqrt(g H*) in each child's inlet cell. The cells stay wet but not
+    subcritical, and no face depth satisfies the junction's law
+    k h + s(h) = Y at k = 0."""
+    prof = sim.profiles[1]
+    c = math.sqrt(prof.gravity * float(prof.H_faces[-1]))
+    fields = sim.fields(state.y)
+    fields[1][1][-1] = -4.0 * c
+    for child in sim.topo.junctions[1]:
+        fields[child][1][0] = 2.0 * c
+
+
 # a face solve that fails on each kind of face relation of the star that
-# Newton's method solves: the channel, the end (0 inlet, -1 outlet) whose
-# cell is perturbed, the error type's name and the text that names the
-# channel. A terminal's relation is solved in closed form.
+# Newton's method solves, which is the root's imposed flux alone: the
+# channel, the end (0 inlet, -1 outlet) whose cell is perturbed, the error
+# type's name and the text that names the channel. Every outlet face, a
+# terminal's or a junction's, obeys a feedback law solved in closed form.
 FACE_FAILURES = {
     "root": (1, 0, "RootSolveFailure", "channel 1: inlet flux solve diverged"),
-    "junction": (1, -1, "JunctionDivergence", "junction fed by channel 1"),
 }
 
 

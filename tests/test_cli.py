@@ -25,6 +25,7 @@ from conftest import (
     G,
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
+    dry_junction,
     dry_outlet_cell,
     nudge_face_cell,
     small_star,
@@ -583,6 +584,28 @@ def test_simulate_dry_face_exit_five(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "simulation failed at t = 0.000000e+00" in err
     assert "channel 4, outlet face" in err
+
+
+def test_simulate_dry_junction_face_exit_five(tmp_path, capsys, monkeypatch):
+    import channet.simulate
+
+    # no admitted cells carry the junction's invariant below -2 sqrt(g H*),
+    # so the nonlinear admission is the linear one's, which checks no cell:
+    # the t = 0 sample's face solve meets the dry junction face first
+    initial_state = channet.simulate.NetworkSimulator.initial_state
+
+    def drying(sim, perturbation=None):
+        state = initial_state(sim, perturbation)
+        dry_junction(sim, state)
+        return state
+
+    monkeypatch.setattr(channet.simulate.NetworkSimulator, "initial_state", drying)
+    monkeypatch.setattr(channet.simulate._Nonlinear, "admit", channet.simulate._Linear.admit)
+    code, _ = run_cli(tmp_path, "simulate", star_config(simulation={"mode": "nonlinear"}))
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "simulation failed at t = 0.000000e+00" in err
+    assert "channel 1, outlet face" in err
 
 
 @pytest.mark.parametrize("face", sorted(FACE_FAILURES))

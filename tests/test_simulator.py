@@ -25,7 +25,7 @@ from channet.simulate import (
     NetworkSimulator,
     SimState,
     _face_shift,
-    _terminal_depths,
+    _outlet_depths,
     decay_fit,
     mass_balance,
 )
@@ -41,6 +41,7 @@ from conftest import (
     STAR_ROOT_FLUX,
     admissible_gain,
     draw_tree,
+    dry_junction,
     dry_outlet_cell,
     nudge_face_cell,
     small_star,
@@ -245,8 +246,6 @@ def test_face_solve_failure_is_typed_and_stamped(star_sim_parts, monkeypatch, fa
         sim.run(None, T=1.0)
     assert type(exc.value) is getattr(channet.errors, error)
     assert text in str(exc.value)
-    if face == "junction":
-        assert exc.value.channel == channel
     # the t = 0 sample solves the faces before the first step
     assert exc.value.sim_time == 0.0
 
@@ -313,7 +312,7 @@ def test_nonlinear_shift_does_not_cancel(star_sim_parts, fraction):
 
 def star_terminal_faces(sim):
     """(H, g, c, site) of each terminal face of the simulator's network."""
-    return [face for _, _, face, _ in sim._terminals]
+    return [face for _, children, _, face in sim._outlets if not children]
 
 
 def test_terminal_law_at_q_zero_is_the_linear_law(star_sim_parts):
@@ -325,8 +324,8 @@ def test_terminal_law_at_q_zero_is_the_linear_law(star_sim_parts):
     for _ in range(2000):
         H, g, c, site = faces[int(rng.integers(len(faces)))]
         k, y1 = rng.uniform(-20.0, 20.0), rng.uniform(-1.0, 1.0)
-        terminal = (0, k, (H, g, c, site), TerminalSolveFailure)
-        h, twice = (_terminal_depths(0.0, [y], [terminal])[0] for y in (y1, 2.0 * y1))
+        terminal = (0, (), k, (H, g, c, site))
+        h, twice = (_outlet_depths(0.0, [y], [terminal])[0][0] for y in (y1, 2.0 * y1))
         ref = y1 / (k + g / c)
         worst = max(worst, abs(h - ref) / abs(ref))
         assert twice == 2.0 * h
@@ -347,7 +346,7 @@ def test_terminal_law_at_q_one_solves_the_feedback_law(star_sim_parts):
                 continue
             y1 = rng.uniform(-0.2, 0.2) * c
             try:
-                h = _terminal_depths(1.0, [y1], [(0, k, (H, g, c, site), TerminalSolveFailure)])[0]
+                h = _outlet_depths(1.0, [y1], [(0, (), k, (H, g, c, site))])[0][0]
             except (TerminalSolveFailure, SubcriticalLoss):
                 continue
             s = _face_shift(h, 1.0, H, g, c, site)[0]
@@ -631,7 +630,10 @@ def face_residuals(sim, y, face):
     """(residual, scale) of every face relation, from the solved faces and the
     invariants of the cells next to them: the root's mass flux, a terminal's
     incoming invariant at the face against its cell's, and a junction's mass
-    balance over H* + q h. The scales are those at which the face solve stops."""
+    balance over H* + q h. The root's scale is the one at which its Newton
+    solve stops; the closed-form outlet laws are held to the wave speed or
+    the invariant, whichever is larger, so the junction's row shows that its
+    velocity balance conserves mass."""
     q, topo = sim.phys.quadratic, sim.topo
     faces, fields = sim._face_dict(face), sim.fields(y)
 
@@ -698,6 +700,58 @@ def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts
             assert np.max(np.abs(dy[block] - ref[block])) <= 1e-12 * np.max(np.abs(ref[block]))
         for residual, scale in face_residuals(sim, y, face):
             assert abs(residual) <= channet.simulate.NEWTON_TOL * scale
+
+
+@pytest.mark.parametrize("network", ["star", "tree"])
+def test_junction_is_the_outlet_law_at_gain_zero(star_sim_parts, tree_parts, network):
+    # at q = 1 a junction fed by an outlet with invariant y1 and n children
+    # with inlet invariants y2_c solves (n + 1) s(h) = y1 - sum y2_c in
+    # closed form, and its faces balance velocity, v_in = sum v_c
+    if network == "star":
+        sim = make_sim(star_sim_parts, "nonlinear")
+    else:
+        _, _, weights, gains = tree_parts
+        sim = NetworkSimulator(weights, gains, mode="nonlinear")
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        # admissible: a few percent of the steady depth and of the wave speed
+        y = np.concatenate((0.05 * sim.Hc, 0.05 * np.sqrt(sim.g * sim.Hc)))
+        y *= rng.uniform(-1.0, 1.0, y.size)
+        faces = sim.face_states(SimState(0.0, y))
+        invariants = sim.fields(sim._char_fields(y))  # id -> (y1, y2) of every cell
+        for i in sim.topo.internal_channels:
+            children = sim.topo.junctions[i]
+            pr = sim.profiles[i]
+            H, g = float(pr.H_faces[-1]), pr.gravity
+            c = math.sqrt(g * H)
+            a0 = invariants[i][0][-1] - sum([invariants[k][1][0] for k in children])
+            _, _, h, v_in = faces[i]
+            s = _face_shift(h, 1.0, H, g, c, None)[0]
+            assert abs((len(children) + 1) * s - a0) <= 1e-14 * abs(a0)
+            v_out = sum(faces[k][1] for k in children)
+            assert abs(v_in - v_out) <= 1e-14 * max(c, abs(a0) / (len(children) + 1))
+
+
+def test_dry_junction_face_raises_subcritical_loss(star_sim_parts):
+    # Y = -2.5 sqrt(g H*) leaves the junction's law no wet face depth; its
+    # face is channel 1's outlet face
+    sim = make_sim(star_sim_parts, "nonlinear")
+    state = sim.initial_state(None)
+    dry_junction(sim, state)
+    with pytest.raises(SubcriticalLoss) as exc:
+        sim.face_states(state)
+    assert (exc.value.channel, exc.value.face) == (1, "outlet")
+    assert "channel 1, outlet face" in str(exc.value)
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_lyapunov_value_is_the_extended_pair_first_entry(star_sim_parts, mode):
+    sim = make_sim(star_sim_parts, mode)
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
+        state = SimState(0.0, y)
+        assert sim.lyapunov_value_state(state) == sim.lyapunov_extended(state)[0]
 
 
 def relative_gap(got, ref):
