@@ -25,7 +25,6 @@ from .errors import (
     MultipleParents,
     NegativeFlux,
     NonPositiveV,
-    RootSolveFailure,
     SimulationError,
     SteadyStateBlowup,
     SteadyStateError,
@@ -102,7 +101,6 @@ __all__ = [
     "NetworkSimulator",
     "NetworkTopology",
     "NonPositiveV",
-    "RootSolveFailure",
     "SimState",
     "SimulationError",
     "SteadyProfile",

@@ -118,10 +118,6 @@ class BoundarySolveFailure(SimulationError):
     pass
 
 
-class RootSolveFailure(BoundarySolveFailure):
-    pass
-
-
 class TerminalSolveFailure(BoundarySolveFailure):
     pass
 

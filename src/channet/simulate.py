@@ -23,9 +23,10 @@ and junction face carries an exactly imposed state: the invariant of the
 nearest cell with the imposed flux or outlet law leaves one scalar equation
 in the face depth. Every outlet face, a terminal's or a junction's, obeys
 one feedback law k h + s(h) = Y, solved in closed form: a junction is the
-law at gain zero on the combined invariant of its faces. Newton's method on
-Python floats solves only the root's imposed flux, from zero: its first step
-is the exact linear face, which ends a linear solve, so the faces are a
+law at gain zero on the combined invariant of its faces. The root's imposed
+flux is one exact step in a linear run and, in a nonlinear one, a cubic in
+d = e - c, the face celerity's deviation, solved by Newton's method with a
+monotone stop; no face solve starts from an earlier one, so the faces are a
 function of the state alone.
 Each Heun stage is one pass over its state: one admission gives the depths,
 velocities, g H and V^2 that the subcriticality check, the stability bound
@@ -50,7 +51,7 @@ import numpy as np
 
 # scipy.sparse is imported where the operators are built, so that only a
 # simulation loads it: importing channet loads no scipy.
-from .errors import CflViolation, MissingGain, NonPositiveV, RootSolveFailure
+from .errors import CflViolation, MissingGain, NonPositiveV
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure
 from .steady import FINE_REFINEMENT
 from .topology import _count, validate_topology
@@ -59,8 +60,6 @@ from .topology import _count, validate_topology
 from .weights import WeightSet, certify_network  # noqa: F401
 
 CFL_SAFETY = 0.9
-NEWTON_TOL = 1e-13
-NEWTON_MAX_ITER = 50
 DEFAULT_SAMPLES = 400
 # most Heun steps one cached power of M takes: the cost per step is flat from
 # about 6 steps up, while building M^b costs about b^2 and densifies it
@@ -127,8 +126,8 @@ class _Linear:
     and returns the (H, V, g H, V^2) whose speeds bound a step from it and
     from which the source is taken. march yields the states a run reaches
     (step count, state, flux integral since the last one) and sample reads
-    one for the trace. The depth shift and the outlet law are shared
-    (_shift, _face_shift, _outlet_depths): quadratic weighs them too."""
+    one for the trace. The depth shift and the face laws are shared
+    (_shift, _outlet_depths, _solve_relation): quadratic weighs them too."""
 
     quadratic = 0.0  # weight of the h v and v^2 / 2 flux terms and of h in the shift
     headroom = 1.0  # share of the initial stability bound taken as the step
@@ -228,16 +227,6 @@ def _shift(h, H, g, q, where):
     return h * (2.0 * g / (np.sqrt(g * arg) + np.sqrt(g * H)))
 
 
-def _face_shift(h, q, H, g, c, site):
-    """(s(h), ds/dh) of _shift at one face in Python floats, c = sqrt(g H):
-    the slope is g / e, so at q = 0 s is exactly the slope times h."""
-    arg = H + q * h
-    if arg <= 0.0:
-        raise SubcriticalLoss(*site)
-    e = math.sqrt(g * arg)
-    return h * (2.0 * g / (e + c)), g / e
-
-
 def _outlet_depths(q, inv, outlets):
     """(face depth h, Y) of each outlet law k h + s(h) = Y.
 
@@ -273,37 +262,47 @@ def _outlet_depths(q, inv, outlets):
 
 
 def _solve_relation(q, y2, V, face):
-    """(h, s(h)) of Newton's method from h = 0 on the root's mass flux
-    G(h) = (H + q h) (y2 + s(h)) + V h = 0 in Python floats, y2 the outgoing
-    invariant of the root's inlet cell and V the steady inlet velocity. At
-    q = 1, in the face celerity e = sqrt(g (H + h)), it is the cubic
-    2 e^3 + (V + y2 - 2 c) e^2 - V c^2 = 0, c = sqrt(g H).
+    """(h, s(h)) of the root's mass flux (H + q h) (y2 + s(h)) + V h = 0 in
+    Python floats, y2 the outgoing invariant of the root's inlet cell, V the
+    steady inlet velocity and face the root face's (H, g, c, site).
 
-    The first step solves the relation linearized at zero exactly. At q = 0
-    that is the relation itself, so the solve ends there; at q = 1 Newton
-    goes on until |G| <= NEWTON_TOL H c, for at most NEWTON_MAX_ITER more
-    steps. face is the (H, g, c, site) of _face_shift; a solve that ends
-    with |G| > 10 NEWTON_TOL H c raises RootSolveFailure.
+    At q = 0 the flux is linear in h, solved in one exact step. At q = 1,
+    with d = e - c, e = sqrt(g (H + h)) and c = sqrt(g H), it is the cubic
+    p(d) = 2 d^3 + (4 c + a) d^2 + 2 c (c + a) d + y2 c^2 = 0, a = V + y2,
+    with h = d (2 c + d) / g and s = 2 d; its constant term vanishes with
+    y2, so nothing cancels. Newton's method on p ends with its first step
+    after the first that does not fall, and needs no tolerance: in e, p is
+    e^2 (2 e + a - 2 c) - V c^2 and V > 0 (solve_network_steady refuses a
+    flux <= 0), so p < 0 at e = 0 and p has one positive root. p increases
+    and is convex for e > max(0, (2 c - a) / 3), where the root lies, so a
+    step from there lands at or right of the root and every later step
+    falls to it. The start lies there: d = max(c - a, 0) is right of the
+    root, p there being at least c^3 - V c^2 > 0 as the steady inlet is
+    subcritical (V < c), and where c + a > 0 the exact linear step
+    -y2 c / (2 (c + a)), right of -c and of -(c + a) / 3 as 2 (c + a)^2 >
+    3 y2 c, is taken if smaller. A root with c + d <= 0, or H + h <= 0 in
+    rounding, has no wet face depth.
     """
     H, g, c, site = face
-    a0, a1, scale = H * y2, V + q * y2, H * c
-    h, s, ds, steps = 0.0, 0.0, g / c, 0  # (s, ds/dh) of _face_shift at h = 0
+    if not q:
+        slope = g / c  # of s(h)
+        h = -(H * y2) / (V + H * slope)
+        return h, h * slope
+    a = V + y2
+    A, B, C = 4.0 * c + a, 2.0 * c * (c + a), y2 * (c * c)
+    d = max(c - a, 0.0)
+    if c + a > 0.0:
+        d = min(d, -C / B)
+    first = True
     while True:
-        G = a0 + a1 * h + H * s + q * (h * s)
-        if steps and (abs(G) <= NEWTON_TOL * scale or steps > NEWTON_MAX_ITER):
+        d, last = d - (((2.0 * d + A) * d + B) * d + C) / ((6.0 * d + 2.0 * A) * d + B), d
+        if not (first or d < last):
             break
-        dG = a1 + H * ds + q * (s + h * ds)
-        # a non-finite iterate shows up here as a non-finite slope
-        if not (math.isfinite(dG) and abs(dG) >= 1e-14):
-            break
-        h -= G / dG
-        steps += 1
-        s, ds = _face_shift(h, q, *face)
-        if not q:
-            return h, s
-    if not abs(G) <= 10.0 * NEWTON_TOL * scale:
-        raise RootSolveFailure(f"channel {site[0]}: inlet flux solve diverged")
-    return h, s
+        first = False
+    h = d * (2.0 * c + d) / g
+    if c + d <= 0.0 or H + h <= 0.0:
+        raise SubcriticalLoss(*site)
+    return h, 2.0 * d
 
 
 def _split(n, size):
@@ -449,7 +448,7 @@ class NetworkSimulator:
         cells = at(self.Hc[ends], self.g[ends], [self._where_cell[k] for k in ends])
         self._end_cells = [(*cell, sign) for cell, sign in zip(cells, self._sign.tolist())]
         faces = at(self._Hb[ku], self._gb[ku], [self._where_face[k] for k in ku])
-        # the root's mass flux, whose tolerance scales with H sqrt(g H)
+        # the root's mass flux, a cubic in the face celerity at q = 1
         self._root = (kr, float(self._Vb[kr]), faces[0])
         self._outlets = [(f, ch, k, face) for f, (_, ch, k), face in zip(ku[1:], laws, faces[1:])]
         # each face's unknown, the sign of s in its velocity, and a terminal's gain
@@ -493,9 +492,10 @@ class NetworkSimulator:
         """Per-channel views of the flat state y: id -> (h, v)."""
         return {i: (y[sh], y[sv]) for i, sh, sv in self._slices}
 
-    def _face_dict(self, f):
-        inlet, outlet = f[:, : self.m].T.tolist(), f[:, self.m :].T.tolist()
-        return {i: (*inlet[k], *outlet[k]) for k, i in enumerate(self.ids)}
+    def _face_dict(self, faces):
+        """id -> (h0, v0, hL, vL) of the lists (fh, fv) of _solve_faces."""
+        (fh, fv), m = faces, self.m
+        return {i: (fh[k], fv[k], fh[m + k], fv[m + k]) for k, i in enumerate(self.ids)}
 
     def _linear_operator(self):
         """(A, F, influx row) of the linear right-hand side, by the chain rule.
@@ -511,7 +511,7 @@ class NetworkSimulator:
         N, m4, ends = self.N, 4 * self.m, np.unique(self._ends)
         unit = np.zeros((ends.size, 2 * N))
         unit[np.arange(ends.size), ends] = 1.0
-        face = np.array([self._solve_faces(y)[0].ravel() for y in unit])
+        face = np.array([self._solve_faces(y)[0] for y in unit]).reshape(ends.size, m4)
         b, k = np.nonzero(face)
         F = sparse.csr_matrix((face[b, k], (k, ends[b])), shape=(m4, 2 * N))
         zero, unit_faces = np.zeros(2 * N), np.identity(m4).reshape(m4, 2, -1)
@@ -588,13 +588,14 @@ class NetworkSimulator:
         return self.cfl * float((self.dx / speed).min())
 
     def _solve_faces(self, y):
-        """(faces, B1, B2, net boundary mass influx) of the flat state y: the
-        face depths and velocities, shape (2, 2m), and the boundary fluxes
-        of the inlet then outlet faces as lists.
+        """((fh, fv), B1, B2, net boundary mass influx) of the flat state y:
+        the lists of face depths fh and velocities fv and the boundary
+        fluxes, each of the m inlet then the m outlet faces.
 
         The root's relation is its mass flux H v + V h + q h v with v = y2 +
         s(h), s the depth shift and y2 the outgoing invariant of its inlet
-        cell, solved by Newton (_solve_relation). Every outlet face obeys
+        cell: at q = 1 a cubic in the face celerity, solved by Newton's
+        method with a monotone stop (_solve_relation). Every outlet face obeys
         the feedback law k h + s(h) = Y in closed form (_outlet_depths): a
         terminal at its gain with Y its cell's incoming invariant y1, a
         junction at gain zero with its combined invariant, whose faces share
@@ -619,7 +620,7 @@ class NetworkSimulator:
             h = hu[u]
             fh.append(h)
             fv.append(inv[f] + sign * su[u] if gain is None else gain * h)
-        return (np.array((fh, fv)), *self._boundary_fluxes(fh, fv))
+        return ((fh, fv), *self._boundary_fluxes(fh, fv))
 
     def _boundary_fluxes(self, fh, fv):
         """(B1, B2, net boundary mass influx) of the lists fh, fv of face
@@ -634,7 +635,7 @@ class NetworkSimulator:
         """Every boundary and junction face: channel id -> (h0, v0, hL, vL), or
         the (2, 2m) array if flat, solved from the state's y alone."""
         f = self._solve_faces(state.y)[0]
-        return f if flat else self._face_dict(f)
+        return np.array(f) if flat else self._face_dict(f)
 
     # -- semi-discrete right-hand side ---------------------------------------
 

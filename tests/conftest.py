@@ -425,21 +425,32 @@ def dry_junction(sim, state):
         fields[child][1][0] = 2.0 * c
 
 
-# a face solve that fails on each kind of face relation of the star that
-# Newton's method solves, which is the root's imposed flux alone: the
-# channel, the end (0 inlet, -1 outlet) whose cell is perturbed, the error
-# type's name and the text that names the channel. Every outlet face, a
-# terminal's or a junction's, obeys a feedback law solved in closed form.
+# a face solve that fails, on each kind of face law of the star that can
+# have no solution, which is the terminal feedback law alone: the channel,
+# the end (0 inlet, -1 outlet) whose cell is perturbed, the channel's gain as
+# a multiple of its reflection pole -sqrt(g / H*) at the outlet, the error
+# type's name and the text that names the channel. A gain 1e-3 short of the
+# pole bounds the left side of the law k h + s(h) = y1 by about 1e-6
+# sqrt(g H*), so raising the outlet cell by 1e-4 m leaves it no real root.
+# The root's cubic and a junction's law always have a root; where it is
+# dry, they raise SubcriticalLoss.
 FACE_FAILURES = {
-    "root": (1, 0, "RootSolveFailure", "channel 1: inlet flux solve diverged"),
+    "terminal": (4, -1, 1.0 - 1e-3, "TerminalSolveFailure",
+                 "channel 4: terminal feedback has no face depth"),
 }
+
+
+def reflection_pole(profile):
+    """The gain -sqrt(g / H*) at a channel's outlet, where the terminal
+    feedback law fixes no face depth."""
+    return -math.sqrt(profile.gravity / float(profile.H_faces[-1]))
 
 
 def nudge_face_cell(sim, state, channel, end):
     """Raise the depth of the cell next to one face of a channel by 1e-4.
 
-    Only the relation of that face sees a changed invariant, so with no
-    Newton iteration allowed only its solve fails.
+    Only the relation of that face sees a changed invariant, so only its
+    solve can fail.
     """
     h, _ = sim.fields(state.y)[channel]
     h[end] += 1e-4

@@ -28,6 +28,7 @@ from conftest import (
     dry_junction,
     dry_outlet_cell,
     nudge_face_cell,
+    reflection_pole,
     small_star,
 )
 
@@ -612,7 +613,10 @@ def test_simulate_dry_junction_face_exit_five(tmp_path, capsys, monkeypatch):
 def test_simulate_face_solve_failure_exit_five(tmp_path, capsys, monkeypatch, face):
     import channet.simulate
 
-    channel, end, _, text = FACE_FAILURES[face]
+    channel, end, pole_share, _, text = FACE_FAILURES[face]
+    cfg = star_config(simulation={"mode": "nonlinear"})
+    _, profiles = star_profiles_for_config(cfg)
+    cfg["gains"][str(channel)] = pole_share * reflection_pole(profiles[channel])
     initial_state = channet.simulate.NetworkSimulator.initial_state
 
     def nudged(sim, perturbation=None):
@@ -621,8 +625,7 @@ def test_simulate_face_solve_failure_exit_five(tmp_path, capsys, monkeypatch, fa
         return state
 
     monkeypatch.setattr(channet.simulate.NetworkSimulator, "initial_state", nudged)
-    monkeypatch.setattr(channet.simulate, "NEWTON_MAX_ITER", 0)
-    code, _ = run_cli(tmp_path, "simulate", star_config(simulation={"mode": "nonlinear"}))
+    code, _ = run_cli(tmp_path, "simulate", cfg)
     assert code == 5
     err = capsys.readouterr().err
     assert "simulation failed at t = 0.000000e+00" in err

@@ -3,6 +3,7 @@
 import decimal
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -24,8 +25,8 @@ from channet.simulate import (
     Bump,
     NetworkSimulator,
     SimState,
-    _face_shift,
     _outlet_depths,
+    _solve_relation,
     decay_fit,
     mass_balance,
 )
@@ -44,6 +45,7 @@ from conftest import (
     dry_junction,
     dry_outlet_cell,
     nudge_face_cell,
+    reflection_pole,
     small_star,
 )
 
@@ -229,8 +231,11 @@ def test_dry_face_raises_subcritical_loss(star_sim_parts):
 
 @pytest.mark.parametrize("face", sorted(FACE_FAILURES))
 def test_face_solve_failure_is_typed_and_stamped(star_sim_parts, monkeypatch, face):
-    channel, end, error, text = FACE_FAILURES[face]
-    sim = make_sim(star_sim_parts, "nonlinear")
+    channel, end, pole_share, error, text = FACE_FAILURES[face]
+    gain = pole_share * reflection_pole(star_sim_parts[1][channel])
+    sim = make_sim(star_sim_parts, "nonlinear", gains={**STAR_GAINS, channel: gain})
+    # the steady faces solve at that gain: only the nudge leaves no solution
+    sim.run(None, T=1.0)
     initial_state = sim.initial_state
 
     def nudged(perturbation=None):
@@ -239,9 +244,6 @@ def test_face_solve_failure_is_typed_and_stamped(star_sim_parts, monkeypatch, fa
         return state
 
     monkeypatch.setattr(sim, "initial_state", nudged)
-    # the nudged state itself is admissible: the solves converge given iterations
-    sim.run(None, T=1.0)
-    monkeypatch.setattr(channet.simulate, "NEWTON_MAX_ITER", 0)
     with pytest.raises(channet.errors.SimulationError) as exc:
         sim.run(None, T=1.0)
     assert type(exc.value) is getattr(channet.errors, error)
@@ -310,6 +312,89 @@ def test_nonlinear_shift_does_not_cancel(star_sim_parts, fraction):
     assert np.all(np.abs(s - ref) <= 1e-15 * np.abs(ref))
 
 
+def exact_root_depth(y2, V, H, g):
+    """The face depth h of the root's mass flux (H + h) (y2 + s(h)) + V h = 0
+    in 60-digit decimal arithmetic. In the face celerity e = sqrt(g (H + h)),
+    g times the flux is e^2 (y2 + 2 (e - c)) + V (e^2 - c^2), c = sqrt(g H),
+    increasing and convex right of its one positive root; Newton's method
+    falls to that root from e = max(2 c - V - y2, c), which lies right of it
+    for V < c, and stops where it no longer falls."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        y2, V, H, g = (decimal.Decimal(x) for x in (y2, V, H, g))
+        c = (g * H).sqrt()
+        e, last = max(2 * c - V - y2, c), None
+        while last is None or e < last:
+            wave = y2 + 2 * (e - c)
+            last, e = e, e - (e * e * wave + V * (e * e - c * c)) / (2 * e * (wave + e + V))
+        return float((e * e - c * c) / g)
+
+
+@pytest.mark.parametrize("amplitude", [1e-1, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_root_face_depth_is_exact_at_small_amplitude(star_sim_parts, amplitude):
+    # the cubic in d = e - c has the constant term y2 c^2, so its root falls
+    # with y2 and keeps its relative accuracy; a solve stopped at an absolute
+    # residual would keep about 2e-7 of it at y2 / c = 1e-6
+    _, V, face = make_sim(star_sim_parts, "nonlinear")._root
+    H, g, c, _ = face
+    rng = np.random.default_rng(41)
+    for y2 in (rng.uniform(-amplitude, amplitude, 20) * c).tolist():
+        ref = exact_root_depth(y2, V, H, g)
+        assert abs(_solve_relation(1.0, y2, V, face)[0] - ref) <= 1e-15 * abs(ref)
+
+
+def test_root_face_depth_is_exact_at_extreme_inlet_states(star_sim_parts):
+    # inlet cells from nearly dry to four times the steady depth, with
+    # velocities up to 0.99 of the wave speed either way: where c + V + y2
+    # <= 0 the linear step is no start, and the root is still found
+    sim = make_sim(star_sim_parts, "nonlinear")
+    _, V, face = sim._root
+    H, g, c, _ = face
+    Hc, Vc = float(sim.Hc[0]), float(sim.Vc[0])
+    reversed_flow = 0
+    for depth in (-0.9, -0.5, 0.5, 1.0, 2.0, 2.9):
+        h = depth * Hc
+        e = math.sqrt(g * (Hc + h))
+        for froude in (-0.99, -0.6, -0.2, 0.2, 0.6, 0.99):
+            y2 = froude * e - Vc - 2.0 * (e - math.sqrt(g * Hc))
+            reversed_flow += c + V + y2 <= 0.0
+            ref = exact_root_depth(y2, V, H, g)
+            assert abs(_solve_relation(1.0, y2, V, face)[0] - ref) <= 1e-15 * abs(ref)
+    assert reversed_flow >= 10
+
+
+def test_reversed_inflow_at_the_root_has_a_wet_face(star_sim_parts):
+    # channel 1's first cell at twice its steady depth with a velocity
+    # deviation of -2 m/s is admitted, and its outgoing invariant has
+    # c + V + y2 <= 0 at the root face. The cubic's root there is wet and
+    # subcritical, although Newton on the flux from h = 0 steps to a
+    # negative depth
+    sim = make_sim(star_sim_parts, "nonlinear")
+    state = sim.initial_state(None)
+    h, v = sim.fields(state.y)[1]
+    h[0], v[0] = sim.Hc[0], -2.0
+    sim.cfl_dt(state)  # admits the state
+    _, V, (H, g, c, _) = sim._root
+    y2 = sim.fields(sim._char_fields(state.y))[1][1][0]
+    assert c + V + y2 <= 0.0
+    h0, v0, _, _ = sim.face_states(state)[1]
+    assert H + h0 > 0.0 and abs(V + v0) < math.sqrt(g * (H + h0))
+    assert abs((H + h0) * (V + v0) - H * V) <= 1e-14 * H * c
+
+
+def test_root_solve_of_a_non_finite_invariant_returns_at_once(star_sim_parts):
+    # the root's Newton loop has no iteration cap: a NaN or infinite
+    # invariant stops it within two steps, with a NaN face
+    _, V, face = make_sim(star_sim_parts, "nonlinear")._root
+    faces = []
+    worker = threading.Thread(daemon=True, target=lambda: faces.extend(
+        _solve_relation(1.0, y2, V, face) for y2 in (math.nan, math.inf, -math.inf)))
+    worker.start()
+    worker.join(10.0)
+    assert not worker.is_alive()
+    assert len(faces) == 3 and all(math.isnan(x) for face in faces for x in face)
+
+
 def star_terminal_faces(sim):
     """(H, g, c, site) of each terminal face of the simulator's network."""
     return [face for _, children, _, face in sim._outlets if not children]
@@ -349,7 +434,7 @@ def test_terminal_law_at_q_one_solves_the_feedback_law(star_sim_parts):
                 h = _outlet_depths(1.0, [y1], [(0, (), k, (H, g, c, site))])[0][0]
             except (TerminalSolveFailure, SubcriticalLoss):
                 continue
-            s = _face_shift(h, 1.0, H, g, c, site)[0]
+            s = exact_shift(h, H, g)
             assert abs(k * h + s - y1) <= 1e-14 * max(abs(y1), abs(k * h), abs(s))
             checked += 1
     assert checked > 1000
@@ -630,9 +715,9 @@ def face_residuals(sim, y, face):
     """(residual, scale) of every face relation, from the solved faces and the
     invariants of the cells next to them: the root's mass flux, a terminal's
     incoming invariant at the face against its cell's, and a junction's mass
-    balance over H* + q h. The root's scale is the one at which its Newton
-    solve stops; the closed-form outlet laws are held to the wave speed or
-    the invariant, whichever is larger, so the junction's row shows that its
+    balance over H* + q h. The root's row comes first, its scale the flux
+    H* sqrt(g H*); the outlet laws are held to the wave speed or the
+    invariant, whichever is larger, so the junction's row shows that its
     velocity balance conserves mass."""
     q, topo = sim.phys.quadratic, sim.topo
     faces, fields = sim._face_dict(face), sim.fields(y)
@@ -698,8 +783,11 @@ def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts
         ref = reference_tendency(sim, y, face)
         for block in (slice(0, sim.N), slice(sim.N, None)):
             assert np.max(np.abs(dy[block] - ref[block])) <= 1e-12 * np.max(np.abs(ref[block]))
-        for residual, scale in face_residuals(sim, y, face):
-            assert abs(residual) <= channet.simulate.NEWTON_TOL * scale
+        (root, scale), *outlets = face_residuals(sim, y, face)
+        # the root's cubic is solved to rounding: at most 2.6e-17 measured
+        assert abs(root) <= 1e-15 * scale
+        for residual, scale in outlets:
+            assert abs(residual) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("network", ["star", "tree"])
@@ -726,7 +814,7 @@ def test_junction_is_the_outlet_law_at_gain_zero(star_sim_parts, tree_parts, net
             c = math.sqrt(g * H)
             a0 = invariants[i][0][-1] - sum([invariants[k][1][0] for k in children])
             _, _, h, v_in = faces[i]
-            s = _face_shift(h, 1.0, H, g, c, None)[0]
+            s = exact_shift(h, H, g)
             assert abs((len(children) + 1) * s - a0) <= 1e-14 * abs(a0)
             v_out = sum(faces[k][1] for k in children)
             assert abs(v_in - v_out) <= 1e-14 * max(c, abs(a0) / (len(children) + 1))
@@ -845,7 +933,7 @@ def test_operators_are_the_linear_physics(star_sim_parts, tree_parts, network):
         state = SimState(0.0, y)
         dy, face, influx = sim.rhs(state)
         assert relative_gap(sim.A @ y, dy) <= 1e-12
-        assert relative_gap(sim.F @ y, face.ravel()) <= 1e-12
+        assert relative_gap(sim.F @ y, np.ravel(face)) <= 1e-12
         assert np.array_equal(face, sim.face_states(state, flat=True))
         assert abs(sim._influx @ y - influx) <= 1e-12 * abs(influx)
 
@@ -860,7 +948,7 @@ def test_faces_depend_only_on_the_state(star_sim_parts):
         state, _ = sim.step(state, dt)
     fresh = SimState(state.time, state.y.copy())
     (dy, face, influx), (dy0, face0, influx0) = sim.rhs(state), sim.rhs(fresh)
-    assert np.any(face != 0.0)
+    assert np.any(np.array(face) != 0.0)
     assert np.array_equal(dy, dy0) and np.array_equal(face, face0) and influx == influx0
     assert np.array_equal(sim.face_states(state, flat=True), sim.face_states(fresh, flat=True))
 
@@ -873,4 +961,4 @@ def test_linear_face_solve_is_exact_at_any_amplitude(star_sim_parts):
     for _ in range(2000):
         y = rng.standard_normal(2 * sim.N) * 10.0 ** rng.uniform(0.0, 12.0)
         face = sim._solve_faces(y)[0]
-        assert relative_gap(face.ravel(), sim.F @ y) <= 1e-12
+        assert relative_gap(np.ravel(face), sim.F @ y) <= 1e-12
