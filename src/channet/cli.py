@@ -10,7 +10,6 @@ deterministic functions of the configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -130,9 +129,8 @@ def _finite(value, name: str) -> float:
     return x
 
 
-def _fmt(x: float) -> str:
-    """17-significant-digit scientific notation, exact for binary64."""
-    return f"{x:.16e}"
+# 17-significant-digit scientific notation, exact for binary64
+_NUMBER = "%.16e"
 
 
 def _sanitize(obj):
@@ -152,25 +150,27 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], formats: list[str], rows) -> None:
+    """The header, then each row of ``rows`` through one %-format joined
+    from the column ``formats``. These are the bytes of csv.writer's
+    default dialect, whose CRLF ends every line: column names, channel ids
+    and numbers need no quotes."""
+    row_format = ",".join(formats) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_format % row for row in rows)
 
 
 def cmd_steady(config: RunConfig, profiles, outdir: Path) -> int:
     summary = []
     for i in sorted(config.topology.channels):
         prof = profiles[i]
-        rows = [
-            (str(i), _fmt(x), _fmt(H), _fmt(V))
-            for x, H, V in zip(prof.x_faces, prof.H_faces, prof.V_faces)
-        ]
+        faces = zip(*(a.tolist() for a in (prof.x_faces, prof.H_faces, prof.V_faces)))
         _write_csv(
             outdir / f"steady_channel_{i}.csv",
             ["channel", "x", "H", "V"],
-            rows,
+            ["%d"] + [_NUMBER] * 3,
+            ((i, *face) for face in faces),
         )
         summary.append(
             {
@@ -244,24 +244,23 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
     # would box a numpy scalar for every number written
     columns = [trace.t, trace.V, trace.V_ext, trace.l2, trace.boundary_B]
     columns += [trace.channel_l2[i] for i in ids]
-    rows = [[_fmt(x) for x in row] for row in zip(*(c.tolist() for c in columns))]
-    _write_csv(outdir / config.trace_path, header, rows)
+    _write_csv(outdir / config.trace_path, header, [_NUMBER] * len(columns),
+               zip(*(c.tolist() for c in columns)))
 
     if config.snapshot_path is not None:
         fields = sim.fields(sim.final_state.y)
-        rows = []
-        for i in ids:
+
+        def cells(i):
             prof = profiles[i]
             h, v = fields[i]
             H, V = prof.H_centers + h, prof.V_centers + v
-            rows.extend(
-                (str(i), *map(_fmt, cell))
-                for cell in zip(*(a.tolist() for a in (prof.x_centers, H, V, h, v)))
-            )
+            return zip(*(a.tolist() for a in (prof.x_centers, H, V, h, v)))
+
         _write_csv(
             outdir / config.snapshot_path,
             ["channel", "x", "H", "V", "h", "v"],
-            rows,
+            ["%d"] + [_NUMBER] * 5,
+            ((i, *cell) for i in ids for cell in cells(i)),
         )
 
     _write_json(

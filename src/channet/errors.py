@@ -104,7 +104,8 @@ class CflViolation(SimulationError):
 
 
 class SubcriticalLoss(SimulationError):
-    """A cell left the subcritical regime, or a face (next to ``cell``) ran dry."""
+    """A cell left the subcritical regime (g H > V^2 fails there, as it
+    does for a NaN), or a face (next to ``cell``) ran dry."""
 
     def __init__(self, channel: int, cell: int, face: str | None = None):
         self.channel = channel

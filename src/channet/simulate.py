@@ -172,14 +172,15 @@ class _Nonlinear:
         return sim.neg_gC * (VV / H**sim.p - sim.src0)
 
     def admit(self, sim, y):
-        """Raise SubcriticalLoss at the first cell with g H <= V^2, which
-        takes in every cell with H <= 0 as g > 0."""
+        """Raise SubcriticalLoss at the first cell where g H > V^2 fails,
+        which takes in every cell with H <= 0 as g > 0, and every cell
+        with a NaN."""
         HV = sim.HVc + y
         H, V = HV[: sim.N], HV[sim.N :]
         gH, VV = sim.g * H, V * V
-        bad = gH <= VV
-        if bad.any():
-            raise SubcriticalLoss(*sim._where_cell[int(np.argmax(bad))])
+        ok = gH > VV
+        if not ok.all():
+            raise SubcriticalLoss(*sim._where_cell[int(np.argmin(ok))])
         return H, V, gH, VV
 
     def prepare(self, sim):
@@ -663,8 +664,9 @@ class NetworkSimulator:
         return self._tendency(state.y, faces, admitted)
 
     def _check_step(self, dt: float, bound: float, time: float):
-        """Refuse a step dt above the stability bound of the state at time."""
-        if dt > bound * (1.0 + 1e-12):
+        """Refuse a step dt above the stability bound of the state at time,
+        and any step where the bound is NaN."""
+        if not dt <= bound * (1.0 + 1e-12):
             raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e} "
                                f"at t = {time:.6e}")
 

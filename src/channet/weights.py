@@ -36,14 +36,20 @@ fuses the depth kernels of ``steady`` and ``characteristics``, those that
 ``CharCoeffs`` uses too, with their per-channel constants computed once.
 As eta' >= epsilon > 0, eta can leave its range only upward; where w blows
 up inside the channel, theta crosses arctan(1e12) smoothly and the solve
-stops at the first step end past it. Inside each step the loop writes
-theta on the fine grid from the step's interpolant, at the depths the
-steady profile holds there, and ``eta_eps`` returns eta / phi = tan theta +
-epsilon x there; the weights, speeds and couplings at the faces and centers
-are elements and slices of the fine-grid arrays. An epsilon attempt does
-only epsilon-dependent work: per channel one solve, while the speeds,
-couplings and phi factors on the fine grid (``_FineFactors``) are computed
-once per channel and certificate. The test suite (``tests/conftest.py``)
+stops at the first step end past it. The loop keeps its accepted steps
+and theta at the outlet (``_Comparison``); ``_on_grid`` writes theta on
+the fine grid from each step's interpolant, at the depths the steady
+profile holds there, and ``eta_eps`` returns eta / phi = tan theta +
+epsilon x there; the weights, speeds and couplings at the faces and
+centers are elements and slices of the fine-grid arrays. An epsilon
+attempt does only epsilon-dependent work: per channel one solve, while the
+speeds, couplings and phi factors on the fine grid (``_FineFactors``) are
+computed once per channel and certificate. Every check but the interior
+matrix N(x) reads only the ends of a channel, where theta is exact: the
+inlet value and the solve's last one. So an attempt that may stop early
+first checks each channel with its weights at the two ends, and only one
+that passes every such check evaluates its kept steps on the fine grid
+(``_attempt``). The test suite (``tests/conftest.py``)
 keeps the ODE forms of I4 and of the unit-inlet comparison solution, in w
 and with a driver of their own, as oracles of the closed forms, and scipy's
 RK45 as the oracle of the step loop.
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +87,8 @@ ETA_ATOL = 1e-13
 POSITIVITY_REL_TOL = 1e-12
 DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
+# the first and last points of a fine grid: the inlet and the outlet
+_ENDS = np.array([0, -1])
 
 
 def __getattr__(name):
@@ -95,22 +104,21 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _integrate(rhs, theta, depths):
-    """theta at ``depths`` by one adaptive Dormand-Prince 5(4) solve of
-    dtheta/dH = rhs(H, theta) from theta(depths[0]) = ``theta``, or None
-    where the solution does not exist.
+def _integrate(rhs, theta, start, end):
+    """One adaptive Dormand-Prince 5(4) solve of dtheta/dH = rhs(H, theta)
+    from theta(start) = ``theta`` down to the depth ``end``: (its accepted
+    steps, theta at ``end``), or None where the solution does not exist.
 
-    ``depths`` decreases from the inlet depth to the outlet depth. The
-    solve is scipy's RK45 on Python floats: its tableau, initial step,
+    The solve is scipy's RK45 on Python floats: its tableau, initial step,
     error norm and step-size control (Hairer, Norsett & Wanner, Solving
     ODEs I, II.4-II.6) at relative tolerance ETA_RTOL and absolute
-    tolerance ETA_ATOL. Inside each accepted step, the depths it covers
-    take the step's quartic interpolant, so no dense solution is kept. It
-    returns None when theta reaches arctan(ETA_BLOWUP) at a step end, and
-    when the step falls below ten spacings of the depth.
+    tolerance ETA_ATOL. Each accepted step is kept as (t, t_new, h, y, k1,
+    k3, ..., k7), all that ``_on_grid`` needs for its quartic interpolant,
+    so no depth between the ends is visited here. It returns None when
+    theta reaches arctan(ETA_BLOWUP) at a step end, and when the step falls
+    below ten spacings of the depth.
     """
-    depths = depths.tolist()
-    t, t_end = depths[0], depths[-1]
+    t, t_end = start, end
     y, f = theta, rhs(t, theta)
     span = t - t_end
     # the initial step of scipy's select_initial_step
@@ -121,7 +129,7 @@ def _integrate(rhs, theta, depths):
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, span)
     blowup = math.atan(ETA_BLOWUP)
-    out, j = [], 0
+    steps = []
     while True:
         min_step = 10.0 * (t - math.nextafter(t, -math.inf))
         h_abs = max(h_abs, min_step)
@@ -156,6 +164,21 @@ def _integrate(rhs, theta, depths):
             rejected = True
         if y_new >= blowup:
             return None
+        steps.append((t, t_new, h, y, k1, k3, k4, k5, k6, k7))
+        t, y, f = t_new, y_new, k7
+        if t <= t_end:
+            return steps, y
+
+
+def _on_grid(steps, theta_end, depths):
+    """theta at ``depths``, which fall from the start of the solve that made
+    ``steps`` to its end: each depth inside a step takes the step's quartic
+    interpolant, and the depths at the end take ``theta_end``, the solve's
+    last value. The first depth, the start, takes the start value exactly.
+    """
+    depths = depths.tolist()
+    out, j = [], 0
+    for t, t_new, h, y, k1, k3, k4, k5, k6, k7 in steps:
         if depths[j] > t_new:
             # the dense output: theta(t + s h) = y + s h (q1 + s (q2 + s (q3 + s q4)))
             q2 = (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
@@ -171,10 +194,8 @@ def _integrate(rhs, theta, depths):
                 s = (depths[j] - t) / h
                 out.append(y + s * h * (k1 + s * (q2 + s * (q3 + s * q4))))
                 j += 1
-        t, y, f = t_new, y_new, k7
-        if t <= t_end:
-            out += [y] * (len(depths) - j)
-            return np.array(out)
+    out += [theta_end] * (len(depths) - j)
+    return np.array(out)
 
 
 def _riccati(profile: SteadyProfile, epsilon):
@@ -282,6 +303,16 @@ class _FineFactors:
         A, B = c.delta1 * phi / c.lambda1, c.gamma2 / (c.lambda2 * phi)
         return cls(c, phi, np.exp(I1) ** 2, np.exp(-I2) ** 2, A, B)
 
+    @cached_property
+    def ends(self) -> "_FineFactors":
+        """The same factors at the inlet and the outlet alone: the first and
+        last element of every array."""
+        c = self.coeffs
+        coeffs = CharCoeffs(c.profile, *(a[_ENDS] for a in (
+            c.lambda1, c.lambda2, c.gamma1, c.delta1, c.gamma2, c.delta2)))
+        return _FineFactors(coeffs, *(a[_ENDS] for a in (
+            self.phi, self.phi1_sq, self.phi2_sq, self.A, self.B)))
+
     def pair(self, eta):
         """(phi1^2 / eta, phi2^2 eta): times alpha and over (lambda1,
         lambda2) they are (f1, f2), and their difference and sum are Z /
@@ -385,6 +416,67 @@ def riccati_existence_margin(phi: PhiProfiles, x):
     return lam1_0 / (lam1_0 - lam2_0) - phi.existence_integral(x)
 
 
+@dataclass(frozen=True, eq=False)
+class _Comparison:
+    """The comparison solution of one channel at one epsilon, as eta / phi =
+    tan theta + epsilon x with theta(H) from the accepted ``steps`` of its
+    solve (see ``_integrate``) and ``theta_end`` at the outlet. A channel
+    whose depth stays H0 has no steps: there eta / phi = init + epsilon x.
+    """
+
+    profile: SteadyProfile
+    epsilon: float
+    init: float
+    steps: list | None
+    theta_end: float
+
+    @classmethod
+    def of(cls, profile: SteadyProfile, epsilon: float, trunk_inlet: bool) -> "_Comparison":
+        """Solve with inlet value lambda2(0)/lambda1(0) + epsilon on the
+        trunk and 1 + epsilon on branch channels; EpsilonTooLarge where the
+        solution does not reach the outlet."""
+        if trunk_inlet:
+            if profile.flux == 0.0:
+                raise DegenerateFlux("trunk channels carry positive flux")
+            H0 = profile.inlet_depth
+            lam1_0, lam2_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)
+            init = lam2_0 / lam1_0 + epsilon
+        else:
+            init = 1.0 + epsilon
+
+        if profile.outlet_depth == profile.inlet_depth:
+            # the depth stays H0 (no flux, no friction, or a drop below
+            # rounding), and with it the exponents
+            return cls(profile, epsilon, init, None, math.nan)
+
+        H = profile.H_fine
+        solved = _integrate(_riccati(profile, epsilon), math.atan(init), float(H[0]), float(H[-1]))
+        if solved is None:
+            raise EpsilonTooLarge(
+                f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
+                f"does not exist on the whole channel"
+            )
+        return cls(profile, epsilon, init, *solved)
+
+    def ends(self) -> np.ndarray:
+        """eta / phi at the inlet and the outlet alone. theta is exact there,
+        arctan(init) and the solve's last value, and each operation is the
+        fine grid's on its end elements, so both values are those of
+        ``fine`` to the bit."""
+        x = self.profile.x_fine[_ENDS]
+        if self.steps is None:
+            return self.init + self.epsilon * x
+        return np.tan(np.array([math.atan(self.init), self.theta_end])) + self.epsilon * x
+
+    def fine(self) -> np.ndarray:
+        """eta / phi on the whole fine grid."""
+        prof = self.profile
+        if self.steps is None:
+            return self.init + self.epsilon * prof.x_fine
+        theta = _on_grid(self.steps, self.theta_end, prof.H_fine)
+        return np.tan(theta) + self.epsilon * prof.x_fine
+
+
 def eta_eps(
     profile: SteadyProfile,
     epsilon: float,
@@ -405,27 +497,7 @@ def eta_eps(
     has phi = 1 and no solve: eta is init + epsilon x, the exact solution
     of an uncoupled channel.
     """
-    if trunk_inlet:
-        if profile.flux == 0.0:
-            raise DegenerateFlux("trunk channels carry positive flux")
-        H0 = profile.inlet_depth
-        lam1_0, lam2_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)
-        init = lam2_0 / lam1_0 + epsilon
-    else:
-        init = 1.0 + epsilon
-
-    if profile.outlet_depth == profile.inlet_depth:
-        # the depth stays H0 (no flux, no friction, or a drop below
-        # rounding), and with it the exponents
-        return init + epsilon * profile.x_fine
-
-    theta = _integrate(_riccati(profile, epsilon), math.atan(init), profile.H_fine)
-    if theta is None:
-        raise EpsilonTooLarge(
-            f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
-            f"does not exist on the whole channel"
-        )
-    return np.tan(theta) + epsilon * profile.x_fine
+    return _Comparison.of(profile, epsilon, trunk_inlet).fine()
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,6 +540,8 @@ def _weighted_channels(
     profiles: dict[int, SteadyProfile],
     epsilon: float,
     fixed: dict[int, _FineFactors],
+    solved: dict[int, _Comparison],
+    ends: bool = False,
     root_alpha: float = 1.0,
 ):
     """Yield the weights of every channel in traversal order, parents first.
@@ -475,9 +549,12 @@ def _weighted_channels(
     alpha_child = alpha_parent * W~_parent(L) / W~_child(0) makes W continuous
     across every junction; the root scale is free and an overall rescale
     leaves every certificate verdict unchanged. ``fixed`` holds the
-    epsilon-free factors of each channel and is filled on the way, so each
-    channel of an attempt costs one solve and one evaluation of it on the
-    fine grid. Raises EpsilonTooLarge at the first channel whose comparison
+    epsilon-free factors of each channel and ``solved`` its comparison
+    solution at this epsilon; both are filled on the way, so a channel
+    costs one solve however many passes read it. With ``ends`` the weights
+    are two-point arrays, at the inlet and the outlet, equal to the bit to
+    the ends of those on the fine grid; without it they cover the fine
+    grid. Raises EpsilonTooLarge at the first channel whose comparison
     solution does not exist.
     """
     alphas: dict[int, float] = {}
@@ -486,9 +563,14 @@ def _weighted_channels(
         profile = profiles[i]
         if i not in fixed:
             fixed[i] = _FineFactors.of(profile)
-        fine = fixed[i]
-        eta = eta_eps(profile, epsilon, trunk_inlet=(i == topo.root_channel)) * fine.phi
-        a, b = fine.pair(eta)
+        if i not in solved:
+            solved[i] = _Comparison.of(profile, epsilon, trunk_inlet=(i == topo.root_channel))
+        if ends:
+            factors, ratio = fixed[i].ends, solved[i].ends()
+        else:
+            factors, ratio = fixed[i], solved[i].fine()
+        eta = ratio * factors.phi
+        a, b = factors.pair(eta)
         w_tilde = a + b
         w_end[i] = float(w_tilde[-1])
         if i == topo.root_channel:
@@ -501,13 +583,13 @@ def _weighted_channels(
             alphas[i] = alphas[parent] * w_end[parent] / w_start
         alpha = alphas[i]
         yield ChannelWeights(
-            coeffs=fine.coeffs,
+            coeffs=factors.coeffs,
             alpha=alpha,
             epsilon=epsilon,
             eta_eps=eta,
-            eta_slope=np.abs(fine.A + fine.B * eta**2) + epsilon,
-            f1=alpha * a / fine.coeffs.lambda1,
-            f2=alpha * b / fine.coeffs.lambda2,
+            eta_slope=np.abs(factors.A + factors.B * eta**2) + epsilon,
+            f1=alpha * a / factors.coeffs.lambda1,
+            f2=alpha * b / factors.coeffs.lambda2,
             Z=alpha * (a - b),
             W=alpha * w_tilde,
         )
@@ -522,7 +604,7 @@ def network_weights(
     """Assemble junction-matched weights for the whole tree at one epsilon."""
     channels = {
         cw.channel: cw
-        for cw in _weighted_channels(topo, profiles, epsilon, {}, root_alpha)
+        for cw in _weighted_channels(topo, profiles, epsilon, {}, {}, root_alpha=root_alpha)
     }
     return WeightSet(topo=topo, epsilon=epsilon, channels=channels)
 
@@ -672,11 +754,13 @@ def _channel_checks(
     gains: dict[int, float],
     detail: dict,
 ) -> list[str]:
-    """Checks that channel ``cw`` completes, given the channels built before it.
+    """The checks at the ends of channel ``cw``: every check but the
+    interior matrix, given the channels built before it.
 
     Records every margin in ``detail`` and returns the names of the failed
-    checks. A junction is checked once the last of its children is built.
-    Each check passes only on a strict margin, so a NaN margin fails it.
+    checks; each reads only the first and last element of the weights. A
+    junction is checked once the last of its children is built. Each check
+    passes only on a strict margin, so a NaN margin fails it.
     A terminal's margin is its outlet term f1 lam1 y1^2 - f2 lam2 y2^2 at
     the traces of ``outlet_traces``: it has no pole in the gain, and it is
     negative at the ill-posed gain, where y1 = 0.
@@ -718,13 +802,18 @@ def _channel_checks(
             norm = float(np.max(np.abs(eigs)))
             if not eigs[0] > POSITIVITY_REL_TOL * norm:
                 failed.append("junction_matrix")
+    return failed
 
+
+def _interior_check(cw: ChannelWeights, detail: dict) -> list[str]:
+    """The interior matrix N(x) of channel ``cw`` at every point of its
+    weights, as ``_channel_checks`` records and returns its checks."""
     N11, N12, N22 = interior_matrix(cw)
     low, norm = _sym2x2_eig_bounds(N11, N12, N22)
-    detail["interior_min_eig"][i] = float(np.min(low))
+    detail["interior_min_eig"][cw.channel] = float(np.min(low))
     if not np.all(low > POSITIVITY_REL_TOL * norm):
-        failed.append("interior_matrix")
-    return failed
+        return ["interior_matrix"]
+    return []
 
 
 def _attempt(
@@ -738,20 +827,33 @@ def _attempt(
     """Build and check the weights at one epsilon, channel by channel.
 
     Returns (weights, failed checks in CHECK_ORDER, margins). With
-    ``stop_early`` the attempt returns after the first channel with a failed
-    check and reports only the checks run so far: no check depends on a
-    channel built later, so the attempt fails either way. Without it every
-    check runs. A missing comparison solution fails the attempt as
-    "weight_existence" with no weights and no margins.
+    ``stop_early`` the attempt returns after the first channel with a
+    failed check and reports only the checks run so far: no check depends
+    on a channel built later, so the attempt fails either way. It makes up
+    to two passes. The first solves each channel and runs every check but
+    the interior matrix, which read only its ends, on its weights at the
+    inlet and the outlet alone; these are those of the fine grid to the
+    bit, so a failure there is a failure on the fine grid. Only an attempt
+    whose every channel passes them makes the second: it evaluates the
+    kept solves on the fine grid and runs every check there, the interior
+    matrix included, and its margins are the ones reported. Without ``stop_early`` one pass on the
+    fine grid runs every check. A missing comparison solution fails the
+    attempt as "weight_existence" with no weights and no margins.
     """
-    ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
-    detail = _empty_detail()
-    failed: set[str] = set()
+    solved: dict[int, _Comparison] = {}
     try:
-        for cw in _weighted_channels(topo, profiles, epsilon, fixed):
-            ws.channels[cw.channel] = cw
-            failed.update(_channel_checks(ws, cw, gains, detail))
-            if failed and stop_early:
+        for ends in (True, False) if stop_early else (False,):
+            ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
+            detail = _empty_detail()
+            failed: set[str] = set()
+            for cw in _weighted_channels(topo, profiles, epsilon, fixed, solved, ends):
+                ws.channels[cw.channel] = cw
+                failed.update(_channel_checks(ws, cw, gains, detail))
+                if not ends:
+                    failed.update(_interior_check(cw, detail))
+                if failed and stop_early:
+                    break
+            if failed:
                 break
     except EpsilonTooLarge:
         return None, ["weight_existence"], _empty_detail()
@@ -774,9 +876,11 @@ def certify_network(
     positive definite interior matrix N(x) at every fine-grid point of every
     channel. Epsilon is halved (at most ``max_halvings`` times) whenever the
     comparison solution fails to exist or any check fails. Each attempt
-    builds the channels root first and stops at the first failing check;
-    the last attempt runs every check, so a refused certificate lists every
-    failure at the final epsilon. An ``epsilon_start`` that is not positive
+    solves the channels root first and stops at the first failing check,
+    deciding first at the channel ends and reaching the fine grid only when
+    every end check passes (``_attempt``); the last attempt runs every
+    check on the fine grid, so a refused certificate lists every failure at
+    the final epsilon. An ``epsilon_start`` that is not positive
     and finite raises ValueError.
     """
     validate_topology(topo)

@@ -1,6 +1,8 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -146,6 +148,44 @@ def test_csv_format(tmp_path):
     first = body[0].split(b",")
     assert first[1] == b"0.0000000000000000e+00"
     assert float(first[2]) == STAR_ROOT_DEPTH
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer's default dialect writes for ``rows``, each number in
+    17-significant-digit notation and each channel id as str."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([str(x) if isinstance(x, int) else f"{x:.16e}" for x in row] for row in rows)
+    return buffer.getvalue().encode()
+
+
+def test_csv_rows_are_the_bytes_of_csv_writer(tmp_path):
+    # every CSV output is written one %-format per row; its bytes are
+    # csv.writer's, terminators and quoting included, for the numbers it
+    # holds and for values at the edges of binary64
+    edge = [0.0, -0.0, 5e-324, -1.7976931348623157e308, math.pi, -1e-300, math.nan,
+            math.inf, -math.inf]
+    rows = [(i, *edge[k:k + 3]) for i in (1, 12) for k in range(len(edge) - 2)]
+    path = tmp_path / "edge.csv"
+    channet.cli._write_csv(path, ["channel", "x", "H", "V"], ["%d"] + [channet.cli._NUMBER] * 3,
+                           rows)
+    assert path.read_bytes() == csv_writer_bytes(["channel", "x", "H", "V"], rows)
+
+    cfg = star_config()
+    code, steady = run_cli(tmp_path, "steady", cfg, out="steady")
+    assert code == 0
+    code, outdir = run_cli(tmp_path, "simulate", cfg)
+    assert code == 0
+    files = [steady / f"steady_channel_{i}.csv" for i in (1, 2, 3, 4)]
+    files += [outdir / "trace.csv", outdir / "snapshot.csv"]
+    for path in files:
+        header, *body = csv.reader(io.StringIO(path.read_bytes().decode(), newline=""))
+        if header[0] == "channel":
+            rows = [[int(row[0])] + [float(x) for x in row[1:]] for row in body]
+        else:
+            rows = [[float(x) for x in row] for row in body]
+        assert path.read_bytes() == csv_writer_bytes(header, rows), path.name
 
 
 def test_gains_report(tmp_path):

@@ -217,6 +217,27 @@ def test_supercritical_initial_state_rejected(star_sim_parts):
         sim.initial_state({2: Bump(amplitude_h=-1.8, amplitude_v=-2.0, center=0.5, width=0.5)})
 
 
+@pytest.mark.parametrize("cell", [50, 0])
+def test_nonlinear_step_refuses_a_nan_cell(star_sim_parts, cell):
+    # g H <= V^2 is False for NaN, so an admission written that way passed
+    # the cell, and the root's cubic returns a NaN face for a NaN invariant
+    # at the first cell: the step returned a NaN state without an error
+    sim = make_sim(star_sim_parts, "nonlinear")
+    state = sim.initial_state(None)
+    dt = sim.cfl_dt(state)
+    h, _ = sim.fields(state.y)[1]
+    h[cell] = math.nan
+    with pytest.raises(SubcriticalLoss) as exc:
+        sim.step(state, dt)
+    assert (exc.value.channel, exc.value.cell) == (1, cell)
+
+
+def test_step_check_refuses_a_nan_bound(star_sim_parts):
+    sim = make_sim(star_sim_parts)
+    with pytest.raises(CflViolation):
+        sim._check_step(1e-3, math.nan, 0.0)
+
+
 def test_dry_face_raises_subcritical_loss(star_sim_parts):
     # the outlet cell stays wet and subcritical, but its incoming invariant
     # lies below -2 sqrt(g H*), which no face depth can match

@@ -151,15 +151,20 @@ def test_existence_margin_zero_flux_rejected():
         riccati_existence_margin(phi_profiles(prof), 10.0)
 
 
-def coupled_suite_profiles(star_profiles):
-    """Every channel of the README star and of the 70 criterion-5 networks."""
+def criterion_05_networks(star_profiles):
+    """The README star and the 70 criterion-5 networks, with their profiles."""
     rng = np.random.default_rng(31514)
     networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
     networks += [draw_tree(rng) for _ in range(20)]
-    profiles = list(star_profiles[1].values())
-    for topo, H0, flux in networks:
-        profiles += solve_network_steady(topo, H0, flux).values()
-    return profiles
+    return [star_profiles] + [
+        (topo, solve_network_steady(topo, H0, flux)) for topo, H0, flux in networks
+    ]
+
+
+def coupled_suite_profiles(star_profiles):
+    """Every channel of the README star and of the 70 criterion-5 networks."""
+    return [prof for _, profiles in criterion_05_networks(star_profiles)
+            for prof in profiles.values()]
 
 
 def test_existence_integral_matches_its_oracle(star_profiles):
@@ -305,9 +310,9 @@ def test_weight_odes_carry_depth_and_one_more_component(star_profiles, monkeypat
     sizes = []
     integrate, solve = weights_module._integrate, conftest.solve_ivp
 
-    def recording(rhs, theta, depths):
+    def recording(rhs, theta, *ends):
         sizes.append(np.size(theta))
-        return integrate(rhs, theta, depths)
+        return integrate(rhs, theta, *ends)
 
     def recording_ivp(fun, t_span, y0, **kwargs):
         sizes.append(len(y0))
@@ -382,7 +387,9 @@ def test_step_loop_matches_scipy_rk45(star_profiles):
             return rhs(H, theta)
 
         theta0 = math.atan(1.0 + epsilon)
-        theta = weights_module._integrate(counted, theta0, prof.H_fine)
+        H = prof.H_fine
+        solved = weights_module._integrate(counted, theta0, float(H[0]), float(H[-1]))
+        theta = None if solved is None else weights_module._on_grid(*solved, H)
         ref, status, nfev = theta_by_scipy_rk45(rhs, theta0, prof.H_fine)
         assert status in (0, 1)
         assert (theta is None) == (status == 1), (prof.channel, epsilon)
@@ -687,20 +694,55 @@ def test_stopping_search_never_skips_a_passing_epsilon(star_profiles):
 
 def test_star_certificate_solve_count(star_weights, monkeypatch):
     topo, profiles, cert = star_weights
-    calls = []
-    real = weights_module.eta_eps
+    solves, grids = [], []
+    integrate, on_grid = weights_module._integrate, weights_module._on_grid
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counting_solve(*args):
+        solves.append(args[2])
+        return integrate(*args)
 
-    monkeypatch.setattr(weights_module, "eta_eps", counting)
+    def counting_grid(*args):
+        grids.append(args[2].size)
+        return on_grid(*args)
+
+    monkeypatch.setattr(weights_module, "_integrate", counting_solve)
+    monkeypatch.setattr(weights_module, "_on_grid", counting_grid)
     counted = certify_network(topo, profiles, STAR_GAINS)
     # 13 attempts over 4 channels took 52 solves when every attempt built
-    # every channel
+    # every channel; 12 of them fail a terminal margin after 29 solves, at
+    # the channel ends, and only the 13th reaches the fine grid
     assert counted.halvings == 12
-    assert len(calls) <= 33
+    assert len(solves) == 33
+    assert len(grids) == 4
     assert _certificate_bytes(counted, 12) == _certificate_bytes(cert, 12)
+
+
+def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
+    # an attempt's first pass decides at the channel ends; it may refuse an
+    # epsilon there only because the fine grid holds the same values
+    def arrays(cw):
+        c = cw.coeffs
+        return (cw.eta_eps, cw.eta_slope, cw.f1, cw.f2, cw.Z, cw.W, *interior_matrix(cw),
+                c.lambda1, c.lambda2, c.gamma1, c.delta1, c.gamma2, c.delta2)
+
+    compared = 0
+    for topo, profiles in criterion_05_networks(star_profiles):
+        fixed = {}
+        for epsilon in (DEFAULT_EPSILON, DEFAULT_EPSILON * 0.5**12):
+            solved = {}
+            try:
+                ends = list(weights_module._weighted_channels(
+                    topo, profiles, epsilon, fixed, solved, ends=True))
+            except EpsilonTooLarge:
+                continue
+            fine = list(weights_module._weighted_channels(topo, profiles, epsilon, fixed, solved))
+            for e, f in zip(ends, fine, strict=True):
+                assert (e.channel, e.alpha) == (f.channel, f.alpha)
+                for a, b in zip(arrays(e), arrays(f), strict=True):
+                    assert a.size == 2
+                    assert a.tobytes() == b[[0, -1]].tobytes(), (e.channel, epsilon)
+                compared += 1
+    assert compared > 600
 
 
 # README-star certificate (cells = 100, zero gains) as computed before the
