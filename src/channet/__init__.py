@@ -55,7 +55,6 @@ from .steady import (
     critical_depth,
     integrate_channel_steady,
     solve_network_steady,
-    steady_rhs,
 )
 from .topology import (
     ChannelSpec,
@@ -131,7 +130,6 @@ __all__ = [
     "network_to_dict",
     "reflection_coefficient",
     "solve_network_steady",
-    "steady_rhs",
     "traversal_order",
     "trunk_inlet_coefficient",
     "validate_topology",

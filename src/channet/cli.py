@@ -51,8 +51,9 @@ class RunConfig:
         """Parse and check a configuration. A bad topology, a NaN or
         infinite number, a count that is not whole, a gain for a channel
         that is not terminal, a perturbation of a channel that is not in the
-        network or a run option the simulator refuses raises TopologyError
-        or ValueError here, before any solve."""
+        network, a run option the simulator refuses, a trace path that is
+        not a string or a snapshot path that is neither a string nor null
+        raises TopologyError or ValueError here, before any solve."""
         topo = network_from_dict(data["network"])
         validate_topology(topo)
         root = data["root"]
@@ -78,6 +79,12 @@ class RunConfig:
             )
         stride = simc.get("sample_stride")
         check_run_options(sample_stride=stride)  # before int() could truncate it
+        trace_path = simc.get("trace_path", "trace.csv")
+        if not isinstance(trace_path, str):
+            raise ValueError(f"trace_path must be a string, not {trace_path!r}")
+        snapshot_path = simc.get("snapshot_path")
+        if not (snapshot_path is None or isinstance(snapshot_path, str)):
+            raise ValueError(f"snapshot_path must be a string or null, not {snapshot_path!r}")
         config = cls(
             topology=topo,
             root_flux=_finite(root["Q"], "Q"),
@@ -89,8 +96,8 @@ class RunConfig:
             cfl=float(simc.get("cfl", CFL_SAFETY)),
             perturbation=pert,
             sample_stride=None if stride is None else int(stride),
-            trace_path=str(simc.get("trace_path", "trace.csv")),
-            snapshot_path=simc.get("snapshot_path"),
+            trace_path=trace_path,
+            snapshot_path=snapshot_path,
         )
         check_run_options(mode=config.mode, cfl=config.cfl, T=config.T)
         return config

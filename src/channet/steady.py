@@ -34,7 +34,6 @@ from .errors import (
     NegativeFlux,
     SteadyStateBlowup,
     SupercriticalStart,
-    SupercriticalState,
 )
 from .topology import ChannelSpec, NetworkTopology, traversal_order, validate_topology
 
@@ -59,26 +58,6 @@ def critical_depth(flux: float, gravity: float = 9.81) -> float:
     if flux < 0.0:
         raise NegativeFlux(f"flux must be >= 0, got {flux!r}")
     return (flux / math.sqrt(gravity)) ** (2.0 / 3.0)
-
-
-def steady_rhs(depth, flux, friction=0.0, friction_exponent=1.0, gravity=9.81):
-    """Right-hand side dH*/dx of the steady depth equation.
-
-    Accepts scalar or array depth. Raises SupercriticalState if any depth is
-    at or below critical (the subcritical profile equation is not defined
-    there).
-    """
-    H = np.asarray(depth, dtype=float)
-    if np.any(H <= 0.0):
-        raise SupercriticalState("depth must be positive")
-    V2 = np.zeros_like(H) if flux == 0.0 else (flux / H) ** 2
-    margin = gravity * H - V2
-    if np.any(margin <= 0.0):
-        raise SupercriticalState(
-            "flow is critical or supercritical (g H - V^2 <= 0)"
-        )
-    rhs = -gravity * friction * V2 / (H ** (friction_exponent - 1.0) * margin)
-    return float(rhs) if rhs.ndim == 0 else rhs
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,14 +34,17 @@ depth down to the outlet depth, its state is the angle theta = arctan(w) of
 w = eta / phi - epsilon x alone, and its right-hand side (``_riccati``)
 fuses the depth kernels of ``steady`` and ``characteristics``, those that
 ``CharCoeffs`` uses too, with their per-channel constants computed once.
+It is a depth kernel, every epsilon-free term at one depth, and a slope
+that combines the kernel with theta and epsilon; the two stages of a step
+at its end depth share one kernel.
 As eta' >= epsilon > 0, eta can leave its range only upward; where w blows
 up inside the channel, theta crosses arctan(1e12) smoothly and the solve
 stops at the first step end past it. The loop keeps its accepted steps
 and theta at the outlet (``_Comparison``); ``_on_grid`` writes theta on
-the fine grid from each step's interpolant, at the depths the steady
-profile holds there, and ``eta_eps`` returns eta / phi = tan theta +
-epsilon x there; the weights, speeds and couplings at the faces and
-centers are elements and slices of the fine-grid arrays. An epsilon
+the fine grid from each step's interpolant in one numpy pass, at the
+depths the steady profile holds there, and ``eta_eps`` returns eta / phi =
+tan theta + epsilon x there; the weights, speeds and couplings at the faces
+and centers are elements and slices of the fine-grid arrays. An epsilon
 attempt does only epsilon-dependent work: per channel one solve, while the
 speeds, couplings and phi factors on the fine grid (``_FineFactors``) are
 computed once per channel and certificate. Every check but the interior
@@ -49,7 +52,12 @@ matrix N(x) reads only the ends of a channel, where theta is exact: the
 inlet value and the solve's last one. So an attempt that may stop early
 first checks each channel with its weights at the two ends, and only one
 that passes every such check evaluates its kept steps on the fine grid
-(``_attempt``). The test suite (``tests/conftest.py``)
+(``_attempt``). Before that, it re-tests the channel where the last attempt
+stopped, solved alone: the sign of Z at a junction outflow or a branch
+inflow, the trunk inlet and, outside a narrow band, the sign of a terminal
+margin are the same at alpha = 1 as at the channel's own positive alpha,
+so a failure there fails the attempt after one solve. The test suite
+(``tests/conftest.py``)
 keeps the ODE forms of I4 and of the unit-inlet comparison solution, in w
 and with a driver of their own, as oracles of the closed forms, and scipy's
 RK45 as the oracle of the step loop.
@@ -104,28 +112,32 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _integrate(rhs, theta, start, end):
-    """One adaptive Dormand-Prince 5(4) solve of dtheta/dH = rhs(H, theta)
-    from theta(start) = ``theta`` down to the depth ``end``: (its accepted
-    steps, theta at ``end``), or None where the solution does not exist.
+def _integrate(riccati, theta, start, end):
+    """One adaptive Dormand-Prince 5(4) solve of dtheta/dH = slope(kernel(H),
+    theta), with ``riccati`` the pair (kernel, slope) of ``_riccati``, from
+    theta(start) = ``theta`` down to the depth ``end``: (its accepted steps,
+    theta at ``end``), or None where the solution does not exist.
 
     The solve is scipy's RK45 on Python floats: its tableau, initial step,
     error norm and step-size control (Hairer, Norsett & Wanner, Solving
     ODEs I, II.4-II.6) at relative tolerance ETA_RTOL and absolute
-    tolerance ETA_ATOL. Each accepted step is kept as (t, t_new, h, y, k1,
-    k3, ..., k7), all that ``_on_grid`` needs for its quartic interpolant,
-    so no depth between the ends is visited here. It returns None when
-    theta reaches arctan(ETA_BLOWUP) at a step end, and when the step falls
-    below ten spacings of the depth.
+    tolerance ETA_ATOL. Its stages k6 and k7 sit at the same depth t + h
+    (c6 = c7 = 1), so each step tried evaluates the depth kernel there once
+    for both: five kernels and six slopes per step tried. Each accepted step
+    is kept as (t, t_new, h, y, k1, k3, ..., k7), all that ``_on_grid``
+    needs for its quartic interpolant, so no depth between the ends is
+    visited here. It returns None when theta reaches arctan(ETA_BLOWUP) at a
+    step end, and when the step falls below ten spacings of the depth.
     """
+    kernel, slope = riccati
     t, t_end = start, end
-    y, f = theta, rhs(t, theta)
+    y, f = theta, slope(kernel(t), theta)
     span = t - t_end
     # the initial step of scipy's select_initial_step
     scale = ETA_ATOL + abs(y) * ETA_RTOL
     d0, d1 = abs(y) / scale, abs(f) / scale
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = abs(rhs(t - h0, y - h0 * f) - f) / scale / h0
+    d2 = abs(slope(kernel(t - h0), y - h0 * f) - f) / scale / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, span)
     blowup = math.atan(ETA_BLOWUP)
@@ -141,17 +153,18 @@ def _integrate(rhs, theta, start, end):
             h = t_new - t
             h_abs = -h
             k1 = f
-            k2 = rhs(t + 0.2 * h, y + h * (0.2 * k1))
-            k3 = rhs(t + 0.3 * h, y + h * (3 / 40 * k1 + 9 / 40 * k2))
-            k4 = rhs(t + 0.8 * h, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-            k5 = rhs(t + 8 / 9 * h, y + h * (
+            k2 = slope(kernel(t + 0.2 * h), y + h * (0.2 * k1))
+            k3 = slope(kernel(t + 0.3 * h), y + h * (3 / 40 * k1 + 9 / 40 * k2))
+            k4 = slope(kernel(t + 0.8 * h), y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+            k5 = slope(kernel(t + 8 / 9 * h), y + h * (
                 19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
-            k6 = rhs(t + h, y + h * (
+            at_end = kernel(t + h)
+            k6 = slope(at_end, y + h * (
                 9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
                 - 5103 / 18656 * k5))
             y_new = y + h * (
                 35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6)
-            k7 = rhs(t + h, y_new)
+            k7 = slope(at_end, y_new)
             error = h * (
                 -71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4 + 17253 / 339200 * k5
                 - 22 / 525 * k6 + 1 / 40 * k7)
@@ -172,36 +185,40 @@ def _integrate(rhs, theta, start, end):
 
 def _on_grid(steps, theta_end, depths):
     """theta at ``depths``, which fall from the start of the solve that made
-    ``steps`` to its end: each depth inside a step takes the step's quartic
-    interpolant, and the depths at the end take ``theta_end``, the solve's
-    last value. The first depth, the start, takes the start value exactly.
+    ``steps`` to its end, in one numpy pass: each depth inside a step takes
+    the step's quartic interpolant, and the depths at the end take
+    ``theta_end``, the solve's last value. A depth belongs to the first step
+    that ends below it, so a depth at a step end starts the next step, where
+    the interpolant is that step's start value exactly, and the first depth,
+    the start, takes the start value.
     """
-    depths = depths.tolist()
-    out, j = [], 0
-    for t, t_new, h, y, k1, k3, k4, k5, k6, k7 in steps:
-        if depths[j] > t_new:
-            # the dense output: theta(t + s h) = y + s h (q1 + s (q2 + s (q3 + s q4)))
-            q2 = (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
-                  - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
-                  - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7)
-            q3 = (8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
-                  + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
-                  + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7)
-            q4 = (-12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
-                  - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
-                  - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
-            while depths[j] > t_new:
-                s = (depths[j] - t) / h
-                out.append(y + s * h * (k1 + s * (q2 + s * (q3 + s * q4))))
-                j += 1
-    out += [theta_end] * (len(depths) - j)
-    return np.array(out)
+    t, t_new, h, y, k1, k3, k4, k5, k6, k7 = np.array(steps).T
+    # the dense output: theta(t + s h) = y + s h (q1 + s (q2 + s (q3 + s q4)))
+    q2 = (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
+          - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
+          - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7)
+    q3 = (8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
+          + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
+          + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7)
+    q4 = (-12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
+          - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
+          - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
+    step = np.searchsorted(-t_new, -depths, side="right")
+    inside = step < len(steps)
+    j, d = step[inside], depths[inside]
+    s = (d - t[j]) / h[j]
+    theta = np.full(depths.shape, theta_end)
+    theta[inside] = y[j] + s * h[j] * (k1[j] + s * (q2[j] + s * (q3[j] + s * q4[j])))
+    return theta
 
 
 def _riccati(profile: SteadyProfile, epsilon):
     """dtheta/dH for the comparison solution in the angle theta = arctan(w)
     of the scaled variable w = eta / phi - epsilon x, with the steady depth
-    H as the variable.
+    H as the variable, as the pair (kernel, slope): ``kernel(H)`` holds
+    every term at the depth H that does not depend on epsilon, and
+    ``slope(kernel(H), theta)`` is dtheta/dH. Two stages of a step at one
+    depth share one kernel (``_integrate``).
 
     With u = w + epsilon x, w' = |delta1/lambda1 + (gamma2/lambda2) u^2| -
     u (gamma1/lambda1 + delta2/lambda2) + epsilon (1/phi - 1), and theta' =
@@ -239,7 +256,7 @@ def _riccati(profile: SteadyProfile, epsilon):
     p3 = p + 3.0
     H0_p3 = H0**p3
 
-    def rhs(H, theta):
+    def kernel(H):
         # phi_exponents: only I1 + I2 enters
         s = math.sqrt(g * H * H * H) / flux
         shared = half_p * (1.0 / s - inv_s0) - (s - s0)
@@ -260,17 +277,22 @@ def _riccati(profile: SteadyProfile, epsilon):
         d1 = K * (-1.0 / (4.0 * lam1) + inv_v + half_c)
         g2 = K * (1.0 / (4.0 * lam2) + inv_v - half_c)
         d2 = K * (3.0 / (4.0 * lam2) + inv_v + half_c)
+        # potential_slope
+        return (x, d1 / lam1, g2 / lam2, g1 / lam1 + d2 / lam2, math.expm1(-(I1 + I2)),
+                H ** (p - 1.0) * (g * H * H * H - QQ))
+
+    def slope(terms, theta):
+        x, d1_l1, g2_l2, drift, inv_phi_m1, potential = terms
         cos = math.cos(theta)
         v = math.sin(theta) + epsilon * x * cos
         theta_x = (
-            abs(d1 / lam1 * cos * cos + g2 / lam2 * v * v)
-            - v * cos * (g1 / lam1 + d2 / lam2)
-            + epsilon * math.expm1(-(I1 + I2)) * cos * cos
+            abs(d1_l1 * cos * cos + g2_l2 * v * v)
+            - v * cos * drift
+            + epsilon * inv_phi_m1 * cos * cos
         )
-        # potential_slope
-        return -theta_x * (H ** (p - 1.0) * (g * H * H * H - QQ)) / rate
+        return -theta_x * potential / rate
 
-    return rhs
+    return kernel, slope
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,6 +565,7 @@ def _weighted_channels(
     solved: dict[int, _Comparison],
     ends: bool = False,
     root_alpha: float = 1.0,
+    alone: int | None = None,
 ):
     """Yield the weights of every channel in traversal order, parents first.
 
@@ -554,12 +577,13 @@ def _weighted_channels(
     costs one solve however many passes read it. With ``ends`` the weights
     are two-point arrays, at the inlet and the outlet, equal to the bit to
     the ends of those on the fine grid; without it they cover the fine
-    grid. Raises EpsilonTooLarge at the first channel whose comparison
-    solution does not exist.
+    grid. With ``alone`` it yields that channel only, at alpha =
+    ``root_alpha`` whatever its parents. Raises EpsilonTooLarge at the first
+    channel whose comparison solution does not exist.
     """
     alphas: dict[int, float] = {}
     w_end: dict[int, float] = {}
-    for i in traversal_order(topo):
+    for i in traversal_order(topo) if alone is None else (alone,):
         profile = profiles[i]
         if i not in fixed:
             fixed[i] = _FineFactors.of(profile)
@@ -573,7 +597,7 @@ def _weighted_channels(
         a, b = factors.pair(eta)
         w_tilde = a + b
         w_end[i] = float(w_tilde[-1])
-        if i == topo.root_channel:
+        if i == topo.root_channel or alone is not None:
             alphas[i] = root_alpha
         else:
             w_start = float(w_tilde[0])
@@ -753,6 +777,7 @@ def _channel_checks(
     cw: ChannelWeights,
     gains: dict[int, float],
     detail: dict,
+    alone: bool = False,
 ) -> list[str]:
     """The checks at the ends of channel ``cw``: every check but the
     interior matrix, given the channels built before it.
@@ -764,6 +789,14 @@ def _channel_checks(
     A terminal's margin is its outlet term f1 lam1 y1^2 - f2 lam2 y2^2 at
     the traces of ``outlet_traces``: it has no pole in the gain, and it is
     negative at the ill-posed gain, where y1 = 0.
+
+    With ``alone``, ``cw`` is the channel built by itself at alpha = 1 and
+    only the checks that read no other channel run; each fails only where
+    the channel fails it at its own alpha too. A channel's alpha is
+    positive, so it leaves the sign of Z unchanged, and the root's alpha is
+    1. It scales both terms of a terminal margin, rounding each by a few
+    ulp, so alone the margin fails only at or below -POSITIVITY_REL_TOL
+    times the sum of the terms' magnitudes, a band over 1000 times wider.
     """
     topo = ws.topo
     i = cw.channel
@@ -778,10 +811,12 @@ def _channel_checks(
         k = float(gains[i])
         detail["reflection"][i] = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
         y1, y2 = outlet_traces(k, prof.outlet_depth, prof.gravity)
-        lam1_L, lam2_L = cw.coeffs.lambda1[-1], cw.coeffs.lambda2[-1]
-        margin = float(cw.f1[-1] * lam1_L * y1**2 - cw.f2[-1] * lam2_L * y2**2)
+        inflow = cw.f1[-1] * cw.coeffs.lambda1[-1] * y1**2
+        outflow = cw.f2[-1] * cw.coeffs.lambda2[-1] * y2**2
+        margin = float(inflow - outflow)
         detail["terminal_margins"][i] = margin
-        if not margin > 0.0 or (prof.flux == 0.0 and not k > 0.0):
+        floor = -POSITIVITY_REL_TOL * float(abs(inflow) + abs(outflow)) if alone else 0.0
+        if not margin > floor or (prof.flux == 0.0 and not k > 0.0):
             failed.append("terminal_margin")
 
     if i == topo.root_channel:
@@ -795,7 +830,7 @@ def _channel_checks(
         if not z < 0.0:
             failed.append("branch_inflow_negative")
         parent = topo.parent_of(i)
-        if all(c in ws.channels for c in topo.junctions[parent]):
+        if not alone and all(c in ws.channels for c in topo.junctions[parent]):
             _, M_bar = junction_matrix(ws, parent)
             eigs = np.linalg.eigvalsh(M_bar)
             detail["junction_min_eig"][parent] = float(eigs[0])
@@ -816,6 +851,21 @@ def _interior_check(cw: ChannelWeights, detail: dict) -> list[str]:
     return []
 
 
+def _retest(topo, profiles, gains, epsilon, fixed, solved, i) -> list[str]:
+    """Solve channel ``i`` alone at this epsilon and keep its solve in
+    ``solved``; return the checks it fails by itself (``_channel_checks``
+    with ``alone``) in CHECK_ORDER, or "weight_existence" where its
+    comparison solution does not exist. An attempt fails wherever this
+    returns a check."""
+    try:
+        (cw,) = _weighted_channels(topo, profiles, epsilon, fixed, solved, ends=True, alone=i)
+    except EpsilonTooLarge:
+        return ["weight_existence"]
+    ws = WeightSet(topo=topo, epsilon=epsilon, channels={i: cw})
+    failed = _channel_checks(ws, cw, gains, _empty_detail(), alone=True)
+    return [name for name in CHECK_ORDER if name in failed]
+
+
 def _attempt(
     topo: NetworkTopology,
     profiles: dict[int, SteadyProfile],
@@ -823,24 +873,41 @@ def _attempt(
     epsilon: float,
     fixed: dict[int, _FineFactors],
     stop_early: bool,
+    retest: int | None = None,
 ):
     """Build and check the weights at one epsilon, channel by channel.
 
-    Returns (weights, failed checks in CHECK_ORDER, margins). With
-    ``stop_early`` the attempt returns after the first channel with a
-    failed check and reports only the checks run so far: no check depends
-    on a channel built later, so the attempt fails either way. It makes up
-    to two passes. The first solves each channel and runs every check but
-    the interior matrix, which read only its ends, on its weights at the
-    inlet and the outlet alone; these are those of the fine grid to the
-    bit, so a failure there is a failure on the fine grid. Only an attempt
-    whose every channel passes them makes the second: it evaluates the
-    kept solves on the fine grid and runs every check there, the interior
-    matrix included, and its margins are the ones reported. Without ``stop_early`` one pass on the
-    fine grid runs every check. A missing comparison solution fails the
-    attempt as "weight_existence" with no weights and no margins.
+    Returns (weights, failed checks in CHECK_ORDER, margins, the channel
+    where a failed attempt stopped). With ``stop_early`` the attempt returns
+    after the first channel with a failed check and reports only the checks
+    run so far: no check depends on a channel built later, so the attempt
+    fails either way. It first re-tests channel ``retest``, where the last
+    attempt stopped: it solves that channel alone, at alpha = 1, and runs
+    the checks that read no other channel (``_retest``): its comparison
+    solution's existence, the sign of Z at its ends, the trunk inlet and its
+    terminal margin. A refusal there is exact: the channel's own alpha is
+    positive, so it keeps the sign of Z; the root's alpha is 1; and alone a
+    terminal margin fails only at or below -POSITIVITY_REL_TOL times the sum
+    of its terms, a band over 1000 times the few ulp by which alpha's
+    rounding moves them, so inside the band the full attempt decides. An
+    attempt refused there fails after one solve, with no weights and no
+    margins; one that passes keeps the solve for its passes, which make no
+    second one. It makes up to two passes. The first solves each channel
+    and runs every check but the interior matrix, which read only its ends,
+    on its weights at the inlet and the outlet alone; these are those of the
+    fine grid to the bit, so a failure there is a failure on the fine grid.
+    Only an attempt whose every channel passes them makes the second: it
+    evaluates the kept solves on the fine grid and runs every check there,
+    the interior matrix included, and its margins are the ones reported.
+    Without ``stop_early`` one pass on the fine grid runs every check and
+    nothing is re-tested. A missing comparison solution fails the attempt
+    as "weight_existence" with no weights and no margins.
     """
     solved: dict[int, _Comparison] = {}
+    if stop_early and retest is not None:
+        refused = _retest(topo, profiles, gains, epsilon, fixed, solved, retest)
+        if refused:
+            return None, refused, _empty_detail(), retest
     try:
         for ends in (True, False) if stop_early else (False,):
             ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
@@ -856,8 +923,10 @@ def _attempt(
             if failed:
                 break
     except EpsilonTooLarge:
-        return None, ["weight_existence"], _empty_detail()
-    return ws, [name for name in CHECK_ORDER if name in failed], detail
+        # the channel whose solve failed is the first one not solved
+        stop = next(i for i in traversal_order(topo) if i not in solved)
+        return None, ["weight_existence"], _empty_detail(), stop
+    return ws, [name for name in CHECK_ORDER if name in failed], detail, cw.channel
 
 
 def certify_network(
@@ -876,12 +945,15 @@ def certify_network(
     positive definite interior matrix N(x) at every fine-grid point of every
     channel. Epsilon is halved (at most ``max_halvings`` times) whenever the
     comparison solution fails to exist or any check fails. Each attempt
-    solves the channels root first and stops at the first failing check,
+    solves the channels root first and stops at its first failing check,
     deciding first at the channel ends and reaching the fine grid only when
-    every end check passes (``_attempt``); the last attempt runs every
-    check on the fine grid, so a refused certificate lists every failure at
-    the final epsilon. An ``epsilon_start`` that is not positive
-    and finite raises ValueError.
+    every end check passes (``_attempt``). Before that it re-tests the
+    channel where the last attempt stopped, alone: a check that channel
+    fails by itself fails the attempt after one solve, and one the failed
+    channel passes hands its solve on. The last attempt runs every check on
+    the fine grid, so a refused certificate lists every failure at the
+    final epsilon. An ``epsilon_start`` that is not positive and finite
+    raises ValueError.
     """
     validate_topology(topo)
     if not 0.0 < epsilon_start < math.inf:
@@ -891,9 +963,10 @@ def certify_network(
             raise MissingGain(j)
     fixed: dict[int, _FineFactors] = {}
     epsilon = float(epsilon_start)
+    stop = None
     for halvings in range(max_halvings + 1):
-        ws, failed, detail = _attempt(
-            topo, profiles, gains, epsilon, fixed, stop_early=halvings < max_halvings
+        ws, failed, detail, stop = _attempt(
+            topo, profiles, gains, epsilon, fixed, halvings < max_halvings, stop
         )
         if not failed or halvings == max_halvings:
             break

@@ -19,7 +19,7 @@ from channet.characteristics import (
     phi_exponents,
     speeds_couplings,
 )
-from channet.errors import WeightError
+from channet.errors import SupercriticalState, WeightError
 from channet.gains import is_admissible
 from channet.steady import (
     MARGIN_TOL,
@@ -28,7 +28,6 @@ from channet.steady import (
     integrate_channel_steady,
     potential_slope,
     solve_network_steady,
-    steady_rhs,
 )
 from channet.topology import ChannelSpec, NetworkTopology
 from channet.weights import ETA_ATOL, ETA_BLOWUP, ETA_RTOL, m_value
@@ -52,6 +51,27 @@ def depth_potential(H, flux, exponent):
     if exponent == 0.0:
         return G * H**3 / 3.0 - flux * flux * np.log(H)
     return G * H ** (exponent + 3.0) / (exponent + 3.0) - flux * flux * H**exponent / exponent
+
+
+def steady_rhs(depth, flux, friction=0.0, friction_exponent=1.0, gravity=9.81):
+    """Right-hand side dH*/dx of the steady depth equation: the reference
+    slope of the tests, against which the closed-form profile is checked.
+
+    Accepts scalar or array depth. Raises SupercriticalState if any depth is
+    at or below critical (the subcritical profile equation is not defined
+    there).
+    """
+    H = np.asarray(depth, dtype=float)
+    if np.any(H <= 0.0):
+        raise SupercriticalState("depth must be positive")
+    V2 = np.zeros_like(H) if flux == 0.0 else (flux / H) ** 2
+    margin = gravity * H - V2
+    if np.any(margin <= 0.0):
+        raise SupercriticalState(
+            "flow is critical or supercritical (g H - V^2 <= 0)"
+        )
+    rhs = -gravity * friction * V2 / (H ** (friction_exponent - 1.0) * margin)
+    return float(rhs) if rhs.ndim == 0 else rhs
 
 
 def closed_form_blowup(H0, flux, friction, exponent):

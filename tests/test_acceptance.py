@@ -17,7 +17,7 @@ from channet.characteristics import CharCoeffs
 from channet.cli import main
 from channet.gains import is_admissible
 from channet.simulate import Bump, NetworkSimulator
-from channet.steady import integrate_channel_steady, solve_network_steady, steady_rhs
+from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec, network_to_dict
 from channet.weights import (
     certify_network,
@@ -38,6 +38,7 @@ from conftest import (
     eta_bar_by_ode,
     eta_bar_closed,
     small_star,
+    steady_rhs,
 )
 
 

@@ -13,10 +13,10 @@ from channet.characteristics import (
     reflection_coefficient,
     speeds_couplings,
 )
-from channet.steady import integrate_channel_steady, steady_rhs
+from channet.steady import integrate_channel_steady
 from channet.topology import ChannelSpec
 
-from conftest import G, P_CHOICES, draw_channel
+from conftest import G, P_CHOICES, draw_channel, steady_rhs
 
 
 def riemann_forward(h, v, depth_star, gravity=9.81):

@@ -305,6 +305,10 @@ def refuse_solve(monkeypatch):
 @pytest.mark.parametrize("option, value", [
     ("mode", "nonlinar"), ("cfl", 1.5), ("T", -1.0), ("sample_stride", 0), ("sample_stride", -3),
     ("sample_stride", 2.5), ("sample_stride", True), ("T", math.inf),
+    # output paths: a number would crash the run after the simulation, and a
+    # null trace path would write a file named None
+    ("trace_path", None), ("trace_path", 5), ("snapshot_path", 5), ("snapshot_path", True),
+    ("snapshot_path", ["snapshot.csv"]),
 ])
 def test_bad_simulation_option_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
                                                          option, value):

@@ -18,7 +18,6 @@ from channet.steady import (
     critical_depth,
     integrate_channel_steady,
     solve_network_steady,
-    steady_rhs,
 )
 from channet.topology import ChannelSpec
 import channet.steady as steady_module
@@ -38,6 +37,7 @@ from conftest import (
     draw_tree,
     small_star,
     steady_depth_by_ode,
+    steady_rhs,
 )
 
 

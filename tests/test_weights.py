@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from channet.characteristics import eigenvalues, phi_exponents, speeds_couplings
+from channet.characteristics import (
+    eigenvalues,
+    outlet_traces,
+    phi_exponents,
+    speeds_couplings,
+)
 from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain
 from channet.steady import (
     _potential_drop,
@@ -25,6 +30,7 @@ from channet.gains import is_admissible
 from channet.weights import (
     DEFAULT_EPSILON,
     MAX_HALVINGS,
+    POSITIVITY_REL_TOL,
     certify_network,
     eta_eps,
     interior_matrix,
@@ -330,7 +336,8 @@ def test_weight_odes_carry_depth_and_one_more_component(star_profiles, monkeypat
 
 def comparison_slope_by_kernels(profile, epsilon, H, theta):
     """dtheta/dH of the comparison solution composed from the kernels that
-    ``weights._riccati`` fuses, each called as it stands."""
+    ``weights._riccati`` fuses into its depth kernel, each called as it
+    stands."""
     spec = profile.spec
     H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
     p, g = spec.friction_exponent, spec.gravity
@@ -357,10 +364,12 @@ def test_comparison_slope_has_the_kernels_bits(star_profiles):
         if prof.outlet_depth == prof.inlet_depth:
             continue
         for epsilon in (1e-3, 1e-7):
-            rhs = weights_module._riccati(prof, epsilon)
+            kernel, slope = weights_module._riccati(prof, epsilon)
             for H in prof.H_fine.tolist():
+                terms = kernel(H)
                 for theta in (-0.4, 0.7, 1.5):
-                    assert rhs(H, theta) == comparison_slope_by_kernels(prof, epsilon, H, theta)
+                    assert slope(terms, theta) == comparison_slope_by_kernels(
+                        prof, epsilon, H, theta)
                     checked += 1
     assert checked > 10000
 
@@ -369,7 +378,9 @@ def test_step_loop_matches_scipy_rk45(star_profiles):
     # the loop is scipy's RK45 on Python floats: on the same right-hand side
     # it makes the same evaluations, ends at the same blow-ups and agrees on
     # theta at the fine grid to rounding; star channel 2 at epsilon = 1e3
-    # and three suite channels at 1e-3 blow up
+    # and three suite channels at 1e-3 blow up. scipy makes two evaluations
+    # to start and six per step tried, whose last two sit at one depth: the
+    # loop evaluates one depth kernel for both
     cases = [
         (prof, epsilon)
         for prof in coupled_suite_profiles(star_profiles)[:60]
@@ -379,21 +390,30 @@ def test_step_loop_matches_scipy_rk45(star_profiles):
     cases.append((star_profiles[1][2], 1e3))
     blowups = 0
     for prof, epsilon in cases:
-        rhs = weights_module._riccati(prof, epsilon)
-        calls = []
+        kernel, slope = weights_module._riccati(prof, epsilon)
+        kernels, calls = [], []
 
-        def counted(H, theta):
-            calls.append(H)
-            return rhs(H, theta)
+        def counted_kernel(H):
+            kernels.append(H)
+            return kernel(H)
+
+        def counted(terms, theta):
+            calls.append(terms)
+            return slope(terms, theta)
 
         theta0 = math.atan(1.0 + epsilon)
         H = prof.H_fine
-        solved = weights_module._integrate(counted, theta0, float(H[0]), float(H[-1]))
+        solved = weights_module._integrate(
+            (counted_kernel, counted), theta0, float(H[0]), float(H[-1]))
         theta = None if solved is None else weights_module._on_grid(*solved, H)
-        ref, status, nfev = theta_by_scipy_rk45(rhs, theta0, prof.H_fine)
+        ref, status, nfev = theta_by_scipy_rk45(
+            lambda H, theta: slope(kernel(H), theta), theta0, prof.H_fine)
         assert status in (0, 1)
         assert (theta is None) == (status == 1), (prof.channel, epsilon)
         assert len(calls) == nfev, (prof.channel, epsilon)
+        tried, start = divmod(nfev - 2, 6)
+        assert start == 0, (prof.channel, epsilon)
+        assert len(kernels) == len(calls) - tried, (prof.channel, epsilon)
         if theta is None:
             blowups += 1
         else:
@@ -478,22 +498,27 @@ def test_missing_gain_rejected(star_profiles):
 
 def recording_riccati(monkeypatch, jump_below=None, jump=0.0):
     """Patch the comparison slope so that it records each (H, theta) it is
-    called with, and adds ``jump`` below the depth ``jump_below``. A solve
-    that runs past 10000 evaluations fails the test there."""
+    called with, and adds ``jump`` below the depth ``jump_below``; the
+    depth kernel passes its depth on to the slope. A solve that runs past
+    10000 evaluations fails the test there."""
     calls = []
     riccati = weights_module._riccati
 
     def patched(profile, epsilon):
-        rhs = riccati(profile, epsilon)
+        kernel, slope = riccati(profile, epsilon)
 
-        def recorded(H, theta):
+        def at_depth(H):
+            return H, kernel(H)
+
+        def recorded(terms, theta):
+            H, terms = terms
             calls.append((H, theta))
             if len(calls) > 10000:
                 raise AssertionError("the comparison solve runs on")
             step = jump if jump_below is not None and H < jump_below else 0.0
-            return rhs(H, theta) + step
+            return slope(terms, theta) + step
 
-        return recorded
+        return at_depth, recorded
 
     monkeypatch.setattr(weights_module, "_riccati", patched)
     return calls
@@ -692,10 +717,95 @@ def test_stopping_search_never_skips_a_passing_epsilon(star_profiles):
     assert set(refused.interior_min_eig) == set(topo.channels)
 
 
+def test_retest_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, monkeypatch):
+    # each attempt but the first re-tests the channel where the last one
+    # stopped, alone, and may refuse its epsilon after that one solve; a
+    # single full attempt at every epsilon so refused must fail too, and one
+    # at the reported epsilon must give the same certificate
+    refused = []
+    retest = weights_module._retest
+
+    def recording(topo, profiles, gains, epsilon, *args):
+        failed = retest(topo, profiles, gains, epsilon, *args)
+        if failed:
+            refused.append(epsilon)
+        return failed
+
+    monkeypatch.setattr(weights_module, "_retest", recording)
+    rng = np.random.default_rng(2718)
+    checked = 0
+    for net, profs in criterion_05_networks(star_profiles):
+        drawn = {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}
+        for gains in (drawn, dict.fromkeys(net.terminal_channels, 0.0)):
+            refused.clear()
+            cert = certify_network(net, profs, gains)
+            for epsilon in list(refused):
+                single = certify_network(net, profs, gains, epsilon_start=epsilon, max_halvings=0)
+                assert not single.certified, (net.channels.keys(), epsilon)
+                checked += 1
+            last = certify_network(net, profs, gains, epsilon_start=cert.epsilon, max_halvings=0)
+            assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
+    assert checked > 500
+
+
+def test_retest_leaves_a_terminal_margin_in_its_band_to_the_full_attempt(star_profiles,
+                                                                         monkeypatch):
+    # Alone, a channel's terminal margin is taken at alpha = 1, and its own
+    # alpha rounds each term by a few ulp. Bisect channel 2's gain until its
+    # margin alone at the 8th epsilon, the first that the zero gain passes,
+    # is no longer positive but inside the band. The re-test of channel 2
+    # there must leave the verdict to the full attempt, which solves the
+    # root too, and the search must agree with full attempts rung by rung.
+    topo, profiles = star_profiles
+    epsilon = DEFAULT_EPSILON * 0.5**8
+    (cw,) = weights_module._weighted_channels(topo, profiles, epsilon, {}, {}, ends=True, alone=2)
+    prof = cw.profile
+
+    def alone_margin(gain):
+        y1, y2 = outlet_traces(gain, prof.outlet_depth, prof.gravity)
+        inflow = cw.f1[-1] * cw.coeffs.lambda1[-1] * y1**2
+        outflow = cw.f2[-1] * cw.coeffs.lambda2[-1] * y2**2
+        return float(inflow - outflow), float(abs(inflow) + abs(outflow))
+
+    a, b = is_admissible(prof, 0.0).forbidden
+    low, high = 0.0, 0.5 * (a + b)
+    assert alone_margin(low)[0] > 0.0 >= alone_margin(high)[0]
+    while (mid := 0.5 * (low + high)) not in (low, high):
+        if alone_margin(mid)[0] > 0.0:
+            low = mid
+        else:
+            high = mid
+    margin, size = alone_margin(high)
+    assert -POSITIVITY_REL_TOL * size < margin <= 0.0
+    gains = {**STAR_GAINS, 2: high}
+
+    solved = []
+    riccati = weights_module._riccati
+
+    def recording(profile, at):
+        solved.append((at, profile.channel))
+        return riccati(profile, at)
+
+    monkeypatch.setattr(weights_module, "_riccati", recording)
+    cert = certify_network(topo, profiles, gains)
+    monkeypatch.undo()
+    assert cert.halvings >= 8
+    # the re-test solved channel 2 alone, and the attempt went on to the root
+    assert [i for at, i in solved if at == epsilon][:2] == [2, 1]
+    for k in range(cert.halvings):
+        single = certify_network(
+            topo, profiles, gains, epsilon_start=DEFAULT_EPSILON * 0.5**k, max_halvings=0
+        )
+        assert not single.certified, k
+    last = certify_network(topo, profiles, gains, epsilon_start=cert.epsilon, max_halvings=0)
+    assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
+
+
 def test_star_certificate_solve_count(star_weights, monkeypatch):
     topo, profiles, cert = star_weights
-    solves, grids = [], []
+    solves, grids, kernels = [], [], []
     integrate, on_grid = weights_module._integrate, weights_module._on_grid
+    riccati = weights_module._riccati
 
     def counting_solve(*args):
         solves.append(args[2])
@@ -705,15 +815,30 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
         grids.append(args[2].size)
         return on_grid(*args)
 
+    def counting_riccati(profile, epsilon):
+        kernel, slope = riccati(profile, epsilon)
+
+        def counted(H):
+            kernels.append(H)
+            return kernel(H)
+
+        return counted, slope
+
     monkeypatch.setattr(weights_module, "_integrate", counting_solve)
     monkeypatch.setattr(weights_module, "_on_grid", counting_grid)
+    monkeypatch.setattr(weights_module, "_riccati", counting_riccati)
     counted = certify_network(topo, profiles, STAR_GAINS)
     # 13 attempts over 4 channels took 52 solves when every attempt built
-    # every channel; 12 of them fail a terminal margin after 29 solves, at
-    # the channel ends, and only the 13th reaches the fine grid
+    # every channel, and 33 when each stopped at its first failing channel.
+    # 12 of them fail a terminal margin: channel 2 eight times, channel 3
+    # three times and channel 4 once. Each but the first re-tests the
+    # channel where the last one stopped, alone, and 9 fail there after one
+    # solve; only the 13th reaches the fine grid. Each solve's steps share
+    # one depth kernel at their end depth for the last two stages.
     assert counted.halvings == 12
-    assert len(solves) == 33
+    assert len(solves) == 22
     assert len(grids) == 4
+    assert len(kernels) == 244
     assert _certificate_bytes(counted, 12) == _certificate_bytes(cert, 12)
 
 
