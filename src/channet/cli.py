@@ -10,8 +10,10 @@ deterministic functions of the configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +29,9 @@ from .simulate import CFL_SAFETY, Bump, NetworkSimulator, check_run_options, mas
 from .steady import solve_network_steady
 from .topology import NetworkTopology, network_from_dict, network_to_dict, validate_topology
 from .weights import DEFAULT_EPSILON, certify_network
+
+# the file simulate writes its summary to, beside the trace and the snapshot
+_SUMMARY = "simulate_summary.json"
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,11 @@ class RunConfig:
         infinite number, a count that is not whole, a gain for a channel
         that is not terminal, a perturbation of a channel that is not in the
         network, a run option the simulator refuses, a trace path that is
-        not a string or a snapshot path that is neither a string nor null
-        raises TopologyError or ValueError here, before any solve."""
+        not a string or a snapshot path that is neither a string nor null,
+        or an output name that is not one plain file name in the output
+        directory (empty, ".", "..", absolute or with a directory part) or
+        that names another output of simulate raises TopologyError or
+        ValueError here, before any solve."""
         topo = network_from_dict(data["network"])
         validate_topology(topo)
         root = data["root"]
@@ -85,6 +93,16 @@ class RunConfig:
         snapshot_path = simc.get("snapshot_path")
         if not (snapshot_path is None or isinstance(snapshot_path, str)):
             raise ValueError(f"snapshot_path must be a string or null, not {snapshot_path!r}")
+        taken = [_SUMMARY]
+        for name, path in (("trace_path", trace_path), ("snapshot_path", snapshot_path)):
+            if path is None:
+                continue
+            if path in ("", ".", "..") or os.path.basename(path) != path:
+                raise ValueError(f"{name} must be a file name in the output directory, "
+                                 f"not {path!r}")
+            if path in taken:
+                raise ValueError(f"{name} {path!r} would overwrite another output")
+            taken.append(path)
         config = cls(
             topology=topo,
             root_flux=_finite(root["Q"], "Q"),
@@ -271,7 +289,7 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
         )
 
     _write_json(
-        outdir / "simulate_summary.json",
+        outdir / _SUMMARY,
         {
             "nu_hat": 0.0 if trace.zero_trace else trace.nu_hat,
             "r2": None if trace.zero_trace else trace.r2,
@@ -297,18 +315,20 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it records the
+    subcommand's name, and main looks the command up at each call."""
     parser = argparse.ArgumentParser(
         prog="channet",
         description="Steady states, feedback gains, decay certificates and "
         "simulations for tree-shaped channel networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.set_defaults(func=fn)
     return parser
 
 
@@ -341,7 +361,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        return args.func(config, profiles, outdir)
+        return _COMMANDS[args.command](config, profiles, outdir)
     except SimulationError as exc:
         t = getattr(exc, "sim_time", None)
         stamp = "" if t is None else f" at t = {t:.6e}"

@@ -38,7 +38,8 @@ stacked [L; L^2]. A linear run does not call step: its tendency is y' = A y,
 with A from the chain rule through the face map F, so a Heun step is one
 fixed matrix M. The run advances from one sample to the next by cached powers
 of M, at most _BLOCK steps per product, and reads each sample through one
-stacked observation operator built on the same [L; L^2].
+stacked observation operator built on the same [L; L^2]. Each operator is one
+conversion of (row, column, value) arrays (_csr), or one scipy sum (A, M).
 """
 
 from __future__ import annotations
@@ -317,16 +318,33 @@ def _trapezoid_weights(x):
     return np.concatenate(([dx[0]], dx[:-1] + dx[1:], [dx[-1]])) / 2.0
 
 
-def _gradient_matrix(x):
-    """Sparse matrix of np.gradient(., x, edge_order=1)."""
-    from scipy import sparse
-
+def _gradient(x, start):
+    """(rows, columns, values) of np.gradient(., x, edge_order=1), x at start, start + 1, ..."""
     dx = np.diff(x)
     d1, d2 = dx[:-1], dx[1:]
     lower = np.concatenate((-d2 / (d1 * (d1 + d2)), [-1.0 / dx[-1]]))
     main = np.concatenate(([-1.0 / dx[0]], (d2 - d1) / (d1 * d2), [1.0 / dx[-1]]))
     upper = np.concatenate(([1.0 / dx[0]], d1 / (d2 * (d1 + d2))))
-    return sparse.diags([lower, main, upper], [-1, 0, 1])
+    k = start + np.arange(x.size)
+    return (np.concatenate((k[1:], k, k[:-1])), np.concatenate((k[:-1], k, k[1:])),
+            np.concatenate((lower, main, upper)))
+
+
+def _triples(M, row=0):
+    """(rows shifted by row, columns, values) of the CSR matrix M."""
+    return row + np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
+
+
+def _csr(shape, parts):
+    """The CSR matrix of parts, (rows, columns, values) arrays, in one conversion:
+    columns ascending in each row, entries that sum to zero dropped. No operator
+    puts over two values at one position, so scipy's order of adding them is moot."""
+    from scipy import sparse
+
+    r, c, v = (np.concatenate(a) for a in zip(*parts))
+    M = sparse.csr_matrix((v, (r, c)), shape=shape)
+    M.eliminate_zeros()
+    return M
 
 
 class NetworkSimulator:
@@ -369,8 +387,6 @@ class NetworkSimulator:
 
     def _layout(self):
         """Concatenate every channel's samples at its offset in the flat state."""
-        from scipy import sparse
-
         self.ids = ids = list(self.topo.channels)
         ps = [self.profiles[i] for i in ids]
         m, n = len(ids), np.array([pr.spec.cells for pr in ps])
@@ -409,23 +425,20 @@ class NetworkSimulator:
         gi, c = g[il], np.sqrt(g[il] * Hi)
         terms = ((0, 0, Vi, c), (0, N, Hi, Hi * Vi / c), (1, 0, gi, gi * Vi / c), (1, N, Vi, c),
                  (0, 2 * N, 1.0, 0.0), (1, 3 * N, 1.0, 0.0))  # (flux, column, mean, |A|)
-        rows, cols, vals = map(list, zip(*(
-            (k * N + to, col + cell, sign * 0.5 * (a + side * d) / dx[to])
-            for cell, side in ((il, 1.0), (il + 1, -1.0)) for k, col, a, d in terms
-            for to, sign in ((il + 1, 1.0), (il, -1.0)))))  # into the right cell, out of the left
+        # into the right cell, out of the left
+        parts = [(k * N + to, col + cell, sign * 0.5 * (a + side * d) / dx[to])
+                 for cell, side in ((il, 1.0), (il + 1, -1.0)) for k, col, a, d in terms
+                 for to, sign in ((il + 1, 1.0), (il, -1.0))]
         bnd = np.concatenate((self._first, self._last))
         self._ends = np.concatenate((bnd, N + bnd))  # h, then v, of the inlet then outlet cells
-        rows += [bnd, N + bnd]
-        cols += [4 * N + np.arange(2 * m), 4 * N + 2 * m + np.arange(2 * m)]
-        vals += [-self._sign / dx[bnd]] * 2
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        self._K = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * N, 4 * N + 4 * m))
+        B = (self._ends, 4 * N + np.arange(4 * m), np.tile(-self._sign / dx[bnd], 2))
+        self._K = _csr((2 * N, 4 * N + 4 * m), parts + [B])  # B1 into h, B2 into v
         # the vector [h, v, q h v, q v^2 / 2, B1, B2] that K acts on, which each
         # stage fills in place through views of its four parts
         self._u = u = np.zeros(4 * N + 4 * m)
         self._u_parts = (u[: 2 * N], u[2 * N : 3 * N], u[3 * N : 4 * N], u[4 * N :])
         # the channel and cell[, face] of each cell and boundary face, named when it runs dry
-        self._where_cell = [(i, int(k)) for i, k in zip(np.repeat(ids, n), loc)]
+        self._where_cell = list(zip(np.repeat(ids, n).tolist(), loc.tolist()))
         self._where_face = ([(i, 0, "inlet") for i in ids]
                             + [(i, int(k) - 1, "outlet") for i, k in zip(ids, n)])
 
@@ -464,7 +477,8 @@ class NetworkSimulator:
         centered spatial differences. The weights, speeds and couplings are
         the certificate's fine-grid arrays: at the centers their slice
         [R/2::R], R = FINE_REFINEMENT, at the inlet and outlet faces their
-        first and last elements."""
+        first and last elements. L is one pass over the gradient and coupling
+        entries; [L; L^2] joins its arrays to those of scipy's L @ L, in order."""
         from scipy import sparse
 
         fine = []  # f1, f2, lambda1, lambda2, gamma1, delta1, gamma2, delta2 of each channel
@@ -482,12 +496,15 @@ class NetworkSimulator:
         x = [self.profiles[i].x_centers for i in self.ids]
         self._w = np.concatenate([_trapezoid_weights(xc) for xc in x])
         self._wf = np.concatenate((self._w * f1, self._w * f2))
-        D = sparse.block_diag([_gradient_matrix(xc) for xc in x])
-        diag = sparse.diags
-        L = sparse.bmat(
-            [[-diag(lam1) @ D - diag(g1), -diag(d1)], [-diag(g2), diag(lam2) @ D - diag(d2)]]
-        ).tocsr()
-        self._LL = sparse.vstack([L, L @ L]).tocsr()  # [L; L^2], one product for V_ext
+        N, k = self.N, np.arange(self.N)
+        r, c, D = (np.concatenate(a) for a in zip(*map(_gradient, x, self._starts)))
+        L = _csr((2 * N, 2 * N), [(r, c, -lam1[r] * D), (k, k, -g1), (k, N + k, -d1),
+                                  (N + k, k, -g2), (N + r, N + c, lam2[r] * D),
+                                  (N + k, N + k, -d2)])
+        L2 = L @ L  # [L; L^2], one product for V_ext
+        self._LL = sparse.csr_matrix(
+            (np.concatenate((L.data, L2.data)), np.concatenate((L.indices, L2.indices)),
+             np.concatenate((L.indptr, L.nnz + L2.indptr[1:]))), shape=(4 * N, 2 * N))
 
     def fields(self, y: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per-channel views of the flat state y: id -> (h, v)."""
@@ -506,26 +523,27 @@ class NetworkSimulator:
         A is the state's part of the flux matrix plus the source's diagonals
         plus T F, T the tendencies of the 4m unit faces at y = 0. The influx
         row is likewise that of the unit faces times F.
+        F, T and K_y + S, K_y the state's columns of K, are one pass each;
+        scipy adds T @ F, in the entry order that A @ A then follows.
         """
-        from scipy import sparse
-
         N, m4, ends = self.N, 4 * self.m, np.unique(self._ends)
         unit = np.zeros((ends.size, 2 * N))
         unit[np.arange(ends.size), ends] = 1.0
         face = np.array([self._solve_faces(y)[0] for y in unit]).reshape(ends.size, m4)
         b, k = np.nonzero(face)
-        F = sparse.csr_matrix((face[b, k], (k, ends[b])), shape=(m4, 2 * N))
+        F = _csr((m4, 2 * N), [(k, ends[b], face[b, k])])
         zero, unit_faces = np.zeros(2 * N), np.identity(m4).reshape(m4, 2, -1)
         steady = self.phys.admit(self, zero)
         dY, _, influx = zip(*(
             self._tendency(zero, (f, *self._boundary_fluxes(*f.tolist())), steady)
             for f in unit_faces))
-        T = sparse.csr_matrix(np.array(dY).T)
-        one, none = np.ones(N), np.zeros(N)
-        source = sparse.diags([self.phys.source(self, one, none, steady),
-                               np.concatenate((none, self.phys.source(self, none, one, steady)))],
-                              [-N, 0], shape=(2 * N, 2 * N))
-        A = (self._K[:, : 2 * N] + source + T @ F).tocsr()
+        dY = np.array(dY).T
+        i, f = np.nonzero(dY)
+        T = _csr((2 * N, m4), [(i, f, dY[i, f])])
+        one, none, k = np.ones(N), np.zeros(N), np.arange(N)
+        Sh, Sv = (self.phys.source(self, *e, steady) for e in ((one, none), (none, one)))
+        Ky = tuple(a[self._K.indices < 2 * N] for a in _triples(self._K))  # the state's columns
+        A = _csr((2 * N, 2 * N), [Ky, (N + k, k, Sh), (N + k, N + k, Sv)]) + T @ F
         return A, F, F.T @ np.array(influx)
 
     def initial_state(self, perturbation: dict[int, Bump] | None = None) -> SimState:
@@ -555,26 +573,24 @@ class NetworkSimulator:
         """(O, W) of the linear samples: O stacks [C; L C; L^2 C; C_b F; I]
         and W turns the squares of O y into V, V_ext, B and the squared
         channel L2 norms. C maps the flat state to the linear characteristic
-        fields (v + s h, v - s h), s = g / sqrt(g H), C_b does so at the faces."""
-        from scipy import sparse
+        fields (v + s h, v - s h), s = g / sqrt(g H), C_b does so at the faces.
+        O and W are one pass each over their blocks' entries."""
+        def char(s):  # the blocks [[S, I], [-S, I]], S = diag(s)
+            k, n, one = np.arange(s.size), s.size, np.ones(s.size)
+            return [(k, k, s), (k, n + k, one), (n + k, k, -s), (n + k, n + k, one)]
 
-        def char(s):
-            S, I = sparse.diags(s), sparse.identity(s.size)
-            return sparse.bmat([[S, I], [-S, I]])
-
+        N, m4, y = self.N, 4 * self.m, np.arange(2 * self.N)
         C = char(self.g / np.sqrt(self.g * self.Hc))
-        Cb = char(self._gb / np.sqrt(self._gb * self._Hb)) @ self.F
-        O = sparse.vstack([C, self._LL @ C, Cb, sparse.identity(2 * self.N)]).tocsr()
-        wf = sparse.csr_matrix(self._wf)
-        sign = self._sign
-        bw = sparse.csr_matrix(np.concatenate((sign * self._f1lam1, -sign * self._f2lam2)))
-        channel = np.repeat(np.arange(self.m), np.diff(np.append(self._starts, self.N)))
-        E = sparse.csr_matrix((self._w, (channel, np.arange(self.N))), shape=(self.m, self.N))
-        W = sparse.bmat([[wf, None, None, None, None],
-                         [wf, wf, wf, None, None],
-                         [None, None, None, bw, None],
-                         [None, None, None, None, sparse.hstack([E, E])]])
-        return O, W.tocsr()
+        Cb = _csr((m4, m4), char(self._gb / np.sqrt(self._gb * self._Hb))) @ self.F
+        LC = self._LL @ _csr((2 * N, 2 * N), C)
+        O = _csr((8 * N + m4, 2 * N), C + [_triples(LC, 2 * N), _triples(Cb, 6 * N),
+                                           (6 * N + m4 + y, y, np.ones(2 * N))])
+        bw = np.concatenate((self._sign * self._f1lam1, -self._sign * self._f2lam2))
+        VB = (np.repeat([0, 1, 2], [2 * N, 6 * N, m4]), np.append(y, np.arange(6 * N + m4)),
+              np.append(np.tile(self._wf, 4), bw))  # the rows of V, V_ext and B, then the norms
+        sq = np.tile(3 + np.repeat(np.arange(self.m), np.diff(np.append(self._starts, N))), 2)
+        W = _csr((3 + self.m, 8 * N + m4), [VB, (sq, 6 * N + m4 + y, np.tile(self._w, 2))])
+        return O, W
 
     def cfl_dt(self, state: SimState) -> float:
         """Largest stable step, CFL safety times min over cells of dx / speed,
@@ -742,12 +758,8 @@ class NetworkSimulator:
         up each stride and the final partial stride. The speeds are frozen,
         so one stability check covers every step.
         """
-        from scipy import sparse
-
         self._check_step(dt, self.cfl_dt(state), state.time)
-        A, q = self.A, self._influx
-        M = (sparse.identity(2 * self.N) + dt * A + (0.5 * dt * dt) * (A @ A)).tocsr()
-        r = dt * q + (0.5 * dt * dt) * (A.T @ q)
+        M, r = self._heun(dt)
         gaps = _split(nsteps, stride)
         plans = {g: _split(g, _BLOCK) for g in gaps}
         sizes = {b for plan in plans.values() for b in plan}
@@ -767,6 +779,14 @@ class NetworkSimulator:
                 y = P @ y
             n += gap
             yield n, SimState(n * dt, y), dflux
+
+    def _heun(self, dt):
+        """(M, r) of a Heun step dt; scipy's sums fix M's entry order, which its powers follow."""
+        from scipy import sparse
+
+        A, q, h = self.A, self._influx, 0.5 * dt * dt
+        M = dt * A + sparse.identity(2 * self.N, format="csr") + h * (A @ A)
+        return M, dt * q + h * (A.T @ q)
 
     # -- driver --------------------------------------------------------------
 

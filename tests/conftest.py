@@ -4,13 +4,15 @@ The potential helpers evaluate the first integral of the steady depth
 equation with plain algebra. The ODE oracles go the other way: they
 integrate the ODE forms of quantities that the library evaluates in closed
 form, the steady depth included. brentq, at its tightest setting, is the
-oracle of the Newton solve for the blow-up depth.
+oracle of the Newton solve for the blow-up depth. The simulator's sparse
+operators have their oracle in scipy's diags, block_diag and bmat chains.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -22,6 +24,7 @@ from channet.characteristics import (
 from channet.errors import SupercriticalState, WeightError
 from channet.gains import is_admissible
 from channet.steady import (
+    FINE_REFINEMENT,
     MARGIN_TOL,
     _potential_drop,
     critical_depth,
@@ -485,3 +488,73 @@ STAR_GAINS = {2: 0.0, 3: 0.0, 4: 0.0}
 def star_profiles():
     topo = small_star()
     return topo, solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+
+
+def gradient_matrix_by_diags(x):
+    """Sparse matrix of np.gradient(., x, edge_order=1) from its three diagonals."""
+    dx = np.diff(x)
+    d1, d2 = dx[:-1], dx[1:]
+    lower = np.concatenate((-d2 / (d1 * (d1 + d2)), [-1.0 / dx[-1]]))
+    main = np.concatenate(([-1.0 / dx[0]], (d2 - d1) / (d1 * d2), [1.0 / dx[-1]]))
+    upper = np.concatenate(([1.0 / dx[0]], d1 / (d2 * (d1 + d2))))
+    return sparse.diags([lower, main, upper], [-1, 0, 1])
+
+
+def operators_by_bmat(sim, dt=None):
+    """The simulator's sparse operators as chains of scipy's diags,
+    block_diag, bmat, vstack and sums build them: the oracle of their
+    one-pass assembly, whose entries must come in the same order, as every
+    product the run takes sums in it. {"L", "LL"} of any simulator and,
+    given a linear one and its step dt, also "F", "A", "O", "W" and "M".
+    A takes the state's columns of the simulator's flux matrix K."""
+    N, m, R = sim.N, sim.m, FINE_REFINEMENT
+    fine = []
+    for i in sim.ids:
+        cw = sim.weights.channels[i]
+        c = cw.coeffs
+        fine.append((c.lambda1, c.lambda2, c.gamma1, c.delta1, c.gamma2, c.delta2))
+    lam1, lam2, g1, d1, g2, d2 = (
+        np.concatenate([a[R // 2 :: R] for a in arrays]) for arrays in zip(*fine))
+    D = sparse.block_diag([gradient_matrix_by_diags(sim.profiles[i].x_centers) for i in sim.ids])
+    diag = sparse.diags
+    L = sparse.bmat(
+        [[-diag(lam1) @ D - diag(g1), -diag(d1)], [-diag(g2), diag(lam2) @ D - diag(d2)]]
+    ).tocsr()
+    LL = sparse.vstack([L, L @ L]).tocsr()
+    if dt is None:
+        return {"L": L, "LL": LL}
+    m4, ends = 4 * m, np.unique(sim._ends)
+    unit = np.zeros((ends.size, 2 * N))
+    unit[np.arange(ends.size), ends] = 1.0
+    face = np.array([sim._solve_faces(y)[0] for y in unit]).reshape(ends.size, m4)
+    b, k = np.nonzero(face)
+    F = sparse.csr_matrix((face[b, k], (k, ends[b])), shape=(m4, 2 * N))
+    zero, unit_faces = np.zeros(2 * N), np.identity(m4).reshape(m4, 2, -1)
+    steady = sim.phys.admit(sim, zero)
+    dY = [sim._tendency(zero, (f, *sim._boundary_fluxes(*f.tolist())), steady)[0]
+          for f in unit_faces]
+    T = sparse.csr_matrix(np.array(dY).T)
+    one, none = np.ones(N), np.zeros(N)
+    source = sparse.diags([sim.phys.source(sim, one, none, steady),
+                           np.concatenate((none, sim.phys.source(sim, none, one, steady)))],
+                          [-N, 0], shape=(2 * N, 2 * N))
+    A = (sim._K[:, : 2 * N] + source + T @ F).tocsr()
+
+    def char(s):
+        S, I = sparse.diags(s), sparse.identity(s.size)
+        return sparse.bmat([[S, I], [-S, I]])
+
+    C = char(sim.g / np.sqrt(sim.g * sim.Hc))
+    Cb = char(sim._gb / np.sqrt(sim._gb * sim._Hb)) @ F
+    O = sparse.vstack([C, LL @ C, Cb, sparse.identity(2 * N)]).tocsr()
+    wf = sparse.csr_matrix(sim._wf)
+    sign = sim._sign
+    bw = sparse.csr_matrix(np.concatenate((sign * sim._f1lam1, -sign * sim._f2lam2)))
+    channel = np.repeat(np.arange(m), np.diff(np.append(sim._starts, N)))
+    E = sparse.csr_matrix((sim._w, (channel, np.arange(N))), shape=(m, N))
+    W = sparse.bmat([[wf, None, None, None, None],
+                     [wf, wf, wf, None, None],
+                     [None, None, None, bw, None],
+                     [None, None, None, None, sparse.hstack([E, E])]]).tocsr()
+    M = (sparse.identity(2 * N) + dt * A + (0.5 * dt * dt) * (A @ A)).tocsr()
+    return {"L": L, "LL": LL, "F": F, "A": A, "O": O, "W": W, "M": M}

@@ -293,6 +293,26 @@ def test_bad_config_exit_two(tmp_path):
     assert main(["steady", "--config", str(absent), "--out", str(tmp_path / "y")]) == 2
 
 
+def test_parser_is_built_once_and_looks_the_command_up_at_each_call(tmp_path, monkeypatch):
+    # the cached parser records only the subcommand's name, so a command
+    # replaced after the parser was built is the one that runs
+    import channet.cli
+
+    channet.cli._build_parser.cache_clear()
+    assert run_cli(tmp_path, "steady", star_config(), out="steady")[0] == 0
+    ran = []
+
+    def certify(config, profiles, outdir):
+        ran.append(outdir)
+        return 0
+
+    monkeypatch.setitem(channet.cli._COMMANDS, "certify", certify)
+    assert run_cli(tmp_path, "certify", star_config(), out="certify")[0] == 0
+    assert ran == [tmp_path / "certify"]
+    info = channet.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def refuse_solve(monkeypatch):
     import channet.cli
 
@@ -309,6 +329,14 @@ def refuse_solve(monkeypatch):
     # null trace path would write a file named None
     ("trace_path", None), ("trace_path", 5), ("snapshot_path", 5), ("snapshot_path", True),
     ("snapshot_path", ["snapshot.csv"]),
+    # output names: a missing directory, an empty name or a directory would
+    # crash the run after the simulation, an absolute path would write
+    # outside the output directory, and a second output of the same name
+    # would overwrite the first
+    ("trace_path", "sub/trace.csv"), ("trace_path", ""), ("trace_path", "."),
+    ("trace_path", ".."), ("trace_path", "/trace.csv"), ("trace_path", "simulate_summary.json"),
+    ("snapshot_path", "sub/snapshot.csv"), ("snapshot_path", ""), ("snapshot_path", "./"),
+    ("snapshot_path", "trace.csv"), ("snapshot_path", "simulate_summary.json"),
 ])
 def test_bad_simulation_option_exit_two_before_any_solve(tmp_path, capsys, monkeypatch,
                                                          option, value):

@@ -30,7 +30,7 @@ from channet.simulate import (
     decay_fit,
     mass_balance,
 )
-from channet.steady import solve_network_steady
+from channet.steady import FINE_REFINEMENT, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
 from channet.weights import certify_network, network_weights
 
@@ -45,6 +45,7 @@ from conftest import (
     dry_junction,
     dry_outlet_cell,
     nudge_face_cell,
+    operators_by_bmat,
     reflection_pole,
     small_star,
 )
@@ -983,3 +984,63 @@ def test_linear_face_solve_is_exact_at_any_amplitude(star_sim_parts):
         y = rng.standard_normal(2 * sim.N) * 10.0 ** rng.uniform(0.0, 12.0)
         face = sim._solve_faces(y)[0]
         assert relative_gap(np.ravel(face), sim.F @ y) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("network", ["star", "tree"])
+def test_operators_match_the_bmat_assembly_entry_for_entry(star_sim_parts, tree_parts,
+                                                            network, mode):
+    # a product sums in the entry order of its operands, so the operators of
+    # the one-pass assembly hold the same entries in the same order as the
+    # chains of diags, block_diag and bmat: every product a run takes is then
+    # the same to the bit. M is the step matrix at the dt of a run to T = 200
+    if network == "star":
+        sim = make_sim(star_sim_parts, mode)
+    else:
+        _, _, weights, gains = tree_parts
+        sim = NetworkSimulator(weights, gains, mode=mode)
+    N = sim.N
+    got = {"L": sim._LL[: 2 * N], "LL": sim._LL}
+    dt = None
+    if mode == "linear":
+        dt = sim.run(None, T=200.0, max_samples=2).dt
+        got |= {"F": sim.F, "A": sim.A, "O": sim._O, "W": sim._W, "M": sim._heun(dt)[0]}
+    ref = operators_by_bmat(sim, dt)
+    assert sorted(got) == sorted(ref)
+    for name, op in got.items():
+        assert op.shape == ref[name].shape, name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op, part), getattr(ref[name], part)), (name, part)
+
+
+@pytest.mark.parametrize("network", ["star", "tree"])
+def test_characteristic_operator_is_its_definition(star_sim_parts, tree_parts, network):
+    # L [y1; y2] = [-lam1 dx y1 - gamma1 y1 - delta1 y2; lam2 dx y2 - gamma2 y1
+    # - delta2 y2], dx per channel by np.gradient at the cell centers, and
+    # the coefficients at the centers, the slice [R/2::R] of the fine grid
+    if network == "star":
+        sim = make_sim(star_sim_parts, "nonlinear")
+    else:
+        _, _, weights, gains = tree_parts
+        sim = NetworkSimulator(weights, gains, mode="nonlinear")
+    R = FINE_REFINEMENT
+
+    def at_centers(name):
+        return np.concatenate([getattr(sim.weights.channels[i].coeffs, name)[R // 2 :: R]
+                               for i in sim.ids])
+
+    lam1, lam2, g1, d1, g2, d2 = map(at_centers, ("lambda1", "lambda2", "gamma1", "delta1",
+                                                   "gamma2", "delta2"))
+
+    def dx(f):
+        return np.concatenate([np.gradient(f[sh], sim.profiles[i].x_centers, edge_order=1)
+                               for i, sh, _ in sim._slices])
+
+    L = sim._LL[: 2 * sim.N]
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        y1, y2 = rng.standard_normal((2, sim.N))
+        got = L @ np.concatenate((y1, y2))
+        ref = (-lam1 * dx(y1) - g1 * y1 - d1 * y2, lam2 * dx(y2) - g2 * y1 - d2 * y2)
+        assert relative_gap(got[: sim.N], ref[0]) <= 1e-12
+        assert relative_gap(got[sim.N :], ref[1]) <= 1e-12
