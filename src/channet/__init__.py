@@ -34,7 +34,6 @@ from .errors import (
     TerminalSolveFailure,
     TopologyError,
     WeightError,
-    ZeroW,
 )
 from .gains import (
     GainRecord,
@@ -112,7 +111,6 @@ __all__ = [
     "TopologyError",
     "WeightError",
     "WeightSet",
-    "ZeroW",
     "boundary_constants",
     "certify_network",
     "critical_depth",

@@ -27,7 +27,13 @@ from .errors import (
 from .gains import is_admissible
 from .simulate import CFL_SAFETY, Bump, NetworkSimulator, check_run_options, mass_balance
 from .steady import solve_network_steady
-from .topology import NetworkTopology, network_from_dict, network_to_dict, validate_topology
+from .topology import (
+    NetworkTopology,
+    json_object,
+    network_from_dict,
+    network_to_dict,
+    validate_topology,
+)
 from .weights import DEFAULT_EPSILON, certify_network
 
 # the file simulate writes its summary to, beside the trace and the snapshot
@@ -60,25 +66,29 @@ class RunConfig:
         not a string or a snapshot path that is neither a string nor null,
         or an output name that is not one plain file name in the output
         directory (empty, ".", "..", absolute or with a directory part) or
-        that names another output of simulate raises TopologyError or
-        ValueError here, before any solve."""
+        that names another output of simulate, or a section or entry that
+        must be a JSON object and is not, raises TopologyError or ValueError
+        here, before any solve."""
+        data = json_object(data, "configuration")
         topo = network_from_dict(data["network"])
         validate_topology(topo)
-        root = data["root"]
-        gains = {int(j): _finite(k, f"gain {j}") for j, k in data.get("gains", {}).items()}
+        root = json_object(data["root"], "root")
+        gains = json_object(data.get("gains", {}), "gains")
+        gains = {int(j): _finite(k, f"gain {j}") for j, k in gains.items()}
         stray = sorted(set(gains) - set(topo.terminal_channels))
         if stray:
             raise ValueError(f"gains for channel(s) {', '.join(map(str, stray))}, "
                              "which are not terminal channels")
-        lyap = data.get("lyapunov", {})
+        lyap = json_object(data.get("lyapunov", {}), "lyapunov")
         epsilon_start = float(lyap.get("epsilon_start", DEFAULT_EPSILON))
         if not 0.0 < epsilon_start < math.inf:
             raise ValueError(f"epsilon_start must be positive and finite, not {epsilon_start!r}")
-        simc = data.get("simulation", {})
+        simc = json_object(data.get("simulation", {}), "simulation")
         pert = {}
-        for j, entry in simc.get("perturbation", {}).items():
+        for j, entry in json_object(simc.get("perturbation", {}), "perturbation").items():
             if int(j) not in topo.channels:
                 raise ValueError(f"perturbation of channel {j}, which is not in the network")
+            entry = json_object(entry, f"perturbation of channel {j}")
             pert[int(j)] = Bump(
                 amplitude_h=float(entry.get("amplitude_h", 0.0)),
                 amplitude_v=float(entry.get("amplitude_v", 0.0)),

@@ -83,10 +83,6 @@ class EpsilonTooLarge(WeightError):
     """The perturbed weight ODE ceases to exist on [0, L] for this epsilon."""
 
 
-class ZeroW(WeightError):
-    """Cannot rescale weights across a junction: W vanishes."""
-
-
 class MissingGain(WeightError):
     def __init__(self, channel: int):
         self.channel = channel

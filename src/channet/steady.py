@@ -45,7 +45,7 @@ def __getattr__(name):
     # Nothing here solves an ODE, but perfbench/spans.py wraps
     # channet.steady.solve_ivp to count the steady layer's ODE solves (zero),
     # so the name resolves, importing scipy.integrate only when looked up.
-    # The shim goes when ROADMAP item 4 drops the solve_ivp spans.
+    # The shim goes when ROADMAP item 7 drops the solve_ivp spans.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 

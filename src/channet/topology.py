@@ -179,10 +179,21 @@ def traversal_order(topo: NetworkTopology) -> list[int]:
     return order
 
 
+def json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; ValueError, naming it, if not."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, not {value!r}")
+    return value
+
+
 def network_from_dict(data: dict) -> NetworkTopology:
-    """Build a topology from parsed JSON (channel ids may arrive as strings)."""
+    """Build a topology from parsed JSON (channel ids may arrive as strings).
+    A network, channel entry, junctions or split_fractions that is not an
+    object raises ValueError."""
+    data = json_object(data, "network")
     channels = {}
     for entry in data["channels"]:
+        entry = json_object(entry, "channel entry")
         cells = entry.get("cells", 100)
         if not _count(cells):  # before int() could truncate it
             raise ValueError(f"channel {entry.get('id')}: cells must be a whole number, not {cells!r}")
@@ -195,8 +206,10 @@ def network_from_dict(data: dict) -> NetworkTopology:
             cells=int(cells),
         )
         channels[spec.id] = spec
-    junctions = {int(i): tuple(int(c) for c in out) for i, out in data.get("junctions", {}).items()}
-    splits = {int(i): tuple(float(s) for s in fr) for i, fr in data.get("split_fractions", {}).items()}
+    junctions = json_object(data.get("junctions", {}), "junctions")
+    splits = json_object(data.get("split_fractions", {}), "split_fractions")
+    junctions = {int(i): tuple(int(c) for c in out) for i, out in junctions.items()}
+    splits = {int(i): tuple(float(s) for s in fr) for i, fr in splits.items()}
     return NetworkTopology(
         channels=channels,
         root_channel=int(data["root_channel"]),

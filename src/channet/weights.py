@@ -24,8 +24,8 @@ rational function of the steady depth.
 
 The exponents of phi1 and phi2 and the existence integral I4 are closed-form
 functions of the local depth (``characteristics.phi_exponents`` and
-``characteristics.existence_integral``), so ``phi_profiles`` and the
-existence margin solve no ODE. Only the comparison solution at epsilon > 0
+``characteristics.existence_integral``), so ``phi_profiles`` solves no
+ODE. Only the comparison solution at epsilon > 0
 is integrated, by adaptive Runge-Kutta (relative tolerance 1e-11), so
 certificate accuracy does not depend on the simulation grid. One function,
 ``_integrate``, makes that solve: a Dormand-Prince 5(4) step loop on Python
@@ -48,16 +48,16 @@ and centers are elements and slices of the fine-grid arrays. An epsilon
 attempt does only epsilon-dependent work: per channel one solve, while the
 speeds, couplings and phi factors on the fine grid (``_FineFactors``) are
 computed once per channel and certificate. Every check but the interior
-matrix N(x) reads only the ends of a channel, where theta is exact: the
-inlet value and the solve's last one. So an attempt that may stop early
-first checks each channel with its weights at the two ends, and only one
-that passes every such check evaluates its kept steps on the fine grid
-(``_attempt``). Before that, it re-tests the channel where the last attempt
-stopped, solved alone: the sign of Z at a junction outflow or a branch
-inflow, the trunk inlet and, outside a narrow band, the sign of a terminal
-margin are the same at alpha = 1 as at the channel's own positive alpha,
-so a failure there fails the attempt after one solve. The test suite
-(``tests/conftest.py``)
+matrix N(x) and the junction matrices reads only the ends of one channel,
+where theta is exact: the inlet value and the solve's last one. Each of
+those checks is the channel's scale alpha > 0 times a term that does not
+depend on alpha, so an attempt (``_attempt``) makes two passes. The first
+solves each channel, the one where the last attempt stopped first, and
+checks it on its weights at the two ends at alpha = 1; unless it is the
+last attempt, it fails at the first channel that fails there. The alphas
+then follow root first from these unit weights. The second pass scales
+each channel by its alpha on the fine grid and runs every check; its
+margins are the ones reported. The test suite (``tests/conftest.py``)
 keeps the ODE forms of I4 and of the unit-inlet comparison solution, in w
 and with a driver of their own, as oracles of the closed forms, and scipy's
 RK45 as the oracle of the step loop.
@@ -84,7 +84,6 @@ from .errors import (
     EpsilonTooLarge,
     MissingGain,
     WeightError,
-    ZeroW,
 )
 from .steady import SteadyProfile
 from .topology import NetworkTopology, traversal_order, validate_topology
@@ -103,7 +102,7 @@ def __getattr__(name):
     # Nothing here calls solve_ivp (the comparison solution has its own step
     # loop), but perfbench/spans.py wraps channet.weights.solve_ivp to count
     # the weight layer's ODE solves (zero), so the name resolves, importing
-    # scipy.integrate only when looked up. The shim goes when ROADMAP item 4
+    # scipy.integrate only when looked up. The shim goes when ROADMAP item 7
     # drops the solve_ivp spans.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
@@ -413,31 +412,6 @@ def m_value(H, inlet_depth, flux, friction_exponent, gravity):
     return float(out) if out.ndim == 0 else out
 
 
-def m_profile(profile: SteadyProfile, x):
-    """m(x) along the channel; raises DegenerateFlux for zero-flux channels."""
-    return m_value(
-        profile.depth(x),
-        profile.inlet_depth,
-        profile.flux,
-        profile.spec.friction_exponent,
-        profile.gravity,
-    )
-
-
-def riccati_existence_margin(phi: PhiProfiles, x):
-    """Positive margin certifying the unit-inlet comparison solution up to x.
-
-    margin(x) = lambda1(0) / (lambda1(0) - lambda2(0)) - I4(x); the comparison
-    solution eta_bar exists on [0, x] while the margin stays positive.
-    """
-    prof = phi.profile
-    if prof.flux == 0.0:
-        raise DegenerateFlux("existence margin is undefined for a zero-flux channel")
-    H0 = prof.inlet_depth
-    lam1_0, lam2_0 = eigenvalues(H0, prof.velocity_of(H0), prof.gravity)
-    return lam1_0 / (lam1_0 - lam2_0) - phi.existence_integral(x)
-
-
 @dataclass(frozen=True, eq=False)
 class _Comparison:
     """The comparison solution of one channel at one epsilon, as eta / phi =
@@ -557,79 +531,56 @@ class WeightSet:
     channels: dict[int, ChannelWeights]
 
 
-def _weighted_channels(
-    topo: NetworkTopology,
-    profiles: dict[int, SteadyProfile],
-    epsilon: float,
-    fixed: dict[int, _FineFactors],
-    solved: dict[int, _Comparison],
-    ends: bool = False,
-    root_alpha: float = 1.0,
-    alone: int | None = None,
-):
-    """Yield the weights of every channel in traversal order, parents first.
+def _channel_weights(factors: _FineFactors, ratio, alpha: float, epsilon: float) -> ChannelWeights:
+    """One channel's weights at the scale ``alpha`` from its epsilon-free
+    ``factors`` and its comparison solution's eta / phi, ``ratio``, both on
+    the fine grid or both at its ends, where each is the fine grid's value."""
+    eta = ratio * factors.phi
+    a, b = factors.pair(eta)
+    c = factors.coeffs
+    return ChannelWeights(
+        coeffs=c,
+        alpha=alpha,
+        epsilon=epsilon,
+        eta_eps=eta,
+        eta_slope=np.abs(factors.A + factors.B * eta**2) + epsilon,
+        f1=alpha * a / c.lambda1,
+        f2=alpha * b / c.lambda2,
+        Z=alpha * (a - b),
+        W=alpha * (a + b),
+    )
 
-    alpha_child = alpha_parent * W~_parent(L) / W~_child(0) makes W continuous
-    across every junction; the root scale is free and an overall rescale
-    leaves every certificate verdict unchanged. ``fixed`` holds the
-    epsilon-free factors of each channel and ``solved`` its comparison
-    solution at this epsilon; both are filled on the way, so a channel
-    costs one solve however many passes read it. With ``ends`` the weights
-    are two-point arrays, at the inlet and the outlet, equal to the bit to
-    the ends of those on the fine grid; without it they cover the fine
-    grid. With ``alone`` it yields that channel only, at alpha =
-    ``root_alpha`` whatever its parents. Raises EpsilonTooLarge at the first
-    channel whose comparison solution does not exist.
-    """
+
+def _scaled(topo: NetworkTopology, epsilon: float, fixed, solved, unit):
+    """Yield the fine-grid weights of every channel in traversal order,
+    parents first, each at its alpha. The alphas follow root first from the
+    ``unit`` weights, those at alpha = 1: alpha_child = alpha_parent *
+    W~_parent(L) / W~_child(0) makes W continuous across every junction. The
+    root's alpha is 1, as an overall rescale leaves every verdict unchanged.
+    At a branch inlet phi1 = phi2 = 1 and eta = 1 + epsilon, so W~(0) = 1 /
+    eta + eta >= 2."""
     alphas: dict[int, float] = {}
-    w_end: dict[int, float] = {}
-    for i in traversal_order(topo) if alone is None else (alone,):
-        profile = profiles[i]
-        if i not in fixed:
-            fixed[i] = _FineFactors.of(profile)
-        if i not in solved:
-            solved[i] = _Comparison.of(profile, epsilon, trunk_inlet=(i == topo.root_channel))
-        if ends:
-            factors, ratio = fixed[i].ends, solved[i].ends()
+    for i in traversal_order(topo):
+        if i == topo.root_channel:
+            alphas[i] = 1.0
         else:
-            factors, ratio = fixed[i], solved[i].fine()
-        eta = ratio * factors.phi
-        a, b = factors.pair(eta)
-        w_tilde = a + b
-        w_end[i] = float(w_tilde[-1])
-        if i == topo.root_channel or alone is not None:
-            alphas[i] = root_alpha
-        else:
-            w_start = float(w_tilde[0])
-            if abs(w_start) < 1e-300:
-                raise ZeroW(f"channel {i}: W vanishes at the inlet")
             parent = topo.parent_of(i)
-            alphas[i] = alphas[parent] * w_end[parent] / w_start
-        alpha = alphas[i]
-        yield ChannelWeights(
-            coeffs=factors.coeffs,
-            alpha=alpha,
-            epsilon=epsilon,
-            eta_eps=eta,
-            eta_slope=np.abs(factors.A + factors.B * eta**2) + epsilon,
-            f1=alpha * a / factors.coeffs.lambda1,
-            f2=alpha * b / factors.coeffs.lambda2,
-            Z=alpha * (a - b),
-            W=alpha * w_tilde,
-        )
+            alphas[i] = alphas[parent] * float(unit[parent].W[-1]) / float(unit[i].W[0])
+        yield _channel_weights(fixed[i], solved[i].fine(), alphas[i], epsilon)
 
 
 def network_weights(
     topo: NetworkTopology,
     profiles: dict[int, SteadyProfile],
     epsilon: float,
-    root_alpha: float = 1.0,
 ) -> WeightSet:
-    """Assemble junction-matched weights for the whole tree at one epsilon."""
-    channels = {
-        cw.channel: cw
-        for cw in _weighted_channels(topo, profiles, epsilon, {}, {}, root_alpha=root_alpha)
-    }
+    """Assemble junction-matched weights for the whole tree at one epsilon.
+    Raises EpsilonTooLarge where a comparison solution does not exist."""
+    order = traversal_order(topo)
+    fixed = {i: _FineFactors.of(profiles[i]) for i in order}
+    solved = {i: _Comparison.of(profiles[i], epsilon, i == topo.root_channel) for i in order}
+    unit = {i: _channel_weights(fixed[i].ends, solved[i].ends(), 1.0, epsilon) for i in order}
+    channels = {cw.channel: cw for cw in _scaled(topo, epsilon, fixed, solved, unit)}
     return WeightSet(topo=topo, epsilon=epsilon, channels=channels)
 
 
@@ -775,28 +726,20 @@ def _empty_detail() -> dict:
 def _channel_checks(
     ws: WeightSet,
     cw: ChannelWeights,
+    factors: _FineFactors,
     gains: dict[int, float],
     detail: dict,
-    alone: bool = False,
 ) -> list[str]:
-    """The checks at the ends of channel ``cw``: every check but the
-    interior matrix, given the channels built before it.
-
-    Records every margin in ``detail`` and returns the names of the failed
-    checks; each reads only the first and last element of the weights. A
-    junction is checked once the last of its children is built. Each check
-    passes only on a strict margin, so a NaN margin fails it.
-    A terminal's margin is its outlet term f1 lam1 y1^2 - f2 lam2 y2^2 at
-    the traces of ``outlet_traces``: it has no pole in the gain, and it is
+    """The checks that read channel ``cw`` alone, at its ends: the sign of Z
+    at a junction outflow and at a branch inflow, the trunk inlet and the
+    terminal margin. Records every margin in ``detail`` and returns the
+    names of the failed checks; a check passes only on a strict margin, so
+    a NaN margin fails it. Each margin is alpha > 0 times a term free of
+    alpha (the root's alpha is 1), so each verdict is the same at alpha = 1.
+    A terminal's margin is alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2) at
+    the outlet, from the channel's ``factors``: f1 lam1 y1^2 - f2 lam2 y2^2
+    at the traces of ``outlet_traces``, with no pole in the gain and
     negative at the ill-posed gain, where y1 = 0.
-
-    With ``alone``, ``cw`` is the channel built by itself at alpha = 1 and
-    only the checks that read no other channel run; each fails only where
-    the channel fails it at its own alpha too. A channel's alpha is
-    positive, so it leaves the sign of Z unchanged, and the root's alpha is
-    1. It scales both terms of a terminal margin, rounding each by a few
-    ulp, so alone the margin fails only at or below -POSITIVITY_REL_TOL
-    times the sum of the terms' magnitudes, a band over 1000 times wider.
     """
     topo = ws.topo
     i = cw.channel
@@ -811,12 +754,11 @@ def _channel_checks(
         k = float(gains[i])
         detail["reflection"][i] = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
         y1, y2 = outlet_traces(k, prof.outlet_depth, prof.gravity)
-        inflow = cw.f1[-1] * cw.coeffs.lambda1[-1] * y1**2
-        outflow = cw.f2[-1] * cw.coeffs.lambda2[-1] * y2**2
-        margin = float(inflow - outflow)
+        eta = cw.eta_eps[-1]
+        term = factors.phi1_sq[-1] / eta * y1**2 - factors.phi2_sq[-1] * eta * y2**2
+        margin = cw.alpha * float(term)
         detail["terminal_margins"][i] = margin
-        floor = -POSITIVITY_REL_TOL * float(abs(inflow) + abs(outflow)) if alone else 0.0
-        if not margin > floor or (prof.flux == 0.0 and not k > 0.0):
+        if not margin > 0.0 or (prof.flux == 0.0 and not k > 0.0):
             failed.append("terminal_margin")
 
     if i == topo.root_channel:
@@ -829,8 +771,24 @@ def _channel_checks(
         detail["z_start"][i] = z
         if not z < 0.0:
             failed.append("branch_inflow_negative")
-        parent = topo.parent_of(i)
-        if not alone and all(c in ws.channels for c in topo.junctions[parent]):
+    return failed
+
+
+def _fine_checks(ws: WeightSet, cw: ChannelWeights, detail: dict) -> list[str]:
+    """The checks that read more than the ends of channel ``cw``, as
+    ``_channel_checks`` records and returns its checks: the interior matrix
+    N(x) at every point of its weights and, once the last of its siblings is
+    built, the junction matrix that feeds it."""
+    failed: list[str] = []
+    N11, N12, N22 = interior_matrix(cw)
+    low, norm = _sym2x2_eig_bounds(N11, N12, N22)
+    detail["interior_min_eig"][cw.channel] = float(np.min(low))
+    if not np.all(low > POSITIVITY_REL_TOL * norm):
+        failed.append("interior_matrix")
+    topo = ws.topo
+    if cw.channel != topo.root_channel:
+        parent = topo.parent_of(cw.channel)
+        if all(c in ws.channels for c in topo.junctions[parent]):
             _, M_bar = junction_matrix(ws, parent)
             eigs = np.linalg.eigvalsh(M_bar)
             detail["junction_min_eig"][parent] = float(eigs[0])
@@ -840,92 +798,53 @@ def _channel_checks(
     return failed
 
 
-def _interior_check(cw: ChannelWeights, detail: dict) -> list[str]:
-    """The interior matrix N(x) of channel ``cw`` at every point of its
-    weights, as ``_channel_checks`` records and returns its checks."""
-    N11, N12, N22 = interior_matrix(cw)
-    low, norm = _sym2x2_eig_bounds(N11, N12, N22)
-    detail["interior_min_eig"][cw.channel] = float(np.min(low))
-    if not np.all(low > POSITIVITY_REL_TOL * norm):
-        return ["interior_matrix"]
-    return []
-
-
-def _retest(topo, profiles, gains, epsilon, fixed, solved, i) -> list[str]:
-    """Solve channel ``i`` alone at this epsilon and keep its solve in
-    ``solved``; return the checks it fails by itself (``_channel_checks``
-    with ``alone``) in CHECK_ORDER, or "weight_existence" where its
-    comparison solution does not exist. An attempt fails wherever this
-    returns a check."""
-    try:
-        (cw,) = _weighted_channels(topo, profiles, epsilon, fixed, solved, ends=True, alone=i)
-    except EpsilonTooLarge:
-        return ["weight_existence"]
-    ws = WeightSet(topo=topo, epsilon=epsilon, channels={i: cw})
-    failed = _channel_checks(ws, cw, gains, _empty_detail(), alone=True)
-    return [name for name in CHECK_ORDER if name in failed]
-
-
 def _attempt(
     topo: NetworkTopology,
     profiles: dict[int, SteadyProfile],
     gains: dict[int, float],
     epsilon: float,
     fixed: dict[int, _FineFactors],
-    stop_early: bool,
-    retest: int | None = None,
+    last: bool,
+    first: int | None,
 ):
-    """Build and check the weights at one epsilon, channel by channel.
+    """Build and check the weights at one epsilon in two passes: (weights,
+    failed checks in CHECK_ORDER, margins, the channel where it stopped).
 
-    Returns (weights, failed checks in CHECK_ORDER, margins, the channel
-    where a failed attempt stopped). With ``stop_early`` the attempt returns
-    after the first channel with a failed check and reports only the checks
-    run so far: no check depends on a channel built later, so the attempt
-    fails either way. It first re-tests channel ``retest``, where the last
-    attempt stopped: it solves that channel alone, at alpha = 1, and runs
-    the checks that read no other channel (``_retest``): its comparison
-    solution's existence, the sign of Z at its ends, the trunk inlet and its
-    terminal margin. A refusal there is exact: the channel's own alpha is
-    positive, so it keeps the sign of Z; the root's alpha is 1; and alone a
-    terminal margin fails only at or below -POSITIVITY_REL_TOL times the sum
-    of its terms, a band over 1000 times the few ulp by which alpha's
-    rounding moves them, so inside the band the full attempt decides. An
-    attempt refused there fails after one solve, with no weights and no
-    margins; one that passes keeps the solve for its passes, which make no
-    second one. It makes up to two passes. The first solves each channel
-    and runs every check but the interior matrix, which read only its ends,
-    on its weights at the inlet and the outlet alone; these are those of the
-    fine grid to the bit, so a failure there is a failure on the fine grid.
-    Only an attempt whose every channel passes them makes the second: it
-    evaluates the kept solves on the fine grid and runs every check there,
-    the interior matrix included, and its margins are the ones reported.
-    Without ``stop_early`` one pass on the fine grid runs every check and
-    nothing is re-tested. A missing comparison solution fails the attempt
-    as "weight_existence" with no weights and no margins.
+    The first pass solves channel ``first``, where the last attempt
+    stopped, then the rest in traversal order, and runs ``_channel_checks``
+    on each channel's weights at its ends at alpha = 1, the fine grid's ends
+    to the bit. Unless this is the ``last`` attempt, it fails at the first
+    channel that fails one, with no weights and no margins. The second pass
+    scales each channel by its alpha on the fine grid, in traversal order,
+    and runs every check; its margins are the ones reported. Unless this is
+    the ``last`` attempt it stops at the first channel with a failed check.
+    A missing comparison solution fails the attempt as "weight_existence"
+    with no weights and no margins.
     """
+    unit = WeightSet(topo=topo, epsilon=epsilon, channels={})
     solved: dict[int, _Comparison] = {}
-    if stop_early and retest is not None:
-        refused = _retest(topo, profiles, gains, epsilon, fixed, solved, retest)
-        if refused:
-            return None, refused, _empty_detail(), retest
-    try:
-        for ends in (True, False) if stop_early else (False,):
-            ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
-            detail = _empty_detail()
-            failed: set[str] = set()
-            for cw in _weighted_channels(topo, profiles, epsilon, fixed, solved, ends):
-                ws.channels[cw.channel] = cw
-                failed.update(_channel_checks(ws, cw, gains, detail))
-                if not ends:
-                    failed.update(_interior_check(cw, detail))
-                if failed and stop_early:
-                    break
-            if failed:
-                break
-    except EpsilonTooLarge:
-        # the channel whose solve failed is the first one not solved
-        stop = next(i for i in traversal_order(topo) if i not in solved)
-        return None, ["weight_existence"], _empty_detail(), stop
+    # channel first, then the rest in traversal order: the sort is stable
+    for i in sorted(traversal_order(topo), key=lambda j: j != first):
+        if i not in fixed:
+            fixed[i] = _FineFactors.of(profiles[i])
+        try:
+            solved[i] = _Comparison.of(profiles[i], epsilon, trunk_inlet=(i == topo.root_channel))
+        except EpsilonTooLarge:
+            return None, ["weight_existence"], _empty_detail(), i
+        unit.channels[i] = cw = _channel_weights(fixed[i].ends, solved[i].ends(), 1.0, epsilon)
+        failed = _channel_checks(unit, cw, fixed[i], gains, _empty_detail())
+        if failed and not last:
+            return None, [name for name in CHECK_ORDER if name in failed], _empty_detail(), i
+
+    ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
+    detail = _empty_detail()
+    failed = set()
+    for cw in _scaled(topo, epsilon, fixed, solved, unit.channels):
+        ws.channels[cw.channel] = cw
+        failed.update(_channel_checks(ws, cw, fixed[cw.channel], gains, detail))
+        failed.update(_fine_checks(ws, cw, detail))
+        if failed and not last:
+            break
     return ws, [name for name in CHECK_ORDER if name in failed], detail, cw.channel
 
 
@@ -945,15 +864,12 @@ def certify_network(
     positive definite interior matrix N(x) at every fine-grid point of every
     channel. Epsilon is halved (at most ``max_halvings`` times) whenever the
     comparison solution fails to exist or any check fails. Each attempt
-    solves the channels root first and stops at its first failing check,
-    deciding first at the channel ends and reaching the fine grid only when
-    every end check passes (``_attempt``). Before that it re-tests the
-    channel where the last attempt stopped, alone: a check that channel
-    fails by itself fails the attempt after one solve, and one the failed
-    channel passes hands its solve on. The last attempt runs every check on
-    the fine grid, so a refused certificate lists every failure at the
-    final epsilon. An ``epsilon_start`` that is not positive and finite
-    raises ValueError.
+    first solves the channels, the one where the last attempt stopped
+    first, and decides at their ends at alpha = 1; only one whose every
+    channel passes there reaches the fine grid (``_attempt``). The last
+    attempt runs every check on the fine grid, so a refused certificate
+    lists every failure at the final epsilon. An ``epsilon_start`` that is
+    not positive and finite raises ValueError.
     """
     validate_topology(topo)
     if not 0.0 < epsilon_start < math.inf:
@@ -965,10 +881,9 @@ def certify_network(
     epsilon = float(epsilon_start)
     stop = None
     for halvings in range(max_halvings + 1):
-        ws, failed, detail, stop = _attempt(
-            topo, profiles, gains, epsilon, fixed, halvings < max_halvings, stop
-        )
-        if not failed or halvings == max_halvings:
+        last = halvings == max_halvings
+        ws, failed, detail, stop = _attempt(topo, profiles, gains, epsilon, fixed, last, stop)
+        if not failed or last:
             break
         epsilon *= 0.5
 

@@ -21,11 +21,12 @@ from channet.characteristics import (
     phi_exponents,
     speeds_couplings,
 )
-from channet.errors import SupercriticalState, WeightError
+from channet.errors import DegenerateFlux, SupercriticalState, WeightError
 from channet.gains import is_admissible
 from channet.steady import (
     FINE_REFINEMENT,
     MARGIN_TOL,
+    SteadyProfile,
     _potential_drop,
     critical_depth,
     integrate_channel_steady,
@@ -33,7 +34,7 @@ from channet.steady import (
     solve_network_steady,
 )
 from channet.topology import ChannelSpec, NetworkTopology
-from channet.weights import ETA_ATOL, ETA_BLOWUP, ETA_RTOL, m_value
+from channet.weights import ETA_ATOL, ETA_BLOWUP, ETA_RTOL, PhiProfiles, m_value
 
 G = 9.81
 SUITE_SEED = 20240817
@@ -114,6 +115,31 @@ def eta_bar_closed(phi, x):
     m = m_value(H, prof.inlet_depth, prof.flux, prof.spec.friction_exponent, prof.gravity)
     lam1, lam2 = eigenvalues(H, prof.velocity_of(H), prof.gravity)
     return m * (lam2 / lam1) * phi.phi(x)
+
+
+def m_profile(profile: SteadyProfile, x):
+    """m(x) along the channel; raises DegenerateFlux for zero-flux channels."""
+    return m_value(
+        profile.depth(x),
+        profile.inlet_depth,
+        profile.flux,
+        profile.spec.friction_exponent,
+        profile.gravity,
+    )
+
+
+def riccati_existence_margin(phi: PhiProfiles, x):
+    """Positive margin certifying the unit-inlet comparison solution up to x.
+
+    margin(x) = lambda1(0) / (lambda1(0) - lambda2(0)) - I4(x); the comparison
+    solution eta_bar exists on [0, x] while the margin stays positive.
+    """
+    prof = phi.profile
+    if prof.flux == 0.0:
+        raise DegenerateFlux("existence margin is undefined for a zero-flux channel")
+    H0 = prof.inlet_depth
+    lam1_0, lam2_0 = eigenvalues(H0, prof.velocity_of(H0), prof.gravity)
+    return lam1_0 / (lam1_0 - lam2_0) - phi.existence_integral(x)
 
 
 def steady_depth_by_ode(profile, rtol=1e-13, atol=1e-15):

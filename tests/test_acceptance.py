@@ -24,7 +24,6 @@ from channet.weights import (
     m_value,
     network_weights,
     phi_profiles,
-    riccati_existence_margin,
 )
 
 from conftest import (
@@ -37,6 +36,7 @@ from conftest import (
     draw_tree,
     eta_bar_by_ode,
     eta_bar_closed,
+    riccati_existence_margin,
     small_star,
     steady_rhs,
 )

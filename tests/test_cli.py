@@ -444,6 +444,36 @@ def test_stray_channel_exit_two_before_any_solve(tmp_path, capsys, monkeypatch, 
     assert not outdir.exists()
 
 
+# sections and entries that must be JSON objects and are not: each crashed
+# the command with an AttributeError traceback
+WRONG_TYPES = {
+    "perturbation-entry": (("simulation", "perturbation", "2"), 0.5, "perturbation of channel 2"),
+    "gains": (("gains",), [0, 0, 0], "gains must be an object"),
+    "simulation": (("simulation",), [], "simulation must be an object"),
+    "lyapunov": (("lyapunov",), 5, "lyapunov must be an object"),
+    "channel-entry": (("network", "channels", 1), 5, "channel entry must be an object"),
+    "junctions": (("network", "junctions"), [[2, 3, 4]], "junctions must be an object"),
+    "split_fractions": (("network", "split_fractions"), [[0.2, 0.3, 0.5]],
+                        "split_fractions must be an object"),
+    "root": (("root",), [2.0, 1.0], "root must be an object"),
+    "network": (("network",), "star", "network must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_wrong_type_section_exit_two_before_any_solve(tmp_path, capsys, monkeypatch, case):
+    path, value, text = WRONG_TYPES[case]
+    cfg = star_config()
+    _set(cfg, path, value)
+    refuse_solve(monkeypatch)
+    code, outdir = run_cli(tmp_path, "certify", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and text in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 def near_critical_config():
     """One channel whose outlet margin g H - V^2 is 1.8e-6 g H, just above
     the steady solve's 1e-6 tolerance: its length is the blow-up bound less

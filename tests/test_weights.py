@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from channet.characteristics import (
     eigenvalues,
-    outlet_traces,
     phi_exponents,
     speeds_couplings,
 )
@@ -30,15 +29,12 @@ from channet.gains import is_admissible
 from channet.weights import (
     DEFAULT_EPSILON,
     MAX_HALVINGS,
-    POSITIVITY_REL_TOL,
     certify_network,
     eta_eps,
     interior_matrix,
     junction_matrix,
-    m_profile,
     network_weights,
     phi_profiles,
-    riccati_existence_margin,
     trunk_inlet_coefficient,
 )
 
@@ -55,6 +51,8 @@ from conftest import (
     eta_bar_closed,
     eta_eps_by_ode_in_x,
     existence_integral_by_ode,
+    m_profile,
+    riccati_existence_margin,
     small_star,
     theta_by_scipy_rk45,
 )
@@ -263,17 +261,6 @@ def test_weight_trace_continuous_across_junction(star_weights):
     trunk = ws.channels[1]
     for child in (2, 3, 4):
         assert ws.channels[child].W[0] == pytest.approx(trunk.W[-1], rel=1e-12)
-
-
-def test_root_alpha_scales_weights(star_weights):
-    topo, profiles, cert = star_weights
-    eps = cert.epsilon
-    base = network_weights(topo, profiles, eps)
-    doubled = network_weights(topo, profiles, eps, root_alpha=2.0)
-    for i in topo.channels:
-        a, b = base.channels[i], doubled.channels[i]
-        assert b.f1 == pytest.approx(2.0 * a.f1, rel=1e-13)
-        assert b.f2 == pytest.approx(2.0 * a.f2, rel=1e-13)
 
 
 def test_junction_matrix_symmetric_and_decoupled(star_weights):
@@ -717,21 +704,21 @@ def test_stopping_search_never_skips_a_passing_epsilon(star_profiles):
     assert set(refused.interior_min_eig) == set(topo.channels)
 
 
-def test_retest_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, monkeypatch):
-    # each attempt but the first re-tests the channel where the last one
-    # stopped, alone, and may refuse its epsilon after that one solve; a
-    # single full attempt at every epsilon so refused must fail too, and one
-    # at the reported epsilon must give the same certificate
+def test_end_pass_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, monkeypatch):
+    # an attempt but the last may refuse its epsilon in its first pass, at
+    # the channel ends and at alpha = 1, with no weights; a single full
+    # attempt at every epsilon so refused must fail too, and one at the
+    # reported epsilon must give the same certificate
     refused = []
-    retest = weights_module._retest
+    attempt = weights_module._attempt
 
     def recording(topo, profiles, gains, epsilon, *args):
-        failed = retest(topo, profiles, gains, epsilon, *args)
-        if failed:
+        outcome = attempt(topo, profiles, gains, epsilon, *args)
+        if outcome[0] is None:
             refused.append(epsilon)
-        return failed
+        return outcome
 
-    monkeypatch.setattr(weights_module, "_retest", recording)
+    monkeypatch.setattr(weights_module, "_attempt", recording)
     rng = np.random.default_rng(2718)
     checked = 0
     for net, profs in criterion_05_networks(star_profiles):
@@ -748,57 +735,47 @@ def test_retest_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, monk
     assert checked > 500
 
 
-def test_retest_leaves_a_terminal_margin_in_its_band_to_the_full_attempt(star_profiles,
-                                                                         monkeypatch):
-    # Alone, a channel's terminal margin is taken at alpha = 1, and its own
-    # alpha rounds each term by a few ulp. Bisect channel 2's gain until its
-    # margin alone at the 8th epsilon, the first that the zero gain passes,
-    # is no longer positive but inside the band. The re-test of channel 2
-    # there must leave the verdict to the full attempt, which solves the
-    # root too, and the search must agree with full attempts rung by rung.
+def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profiles):
+    # A terminal margin is alpha times an outlet term free of alpha, so the
+    # end pass decides it at alpha = 1 exactly as the fine pass does at the
+    # channel's own alpha. Bisect channel 2's gain to the sign change of its
+    # term at the 8th epsilon, the first that the zero gain passes. At both
+    # bracketing gains a full attempt there has the term's sign, and the
+    # search agrees with full attempts rung by rung.
     topo, profiles = star_profiles
     epsilon = DEFAULT_EPSILON * 0.5**8
-    (cw,) = weights_module._weighted_channels(topo, profiles, epsilon, {}, {}, ends=True, alone=2)
-    prof = cw.profile
+    prof = profiles[2]
+    factors = weights_module._FineFactors.of(prof)
+    comparison = weights_module._Comparison.of(prof, epsilon, trunk_inlet=False)
+    cw = weights_module._channel_weights(factors.ends, comparison.ends(), 1.0, epsilon)
+    unit = weights_module.WeightSet(topo=topo, epsilon=epsilon, channels={2: cw})
 
-    def alone_margin(gain):
-        y1, y2 = outlet_traces(gain, prof.outlet_depth, prof.gravity)
-        inflow = cw.f1[-1] * cw.coeffs.lambda1[-1] * y1**2
-        outflow = cw.f2[-1] * cw.coeffs.lambda2[-1] * y2**2
-        return float(inflow - outflow), float(abs(inflow) + abs(outflow))
+    def term(gain):
+        detail = weights_module._empty_detail()
+        weights_module._channel_checks(unit, cw, factors, {2: gain}, detail)
+        return detail["terminal_margins"][2]
 
     a, b = is_admissible(prof, 0.0).forbidden
     low, high = 0.0, 0.5 * (a + b)
-    assert alone_margin(low)[0] > 0.0 >= alone_margin(high)[0]
+    assert term(low) > 0.0 >= term(high)
     while (mid := 0.5 * (low + high)) not in (low, high):
-        if alone_margin(mid)[0] > 0.0:
+        if term(mid) > 0.0:
             low = mid
         else:
             high = mid
-    margin, size = alone_margin(high)
-    assert -POSITIVITY_REL_TOL * size < margin <= 0.0
-    gains = {**STAR_GAINS, 2: high}
-
-    solved = []
-    riccati = weights_module._riccati
-
-    def recording(profile, at):
-        solved.append((at, profile.channel))
-        return riccati(profile, at)
-
-    monkeypatch.setattr(weights_module, "_riccati", recording)
-    cert = certify_network(topo, profiles, gains)
-    monkeypatch.undo()
-    assert cert.halvings >= 8
-    # the re-test solved channel 2 alone, and the attempt went on to the root
-    assert [i for at, i in solved if at == epsilon][:2] == [2, 1]
-    for k in range(cert.halvings):
-        single = certify_network(
-            topo, profiles, gains, epsilon_start=DEFAULT_EPSILON * 0.5**k, max_halvings=0
-        )
-        assert not single.certified, k
-    last = certify_network(topo, profiles, gains, epsilon_start=cert.epsilon, max_halvings=0)
-    assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
+    for gain in (low, high):
+        gains = {**STAR_GAINS, 2: gain}
+        single = certify_network(topo, profiles, gains, epsilon_start=epsilon, max_halvings=0)
+        assert (single.terminal_margins[2] > 0.0) == (gain == low)
+        cert = certify_network(topo, profiles, gains)
+        assert cert.halvings >= 8
+        for k in range(cert.halvings):
+            single = certify_network(
+                topo, profiles, gains, epsilon_start=DEFAULT_EPSILON * 0.5**k, max_halvings=0
+            )
+            assert not single.certified, (gain, k)
+        last = certify_network(topo, profiles, gains, epsilon_start=cert.epsilon, max_halvings=0)
+        assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
 
 
 def test_star_certificate_solve_count(star_weights, monkeypatch):
@@ -831,10 +808,10 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
     # 13 attempts over 4 channels took 52 solves when every attempt built
     # every channel, and 33 when each stopped at its first failing channel.
     # 12 of them fail a terminal margin: channel 2 eight times, channel 3
-    # three times and channel 4 once. Each but the first re-tests the
-    # channel where the last one stopped, alone, and 9 fail there after one
-    # solve; only the 13th reaches the fine grid. Each solve's steps share
-    # one depth kernel at their end depth for the last two stages.
+    # three times and channel 4 once. Each but the first solves the channel
+    # where the last one stopped first, and 9 fail there after one solve;
+    # only the 13th reaches the fine grid. Each solve's steps share one
+    # depth kernel at their end depth for the last two stages.
     assert counted.halvings == 12
     assert len(solves) == 22
     assert len(grids) == 4
@@ -852,20 +829,20 @@ def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
 
     compared = 0
     for topo, profiles in criterion_05_networks(star_profiles):
-        fixed = {}
         for epsilon in (DEFAULT_EPSILON, DEFAULT_EPSILON * 0.5**12):
-            solved = {}
             try:
-                ends = list(weights_module._weighted_channels(
-                    topo, profiles, epsilon, fixed, solved, ends=True))
+                ws = network_weights(topo, profiles, epsilon)
             except EpsilonTooLarge:
                 continue
-            fine = list(weights_module._weighted_channels(topo, profiles, epsilon, fixed, solved))
-            for e, f in zip(ends, fine, strict=True):
-                assert (e.channel, e.alpha) == (f.channel, f.alpha)
-                for a, b in zip(arrays(e), arrays(f), strict=True):
+            for i, fine in ws.channels.items():
+                factors = weights_module._FineFactors.of(profiles[i])
+                comparison = weights_module._Comparison.of(
+                    profiles[i], epsilon, trunk_inlet=(i == topo.root_channel))
+                ends = weights_module._channel_weights(
+                    factors.ends, comparison.ends(), fine.alpha, epsilon)
+                for a, b in zip(arrays(ends), arrays(fine), strict=True):
                     assert a.size == 2
-                    assert a.tobytes() == b[[0, -1]].tobytes(), (e.channel, epsilon)
+                    assert a.tobytes() == b[[0, -1]].tobytes(), (i, epsilon)
                 compared += 1
     assert compared > 600
 
