@@ -15,26 +15,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import (
-    SimulationError,
-    SteadyStateError,
-    TopologyError,
-    WeightError,
-)
+from .errors import SimulationError, SteadyStateError, TopologyError, WeightError
 from .gains import is_admissible
 from .simulate import CFL_SAFETY, Bump, NetworkSimulator, check_run_options, mass_balance
 from .steady import solve_network_steady
-from .topology import (
-    NetworkTopology,
-    json_object,
-    network_from_dict,
-    network_to_dict,
-    validate_topology,
-)
-from .weights import DEFAULT_EPSILON, certify_network
+from .topology import (_NETWORK, _REQUIRED, NetworkTopology, _Each, _Table, _walk,
+                       network_to_dict, validate_topology)
+from .weights import DEFAULT_EPSILON, _check_epsilon_start, certify_network
 
 # the file simulate writes its summary to, beside the trace and the snapshot
 _SUMMARY = "simulate_summary.json"
@@ -59,75 +49,21 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Parse and check a configuration. A bad topology, a NaN or
-        infinite number, a count that is not whole, a gain for a channel
-        that is not terminal, a perturbation of a channel that is not in the
-        network, a run option the simulator refuses, a trace path that is
-        not a string or a snapshot path that is neither a string nor null,
-        or an output name that is not one plain file name in the output
-        directory (empty, ".", "..", absolute or with a directory part) or
-        that names another output of simulate, or a section or entry that
-        must be a JSON object and is not, raises TopologyError or ValueError
-        here, before any solve."""
-        data = json_object(data, "configuration")
-        topo = network_from_dict(data["network"])
+        """Parse and check a configuration through the schema tables below:
+        a value they refuse, a gain for a channel that is not terminal or a
+        perturbation of a channel not in the network raises ValueError naming
+        its path, and a topology error TopologyError, before any solve."""
+        topo, (flux, depth), gains, epsilon_start, sim = _walk(_CONFIG, data, "configuration")
         validate_topology(topo)
-        root = json_object(data["root"], "root")
-        gains = json_object(data.get("gains", {}), "gains")
-        gains = {int(j): _finite(k, f"gain {j}") for j, k in gains.items()}
-        stray = sorted(set(gains) - set(topo.terminal_channels))
+        stray = [j for j in sorted(gains) if j not in topo.channels or j in topo.junctions]
         if stray:
-            raise ValueError(f"gains for channel(s) {', '.join(map(str, stray))}, "
+            raise ValueError(f"gains: gains for channel(s) {', '.join(map(str, stray))}, "
                              "which are not terminal channels")
-        lyap = json_object(data.get("lyapunov", {}), "lyapunov")
-        epsilon_start = float(lyap.get("epsilon_start", DEFAULT_EPSILON))
-        if not 0.0 < epsilon_start < math.inf:
-            raise ValueError(f"epsilon_start must be positive and finite, not {epsilon_start!r}")
-        simc = json_object(data.get("simulation", {}), "simulation")
-        pert = {}
-        for j, entry in json_object(simc.get("perturbation", {}), "perturbation").items():
-            if int(j) not in topo.channels:
-                raise ValueError(f"perturbation of channel {j}, which is not in the network")
-            entry = json_object(entry, f"perturbation of channel {j}")
-            pert[int(j)] = Bump(
-                amplitude_h=float(entry.get("amplitude_h", 0.0)),
-                amplitude_v=float(entry.get("amplitude_v", 0.0)),
-                center=float(entry.get("center", 0.5)),
-                width=float(entry.get("width", 0.5)),
-            )
-        stride = simc.get("sample_stride")
-        check_run_options(sample_stride=stride)  # before int() could truncate it
-        trace_path = simc.get("trace_path", "trace.csv")
-        if not isinstance(trace_path, str):
-            raise ValueError(f"trace_path must be a string, not {trace_path!r}")
-        snapshot_path = simc.get("snapshot_path")
-        if not (snapshot_path is None or isinstance(snapshot_path, str)):
-            raise ValueError(f"snapshot_path must be a string or null, not {snapshot_path!r}")
-        taken = [_SUMMARY]
-        for name, path in (("trace_path", trace_path), ("snapshot_path", snapshot_path)):
-            if path is None:
-                continue
-            if path in ("", ".", "..") or os.path.basename(path) != path:
-                raise ValueError(f"{name} must be a file name in the output directory, "
-                                 f"not {path!r}")
-            if path in taken:
-                raise ValueError(f"{name} {path!r} would overwrite another output")
-            taken.append(path)
-        config = cls(
-            topology=topo,
-            root_flux=_finite(root["Q"], "Q"),
-            root_inlet_depth=_finite(root["H0"], "H0"),
-            gains=gains,
-            epsilon_start=epsilon_start,
-            mode=str(simc.get("mode", "linear")),
-            T=float(simc.get("T", 100.0)),
-            cfl=float(simc.get("cfl", CFL_SAFETY)),
-            perturbation=pert,
-            sample_stride=None if stride is None else int(stride),
-            trace_path=trace_path,
-            snapshot_path=snapshot_path,
-        )
-        check_run_options(mode=config.mode, cfl=config.cfl, T=config.T)
+        config = cls(topo, flux, depth, gains, epsilon_start, *sim)
+        for j in config.perturbation:
+            if j not in topo.channels:
+                raise ValueError(f"simulation.perturbation.{j}: perturbation of channel {j}, "
+                                 "which is not in the network")
         return config
 
     def to_dict(self) -> dict:
@@ -136,32 +72,51 @@ class RunConfig:
             "root": {"Q": self.root_flux, "H0": self.root_inlet_depth},
             "gains": {str(j): k for j, k in sorted(self.gains.items())},
             "lyapunov": {"epsilon_start": self.epsilon_start},
-            "simulation": {
-                "mode": self.mode,
-                "T": self.T,
-                "cfl": self.cfl,
-                "perturbation": {
-                    str(j): {
-                        "amplitude_h": b.amplitude_h,
-                        "amplitude_v": b.amplitude_v,
-                        "center": b.center,
-                        "width": b.width,
-                    }
-                    for j, b in sorted(self.perturbation.items())
-                },
-                "sample_stride": self.sample_stride,
-                "trace_path": self.trace_path,
-                "snapshot_path": self.snapshot_path,
+            "simulation": {key: getattr(self, key) for key in _SIMULATION.rows} | {
+                "perturbation": {str(j): asdict(b) for j, b in sorted(self.perturbation.items())},
             },
         }
 
 
-def _finite(value, name: str) -> float:
-    """value as a float; ValueError, naming it, if it is NaN or infinite."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, not {value!r}")
-    return x
+def _simulation(mode, T, cfl, perturbation, sample_stride, trace_path, snapshot_path):
+    """The simulation section in row order, once check_run_options accepts
+    its run options and each output is one file name in the output directory
+    (not empty, ".", "..", absolute or in a directory) that overwrites none."""
+    check_run_options(mode=mode, T=T, cfl=cfl, sample_stride=sample_stride)
+    taken = [_SUMMARY]
+    for name, path in (("trace_path", trace_path), ("snapshot_path", snapshot_path)):
+        if path is not None and (path in ("", ".", "..") or os.path.basename(path) != path):
+            raise ValueError(f"{name} must be a file name in the output directory, not {path!r}")
+        if path in taken:
+            raise ValueError(f"{name} {path!r} would overwrite another output")
+        taken.append(path)
+    return mode, T, cfl, perturbation, sample_stride, trace_path, snapshot_path
+
+
+# The configuration schema, one table per section, read by topology._walk.
+_SIMULATION = _Table({
+    "mode": (str, RunConfig.mode),
+    "T": (float, RunConfig.T),
+    "cfl": (float, RunConfig.cfl),
+    "perturbation": (_Each(_Table({
+        "amplitude_h": (float, Bump.amplitude_h),
+        "amplitude_v": (float, Bump.amplitude_v),
+        "center": (float, Bump.center),
+        "width": (float, Bump.width),
+    }, build=Bump, noun="bump "), "perturbation of channel", keyed=True), {}),
+    "sample_stride": (int, RunConfig.sample_stride),
+    "trace_path": (str, RunConfig.trace_path),
+    "snapshot_path": (str, RunConfig.snapshot_path),
+}, build=_simulation)
+
+_CONFIG = _Table({
+    "network": (_NETWORK, _REQUIRED),
+    "root": (_Table({"Q": (float, _REQUIRED), "H0": (float, _REQUIRED)}), _REQUIRED),
+    "gains": (_Each(float, "gain", keyed=True), {}),
+    "lyapunov": (_Table({"epsilon_start": (float, RunConfig.epsilon_start)},
+                        build=_check_epsilon_start), {}),
+    "simulation": (_SIMULATION, {}),
+})
 
 
 # 17-significant-digit scientific notation, exact for binary64
@@ -347,7 +302,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = RunConfig.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, TopologyError) as exc:
+    except (OSError, ValueError, TopologyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
 

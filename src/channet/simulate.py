@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import CflViolation, MissingGain, NonPositiveV
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure
 from .steady import FINE_REFINEMENT
-from .topology import _count, validate_topology
+from .topology import validate_topology
 # certify_network is not called here: perfbench's span test looks it up in
 # this module by name, so the import goes when that test does
 from .weights import WeightSet, certify_network  # noqa: F401
@@ -200,16 +201,26 @@ class _Nonlinear:
 _PHYSICS = {"linear": _Linear(), "nonlinear": _Nonlinear()}
 
 
+def _count(x):
+    """Whether x is a whole number of at least 1; a bool is not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return x >= 1 and (isinstance(x, numbers.Integral) or float(x).is_integer())
+
+
+# each run option's test and the text of its refusal
+_RUN_OPTIONS = {"mode": (lambda x: x in _PHYSICS, "'linear' or 'nonlinear'"),
+                "cfl": (lambda x: 0.0 < x <= 0.95, "in (0, 0.95]"),
+                "T": (lambda x: 0.0 < x < math.inf, "positive and finite"),
+                "sample_stride": (lambda x: x is None or _count(x), "a whole number, at least 1"),
+                "max_samples": (_count, "a whole number, at least 1")}
+
+
 def check_run_options(**options) -> None:
     """Raise ValueError for the first named run option (mode, cfl, T,
     sample_stride or max_samples) that the simulator does not accept."""
-    rules = {"mode": (lambda x: x in _PHYSICS, "'linear' or 'nonlinear'"),
-             "cfl": (lambda x: 0.0 < x <= 0.95, "in (0, 0.95]"),
-             "T": (lambda x: 0.0 < x < math.inf, "positive and finite"),
-             "sample_stride": (lambda x: x is None or _count(x), "a whole number, at least 1"),
-             "max_samples": (_count, "a whole number, at least 1")}
     for name, value in options.items():
-        accepts, text = rules[name]
+        accepts, text = _RUN_OPTIONS[name]
         if not accepts(value):
             raise ValueError(f"{name} must be {text}, not {value!r}")
 
@@ -675,16 +686,15 @@ class NetworkSimulator:
         state's stability bound raises CflViolation first."""
         admitted = self.phys.admit(self, state.y)
         if dt is not None:
-            self._check_step(dt, self._bound(admitted), state.time)
+            self._check_step(dt, self._bound(admitted))
         faces = self._solve_faces(state.y)
         return self._tendency(state.y, faces, admitted)
 
-    def _check_step(self, dt: float, bound: float, time: float):
-        """Refuse a step dt above the stability bound of the state at time,
-        and any step where the bound is NaN."""
+    def _check_step(self, dt: float, bound: float):
+        """Refuse a step dt above the stability bound, and any step where the
+        bound is NaN; run stamps the time on the error."""
         if not dt <= bound * (1.0 + 1e-12):
-            raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e} "
-                               f"at t = {time:.6e}")
+            raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e}")
 
     def step(self, state: SimState, dt: float):
         """One Heun (two-stage Runge-Kutta) step: (new state, flux integral).
@@ -758,7 +768,7 @@ class NetworkSimulator:
         up each stride and the final partial stride. The speeds are frozen,
         so one stability check covers every step.
         """
-        self._check_step(dt, self.cfl_dt(state), state.time)
+        self._check_step(dt, self.cfl_dt(state))
         M, r = self._heun(dt)
         gaps = _split(nsteps, stride)
         plans = {g: _split(g, _BLOCK) for g in gaps}

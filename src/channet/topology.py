@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     BadSplitSum,
@@ -21,13 +21,6 @@ from .errors import (
 )
 
 SPLIT_SUM_TOL = 1e-12
-
-
-def _count(x):
-    """Whether x is a whole number of at least 1; a bool is not."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    return x >= 1 and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
 @dataclass(frozen=True)
@@ -79,9 +72,7 @@ class NetworkTopology:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", dict(self.channels))
-        object.__setattr__(
-            self, "junctions", {i: tuple(out) for i, out in self.junctions.items()}
-        )
+        object.__setattr__(self, "junctions", {i: tuple(out) for i, out in self.junctions.items()})
         object.__setattr__(
             self, "split_fractions", {i: tuple(s) for i, s in self.split_fractions.items()}
         )
@@ -139,16 +130,10 @@ def validate_topology(topo: NetworkTopology) -> None:
     if topo.root_channel in parent:
         raise CycleDetected(topo.root_channel)
 
-    # Reachability from the root; unreachable channels with a parent sit on a
-    # cycle (their ancestry never terminates), parentless ones are orphans.
-    reached = {topo.root_channel}
-    frontier = [topo.root_channel]
-    while frontier:
-        i = frontier.pop()
-        for c in topo.junctions.get(i, ()):
-            reached.add(c)
-            frontier.append(c)
-    for i in sorted(ids - reached):
+    # Reachability from the root, which ends: no channel has two parents and
+    # the root has none. Unreachable channels with a parent sit on a cycle
+    # (their ancestry never terminates), parentless ones are orphans.
+    for i in sorted(ids.difference(traversal_order(topo))):
         if i in parent:
             raise CycleDetected(i)
         raise DisconnectedChannel(i)
@@ -170,67 +155,126 @@ def validate_topology(topo: NetworkTopology) -> None:
 def traversal_order(topo: NetworkTopology) -> list[int]:
     """Channel ids in root-first order: every channel after its parent."""
     order = [topo.root_channel]
-    queue = [topo.root_channel]
-    while queue:
-        i = queue.pop(0)
-        for c in topo.junctions.get(i, ()):
-            order.append(c)
-            queue.append(c)
+    for i in order:  # a breadth-first queue: each channel appends its children
+        order.extend(topo.junctions.get(i, ()))
     return order
 
 
-def json_object(value, name: str) -> dict:
-    """``value`` if it is a JSON object; ValueError, naming it, if not."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, not {value!r}")
-    return value
+# -- configuration schema -----------------------------------------------------
+# Each JSON object of a configuration is read through one table: key -> (kind,
+# default). A kind is float (a finite number), int (a whole number), str, a
+# nested _Table, or an _Each of a list or of an object keyed by channel ids.
+# The default is the JSON value a missing key stands for, or _REQUIRED; null
+# is read only where the default is null. A table's build is the guard of its
+# values, such as ChannelSpec; a noun names the entries in messages. _walk
+# refuses the first value it cannot read, naming its path:
+# "network.channels[1].frction: unknown key".
+
+_REQUIRED = object()
+
+
+class _Table:
+    """A JSON object, read to build(*its values in row order) or their tuple."""
+
+    def __init__(self, rows: dict, build=None, noun: str = ""):
+        self.rows, self.build, self.noun = rows, build, noun
+        self.flat = tuple((key, kind, default) for key, (kind, default) in rows.items())
+
+
+class _Each:
+    """A JSON list of kind or, keyed, an object of kind keyed by channel ids."""
+
+    def __init__(self, kind, noun: str, keyed: bool = False):
+        self.kind, self.noun, self.keyed = kind, noun, keyed
+
+
+class _Refusal(ValueError):
+    """A value refused at path, relative to the value being read."""
+
+    def __str__(self):
+        path, text = self.args
+        return f"{path.lstrip('.')}: {text}" if path else text
+
+
+def _walk(kind, x, name: str):
+    """x read through kind: a ValueError refuses x, a _Refusal a value below."""
+    keyed = type(kind) is _Table or type(kind) is _Each and kind.keyed
+    if not (keyed or type(kind) is _Each):  # a scalar that is not of its kind as it stands
+        if kind is str:
+            raise ValueError(f"{name} must be a string, not {x!r}")
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be a number, not {x!r}")
+        if not (math.isfinite(x) and (kind is float or float(x).is_integer())):
+            text = "finite" if kind is float else "a whole number"
+            raise ValueError(f"{name} must be {text}, not {x!r}")
+        return kind(x)
+    if not isinstance(x, dict if keyed else (list, tuple)):
+        raise ValueError(f"{name} must be {'an object' if keyed else 'a list'}, not {x!r}")
+    key = ""  # the entry being read; "" while x itself is
+    try:
+        if type(kind) is _Each:
+            sub, out = kind.kind, []
+            for key, v in x.items() if keyed else enumerate(x):
+                if not (type(v) is sub and (sub is not float or v - v == 0.0)):
+                    v = _walk(sub, v, f"{kind.noun} {key}" if keyed else kind.noun)
+                out.append((int(key), v) if keyed else v)
+            return dict(out) if keyed else tuple(out)
+        parsed, missing = [], 0
+        for key, sub, default in kind.flat:
+            v = x.get(key, _REQUIRED)
+            if v is _REQUIRED:
+                if default is _REQUIRED:
+                    raise ValueError("missing")
+                v, missing = default, missing + 1
+            # a number of its kind that is finite (v - v is 0.0) is read as it is
+            if not (type(v) is sub and (sub is not float or v - v == 0.0) or v is None is default):
+                v = _walk(sub, v, kind.noun + key)
+            parsed.append(v)
+        if len(x) + missing > len(kind.flat):  # x has a key that is no row
+            key = min(map(str, x.keys() - kind.rows.keys()))
+            raise ValueError("unknown key")
+        key = ""
+        return tuple(parsed) if kind.build is None else kind.build(*parsed)
+    except (ValueError, OverflowError) as exc:
+        at, text = exc.args if type(exc) is _Refusal else ("", str(exc))
+        step = "" if key == "" else f".{key}" if keyed else f"[{key}]"
+        raise _Refusal(step + at, text) from None
+
+
+def _network(channels, root_channel, junctions, split_fractions):
+    specs = {spec.id: spec for spec in channels}
+    if len(specs) < len(channels):
+        raise ValueError("two channel entries share an id")
+    return NetworkTopology(specs, root_channel, junctions, split_fractions)
+
+
+_CHANNEL = _Table({
+    "id": (int, _REQUIRED),
+    "length": (float, _REQUIRED),
+    "friction": (float, ChannelSpec.friction),
+    "friction_exponent": (float, ChannelSpec.friction_exponent),
+    "gravity": (float, ChannelSpec.gravity),
+    "cells": (int, ChannelSpec.cells),
+}, build=ChannelSpec)
+
+_NETWORK = _Table({
+    "channels": (_Each(_CHANNEL, "channel entry"), _REQUIRED),
+    "root_channel": (int, _REQUIRED),
+    "junctions": (_Each(_Each(int, "channel id"), "junction of channel", keyed=True), {}),
+    "split_fractions": (_Each(_Each(float, "split fraction"), "split fractions of channel",
+                              keyed=True), {}),
+}, build=_network)
 
 
 def network_from_dict(data: dict) -> NetworkTopology:
-    """Build a topology from parsed JSON (channel ids may arrive as strings).
-    A network, channel entry, junctions or split_fractions that is not an
-    object raises ValueError."""
-    data = json_object(data, "network")
-    channels = {}
-    for entry in data["channels"]:
-        entry = json_object(entry, "channel entry")
-        cells = entry.get("cells", 100)
-        if not _count(cells):  # before int() could truncate it
-            raise ValueError(f"channel {entry.get('id')}: cells must be a whole number, not {cells!r}")
-        spec = ChannelSpec(
-            id=int(entry["id"]),
-            length=float(entry["length"]),
-            friction=float(entry.get("friction", 0.0)),
-            friction_exponent=float(entry.get("friction_exponent", 1.0)),
-            gravity=float(entry.get("gravity", 9.81)),
-            cells=int(cells),
-        )
-        channels[spec.id] = spec
-    junctions = json_object(data.get("junctions", {}), "junctions")
-    splits = json_object(data.get("split_fractions", {}), "split_fractions")
-    junctions = {int(i): tuple(int(c) for c in out) for i, out in junctions.items()}
-    splits = {int(i): tuple(float(s) for s in fr) for i, fr in splits.items()}
-    return NetworkTopology(
-        channels=channels,
-        root_channel=int(data["root_channel"]),
-        junctions=junctions,
-        split_fractions=splits,
-    )
+    """Build a topology from parsed JSON through the schema (channel ids may
+    arrive as strings); a value it refuses raises ValueError naming its path."""
+    return _walk(_NETWORK, data, "network")
 
 
 def network_to_dict(topo: NetworkTopology) -> dict:
     return {
-        "channels": [
-            {
-                "id": s.id,
-                "length": s.length,
-                "friction": s.friction,
-                "friction_exponent": s.friction_exponent,
-                "gravity": s.gravity,
-                "cells": s.cells,
-            }
-            for _, s in sorted(topo.channels.items())
-        ],
+        "channels": [asdict(s) for _, s in sorted(topo.channels.items())],
         "root_channel": topo.root_channel,
         "junctions": {str(i): list(out) for i, out in sorted(topo.junctions.items())},
         "split_fractions": {str(i): list(fr) for i, fr in sorted(topo.split_fractions.items())},

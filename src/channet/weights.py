@@ -848,6 +848,13 @@ def _attempt(
     return ws, [name for name in CHECK_ORDER if name in failed], detail, cw.channel
 
 
+def _check_epsilon_start(epsilon_start: float) -> float:
+    """epsilon_start; ValueError if it is not positive and finite."""
+    if not 0.0 < epsilon_start < math.inf:
+        raise ValueError(f"epsilon_start must be positive and finite, not {epsilon_start!r}")
+    return epsilon_start
+
+
 def certify_network(
     topo: NetworkTopology,
     profiles: dict[int, SteadyProfile],
@@ -872,8 +879,7 @@ def certify_network(
     not positive and finite raises ValueError.
     """
     validate_topology(topo)
-    if not 0.0 < epsilon_start < math.inf:
-        raise ValueError(f"epsilon_start must be positive and finite, not {epsilon_start!r}")
+    _check_epsilon_start(epsilon_start)
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)

@@ -16,17 +16,19 @@ import pytest
 
 import channet
 from channet.characteristics import CharCoeffs
-from channet.cli import RunConfig, main
+from channet.cli import _CONFIG, RunConfig, main
 from channet.errors import BadSplitSum, CycleDetected, DisconnectedChannel, MultipleParents
 from channet.gains import is_admissible
 from channet.steady import integrate_channel_steady, solve_network_steady
-from channet.topology import ChannelSpec, NetworkTopology, network_to_dict
+from channet.topology import (_REQUIRED, ChannelSpec, NetworkTopology, _Each, _Table,
+                              network_to_dict)
 
 from conftest import (
     FACE_FAILURES,
     G,
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
+    draw_tree,
     dry_junction,
     dry_outlet_cell,
     nudge_face_cell,
@@ -91,6 +93,34 @@ def test_config_round_trip():
     assert cfg.gains == {2: 0.0, 3: 0.0, 4: 0.0}
     assert cfg.sample_stride == 4
     assert cfg.perturbation[2].amplitude_h == 1e-3
+
+
+def readme_config(mode="linear"):
+    """The README star's configuration: 100 cells, zero gains, T = 200."""
+    cfg = star_config(network=network_to_dict(small_star(cells=100)),
+                      simulation={"mode": mode, "T": 200.0})
+    del cfg["simulation"]["sample_stride"]
+    return cfg
+
+
+def tree_config():
+    """The tests' two-level tree, with a gain per terminal, a bump and every
+    simulation option given."""
+    topo, H0, flux = draw_tree(np.random.default_rng(5))
+    cfg = star_config(network=network_to_dict(topo), root={"Q": flux, "H0": H0},
+                      simulation={"mode": "nonlinear", "snapshot_path": None})
+    cfg["gains"] = {str(j): 0.25 * j for j in topo.terminal_channels}
+    cfg["simulation"]["perturbation"] = {"3": {"amplitude_v": -2e-3, "center": 0.25,
+                                               "width": 0.4}}
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["readme-linear", "readme-nonlinear", "tree"])
+def test_config_round_trips_to_an_equal_config(name):
+    data = tree_config() if name == "tree" else readme_config(name.split("-")[1])
+    config = RunConfig.from_dict(data)
+    assert RunConfig.from_dict(config.to_dict()) == config
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 def test_config_defaults():
@@ -474,6 +504,104 @@ def test_wrong_type_section_exit_two_before_any_solve(tmp_path, capsys, monkeypa
     assert not outdir.exists()
 
 
+def _path_text(path):
+    """A path as the configuration's refusals print it: network.channels[1].id."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+# values of each JSON kind, one of which is wrong for every key
+SCHEMA_VALUES = {"string": "1.0", "true": True, "null": None, "list": [], "object": {},
+                 "nan": math.nan}
+
+
+def _refused(kind, default, value):
+    """Whether a key of this kind and default refuses value for its kind:
+    null is read only where the default is null."""
+    if value is None:
+        return default is not None
+    if kind is str:
+        return not isinstance(value, str)
+    if isinstance(kind, _Table):
+        return not isinstance(value, dict)
+    if isinstance(kind, _Each):
+        return not isinstance(value, dict if kind.keyed else list)
+    return True  # a number: no string, bool, list, object or NaN is one
+
+
+def _schema_cases(kind, value, path=()):
+    """(name, path, value) of each wrong value of every key that the schema
+    tables read from the configuration value, and of a misspelled key in
+    each table."""
+    where = "/".join(map(str, path))
+    if isinstance(kind, _Table):
+        for key, (sub, default) in kind.rows.items():
+            for name, bad in SCHEMA_VALUES.items():
+                if _refused(sub, default, bad):
+                    yield f"{where}/{key}-{name}".lstrip("/"), (*path, key), bad
+            if key in value:
+                yield from _schema_cases(sub, value[key], (*path, key))
+        misspelled = next(iter(kind.rows)).swapcase()
+        yield f"{where}/{misspelled}-misspelled".lstrip("/"), (*path, misspelled), 0.5
+    elif isinstance(kind, _Each):
+        entry = next(iter(value)) if kind.keyed else 0
+        for name, bad in SCHEMA_VALUES.items():
+            if _refused(kind.kind, _REQUIRED, bad):
+                yield f"{where}/{entry}-{name}", (*path, entry), bad
+        yield from _schema_cases(kind.kind, value[entry], (*path, entry))
+
+
+def _rename(cfg, path, new):
+    *keys, last = path
+    for key in keys:
+        cfg = cfg[key]
+    cfg[new] = cfg.pop(last)
+
+
+# the README star with values that float(), int() or dict.get would take
+# or pass over: numbers as strings or booleans, misspelled keys, ids that
+# are not whole, and a junction that is a number, not a list
+SCHEMA_PROBES = {
+    "Q-string": (("root", "Q"), "1.0"),
+    "Q-true": (("root", "Q"), True),
+    "gain-string": (("gains", "2"), "0.5"),
+    "length-string": (("network", "channels", 0, "length"), "80"),
+    "T-true": (("simulation", "T"), True),
+    "simulation-tyop": (("simulation", "tyop"), 1),
+    "lyapnov": (("lyapnov",), {"epsilon_start": 1e-3}),
+    "amplitde_h": (("simulation", "perturbation", "2", "amplitde_h"), 1e-3),
+    "junctions-5": (("network", "junctions", "1"), 5),
+    "id-2.5": (("network", "channels", 1, "id"), 2.5),
+    "id-true": (("network", "channels", 1, "id"), True),
+    "root_channel-1.9": (("network", "root_channel"), 1.9),
+    "frction": (("network", "channels", 1, "frction"), None),
+    "split-string": (("network", "split_fractions", "1", 1), "0.3"),
+}
+SCHEMA_CASES = {name: (path, value)
+                for name, path, value in _schema_cases(_CONFIG, readme_config())}
+SCHEMA_CASES.update(SCHEMA_PROBES)
+
+
+@pytest.mark.parametrize("case", list(SCHEMA_CASES))
+def test_schema_refuses_wrong_kinds_and_unknown_keys_before_any_solve(tmp_path, capsys,
+                                                                       monkeypatch, case):
+    # every key of every table with each JSON kind that is wrong for it, a
+    # misspelled key in each table, and the probes above; simulate reads
+    # the whole configuration, the bump included
+    path, value = SCHEMA_CASES[case]
+    cfg = readme_config()
+    if case == "frction":  # channel 2's friction key, misspelled
+        _rename(cfg, ("network", "channels", 1, "friction"), "frction")
+    else:
+        _set(cfg, path, value)
+    refuse_solve(monkeypatch)
+    code, outdir = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration: {_path_text(path)}: ")
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 def near_critical_config():
     """One channel whose outlet margin g H - V^2 is 1.8e-6 g H, just above
     the steady solve's 1e-6 tolerance: its length is the blow-up bound less
@@ -555,8 +683,7 @@ def readme_star(mode, factor):
     """The README star (100 cells, T = 200) with every terminal gain at
     factor * sqrt(g / H_L)."""
     topo = small_star(cells=100)
-    cfg = star_config(network=network_to_dict(topo), simulation={"mode": mode, "T": 200.0})
-    del cfg["simulation"]["sample_stride"]
+    cfg = readme_config(mode)
     profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
     cfg["gains"] = {
         str(j): factor * math.sqrt(profiles[j].gravity / profiles[j].outlet_depth)
@@ -639,6 +766,20 @@ def test_simulate_no_weights_exit_five(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "simulate", cfg)
     assert code == 5
     assert "no Lyapunov weight set" in capsys.readouterr().err
+
+
+def test_refused_step_exit_five_names_its_time_once(tmp_path, capsys):
+    # the README star in nonlinear mode with a 0.3 m bump on channel 2 grows
+    # its wave speeds past the bound its fixed step was set from; the CLI
+    # stamps the time of the refused step, and the refusal does not repeat it
+    cfg = readme_config("nonlinear")
+    cfg["simulation"]["T"] = 10.0
+    cfg["simulation"]["perturbation"]["2"]["amplitude_h"] = 0.3
+    code, _ = run_cli(tmp_path, "simulate", cfg)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "exceeds the stability bound" in err
+    assert len(re.findall(r"\bt = ", err)) == 1
 
 
 def test_simulate_crash_exit_five(tmp_path, capsys):

@@ -236,7 +236,7 @@ def test_nonlinear_step_refuses_a_nan_cell(star_sim_parts, cell):
 def test_step_check_refuses_a_nan_bound(star_sim_parts):
     sim = make_sim(star_sim_parts)
     with pytest.raises(CflViolation):
-        sim._check_step(1e-3, math.nan, 0.0)
+        sim._check_step(1e-3, math.nan)
 
 
 def test_dry_face_raises_subcritical_loss(star_sim_parts):

@@ -186,3 +186,11 @@ def test_non_whole_cells_rejected_before_truncation(cells):
     data["channels"][1]["cells"] = cells
     with pytest.raises(ValueError, match="cells"):
         network_from_dict(data)
+
+
+def test_two_channel_entries_with_one_id_rejected():
+    # read into a dict by id, the second entry would replace the first
+    data = network_to_dict(small_star(cells=24))
+    data["channels"][1]["id"] = 3
+    with pytest.raises(ValueError, match="two channel entries share an id"):
+        network_from_dict(data)
