@@ -14,7 +14,6 @@ from .characteristics import (
 )
 from .errors import (
     BadSplitSum,
-    BoundarySolveFailure,
     CflViolation,
     ChannetError,
     CycleDetected,
@@ -30,7 +29,6 @@ from .errors import (
     SteadyStateError,
     SubcriticalLoss,
     SupercriticalStart,
-    SupercriticalState,
     TerminalSolveFailure,
     TopologyError,
     WeightError,
@@ -45,7 +43,6 @@ from .simulate import (
     Bump,
     LyapunovTrace,
     NetworkSimulator,
-    SimState,
     decay_fit,
     mass_balance,
 )
@@ -79,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadSplitSum",
-    "BoundarySolveFailure",
     "Bump",
     "CflViolation",
     "ChannelSpec",
@@ -99,14 +95,12 @@ __all__ = [
     "NetworkSimulator",
     "NetworkTopology",
     "NonPositiveV",
-    "SimState",
     "SimulationError",
     "SteadyProfile",
     "SteadyStateBlowup",
     "SteadyStateError",
     "SubcriticalLoss",
     "SupercriticalStart",
-    "SupercriticalState",
     "TerminalSolveFailure",
     "TopologyError",
     "WeightError",

@@ -238,7 +238,7 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
                zip(*(c.tolist() for c in columns)))
 
     if config.snapshot_path is not None:
-        fields = sim.fields(sim.final_state.y)
+        fields = sim.fields(sim.final_state)
 
         def cells(i):
             prof = profiles[i]
@@ -297,11 +297,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _object(pairs):
+    """The pairs of a JSON object as a dict; ValueError names a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = RunConfig.from_dict(json.load(fh))
+            config = RunConfig.from_dict(json.load(fh, object_pairs_hook=_object))
     except (OSError, ValueError, TopologyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

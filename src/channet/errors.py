@@ -45,10 +45,6 @@ class NegativeFlux(SteadyStateError):
     pass
 
 
-class SupercriticalState(SteadyStateError):
-    """Depth at or below the critical depth: the subcritical ODE is not defined."""
-
-
 class SupercriticalStart(SteadyStateError):
     """Inlet state already at or below the subcritical margin."""
 
@@ -111,11 +107,7 @@ class SubcriticalLoss(SimulationError):
         super().__init__(f"channel {channel}, {where}: flow left the subcritical regime")
 
 
-class BoundarySolveFailure(SimulationError):
-    pass
-
-
-class TerminalSolveFailure(BoundarySolveFailure):
+class TerminalSolveFailure(SimulationError):
     pass
 
 

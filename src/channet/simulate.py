@@ -91,17 +91,6 @@ class Bump:
             raise ValueError(f"bump width must be positive and finite, not {self.width!r}")
 
 
-@dataclass
-class SimState:
-    """Flat deviation vector y (h of every channel, then v) at a time. The
-    faces are solved from y alone; NetworkSimulator.fields and face_states
-    give per-channel views.
-    """
-
-    time: float
-    y: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class LyapunovTrace:
     """Sampled Lyapunov and norm history of one run; cfl_bound is the
@@ -150,11 +139,11 @@ class _Linear:
         sim.A, sim.F, sim._influx = sim._linear_operator()
         sim._O, sim._W = sim._observation()
 
-    def march(self, sim, state, dt, nsteps, stride):
-        return sim._propagate(state, dt, nsteps, stride)
+    def march(self, sim, y, dt, nsteps, stride):
+        return sim._propagate(y, dt, nsteps, stride)
 
-    def sample(self, sim, state):
-        return sim._observe(state.y)
+    def sample(self, sim, y):
+        return sim._observe(y)
 
 
 class _Nonlinear:
@@ -189,13 +178,13 @@ class _Nonlinear:
         """A nonlinear run steps the shared physics: it has no operators."""
         sim.A = sim.F = None
 
-    def march(self, sim, state, dt, nsteps, stride):
+    def march(self, sim, y, dt, nsteps, stride):
         for n in range(1, nsteps + 1):
-            state, dflux = sim.step(state, dt)
-            yield n, state, dflux
+            y, dflux = sim.step(y, dt)
+            yield n, y, dflux
 
-    def sample(self, sim, state):
-        return sim._sample(state)
+    def sample(self, sim, y):
+        return sim._sample(y)
 
 
 _PHYSICS = {"linear": _Linear(), "nonlinear": _Nonlinear()}
@@ -212,13 +201,12 @@ def _count(x):
 _RUN_OPTIONS = {"mode": (lambda x: x in _PHYSICS, "'linear' or 'nonlinear'"),
                 "cfl": (lambda x: 0.0 < x <= 0.95, "in (0, 0.95]"),
                 "T": (lambda x: 0.0 < x < math.inf, "positive and finite"),
-                "sample_stride": (lambda x: x is None or _count(x), "a whole number, at least 1"),
-                "max_samples": (_count, "a whole number, at least 1")}
+                "sample_stride": (lambda x: x is None or _count(x), "a whole number, at least 1")}
 
 
 def check_run_options(**options) -> None:
-    """Raise ValueError for the first named run option (mode, cfl, T,
-    sample_stride or max_samples) that the simulator does not accept."""
+    """Raise ValueError for the first named run option (mode, cfl, T or
+    sample_stride) that the simulator does not accept."""
     for name, value in options.items():
         accepts, text = _RUN_OPTIONS[name]
         if not accepts(value):
@@ -368,8 +356,8 @@ class NetworkSimulator:
     Lyapunov weights are those it was built on. Every public method
     runs the same code in both modes. Only a linear run reads A, the sparse
     operator of y' = A y, and F, the sparse face map (faces = F y); both are
-    None in nonlinear mode. final_state is the state the last run ended in,
-    None before one.
+    None in nonlinear mode. A state is the flat deviation vector y (the h of
+    every channel, then the v); final_state is the last run's, None before one.
     """
 
     def __init__(self, weights: WeightSet, gains: dict[int, float],
@@ -388,7 +376,7 @@ class NetworkSimulator:
         self.phys = _PHYSICS[mode]
         self.weights = weights
         self.root_flux = self.profiles[topo.root_channel].flux
-        self.final_state: SimState | None = None  # set by run
+        self.final_state: np.ndarray | None = None  # set by run
         self._layout()
         self._face_relations()
         self._instrumentation()
@@ -557,7 +545,7 @@ class NetworkSimulator:
         A = _csr((2 * N, 2 * N), [Ky, (N + k, k, Sh), (N + k, N + k, Sv)]) + T @ F
         return A, F, F.T @ np.array(influx)
 
-    def initial_state(self, perturbation: dict[int, Bump] | None = None) -> SimState:
+    def initial_state(self, perturbation: dict[int, Bump] | None = None) -> np.ndarray:
         """The steady state plus each channel's bump; ValueError if a key of
         perturbation names no channel."""
         stray = sorted(set(perturbation or ()) - set(self.ids))
@@ -578,7 +566,7 @@ class NetworkSimulator:
                 h += bump.amplitude_h * shape
                 v += bump.amplitude_v * shape
         self.phys.admit(self, y)
-        return SimState(0.0, y)
+        return y
 
     def _observation(self):
         """(O, W) of the linear samples: O stacks [C; L C; L^2 C; C_b F; I]
@@ -603,11 +591,10 @@ class NetworkSimulator:
         W = _csr((3 + self.m, 8 * N + m4), [VB, (sq, 6 * N + m4 + y, np.tile(self._w, 2))])
         return O, W
 
-    def cfl_dt(self, state: SimState) -> float:
+    def cfl_dt(self, y: np.ndarray) -> float:
         """Largest stable step, CFL safety times min over cells of dx / speed,
-        with the speeds of the state's admission; in linear mode the steady
-        ones."""
-        return self._bound(self.phys.admit(self, state.y))
+        with the speeds of y's admission; in linear mode the steady ones."""
+        return self._bound(self.phys.admit(self, y))
 
     def _bound(self, admitted):
         _, V, gH, _ = admitted
@@ -659,10 +646,10 @@ class NetworkSimulator:
             B2.append(V * v + q * (0.5 * v * v) + g * h)
         return B1, B2, sum(B1[:m]) - sum(B1[m:])
 
-    def face_states(self, state: SimState, flat: bool = False):
+    def face_states(self, y: np.ndarray, flat: bool = False):
         """Every boundary and junction face: channel id -> (h0, v0, hL, vL), or
-        the (2, 2m) array if flat, solved from the state's y alone."""
-        f = self._solve_faces(state.y)[0]
+        the (2, 2m) array if flat, solved from the flat state y alone."""
+        f = self._solve_faces(y)[0]
         return np.array(f) if flat else self._face_dict(f)
 
     # -- semi-discrete right-hand side ---------------------------------------
@@ -680,15 +667,14 @@ class NetworkSimulator:
         dy[N:] += self.phys.source(self, h, v, admitted)
         return dy, face, influx
 
-    def rhs(self, state: SimState, dt: float | None = None):
+    def rhs(self, y: np.ndarray, dt: float | None = None):
         """Flat tendencies, solved faces, and the net boundary mass influx of
-        the state, which one pass admits. Given dt, a step dt above the
-        state's stability bound raises CflViolation first."""
-        admitted = self.phys.admit(self, state.y)
+        the flat state y, which one pass admits. Given dt, a step dt above
+        y's stability bound raises CflViolation first."""
+        admitted = self.phys.admit(self, y)
         if dt is not None:
             self._check_step(dt, self._bound(admitted))
-        faces = self._solve_faces(state.y)
-        return self._tendency(state.y, faces, admitted)
+        return self._tendency(y, self._solve_faces(y), admitted)
 
     def _check_step(self, dt: float, bound: float):
         """Refuse a step dt above the stability bound, and any step where the
@@ -696,17 +682,16 @@ class NetworkSimulator:
         if not dt <= bound * (1.0 + 1e-12):
             raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e}")
 
-    def step(self, state: SimState, dt: float):
-        """One Heun (two-stage Runge-Kutta) step: (new state, flux integral).
+    def step(self, y: np.ndarray, dt: float):
+        """One Heun (two-stage Runge-Kutta) step of y: (new y, flux integral).
 
         Each stage admits its state once; the first stage's admission also
         bounds dt. The flux integral applies the scheme's own quadrature to
         the net boundary mass influx, so stored mass and ledger agree to
         round-off."""
-        k1, _, influx1 = self.rhs(state, dt)
-        k2, _, influx2 = self.rhs(SimState(state.time + dt, state.y + dt * k1))
-        new = SimState(state.time + dt, state.y + 0.5 * dt * (k1 + k2))
-        return new, 0.5 * dt * (influx1 + influx2)
+        k1, _, influx1 = self.rhs(y, dt)
+        k2, _, influx2 = self.rhs(y + dt * k1)
+        return y + 0.5 * dt * (k1 + k2), 0.5 * dt * (influx1 + influx2)
 
     # -- instrumentation -----------------------------------------------------
 
@@ -718,33 +703,33 @@ class NetworkSimulator:
     def _weighted(self, z):
         return float(self._wf @ (z * z))
 
-    def lyapunov_value_state(self, state: SimState) -> float:
-        """Weighted characteristic norm of the current deviation fields."""
-        return self._weighted(self._char_fields(state.y))
+    def lyapunov_value_state(self, y: np.ndarray) -> float:
+        """Weighted characteristic norm of the deviation fields y."""
+        return self._weighted(self._char_fields(y))
 
-    def lyapunov_extended(self, state: SimState) -> tuple[float, float]:
+    def lyapunov_extended(self, y: np.ndarray) -> tuple[float, float]:
         """(V, V_ext): the weighted norm and its two-derivative extension, with
         the time derivatives of the characteristic fields taken from the
         linearized system dt y1 = -lam1 dx y1 - gamma1 y1 - delta1 y2,
         dt y2 = lam2 dx y2 - gamma2 y1 - delta2 y2 (the operator L), twice."""
-        z = self._char_fields(state.y)
+        z = self._char_fields(y)
         V = self._weighted(z)
         u = self._LL @ z
         return V, V + self._weighted(u[: z.size]) + self._weighted(u[z.size :])
 
-    def boundary_form(self, state: SimState) -> float:
+    def boundary_form(self, y: np.ndarray) -> float:
         """B(t), the sum over channels of [f1 lam1 y1^2 - f2 lam2 y2^2]_0^L."""
-        f = self.face_states(state, flat=True)
+        f = self.face_states(y, flat=True)
         s = _shift(f[0], self._Hb, self._gb, self.phys.quadratic, self._where_face)
         y1, y2 = f[1] + s, f[1] - s
         return float(self._sign @ (self._f1lam1 * y1**2 - self._f2lam2 * y2**2))
 
-    def _sample(self, state: SimState):
-        """V, V_ext, B, stored mass and per-channel L2 norms of one state."""
-        h, v = state.y[: self.N], state.y[self.N :]
+    def _sample(self, y):
+        """V, V_ext, B, stored mass and per-channel L2 norms of the flat state y."""
+        h, v = y[: self.N], y[self.N :]
         norms = np.sqrt(np.add.reduceat(self._w * (h * h + v * v), self._starts))
-        V, V_ext = self.lyapunov_extended(state)
-        return (V, V_ext, self.boundary_form(state), float(self.dx @ h), *norms)
+        V, V_ext = self.lyapunov_extended(y)
+        return (V, V_ext, self.boundary_form(y), float(self.dx @ h), *norms)
 
     def _observe(self, y):
         """_sample of the flat state y on the linear operator path, through
@@ -757,9 +742,9 @@ class NetworkSimulator:
 
     # -- marching ------------------------------------------------------------
 
-    def _propagate(self, state: SimState, dt: float, nsteps: int, stride: int):
-        """The sampled states of a linear run: (step count, state, flux
-        integral since the last sample).
+    def _propagate(self, y, dt: float, nsteps: int, stride: int):
+        """The sampled states of a linear run from the flat state y: (step
+        count, y, flux integral since the last sample).
 
         A Heun step of y' = A y is the fixed matrix M = I + dt A + dt^2 A^2 / 2,
         and its ledger increment the fixed row r = dt q + dt^2 A^T q / 2, q the
@@ -768,7 +753,7 @@ class NetworkSimulator:
         up each stride and the final partial stride. The speeds are frozen,
         so one stability check covers every step.
         """
-        self._check_step(dt, self.cfl_dt(state))
+        self._check_step(dt, self.cfl_dt(y))
         M, r = self._heun(dt)
         gaps = _split(nsteps, stride)
         plans = {g: _split(g, _BLOCK) for g in gaps}
@@ -780,7 +765,7 @@ class NetworkSimulator:
                 R = R + u
             if b in sizes:
                 powers[b] = P, R
-        y, n = state.y, 0
+        n = 0
         for gap in gaps:
             dflux = 0.0
             for b in plans[gap]:
@@ -788,7 +773,7 @@ class NetworkSimulator:
                 dflux += float(R @ y)
                 y = P @ y
             n += gap
-            yield n, SimState(n * dt, y), dflux
+            yield n, y, dflux
 
     def _heun(self, dt):
         """(M, r) of a Heun step dt; scipy's sums fix M's entry order, which its powers follow."""
@@ -801,33 +786,32 @@ class NetworkSimulator:
     # -- driver --------------------------------------------------------------
 
     def run(self, perturbation: dict[int, Bump] | None, T: float,
-            max_samples: int = DEFAULT_SAMPLES, sample_stride: int | None = None) -> LyapunovTrace:
+            sample_stride: int | None = None) -> LyapunovTrace:
         """Advance the perturbed steady state to time T and sample the decay.
 
         The time step is fixed from the initial CFL bound, re-checked every
         step, or once where the speeds are frozen. Samples land every
-        sample_stride steps when given, otherwise about max_samples times
+        sample_stride steps when given, otherwise about DEFAULT_SAMPLES times
         over the run; a sample whose V is not finite, as when a linear run
         with an unstable gain overflows, raises SimulationError. The decay
         rate and its R^2 are fitted on ln V over [0.2 T, T], and are NaN
         where V is zero or under two samples fall in it.
         """
-        check_run_options(T=T, sample_stride=sample_stride, max_samples=max_samples)
+        check_run_options(T=T, sample_stride=sample_stride)
         now = 0.0  # time of the last state reached, stamped on a SimulationError
         try:
-            state = self.initial_state(perturbation)
-            bound = self.cfl_dt(state)
+            y = self.initial_state(perturbation)
+            bound = self.cfl_dt(y)
             nsteps = max(1, math.ceil(T / (bound * self.phys.headroom)))
             dt = T / nsteps
-            stride = (max(1, nsteps // int(max_samples)) if sample_stride is None
-                      else int(sample_stride))
+            stride = int(sample_stride or max(1, nsteps // DEFAULT_SAMPLES))
             flux_integral, rows = 0.0, []
-            reached = self.phys.march(self, state, dt, nsteps, stride)
-            for n, state, dflux in itertools.chain([(0, state, 0.0)], reached):
+            reached = self.phys.march(self, y, dt, nsteps, stride)
+            for n, y, dflux in itertools.chain([(0, y, 0.0)], reached):
                 now = n * dt
                 flux_integral += dflux
                 if n % stride == 0 or n == nsteps:
-                    rows.append((now, flux_integral, *self.phys.sample(self, state)))
+                    rows.append((now, flux_integral, *self.phys.sample(self, y)))
                     if not math.isfinite(rows[-1][2]):
                         raise SimulationError(f"the Lyapunov value V = {rows[-1][2]} "
                                               "is not finite")
@@ -835,7 +819,7 @@ class NetworkSimulator:
             exc.sim_time = now
             raise
 
-        self.final_state = state
+        self.final_state = y
         t, flux_integrals, V, V_ext, B, mass, *norms = np.array(rows).T
         zero = bool(np.all(V == 0.0))
         window = (0.2 * T, T)

@@ -215,6 +215,8 @@ def _walk(kind, x, name: str):
         if type(kind) is _Each:
             sub, out = kind.kind, []
             for key, v in x.items() if keyed else enumerate(x):
+                if keyed and str(int(key)) != str(key):  # "02" or " 2" would pass as 2
+                    raise ValueError(f"write this channel id as {int(key)}")
                 if not (type(v) is sub and (sub is not float or v - v == 0.0)):
                     v = _walk(sub, v, f"{kind.noun} {key}" if keyed else kind.noun)
                 out.append((int(key), v) if keyed else v)
@@ -268,7 +270,7 @@ _NETWORK = _Table({
 
 def network_from_dict(data: dict) -> NetworkTopology:
     """Build a topology from parsed JSON through the schema (channel ids may
-    arrive as strings); a value it refuses raises ValueError naming its path."""
+    arrive as decimal strings); a value it refuses raises ValueError naming its path."""
     return _walk(_NETWORK, data, "network")
 
 

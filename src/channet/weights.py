@@ -860,7 +860,6 @@ def certify_network(
     profiles: dict[int, SteadyProfile],
     gains: dict[int, float],
     epsilon_start: float = DEFAULT_EPSILON,
-    max_halvings: int = MAX_HALVINGS,
 ) -> NetworkCertificate:
     """Search a decreasing epsilon schedule for a full positivity certificate.
 
@@ -869,7 +868,7 @@ def certify_network(
     inlet, positive definite junction matrices, a positive trunk inlet
     coefficient, positive terminal margins for the supplied gains, and a
     positive definite interior matrix N(x) at every fine-grid point of every
-    channel. Epsilon is halved (at most ``max_halvings`` times) whenever the
+    channel. Epsilon is halved (at most ``MAX_HALVINGS`` times) whenever the
     comparison solution fails to exist or any check fails. Each attempt
     first solves the channels, the one where the last attempt stopped
     first, and decides at their ends at alpha = 1; only one whose every
@@ -886,8 +885,8 @@ def certify_network(
     fixed: dict[int, _FineFactors] = {}
     epsilon = float(epsilon_start)
     stop = None
-    for halvings in range(max_halvings + 1):
-        last = halvings == max_halvings
+    for halvings in range(MAX_HALVINGS + 1):
+        last = halvings == MAX_HALVINGS
         ws, failed, detail, stop = _attempt(topo, profiles, gains, epsilon, fixed, last, stop)
         if not failed or last:
             break

@@ -21,7 +21,7 @@ from channet.characteristics import (
     phi_exponents,
     speeds_couplings,
 )
-from channet.errors import DegenerateFlux, SupercriticalState, WeightError
+from channet.errors import DegenerateFlux, WeightError
 from channet.gains import is_admissible
 from channet.steady import (
     FINE_REFINEMENT,
@@ -34,7 +34,15 @@ from channet.steady import (
     solve_network_steady,
 )
 from channet.topology import ChannelSpec, NetworkTopology
-from channet.weights import ETA_ATOL, ETA_BLOWUP, ETA_RTOL, PhiProfiles, m_value
+import channet.weights as weights_module
+from channet.weights import (
+    ETA_ATOL,
+    ETA_BLOWUP,
+    ETA_RTOL,
+    PhiProfiles,
+    certify_network,
+    m_value,
+)
 
 G = 9.81
 SUITE_SEED = 20240817
@@ -61,17 +69,16 @@ def steady_rhs(depth, flux, friction=0.0, friction_exponent=1.0, gravity=9.81):
     """Right-hand side dH*/dx of the steady depth equation: the reference
     slope of the tests, against which the closed-form profile is checked.
 
-    Accepts scalar or array depth. Raises SupercriticalState if any depth is
-    at or below critical (the subcritical profile equation is not defined
-    there).
+    Accepts scalar or array depth. Raises ValueError if any depth is at or
+    below critical (the subcritical profile equation is not defined there).
     """
     H = np.asarray(depth, dtype=float)
     if np.any(H <= 0.0):
-        raise SupercriticalState("depth must be positive")
+        raise ValueError("depth must be positive")
     V2 = np.zeros_like(H) if flux == 0.0 else (flux / H) ** 2
     margin = gravity * H - V2
     if np.any(margin <= 0.0):
-        raise SupercriticalState(
+        raise ValueError(
             "flow is critical or supercritical (g H - V^2 <= 0)"
         )
     rhs = -gravity * friction * V2 / (H ** (friction_exponent - 1.0) * margin)
@@ -429,6 +436,14 @@ def admissible_gain(rng, profile):
     return max(b, 0.0) + rng.uniform(0.1, 2.0) * s * (1 if rng.uniform() < 0.9 else 3)
 
 
+def certify_once(topo, profiles, gains, epsilon):
+    """certify_network's single attempt at epsilon: the search with
+    MAX_HALVINGS at 0, so its one attempt is also its last."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights_module, "MAX_HALVINGS", 0)
+        return certify_network(topo, profiles, gains, epsilon_start=epsilon)
+
+
 def small_star(cells=100):
     """Fixed 3-branch star used by the simulation and CLI tests."""
     chans = {
@@ -445,7 +460,7 @@ def small_star(cells=100):
     )
 
 
-def dry_outlet_cell(sim, state, channel):
+def dry_outlet_cell(sim, y, channel):
     """Leave the outlet cell of a channel nearly dry with a slow reverse flow.
 
     The cell stays wet and subcritical, but its incoming invariant drops
@@ -454,12 +469,12 @@ def dry_outlet_cell(sim, state, channel):
     """
     prof = sim.profiles[channel]
     depth = 1e-4
-    h, v = sim.fields(state.y)[channel]
+    h, v = sim.fields(y)[channel]
     h[-1] = depth - prof.H_centers[-1]
     v[-1] = -0.5 * math.sqrt(prof.gravity * depth) - prof.V_centers[-1]
 
 
-def dry_junction(sim, state):
+def dry_junction(sim, y):
     """Set the velocities next to the star's junction so that its combined
     invariant Y = (y1 - sum y2) / 4 is -2.5 sqrt(g H*) at the junction face:
     the velocity deviation is -4 sqrt(g H*) in channel 1's outlet cell and
@@ -468,7 +483,7 @@ def dry_junction(sim, state):
     k h + s(h) = Y at k = 0."""
     prof = sim.profiles[1]
     c = math.sqrt(prof.gravity * float(prof.H_faces[-1]))
-    fields = sim.fields(state.y)
+    fields = sim.fields(y)
     fields[1][1][-1] = -4.0 * c
     for child in sim.topo.junctions[1]:
         fields[child][1][0] = 2.0 * c
@@ -495,13 +510,13 @@ def reflection_pole(profile):
     return -math.sqrt(profile.gravity / float(profile.H_faces[-1]))
 
 
-def nudge_face_cell(sim, state, channel, end):
+def nudge_face_cell(sim, y, channel, end):
     """Raise the depth of the cell next to one face of a channel by 1e-4.
 
     Only the relation of that face sees a changed invariant, so only its
     solve can fail.
     """
-    h, _ = sim.fields(state.y)[channel]
+    h, _ = sim.fields(y)[channel]
     h[end] += 1e-4
 
 

@@ -31,6 +31,7 @@ from conftest import (
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
     admissible_gain,
+    certify_once,
     draw_channel,
     draw_star,
     draw_tree,
@@ -201,9 +202,7 @@ def test_criterion_05_random_networks_certified_and_endpoint_gains_fail():
         j: is_admissible(profiles[j], 0.0).forbidden[1]
         for j in topo.terminal_channels
     }
-    bad = certify_network(
-        topo, profiles, at_endpoint, epsilon_start=cert.epsilon, max_halvings=0
-    )
+    bad = certify_once(topo, profiles, at_endpoint, cert.epsilon)
     assert not bad.certified
     assert bad.failed_checks == ("terminal_margin",)
 
@@ -220,7 +219,7 @@ def test_criterion_06_nonlinear_scheme_preserves_steady_state():
         state, _ = sim.step(state, dt)
     drift = max(
         max(float(np.max(np.abs(h))), float(np.max(np.abs(v))))
-        for h, v in sim.fields(state.y).values()
+        for h, v in sim.fields(state).values()
     )
     assert drift <= 1e-10
 
@@ -264,11 +263,11 @@ def test_criterion_08_nonlinear_decay_and_quadratic_remainder(decay_setup):
         sa, _ = non.step(sa, dt)
         sh, _ = non.step(sh, dt)
     rem_full = max(
-        float(np.max(np.abs(non.fields(sa.y)[i][0] - lin.fields(sl.y)[i][0])))
+        float(np.max(np.abs(non.fields(sa)[i][0] - lin.fields(sl)[i][0])))
         for i in topo.channels
     )
     rem_half = max(
-        float(np.max(np.abs(non.fields(sh.y)[i][0] - 0.5 * lin.fields(sl.y)[i][0])))
+        float(np.max(np.abs(non.fields(sh)[i][0] - 0.5 * lin.fields(sl)[i][0])))
         for i in topo.channels
     )
     assert 3.0 <= rem_full / rem_half <= 5.0

@@ -575,6 +575,13 @@ SCHEMA_PROBES = {
     "root_channel-1.9": (("network", "root_channel"), 1.9),
     "frction": (("network", "channels", 1, "frction"), None),
     "split-string": (("network", "split_fractions", "1", 1), "0.3"),
+    # channel ids int() reads but that are not written as decimals, each
+    # beside the entry of the channel it would override
+    "gain-02": (("gains", "02"), -5.0),
+    "gain-space-2": (("gains", " 2"), -5.0),
+    "junctions-+1": (("network", "junctions", "+1"), [2, 3, 4]),
+    "split_fractions-01": (("network", "split_fractions", "01"), [0.2, 0.3, 0.5]),
+    "perturbation-02": (("simulation", "perturbation", "02"), {"amplitude_h": -1e-3}),
 }
 SCHEMA_CASES = {name: (path, value)
                 for name, path, value in _schema_cases(_CONFIG, readme_config())}
@@ -600,6 +607,20 @@ def test_schema_refuses_wrong_kinds_and_unknown_keys_before_any_solve(tmp_path, 
     assert err.startswith(f"error: invalid configuration: {_path_text(path)}: ")
     assert "Traceback" not in err
     assert not outdir.exists()
+
+
+def test_repeated_key_exit_two_before_any_solve(tmp_path, capsys, monkeypatch):
+    # json.load keeps the last of two equal keys, which would read channel
+    # 3's gain of -7.5 as 0.0
+    text = json.dumps(readme_config()).replace('"gains": {', '"gains": {"3": -7.5, ', 1)
+    assert text.count('"3": ') == 2
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    refuse_solve(monkeypatch)
+    code = main(["certify", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == 'error: invalid configuration: repeated key "3"\n'
+    assert not (tmp_path / "out").exists()
 
 
 def near_critical_config():

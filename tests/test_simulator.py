@@ -24,7 +24,6 @@ from channet.simulate import (
     DEFAULT_SAMPLES,
     Bump,
     NetworkSimulator,
-    SimState,
     _outlet_depths,
     _solve_relation,
     decay_fit,
@@ -75,7 +74,7 @@ def test_steady_state_preserved_exactly(star_sim_parts, mode):
     for _ in range(50):
         state, _ = sim.step(state, dt)
     for i in sim.topo.channels:
-        h, v = sim.fields(state.y)[i]
+        h, v = sim.fields(state)[i]
         assert np.all(h == 0.0)
         assert np.all(v == 0.0)
 
@@ -83,7 +82,7 @@ def test_steady_state_preserved_exactly(star_sim_parts, mode):
 def test_initial_bump_is_compatible(star_sim_parts):
     sim = make_sim(star_sim_parts)
     state = sim.initial_state(BUMP)
-    h, v = sim.fields(state.y)[2]
+    h, v = sim.fields(state)[2]
     assert h[0] == 0.0 and h[1] == 0.0 and h[-1] == 0.0 and h[-2] == 0.0
     assert np.max(h) == pytest.approx(1e-3, rel=0.05)
     assert sim.face_states(state)[2] == (0.0, 0.0, 0.0, 0.0)
@@ -98,8 +97,8 @@ def test_linear_mode_is_linear(star_sim_parts):
         state_a, _ = sim.step(state_a, dt)
         state_b, _ = sim.step(state_b, dt)
     for i in sim.topo.channels:
-        ha, _ = sim.fields(state_a.y)[i]
-        hb, _ = sim.fields(state_b.y)[i]
+        ha, _ = sim.fields(state_a)[i]
+        hb, _ = sim.fields(state_b)[i]
         # each linear face solve is one exact step, so doubling holds to
         # round-off, well inside this bound
         assert np.allclose(2.0 * ha, hb, rtol=0.0, atol=1e-11)
@@ -188,9 +187,7 @@ def test_cfl_violation_rejected(star_sim_parts, mode):
         sim.step(state, 3.0 * sim.cfl_dt(state))
 
 
-@pytest.mark.parametrize("option, value", [
-    ("max_samples", 0), ("max_samples", -1), ("sample_stride", 2.5), ("sample_stride", True),
-])
+@pytest.mark.parametrize("option, value", [("sample_stride", 2.5), ("sample_stride", True)])
 def test_bad_run_option_raises_value_error(star_sim_parts, option, value):
     sim = make_sim(star_sim_parts)
     with pytest.raises(ValueError, match=option):
@@ -226,7 +223,7 @@ def test_nonlinear_step_refuses_a_nan_cell(star_sim_parts, cell):
     sim = make_sim(star_sim_parts, "nonlinear")
     state = sim.initial_state(None)
     dt = sim.cfl_dt(state)
-    h, _ = sim.fields(state.y)[1]
+    h, _ = sim.fields(state)[1]
     h[cell] = math.nan
     with pytest.raises(SubcriticalLoss) as exc:
         sim.step(state, dt)
@@ -393,11 +390,11 @@ def test_reversed_inflow_at_the_root_has_a_wet_face(star_sim_parts):
     # negative depth
     sim = make_sim(star_sim_parts, "nonlinear")
     state = sim.initial_state(None)
-    h, v = sim.fields(state.y)[1]
+    h, v = sim.fields(state)[1]
     h[0], v[0] = sim.Hc[0], -2.0
     sim.cfl_dt(state)  # admits the state
     _, V, (H, g, c, _) = sim._root
-    y2 = sim.fields(sim._char_fields(state.y))[1][1][0]
+    y2 = sim.fields(sim._char_fields(state))[1][1][0]
     assert c + V + y2 <= 0.0
     h0, v0, _, _ = sim.face_states(state)[1]
     assert H + h0 > 0.0 and abs(V + v0) < math.sqrt(g * (H + h0))
@@ -500,7 +497,7 @@ def test_finished_simulator_is_freed_by_reference_counting(star_sim_parts, mode)
     # run's operators are freed as soon as the caller drops them
     sim = make_sim(star_sim_parts, mode)
     sim.run(BUMP, T=1.0)
-    h, _ = sim.fields(sim.final_state.y)[2]
+    h, _ = sim.fields(sim.final_state)[2]
     assert np.any(h != 0.0)
     freed = weakref.ref(sim)
     gc.disable()
@@ -540,7 +537,7 @@ def test_pulse_travels_at_characteristic_speed():
         state, _ = sim.step(state, T / n)
     lam1 = float(prof.velocity(center)) + math.sqrt(G * float(prof.depth(center)))
     x_expected = center + lam1 * T
-    x_peak = float(prof.x_centers[int(np.argmax(sim.fields(state.y)[1][0]))])
+    x_peak = float(prof.x_centers[int(np.argmax(sim.fields(state)[1][0]))])
     assert abs(x_peak - x_expected) <= 3.0 * spec.length / spec.cells
 
 
@@ -574,6 +571,8 @@ def test_decay_fit_needs_two_samples():
 
 
 def test_scheme_converges_at_first_order():
+    # four samples of the 76, 151, 301 and 1203 steps of each grid
+    strides = {100: 19, 200: 37, 400: 75, 1600: 300}
     errors = {}
     reference = None
     grids = (100, 200, 400)
@@ -582,8 +581,8 @@ def test_scheme_converges_at_first_order():
         profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
         weights = network_weights(topo, profiles, 1e-5)
         sim = NetworkSimulator(weights, STAR_GAINS)
-        sim.run(BUMP, T=6.0, max_samples=4)
-        fields = {i: h for i, (h, _) in sim.fields(sim.final_state.y).items()}
+        sim.run(BUMP, T=6.0, sample_stride=strides[cells])
+        fields = {i: h for i, (h, _) in sim.fields(sim.final_state).items()}
         if cells == 1600:
             reference = fields
         else:
@@ -613,7 +612,7 @@ def test_nonlinear_tracks_linear_at_small_amplitude(star_sim_parts):
         sa, _ = lin.step(sa, dt)
         sb, _ = non.step(sb, dt)
     gap = max(
-        float(np.max(np.abs(lin.fields(sa.y)[i][0] - non.fields(sb.y)[i][0])))
+        float(np.max(np.abs(lin.fields(sa)[i][0] - non.fields(sb)[i][0])))
         for i in lin.topo.channels
     )
     assert gap <= 50.0 * amp**2
@@ -657,7 +656,7 @@ def test_trace_matches_pinned_values(mode):
         1: Bump(amplitude_v=5e-4, center=0.4, width=0.6),
     }
     sim = NetworkSimulator(cert.weights, STAR_GAINS, mode=mode)
-    trace = sim.run(bump, T=20.0, max_samples=4)
+    trace = sim.run(bump, T=20.0, sample_stride=25)  # 101 and 103 steps: four samples
     pins = PINNED[mode]
     assert np.array_equal(trace.t, pins["t"])
     for name in ("V", "V_ext", "l2"):
@@ -677,8 +676,8 @@ def test_linear_operator_is_jacobian_of_nonlinear_rhs(star_sim_parts):
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
-        up = non.rhs(SimState(0.0, e))[0]
-        down = non.rhs(SimState(0.0, -e))[0]
+        up = non.rhs(e)[0]
+        down = non.rhs(-e)[0]
         J[:, j] = (up - down) / (2.0 * step)
     assert np.max(np.abs(J - A)) <= 1e-6 * np.max(np.abs(A))
 
@@ -800,8 +799,7 @@ def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts
         # admissible: a few percent of the steady depth and of the wave speed
         y = np.concatenate((0.05 * sim.Hc, 0.05 * np.sqrt(sim.g * sim.Hc)))
         y *= rng.uniform(-1.0, 1.0, y.size)
-        state = SimState(0.0, y)
-        dy, face, _ = sim.rhs(state)
+        dy, face, _ = sim.rhs(y)
         ref = reference_tendency(sim, y, face)
         for block in (slice(0, sim.N), slice(sim.N, None)):
             assert np.max(np.abs(dy[block] - ref[block])) <= 1e-12 * np.max(np.abs(ref[block]))
@@ -827,7 +825,7 @@ def test_junction_is_the_outlet_law_at_gain_zero(star_sim_parts, tree_parts, net
         # admissible: a few percent of the steady depth and of the wave speed
         y = np.concatenate((0.05 * sim.Hc, 0.05 * np.sqrt(sim.g * sim.Hc)))
         y *= rng.uniform(-1.0, 1.0, y.size)
-        faces = sim.face_states(SimState(0.0, y))
+        faces = sim.face_states(y)
         invariants = sim.fields(sim._char_fields(y))  # id -> (y1, y2) of every cell
         for i in sim.topo.internal_channels:
             children = sim.topo.junctions[i]
@@ -860,8 +858,7 @@ def test_lyapunov_value_is_the_extended_pair_first_entry(star_sim_parts, mode):
     rng = np.random.default_rng(37)
     for _ in range(10):
         y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
-        state = SimState(0.0, y)
-        assert sim.lyapunov_value_state(state) == sim.lyapunov_extended(state)[0]
+        assert sim.lyapunov_value_state(y) == sim.lyapunov_extended(y)[0]
 
 
 def relative_gap(got, ref):
@@ -897,7 +894,7 @@ def test_linear_run_matches_the_step_loop(star_sim_parts, T, stride):
     assert relative_gap(trace.l2, np.sqrt(np.sum(np.square(norms), axis=0))) <= 1e-12
     for i, norm in zip(sim.ids, norms):
         assert relative_gap(trace.channel_l2[i], norm) <= 1e-12
-    assert relative_gap(sim.final_state.y, state.y) <= 1e-12
+    assert relative_gap(sim.final_state, state) <= 1e-12
 
 
 @pytest.mark.parametrize("network", ["star", "tree"])
@@ -910,11 +907,10 @@ def test_stacked_observation_matches_instrumentation(star_sim_parts, tree_parts,
     rng = np.random.default_rng(13)
     for _ in range(10):
         y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
-        state = SimState(0.0, y)
         V, V_ext, B, mass, *norms = sim._observe(y)
-        ref = sim._sample(state)
-        assert (V, V_ext) == pytest.approx(sim.lyapunov_extended(state), rel=1e-12, abs=0.0)
-        assert B == pytest.approx(sim.boundary_form(state), rel=1e-12, abs=0.0)
+        ref = sim._sample(y)
+        assert (V, V_ext) == pytest.approx(sim.lyapunov_extended(y), rel=1e-12, abs=0.0)
+        assert B == pytest.approx(sim.boundary_form(y), rel=1e-12, abs=0.0)
         assert mass == float(sim.dx @ y[: sim.N])
         assert norms == pytest.approx(ref[4:], rel=1e-12, abs=0.0)
         assert len(norms) == sim.m
@@ -936,7 +932,7 @@ def test_nonlinear_extended_value_matches_two_products(star_sim_parts, tree_part
         z = sim._char_fields(y)
         z1 = L @ z
         V, V1, V2 = (float(sim._wf @ (a * a)) for a in (z, z1, L @ z1))
-        got = sim.lyapunov_extended(SimState(0.0, y))
+        got = sim.lyapunov_extended(y)
         assert got == pytest.approx((V, V + V1 + V2), rel=1e-12, abs=0.0)
 
 
@@ -952,11 +948,10 @@ def test_operators_are_the_linear_physics(star_sim_parts, tree_parts, network):
     rng = np.random.default_rng(17)
     for _ in range(10):
         y = rng.standard_normal(2 * sim.N) * np.concatenate((0.01 * sim.Hc, 0.01 * sim.Vc))
-        state = SimState(0.0, y)
-        dy, face, influx = sim.rhs(state)
+        dy, face, influx = sim.rhs(y)
         assert relative_gap(sim.A @ y, dy) <= 1e-12
         assert relative_gap(sim.F @ y, np.ravel(face)) <= 1e-12
-        assert np.array_equal(face, sim.face_states(state, flat=True))
+        assert np.array_equal(face, sim.face_states(y, flat=True))
         assert abs(sim._influx @ y - influx) <= 1e-12 * abs(influx)
 
 
@@ -968,7 +963,7 @@ def test_faces_depend_only_on_the_state(star_sim_parts):
     dt = 0.97 * sim.cfl_dt(state)
     for _ in range(20):
         state, _ = sim.step(state, dt)
-    fresh = SimState(state.time, state.y.copy())
+    fresh = state.copy()
     (dy, face, influx), (dy0, face0, influx0) = sim.rhs(state), sim.rhs(fresh)
     assert np.any(np.array(face) != 0.0)
     assert np.array_equal(dy, dy0) and np.array_equal(face, face0) and influx == influx0
@@ -1003,7 +998,8 @@ def test_operators_match_the_bmat_assembly_entry_for_entry(star_sim_parts, tree_
     got = {"L": sim._LL[: 2 * N], "LL": sim._LL}
     dt = None
     if mode == "linear":
-        dt = sim.run(None, T=200.0, max_samples=2).dt
+        # 2505 and 113 steps: two samples
+        dt = sim.run(None, T=200.0, sample_stride={"star": 1252, "tree": 56}[network]).dt
         got |= {"F": sim.F, "A": sim.A, "O": sim._O, "W": sim._W, "M": sim._heun(dt)[0]}
     ref = operators_by_bmat(sim, dt)
     assert sorted(got) == sorted(ref)

@@ -44,6 +44,7 @@ from conftest import (
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
     admissible_gain,
+    certify_once,
     draw_channel,
     draw_star,
     draw_tree,
@@ -576,9 +577,7 @@ def test_gain_at_endpoint_fails_terminal_margin(star_weights):
         rec = is_admissible(profiles[j], 1.0)
         assert not rec.half_line
         gains[j] = rec.forbidden[1]
-    redo = certify_network(
-        topo, profiles, gains, epsilon_start=cert.epsilon, max_halvings=0
-    )
+    redo = certify_once(topo, profiles, gains, cert.epsilon)
     assert not redo.certified
     assert redo.failed_checks == ("terminal_margin",)
 
@@ -685,11 +684,9 @@ def test_stopping_search_never_skips_a_passing_epsilon(star_profiles):
     for net, profs, gains in cases:
         cert = certify_network(net, profs, gains)
         for k in range(cert.halvings):
-            single = certify_network(
-                net, profs, gains, epsilon_start=DEFAULT_EPSILON * 0.5**k, max_halvings=0
-            )
+            single = certify_once(net, profs, gains, DEFAULT_EPSILON * 0.5**k)
             assert not single.certified
-        last = certify_network(net, profs, gains, epsilon_start=cert.epsilon, max_halvings=0)
+        last = certify_once(net, profs, gains, cert.epsilon)
         assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
 
     refused = certify_network(topo, profiles, forbidden)
@@ -727,10 +724,10 @@ def test_end_pass_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, mo
             refused.clear()
             cert = certify_network(net, profs, gains)
             for epsilon in list(refused):
-                single = certify_network(net, profs, gains, epsilon_start=epsilon, max_halvings=0)
+                single = certify_once(net, profs, gains, epsilon)
                 assert not single.certified, (net.channels.keys(), epsilon)
                 checked += 1
-            last = certify_network(net, profs, gains, epsilon_start=cert.epsilon, max_halvings=0)
+            last = certify_once(net, profs, gains, cert.epsilon)
             assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
     assert checked > 500
 
@@ -765,16 +762,14 @@ def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profil
             high = mid
     for gain in (low, high):
         gains = {**STAR_GAINS, 2: gain}
-        single = certify_network(topo, profiles, gains, epsilon_start=epsilon, max_halvings=0)
+        single = certify_once(topo, profiles, gains, epsilon)
         assert (single.terminal_margins[2] > 0.0) == (gain == low)
         cert = certify_network(topo, profiles, gains)
         assert cert.halvings >= 8
         for k in range(cert.halvings):
-            single = certify_network(
-                topo, profiles, gains, epsilon_start=DEFAULT_EPSILON * 0.5**k, max_halvings=0
-            )
+            single = certify_once(topo, profiles, gains, DEFAULT_EPSILON * 0.5**k)
             assert not single.certified, (gain, k)
-        last = certify_network(topo, profiles, gains, epsilon_start=cert.epsilon, max_halvings=0)
+        last = certify_once(topo, profiles, gains, cert.epsilon)
         assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
 
 
