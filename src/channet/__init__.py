@@ -58,7 +58,6 @@ from .topology import (
     network_from_dict,
     network_to_dict,
     traversal_order,
-    validate_topology,
 )
 from .weights import (
     ChannelWeights,
@@ -124,5 +123,4 @@ __all__ = [
     "solve_network_steady",
     "traversal_order",
     "trunk_inlet_coefficient",
-    "validate_topology",
 ]

@@ -10,7 +10,7 @@ travelling with speeds lambda1 = V* + sqrt(g H*) (downstream) and
 through four zero-order coefficients gamma1, delta1, gamma2, delta2. One
 kernel, ``speeds_couplings``, gives the speeds and the couplings together,
 written with the friction term g C V*^2 / H*^p; ``CharCoeffs`` samples it on
-a profile's fine grid, and the weight ODEs call it on scalars. The same
+a profile's fine grid, and only the tests call it on scalars. The same
 term is -(H*_x / H*) lambda1 lambda2 through the steady depth gradient; the
 tests check that identity, and the code does not form it.
 ``outlet_traces`` gives the characteristic traces that a feedback outlet
@@ -42,11 +42,11 @@ def eigenvalues(depth, velocity, gravity=9.81):
 def speeds_couplings(H, flux, friction, p, g):
     """(lambda1, lambda2, gamma1, delta1, gamma2, delta2) at depth H, friction form.
 
-    The one kernel behind CharCoeffs and the weight ODEs. A scalar H takes
-    math.sqrt and an array H numpy, with the same bits either way. Needs
-    flux > 0.
+    The kernel behind CharCoeffs; weights._riccati carries a fused copy.
+    A scalar H takes math.sqrt and an array H numpy, with the same bits
+    either way. Needs flux > 0.
     """
-    # np.ndim(H) == 0, without its microsecond of overhead per ODE step
+    # np.ndim(H) == 0, without its microsecond of overhead per scalar call
     if not isinstance(H, np.ndarray) or H.ndim == 0:
         c, Hp = math.sqrt(g * H), H**p
     else:

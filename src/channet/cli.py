@@ -23,7 +23,7 @@ from .gains import is_admissible
 from .simulate import CFL_SAFETY, Bump, NetworkSimulator, check_run_options, mass_balance
 from .steady import solve_network_steady
 from .topology import (_NETWORK, _REQUIRED, NetworkTopology, _Each, _Table, _walk,
-                       network_to_dict, validate_topology)
+                       network_to_dict)
 from .weights import DEFAULT_EPSILON, _check_epsilon_start, certify_network
 
 # the file simulate writes its summary to, beside the trace and the snapshot
@@ -54,7 +54,6 @@ class RunConfig:
         perturbation of a channel not in the network raises ValueError naming
         its path, and a topology error TopologyError, before any solve."""
         topo, (flux, depth), gains, epsilon_start, sim = _walk(_CONFIG, data, "configuration")
-        validate_topology(topo)
         stray = [j for j in sorted(gains) if j not in topo.channels or j in topo.junctions]
         if stray:
             raise ValueError(f"gains: gains for channel(s) {', '.join(map(str, stray))}, "

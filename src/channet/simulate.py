@@ -56,7 +56,6 @@ import numpy as np
 from .errors import CflViolation, MissingGain, NonPositiveV
 from .errors import SimulationError, SubcriticalLoss, TerminalSolveFailure
 from .steady import FINE_REFINEMENT
-from .topology import validate_topology
 # certify_network is not called here: perfbench's span test looks it up in
 # this module by name, so the import goes when that test does
 from .weights import WeightSet, certify_network  # noqa: F401
@@ -365,7 +364,6 @@ class NetworkSimulator:
         check_run_options(mode=mode, cfl=cfl)
         self.cfl = cfl
         topo = weights.topo
-        validate_topology(topo)
         for j in topo.terminal_channels:
             if j not in gains:
                 raise MissingGain(j)

@@ -35,7 +35,7 @@ from .errors import (
     SteadyStateBlowup,
     SupercriticalStart,
 )
-from .topology import ChannelSpec, NetworkTopology, traversal_order, validate_topology
+from .topology import ChannelSpec, NetworkTopology, traversal_order
 
 MARGIN_TOL = 1e-6
 FINE_REFINEMENT = 4
@@ -281,7 +281,6 @@ def solve_network_steady(
     at the incoming channel's end depth) and the flux splits according to the
     prescribed fractions.
     """
-    validate_topology(topo)
     if not 0.0 < root_flux < math.inf:
         raise NegativeFlux(f"root flux must be positive and finite, got {root_flux!r}")
     profiles: dict[int, SteadyProfile] = {}

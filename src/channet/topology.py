@@ -54,7 +54,7 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Immutable rooted tree of channels.
+    """Immutable rooted tree of channels, checked when it is built.
 
     ``junctions`` maps the incoming channel id to the ordered tuple of outgoing
     channel ids. ``split_fractions`` maps the same incoming channel id to the
@@ -69,6 +69,9 @@ class NetworkTopology:
     root_channel: int
     junctions: dict[int, tuple[int, ...]] = field(default_factory=dict)
     split_fractions: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    # set by _check: each channel's parent, and the channel ids root first
+    _parent: dict[int, int] = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "channels", dict(self.channels))
@@ -76,6 +79,65 @@ class NetworkTopology:
         object.__setattr__(
             self, "split_fractions", {i: tuple(s) for i, s in self.split_fractions.items()}
         )
+        self._check()
+
+    def _check(self) -> None:
+        """Raise a TopologyError (CycleDetected, MultipleParents,
+        DisconnectedChannel or BadSplitSum where one fits) for a malformed tree,
+        mixed gravity or bad split fractions; else keep _parent and _order."""
+        if self.root_channel not in self.channels:
+            raise TopologyError(f"root channel {self.root_channel} is not in the network")
+        g = self.channels[self.root_channel].gravity
+        for i, spec in self.channels.items():
+            if spec.id != i:
+                raise TopologyError(f"channel key {i} holds a spec with id {spec.id}")
+            if spec.gravity != g:  # the junctions solve every face with one gravity
+                raise TopologyError(f"channel {i}: gravity {spec.gravity!r} differs from "
+                                    f"{g!r}, that of root channel {self.root_channel}")
+
+        parent: dict[int, int] = {}
+        for i, out in self.junctions.items():
+            if i not in self.channels:
+                raise TopologyError(f"junction incoming channel {i} is not in the network")
+            if len(out) < 1:
+                raise TopologyError(f"junction fed by channel {i} has no outgoing channels")
+            if len(set(out)) != len(out):
+                raise MultipleParents(next(c for c in out if out.count(c) > 1))
+            for c in out:
+                if c not in self.channels:
+                    raise TopologyError(f"junction fed by channel {i}: unknown channel {c}")
+                if c in parent:
+                    raise MultipleParents(c)
+                parent[c] = i
+
+        if self.root_channel in parent:
+            raise CycleDetected(self.root_channel)
+
+        # Reachability from the root, which ends: no channel has two parents and
+        # the root has none. Unreachable channels with a parent sit on a cycle
+        # (their ancestry never terminates), parentless ones are orphans.
+        order = [self.root_channel]
+        for i in order:  # a breadth-first queue: each channel appends its children
+            order.extend(self.junctions.get(i, ()))
+        for i in sorted(self.channels.keys() - order):
+            if i in parent:
+                raise CycleDetected(i)
+            raise DisconnectedChannel(i)
+
+        for i, out in self.junctions.items():
+            fracs = self.split_fractions.get(i)
+            if fracs is None:
+                raise BadSplitSum(i, "no split fractions supplied")
+            if len(fracs) != len(out):
+                raise BadSplitSum(i, f"{len(fracs)} fractions for {len(out)} outgoing channels")
+            for s in fracs:
+                if not (0.0 <= s <= 1.0):
+                    raise BadSplitSum(i, f"fraction {s!r} outside [0, 1]")
+            total = sum(fracs)
+            if abs(total - 1.0) > SPLIT_SUM_TOL:
+                raise BadSplitSum(i, f"fractions sum to {total!r}, expected 1")
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_order", tuple(order))
 
     @property
     def internal_channels(self) -> tuple[int, ...]:
@@ -88,76 +150,16 @@ class NetworkTopology:
         return tuple(sorted(i for i in self.channels if i not in self.junctions))
 
     def parent_of(self, channel: int) -> int | None:
-        for i, out in self.junctions.items():
-            if channel in out:
-                return i
-        return None
+        return self._parent.get(channel)
 
     def split_of(self, parent: int, child: int) -> float:
         out = self.junctions[parent]
         return self.split_fractions[parent][out.index(child)]
 
 
-def validate_topology(topo: NetworkTopology) -> None:
-    """Check tree-ness and split-fraction consistency.
-
-    Raises CycleDetected, MultipleParents, DisconnectedChannel or BadSplitSum.
-    The internal/terminal partition is ``NetworkTopology.internal_channels``
-    and ``terminal_channels``.
-    """
-    ids = set(topo.channels)
-    if topo.root_channel not in ids:
-        raise TopologyError(f"root channel {topo.root_channel} is not in the network")
-    for i, spec in topo.channels.items():
-        if spec.id != i:
-            raise TopologyError(f"channel key {i} holds a spec with id {spec.id}")
-
-    parent: dict[int, int] = {}
-    for i, out in topo.junctions.items():
-        if i not in ids:
-            raise TopologyError(f"junction incoming channel {i} is not in the network")
-        if len(out) < 1:
-            raise TopologyError(f"junction fed by channel {i} has no outgoing channels")
-        if len(set(out)) != len(out):
-            raise MultipleParents(next(c for c in out if out.count(c) > 1))
-        for c in out:
-            if c not in ids:
-                raise TopologyError(f"junction fed by channel {i}: unknown channel {c}")
-            if c in parent:
-                raise MultipleParents(c)
-            parent[c] = i
-
-    if topo.root_channel in parent:
-        raise CycleDetected(topo.root_channel)
-
-    # Reachability from the root, which ends: no channel has two parents and
-    # the root has none. Unreachable channels with a parent sit on a cycle
-    # (their ancestry never terminates), parentless ones are orphans.
-    for i in sorted(ids.difference(traversal_order(topo))):
-        if i in parent:
-            raise CycleDetected(i)
-        raise DisconnectedChannel(i)
-
-    for i, out in topo.junctions.items():
-        fracs = topo.split_fractions.get(i)
-        if fracs is None:
-            raise BadSplitSum(i, "no split fractions supplied")
-        if len(fracs) != len(out):
-            raise BadSplitSum(i, f"{len(fracs)} fractions for {len(out)} outgoing channels")
-        for s in fracs:
-            if not (0.0 <= s <= 1.0):
-                raise BadSplitSum(i, f"fraction {s!r} outside [0, 1]")
-        total = sum(fracs)
-        if abs(total - 1.0) > SPLIT_SUM_TOL:
-            raise BadSplitSum(i, f"fractions sum to {total!r}, expected 1")
-
-
 def traversal_order(topo: NetworkTopology) -> list[int]:
     """Channel ids in root-first order: every channel after its parent."""
-    order = [topo.root_channel]
-    for i in order:  # a breadth-first queue: each channel appends its children
-        order.extend(topo.junctions.get(i, ()))
-    return order
+    return list(topo._order)
 
 
 # -- configuration schema -----------------------------------------------------
@@ -269,8 +271,8 @@ _NETWORK = _Table({
 
 
 def network_from_dict(data: dict) -> NetworkTopology:
-    """Build a topology from parsed JSON through the schema (channel ids may
-    arrive as decimal strings); a value it refuses raises ValueError naming its path."""
+    """Build a topology from parsed JSON through the schema (ids may be decimal
+    strings): ValueError names a refused value's path, TopologyError a bad network."""
     return _walk(_NETWORK, data, "network")
 
 

@@ -86,7 +86,7 @@ from .errors import (
     WeightError,
 )
 from .steady import SteadyProfile
-from .topology import NetworkTopology, traversal_order, validate_topology
+from .topology import NetworkTopology, traversal_order
 
 ETA_BLOWUP = 1e12
 ETA_RTOL = 1e-11
@@ -877,7 +877,6 @@ def certify_network(
     lists every failure at the final epsilon. An ``epsilon_start`` that is
     not positive and finite raises ValueError.
     """
-    validate_topology(topo)
     _check_epsilon_start(epsilon_start)
     for j in topo.terminal_channels:
         if j not in gains:

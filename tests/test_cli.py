@@ -17,7 +17,8 @@ import pytest
 import channet
 from channet.characteristics import CharCoeffs
 from channet.cli import _CONFIG, RunConfig, main
-from channet.errors import BadSplitSum, CycleDetected, DisconnectedChannel, MultipleParents
+from channet.errors import (BadSplitSum, CycleDetected, DisconnectedChannel, MultipleParents,
+                            TopologyError)
 from channet.gains import is_admissible
 from channet.steady import integrate_channel_steady, solve_network_steady
 from channet.topology import (_REQUIRED, ChannelSpec, NetworkTopology, _Each, _Table,
@@ -390,14 +391,16 @@ def _extra_channel(cfg):
 
 
 # each topology error on the star: split fractions that sum to 0.6, a junction
-# that feeds the root back, channel 3 claimed twice, and a channel that no
-# junction feeds
+# that feeds the root back, channel 3 claimed twice, a channel that no
+# junction feeds, and channel 2 at a gravity other than the root's
 TOPOLOGY_ERRORS = {
     "BadSplitSum": (BadSplitSum, lambda cfg: _set(cfg, ("network", "split_fractions", "1"),
                                                    [0.1, 0.3, 0.2])),
     "CycleDetected": (CycleDetected, lambda cfg: _set(cfg, ("network", "junctions", "2"), [1])),
     "MultipleParents": (MultipleParents, lambda cfg: _set(cfg, ("network", "junctions", "2"), [3])),
     "DisconnectedChannel": (DisconnectedChannel, _extra_channel),
+    "MixedGravity": (TopologyError, lambda cfg: _set(cfg, ("network", "channels", 1, "gravity"),
+                                                     5.0)),
 }
 
 

@@ -18,7 +18,6 @@ from channet.topology import (
     network_from_dict,
     network_to_dict,
     traversal_order,
-    validate_topology,
 )
 
 from conftest import small_star
@@ -35,7 +34,6 @@ def chain(n):
 
 def test_star_classification():
     topo = small_star()
-    validate_topology(topo)
     assert topo.internal_channels == (1,)
     assert topo.terminal_channels == (2, 3, 4)
     assert topo.parent_of(3) == 1
@@ -75,86 +73,86 @@ def test_single_channel_network():
         junctions={},
         split_fractions={},
     )
-    validate_topology(topo)
     assert topo.terminal_channels == (7,)
     assert topo.internal_channels == ()
 
 
 def test_zero_split_fraction_allowed():
     topo = small_star()
-    relaxed = dataclasses.replace(topo, split_fractions={1: (0.5, 0.5, 0.0)})
-    validate_topology(relaxed)
+    dataclasses.replace(topo, split_fractions={1: (0.5, 0.5, 0.0)})
 
 
 def test_cycle_detected():
     chans = {i: ChannelSpec(id=i, length=10.0) for i in (1, 2)}
-    topo = NetworkTopology(
-        channels=chans,
-        root_channel=1,
-        junctions={1: (2,), 2: (1,)},
-        split_fractions={1: (1.0,), 2: (1.0,)},
-    )
     with pytest.raises(CycleDetected):
-        validate_topology(topo)
+        NetworkTopology(
+            channels=chans,
+            root_channel=1,
+            junctions={1: (2,), 2: (1,)},
+            split_fractions={1: (1.0,), 2: (1.0,)},
+        )
 
 
 def test_multiple_parents():
     chans = {i: ChannelSpec(id=i, length=10.0) for i in (1, 2, 3)}
-    topo = NetworkTopology(
-        channels=chans,
-        root_channel=1,
-        junctions={1: (2, 3), 3: (2,)},
-        split_fractions={1: (0.5, 0.5), 3: (1.0,)},
-    )
     with pytest.raises(MultipleParents):
-        validate_topology(topo)
+        NetworkTopology(
+            channels=chans,
+            root_channel=1,
+            junctions={1: (2, 3), 3: (2,)},
+            split_fractions={1: (0.5, 0.5), 3: (1.0,)},
+        )
 
 
 def test_disconnected_channel():
     chans = {i: ChannelSpec(id=i, length=10.0) for i in (1, 2, 9)}
-    topo = NetworkTopology(
-        channels=chans,
-        root_channel=1,
-        junctions={1: (2,)},
-        split_fractions={1: (1.0,)},
-    )
     with pytest.raises(DisconnectedChannel):
-        validate_topology(topo)
+        NetworkTopology(
+            channels=chans,
+            root_channel=1,
+            junctions={1: (2,)},
+            split_fractions={1: (1.0,)},
+        )
 
 
 def test_bad_split_sum():
     topo = small_star()
-    broken = dataclasses.replace(topo, split_fractions={1: (0.5, 0.3, 0.1)})
     with pytest.raises(BadSplitSum):
-        validate_topology(broken)
+        dataclasses.replace(topo, split_fractions={1: (0.5, 0.3, 0.1)})
 
 
 def test_negative_split_fraction():
     topo = small_star()
-    broken = dataclasses.replace(topo, split_fractions={1: (1.2, -0.1, -0.1)})
     with pytest.raises(BadSplitSum):
-        validate_topology(broken)
+        dataclasses.replace(topo, split_fractions={1: (1.2, -0.1, -0.1)})
 
 
 def test_unknown_junction_child():
     chans = {1: ChannelSpec(id=1, length=10.0)}
-    topo = NetworkTopology(
-        channels=chans,
-        root_channel=1,
-        junctions={1: (2,)},
-        split_fractions={1: (1.0,)},
-    )
     with pytest.raises(TopologyError):
-        validate_topology(topo)
+        NetworkTopology(
+            channels=chans,
+            root_channel=1,
+            junctions={1: (2,)},
+            split_fractions={1: (1.0,)},
+        )
 
 
 def test_missing_root():
     chans = {2: ChannelSpec(id=2, length=10.0)}
-    topo = NetworkTopology(
-        channels=chans, root_channel=1, junctions={}, split_fractions={}
-    )
     with pytest.raises(TopologyError):
-        validate_topology(topo)
+        NetworkTopology(
+            channels=chans, root_channel=1, junctions={}, split_fractions={}
+        )
+
+
+def test_mixed_gravity_refused():
+    # a junction solves its faces with one gravity, so a tree holds only one
+    topo = small_star()
+    channels = dict(topo.channels)
+    channels[2] = dataclasses.replace(channels[2], gravity=5.0)
+    with pytest.raises(TopologyError, match=r"channel 2: gravity 5\.0 differs from 9\.81"):
+        NetworkTopology(channels, topo.root_channel, topo.junctions, topo.split_fractions)
 
 
 @pytest.mark.parametrize(
