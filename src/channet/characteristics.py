@@ -10,7 +10,8 @@ travelling with speeds lambda1 = V* + sqrt(g H*) (downstream) and
 through four zero-order coefficients gamma1, delta1, gamma2, delta2. One
 kernel, ``speeds_couplings``, gives the speeds and the couplings together,
 written with the friction term g C V*^2 / H*^p; ``CharCoeffs`` samples it on
-a profile's fine grid, and only the tests call it on scalars. The same
+a profile's fine grid, with the factors phi1 and phi2 that absorb the
+couplings, and only the tests call it on scalars. The same
 term is -(H*_x / H*) lambda1 lambda2 through the steady depth gradient; the
 tests check that identity, and the code does not form it.
 ``outlet_traces`` gives the characteristic traces that a feedback outlet
@@ -21,11 +22,15 @@ sends back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .steady import SteadyProfile
+
+# the first and last points of a fine grid: the inlet and the outlet
+_ENDS = np.array([0, -1])
 
 
 def eigenvalues(depth, velocity, gravity=9.81):
@@ -140,7 +145,9 @@ def reflection_coefficient(gain, outlet_depth, gravity=9.81):
 
 @dataclass(frozen=True, eq=False)
 class CharCoeffs:
-    """Characteristic speeds and couplings sampled on a profile's fine grid."""
+    """Characteristic speeds and couplings sampled on a profile's fine grid,
+    with the factors phi = exp(I1 + I2), phi1^2 = exp(I1)^2 and phi2^2 =
+    exp(-I2)^2 that absorb the couplings (I1, I2 of ``phi_exponents``)."""
 
     profile: SteadyProfile
     lambda1: np.ndarray
@@ -149,15 +156,33 @@ class CharCoeffs:
     delta1: np.ndarray
     gamma2: np.ndarray
     delta2: np.ndarray
+    phi: np.ndarray
+    phi1_sq: np.ndarray
+    phi2_sq: np.ndarray
 
     @classmethod
     def from_profile(cls, profile: SteadyProfile) -> "CharCoeffs":
-        """One ``speeds_couplings`` call on the fine grid. A channel without
-        flow or without friction has no coupling: its couplings are exact
-        zeros and its speeds come from ``eigenvalues``."""
+        """One ``speeds_couplings`` and one ``phi_exponents`` call on the
+        fine grid. A channel without flow or without friction has no
+        coupling: its couplings are exact zeros and its speeds come from
+        ``eigenvalues``. On a channel whose depth stays H0 to the last bit
+        the exponents vanish, and every factor is exactly 1."""
         H, spec = profile.H_fine, profile.spec
+        if profile.outlet_depth == profile.inlet_depth:
+            I1 = I2 = np.zeros(H.shape)
+        else:
+            I1, I2 = phi_exponents(H, profile.inlet_depth, profile.flux,
+                                   spec.friction_exponent, profile.gravity)
+        factors = np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2
         if profile.flux == 0.0 or spec.friction == 0.0:
             lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)
-            return cls(profile, lam1, lam2, *(np.zeros_like(H) for _ in range(4)))
+            return cls(profile, lam1, lam2, *(np.zeros_like(H) for _ in range(4)), *factors)
         return cls(profile, *speeds_couplings(
-            H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity))
+            H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity), *factors)
+
+    @cached_property
+    def ends(self) -> "CharCoeffs":
+        """The same record at the inlet and the outlet alone: the first and
+        last element of every array field."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return CharCoeffs(*(a[_ENDS] if isinstance(a, np.ndarray) else a for a in values))

@@ -324,18 +324,18 @@ def main(argv=None) -> int:
         return 3
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         profiles = solve_network_steady(
             config.topology, config.root_inlet_depth, config.root_flux
         )
+        return _COMMANDS[args.command](config, profiles, outdir)
+    except OSError as exc:  # an output directory or file that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except SteadyStateError as exc:
         print(f"error: steady state failed: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        return _COMMANDS[args.command](config, profiles, outdir)
     except SimulationError as exc:
         t = getattr(exc, "sim_time", None)
         stamp = "" if t is None else f" at t = {t:.6e}"

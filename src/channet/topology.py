@@ -8,6 +8,7 @@ junction end at a controlled outlet.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -212,16 +213,20 @@ def _walk(kind, x, name: str):
         return kind(x)
     if not isinstance(x, dict if keyed else (list, tuple)):
         raise ValueError(f"{name} must be {'an object' if keyed else 'a list'}, not {x!r}")
-    key = ""  # the entry being read; "" while x itself is
+    key = None  # the entry being read; None while x itself is
     try:
         if type(kind) is _Each:
             sub, out = kind.kind, []
             for key, v in x.items() if keyed else enumerate(x):
-                if keyed and str(int(key)) != str(key):  # "02" or " 2" would pass as 2
-                    raise ValueError(f"write this channel id as {int(key)}")
+                try:
+                    i = int(key)
+                except ValueError:
+                    raise ValueError(f"{json.dumps(key)} is not a channel id") from None
+                if keyed and str(i) != str(key):  # "02" or " 2" would pass as 2
+                    raise ValueError(f"write this channel id as {i}")
                 if not (type(v) is sub and (sub is not float or v - v == 0.0)):
                     v = _walk(sub, v, f"{kind.noun} {key}" if keyed else kind.noun)
-                out.append((int(key), v) if keyed else v)
+                out.append((i, v) if keyed else v)
             return dict(out) if keyed else tuple(out)
         parsed, missing = [], 0
         for key, sub, default in kind.flat:
@@ -237,11 +242,11 @@ def _walk(kind, x, name: str):
         if len(x) + missing > len(kind.flat):  # x has a key that is no row
             key = min(map(str, x.keys() - kind.rows.keys()))
             raise ValueError("unknown key")
-        key = ""
+        key = None
         return tuple(parsed) if kind.build is None else kind.build(*parsed)
     except (ValueError, OverflowError) as exc:
         at, text = exc.args if type(exc) is _Refusal else ("", str(exc))
-        step = "" if key == "" else f".{key}" if keyed else f"[{key}]"
+        step = "" if key is None else f".{key}" if keyed else f"[{key}]"
         raise _Refusal(step + at, text) from None
 
 

@@ -46,7 +46,7 @@ depths the steady profile holds there, and ``eta_eps`` returns eta / phi =
 tan theta + epsilon x there; the weights, speeds and couplings at the faces
 and centers are elements and slices of the fine-grid arrays. An epsilon
 attempt does only epsilon-dependent work: per channel one solve, while the
-speeds, couplings and phi factors on the fine grid (``_FineFactors``) are
+speeds, couplings and phi factors on the fine grid (``CharCoeffs``) are
 computed once per channel and certificate. Every check but the interior
 matrix N(x) and the junction matrices reads only the ends of one channel,
 where theta is exact: the inlet value and the solve's last one. Each of
@@ -67,11 +67,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .characteristics import (
+    _ENDS,
     CharCoeffs,
     eigenvalues,
     existence_integral,
@@ -94,8 +94,6 @@ ETA_ATOL = 1e-13
 POSITIVITY_REL_TOL = 1e-12
 DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
-# the first and last points of a fine grid: the inlet and the outlet
-_ENDS = np.array([0, -1])
 
 
 def __getattr__(name):
@@ -295,53 +293,6 @@ def _riccati(profile: SteadyProfile, epsilon):
 
 
 @dataclass(frozen=True, eq=False)
-class _FineFactors:
-    """What every epsilon attempt needs of a channel on its fine grid and
-    does not depend on epsilon: its CharCoeffs, phi = exp(I1 + I2), phi1^2 =
-    exp(I1)^2 and phi2^2 = exp(-I2)^2, and the coefficients A = delta1 phi /
-    lambda1 and B = gamma2 / (lambda2 phi) of the Riccati slope eta' = |A +
-    B eta^2| + epsilon. On a channel whose depth stays H0 to the last bit
-    the exponents vanish. A certificate builds them once per channel."""
-
-    coeffs: CharCoeffs
-    phi: np.ndarray
-    phi1_sq: np.ndarray
-    phi2_sq: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-
-    @classmethod
-    def of(cls, profile: SteadyProfile) -> "_FineFactors":
-        c = CharCoeffs.from_profile(profile)
-        H = profile.H_fine
-        if profile.outlet_depth == profile.inlet_depth:
-            I1 = I2 = np.zeros(H.shape)
-        else:
-            spec = profile.spec
-            terms = (profile.inlet_depth, profile.flux, spec.friction_exponent, spec.gravity)
-            I1, I2 = phi_exponents(H, *terms)
-        phi = np.exp(I1 + I2)
-        A, B = c.delta1 * phi / c.lambda1, c.gamma2 / (c.lambda2 * phi)
-        return cls(c, phi, np.exp(I1) ** 2, np.exp(-I2) ** 2, A, B)
-
-    @cached_property
-    def ends(self) -> "_FineFactors":
-        """The same factors at the inlet and the outlet alone: the first and
-        last element of every array."""
-        c = self.coeffs
-        coeffs = CharCoeffs(c.profile, *(a[_ENDS] for a in (
-            c.lambda1, c.lambda2, c.gamma1, c.delta1, c.gamma2, c.delta2)))
-        return _FineFactors(coeffs, *(a[_ENDS] for a in (
-            self.phi, self.phi1_sq, self.phi2_sq, self.A, self.B)))
-
-    def pair(self, eta):
-        """(phi1^2 / eta, phi2^2 eta): times alpha and over (lambda1,
-        lambda2) they are (f1, f2), and their difference and sum are Z /
-        alpha and W / alpha."""
-        return self.phi1_sq / eta, self.phi2_sq * eta
-
-
-@dataclass(frozen=True, eq=False)
 class PhiProfiles:
     """Cumulative coefficient integrals of one channel, in closed form.
 
@@ -531,19 +482,21 @@ class WeightSet:
     channels: dict[int, ChannelWeights]
 
 
-def _channel_weights(factors: _FineFactors, ratio, alpha: float, epsilon: float) -> ChannelWeights:
+def _channel_weights(c: CharCoeffs, ratio, alpha: float, epsilon: float) -> ChannelWeights:
     """One channel's weights at the scale ``alpha`` from its epsilon-free
-    ``factors`` and its comparison solution's eta / phi, ``ratio``, both on
-    the fine grid or both at its ends, where each is the fine grid's value."""
-    eta = ratio * factors.phi
-    a, b = factors.pair(eta)
-    c = factors.coeffs
+    record ``c`` and its comparison solution's eta / phi, ``ratio``, both on
+    the fine grid or both at its ends, where each is the fine grid's value.
+    Times alpha and over (lambda1, lambda2), (phi1^2 / eta, phi2^2 eta) are
+    (f1, f2), and their difference and sum are Z / alpha and W / alpha."""
+    eta = ratio * c.phi
+    a, b = c.phi1_sq / eta, c.phi2_sq * eta
     return ChannelWeights(
         coeffs=c,
         alpha=alpha,
         epsilon=epsilon,
         eta_eps=eta,
-        eta_slope=np.abs(factors.A + factors.B * eta**2) + epsilon,
+        eta_slope=np.abs(c.delta1 * c.phi / c.lambda1
+                         + c.gamma2 / (c.lambda2 * c.phi) * eta**2) + epsilon,
         f1=alpha * a / c.lambda1,
         f2=alpha * b / c.lambda2,
         Z=alpha * (a - b),
@@ -577,7 +530,7 @@ def network_weights(
     """Assemble junction-matched weights for the whole tree at one epsilon.
     Raises EpsilonTooLarge where a comparison solution does not exist."""
     order = traversal_order(topo)
-    fixed = {i: _FineFactors.of(profiles[i]) for i in order}
+    fixed = {i: CharCoeffs.from_profile(profiles[i]) for i in order}
     solved = {i: _Comparison.of(profiles[i], epsilon, i == topo.root_channel) for i in order}
     unit = {i: _channel_weights(fixed[i].ends, solved[i].ends(), 1.0, epsilon) for i in order}
     channels = {cw.channel: cw for cw in _scaled(topo, epsilon, fixed, solved, unit)}
@@ -726,7 +679,6 @@ def _empty_detail() -> dict:
 def _channel_checks(
     ws: WeightSet,
     cw: ChannelWeights,
-    factors: _FineFactors,
     gains: dict[int, float],
     detail: dict,
 ) -> list[str]:
@@ -737,7 +689,7 @@ def _channel_checks(
     a NaN margin fails it. Each margin is alpha > 0 times a term free of
     alpha (the root's alpha is 1), so each verdict is the same at alpha = 1.
     A terminal's margin is alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2) at
-    the outlet, from the channel's ``factors``: f1 lam1 y1^2 - f2 lam2 y2^2
+    the outlet: f1 lam1 y1^2 - f2 lam2 y2^2
     at the traces of ``outlet_traces``, with no pole in the gain and
     negative at the ill-posed gain, where y1 = 0.
     """
@@ -754,8 +706,8 @@ def _channel_checks(
         k = float(gains[i])
         detail["reflection"][i] = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
         y1, y2 = outlet_traces(k, prof.outlet_depth, prof.gravity)
-        eta = cw.eta_eps[-1]
-        term = factors.phi1_sq[-1] / eta * y1**2 - factors.phi2_sq[-1] * eta * y2**2
+        c, eta = cw.coeffs, cw.eta_eps[-1]
+        term = c.phi1_sq[-1] / eta * y1**2 - c.phi2_sq[-1] * eta * y2**2
         margin = cw.alpha * float(term)
         detail["terminal_margins"][i] = margin
         if not margin > 0.0 or (prof.flux == 0.0 and not k > 0.0):
@@ -803,7 +755,7 @@ def _attempt(
     profiles: dict[int, SteadyProfile],
     gains: dict[int, float],
     epsilon: float,
-    fixed: dict[int, _FineFactors],
+    fixed: dict[int, CharCoeffs],
     last: bool,
     first: int | None,
 ):
@@ -826,13 +778,13 @@ def _attempt(
     # channel first, then the rest in traversal order: the sort is stable
     for i in sorted(traversal_order(topo), key=lambda j: j != first):
         if i not in fixed:
-            fixed[i] = _FineFactors.of(profiles[i])
+            fixed[i] = CharCoeffs.from_profile(profiles[i])
         try:
             solved[i] = _Comparison.of(profiles[i], epsilon, trunk_inlet=(i == topo.root_channel))
         except EpsilonTooLarge:
             return None, ["weight_existence"], _empty_detail(), i
         unit.channels[i] = cw = _channel_weights(fixed[i].ends, solved[i].ends(), 1.0, epsilon)
-        failed = _channel_checks(unit, cw, fixed[i], gains, _empty_detail())
+        failed = _channel_checks(unit, cw, gains, _empty_detail())
         if failed and not last:
             return None, [name for name in CHECK_ORDER if name in failed], _empty_detail(), i
 
@@ -841,7 +793,7 @@ def _attempt(
     failed = set()
     for cw in _scaled(topo, epsilon, fixed, solved, unit.channels):
         ws.channels[cw.channel] = cw
-        failed.update(_channel_checks(ws, cw, fixed[cw.channel], gains, detail))
+        failed.update(_channel_checks(ws, cw, gains, detail))
         failed.update(_fine_checks(ws, cw, detail))
         if failed and not last:
             break
@@ -881,7 +833,7 @@ def certify_network(
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)
-    fixed: dict[int, _FineFactors] = {}
+    fixed: dict[int, CharCoeffs] = {}
     epsilon = float(epsilon_start)
     stop = None
     for halvings in range(MAX_HALVINGS + 1):

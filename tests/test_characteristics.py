@@ -15,6 +15,7 @@ from channet.characteristics import (
 )
 from channet.steady import integrate_channel_steady
 from channet.topology import ChannelSpec
+from channet.weights import phi_profiles
 
 from conftest import G, P_CHOICES, draw_channel, steady_rhs
 
@@ -231,7 +232,8 @@ def test_existence_integral_matches_its_definition():
 
 def test_zero_friction_couplings_vanish():
     # a frictionless channel and a zero-flux channel have no coupling: their
-    # couplings are exact (positive) zeros, and their speeds the eigenvalues
+    # couplings are exact (positive) zeros, their speeds the eigenvalues, and
+    # the factors that absorb the couplings exact ones
     for friction, flux in ((0.0, 1.0), (2e-3, 0.0)):
         spec = ChannelSpec(id=1, length=10.0, friction=friction, cells=8)
         prof = integrate_channel_steady(spec, 2.0, flux)
@@ -241,9 +243,11 @@ def test_zero_friction_couplings_vanish():
             assert np.all(a == 0.0) and not np.any(np.signbit(a))
         lam1, lam2 = eigenvalues(prof.H_fine, prof.velocity_of(prof.H_fine), G)
         assert np.array_equal(cc.lambda1, lam1) and np.array_equal(cc.lambda2, lam2)
+        for a in (cc.phi, cc.phi1_sq, cc.phi2_sq):
+            assert a.shape == prof.H_fine.shape and np.all(a == 1.0)
 
 
-def test_char_coeffs_from_profile():
+def test_char_coeffs_from_profile(star_profiles):
     rng = np.random.default_rng(33)
     spec, H0, flux = draw_channel(rng, cells=16)
     prof = integrate_channel_steady(spec, H0, flux)
@@ -255,3 +259,9 @@ def test_char_coeffs_from_profile():
     g1, d1, g2, d2 = (cc.gamma1[5], cc.delta1[5], cc.gamma2[5], cc.delta2[5])
     ref = speeds_couplings(float(prof.depth(x)), flux, spec.friction, spec.friction_exponent, G)[2:]
     assert (g1, d1, g2, d2) == pytest.approx(ref, rel=1e-8)
+    assert cc.phi[5] == pytest.approx(float(phi_profiles(prof).phi(x)), rel=1e-12)
+    # every factor is exactly 1 at the inlet, where the exponents vanish:
+    # the junction scales rely on it for W~(0) >= 2 at a branch inlet
+    for p in (prof, *star_profiles[1].values()):
+        c = CharCoeffs.from_profile(p)
+        assert (c.phi[0], c.phi1_sq[0], c.phi2_sq[0]) == (1.0, 1.0, 1.0), p.channel

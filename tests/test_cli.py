@@ -379,6 +379,36 @@ def test_bad_simulation_option_exit_two_before_any_solve(tmp_path, capsys, monke
     assert not outdir.exists()
 
 
+def test_output_directory_that_cannot_be_made_exit_two_before_any_solve(tmp_path, capsys,
+                                                                       monkeypatch):
+    # --out naming a regular file, and a directory below one
+    taken = tmp_path / "notadir"
+    taken.write_text("")
+    path = write_config(tmp_path, star_config())
+    refuse_solve(monkeypatch)
+    for out in (taken, taken / "sub"):
+        assert main(["steady", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "notadir" in err
+        assert "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("command, name", [
+    ("steady", "steady_summary.json"), ("gains", "gains_report.json"),
+    ("certify", "certificate.json"), ("simulate", "simulate_summary.json"),
+])
+def test_output_file_that_cannot_be_written_exit_two(tmp_path, capsys, command, name):
+    # an output whose name a directory holds; simulate's summary is written
+    # after the run
+    (tmp_path / "out" / name).mkdir(parents=True)
+    code, _ = run_cli(tmp_path, command, star_config())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and name in err
+    assert "Traceback" not in err
+
+
 def _set(cfg, path, value):
     *keys, last = path
     for key in keys:
@@ -585,6 +615,11 @@ SCHEMA_PROBES = {
     "junctions-+1": (("network", "junctions", "+1"), [2, 3, 4]),
     "split_fractions-01": (("network", "split_fractions", "01"), [0.2, 0.3, 0.5]),
     "perturbation-02": (("simulation", "perturbation", "02"), {"amplitude_h": -1e-3}),
+    # keys that int() cannot read, the empty one included: each is refused
+    # in the configuration's words, at its own path
+    "gain-abc": (("gains", "abc"), 1.0),
+    "gain-empty-key": (("gains", ""), 1.0),
+    "junctions-1e0": (("network", "junctions", "1e0"), [2]),
 }
 SCHEMA_CASES = {name: (path, value)
                 for name, path, value in _schema_cases(_CONFIG, readme_config())}
@@ -609,6 +644,7 @@ def test_schema_refuses_wrong_kinds_and_unknown_keys_before_any_solve(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid configuration: {_path_text(path)}: ")
     assert "Traceback" not in err
+    assert "invalid literal" not in err
     assert not outdir.exists()
 
 

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from channet.characteristics import (
+    CharCoeffs,
     eigenvalues,
     phi_exponents,
     speeds_couplings,
@@ -742,14 +743,14 @@ def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profil
     topo, profiles = star_profiles
     epsilon = DEFAULT_EPSILON * 0.5**8
     prof = profiles[2]
-    factors = weights_module._FineFactors.of(prof)
+    coeffs = CharCoeffs.from_profile(prof)
     comparison = weights_module._Comparison.of(prof, epsilon, trunk_inlet=False)
-    cw = weights_module._channel_weights(factors.ends, comparison.ends(), 1.0, epsilon)
+    cw = weights_module._channel_weights(coeffs.ends, comparison.ends(), 1.0, epsilon)
     unit = weights_module.WeightSet(topo=topo, epsilon=epsilon, channels={2: cw})
 
     def term(gain):
         detail = weights_module._empty_detail()
-        weights_module._channel_checks(unit, cw, factors, {2: gain}, detail)
+        weights_module._channel_checks(unit, cw, {2: gain}, detail)
         return detail["terminal_margins"][2]
 
     a, b = is_admissible(prof, 0.0).forbidden
@@ -817,10 +818,11 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
 def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
     # an attempt's first pass decides at the channel ends; it may refuse an
     # epsilon there only because the fine grid holds the same values
+    # every array field of the record, so that none can skip its end copy
     def arrays(cw):
         c = cw.coeffs
-        return (cw.eta_eps, cw.eta_slope, cw.f1, cw.f2, cw.Z, cw.W, *interior_matrix(cw),
-                c.lambda1, c.lambda2, c.gamma1, c.delta1, c.gamma2, c.delta2)
+        fields = [getattr(c, f.name) for f in dataclasses.fields(c) if f.name != "profile"]
+        return (cw.eta_eps, cw.eta_slope, cw.f1, cw.f2, cw.Z, cw.W, *interior_matrix(cw), *fields)
 
     compared = 0
     for topo, profiles in criterion_05_networks(star_profiles):
@@ -830,11 +832,11 @@ def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
             except EpsilonTooLarge:
                 continue
             for i, fine in ws.channels.items():
-                factors = weights_module._FineFactors.of(profiles[i])
+                coeffs = CharCoeffs.from_profile(profiles[i])
                 comparison = weights_module._Comparison.of(
                     profiles[i], epsilon, trunk_inlet=(i == topo.root_channel))
                 ends = weights_module._channel_weights(
-                    factors.ends, comparison.ends(), fine.alpha, epsilon)
+                    coeffs.ends, comparison.ends(), fine.alpha, epsilon)
                 for a, b in zip(arrays(ends), arrays(fine), strict=True):
                     assert a.size == 2
                     assert a.tobytes() == b[[0, -1]].tobytes(), (i, epsilon)
