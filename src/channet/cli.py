@@ -10,6 +10,7 @@ deterministic functions of the configuration.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -123,7 +124,8 @@ _NUMBER = "%.16e"
 
 
 def _sanitize(obj):
-    """Replace non-finite floats with None so the JSON stays standard."""
+    """Replace non-finite floats with None so the JSON stays standard: the
+    one place where a JSON output writes NaN and +-inf as null."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -213,6 +215,11 @@ def cmd_certify(config: RunConfig, profiles, outdir: Path) -> int:
 
 
 def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
+    # an output name that a directory holds is refused before the run, as it
+    # would be by the write after it
+    for name in filter(None, (config.trace_path, config.snapshot_path, _SUMMARY)):
+        if (outdir / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(outdir / name))
     cert = _certificate(config, profiles)
     if cert.weights is None:
         print(

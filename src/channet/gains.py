@@ -22,7 +22,7 @@ depth and eta_bar(L) = m_L (lam-/lam+) phi(L), so the screen solves no ODE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .characteristics import phi_exponents, reflection_coefficient
 from .errors import DegenerateFlux
@@ -34,7 +34,8 @@ HALF_LINE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GainRecord:
-    """Admissibility verdict for one terminal gain."""
+    """Admissibility verdict for one terminal gain. On a zero-flux terminal
+    m_L is NaN, and on a half-line the lower end of ``forbidden`` is -inf."""
 
     channel: int
     k: float
@@ -49,20 +50,10 @@ class GainRecord:
     phi_L: float
 
     def to_dict(self) -> dict:
-        return {
-            "channel": self.channel,
-            "k": self.k,
-            "lambda_plus": self.lambda_plus,
-            "lambda_minus": self.lambda_minus,
-            "m_L": None if math.isnan(self.m_L) else self.m_L,
-            "a": None if math.isinf(self.forbidden[0]) else self.forbidden[0],
-            "b": self.forbidden[1],
-            "half_line": self.half_line,
-            "reflection": self.reflection,
-            "admissible": self.admissible,
-            "eta_bar_L": self.eta_bar_L,
-            "phi_L": self.phi_L,
-        }
+        """Every field, ``forbidden`` as its two ends ``a`` and ``b``."""
+        report = asdict(self)
+        report["a"], report["b"] = report.pop("forbidden")
+        return report
 
 
 def boundary_constants(profile: SteadyProfile) -> tuple[float, float, float]:

@@ -47,26 +47,30 @@ tan theta + epsilon x there; the weights, speeds and couplings at the faces
 and centers are elements and slices of the fine-grid arrays. An epsilon
 attempt does only epsilon-dependent work: per channel one solve, while the
 speeds, couplings and phi factors on the fine grid (``CharCoeffs``) are
-computed once per channel and certificate. Every check but the interior
-matrix N(x) and the junction matrices reads only the ends of one channel,
-where theta is exact: the inlet value and the solve's last one. Each of
-those checks is the channel's scale alpha > 0 times a term that does not
-depend on alpha, so an attempt (``_attempt``) makes two passes. The first
-solves each channel, the one where the last attempt stopped first, and
-checks it on its weights at the two ends at alpha = 1; unless it is the
-last attempt, it fails at the first channel that fails there. The alphas
-then follow root first from these unit weights. The second pass scales
-each channel by its alpha on the fine grid and runs every check; its
-margins are the ones reported. The test suite (``tests/conftest.py``)
-keeps the ODE forms of I4 and of the unit-inlet comparison solution, in w
-and with a driver of their own, as oracles of the closed forms, and scipy's
-RK45 as the oracle of the step loop.
+computed once per channel and certificate, before the first attempt. Every
+check but the interior matrix N(x) and the junction matrices reads only
+the ends of one channel, where theta is exact: the inlet value and the
+solve's last one. Each of those checks is the channel's scale alpha > 0
+times a term that does not depend on alpha, so an attempt (``_attempt``)
+makes two passes. The first solves each channel, the one where the last
+attempt stopped first, and checks it on its weights at the two ends at
+alpha = 1; unless it is the last attempt, it fails at the first channel
+that fails there. The alphas then follow root first from these unit
+weights. The second pass scales each channel by its alpha on the fine grid
+and runs every check; its margins are the ones reported. An attempt
+returns its own ``NetworkCertificate``, whose fields other than the
+weights are the report, and ``certify_network`` sets only its halving
+count. The test suite (``tests/conftest.py``) keeps the ODE forms of I4
+and of the unit-inlet comparison solution, in w and with a driver of their
+own, as oracles of the closed forms, and scipy's RK45 as the oracle of the
+step loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -504,7 +508,7 @@ def _channel_weights(c: CharCoeffs, ratio, alpha: float, epsilon: float) -> Chan
     )
 
 
-def _scaled(topo: NetworkTopology, epsilon: float, fixed, solved, unit):
+def _scaled(topo: NetworkTopology, epsilon: float, coeffs, solved, unit):
     """Yield the fine-grid weights of every channel in traversal order,
     parents first, each at its alpha. The alphas follow root first from the
     ``unit`` weights, those at alpha = 1: alpha_child = alpha_parent *
@@ -519,7 +523,7 @@ def _scaled(topo: NetworkTopology, epsilon: float, fixed, solved, unit):
         else:
             parent = topo.parent_of(i)
             alphas[i] = alphas[parent] * float(unit[parent].W[-1]) / float(unit[i].W[0])
-        yield _channel_weights(fixed[i], solved[i].fine(), alphas[i], epsilon)
+        yield _channel_weights(coeffs[i], solved[i].fine(), alphas[i], epsilon)
 
 
 def network_weights(
@@ -530,10 +534,10 @@ def network_weights(
     """Assemble junction-matched weights for the whole tree at one epsilon.
     Raises EpsilonTooLarge where a comparison solution does not exist."""
     order = traversal_order(topo)
-    fixed = {i: CharCoeffs.from_profile(profiles[i]) for i in order}
+    coeffs = {i: CharCoeffs.from_profile(profiles[i]) for i in order}
     solved = {i: _Comparison.of(profiles[i], epsilon, i == topo.root_channel) for i in order}
-    unit = {i: _channel_weights(fixed[i].ends, solved[i].ends(), 1.0, epsilon) for i in order}
-    channels = {cw.channel: cw for cw in _scaled(topo, epsilon, fixed, solved, unit)}
+    unit = {i: _channel_weights(coeffs[i].ends, solved[i].ends(), 1.0, epsilon) for i in order}
+    channels = {cw.channel: cw for cw in _scaled(topo, epsilon, coeffs, solved, unit)}
     return WeightSet(topo=topo, epsilon=epsilon, channels=channels)
 
 
@@ -621,37 +625,36 @@ def _sym2x2_eig_bounds(a11, a12, a22):
 
 @dataclass(frozen=True, eq=False)
 class NetworkCertificate:
-    """Outcome of the network positivity checks at one epsilon."""
+    """Outcome of the network positivity checks at one epsilon. Its fields
+    other than ``weights`` are its report (``to_dict``). Each margin map
+    holds the channels whose check ran, and ``trunk_inlet`` is NaN until its
+    check runs, so a refusal before any check has empty maps."""
 
     certified: bool
     epsilon: float
     halvings: int
     weights: WeightSet | None
-    alphas: dict[int, float]
-    z_end: dict[int, float]
-    z_start: dict[int, float]
-    junction_min_eig: dict[int, float]
-    trunk_inlet: float
-    terminal_margins: dict[int, float]
-    reflection: dict[int, float]
-    interior_min_eig: dict[int, float]
     failed_checks: tuple[str, ...]
+    alphas: dict[int, float] = field(default_factory=dict)
+    z_end: dict[int, float] = field(default_factory=dict)
+    z_start: dict[int, float] = field(default_factory=dict)
+    junction_min_eig: dict[int, float] = field(default_factory=dict)
+    trunk_inlet: float = math.nan
+    terminal_margins: dict[int, float] = field(default_factory=dict)
+    reflection: dict[int, float] = field(default_factory=dict)
+    interior_min_eig: dict[int, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "certified": self.certified,
-            "epsilon": self.epsilon,
-            "halvings": self.halvings,
-            "alphas": {str(k): v for k, v in sorted(self.alphas.items())},
-            "z_end": {str(k): v for k, v in sorted(self.z_end.items())},
-            "z_start": {str(k): v for k, v in sorted(self.z_start.items())},
-            "junction_min_eig": {str(k): v for k, v in sorted(self.junction_min_eig.items())},
-            "trunk_inlet": self.trunk_inlet,
-            "terminal_margins": {str(k): v for k, v in sorted(self.terminal_margins.items())},
-            "reflection": {str(k): v for k, v in sorted(self.reflection.items())},
-            "interior_min_eig": {str(k): v for k, v in sorted(self.interior_min_eig.items())},
-            "failed_checks": list(self.failed_checks),
-        }
+        """Every field but ``weights``: each map keyed by channel ids as
+        strings in ascending order, ``failed_checks`` as a list."""
+        report = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = {str(k): v for k, v in sorted(value.items())}
+            report[f.name] = list(value) if isinstance(value, tuple) else value
+        del report["weights"]
+        return report
 
 
 CHECK_ORDER = (
@@ -662,18 +665,6 @@ CHECK_ORDER = (
     "terminal_margin",
     "interior_matrix",
 )
-
-
-def _empty_detail() -> dict:
-    return {
-        "z_end": {},
-        "z_start": {},
-        "junction_min_eig": {},
-        "trunk_inlet": math.nan,
-        "terminal_margins": {},
-        "reflection": {},
-        "interior_min_eig": {},
-    }
 
 
 def _channel_checks(
@@ -752,15 +743,15 @@ def _fine_checks(ws: WeightSet, cw: ChannelWeights, detail: dict) -> list[str]:
 
 def _attempt(
     topo: NetworkTopology,
-    profiles: dict[int, SteadyProfile],
     gains: dict[int, float],
     epsilon: float,
-    fixed: dict[int, CharCoeffs],
+    coeffs: dict[int, CharCoeffs],
     last: bool,
     first: int | None,
-):
-    """Build and check the weights at one epsilon in two passes: (weights,
-    failed checks in CHECK_ORDER, margins, the channel where it stopped).
+) -> tuple[NetworkCertificate, int]:
+    """Build and check the weights at one epsilon in two passes from each
+    channel's epsilon-free record in ``coeffs``: (its certificate, with
+    halvings 0, the channel where it stopped).
 
     The first pass solves channel ``first``, where the last attempt
     stopped, then the rest in traversal order, and runs ``_channel_checks``
@@ -777,27 +768,28 @@ def _attempt(
     solved: dict[int, _Comparison] = {}
     # channel first, then the rest in traversal order: the sort is stable
     for i in sorted(traversal_order(topo), key=lambda j: j != first):
-        if i not in fixed:
-            fixed[i] = CharCoeffs.from_profile(profiles[i])
         try:
-            solved[i] = _Comparison.of(profiles[i], epsilon, trunk_inlet=(i == topo.root_channel))
+            solved[i] = _Comparison.of(coeffs[i].profile, epsilon, i == topo.root_channel)
         except EpsilonTooLarge:
-            return None, ["weight_existence"], _empty_detail(), i
-        unit.channels[i] = cw = _channel_weights(fixed[i].ends, solved[i].ends(), 1.0, epsilon)
-        failed = _channel_checks(unit, cw, gains, _empty_detail())
+            return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",)), i
+        unit.channels[i] = cw = _channel_weights(coeffs[i].ends, solved[i].ends(), 1.0, epsilon)
+        failed = _channel_checks(unit, cw, gains, defaultdict(dict))
         if failed and not last:
-            return None, [name for name in CHECK_ORDER if name in failed], _empty_detail(), i
+            failed = tuple(name for name in CHECK_ORDER if name in failed)
+            return NetworkCertificate(False, epsilon, 0, None, failed), i
 
     ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
-    detail = _empty_detail()
+    detail = defaultdict(dict)
     failed = set()
-    for cw in _scaled(topo, epsilon, fixed, solved, unit.channels):
+    for cw in _scaled(topo, epsilon, coeffs, solved, unit.channels):
         ws.channels[cw.channel] = cw
+        detail["alphas"][cw.channel] = cw.alpha
         failed.update(_channel_checks(ws, cw, gains, detail))
         failed.update(_fine_checks(ws, cw, detail))
         if failed and not last:
             break
-    return ws, [name for name in CHECK_ORDER if name in failed], detail, cw.channel
+    failed = tuple(name for name in CHECK_ORDER if name in failed)
+    return NetworkCertificate(not failed, epsilon, 0, ws, failed, **detail), cw.channel
 
 
 def _check_epsilon_start(epsilon_start: float) -> float:
@@ -833,22 +825,11 @@ def certify_network(
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)
-    fixed: dict[int, CharCoeffs] = {}
+    coeffs = {i: CharCoeffs.from_profile(profiles[i]) for i in traversal_order(topo)}
     epsilon = float(epsilon_start)
     stop = None
     for halvings in range(MAX_HALVINGS + 1):
-        last = halvings == MAX_HALVINGS
-        ws, failed, detail, stop = _attempt(topo, profiles, gains, epsilon, fixed, last, stop)
-        if not failed or last:
-            break
+        cert, stop = _attempt(topo, gains, epsilon, coeffs, halvings == MAX_HALVINGS, stop)
+        if cert.certified or halvings == MAX_HALVINGS:
+            return replace(cert, halvings=halvings)
         epsilon *= 0.5
-
-    return NetworkCertificate(
-        certified=not failed,
-        epsilon=epsilon,
-        halvings=halvings,
-        weights=ws,
-        alphas={} if ws is None else {i: cw.alpha for i, cw in ws.channels.items()},
-        failed_checks=tuple(failed),
-        **detail,
-    )

@@ -397,16 +397,44 @@ def test_output_directory_that_cannot_be_made_exit_two_before_any_solve(tmp_path
 @pytest.mark.parametrize("command, name", [
     ("steady", "steady_summary.json"), ("gains", "gains_report.json"),
     ("certify", "certificate.json"), ("simulate", "simulate_summary.json"),
+    ("simulate", "trace.csv"), ("simulate", "snapshot.csv"),
 ])
-def test_output_file_that_cannot_be_written_exit_two(tmp_path, capsys, command, name):
-    # an output whose name a directory holds; simulate's summary is written
-    # after the run
+def test_output_file_that_cannot_be_written_exit_two(tmp_path, capsys, monkeypatch, command,
+                                                     name):
+    # an output whose name a directory holds; simulate refuses it before
+    # its certificate and its run, and writes nothing
+    import channet.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate or the run took place")
+
+    if command == "simulate":
+        monkeypatch.setattr(channet.cli, "certify_network", refuse)
+        monkeypatch.setattr(channet.cli.NetworkSimulator, "run", refuse)
     (tmp_path / "out" / name).mkdir(parents=True)
-    code, _ = run_cli(tmp_path, command, star_config())
+    code, outdir = run_cli(tmp_path, command, star_config())
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output: ") and name in err
     assert "Traceback" not in err
+    if command == "simulate":
+        assert os.listdir(outdir) == [name]
+
+
+def test_gains_report_writes_zero_flux_terminals_with_nulls(tmp_path):
+    # all the root's flux into channel 2: terminals 3 and 4 carry none, so
+    # their m_L is NaN and their forbidden set the half-line (-inf, 0]
+    cfg = star_config()
+    cfg["network"]["split_fractions"]["1"] = [1.0, 0.0, 0.0]
+    code, outdir = run_cli(tmp_path, "gains", cfg)
+    assert code == 0
+    text = (outdir / "gains_report.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    records = {r["channel"]: r for r in json.loads(text)["terminals"]}
+    for j in (3, 4):
+        assert records[j]["a"] is None and records[j]["m_L"] is None
+        assert records[j]["b"] == 0.0 and records[j]["half_line"] is True
+    assert records[2]["m_L"] is not None and records[2]["a"] is not None
 
 
 def _set(cfg, path, value):

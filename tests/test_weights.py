@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +480,27 @@ def test_certificate_fields_and_serialization(star_weights):
     assert json.loads(blob)["certified"] is True
 
 
+def test_weight_existence_refusal_reports_empty_margins(star_weights, tmp_path):
+    # at epsilon 1e3 no comparison solution reaches an outlet: the attempt
+    # is refused before any check, with the certified report's keys
+    from channet.cli import _write_json
+
+    topo, profiles, cert = star_weights
+    refused = certify_once(topo, profiles, STAR_GAINS, 1e3)
+    assert not refused.certified
+    assert refused.weights is None
+    assert refused.failed_checks == ("weight_existence",)
+    report = refused.to_dict()
+    assert report.keys() == cert.to_dict().keys()
+    margins = [key for key, value in report.items() if isinstance(value, dict)]
+    assert len(margins) == 7 and all(report[key] == {} for key in margins)
+    assert math.isnan(report["trunk_inlet"])
+    _write_json(tmp_path / "certificate.json", report)
+    written = json.loads((tmp_path / "certificate.json").read_text())
+    assert written["trunk_inlet"] is None
+    assert written == {**report, "trunk_inlet": None}
+
+
 def test_missing_gain_rejected(star_profiles):
     topo, profiles = star_profiles
     with pytest.raises(MissingGain):
@@ -710,9 +732,9 @@ def test_end_pass_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, mo
     refused = []
     attempt = weights_module._attempt
 
-    def recording(topo, profiles, gains, epsilon, *args):
-        outcome = attempt(topo, profiles, gains, epsilon, *args)
-        if outcome[0] is None:
+    def recording(topo, gains, epsilon, *args):
+        outcome = attempt(topo, gains, epsilon, *args)
+        if outcome[0].weights is None:
             refused.append(epsilon)
         return outcome
 
@@ -749,7 +771,7 @@ def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profil
     unit = weights_module.WeightSet(topo=topo, epsilon=epsilon, channels={2: cw})
 
     def term(gain):
-        detail = weights_module._empty_detail()
+        detail = defaultdict(dict)
         weights_module._channel_checks(unit, cw, {2: gain}, detail)
         return detail["terminal_margins"][2]
 
