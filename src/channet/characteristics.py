@@ -33,7 +33,7 @@ from .steady import SteadyProfile
 _ENDS = np.array([0, -1])
 
 
-def eigenvalues(depth, velocity, gravity=9.81):
+def eigenvalues(depth, velocity, gravity):
     """Characteristic speeds (lambda1, lambda2), both positive when subcritical."""
     c = np.sqrt(gravity * np.asarray(depth, dtype=float))
     v = np.asarray(velocity, dtype=float)
@@ -124,14 +124,14 @@ def existence_integral(H, inlet_depth, flux, p, g):
     return -(s0 + 1.0) / (s0 - 1.0) * dF
 
 
-def outlet_traces(gain, outlet_depth, gravity=9.81):
+def outlet_traces(gain, outlet_depth, gravity):
     """Characteristic traces (y1, y2) = (1 + r, r - 1), r = k sqrt(H/g), that
     the affine outlet law v = k h sets, per unit sqrt(g/H) h."""
     r = gain * math.sqrt(outlet_depth / gravity)
     return 1.0 + r, r - 1.0
 
 
-def reflection_coefficient(gain, outlet_depth, gravity=9.81):
+def reflection_coefficient(gain, outlet_depth, gravity):
     """Reflection rho = y2 / y1 of a feedback outlet: the share of the
     arriving characteristic y1 that the outlet sends back as y2.
 

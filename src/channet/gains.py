@@ -75,7 +75,7 @@ def forbidden_interval(
     lambda_minus: float,
     m_L: float,
     outlet_depth: float,
-    gravity: float = 9.81,
+    gravity: float,
 ) -> tuple[float, float, bool]:
     """Closed forbidden gain interval (a, b, half_line).
 

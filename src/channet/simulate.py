@@ -373,7 +373,6 @@ class NetworkSimulator:
         self.mode = mode
         self.phys = _PHYSICS[mode]
         self.weights = weights
-        self.root_flux = self.profiles[topo.root_channel].flux
         self.final_state: np.ndarray | None = None  # set by run
         self._layout()
         self._face_relations()
@@ -397,7 +396,7 @@ class NetworkSimulator:
         specs = [(s.gravity, s.friction, s.friction_exponent, s.length / s.cells)
                  for s in (pr.spec for pr in ps)]
         g, fr, p, dx = (np.repeat(a, n) for a in zip(*specs))
-        self.Hc, self.Vc, self.g, self.friction, self.p, self.dx = Hc, Vc, g, fr, p, dx
+        self.Hc, self.Vc, self.g, self.p, self.dx = Hc, Vc, g, p, dx
         self.HVc = np.concatenate((Hc, Vc))
         self.src_h = p * g * fr * Vc**2 / Hc ** (p + 1.0)
         self.src_v = 2.0 * g * fr * Vc / Hc**p
@@ -518,30 +517,31 @@ class NetworkSimulator:
         The faces are linear in the end cells, F holding the faces of each
         unit end cell, and the tendency is linear in the state and the faces:
         A is the state's part of the flux matrix plus the source's diagonals
-        plus T F, T the tendencies of the 4m unit faces at y = 0. The influx
-        row is likewise that of the unit faces times F.
-        F, T and K_y + S, K_y the state's columns of K, are one pass each;
-        scipy adds T @ F, in the entry order that A @ A then follows.
+        plus T F, T being K's boundary columns times J, the Jacobian of the
+        face fluxes (B1, B2). Each face's fluxes read only its own (h, v), so
+        two _boundary_fluxes calls give J: every face at unit depth, then at
+        unit velocity. The influx row is J's B1 rows, inlets in and outlets
+        out, times F. F, J, T and K_y + S, K_y the state's columns of K, are
+        one pass each; scipy adds T @ F, in the entry order that A @ A then
+        follows.
         """
-        N, m4, ends = self.N, 4 * self.m, np.unique(self._ends)
+        N, m2, ends = self.N, 2 * self.m, np.unique(self._ends)
         unit = np.zeros((ends.size, 2 * N))
         unit[np.arange(ends.size), ends] = 1.0
-        face = np.array([self._solve_faces(y)[0] for y in unit]).reshape(ends.size, m4)
+        face = np.array([self._solve_faces(y)[0] for y in unit]).reshape(ends.size, 2 * m2)
         b, k = np.nonzero(face)
-        F = _csr((m4, 2 * N), [(k, ends[b], face[b, k])])
-        zero, unit_faces = np.zeros(2 * N), np.identity(m4).reshape(m4, 2, -1)
-        steady = self.phys.admit(self, zero)
-        dY, _, influx = zip(*(
-            self._tendency(zero, (f, *self._boundary_fluxes(*f.tolist())), steady)
-            for f in unit_faces))
-        dY = np.array(dY).T
-        i, f = np.nonzero(dY)
-        T = _csr((2 * N, m4), [(i, f, dY[i, f])])
+        F = _csr((2 * m2, 2 * N), [(k, ends[b], face[b, k])])
+        one, none = [1.0] * m2, [0.0] * m2
+        (h1, h2, _), (v1, v2, _) = (self._boundary_fluxes(*f) for f in ((one, none), (none, one)))
+        k, f = np.arange(2 * m2), np.tile(np.arange(m2), 2)  # J's rows, B1 then B2
+        J = _csr((2 * m2, 2 * m2), [(k, f, h1 + h2), (k, m2 + f, v1 + v2)])
+        T = _csr((2 * N, 2 * m2), [_triples(self._K[:, 4 * N :] @ J)])
         one, none, k = np.ones(N), np.zeros(N), np.arange(N)
-        Sh, Sv = (self.phys.source(self, *e, steady) for e in ((one, none), (none, one)))
+        # the linear source reads no admission
+        Sh, Sv = (self.phys.source(self, *e, None) for e in ((one, none), (none, one)))
         Ky = tuple(a[self._K.indices < 2 * N] for a in _triples(self._K))  # the state's columns
         A = _csr((2 * N, 2 * N), [Ky, (N + k, k, Sh), (N + k, N + k, Sv)]) + T @ F
-        return A, F, F.T @ np.array(influx)
+        return A, F, F.T @ (np.tile(-self._sign, 2) * np.array(h1 + v1))
 
     def initial_state(self, perturbation: dict[int, Bump] | None = None) -> np.ndarray:
         """The steady state plus each channel's bump; ValueError if a key of

@@ -53,7 +53,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def critical_depth(flux: float, gravity: float = 9.81) -> float:
+def critical_depth(flux: float, gravity: float) -> float:
     """Depth at which the flow with flux Q becomes critical: g H^3 = Q^2."""
     if flux < 0.0:
         raise NegativeFlux(f"flux must be >= 0, got {flux!r}")
@@ -111,12 +111,9 @@ class SteadyProfile:
 
     @property
     def outlet_velocity(self) -> float:
-        return self.flux / self.outlet_depth if self.flux != 0.0 else 0.0
+        return self.flux / self.outlet_depth
 
     def velocity_of(self, H):
-        if self.flux == 0.0:
-            out = np.zeros_like(np.asarray(H, dtype=float))
-            return float(out) if out.ndim == 0 else out
         return self.flux / H
 
     def depth(self, x):
@@ -238,7 +235,7 @@ def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float)
         raise SupercriticalStart(f"channel {spec.id}: inlet depth must be positive and finite")
     Hc = critical_depth(flux, g)
     threshold = MARGIN_TOL * g * H0
-    inlet_margin = g * H0 - (0.0 if flux == 0.0 else (flux / H0) ** 2)
+    inlet_margin = g * H0 - (flux / H0) ** 2
     if not inlet_margin > threshold:
         raise SupercriticalStart(
             f"channel {spec.id}: inlet margin {inlet_margin:.3e} is within "

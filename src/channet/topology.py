@@ -49,6 +49,8 @@ class ChannelSpec:
             raise ValueError(f"channel {self.id}: friction exponent must be >= 0 and finite")
         if not 0.0 < self.gravity < math.inf:
             raise ValueError(f"channel {self.id}: gravity must be positive and finite")
+        if isinstance(self.cells, bool) or not isinstance(self.cells, numbers.Integral):
+            raise ValueError(f"channel {self.id}: cells must be an integer, not {self.cells!r}")
         if not self.cells >= 8:
             raise ValueError(f"channel {self.id}: at least 8 cells required")
 
@@ -181,7 +183,6 @@ class _Table:
 
     def __init__(self, rows: dict, build=None, noun: str = ""):
         self.rows, self.build, self.noun = rows, build, noun
-        self.flat = tuple((key, kind, default) for key, (kind, default) in rows.items())
 
 
 class _Each:
@@ -229,7 +230,7 @@ def _walk(kind, x, name: str):
                 out.append((i, v) if keyed else v)
             return dict(out) if keyed else tuple(out)
         parsed, missing = [], 0
-        for key, sub, default in kind.flat:
+        for key, (sub, default) in kind.rows.items():
             v = x.get(key, _REQUIRED)
             if v is _REQUIRED:
                 if default is _REQUIRED:
@@ -239,7 +240,7 @@ def _walk(kind, x, name: str):
             if not (type(v) is sub and (sub is not float or v - v == 0.0) or v is None is default):
                 v = _walk(sub, v, kind.noun + key)
             parsed.append(v)
-        if len(x) + missing > len(kind.flat):  # x has a key that is no row
+        if len(x) + missing > len(kind.rows):  # x has a key that is no row
             key = min(map(str, x.keys() - kind.rows.keys()))
             raise ValueError("unknown key")
         key = None

@@ -479,10 +479,9 @@ class ChannelWeights:
 
 @dataclass(frozen=True, eq=False)
 class WeightSet:
-    """Weight profiles for every channel of a network at a common epsilon."""
+    """Weight profiles for every channel of a network; each carries its epsilon."""
 
     topo: NetworkTopology
-    epsilon: float
     channels: dict[int, ChannelWeights]
 
 
@@ -538,7 +537,7 @@ def network_weights(
     solved = {i: _Comparison.of(profiles[i], epsilon, i == topo.root_channel) for i in order}
     unit = {i: _channel_weights(coeffs[i].ends, solved[i].ends(), 1.0, epsilon) for i in order}
     channels = {cw.channel: cw for cw in _scaled(topo, epsilon, coeffs, solved, unit)}
-    return WeightSet(topo=topo, epsilon=epsilon, channels=channels)
+    return WeightSet(topo=topo, channels=channels)
 
 
 def junction_matrix(ws: WeightSet, incoming: int):
@@ -764,7 +763,7 @@ def _attempt(
     A missing comparison solution fails the attempt as "weight_existence"
     with no weights and no margins.
     """
-    unit = WeightSet(topo=topo, epsilon=epsilon, channels={})
+    unit = WeightSet(topo=topo, channels={})
     solved: dict[int, _Comparison] = {}
     # channel first, then the rest in traversal order: the sort is stable
     for i in sorted(traversal_order(topo), key=lambda j: j != first):
@@ -778,7 +777,7 @@ def _attempt(
             failed = tuple(name for name in CHECK_ORDER if name in failed)
             return NetworkCertificate(False, epsilon, 0, None, failed), i
 
-    ws = WeightSet(topo=topo, epsilon=epsilon, channels={})
+    ws = WeightSet(topo=topo, channels={})
     detail = defaultdict(dict)
     failed = set()
     for cw in _scaled(topo, epsilon, coeffs, solved, unit.channels):

@@ -87,7 +87,7 @@ def steady_rhs(depth, flux, friction=0.0, friction_exponent=1.0, gravity=9.81):
 
 def closed_form_blowup(H0, flux, friction, exponent):
     """Abscissa where the steady profile hits critical depth."""
-    Hc = critical_depth(flux)
+    Hc = critical_depth(flux, G)
     drop = depth_potential(H0, flux, exponent) - depth_potential(Hc, flux, exponent)
     return drop / (G * friction * flux * flux)
 
@@ -326,7 +326,7 @@ def theta_by_scipy_rk45(rhs, theta0, depths):
 def draw_channel(rng, cid=1, cells=32, length_fraction=0.8):
     """Random subcritical channel spanning the supported parameter box."""
     flux = rng.uniform(0.2, 3.0)
-    H0 = rng.uniform(max(0.6, 1.7 * critical_depth(flux)), 5.0)
+    H0 = rng.uniform(max(0.6, 1.7 * critical_depth(flux, G)), 5.0)
     friction = rng.uniform(1e-4, 5e-3)
     p = P_CHOICES[rng.integers(len(P_CHOICES))]
     L = length_fraction * closed_form_blowup(H0, flux, friction, p)
@@ -368,7 +368,7 @@ def draw_channel_into(rng, cid, inlet_depth, flux, cells=24):
 def draw_star(rng, n_branches, cells=24):
     """Random star: one trunk feeding n_branches terminal channels."""
     flux = rng.uniform(0.5, 3.0)
-    H0 = rng.uniform(max(1.2, 1.7 * critical_depth(flux)), 4.0)
+    H0 = rng.uniform(max(1.2, 1.7 * critical_depth(flux, G)), 4.0)
     trunk = draw_channel_into(rng, 1, H0, flux)
     H_B = integrate_channel_steady(trunk, H0, flux).outlet_depth
     u = rng.uniform(0.5, 1.5, n_branches)
@@ -388,7 +388,7 @@ def draw_star(rng, n_branches, cells=24):
 def draw_tree(rng, cells=24):
     """Random two-level tree: trunk, 2-3 children, one child subdivided again."""
     flux = rng.uniform(0.5, 3.0)
-    H0 = rng.uniform(max(1.2, 1.7 * critical_depth(flux)), 4.0)
+    H0 = rng.uniform(max(1.2, 1.7 * critical_depth(flux, G)), 4.0)
     trunk = draw_channel_into(rng, 1, H0, flux)
     H_B = integrate_channel_steady(trunk, H0, flux).outlet_depth
     n_child = 2 + int(rng.integers(2))

@@ -9,11 +9,13 @@ from channet.characteristics import (
     CharCoeffs,
     eigenvalues,
     existence_integral,
+    outlet_traces,
     phi_exponents,
     reflection_coefficient,
     speeds_couplings,
 )
-from channet.steady import integrate_channel_steady
+from channet.gains import forbidden_interval
+from channet.steady import critical_depth, integrate_channel_steady
 from channet.topology import ChannelSpec
 from channet.weights import phi_profiles
 
@@ -120,6 +122,21 @@ def test_reflection_pole():
     assert reflection_coefficient(math.sqrt(G / H), H, G) == pytest.approx(0.0, abs=1e-15)
     rho = reflection_coefficient(-math.sqrt(G / H), H, G)
     assert math.isinf(rho) or abs(rho) > 1e15
+
+
+@pytest.mark.parametrize("kernel, args", [
+    (eigenvalues, (2.0, 0.5)),
+    (outlet_traces, (0.5, 2.0)),
+    (reflection_coefficient, (0.5, 2.0)),
+    (forbidden_interval, (5.0, 4.0, 0.9, 2.0)),
+    (critical_depth, (1.0,)),
+], ids=["eigenvalues", "outlet_traces", "reflection_coefficient", "forbidden_interval",
+        "critical_depth"])
+def test_kernels_take_gravity_from_their_caller(kernel, args):
+    # a network may have any one gravity: a kernel called without it refuses
+    # to answer for 9.81
+    with pytest.raises(TypeError):
+        kernel(*args)
 
 
 def test_coupling_frozen_point():

@@ -809,6 +809,38 @@ def test_non_reflecting_gains_simulate_the_readme_star(tmp_path, mode):
     assert summary["nu_hat"] > 0.06
 
 
+def test_non_reflecting_gains_at_another_gravity(tmp_path, capsys):
+    # the README star with every channel at g = 3.71 and each terminal at
+    # sqrt(g / H_L): each reflection is 0 only where every kernel takes the
+    # network's gravity, and one that answered for 9.81 would read -0.238
+    g = 3.71
+    star = small_star(cells=100)
+    topo = dataclasses.replace(star, channels={
+        i: dataclasses.replace(spec, gravity=g) for i, spec in star.channels.items()})
+    profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+    cfg = readme_config("linear")
+    cfg["network"] = network_to_dict(topo)
+    cfg["gains"] = {str(j): math.sqrt(g / profiles[j].outlet_depth)
+                    for j in topo.terminal_channels}
+    code, outdir = run_cli(tmp_path, "gains", cfg)
+    assert code == 0
+    records = json.loads((outdir / "gains_report.json").read_text())["terminals"]
+    assert [r["channel"] for r in records] == [2, 3, 4]
+    assert all(abs(r["reflection"]) <= 1e-12 for r in records)
+    code, outdir = run_cli(tmp_path, "certify", cfg, out="cert")
+    assert code == 0
+    cert = json.loads((outdir / "certificate.json").read_text())
+    assert cert["certified"] is True
+    assert sorted(cert["reflection"]) == ["2", "3", "4"]
+    assert all(abs(rho) <= 1e-12 for rho in cert["reflection"].values())
+    code, outdir = run_cli(tmp_path, "simulate", cfg, out="sim")
+    assert code == 0
+    summary = json.loads((outdir / "simulate_summary.json").read_text())
+    assert summary["certified"] is True
+    assert summary["mass_balance"] <= 1e-10
+    assert capsys.readouterr().err == ""
+
+
 def test_ill_posed_gain_exit_four(tmp_path, capsys):
     # at -sqrt(g / H_L) the law fixes the characteristic that arrives from
     # the channel: the terminal margins are negative and certify refuses

@@ -1,5 +1,6 @@
 """Finite-volume network integrator: exactness, faces, stability, decay."""
 
+import dataclasses
 import decimal
 import gc
 import math
@@ -120,7 +121,7 @@ def test_root_face_keeps_inflow_flux(star_sim_parts, mode):
         residual = H0 * v0 + V0 * h0
     else:
         residual = (H0 + h0) * (V0 + v0) - H0 * V0
-    assert abs(residual) <= 1e-11 * sim.root_flux
+    assert abs(residual) <= 1e-11 * STAR_ROOT_FLUX
 
 
 def test_terminal_face_obeys_feedback_law(star_sim_parts):
@@ -145,7 +146,7 @@ def test_junction_faces_share_depth_and_conserve_flux(star_sim_parts, mode):
         state, _ = sim.step(state, dt)
     faces = sim.face_states(state)
     _, _, h_B, v_in = faces[1]
-    flux_scale = sim.root_flux
+    flux_scale = STAR_ROOT_FLUX
 
     def face_flux(i, h, v, at_end):
         prof = sim.profiles[i]
@@ -785,6 +786,18 @@ def tree_parts():
     return topo, profiles, cert.weights, gains
 
 
+@pytest.fixture(scope="module")
+def zero_flux_parts():
+    # the star with all of the root's flux in channel 2: the faces of
+    # channels 3 and 4 carry V = 0, so the face-flux Jacobian holds zeros
+    topo = dataclasses.replace(small_star(), split_fractions={1: (1.0, 0.0, 0.0)})
+    profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+    gains = {2: 0.0, 3: 0.5, 4: 0.5}
+    cert = certify_network(topo, profiles, gains)
+    assert cert.certified
+    return topo, profiles, cert.weights, gains
+
+
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 @pytest.mark.parametrize("network", ["star", "tree"])
 def test_tendency_and_faces_match_two_sided_reference(star_sim_parts, tree_parts, network, mode):
@@ -936,14 +949,14 @@ def test_nonlinear_extended_value_matches_two_products(star_sim_parts, tree_part
         assert got == pytest.approx((V, V + V1 + V2), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("network", ["star", "tree"])
-def test_operators_are_the_linear_physics(star_sim_parts, tree_parts, network):
+@pytest.mark.parametrize("network", ["star", "tree", "zero-flux"])
+def test_operators_are_the_linear_physics(star_sim_parts, tree_parts, zero_flux_parts, network):
     # A, F and the influx row against the linear rhs and face solve that
     # every other linear method runs
     if network == "star":
         sim = make_sim(star_sim_parts, "linear")
     else:
-        _, _, weights, gains = tree_parts
+        _, _, weights, gains = tree_parts if network == "tree" else zero_flux_parts
         sim = NetworkSimulator(weights, gains)
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -953,6 +966,19 @@ def test_operators_are_the_linear_physics(star_sim_parts, tree_parts, network):
         assert relative_gap(sim.F @ y, np.ravel(face)) <= 1e-12
         assert np.array_equal(face, sim.face_states(y, flat=True))
         assert abs(sim._influx @ y - influx) <= 1e-12 * abs(influx)
+
+
+def test_linear_build_runs_no_tendency_probe(star_sim_parts, monkeypatch):
+    # T and the influx row come from two boundary-flux calls, not from the
+    # tendency of each unit face
+    calls = []
+    tendency = NetworkSimulator._tendency
+    monkeypatch.setattr(NetworkSimulator, "_tendency",
+                        lambda self, *args: calls.append(args) or tendency(self, *args))
+    sim = make_sim(star_sim_parts, "linear")
+    assert calls == []
+    sim.rhs(np.zeros(2 * sim.N))  # the spy sees a tendency once one is taken
+    assert len(calls) == 1
 
 
 def test_faces_depend_only_on_the_state(star_sim_parts):
@@ -982,9 +1008,9 @@ def test_linear_face_solve_is_exact_at_any_amplitude(star_sim_parts):
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-@pytest.mark.parametrize("network", ["star", "tree"])
+@pytest.mark.parametrize("network", ["star", "tree", "zero-flux"])
 def test_operators_match_the_bmat_assembly_entry_for_entry(star_sim_parts, tree_parts,
-                                                            network, mode):
+                                                            zero_flux_parts, network, mode):
     # a product sums in the entry order of its operands, so the operators of
     # the one-pass assembly hold the same entries in the same order as the
     # chains of diags, block_diag and bmat: every product a run takes is then
@@ -992,14 +1018,15 @@ def test_operators_match_the_bmat_assembly_entry_for_entry(star_sim_parts, tree_
     if network == "star":
         sim = make_sim(star_sim_parts, mode)
     else:
-        _, _, weights, gains = tree_parts
+        _, _, weights, gains = tree_parts if network == "tree" else zero_flux_parts
         sim = NetworkSimulator(weights, gains, mode=mode)
     N = sim.N
     got = {"L": sim._LL[: 2 * N], "LL": sim._LL}
     dt = None
     if mode == "linear":
-        # 2505 and 113 steps: two samples
-        dt = sim.run(None, T=200.0, sample_stride={"star": 1252, "tree": 56}[network]).dt
+        # 2505, 113 and 2449 steps: two samples
+        stride = {"star": 1252, "tree": 56, "zero-flux": 1224}[network]
+        dt = sim.run(None, T=200.0, sample_stride=stride).dt
         got |= {"F": sim.F, "A": sim.A, "O": sim._O, "W": sim._W, "M": sim._heun(dt)[0]}
     ref = operators_by_bmat(sim, dt)
     assert sorted(got) == sorted(ref)

@@ -76,7 +76,7 @@ def test_blowup_bound_is_potential_drop_to_margin_threshold():
             threshold = steady_module.MARGIN_TOL * G * H0
             roots = np.roots([G, -threshold, 0.0, -flux * flux])
             H_t = max(r.real for r in roots if abs(r.imag) < 1e-12)
-            assert critical_depth(flux) < H_t < H0
+            assert critical_depth(flux, G) < H_t < H0
             drop = depth_potential(H0, flux, p) - depth_potential(H_t, flux, p)
             expected = drop / (G * spec.friction * flux * flux)
             assert prof.blowup_bound == pytest.approx(expected, rel=1e-10)
@@ -290,7 +290,7 @@ def test_zero_flux_profile_is_standing_water():
 
 def test_supercritical_start_rejected():
     flux = 2.0
-    Hc = critical_depth(flux)
+    Hc = critical_depth(flux, G)
     spec = ChannelSpec(id=1, length=50.0, friction=1e-3, cells=16)
     with pytest.raises(SupercriticalStart):
         integrate_channel_steady(spec, 0.9 * Hc, flux)

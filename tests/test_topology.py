@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from channet.errors import (
@@ -12,6 +13,7 @@ from channet.errors import (
     MultipleParents,
     TopologyError,
 )
+from channet.steady import integrate_channel_steady
 from channet.topology import (
     ChannelSpec,
     NetworkTopology,
@@ -184,6 +186,18 @@ def test_non_whole_cells_rejected_before_truncation(cells):
     data["channels"][1]["cells"] = cells
     with pytest.raises(ValueError, match="cells"):
         network_from_dict(data)
+
+
+@pytest.mark.parametrize("cells", [8.5, 10.0, np.float64(24.0), True])
+def test_channel_spec_refuses_cells_that_are_not_integers(cells):
+    # 8.5 and 10.0 pass cells >= 8, and the steady grid then fails on them
+    with pytest.raises(ValueError, match=r"channel 1: cells must be an integer"):
+        ChannelSpec(id=1, length=10.0, cells=cells)
+
+
+def test_channel_spec_takes_any_integer_cells():
+    spec = ChannelSpec(id=1, length=10.0, friction=1e-3, cells=np.int64(8))
+    assert integrate_channel_steady(spec, 2.0, 1.0).x_centers.size == 8
 
 
 def test_two_channel_entries_with_one_id_rejected():

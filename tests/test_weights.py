@@ -768,7 +768,7 @@ def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profil
     coeffs = CharCoeffs.from_profile(prof)
     comparison = weights_module._Comparison.of(prof, epsilon, trunk_inlet=False)
     cw = weights_module._channel_weights(coeffs.ends, comparison.ends(), 1.0, epsilon)
-    unit = weights_module.WeightSet(topo=topo, epsilon=epsilon, channels={2: cw})
+    unit = weights_module.WeightSet(topo=topo, channels={2: cw})
 
     def term(gain):
         detail = defaultdict(dict)
