@@ -163,22 +163,21 @@ class CharCoeffs:
     @classmethod
     def from_profile(cls, profile: SteadyProfile) -> "CharCoeffs":
         """One ``speeds_couplings`` and one ``phi_exponents`` call on the
-        fine grid. A channel without flow or without friction has no
-        coupling: its couplings are exact zeros and its speeds come from
-        ``eigenvalues``. On a channel whose depth stays H0 to the last bit
-        the exponents vanish, and every factor is exactly 1."""
+        fine grid, with one degenerate case: a channel without flow or without
+        friction has no coupling, so its couplings are exact zeros, its factors
+        exact ones and its speeds from ``eigenvalues``. Where a coupled channel's
+        depth stays H0 to the last bit, s == s0 and ``phi_exponents`` returns
+        exact zeros, so every factor is exactly 1."""
         H, spec = profile.H_fine, profile.spec
-        if profile.outlet_depth == profile.inlet_depth:
-            I1 = I2 = np.zeros(H.shape)
-        else:
-            I1, I2 = phi_exponents(H, profile.inlet_depth, profile.flux,
-                                   spec.friction_exponent, profile.gravity)
-        factors = np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2
         if profile.flux == 0.0 or spec.friction == 0.0:
             lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)
-            return cls(profile, lam1, lam2, *(np.zeros_like(H) for _ in range(4)), *factors)
+            return cls(profile, lam1, lam2, *(np.zeros_like(H) for _ in range(4)),
+                       *(np.ones_like(H) for _ in range(3)))
+        I1, I2 = phi_exponents(H, profile.inlet_depth, profile.flux,
+                               spec.friction_exponent, profile.gravity)
         return cls(profile, *speeds_couplings(
-            H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity), *factors)
+            H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity),
+            np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2)
 
     @cached_property
     def ends(self) -> "CharCoeffs":

@@ -229,8 +229,7 @@ def cmd_simulate(config: RunConfig, profiles, outdir: Path) -> int:
         )
         return 5
     sim = NetworkSimulator(cert.weights, config.gains, mode=config.mode, cfl=config.cfl)
-    trace = sim.run(config.perturbation or None, config.T,
-                    sample_stride=config.sample_stride)
+    trace = sim.run(config.perturbation, config.T, sample_stride=config.sample_stride)
 
     ids = sorted(config.topology.channels)
     header = ["t", "V", "V_ext", "l2_norm", "boundary_B"] + [

@@ -439,12 +439,12 @@ class NetworkSimulator:
                             + [(i, int(k) - 1, "outlet") for i, k in zip(ids, n)])
 
     def _face_relations(self):
-        """Unknowns and constants of the face relations in Python floats (see _solve_faces)."""
+        """Each face relation's constants in Python floats and the faces it sets (_solve_faces)."""
         m, topo = self.m, self.topo
         ordinal = {i: k for k, i in enumerate(self.ids)}
         # one unknown depth per relation: the root inlet, then the outlet of each
-        # outlet law, terminals at their gains and junctions at gain zero; an
-        # unknown's face f is also the index of its cell's invariant (_solve_faces)
+        # outlet law, terminals at their gains and junctions at gain zero (with
+        # their children's inlets); a face f is also the index of its cell's invariant
         laws = [(j, (), self.gains[j]) for j in topo.terminal_channels]
         laws += [(i, tuple(ordinal[c] for c in topo.junctions[i]), 0.0)
                  for i in topo.internal_channels]
@@ -461,11 +461,6 @@ class NetworkSimulator:
         # the root's mass flux, a cubic in the face celerity at q = 1
         self._root = (kr, float(self._Vb[kr]), faces[0])
         self._outlets = [(f, ch, k, face) for f, (_, ch, k), face in zip(ku[1:], laws, faces[1:])]
-        # each face's unknown, the sign of s in its velocity, and a terminal's gain
-        unknown = {f: u for u, f in enumerate(ku)}
-        unknown |= {c: u for u, (_, ch, _, _) in enumerate(self._outlets, 1) for c in ch}
-        gain = {f: k for f, ch, k, _ in self._outlets if not ch}
-        self._face_map = [(unknown[f], 1.0 if f < m else -1.0, gain.get(f)) for f in range(2 * m)]
 
     def _instrumentation(self):
         """Trapezoid and Lyapunov weights, boundary-form terms, and the
@@ -474,7 +469,7 @@ class NetworkSimulator:
         the certificate's fine-grid arrays: at the centers their slice
         [R/2::R], R = FINE_REFINEMENT, at the inlet and outlet faces their
         first and last elements. L is one pass over the gradient and coupling
-        entries; [L; L^2] joins its arrays to those of scipy's L @ L, in order."""
+        entries; [L; L^2] is one vstack, L's CSR arrays then those of L @ L."""
         from scipy import sparse
 
         fine = []  # f1, f2, lambda1, lambda2, gamma1, delta1, gamma2, delta2 of each channel
@@ -497,10 +492,7 @@ class NetworkSimulator:
         L = _csr((2 * N, 2 * N), [(r, c, -lam1[r] * D), (k, k, -g1), (k, N + k, -d1),
                                   (N + k, k, -g2), (N + r, N + c, lam2[r] * D),
                                   (N + k, N + k, -d2)])
-        L2 = L @ L  # [L; L^2], one product for V_ext
-        self._LL = sparse.csr_matrix(
-            (np.concatenate((L.data, L2.data)), np.concatenate((L.indices, L2.indices)),
-             np.concatenate((L.indptr, L.nnz + L2.indptr[1:]))), shape=(4 * N, 2 * N))
+        self._LL = sparse.vstack((L, L @ L), format="csr")  # [L; L^2], one product for V_ext
 
     def fields(self, y: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per-channel views of the flat state y: id -> (h, v)."""
@@ -553,8 +545,8 @@ class NetworkSimulator:
         y = np.zeros(2 * self.N)
         for i, (h, v) in self.fields(y).items():
             pr = self.profiles[i]
-            bump = None if perturbation is None else perturbation.get(i)
-            if bump is not None and (bump.amplitude_h != 0.0 or bump.amplitude_v != 0.0):
+            bump = (perturbation or {}).get(i)
+            if bump is not None:
                 r = (pr.x_centers - bump.center * pr.length) / (0.5 * bump.width * pr.length)
                 shape = (1.0 - np.minimum(r * r, 1.0)) ** 4
                 cells = np.arange(h.size, dtype=float)
@@ -613,9 +605,10 @@ class NetworkSimulator:
         terminal at its gain with Y its cell's incoming invariant y1, a
         junction at gain zero with its combined invariant, whose faces share
         the depth and the shift Y. One pass on Python floats: one loop gives
-        the end cells' invariants with _shift's formula, the solves return
-        each unknown's depth and shift, and the boundary fluxes follow from
-        the faces; a terminal face's velocity is its gain times its depth.
+        the end cells' invariants with _shift's formula, and each face is set
+        where its relation is solved: the root face at velocity y2 + s, an
+        outlet face at k h (terminal) or y1 - Y (junction), and each child's
+        inlet face at y2_c + Y. The boundary fluxes follow from the faces.
         """
         m, q = self.m, self.phys.quadratic
         end = y[self._ends].tolist()
@@ -626,13 +619,14 @@ class NetworkSimulator:
             if arg <= 0.0:
                 raise SubcriticalLoss(*site)
             inv.append(v + sign * (h * (2.0 * g / (math.sqrt(g * arg) + c))))
+        fh, fv = [0.0] * (2 * m), [0.0] * (2 * m)
         f, V, face = self._root
-        hu, su = zip(_solve_relation(q, inv[f], V, face), *_outlet_depths(q, inv, self._outlets))
-        fh, fv = [], []
-        for f, (u, sign, gain) in enumerate(self._face_map):
-            h = hu[u]
-            fh.append(h)
-            fv.append(inv[f] + sign * su[u] if gain is None else gain * h)
+        h, s = _solve_relation(q, inv[f], V, face)
+        fh[f], fv[f] = h, inv[f] + s
+        for (f, ch, k, _), (h, Y) in zip(self._outlets, _outlet_depths(q, inv, self._outlets)):
+            fh[f], fv[f] = h, inv[f] - Y if ch else k * h
+            for c in ch:
+                fh[c], fv[c] = h, inv[c] + Y
         return ((fh, fv), *self._boundary_fluxes(fh, fv))
 
     def _boundary_fluxes(self, fh, fv):

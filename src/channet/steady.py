@@ -256,7 +256,7 @@ def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float)
     faces, centers = slice(None, None, R), slice(R // 2, None, R)
     return SteadyProfile(
         spec=spec,
-        flux=float(flux),
+        flux=float(flux) + 0.0,  # +0.0 for the -0.0 that a split fraction -0.0 gives
         inlet_depth=H0,
         critical_depth=Hc,
         blowup_bound=blowup,

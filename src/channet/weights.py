@@ -681,7 +681,9 @@ def _channel_checks(
     A terminal's margin is alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2) at
     the outlet: f1 lam1 y1^2 - f2 lam2 y2^2
     at the traces of ``outlet_traces``, with no pole in the gain and
-    negative at the ill-posed gain, where y1 = 0.
+    negative at the ill-posed gain, where y1 = 0. The margin alone refuses
+    a zero-flux outlet at k <= 0: there phi1 = phi2 = 1, eta >= 1 and r <= 0,
+    so |1 + r| <= |1 - r| and the term is at most 0.
     """
     topo = ws.topo
     i = cw.channel
@@ -700,7 +702,7 @@ def _channel_checks(
         term = c.phi1_sq[-1] / eta * y1**2 - c.phi2_sq[-1] * eta * y2**2
         margin = cw.alpha * float(term)
         detail["terminal_margins"][i] = margin
-        if not margin > 0.0 or (prof.flux == 0.0 and not k > 0.0):
+        if not margin > 0.0:
             failed.append("terminal_margin")
 
     if i == topo.root_channel:

@@ -437,6 +437,25 @@ def test_gains_report_writes_zero_flux_terminals_with_nulls(tmp_path):
     assert records[2]["m_L"] is not None and records[2]["a"] is not None
 
 
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_split_fraction_minus_zero_writes_the_bytes_of_zero(tmp_path, mode):
+    # a split fraction written -0.0 passes 0 <= s; its channel's flux is
+    # stored as +0.0, so every output is that of the fraction 0.0
+    written = []
+    for split in ([1.0, -0.0, 0.0], [1.0, 0.0, 0.0]):
+        cfg = readme_config(mode)
+        cfg["network"]["split_fractions"]["1"] = split
+        cfg["gains"] = {"2": 0.0, "3": 0.5, "4": 0.5}
+        files = {}
+        for command in ("steady", "gains", "certify", "simulate"):
+            code, outdir = run_cli(tmp_path, command, cfg, out=f"{command}{split[1]}")
+            assert code == 0
+            files |= {(command, p.name): p.read_bytes() for p in outdir.iterdir()}
+        written.append(files)
+    assert len(written[0]) == 10
+    assert written[0] == written[1]
+
+
 def _set(cfg, path, value):
     *keys, last = path
     for key in keys:

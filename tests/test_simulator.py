@@ -511,10 +511,19 @@ def test_finished_simulator_is_freed_by_reference_counting(star_sim_parts, mode)
 
 def test_zero_perturbation_gives_zero_trace(star_sim_parts):
     _, _, weights = star_sim_parts
-    trace = NetworkSimulator(weights, STAR_GAINS).run(None, T=3.0)
+    sim = NetworkSimulator(weights, STAR_GAINS)
+    trace = sim.run(None, T=3.0)
     assert trace.zero_trace
     assert np.all(trace.V == 0.0)
     assert math.isnan(trace.nu_hat) and math.isnan(trace.r2)
+    # a bump of zero amplitudes, -0.0 included, adds +0.0: the same zero trace
+    zero = {2: Bump(amplitude_h=0.0, amplitude_v=-0.0)}
+    y = sim.initial_state(zero)
+    assert np.all(y == 0.0) and not np.any(np.signbit(y))
+    again = sim.run(zero, T=3.0)
+    assert again.zero_trace and math.isnan(again.nu_hat) and math.isnan(again.r2)
+    for name in ("t", "V", "V_ext", "l2", "boundary_B", "mass_deviation", "mass_flux_integral"):
+        assert getattr(again, name).tobytes() == getattr(trace, name).tobytes(), name
 
 
 def test_pulse_travels_at_characteristic_speed():

@@ -282,10 +282,14 @@ def test_frictionless_profile_is_uniform():
 
 def test_zero_flux_profile_is_standing_water():
     spec = ChannelSpec(id=1, length=30.0, friction=1e-3, cells=16)
-    prof = integrate_channel_steady(spec, 1.5, 0.0)
-    assert np.all(prof.H_fine == 1.5)
-    assert np.all(prof.velocity_of(prof.H_fine) == 0.0)
-    assert math.isinf(prof.blowup_bound)
+    # a flux of -0.0 is stored as +0.0, so no velocity carries a sign bit
+    for flux in (0.0, -0.0):
+        prof = integrate_channel_steady(spec, 1.5, flux)
+        assert not math.copysign(1.0, prof.flux) < 0.0
+        assert np.all(prof.H_fine == 1.5)
+        V = prof.velocity_of(prof.H_fine)
+        assert np.all(V == 0.0) and not np.any(np.signbit(V))
+        assert math.isinf(prof.blowup_bound)
 
 
 def test_supercritical_start_rejected():

@@ -630,9 +630,14 @@ def test_zero_flux_branch_certified_with_positive_gain():
     profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
     cert = certify_network(topo, profiles, {2: 0.0, 3: 0.0, 4: 0.5})
     assert cert.certified
-    bad = certify_network(topo, profiles, {2: 0.0, 3: 0.0, 4: -0.5})
-    assert not bad.certified
-    assert "terminal_margin" in bad.failed_checks
+    # at zero flux phi1 = phi2 = 1 and eta >= 1, so at k <= 0 the margin
+    # alone refuses the outlet: the ill-posed gain, -0.0 and 0.0 included
+    ill_posed = -math.sqrt(G / profiles[4].outlet_depth)
+    for k in (-0.5, 0.0, -0.0, ill_posed):
+        bad = certify_network(topo, profiles, {2: 0.0, 3: 0.0, 4: k})
+        assert not bad.certified
+        assert "terminal_margin" in bad.failed_checks
+        assert bad.terminal_margins[4] < 0.0
 
 
 def test_near_zero_split_branch_matches_oracle_in_x():
@@ -645,6 +650,17 @@ def test_near_zero_split_branch_matches_oracle_in_x():
         )
         profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
         prof = profiles[4]
+        if split == 1e-8:
+            # a coupled channel whose depth stays H0 to the last bit: its
+            # exponents are exact zeros, its couplings those of the kernel
+            assert prof.flux > 0.0 and prof.spec.friction > 0.0
+            assert np.all(prof.H_fine == prof.inlet_depth)
+            c = CharCoeffs.from_profile(prof)
+            assert all(np.all(a == 1.0) for a in (c.phi, c.phi1_sq, c.phi2_sq))
+            kernel = speeds_couplings(prof.H_fine, prof.flux, prof.spec.friction,
+                                      prof.spec.friction_exponent, prof.gravity)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                (c.lambda1, c.lambda2, c.gamma1, c.delta1, c.gamma2, c.delta2), kernel))
         cw = network_weights(topo, profiles, 1e-3).channels[4]
         ref = eta_eps_by_ode_in_x(prof, 1e-3, 1.0 + 1e-3)(prof.x_fine)
         assert np.max(np.abs(cw.eta_eps - ref) / ref) <= 1e-8
