@@ -28,21 +28,24 @@ functions of the local depth (``characteristics.phi_exponents`` and
 ODE. Only the comparison solution at epsilon > 0
 is integrated, by adaptive Runge-Kutta (relative tolerance 1e-11), so
 certificate accuracy does not depend on the simulation grid. One function,
-``_integrate``, makes that solve: a Dormand-Prince 5(4) step loop on Python
-floats with the steady depth as the independent variable. From the inlet
-depth down to the outlet depth, its state is the angle theta = arctan(w) of
-w = eta / phi - epsilon x alone, and its right-hand side (``_riccati``)
-fuses the depth kernels of ``steady`` and ``characteristics``, those that
-``CharCoeffs`` uses too, with their per-channel constants computed once.
+``_integrate``, makes that solve: a DOP853 step loop (Dormand-Prince
+8(5,3)) on Python floats with the steady depth as the independent variable.
+From the inlet depth down to the outlet depth, its state is the angle theta
+= arctan(w) of w = eta / phi - epsilon x alone, and its right-hand side
+(``_riccati``) fuses the depth kernels of ``steady`` and
+``characteristics``, those that ``CharCoeffs`` uses too, with their
+per-channel constants computed once.
 It is a depth kernel, every epsilon-free term at one depth, and a slope
 that combines the kernel with theta and epsilon; the two stages of a step
-at its end depth share one kernel.
+at its end depth share one kernel, as does a step end at the depth that
+the initial step probed.
 As eta' >= epsilon > 0, eta can leave its range only upward; where w blows
 up inside the channel, theta crosses arctan(1e12) smoothly and the solve
 stops at the first step end past it. The loop keeps its accepted steps
 and theta at the outlet (``_Comparison``); ``_on_grid`` writes theta on
-the fine grid from each step's interpolant in one numpy pass, at the
-depths the steady profile holds there, and ``eta_eps`` returns eta / phi =
+the fine grid from each step's 7th-order interpolant, whose three extra
+stages only it evaluates, in one numpy pass at the depths the steady
+profile holds there, and ``eta_eps`` returns eta / phi =
 tan theta + epsilon x there; the weights, speeds and couplings at the faces
 and centers are elements and slices of the fine-grid arrays. An epsilon
 attempt does only epsilon-dependent work: per channel one solve, while the
@@ -62,8 +65,8 @@ returns its own ``NetworkCertificate``, whose fields other than the
 weights are the report, and ``certify_network`` sets only its halving
 count. The test suite (``tests/conftest.py``) keeps the ODE forms of I4
 and of the unit-inlet comparison solution, in w and with a driver of their
-own, as oracles of the closed forms, and scipy's RK45 as the oracle of the
-step loop.
+own, as oracles of the closed forms, and scipy's DOP853 as the oracle of
+the step loop.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -113,24 +117,107 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# The DOP853 tableau (Prince & Dormand 1981; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.5), with scipy.integrate's constants: the nodes C of its
+# 16 stages and, for each stage i > 0, the row A[i] of its weights on stages
+# 0 .. i-1. Stage 12, at the step end, is the solution: its row is the
+# weights B. Stages 13-15 are the dense output's extra stages. E5 and E3
+# weigh stages 0-11 into the error estimates of orders 5 and 3, E3 as B less
+# the weights of the third-order solution, and the rows of D weigh all 16
+# stages into the dense output's coefficients 3-6.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+)
+_B = _A[12]
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+)
+_E3 = tuple(b - b3 for b, b3 in zip(_B, (
+    0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7338466882816118, 0.0, 0.0,
+    0.022058823529411766)))
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
+# D on the stages that a step keeps, 0 and 5-15: its weights on 1-4 are 0
+_D_KEPT = np.array(_D)[:, [0, *range(5, 16)]]
+
+
 def _integrate(riccati, theta, start, end):
-    """One adaptive Dormand-Prince 5(4) solve of dtheta/dH = slope(kernel(H),
-    theta), with ``riccati`` the pair (kernel, slope) of ``_riccati``, from
+    """One adaptive DOP853 solve of dtheta/dH = slope(kernel(H), theta),
+    with ``riccati`` the pair (kernel, slope) of ``_riccati``, from
     theta(start) = ``theta`` down to the depth ``end``: (its accepted steps,
     theta at ``end``), or None where the solution does not exist.
 
-    The solve is scipy's RK45 on Python floats: its tableau, initial step,
-    error norm and step-size control (Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4-II.6) at relative tolerance ETA_RTOL and absolute
-    tolerance ETA_ATOL. Its stages k6 and k7 sit at the same depth t + h
-    (c6 = c7 = 1), so each step tried evaluates the depth kernel there once
-    for both: five kernels and six slopes per step tried. Each accepted step
-    is kept as (t, t_new, h, y, k1, k3, ..., k7), all that ``_on_grid``
-    needs for its quartic interpolant, so no depth between the ends is
-    visited here. It returns None when theta reaches arctan(ETA_BLOWUP) at a
-    step end, and when the step falls below ten spacings of the depth.
+    The solve is scipy's DOP853 on Python floats: its 8th-order tableau with
+    error estimates of orders 5 and 3, its initial step, error norm and
+    step-size control with exponent -1/8 (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4-II.6) at relative tolerance ETA_RTOL and absolute tolerance
+    ETA_ATOL. Its stage 11 and the solution's stage 12 sit at the same depth
+    t + h (c = 1), so each step tried evaluates the depth kernel there once
+    for both: eleven kernels and twelve slopes per step tried. A step that
+    ends at the depth where the initial step probed the slope, as a first
+    step over the whole channel does, takes the probe's kernel. Each
+    accepted step is kept as (t, t_new, h, y, y_new, k0, k5, ..., k12), the
+    stages that ``_on_grid`` needs for its dense output (D and the extra
+    stages weigh stages 1-4 by 0), so no fine-grid depth is visited here. It
+    returns None when theta reaches arctan(ETA_BLOWUP) at a step end, and
+    when the step falls below ten spacings of the depth.
     """
     kernel, slope = riccati
+    c = _C
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, b = _A[1:13]
+    e5, e3 = _E5, _E3
     t, t_end = start, end
     y, f = theta, slope(kernel(t), theta)
     span = t - t_end
@@ -138,8 +225,10 @@ def _integrate(riccati, theta, start, end):
     scale = ETA_ATOL + abs(y) * ETA_RTOL
     d0, d1 = abs(y) / scale, abs(f) / scale
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = abs(slope(kernel(t - h0), y - h0 * f) - f) / scale / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    probe = t - h0
+    at_probe = kernel(probe)
+    d2 = abs(slope(at_probe, y - h0 * f) - f) / scale / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, span)
     blowup = math.atan(ETA_BLOWUP)
     steps = []
@@ -153,63 +242,100 @@ def _integrate(riccati, theta, start, end):
             t_new = max(t - h_abs, t_end)
             h = t_new - t
             h_abs = -h
-            k1 = f
-            k2 = slope(kernel(t + 0.2 * h), y + h * (0.2 * k1))
-            k3 = slope(kernel(t + 0.3 * h), y + h * (3 / 40 * k1 + 9 / 40 * k2))
-            k4 = slope(kernel(t + 0.8 * h), y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-            k5 = slope(kernel(t + 8 / 9 * h), y + h * (
-                19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
-            at_end = kernel(t + h)
-            k6 = slope(at_end, y + h * (
-                9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
-                - 5103 / 18656 * k5))
+            # each stage sums its row's nonzero weights only
+            k0 = f
+            k1 = slope(kernel(t + c[1] * h), y + h * (a1[0] * k0))
+            k2 = slope(kernel(t + c[2] * h), y + h * (a2[0] * k0 + a2[1] * k1))
+            k3 = slope(kernel(t + c[3] * h), y + h * (a3[0] * k0 + a3[2] * k2))
+            k4 = slope(kernel(t + c[4] * h), y + h * (a4[0] * k0 + a4[2] * k2 + a4[3] * k3))
+            k5 = slope(kernel(t + c[5] * h), y + h * (a5[0] * k0 + a5[3] * k3 + a5[4] * k4))
+            k6 = slope(kernel(t + c[6] * h), y + h * (
+                a6[0] * k0 + a6[3] * k3 + a6[4] * k4 + a6[5] * k5))
+            k7 = slope(kernel(t + c[7] * h), y + h * (
+                a7[0] * k0 + a7[3] * k3 + a7[4] * k4 + a7[5] * k5 + a7[6] * k6))
+            k8 = slope(kernel(t + c[8] * h), y + h * (
+                a8[0] * k0 + a8[3] * k3 + a8[4] * k4 + a8[5] * k5 + a8[6] * k6 + a8[7] * k7))
+            k9 = slope(kernel(t + c[9] * h), y + h * (
+                a9[0] * k0 + a9[3] * k3 + a9[4] * k4 + a9[5] * k5 + a9[6] * k6 + a9[7] * k7
+                + a9[8] * k8))
+            k10 = slope(kernel(t + c[10] * h), y + h * (
+                a10[0] * k0 + a10[3] * k3 + a10[4] * k4 + a10[5] * k5 + a10[6] * k6
+                + a10[7] * k7 + a10[8] * k8 + a10[9] * k9))
+            at_end = at_probe if t + h == probe else kernel(t + h)
+            k11 = slope(at_end, y + h * (
+                a11[0] * k0 + a11[3] * k3 + a11[4] * k4 + a11[5] * k5 + a11[6] * k6
+                + a11[7] * k7 + a11[8] * k8 + a11[9] * k9 + a11[10] * k10))
             y_new = y + h * (
-                35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6)
-            k7 = slope(at_end, y_new)
-            error = h * (
-                -71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4 + 17253 / 339200 * k5
-                - 22 / 525 * k6 + 1 / 40 * k7)
-            norm = abs(error) / (ETA_ATOL + max(abs(y), abs(y_new)) * ETA_RTOL)
+                b[0] * k0 + b[5] * k5 + b[6] * k6 + b[7] * k7 + b[8] * k8 + b[9] * k9
+                + b[10] * k10 + b[11] * k11)
+            k12 = slope(at_end, y_new)
+            # scipy's error norm, |h| err5^2 / sqrt(err5^2 + err3^2 / 100)
+            # in units of the tolerance
+            scale = ETA_ATOL + max(abs(y), abs(y_new)) * ETA_RTOL
+            err5 = (e5[0] * k0 + e5[5] * k5 + e5[6] * k6 + e5[7] * k7 + e5[8] * k8
+                    + e5[9] * k9 + e5[10] * k10 + e5[11] * k11) / scale
+            err3 = (e3[0] * k0 + e3[5] * k5 + e3[6] * k6 + e3[7] * k7 + e3[8] * k8
+                    + e3[9] * k9 + e3[10] * k10 + e3[11] * k11) / scale
+            denom = err5 * err5 + 0.01 * err3 * err3
+            norm = 0.0 if denom == 0.0 else -h * err5 * err5 / math.sqrt(denom)
             if norm < 1.0:
-                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.2)
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.125)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
-            h_abs *= max(0.2, 0.9 * norm**-0.2)
+            h_abs *= max(0.2, 0.9 * norm**-0.125)
             rejected = True
         if y_new >= blowup:
             return None
-        steps.append((t, t_new, h, y, k1, k3, k4, k5, k6, k7))
-        t, y, f = t_new, y_new, k7
+        steps.append((t, t_new, h, y, y_new, k0, k5, k6, k7, k8, k9, k10, k11, k12))
+        t, y, f = t_new, y_new, k12
         if t <= t_end:
             return steps, y
 
 
-def _on_grid(steps, theta_end, depths):
+def _on_grid(riccati, steps, theta_end, depths):
     """theta at ``depths``, which fall from the start of the solve that made
     ``steps`` to its end, in one numpy pass: each depth inside a step takes
-    the step's quartic interpolant, and the depths at the end take
-    ``theta_end``, the solve's last value. A depth belongs to the first step
-    that ends below it, so a depth at a step end starts the next step, where
-    the interpolant is that step's start value exactly, and the first depth,
-    the start, takes the start value.
+    the step's 7th-order dense output, and the depths at the end take
+    ``theta_end``, the solve's last value. The dense output's three extra
+    stages are evaluated here, on the solve's own ``riccati``, once per
+    accepted step. A depth belongs to the first step that ends below it, so
+    a depth at a step end starts the next step, where the interpolant is
+    that step's start value exactly, and the first depth, the start, takes
+    the start value.
     """
-    t, t_new, h, y, k1, k3, k4, k5, k6, k7 = np.array(steps).T
-    # the dense output: theta(t + s h) = y + s h (q1 + s (q2 + s (q3 + s q4)))
-    q2 = (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
-          - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
-          - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7)
-    q3 = (8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
-          + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
-          + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7)
-    q4 = (-12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
-          - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
-          - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
-    step = np.searchsorted(-t_new, -depths, side="right")
-    inside = step < len(steps)
-    j, d = step[inside], depths[inside]
-    s = (d - t[j]) / h[j]
+    kernel, slope = riccati
+    c, (a13, a14, a15) = _C, _A[13:]
+    rows = []
+    for t, t_new, h, y, y_new, k0, k5, k6, k7, k8, k9, k10, k11, k12 in steps:
+        k13 = slope(kernel(t + c[13] * h), y + h * (
+            a13[0] * k0 + a13[6] * k6 + a13[7] * k7 + a13[8] * k8 + a13[9] * k9
+            + a13[10] * k10 + a13[11] * k11 + a13[12] * k12))
+        k14 = slope(kernel(t + c[14] * h), y + h * (
+            a14[0] * k0 + a14[5] * k5 + a14[6] * k6 + a14[7] * k7 + a14[10] * k10
+            + a14[11] * k11 + a14[12] * k12 + a14[13] * k13))
+        k15 = slope(kernel(t + c[15] * h), y + h * (
+            a15[0] * k0 + a15[5] * k5 + a15[6] * k6 + a15[7] * k7 + a15[8] * k8
+            + a15[12] * k12 + a15[13] * k13 + a15[14] * k14))
+        dy = y_new - y
+        rows.append((t_new, t, h, y, dy, h * k0 - dy, 2.0 * dy - h * (k12 + k0),
+                     k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15))
+    rows = np.array(rows)
+    ends, widths, stages = rows[:, 0], rows[:, 2:3], rows[:, 7:]
+    # per step: its start, width and start value, and the coefficients F0-F6
+    # of its dense output, theta(t + s h) = y + s (F0 + (1 - s) (F1 + s (F2
+    # + (1 - s) (F3 + s (F4 + (1 - s) (F5 + s F6))))))
+    dense = np.hstack((rows[:, 1:7], widths * (stages @ _D_KEPT.T))).T
+    step = np.searchsorted(-ends, -depths, side="right")
+    inside = int(np.searchsorted(step, len(steps)))
+    t, h, y, *F = dense.take(step[:inside], axis=1)
+    s = (depths[:inside] - t) / h
+    r = 1.0 - s
+    value = F[6] * s
+    for i in range(5, -1, -1):
+        value += F[i]
+        value *= r if i % 2 else s
     theta = np.full(depths.shape, theta_end)
-    theta[inside] = y[j] + s * h[j] * (k1[j] + s * (q2[j] + s * (q3[j] + s * q4[j])))
+    theta[:inside] = y + value
     return theta
 
 
@@ -218,8 +344,9 @@ def _riccati(profile: SteadyProfile, epsilon):
     of the scaled variable w = eta / phi - epsilon x, with the steady depth
     H as the variable, as the pair (kernel, slope): ``kernel(H)`` holds
     every term at the depth H that does not depend on epsilon, and
-    ``slope(kernel(H), theta)`` is dtheta/dH. Two stages of a step at one
-    depth share one kernel (``_integrate``).
+    ``slope(kernel(H), theta)`` is dtheta/dH. Stages at one depth share
+    one kernel (``_integrate``), and the dense output's stages evaluate it
+    on the fine pass alone (``_on_grid``).
 
     With u = w + epsilon x, w' = |delta1/lambda1 + (gamma2/lambda2) u^2| -
     u (gamma1/lambda1 + delta2/lambda2) + epsilon (1/phi - 1), and theta' =
@@ -371,13 +498,16 @@ def m_value(H, inlet_depth, flux, friction_exponent, gravity):
 class _Comparison:
     """The comparison solution of one channel at one epsilon, as eta / phi =
     tan theta + epsilon x with theta(H) from the accepted ``steps`` of its
-    solve (see ``_integrate``) and ``theta_end`` at the outlet. A channel
-    whose depth stays H0 has no steps: there eta / phi = init + epsilon x.
+    solve (see ``_integrate``) and ``theta_end`` at the outlet. The solve's
+    ``riccati`` stays for the dense output's extra stages, which only the
+    fine grid needs. A channel whose depth stays H0 has no steps: there
+    eta / phi = init + epsilon x.
     """
 
     profile: SteadyProfile
     epsilon: float
     init: float
+    riccati: tuple | None
     steps: list | None
     theta_end: float
 
@@ -398,16 +528,17 @@ class _Comparison:
         if profile.outlet_depth == profile.inlet_depth:
             # the depth stays H0 (no flux, no friction, or a drop below
             # rounding), and with it the exponents
-            return cls(profile, epsilon, init, None, math.nan)
+            return cls(profile, epsilon, init, None, None, math.nan)
 
         H = profile.H_fine
-        solved = _integrate(_riccati(profile, epsilon), math.atan(init), float(H[0]), float(H[-1]))
+        riccati = _riccati(profile, epsilon)
+        solved = _integrate(riccati, math.atan(init), float(H[0]), float(H[-1]))
         if solved is None:
             raise EpsilonTooLarge(
                 f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
                 f"does not exist on the whole channel"
             )
-        return cls(profile, epsilon, init, *solved)
+        return cls(profile, epsilon, init, riccati, *solved)
 
     def ends(self) -> np.ndarray:
         """eta / phi at the inlet and the outlet alone. theta is exact there,
@@ -424,7 +555,7 @@ class _Comparison:
         prof = self.profile
         if self.steps is None:
             return self.init + self.epsilon * prof.x_fine
-        theta = _on_grid(self.steps, self.theta_end, prof.H_fine)
+        theta = _on_grid(self.riccati, self.steps, self.theta_end, prof.H_fine)
         return np.tan(theta) + self.epsilon * prof.x_fine
 
 
@@ -456,17 +587,23 @@ class ChannelWeights:
     """Weight profiles of one channel, sampled on its fine grid, whose first
     and last points are the inlet and the outlet and whose every
     FINE_REFINEMENT-th points from the middle of the first cell are the
-    cell centers."""
+    cell centers. The weights f1 and f2 are formed when first read, as no
+    check at the channel ends reads them."""
 
     coeffs: CharCoeffs
     alpha: float
     epsilon: float
     eta_eps: np.ndarray
-    eta_slope: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
     Z: np.ndarray
     W: np.ndarray
+
+    @cached_property
+    def f1(self) -> np.ndarray:
+        return self.alpha * (self.coeffs.phi1_sq / self.eta_eps) / self.coeffs.lambda1
+
+    @cached_property
+    def f2(self) -> np.ndarray:
+        return self.alpha * (self.coeffs.phi2_sq * self.eta_eps) / self.coeffs.lambda2
 
     @property
     def profile(self) -> SteadyProfile:
@@ -498,10 +635,6 @@ def _channel_weights(c: CharCoeffs, ratio, alpha: float, epsilon: float) -> Chan
         alpha=alpha,
         epsilon=epsilon,
         eta_eps=eta,
-        eta_slope=np.abs(c.delta1 * c.phi / c.lambda1
-                         + c.gamma2 / (c.lambda2 * c.phi) * eta**2) + epsilon,
-        f1=alpha * a / c.lambda1,
-        f2=alpha * b / c.lambda2,
         Z=alpha * (a - b),
         W=alpha * (a + b),
     )
@@ -598,11 +731,13 @@ def interior_matrix(cw: ChannelWeights):
     taken analytically through the weight definitions and the eta equation.
     Returns (N11, N12, N22) arrays.
     """
-    lam1, lam2 = cw.coeffs.lambda1, cw.coeffs.lambda2
-    g1, d1 = cw.coeffs.gamma1, cw.coeffs.delta1
-    g2, d2 = cw.coeffs.gamma2, cw.coeffs.delta2
+    c = cw.coeffs
+    lam1, lam2, phi = c.lambda1, c.lambda2, c.phi
+    g1, d1 = c.gamma1, c.delta1
+    g2, d2 = c.gamma2, c.delta2
     eta = cw.eta_eps
-    eta_slope = cw.eta_slope
+    # eta' from the comparison equation
+    eta_slope = np.abs(d1 * phi / lam1 + g2 / (lam2 * phi) * eta**2) + cw.epsilon
     f1l1 = cw.f1 * lam1
     f2l2 = cw.f2 * lam2
     d_f1l1 = f1l1 * (2.0 * g1 / lam1 - eta_slope / eta)

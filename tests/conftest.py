@@ -295,13 +295,16 @@ def existence_integral_by_ode(profile, rtol=INTEGRAL_RTOL, atol=INTEGRAL_ATOL):
     return lambda H: sol.sol(H)[0]
 
 
-def theta_by_scipy_rk45(rhs, theta0, depths):
-    """scipy's RK45 on dtheta/dH = rhs(H, theta) from theta0 at depths[0]
-    down to depths[-1], at the certificate's tolerances, with a terminal
-    event where theta crosses arctan(ETA_BLOWUP) upward: the oracle of the
-    certificate's own step loop, ``weights._integrate``. Returns (theta at
-    ``depths`` from the dense solution, or None if the solve did not reach
-    the end; the solve_ivp status; its count of right-hand sides).
+def theta_by_scipy_dop853(rhs, theta0, depths, rtol=ETA_RTOL, atol=ETA_ATOL):
+    """scipy's DOP853 on dtheta/dH = rhs(H, theta) from theta0 at depths[0]
+    down to depths[-1], by default at the certificate's tolerances, with a
+    terminal event where theta crosses arctan(ETA_BLOWUP) upward: the oracle
+    of the certificate's own step loop, ``weights._integrate``. Returns
+    (theta at ``depths`` from the dense solution, or None if the solve did
+    not reach the end; the solve_ivp status; its count of right-hand sides
+    when it makes no dense output but to locate the event). The counted
+    solve is a second one without dense output, as each dense output costs
+    three right-hand sides.
     """
 
     def blowup(H, y):
@@ -309,18 +312,22 @@ def theta_by_scipy_rk45(rhs, theta0, depths):
 
     blowup.terminal = True
     blowup.direction = 1
-    sol = solve_ivp(
-        lambda H, y: (rhs(float(H), float(y[0])),),
-        (depths[0], depths[-1]),
-        (theta0,),
-        method="RK45",
-        dense_output=True,
-        rtol=ETA_RTOL,
-        atol=ETA_ATOL,
-        events=blowup,
-    )
+
+    def solve(dense):
+        return solve_ivp(
+            lambda H, y: (rhs(float(H), float(y[0])),),
+            (depths[0], depths[-1]),
+            (theta0,),
+            method="DOP853",
+            dense_output=dense,
+            rtol=rtol,
+            atol=atol,
+            events=blowup,
+        )
+
+    sol, counted = solve(True), solve(False)
     theta = sol.sol(depths)[0] if sol.status == 0 else None
-    return theta, sol.status, sol.nfev
+    return theta, sol.status, counted.nfev
 
 
 def draw_channel(rng, cid=1, cells=32, length_fraction=0.8):
