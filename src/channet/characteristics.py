@@ -14,6 +14,11 @@ a profile's fine grid, with the factors phi1 and phi2 that absorb the
 couplings, and only the tests call it on scalars. The same
 term is -(H*_x / H*) lambda1 lambda2 through the steady depth gradient; the
 tests check that identity, and the code does not form it.
+``phi_exponents`` gives the exponents I1 and I2 of those factors in closed
+form, and ``log_phi`` their sum ln phi in one log1p, the form that the
+comparison solution's depth kernel and the gain screen's phi(L) take;
+``existence_integral`` gives the integral whose smallness guarantees the
+epsilon = 0 comparison solution.
 ``outlet_traces`` gives the characteristic traces that a feedback outlet
 sets, and ``reflection_coefficient`` the share of an arriving wave that it
 sends back.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -56,7 +62,7 @@ def speeds_couplings(H, flux, friction, p, g):
         c, Hp = math.sqrt(g * H), H**p
     else:
         # numpy's vectorised power can differ from the C library's by an ulp
-        c, Hp = np.sqrt(g * H), np.array([h**p for h in H.tolist()])
+        c, Hp = np.sqrt(g * H), np.fromiter(map(pow, H.tolist(), repeat(p)), float, H.size)
     V = flux / H
     lam1 = V + c
     lam2 = c - V
@@ -92,6 +98,27 @@ def phi_exponents(H, inlet_depth, flux, p, g):
     I1 = (2.0 / 3.0) * (shared + log_s + 1.5 * log((s + 1.0) / (s0 + 1.0)))
     I2 = (2.0 / 3.0) * (shared - log_s - 1.5 * log((s - 1.0) / (s0 - 1.0)))
     return I1, I2
+
+
+def log_phi(H, inlet_depth, flux, p, g):
+    """ln phi = I1 + I2 of ``phi_exponents`` at depth H, in one logarithm.
+
+    In the sum the ln s terms cancel and the other two combine:
+
+        ln phi = (4/3) [p/2 (1/s - 1/s0) + s0 - s]
+                 + log1p(2 (s0 - s) / ((s0 + 1)(s - 1))),
+
+    with log1p taking ln(1 + z) without cancellation, so ln phi is exactly 0
+    at the inlet depth. A scalar H takes math and an array H numpy. Needs
+    flux > 0 and H above the critical depth.
+    """
+    array = isinstance(H, np.ndarray) and H.ndim > 0
+    sqrt, log1p = (np.sqrt, np.log1p) if array else (math.sqrt, math.log1p)
+    s = sqrt(g * H * H * H) / flux
+    s0 = math.sqrt(g * inlet_depth * inlet_depth * inlet_depth) / flux
+    drop = s0 - s
+    return ((4.0 / 3.0) * (0.5 * p * (1.0 / s - 1.0 / s0) + drop)
+            + log1p(2.0 * drop / ((s0 + 1.0) * (s - 1.0))))
 
 
 def existence_integral(H, inlet_depth, flux, p, g):
@@ -167,7 +194,8 @@ class CharCoeffs:
         friction has no coupling, so its couplings are exact zeros, its factors
         exact ones and its speeds from ``eigenvalues``. Where a coupled channel's
         depth stays H0 to the last bit, s == s0 and ``phi_exponents`` returns
-        exact zeros, so every factor is exactly 1."""
+        exact zeros, so every factor is exactly 1. phi is exp(I1 + I2) from
+        the exponents that phi1^2 and phi2^2 need, not a ``log_phi`` pass."""
         H, spec = profile.H_fine, profile.spec
         if profile.flux == 0.0 or spec.friction == 0.0:
             lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)

@@ -14,9 +14,9 @@ The interval criterion is equivalent to rho^2 < phi(L)^2 / eta_bar(L)^2 for
 the outlet reflection rho of ``characteristics.reflection_coefficient``, which
 the tests check; the verdict is the interval's alone. The non-reflecting gain
 sqrt(g/H*(L)), where rho = 0, is positive and so always admissible.
-Everything here is explicit in the outlet state: phi(L) comes from the
-closed-form exponents of ``characteristics.phi_exponents`` at the outlet
-depth and eta_bar(L) = m_L (lam-/lam+) phi(L), so the screen solves no ODE.
+Everything here is explicit in the outlet state: phi(L) is the exponential
+of the closed form ``characteristics.log_phi`` at the outlet depth and
+eta_bar(L) = m_L (lam-/lam+) phi(L), so the screen solves no ODE.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .characteristics import phi_exponents, reflection_coefficient
+from .characteristics import log_phi, reflection_coefficient
 from .errors import DegenerateFlux
 from .steady import SteadyProfile
 from .weights import m_value
@@ -127,7 +127,7 @@ def is_admissible(
         a, b, half = forbidden_interval(lam_p, lam_m, m_L, HL, g)
         if eta_bar_L is None or phi_L is None:
             p = profile.spec.friction_exponent
-            phi_L = math.exp(sum(phi_exponents(HL, profile.inlet_depth, profile.flux, p, g)))
+            phi_L = math.exp(log_phi(HL, profile.inlet_depth, profile.flux, p, g))
             eta_bar_L = m_L * (lam_m / lam_p) * phi_L
 
     # strictly outside [a, b] (a = -inf on the half-line); a NaN gain is not

@@ -33,7 +33,7 @@ certificate accuracy does not depend on the simulation grid. One function,
 From the inlet depth down to the outlet depth, its state is the angle theta
 = arctan(w) of w = eta / phi - epsilon x alone, and its right-hand side
 (``_riccati``) fuses the depth kernels of ``steady`` and
-``characteristics``, those that ``CharCoeffs`` uses too, with their
+``characteristics``, ``log_phi`` for ln phi among them, with their
 per-channel constants computed once.
 It is a depth kernel, every epsilon-free term at one depth, and a slope
 that combines the kernel with theta and epsilon; the two stages of a step
@@ -48,9 +48,11 @@ stages only it evaluates, in one numpy pass at the depths the steady
 profile holds there, and ``eta_eps`` returns eta / phi =
 tan theta + epsilon x there; the weights, speeds and couplings at the faces
 and centers are elements and slices of the fine-grid arrays. An epsilon
-attempt does only epsilon-dependent work: per channel one solve, while the
-speeds, couplings and phi factors on the fine grid (``CharCoeffs``) are
-computed once per channel and certificate, before the first attempt. Every
+attempt does only epsilon-dependent work: per channel one solve, while
+each channel's epsilon-free record (``_Channel``) is made once per
+certificate, before the first attempt: the speeds, couplings and phi
+factors on the fine grid (``CharCoeffs``), the depth kernel, its value at
+the inlet, where every solve starts, and the inlet value of eta / phi. Every
 check but the interior matrix N(x) and the junction matrices reads only
 the ends of one channel, where theta is exact: the inlet value and the
 solve's last one. Each of those checks is the channel's scale alpha > 0
@@ -81,7 +83,6 @@ import numpy as np
 from .characteristics import (
     _ENDS,
     CharCoeffs,
-    eigenvalues,
     existence_integral,
     outlet_traces,
     phi_exponents,
@@ -193,11 +194,12 @@ _D = (
 _D_KEPT = np.array(_D)[:, [0, *range(5, 16)]]
 
 
-def _integrate(riccati, theta, start, end):
+def _integrate(riccati, theta, start, end, at_start):
     """One adaptive DOP853 solve of dtheta/dH = slope(kernel(H), theta),
-    with ``riccati`` the pair (kernel, slope) of ``_riccati``, from
-    theta(start) = ``theta`` down to the depth ``end``: (its accepted steps,
-    theta at ``end``), or None where the solution does not exist.
+    with ``riccati`` the pair (kernel, slope) of one solve (``_riccati``),
+    from theta(start) = ``theta`` down to the depth ``end``, ``at_start``
+    being kernel(start): (its accepted steps, theta at ``end``), or None
+    where the solution does not exist.
 
     The solve is scipy's DOP853 on Python floats: its 8th-order tableau with
     error estimates of orders 5 and 3, its initial step, error norm and
@@ -219,7 +221,7 @@ def _integrate(riccati, theta, start, end):
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, b = _A[1:13]
     e5, e3 = _E5, _E3
     t, t_end = start, end
-    y, f = theta, slope(kernel(t), theta)
+    y, f = theta, slope(at_start, theta)
     span = t - t_end
     # the initial step of scipy's select_initial_step
     scale = ETA_ATOL + abs(y) * ETA_RTOL
@@ -339,14 +341,16 @@ def _on_grid(riccati, steps, theta_end, depths):
     return theta
 
 
-def _riccati(profile: SteadyProfile, epsilon):
+def _riccati(profile: SteadyProfile):
     """dtheta/dH for the comparison solution in the angle theta = arctan(w)
     of the scaled variable w = eta / phi - epsilon x, with the steady depth
-    H as the variable, as the pair (kernel, slope): ``kernel(H)`` holds
+    H as the variable, as the pair (kernel, slope_at): ``kernel(H)`` holds
     every term at the depth H that does not depend on epsilon, and
-    ``slope(kernel(H), theta)`` is dtheta/dH. Stages at one depth share
-    one kernel (``_integrate``), and the dense output's stages evaluate it
-    on the fine pass alone (``_on_grid``).
+    ``slope_at(epsilon)`` makes one solve's ``slope``, with
+    ``slope(kernel(H), theta)`` = dtheta/dH. A certificate makes the pair
+    once per channel (``_Channel``) and a slope per solve. Stages at one
+    depth share one kernel (``_integrate``), and the dense output's stages
+    evaluate it on the fine pass alone (``_on_grid``).
 
     With u = w + epsilon x, w' = |delta1/lambda1 + (gamma2/lambda2) u^2| -
     u (gamma1/lambda1 + delta2/lambda2) + epsilon (1/phi - 1), and theta' =
@@ -368,10 +372,11 @@ def _riccati(profile: SteadyProfile, epsilon):
 
     In the depth, dtheta/dH = theta' / H' with H' = -g C Q^2 / P'(H), and
     every depth the solve visits is on the profile, so no guard is needed.
-    The abscissa x, the exponents and the speeds and couplings are those of
-    ``_potential_drop``, ``phi_exponents`` and ``speeds_couplings``, with
-    their per-channel constants taken out and each operation in its order,
-    so every value has the kernels' bits (``tests/test_weights.py``).
+    The kernel fuses ``log_phi``, ``_potential_drop``, ``speeds_couplings``
+    and ``potential_slope``, with their per-channel constants taken out,
+    H^p and g H^3 taken once and each operation in its order, so every value
+    has the kernels' bits (``tests/test_weights.py``); 1/phi - 1 is
+    expm1(-ln phi).
     """
     spec = profile.spec
     H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
@@ -379,48 +384,51 @@ def _riccati(profile: SteadyProfile, epsilon):
     gC, QQ = g * friction, flux * flux
     rate = gC * flux * flux
     s0 = math.sqrt(g * H0 * H0 * H0) / flux
-    inv_s0, s0_up, s0_down = 1.0 / s0, s0 + 1.0, s0 - 1.0
-    half_p, log_weight = 0.5 * p, 0.25 + 0.5 * p
+    inv_s0, s0_up, half_p = 1.0 / s0, s0 + 1.0, 0.5 * p
     p3 = p + 3.0
     H0_p3 = H0**p3
 
     def kernel(H):
-        # phi_exponents: only I1 + I2 enters
-        s = math.sqrt(g * H * H * H) / flux
-        shared = half_p * (1.0 / s - inv_s0) - (s - s0)
-        log_s = log_weight * math.log(s / s0)
-        I1 = (2.0 / 3.0) * (shared + log_s + 1.5 * math.log((s + 1.0) / s0_up))
-        I2 = (2.0 / 3.0) * (shared - log_s - 1.5 * math.log((s - 1.0) / s0_down))
+        # log_phi
+        gH3 = g * H * H * H
+        s = math.sqrt(gH3) / flux
+        drop = s0 - s
+        log_phi = ((4.0 / 3.0) * (half_p * (1.0 / s - inv_s0) + drop)
+                   + math.log1p(2.0 * drop / (s0_up * (s - 1.0))))
         # _potential_drop(H0, H) / rate
+        Hp = H**p
         log_r = math.log(H0 / H)
-        q_term = log_r if p == 0.0 else H**p * math.expm1(p * log_r) / p
+        q_term = log_r if p == 0.0 else Hp * math.expm1(p * log_r) / p
         x = (g * (H0_p3 - H**p3) / p3 - QQ * q_term) / rate
         # speeds_couplings
         c = math.sqrt(g * H)
         V = flux / H
         lam1, lam2 = V + c, c - V
-        K = gC * V * V / H**p
+        K = gC * V * V / Hp
         half_c, inv_v = p / (2.0 * c), 1.0 / V
         g1 = K * (-3.0 / (4.0 * lam1) + inv_v - half_c)
         d1 = K * (-1.0 / (4.0 * lam1) + inv_v + half_c)
         g2 = K * (1.0 / (4.0 * lam2) + inv_v - half_c)
         d2 = K * (3.0 / (4.0 * lam2) + inv_v + half_c)
         # potential_slope
-        return (x, d1 / lam1, g2 / lam2, g1 / lam1 + d2 / lam2, math.expm1(-(I1 + I2)),
-                H ** (p - 1.0) * (g * H * H * H - QQ))
+        return (x, d1 / lam1, g2 / lam2, g1 / lam1 + d2 / lam2, math.expm1(-log_phi),
+                H ** (p - 1.0) * (gH3 - QQ))
 
-    def slope(terms, theta):
-        x, d1_l1, g2_l2, drift, inv_phi_m1, potential = terms
-        cos = math.cos(theta)
-        v = math.sin(theta) + epsilon * x * cos
-        theta_x = (
-            abs(d1_l1 * cos * cos + g2_l2 * v * v)
-            - v * cos * drift
-            + epsilon * inv_phi_m1 * cos * cos
-        )
-        return -theta_x * potential / rate
+    def slope_at(epsilon):
+        def slope(terms, theta):
+            x, d1_l1, g2_l2, drift, inv_phi_m1, potential = terms
+            cos = math.cos(theta)
+            v = math.sin(theta) + epsilon * x * cos
+            theta_x = (
+                abs(d1_l1 * cos * cos + g2_l2 * v * v)
+                - v * cos * drift
+                + epsilon * inv_phi_m1 * cos * cos
+            )
+            return -theta_x * potential / rate
 
-    return kernel, slope
+        return slope
+
+    return kernel, slope_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,13 +503,52 @@ def m_value(H, inlet_depth, flux, friction_exponent, gravity):
 
 
 @dataclass(frozen=True, eq=False)
+class _Channel:
+    """The epsilon-free record of one channel's comparison solves, made once
+    per channel and certificate beside its ``coeffs``: eta / phi at the
+    inlet at epsilon = 0, ``start``, and, unless the depth stays H0, the
+    pair (kernel, slope_at) of ``_riccati`` and the kernel at the inlet
+    depth, where every solve starts. ``start`` is lambda2(0)/lambda1(0) on
+    the trunk, from the inlet speeds of ``coeffs``, which take the
+    operations of ``eigenvalues`` and so its bits, and 1 on branch channels.
+    """
+
+    coeffs: CharCoeffs
+    start: float
+    riccati: tuple | None
+    at_inlet: tuple | None
+
+    @classmethod
+    def of(cls, coeffs: CharCoeffs, trunk_inlet: bool) -> "_Channel":
+        profile = coeffs.profile
+        if trunk_inlet:
+            if profile.flux == 0.0:
+                raise DegenerateFlux("trunk channels carry positive flux")
+            start = float(coeffs.lambda2[0] / coeffs.lambda1[0])
+        else:
+            start = 1.0
+        if profile.outlet_depth == profile.inlet_depth:
+            # the depth stays H0 (no flux, no friction, or a drop below
+            # rounding), and with it the exponents
+            return cls(coeffs, start, None, None)
+        riccati = _riccati(profile)
+        return cls(coeffs, start, riccati, riccati[0](float(profile.H_fine[0])))
+
+
+def _channels(topo: NetworkTopology, profiles: dict[int, SteadyProfile]) -> dict[int, _Channel]:
+    """Every channel's epsilon-free record, in traversal order."""
+    return {i: _Channel.of(CharCoeffs.from_profile(profiles[i]), i == topo.root_channel)
+            for i in traversal_order(topo)}
+
+
+@dataclass(frozen=True, eq=False)
 class _Comparison:
     """The comparison solution of one channel at one epsilon, as eta / phi =
     tan theta + epsilon x with theta(H) from the accepted ``steps`` of its
     solve (see ``_integrate``) and ``theta_end`` at the outlet. The solve's
-    ``riccati`` stays for the dense output's extra stages, which only the
-    fine grid needs. A channel whose depth stays H0 has no steps: there
-    eta / phi = init + epsilon x.
+    ``riccati``, its kernel and slope, stays for the dense output's extra
+    stages, which only the fine grid needs. A channel whose depth stays H0
+    has no steps: there eta / phi = init + epsilon x.
     """
 
     profile: SteadyProfile
@@ -512,27 +559,17 @@ class _Comparison:
     theta_end: float
 
     @classmethod
-    def of(cls, profile: SteadyProfile, epsilon: float, trunk_inlet: bool) -> "_Comparison":
-        """Solve with inlet value lambda2(0)/lambda1(0) + epsilon on the
-        trunk and 1 + epsilon on branch channels; EpsilonTooLarge where the
-        solution does not reach the outlet."""
-        if trunk_inlet:
-            if profile.flux == 0.0:
-                raise DegenerateFlux("trunk channels carry positive flux")
-            H0 = profile.inlet_depth
-            lam1_0, lam2_0 = eigenvalues(H0, profile.velocity_of(H0), profile.gravity)
-            init = lam2_0 / lam1_0 + epsilon
-        else:
-            init = 1.0 + epsilon
-
-        if profile.outlet_depth == profile.inlet_depth:
-            # the depth stays H0 (no flux, no friction, or a drop below
-            # rounding), and with it the exponents
+    def of(cls, channel: _Channel, epsilon: float) -> "_Comparison":
+        """Solve from the inlet value ``channel.start`` + epsilon;
+        EpsilonTooLarge where the solution does not reach the outlet."""
+        profile = channel.coeffs.profile
+        init = channel.start + epsilon
+        if channel.riccati is None:
             return cls(profile, epsilon, init, None, None, math.nan)
-
+        kernel, slope_at = channel.riccati
+        riccati = kernel, slope_at(epsilon)
         H = profile.H_fine
-        riccati = _riccati(profile, epsilon)
-        solved = _integrate(riccati, math.atan(init), float(H[0]), float(H[-1]))
+        solved = _integrate(riccati, math.atan(init), float(H[0]), float(H[-1]), channel.at_inlet)
         if solved is None:
             raise EpsilonTooLarge(
                 f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "
@@ -579,7 +616,8 @@ def eta_eps(
     has phi = 1 and no solve: eta is init + epsilon x, the exact solution
     of an uncoupled channel.
     """
-    return _Comparison.of(profile, epsilon, trunk_inlet).fine()
+    channel = _Channel.of(CharCoeffs.from_profile(profile), trunk_inlet)
+    return _Comparison.of(channel, epsilon).fine()
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,7 +678,7 @@ def _channel_weights(c: CharCoeffs, ratio, alpha: float, epsilon: float) -> Chan
     )
 
 
-def _scaled(topo: NetworkTopology, epsilon: float, coeffs, solved, unit):
+def _scaled(topo: NetworkTopology, epsilon: float, channels, solved, unit):
     """Yield the fine-grid weights of every channel in traversal order,
     parents first, each at its alpha. The alphas follow root first from the
     ``unit`` weights, those at alpha = 1: alpha_child = alpha_parent *
@@ -655,7 +693,7 @@ def _scaled(topo: NetworkTopology, epsilon: float, coeffs, solved, unit):
         else:
             parent = topo.parent_of(i)
             alphas[i] = alphas[parent] * float(unit[parent].W[-1]) / float(unit[i].W[0])
-        yield _channel_weights(coeffs[i], solved[i].fine(), alphas[i], epsilon)
+        yield _channel_weights(channels[i].coeffs, solved[i].fine(), alphas[i], epsilon)
 
 
 def network_weights(
@@ -665,12 +703,12 @@ def network_weights(
 ) -> WeightSet:
     """Assemble junction-matched weights for the whole tree at one epsilon.
     Raises EpsilonTooLarge where a comparison solution does not exist."""
-    order = traversal_order(topo)
-    coeffs = {i: CharCoeffs.from_profile(profiles[i]) for i in order}
-    solved = {i: _Comparison.of(profiles[i], epsilon, i == topo.root_channel) for i in order}
-    unit = {i: _channel_weights(coeffs[i].ends, solved[i].ends(), 1.0, epsilon) for i in order}
-    channels = {cw.channel: cw for cw in _scaled(topo, epsilon, coeffs, solved, unit)}
-    return WeightSet(topo=topo, channels=channels)
+    channels = _channels(topo, profiles)
+    solved = {i: _Comparison.of(c, epsilon) for i, c in channels.items()}
+    unit = {i: _channel_weights(c.coeffs.ends, solved[i].ends(), 1.0, epsilon)
+            for i, c in channels.items()}
+    scaled = {cw.channel: cw for cw in _scaled(topo, epsilon, channels, solved, unit)}
+    return WeightSet(topo=topo, channels=scaled)
 
 
 def junction_matrix(ws: WeightSet, incoming: int):
@@ -717,7 +755,8 @@ def trunk_inlet_coefficient(ws: WeightSet) -> float:
     cw = ws.channels[ws.topo.root_channel]
     prof = cw.profile
     V0 = prof.velocity_of(prof.inlet_depth)
-    lam1, lam2 = eigenvalues(prof.inlet_depth, V0, prof.gravity)
+    # the inlet speeds of eigenvalues, to the bit
+    lam1, lam2 = float(cw.coeffs.lambda1[0]), float(cw.coeffs.lambda2[0])
     eps = cw.epsilon
     eta0 = lam2 / lam1 + eps
     return cw.alpha * lam1 * eps * (2.0 * lam2 + lam1 * eps) / (eta0 * V0**2)
@@ -727,24 +766,25 @@ def interior_matrix(cw: ChannelWeights):
     """Symmetric interior dissipation matrix N(x) on the fine grid.
 
     Entries: N11 = -(f1 lambda1)' + 2 f1 gamma1, N22 = (f2 lambda2)' +
-    2 f2 delta2, N12 = f1 delta1 + f2 gamma2, with the spatial derivatives
-    taken analytically through the weight definitions and the eta equation.
-    Returns (N11, N12, N22) arrays.
+    2 f2 delta2, N12 = f1 delta1 + f2 gamma2. With f1 lambda1 = alpha
+    phi1^2 / eta, f2 lambda2 = alpha phi2^2 eta, phi1' = phi1 gamma1 /
+    lambda1 and phi2' = -phi2 delta2 / lambda2,
+
+        (f1 lambda1)' = f1 lambda1 (2 gamma1 / lambda1 - eta' / eta),
+        (f2 lambda2)' = f2 lambda2 (eta' / eta - 2 delta2 / lambda2),
+
+    so the 2 f1 gamma1 and 2 f2 delta2 terms cancel and N11 = f1 lambda1
+    eta' / eta, N22 = f2 lambda2 eta' / eta, with eta' from the comparison
+    equation. Returns (N11, N12, N22) arrays.
     """
     c = cw.coeffs
     lam1, lam2, phi = c.lambda1, c.lambda2, c.phi
-    g1, d1 = c.gamma1, c.delta1
-    g2, d2 = c.gamma2, c.delta2
     eta = cw.eta_eps
-    # eta' from the comparison equation
-    eta_slope = np.abs(d1 * phi / lam1 + g2 / (lam2 * phi) * eta**2) + cw.epsilon
-    f1l1 = cw.f1 * lam1
-    f2l2 = cw.f2 * lam2
-    d_f1l1 = f1l1 * (2.0 * g1 / lam1 - eta_slope / eta)
-    d_f2l2 = f2l2 * (eta_slope / eta - 2.0 * d2 / lam2)
-    N11 = -d_f1l1 + 2.0 * cw.f1 * g1
-    N22 = d_f2l2 + 2.0 * cw.f2 * d2
-    N12 = cw.f1 * d1 + cw.f2 * g2
+    eta_slope = np.abs(c.delta1 * phi / lam1 + c.gamma2 / (lam2 * phi) * eta**2) + cw.epsilon
+    growth = eta_slope / eta
+    N11 = cw.f1 * lam1 * growth
+    N22 = cw.f2 * lam2 * growth
+    N12 = cw.f1 * c.delta1 + cw.f2 * c.gamma2
     return N11, N12, N22
 
 
@@ -881,12 +921,12 @@ def _attempt(
     topo: NetworkTopology,
     gains: dict[int, float],
     epsilon: float,
-    coeffs: dict[int, CharCoeffs],
+    channels: dict[int, _Channel],
     last: bool,
     first: int | None,
 ) -> tuple[NetworkCertificate, int]:
     """Build and check the weights at one epsilon in two passes from each
-    channel's epsilon-free record in ``coeffs``: (its certificate, with
+    channel's epsilon-free record in ``channels``: (its certificate, with
     halvings 0, the channel where it stopped).
 
     The first pass solves channel ``first``, where the last attempt
@@ -905,10 +945,11 @@ def _attempt(
     # channel first, then the rest in traversal order: the sort is stable
     for i in sorted(traversal_order(topo), key=lambda j: j != first):
         try:
-            solved[i] = _Comparison.of(coeffs[i].profile, epsilon, i == topo.root_channel)
+            solved[i] = _Comparison.of(channels[i], epsilon)
         except EpsilonTooLarge:
             return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",)), i
-        unit.channels[i] = cw = _channel_weights(coeffs[i].ends, solved[i].ends(), 1.0, epsilon)
+        unit.channels[i] = cw = _channel_weights(
+            channels[i].coeffs.ends, solved[i].ends(), 1.0, epsilon)
         failed = _channel_checks(unit, cw, gains, defaultdict(dict))
         if failed and not last:
             failed = tuple(name for name in CHECK_ORDER if name in failed)
@@ -917,7 +958,7 @@ def _attempt(
     ws = WeightSet(topo=topo, channels={})
     detail = defaultdict(dict)
     failed = set()
-    for cw in _scaled(topo, epsilon, coeffs, solved, unit.channels):
+    for cw in _scaled(topo, epsilon, channels, solved, unit.channels):
         ws.channels[cw.channel] = cw
         detail["alphas"][cw.channel] = cw.alpha
         failed.update(_channel_checks(ws, cw, gains, detail))
@@ -961,11 +1002,11 @@ def certify_network(
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)
-    coeffs = {i: CharCoeffs.from_profile(profiles[i]) for i in traversal_order(topo)}
+    channels = _channels(topo, profiles)
     epsilon = float(epsilon_start)
     stop = None
     for halvings in range(MAX_HALVINGS + 1):
-        cert, stop = _attempt(topo, gains, epsilon, coeffs, halvings == MAX_HALVINGS, stop)
+        cert, stop = _attempt(topo, gains, epsilon, channels, halvings == MAX_HALVINGS, stop)
         if cert.certified or halvings == MAX_HALVINGS:
             return replace(cert, halvings=halvings)
         epsilon *= 0.5

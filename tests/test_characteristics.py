@@ -9,6 +9,7 @@ from channet.characteristics import (
     CharCoeffs,
     eigenvalues,
     existence_integral,
+    log_phi,
     outlet_traces,
     phi_exponents,
     reflection_coefficient,
@@ -215,6 +216,24 @@ def test_phi_exponents_match_their_definition():
         assert phi_exponents(H0, H0, flux, p, G) == (0.0, 0.0)
         I1, I2 = phi_exponents(np.array([H0, H[0]]), H0, flux, p, G)
         assert I1[0] == 0.0 and I2[0] == 0.0
+
+
+def test_log_phi_is_the_sum_of_the_exponents():
+    # ln phi = I1 + I2 in one log1p: the two agree to rounding on either
+    # path, and both vanish exactly at the inlet
+    rng = np.random.default_rng(57)
+    for p in P_CHOICES:
+        flux = rng.uniform(0.2, 3.0)
+        Hc = (flux / math.sqrt(G)) ** (2.0 / 3.0)
+        H = Hc * rng.uniform(1.01, 4.0, size=64)
+        H0 = 4.2 * Hc
+        I1, I2 = phi_exponents(H, H0, flux, p, G)
+        scale = np.maximum(np.abs(I1) + np.abs(I2), 1.0)
+        for fused in (log_phi(H, H0, flux, p, G),
+                      np.array([log_phi(float(h), H0, flux, p, G) for h in H])):
+            assert np.max(np.abs(fused - (I1 + I2)) / scale) <= 1e-13, p
+        assert log_phi(H0, H0, flux, p, G) == 0.0
+        assert log_phi(np.array([H0, H[0]]), H0, flux, p, G)[0] == 0.0
 
 
 def test_existence_integral_matches_its_definition():

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from channet.characteristics import (
     CharCoeffs,
     eigenvalues,
+    log_phi,
     phi_exponents,
     speeds_couplings,
 )
@@ -23,7 +24,7 @@ from channet.steady import (
     potential_slope,
     solve_network_steady,
 )
-from channet.topology import ChannelSpec, NetworkTopology
+from channet.topology import ChannelSpec, NetworkTopology, traversal_order
 import channet.steady as steady_module
 import channet.weights as weights_module
 import conftest
@@ -332,7 +333,6 @@ def comparison_slope_by_kernels(profile, epsilon, H, theta):
     H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
     p, g = spec.friction_exponent, spec.gravity
     rate = g * friction * flux * flux
-    I1, I2 = phi_exponents(H, H0, flux, p, g)
     x = _potential_drop(H0, H, flux, p, g) / rate
     lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, flux, friction, p, g)
     c = math.cos(theta)
@@ -340,7 +340,7 @@ def comparison_slope_by_kernels(profile, epsilon, H, theta):
     theta_x = (
         abs(d1 / lam1 * c * c + g2 / lam2 * v * v)
         - v * c * (g1 / lam1 + d2 / lam2)
-        + epsilon * math.expm1(-(I1 + I2)) * c * c
+        + epsilon * math.expm1(-log_phi(H, H0, flux, p, g)) * c * c
     )
     return -theta_x * potential_slope(H, flux, p, g) / rate
 
@@ -353,8 +353,9 @@ def test_comparison_slope_has_the_kernels_bits(star_profiles):
     for prof in profiles:
         if prof.outlet_depth == prof.inlet_depth:
             continue
+        kernel, slope_at = weights_module._riccati(prof)
         for epsilon in (1e-3, 1e-7):
-            kernel, slope = weights_module._riccati(prof, epsilon)
+            slope = slope_at(epsilon)
             for H in prof.H_fine.tolist():
                 terms = kernel(H)
                 for theta in (-0.4, 0.7, 1.5):
@@ -362,6 +363,41 @@ def test_comparison_slope_has_the_kernels_bits(star_profiles):
                         prof, epsilon, H, theta)
                     checked += 1
     assert checked > 10000
+
+
+def test_log_phi_keeps_the_digits_of_the_exponents(star_profiles):
+    # 1/phi - 1 = expm1(-ln phi), which the comparison slope takes from the
+    # one-log1p form, against 40 digits at every 6th fine depth of every
+    # coupled channel of the star and of every other suite network, the
+    # inlet, where both forms are exactly 0, left out: its median and
+    # largest relative error are no larger than those of expm1(-(I1 + I2))
+    # from the two exponents. Both forms take s = sqrt(g H^3)/Q in the same
+    # operations, and the reference is taken at that s: the rounding of s
+    # itself, shared by both, sets an error of about 7e-15 in the median and
+    # 5e-11 at most for either form, against a reference at the depth H
+    import mpmath
+
+    networks = criterion_05_networks(star_profiles)
+    errors = {"fused": [], "exponents": []}
+    for _, profiles in networks[:1] + networks[1::2]:
+        for prof in profiles.values():
+            if prof.outlet_depth == prof.inlet_depth:
+                continue
+            terms = H0, flux, p, g = (
+                prof.inlet_depth, prof.flux, prof.spec.friction_exponent, prof.gravity)
+            with mpmath.workdps(40):
+                s0 = mpmath.mpf(math.sqrt(g * H0 * H0 * H0) / flux)
+                for H in prof.H_fine[6::6].tolist():
+                    s = mpmath.mpf(math.sqrt(g * H * H * H) / flux)
+                    exact = mpmath.expm1(-(
+                        mpmath.mpf(4) / 3 * (mpmath.mpf(p) / 2 * (1 / s - 1 / s0) + s0 - s)
+                        + mpmath.log((s + 1) * (s0 - 1) / ((s0 + 1) * (s - 1)))))
+                    for name, value in (("fused", log_phi(H, *terms)),
+                                        ("exponents", sum(phi_exponents(H, *terms)))):
+                        errors[name].append(float(abs((math.expm1(-value) - exact) / exact)))
+    assert len(errors["fused"]) == 3240
+    assert np.median(errors["fused"]) <= np.median(errors["exponents"])
+    assert max(errors["fused"]) <= max(errors["exponents"])
 
 
 def test_step_loop_matches_scipy_dop853(star_profiles):
@@ -383,7 +419,8 @@ def test_step_loop_matches_scipy_dop853(star_profiles):
     cases.append((star_profiles[1][2], 1e3))
     blowups = 0
     for prof, epsilon in cases:
-        kernel, slope = weights_module._riccati(prof, epsilon)
+        kernel, slope_at = weights_module._riccati(prof)
+        slope = slope_at(epsilon)
         kernels, calls = [], []
 
         def counted_kernel(H):
@@ -396,8 +433,8 @@ def test_step_loop_matches_scipy_dop853(star_profiles):
 
         theta0 = math.atan(1.0 + epsilon)
         H = prof.H_fine
-        solved = weights_module._integrate(
-            (counted_kernel, counted), theta0, float(H[0]), float(H[-1]))
+        solved = weights_module._integrate((counted_kernel, counted), theta0, float(H[0]),
+                                           float(H[-1]), counted_kernel(float(H[0])))
         stepped = len(calls)
         ref, status, nfev = theta_by_scipy_dop853(
             lambda H, theta: slope(kernel(H), theta), theta0, prof.H_fine)
@@ -456,11 +493,12 @@ def test_step_loop_is_as_accurate_as_the_rk45_loop(star_profiles):
     errors, blowups = [], 0
     for prof in profiles:
         for epsilon in (1e-3, 1e-5, 1e-7):
-            riccati = weights_module._riccati(prof, epsilon)
-            kernel, slope = riccati
+            kernel, slope_at = weights_module._riccati(prof)
+            slope = slope_at(epsilon)
             theta0 = math.atan(1.0 + epsilon)
             H = prof.H_fine
-            solved = weights_module._integrate(riccati, theta0, float(H[0]), float(H[-1]))
+            solved = weights_module._integrate(
+                (kernel, slope), theta0, float(H[0]), float(H[-1]), kernel(float(H[0])))
             ref, status, _ = theta_by_scipy_dop853(
                 lambda H, theta: slope(kernel(H), theta), theta0, H[[0, -1]],
                 rtol=1e-13, atol=1e-16)
@@ -533,6 +571,25 @@ def test_interior_matrix_matches_finite_differences(star_weights):
     assert np.all(N11 > 0.0) and np.all(N22 > 0.0)
 
 
+def test_interior_matrix_diagonal_is_the_derivative_form(star_profiles):
+    # N11 = -(f1 lambda1)' + 2 f1 gamma1 and N22 = (f2 lambda2)' + 2 f2 delta2
+    # with the derivatives taken through the weights and the eta equation:
+    # the 2 f1 gamma1 and 2 f2 delta2 terms cancel, and the closed form
+    # agrees with the sum to rounding
+    topo, profiles = star_profiles
+    for epsilon in (2.44140625e-07, 1e-9, 1e-11, 1e-13, 1e-15):
+        for cw in network_weights(topo, profiles, epsilon).channels.values():
+            c = cw.coeffs
+            lam1, lam2, phi, eta = c.lambda1, c.lambda2, c.phi, cw.eta_eps
+            eta_slope = np.abs(c.delta1 * phi / lam1 + c.gamma2 / (lam2 * phi) * eta**2) + epsilon
+            N11 = (-(cw.f1 * lam1 * (2.0 * c.gamma1 / lam1 - eta_slope / eta))
+                   + 2.0 * cw.f1 * c.gamma1)
+            N22 = cw.f2 * lam2 * (eta_slope / eta - 2.0 * c.delta2 / lam2) + 2.0 * cw.f2 * c.delta2
+            closed = interior_matrix(cw)
+            assert np.max(np.abs(closed[0] - N11) / N11) <= 1e-15, (cw.channel, epsilon)
+            assert np.max(np.abs(closed[2] - N22) / N22) <= 1e-15, (cw.channel, epsilon)
+
+
 def test_certificate_fields_and_serialization(star_weights):
     topo, profiles, cert = star_weights
     assert cert.certified
@@ -580,21 +637,26 @@ def recording_riccati(monkeypatch, jump_below=None, jump=0.0):
     calls = []
     riccati = weights_module._riccati
 
-    def patched(profile, epsilon):
-        kernel, slope = riccati(profile, epsilon)
+    def patched(profile):
+        kernel, slope_at = riccati(profile)
 
         def at_depth(H):
             return H, kernel(H)
 
-        def recorded(terms, theta):
-            H, terms = terms
-            calls.append((H, theta))
-            if len(calls) > 10000:
-                raise AssertionError("the comparison solve runs on")
-            step = jump if jump_below is not None and H < jump_below else 0.0
-            return slope(terms, theta) + step
+        def recorded_at(epsilon):
+            slope = slope_at(epsilon)
 
-        return at_depth, recorded
+            def recorded(terms, theta):
+                H, terms = terms
+                calls.append((H, theta))
+                if len(calls) > 10000:
+                    raise AssertionError("the comparison solve runs on")
+                step = jump if jump_below is not None and H < jump_below else 0.0
+                return slope(terms, theta) + step
+
+            return recorded
+
+        return at_depth, recorded_at
 
     monkeypatch.setattr(weights_module, "_riccati", patched)
     return calls
@@ -849,7 +911,7 @@ def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profil
     epsilon = DEFAULT_EPSILON * 0.5**8
     prof = profiles[2]
     coeffs = CharCoeffs.from_profile(prof)
-    comparison = weights_module._Comparison.of(prof, epsilon, trunk_inlet=False)
+    comparison = weights_module._Comparison.of(weights_module._Channel.of(coeffs, False), epsilon)
     cw = weights_module._channel_weights(coeffs.ends, comparison.ends(), 1.0, epsilon)
     unit = weights_module.WeightSet(topo=topo, channels={2: cw})
 
@@ -881,7 +943,7 @@ def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profil
 
 def test_star_certificate_solve_count(star_weights, monkeypatch):
     topo, profiles, cert = star_weights
-    solves, grids, kernels = [], [], []
+    solves, grids, built, kernels = [], [], [], []
     integrate, on_grid = weights_module._integrate, weights_module._on_grid
     riccati = weights_module._riccati
 
@@ -893,14 +955,15 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
         grids.append(args[3].size)
         return on_grid(*args)
 
-    def counting_riccati(profile, epsilon):
-        kernel, slope = riccati(profile, epsilon)
+    def counting_riccati(profile):
+        built.append(profile.channel)
+        kernel, slope_at = riccati(profile)
 
         def counted(H):
             kernels.append(H)
             return kernel(H)
 
-        return counted, slope
+        return counted, slope_at
 
     monkeypatch.setattr(weights_module, "_integrate", counting_solve)
     monkeypatch.setattr(weights_module, "_on_grid", counting_grid)
@@ -911,17 +974,62 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
     # 12 of them fail a terminal margin: channel 2 eight times, channel 3
     # three times and channel 4 once. Each but the first solves the channel
     # where the last one stopped first, and 9 fail there after one solve;
-    # only the 13th reaches the fine grid. The 22 solves take two depth
-    # kernels to start, at the inlet and at the initial step's probe, and
-    # try 23 steps of eleven, as the last stage and the step's end share
+    # only the 13th reaches the fine grid. Each channel's depth kernel is
+    # built once per certificate, with its value at the inlet, where every
+    # solve starts: 4 kernels, where a kernel per solve took 22. Each of the
+    # 22 solves takes one more to start, at the initial step's probe, and
+    # tries 23 steps of eleven, as the last stage and the step's end share
     # one; each solve has a step that ends at its probe and takes the
     # probe's kernel. The 4 fine grids add three for each of their 4 steps:
-    # 44 + 253 - 22 + 12.
+    # 4 + 22 + 253 - 22 + 12 = 269, where an inlet kernel per solve took 287.
     assert counted.halvings == 12
+    assert sorted(built) == sorted(topo.channels)
     assert len(solves) == 22
     assert len(grids) == 4
-    assert len(kernels) == 287
+    assert len(kernels) == 269
     assert _certificate_bytes(counted, 12) == _certificate_bytes(cert, 12)
+
+
+def test_channel_record_starts_every_solve_at_the_inlet(star_profiles):
+    # the epsilon-free record that a certificate makes once per channel: on
+    # the trunk, eta / phi starts at lambda2(0)/lambda1(0) with the bits of
+    # eigenvalues at the inlet depth, on a branch at 1, and the kernel that
+    # starts every solve is the depth kernel at the inlet
+    checked = 0
+    for topo, profiles in criterion_05_networks(star_profiles):
+        channels = weights_module._channels(topo, profiles)
+        assert list(channels) == traversal_order(topo)
+        for i, c in channels.items():
+            prof = profiles[i]
+            H0 = prof.inlet_depth
+            if i == topo.root_channel:
+                lam1, lam2 = eigenvalues(H0, prof.velocity_of(H0), prof.gravity)
+                assert c.start == lam2 / lam1, i
+            else:
+                assert c.start == 1.0, i
+            if prof.outlet_depth == prof.inlet_depth:
+                assert c.riccati is None and c.at_inlet is None
+                continue
+            assert c.at_inlet == c.riccati[0](float(prof.H_fine[0]))
+            assert c.at_inlet == weights_module._riccati(prof)[0](H0)
+            checked += 1
+    assert checked > 300
+
+
+def test_speeds_couplings_array_path_has_the_scalar_bits_on_every_fine_grid(star_profiles):
+    # CharCoeffs takes the kernel on arrays, with H^p by the C library's pow
+    # one depth at a time, and the tests and its fused copy on scalars
+    checked = 0
+    for prof in coupled_suite_profiles(star_profiles):
+        spec = prof.spec
+        terms = (prof.flux, spec.friction, spec.friction_exponent, prof.gravity)
+        if prof.flux == 0.0:
+            continue
+        arrays = np.array(speeds_couplings(prof.H_fine, *terms))
+        scalars = np.array([speeds_couplings(H, *terms) for H in prof.H_fine.tolist()]).T
+        assert arrays.tobytes() == scalars.tobytes(), prof.channel
+        checked += prof.H_fine.size
+    assert checked > 35000
 
 
 def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
@@ -943,7 +1051,7 @@ def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
             for i, fine in ws.channels.items():
                 coeffs = CharCoeffs.from_profile(profiles[i])
                 comparison = weights_module._Comparison.of(
-                    profiles[i], epsilon, trunk_inlet=(i == topo.root_channel))
+                    weights_module._Channel.of(coeffs, i == topo.root_channel), epsilon)
                 ends = weights_module._channel_weights(
                     coeffs.ends, comparison.ends(), fine.alpha, epsilon)
                 for a, b in zip(arrays(ends), arrays(fine), strict=True):
