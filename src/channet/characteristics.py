@@ -61,8 +61,17 @@ def speeds_couplings(H, flux, friction, p, g):
     if not isinstance(H, np.ndarray) or H.ndim == 0:
         c, Hp = math.sqrt(g * H), H**p
     else:
-        # numpy's vectorised power can differ from the C library's by an ulp
-        c, Hp = np.sqrt(g * H), np.fromiter(map(pow, H.tolist(), repeat(p)), float, H.size)
+        c = np.sqrt(g * H)
+        # pow(x, 1.0) and pow(x, 0.0) are exact, x and 1; numpy's vectorised
+        # power can differ from the C library's by an ulp, and so can H * H
+        # from pow(x, 2.0), so every other exponent, 2 included, takes the
+        # C library's pow one depth at a time
+        if p == 1.0:
+            Hp = H
+        elif p == 0.0:
+            Hp = np.ones_like(H)
+        else:
+            Hp = np.fromiter(map(pow, H.tolist(), repeat(p)), float, H.size)
     V = flux / H
     lam1 = V + c
     lam2 = c - V

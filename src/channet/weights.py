@@ -52,8 +52,17 @@ attempt does only epsilon-dependent work: per channel one solve, while
 each channel's epsilon-free record (``_Channel``) is made once per
 certificate, before the first attempt: the speeds, couplings and phi
 factors on the fine grid (``CharCoeffs``), the depth kernel, its value at
-the inlet, where every solve starts, and the inlet value of eta / phi. Every
-check but the interior matrix N(x) and the junction matrices reads only
+the inlet, where every solve starts, and the inlet value of eta / phi. The
+same record makes, on the first solve that needs them, the kernels of the
+DOP853 step over the whole channel and of the initial step's probe at its
+far end: their depths depend on the channel's two end depths alone, not on
+epsilon, and on the README star each solve but one tries that step. They
+are made lazily: on the criterion-5 suite only 1.6% of the kernels sit at
+those depths, and making them for every channel up front would slow it.
+The kernel is a pure function of the depth, so every value keeps its bits
+and a certificate at epsilon stays a function of the network, the gains
+and epsilon alone. Every check but the interior matrix N(x) and the
+junction matrices reads only
 the ends of one channel, where theta is exact: the inlet value and the
 solve's last one. Each of those checks is the channel's scale alpha > 0
 times a term that does not depend on alpha, so an attempt (``_attempt``)
@@ -194,12 +203,17 @@ _D = (
 _D_KEPT = np.array(_D)[:, [0, *range(5, 16)]]
 
 
-def _integrate(riccati, theta, start, end, at_start):
+def _integrate(riccati, theta, start, end, at_start, whole=None):
     """One adaptive DOP853 solve of dtheta/dH = slope(kernel(H), theta),
     with ``riccati`` the pair (kernel, slope) of one solve (``_riccati``),
     from theta(start) = ``theta`` down to the depth ``end``, ``at_start``
     being kernel(start): (its accepted steps, theta at ``end``), or None
-    where the solution does not exist.
+    where the solution does not exist. ``whole``, where given, is the
+    channel's record (``_Channel``): whenever the solve probes its initial
+    step at ``start`` - span or tries the step from ``start`` to ``end``, it
+    takes those kernels from the record, which makes them on first use,
+    once per certificate, as they do not depend on epsilon. Every other
+    step evaluates its own, and a call without ``whole`` evaluates all.
 
     The solve is scipy's DOP853 on Python floats: its 8th-order tableau with
     error estimates of orders 5 and 3, its initial step, error norm and
@@ -228,7 +242,7 @@ def _integrate(riccati, theta, start, end, at_start):
     d0, d1 = abs(y) / scale, abs(f) / scale
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     probe = t - h0
-    at_probe = kernel(probe)
+    at_probe = whole.at_probe if whole is not None and h0 == span else kernel(probe)
     d2 = abs(slope(at_probe, y - h0 * f) - f) / scale / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, span)
@@ -244,26 +258,34 @@ def _integrate(riccati, theta, start, end, at_start):
             t_new = max(t - h_abs, t_end)
             h = t_new - t
             h_abs = -h
+            if whole is not None and t == start and t_new == t_end:
+                at1, at2, at3, at4, at5, at6, at7, at8, at9, at10, at_end = whole.at_step
+            else:
+                at1, at2, at3, at4, at5 = (kernel(t + c[1] * h), kernel(t + c[2] * h),
+                                           kernel(t + c[3] * h), kernel(t + c[4] * h),
+                                           kernel(t + c[5] * h))
+                at6, at7, at8, at9, at10 = (kernel(t + c[6] * h), kernel(t + c[7] * h),
+                                            kernel(t + c[8] * h), kernel(t + c[9] * h),
+                                            kernel(t + c[10] * h))
+                at_end = at_probe if t + h == probe else kernel(t + h)
             # each stage sums its row's nonzero weights only
             k0 = f
-            k1 = slope(kernel(t + c[1] * h), y + h * (a1[0] * k0))
-            k2 = slope(kernel(t + c[2] * h), y + h * (a2[0] * k0 + a2[1] * k1))
-            k3 = slope(kernel(t + c[3] * h), y + h * (a3[0] * k0 + a3[2] * k2))
-            k4 = slope(kernel(t + c[4] * h), y + h * (a4[0] * k0 + a4[2] * k2 + a4[3] * k3))
-            k5 = slope(kernel(t + c[5] * h), y + h * (a5[0] * k0 + a5[3] * k3 + a5[4] * k4))
-            k6 = slope(kernel(t + c[6] * h), y + h * (
-                a6[0] * k0 + a6[3] * k3 + a6[4] * k4 + a6[5] * k5))
-            k7 = slope(kernel(t + c[7] * h), y + h * (
+            k1 = slope(at1, y + h * (a1[0] * k0))
+            k2 = slope(at2, y + h * (a2[0] * k0 + a2[1] * k1))
+            k3 = slope(at3, y + h * (a3[0] * k0 + a3[2] * k2))
+            k4 = slope(at4, y + h * (a4[0] * k0 + a4[2] * k2 + a4[3] * k3))
+            k5 = slope(at5, y + h * (a5[0] * k0 + a5[3] * k3 + a5[4] * k4))
+            k6 = slope(at6, y + h * (a6[0] * k0 + a6[3] * k3 + a6[4] * k4 + a6[5] * k5))
+            k7 = slope(at7, y + h * (
                 a7[0] * k0 + a7[3] * k3 + a7[4] * k4 + a7[5] * k5 + a7[6] * k6))
-            k8 = slope(kernel(t + c[8] * h), y + h * (
+            k8 = slope(at8, y + h * (
                 a8[0] * k0 + a8[3] * k3 + a8[4] * k4 + a8[5] * k5 + a8[6] * k6 + a8[7] * k7))
-            k9 = slope(kernel(t + c[9] * h), y + h * (
+            k9 = slope(at9, y + h * (
                 a9[0] * k0 + a9[3] * k3 + a9[4] * k4 + a9[5] * k5 + a9[6] * k6 + a9[7] * k7
                 + a9[8] * k8))
-            k10 = slope(kernel(t + c[10] * h), y + h * (
+            k10 = slope(at10, y + h * (
                 a10[0] * k0 + a10[3] * k3 + a10[4] * k4 + a10[5] * k5 + a10[6] * k6
                 + a10[7] * k7 + a10[8] * k8 + a10[9] * k9))
-            at_end = at_probe if t + h == probe else kernel(t + h)
             k11 = slope(at_end, y + h * (
                 a11[0] * k0 + a11[3] * k3 + a11[4] * k4 + a11[5] * k5 + a11[6] * k6
                 + a11[7] * k7 + a11[8] * k8 + a11[9] * k9 + a11[10] * k10))
@@ -511,6 +533,14 @@ class _Channel:
     depth, where every solve starts. ``start`` is lambda2(0)/lambda1(0) on
     the trunk, from the inlet speeds of ``coeffs``, which take the
     operations of ``eigenvalues`` and so its bits, and 1 on branch channels.
+
+    ``at_probe`` and ``at_step`` are the kernels of the probe and of the
+    DOP853 step that span the whole channel, which ``_integrate`` takes
+    whenever a solve probes or steps there. Each is made when first read,
+    once per certificate: eagerly, every channel would pay about 12
+    kernels, while on the criterion-5 suite only 1.6% of the kernels sit
+    at those depths. They live in this record alone, so no certificate
+    reads another's.
     """
 
     coeffs: CharCoeffs
@@ -533,6 +563,26 @@ class _Channel:
             return cls(coeffs, start, None, None)
         riccati = _riccati(profile)
         return cls(coeffs, start, riccati, riccati[0](float(profile.H_fine[0])))
+
+    @cached_property
+    def at_probe(self) -> tuple:
+        """The kernel at start - span, where a solve's initial step probes
+        when it spans the whole channel."""
+        H = self.coeffs.profile.H_fine
+        start = float(H[0])
+        return self.riccati[0](start - (start - float(H[-1])))
+
+    @cached_property
+    def at_step(self) -> tuple:
+        """The kernels of the step over the whole channel, with h = end -
+        start as ``_integrate`` forms it: at its ten inner stage depths and
+        at its end, the last being ``at_probe`` where the two depths agree."""
+        kernel = self.riccati[0]
+        H = self.coeffs.profile.H_fine
+        start, end = float(H[0]), float(H[-1])
+        h = end - start
+        at_end = self.at_probe if start + h == start - (start - end) else kernel(start + h)
+        return (*(kernel(start + c * h) for c in _C[1:11]), at_end)
 
 
 def _channels(topo: NetworkTopology, profiles: dict[int, SteadyProfile]) -> dict[int, _Channel]:
@@ -569,7 +619,8 @@ class _Comparison:
         kernel, slope_at = channel.riccati
         riccati = kernel, slope_at(epsilon)
         H = profile.H_fine
-        solved = _integrate(riccati, math.atan(init), float(H[0]), float(H[-1]), channel.at_inlet)
+        solved = _integrate(riccati, math.atan(init), float(H[0]), float(H[-1]), channel.at_inlet,
+                            channel)
         if solved is None:
             raise EpsilonTooLarge(
                 f"channel {profile.channel}: comparison solution with epsilon={epsilon:g} "

@@ -5,6 +5,7 @@ import json
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -960,7 +961,7 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
         kernel, slope_at = riccati(profile)
 
         def counted(H):
-            kernels.append(H)
+            kernels.append((profile.channel, H))
             return kernel(H)
 
         return counted, slope_at
@@ -976,18 +977,59 @@ def test_star_certificate_solve_count(star_weights, monkeypatch):
     # where the last one stopped first, and 9 fail there after one solve;
     # only the 13th reaches the fine grid. Each channel's depth kernel is
     # built once per certificate, with its value at the inlet, where every
-    # solve starts: 4 kernels, where a kernel per solve took 22. Each of the
-    # 22 solves takes one more to start, at the initial step's probe, and
-    # tries 23 steps of eleven, as the last stage and the step's end share
-    # one; each solve has a step that ends at its probe and takes the
-    # probe's kernel. The 4 fine grids add three for each of their 4 steps:
-    # 4 + 22 + 253 - 22 + 12 = 269, where an inlet kernel per solve took 287.
+    # solve starts: 4 kernels. Every solve probes its initial step at the
+    # far end of its channel, and every solve but the trunk's first tries
+    # the step over the whole channel alone, which ends at that probe: the
+    # record makes the probe and the step's ten inner stages once per
+    # channel, 11 kernels each on channels 2-4. The trunk's first solve
+    # makes the probe, a shorter step of eleven and a last step of ten that
+    # ends at the probe, 22; its later solves take the whole-channel step's
+    # ten inner stages, once. The 4 fine grids add three for each of their
+    # 4 steps: 4 + 22 + 33 + 10 + 12 = 81, where a whole-channel step per
+    # solve took 269.
     assert counted.halvings == 12
     assert sorted(built) == sorted(topo.channels)
     assert len(solves) == 22
     assert len(grids) == 4
-    assert len(kernels) == 269
+    assert len(kernels) == 81
+    # each channel makes every kernel of its whole-channel step and of the
+    # probe at its far end exactly once
+    c = weights_module._C
+    for i, prof in profiles.items():
+        start, end = float(prof.H_fine[0]), float(prof.H_fine[-1])
+        h = end - start
+        whole = {start + ci * h for ci in c[1:12]} | {start - (start - end)}
+        made = [H for j, H in kernels if j == i and H in whole]
+        assert sorted(made) == sorted(whole), i
     assert _certificate_bytes(counted, 12) == _certificate_bytes(cert, 12)
+
+
+def test_whole_channel_kernels_keep_every_certificate_bytes(star_profiles, monkeypatch):
+    # A certificate takes its whole-channel steps' kernels from each
+    # channel's record. With the record bypassed, so that every solve
+    # computes every kernel, each certificate keeps its bytes: the README
+    # star at zero gains, at non-reflecting gains and with channel 2 at its
+    # forbidden gain, and the 70 criterion-5 networks at drawn gains.
+    topo, profiles = star_profiles
+    a, b = is_admissible(profiles[2], 0.0).forbidden
+    cases = [(topo, profiles, STAR_GAINS), (topo, profiles, {**STAR_GAINS, 2: 0.5 * (a + b)}),
+             (topo, profiles, {j: math.sqrt(profiles[j].gravity / profiles[j].outlet_depth)
+                               for j in topo.terminal_channels})]
+    rng = np.random.default_rng(1618)
+    for net, profs in criterion_05_networks(star_profiles)[1:]:
+        cases.append((net, profs, {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}))
+    certs = [certify_network(*case) for case in cases]
+    integrate = weights_module._integrate
+
+    def bypassed(riccati, theta, start, end, at_start, whole=None):
+        return integrate(riccati, theta, start, end, at_start)
+
+    monkeypatch.setattr(weights_module, "_integrate", bypassed)
+    assert len(cases) == 73
+    for case, cert in zip(cases, certs):
+        alone = certify_network(*case)
+        assert _certificate_bytes(alone, alone.halvings) == _certificate_bytes(cert, cert.halvings)
+    assert [c.certified for c in certs[:3]] == [True, False, True]
 
 
 def test_channel_record_starts_every_solve_at_the_inlet(star_profiles):
@@ -1030,6 +1072,27 @@ def test_speeds_couplings_array_path_has_the_scalar_bits_on_every_fine_grid(star
         assert arrays.tobytes() == scalars.tobytes(), prof.channel
         checked += prof.H_fine.size
     assert checked > 35000
+
+
+def test_speeds_couplings_array_path_has_the_pow_bits_at_exponents_0_and_1():
+    # at p = 1 and p = 0 the array path takes H itself and ones for H^p, as
+    # pow(x, 1.0) and pow(x, 0.0) are exact; every kernel output keeps the
+    # bits of the C library's pow, one depth at a time, on 10^5 random
+    # subcritical depths
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(100):
+        flux, friction, g = rng.uniform(0.05, 5.0), rng.uniform(1e-4, 1e-2), rng.uniform(1.0, 10.0)
+        critical = (flux * flux / g) ** (1.0 / 3.0)
+        H = critical * (1.0 + rng.uniform(1e-3, 5.0, 1000))
+        for p in (0.0, 1.0):
+            Hp = np.fromiter(map(pow, H.tolist(), repeat(p)), float, H.size)
+            assert Hp.tobytes() == (H if p == 1.0 else np.ones_like(H)).tobytes()
+            arrays = np.array(speeds_couplings(H, flux, friction, p, g))
+            scalars = np.array([speeds_couplings(h, flux, friction, p, g) for h in H.tolist()]).T
+            assert arrays.tobytes() == scalars.tobytes(), (flux, friction, g, p)
+        checked += H.size
+    assert checked == 100000
 
 
 def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
