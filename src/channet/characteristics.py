@@ -15,8 +15,8 @@ couplings, and only the tests call it on scalars. The same
 term is -(H*_x / H*) lambda1 lambda2 through the steady depth gradient; the
 tests check that identity, and the code does not form it.
 ``phi_exponents`` gives the exponents I1 and I2 of those factors in closed
-form, and ``log_phi`` their sum ln phi in one log1p, the form that the
-comparison solution's depth kernel and the gain screen's phi(L) take;
+form, and ``log_phi`` their sum ln phi in one log1p, the form that the gain
+screen's phi(L) takes;
 ``existence_integral`` gives the integral whose smallness guarantees the
 epsilon = 0 comparison solution.
 ``outlet_traces`` gives the characteristic traces that a feedback outlet
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -53,25 +52,13 @@ def eigenvalues(depth, velocity, gravity):
 def speeds_couplings(H, flux, friction, p, g):
     """(lambda1, lambda2, gamma1, delta1, gamma2, delta2) at depth H, friction form.
 
-    The kernel behind CharCoeffs; weights._riccati carries a fused copy.
-    A scalar H takes math.sqrt and an array H numpy, with the same bits
-    either way. Needs flux > 0.
+    The kernel behind CharCoeffs. A scalar H takes math.sqrt and the C
+    library's pow, an array H numpy's sqrt and power, whose vectorised power
+    may differ from pow by an ulp. Needs flux > 0.
     """
     # np.ndim(H) == 0, without its microsecond of overhead per scalar call
-    if not isinstance(H, np.ndarray) or H.ndim == 0:
-        c, Hp = math.sqrt(g * H), H**p
-    else:
-        c = np.sqrt(g * H)
-        # pow(x, 1.0) and pow(x, 0.0) are exact, x and 1; numpy's vectorised
-        # power can differ from the C library's by an ulp, and so can H * H
-        # from pow(x, 2.0), so every other exponent, 2 included, takes the
-        # C library's pow one depth at a time
-        if p == 1.0:
-            Hp = H
-        elif p == 0.0:
-            Hp = np.ones_like(H)
-        else:
-            Hp = np.fromiter(map(pow, H.tolist(), repeat(p)), float, H.size)
+    scalar = not isinstance(H, np.ndarray) or H.ndim == 0
+    c, Hp = (math.sqrt if scalar else np.sqrt)(g * H), H**p
     V = flux / H
     lam1 = V + c
     lam2 = c - V

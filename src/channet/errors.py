@@ -76,7 +76,8 @@ class DegenerateFlux(WeightError):
 
 
 class EpsilonTooLarge(WeightError):
-    """The perturbed weight ODE ceases to exist on [0, L] for this epsilon."""
+    """The comparison function eta_bar + epsilon u / (1 - epsilon J) does not
+    exist on [0, L] at this epsilon: 1 - epsilon J(L) <= 0."""
 
 
 class MissingGain(WeightError):

@@ -45,8 +45,14 @@ class ChannelSpec:
             raise ValueError(f"channel {self.id}: length must be positive and finite")
         if not 0.0 <= self.friction < math.inf:
             raise ValueError(f"channel {self.id}: friction must be >= 0 and finite")
-        if not 0.0 <= self.friction_exponent < math.inf:
-            raise ValueError(f"channel {self.id}: friction exponent must be >= 0 and finite")
+        # the coupling gamma2 has the sign of 1/(4 (1 - F)) + 1/F - p/2, whose
+        # minimum over the subcritical Froude numbers F is 9/4 - p/2, at F = 2/3
+        if not 0.0 <= self.friction_exponent <= 4.5:
+            raise ValueError(
+                f"channel {self.id}: friction exponent must be in [0, 9/2], not "
+                f"{self.friction_exponent!r}: above 9/2 the coupling gamma2 turns negative "
+                f"at some subcritical Froude number, where the certificate's closed-form "
+                f"comparison function does not hold")
         if not 0.0 < self.gravity < math.inf:
             raise ValueError(f"channel {self.id}: gravity must be positive and finite")
         if isinstance(self.cells, bool) or not isinstance(self.cells, numbers.Integral):

@@ -36,9 +36,6 @@ from channet.steady import (
 from channet.topology import ChannelSpec, NetworkTopology
 import channet.weights as weights_module
 from channet.weights import (
-    ETA_ATOL,
-    ETA_BLOWUP,
-    ETA_RTOL,
     PhiProfiles,
     certify_network,
     m_value,
@@ -173,8 +170,7 @@ def _solve_w_in_depth(profile, dw, init, rtol, atol, events=None):
     ``dw(w, x, H, I1, I2, lam1, lam2, g1, d1, g2, d2)`` is the derivative of
     w in x, which starts at ``init``; the abscissa x, the exponents I1, I2
     and the speeds and couplings come from the closed-form kernels at H, and
-    dw/dH = w'(x) / H' with H' = -g C Q^2 / P'(H). The oracles below use it;
-    the certificate solves its comparison solution in an angle of its own.
+    dw/dH = w'(x) / H' with H' = -g C Q^2 / P'(H). The oracles below use it.
     """
     spec = profile.spec
     H0, flux, friction = profile.inlet_depth, profile.flux, spec.friction
@@ -213,10 +209,7 @@ def eta_bar_by_ode(profile, rtol=ORACLE_TOL, atol=ORACLE_TOL):
 
     Solves u = eta_bar / phi, u' = |delta1/lambda1 + (gamma2/lambda2) u^2| -
     u (gamma1/lambda1 + delta2/lambda2), by ``_solve_w_in_depth`` (nothing
-    of the closed form m, nor the certificate's angle form), so it is an
-    oracle of the closed form. The default tolerance is ten times tighter
-    than the certificate's, so that the oracle's own error stays well below
-    the gap it is asked to bound. Raises WeightError where the solution
+    of the closed form m), so it is an oracle of the closed form. Raises WeightError where the solution
     blows up. Needs a channel with flux and friction. Returns x ->
     eta_bar(x), at the profile's depth.
     """
@@ -293,41 +286,6 @@ def existence_integral_by_ode(profile, rtol=INTEGRAL_RTOL, atol=INTEGRAL_ATOL):
     if not sol.success:
         raise WeightError(f"channel {profile.channel}: I4 integration failed: {sol.message}")
     return lambda H: sol.sol(H)[0]
-
-
-def theta_by_scipy_dop853(rhs, theta0, depths, rtol=ETA_RTOL, atol=ETA_ATOL):
-    """scipy's DOP853 on dtheta/dH = rhs(H, theta) from theta0 at depths[0]
-    down to depths[-1], by default at the certificate's tolerances, with a
-    terminal event where theta crosses arctan(ETA_BLOWUP) upward: the oracle
-    of the certificate's own step loop, ``weights._integrate``. Returns
-    (theta at ``depths`` from the dense solution, or None if the solve did
-    not reach the end; the solve_ivp status; its count of right-hand sides
-    when it makes no dense output but to locate the event). The counted
-    solve is a second one without dense output, as each dense output costs
-    three right-hand sides.
-    """
-
-    def blowup(H, y):
-        return y[0] - math.atan(ETA_BLOWUP)
-
-    blowup.terminal = True
-    blowup.direction = 1
-
-    def solve(dense):
-        return solve_ivp(
-            lambda H, y: (rhs(float(H), float(y[0])),),
-            (depths[0], depths[-1]),
-            (theta0,),
-            method="DOP853",
-            dense_output=dense,
-            rtol=rtol,
-            atol=atol,
-            events=blowup,
-        )
-
-    sol, counted = solve(True), solve(False)
-    theta = sol.sol(depths)[0] if sol.status == 0 else None
-    return theta, sol.status, counted.nfev
 
 
 def draw_channel(rng, cid=1, cells=32, length_fraction=0.8):

@@ -173,8 +173,9 @@ def test_coupling_gradient_form_agrees():
 
 
 def test_speeds_couplings_scalar_path_matches_array_path():
-    # CharCoeffs evaluates the kernel on arrays and the weight ODEs on scalars;
-    # the two must agree bit for bit
+    # CharCoeffs evaluates the kernel on arrays and the tests on scalars: the
+    # speeds agree bit for bit, and the couplings within 3 ulp, as numpy's
+    # power may differ from the C library's pow by an ulp
     rng = np.random.default_rng(55)
     for p in P_CHOICES:
         flux = rng.uniform(0.2, 3.0)
@@ -185,7 +186,27 @@ def test_speeds_couplings_scalar_path_matches_array_path():
         for k, h in enumerate(H):
             scalars = speeds_couplings(float(h), flux, friction, p, G)
             assert all(type(v) is float for v in scalars)
-            assert scalars == tuple(float(a[k]) for a in arrays), (p, k)
+            assert scalars[:2] == tuple(float(a[k]) for a in arrays[:2]), (p, k)
+            for a, s in zip(arrays[2:], scalars[2:]):
+                assert abs(a[k] - s) <= 3.0 * np.spacing(abs(s)), (p, k)
+
+
+def test_gamma2_is_nonnegative_up_to_friction_exponent_nine_halves():
+    # c gamma2 / K = 1/(4 (1 - F)) + 1/F - p/2 at Froude number F = (Hc/H)^1.5,
+    # least at F = 2/3, where it is 9/4 - p/2: at p = 9/2 gamma2 touches 0
+    # there and stays >= 0 over the subcritical range, and at 4.6 it is
+    # negative there
+    flux, friction = 1.3, 2e-3
+    Hc = (flux / math.sqrt(G)) ** (2.0 / 3.0)
+    F = np.append(np.linspace(0.01, 0.99, 99), 2.0 / 3.0)
+    H = Hc * F ** (-2.0 / 3.0)
+    for p in (0.0, 1.0, 4.5):
+        lam1, lam2, g1, d1, g2, d2 = speeds_couplings(H, flux, friction, p, G)
+        K = G * friction * (flux / H) ** 2 / H**p
+        assert np.all(d1 > 0.0) and np.all(g2 >= -1e-14 * K), p
+    g2 = speeds_couplings(H[-1], flux, friction, 4.5, G)[4]
+    assert abs(g2) <= 1e-14 * G * friction * (flux / H[-1]) ** 2 / H[-1] ** 4.5
+    assert speeds_couplings(H[-1], flux, friction, 4.6, G)[4] < 0.0
 
 
 def test_phi_exponents_match_their_definition():

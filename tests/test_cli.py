@@ -504,6 +504,8 @@ BAD_VALUES = {
     "friction-nan": (("network", "channels", 1, "friction"), math.nan, "friction"),
     "length-nan": (("network", "channels", 1, "length"), math.nan, "length"),
     "cells-9.7": (("network", "channels", 1, "cells"), 9.7, "cells"),
+    "friction_exponent-4.6": (("network", "channels", 1, "friction_exponent"), 4.6,
+                              "friction exponent must be in [0, 9/2]"),
     "gain-nan": (("gains", "2"), math.nan, "gain 2 must be finite"),
     "gain-inf": (("gains", "3"), -math.inf, "gain 3 must be finite"),
     "epsilon_start-nan": (("lyapunov", "epsilon_start"), math.nan, "epsilon_start"),

@@ -91,7 +91,6 @@ def test_gain_screen_solves_no_ode(star_profiles, monkeypatch):
         raise AssertionError("the gain screen solved an ODE")
 
     monkeypatch.setattr(channet.weights, "solve_ivp", no_ode)
-    monkeypatch.setattr(channet.weights, "_integrate", no_ode)
     monkeypatch.setattr(channet.steady, "solve_ivp", no_ode)
     for (prof, k), ref in zip(cases, expected):
         rec = is_admissible(prof, k)

@@ -164,6 +164,8 @@ def test_mixed_gravity_refused():
         {"length": -3.0},
         {"length": 10.0, "friction": -1e-3},
         {"length": 10.0, "friction_exponent": -0.5},
+        {"length": 10.0, "friction_exponent": 4.6},
+        {"length": 10.0, "friction_exponent": math.inf},
         {"length": 10.0, "gravity": 0.0},
         {"length": 10.0, "cells": 4},
         {"length": math.nan},
@@ -178,6 +180,14 @@ def test_mixed_gravity_refused():
 def test_channel_spec_validation(kwargs):
     with pytest.raises(ValueError):
         ChannelSpec(id=1, **kwargs)
+
+
+def test_channel_spec_refuses_a_friction_exponent_above_nine_halves():
+    # gamma2 >= 0 at every subcritical Froude number exactly when p <= 9/2
+    assert ChannelSpec(id=1, length=10.0, friction_exponent=4.5).friction_exponent == 4.5
+    with pytest.raises(ValueError, match=r"channel 1: friction exponent must be in \[0, 9/2\], "
+                                         r"not 4\.6: above 9/2 the coupling gamma2 turns negative"):
+        ChannelSpec(id=1, length=10.0, friction_exponent=4.6)
 
 
 @pytest.mark.parametrize("cells", [9.7, True, "24"])
