@@ -27,16 +27,11 @@ sends back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .steady import SteadyProfile
-
-# the first and last points of a fine grid: the inlet and the outlet
-_ENDS = np.array([0, -1])
-
 
 def eigenvalues(depth, velocity, gravity):
     """Characteristic speeds (lambda1, lambda2), both positive when subcritical."""
@@ -202,10 +197,3 @@ class CharCoeffs:
         return cls(profile, *speeds_couplings(
             H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity),
             np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2)
-
-    @cached_property
-    def ends(self) -> "CharCoeffs":
-        """The same record at the inlet and the outlet alone: the first and
-        last element of every array field."""
-        values = (getattr(self, f.name) for f in fields(self))
-        return CharCoeffs(*(a[_ENDS] if isinstance(a, np.ndarray) else a for a in values))

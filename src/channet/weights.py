@@ -48,22 +48,23 @@ Each channel's epsilon-free record (``_Channel``) is made once per
 certificate, before the first attempt: its ``CharCoeffs`` (the speeds,
 couplings and phi factors on the fine grid) and eta_bar, u and J on the same
 grid, u and J as cumulative trapezoid sums. eta_bar[0] is the inlet value
-exactly, so eta(0) is that value + epsilon to the bit. An epsilon attempt is
-one array expression per channel, on the fine grid or at its two ends, where
-each value is the fine grid's to the bit. Every check but the interior
-matrix N(x) and the junction matrices reads only the ends of one channel,
-and each of those checks is the channel's scale alpha > 0 times a term that
-does not depend on alpha, so an attempt (``_attempt``) makes two passes. The
-first forms eta at each channel's ends, the one where the last attempt
-stopped first, and checks it on its weights there at alpha = 1; unless it is
-the last attempt, it fails at the first channel that fails there. The alphas
-then follow root first from these unit weights. The second pass scales each
-channel by its alpha on the fine grid and runs every check; its margins are
-the ones reported. An attempt returns its own ``NetworkCertificate``, whose
-fields other than the weights are the report, and ``certify_network`` sets
-only its halving count. The test suite (``tests/conftest.py``) keeps the ODE
-forms of I4 and of the comparison solution, solved by scipy, as oracles of
-the closed forms.
+exactly, so eta(0) is that value + epsilon to the bit.
+
+The search (``certify_network``) walks the ladder epsilon_start * 0.5**k
+from the rung that the end caps name. Each outlet check, a junction outflow
+Z(L) > 0 or a terminal margin, is alpha > 0 times a term free of alpha that
+is positive exactly when eta(L) < C: C = phi(L) at a junction and
+phi(L) / |rho| at a terminal of reflection rho. As eta(L) is explicit in
+epsilon, so is the root of that condition, the channel's end cap
+(``_Channel.cap``), which lies below the existence bound 1 / J(L); every
+rung at or above the smallest cap is refused. The search starts one rung
+before the first rung below it, so that the checks decide a rung within
+rounding of the cap. An attempt (``_attempt``) is one pass: in traversal
+order it forms eta on each channel's fine grid in one array expression and
+runs every check. It returns its own ``NetworkCertificate``, whose fields
+other than the weights are the report. The test suite
+(``tests/conftest.py``) keeps the ODE forms of I4 and of the comparison
+solution, solved by scipy, as oracles of the closed forms.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    _ENDS,
     CharCoeffs,
     existence_integral,
     outlet_traces,
@@ -200,7 +200,8 @@ class _Channel:
     which take the operations of ``eigenvalues`` and so its bits, and 1 on
     branch channels; u[0] = 1 and J[0] = 0 exactly. u = exp(B) (1 + int exp(-B)) with B =
     int 2 c eta_bar, and J = int c u, each integral a cumulative trapezoid
-    sum: their O(h^2) error enters eta only times epsilon."""
+    sum: their O(h^2) error enters eta only times epsilon. ``cap`` is the
+    root in epsilon of its outlet check, in floats: rounding may move it by a rung."""
 
     coeffs: CharCoeffs
     eta_bar: np.ndarray
@@ -228,21 +229,38 @@ class _Channel:
         u = np.exp(B) * (1.0 + _cumulative(np.exp(-B), x))
         return cls(coeffs, eta_bar, u, _cumulative(c * u, x))
 
-    def at(self, epsilon: float, index=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(eta, epsilon / (1 - epsilon J)) at ``epsilon``, the super-solution
-        and its interior slack eta' - E(eta), on the fine grid or at its
-        points ``index`` (``_ENDS``), each with the fine grid's bits.
+    def at(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+        """(eta, epsilon / (1 - epsilon J)) at ``epsilon`` on the fine grid,
+        the super-solution and its interior slack eta' - E(eta).
         EpsilonTooLarge where 1 - epsilon J(L) <= 0: J grows to the outlet,
-        which ``index`` ends at, so eta exists on the channel exactly where
-        it exists at the outlet."""
-        room = 1.0 - epsilon * self.J[index]
+        so eta exists on the channel exactly where it exists at the outlet."""
+        room = 1.0 - epsilon * self.J
         if not room[-1] > 0.0:
             raise EpsilonTooLarge(
                 f"channel {self.coeffs.profile.channel}: comparison function with "
                 f"epsilon={epsilon:g} does not exist on the whole channel"
             )
         slack = epsilon / room
-        return self.eta_bar[index] + self.u[index] * slack, slack
+        return self.eta_bar + self.u * slack, slack
+
+    def cap(self, gain: float | None) -> float:
+        """The end cap: the root in epsilon of eta(L) < C, the outlet's
+        check (see the module docstring). C is phi(L) at a junction outflow
+        (``gain`` None) and phi(L) / |rho| at a terminal of reflection rho,
+        +inf at rho = 0 and 0 at the ill-posed gain. With d = C -
+        eta_bar(L), it is 1 / (u(L) / d + J(L)) if d > 0, else 0, and +inf
+        where d = +inf and J(L) = 0: an uncoupled terminal at its
+        non-reflecting gain. Taken in Python floats: the root within rounding."""
+        phi, prof = float(self.coeffs.phi[-1]), self.coeffs.profile
+        bound = phi
+        if gain is not None:
+            rho = abs(reflection_coefficient(gain, prof.outlet_depth, prof.gravity))
+            bound = math.inf if rho == 0.0 else phi / rho
+        d = bound - float(self.eta_bar[-1])
+        if not d > 0.0:
+            return 0.0
+        J = float(self.J[-1])
+        return math.inf if d == math.inf and J == 0.0 else 1.0 / (float(self.u[-1]) / d + J)
 
 
 def _channels(topo: NetworkTopology, profiles: dict[int, SteadyProfile]) -> dict[int, _Channel]:
@@ -279,8 +297,7 @@ class ChannelWeights:
     FINE_REFINEMENT-th points from the middle of the first cell are the
     cell centers. ``slack`` is the comparison function's interior slack
     eta' - E(eta) = epsilon / (1 - epsilon J), which the interior matrix
-    reads. The weights f1 and f2 are formed when first read, as no check at
-    the channel ends reads them."""
+    reads. The weights f1 and f2 are formed once, when first read."""
 
     coeffs: CharCoeffs
     alpha: float
@@ -315,41 +332,26 @@ class WeightSet:
     channels: dict[int, ChannelWeights]
 
 
-def _channel_weights(c: CharCoeffs, eta, slack, alpha: float, epsilon: float) -> ChannelWeights:
-    """One channel's weights at the scale ``alpha`` from its epsilon-free
-    record ``c`` and its comparison function ``eta`` with its ``slack``,
-    all on the fine grid or all at its ends, where each is the fine grid's
-    value. Times alpha and over (lambda1, lambda2), (phi1^2 / eta, phi2^2
-    eta) are (f1, f2), and their difference and sum are Z / alpha and
-    W / alpha."""
-    a, b = c.phi1_sq / eta, c.phi2_sq * eta
-    return ChannelWeights(
-        coeffs=c,
-        alpha=alpha,
-        epsilon=epsilon,
-        eta_eps=eta,
-        slack=slack,
-        Z=alpha * (a - b),
-        W=alpha * (a + b),
-    )
-
-
-def _scaled(topo: NetworkTopology, epsilon: float, channels, unit):
-    """Yield the fine-grid weights of every channel in traversal order,
-    parents first, each at its alpha. The alphas follow root first from the
-    ``unit`` weights, those at alpha = 1: alpha_child = alpha_parent *
-    W~_parent(L) / W~_child(0) makes W continuous across every junction. The
-    root's alpha is 1, as an overall rescale leaves every verdict unchanged.
-    At a branch inlet phi1 = phi2 = 1 and eta = 1 + epsilon, so W~(0) = 1 /
-    eta + eta >= 2."""
-    alphas: dict[int, float] = {}
+def _scaled(topo: NetworkTopology, epsilon: float, channels: dict[int, _Channel]):
+    """Yield the fine-grid weights at ``epsilon`` of every channel from its
+    record in ``channels``, parents first, each at its alpha;
+    EpsilonTooLarge where a comparison function does not exist. Times alpha
+    and over (lambda1, lambda2), (phi1^2 / eta, phi2^2 eta) are (f1, f2), and
+    their difference and sum are Z / alpha and W~ = W / alpha. alpha_child =
+    alpha_parent W~_parent(L) / W~_child(0) makes W continuous across every
+    junction; the root's alpha is 1, as an overall rescale changes no
+    verdict. At a branch inlet phi1 = phi2 = 1 and eta = 1 + epsilon, so
+    W~(0) = 1 / eta + eta >= 2."""
+    outlet_W: dict[int, float] = {}  # alpha W~(L) of each channel yielded
     for i in traversal_order(topo):
-        if i == topo.root_channel:
-            alphas[i] = 1.0
-        else:
-            parent = topo.parent_of(i)
-            alphas[i] = alphas[parent] * float(unit[parent].W[-1]) / float(unit[i].W[0])
-        yield _channel_weights(channels[i].coeffs, *channels[i].at(epsilon), alphas[i], epsilon)
+        c = channels[i]
+        eta, slack = c.at(epsilon)
+        a, b = c.coeffs.phi1_sq / eta, c.coeffs.phi2_sq * eta
+        W = a + b
+        alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / float(W[0])
+        outlet_W[i] = alpha * float(W[-1])
+        yield ChannelWeights(coeffs=c.coeffs, alpha=alpha, epsilon=epsilon, eta_eps=eta,
+                             slack=slack, Z=alpha * (a - b), W=alpha * W)
 
 
 def network_weights(
@@ -359,11 +361,8 @@ def network_weights(
 ) -> WeightSet:
     """Assemble junction-matched weights for the whole tree at one epsilon.
     Raises EpsilonTooLarge where a comparison function does not exist."""
-    channels = _channels(topo, profiles)
-    unit = {i: _channel_weights(c.coeffs.ends, *c.at(epsilon, _ENDS), 1.0, epsilon)
-            for i, c in channels.items()}
-    scaled = {cw.channel: cw for cw in _scaled(topo, epsilon, channels, unit)}
-    return WeightSet(topo=topo, channels=scaled)
+    scaled = _scaled(topo, epsilon, _channels(topo, profiles))
+    return WeightSet(topo=topo, channels={cw.channel: cw for cw in scaled})
 
 
 def junction_matrix(ws: WeightSet, incoming: int):
@@ -508,13 +507,13 @@ def _channel_checks(
     terminal margin. Records every margin in ``detail`` and returns the
     names of the failed checks; a check passes only on a strict margin, so
     a NaN margin fails it. Each margin is alpha > 0 times a term free of
-    alpha (the root's alpha is 1), so each verdict is the same at alpha = 1.
-    A terminal's margin is alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2) at
-    the outlet: f1 lam1 y1^2 - f2 lam2 y2^2
-    at the traces of ``outlet_traces``, with no pole in the gain and
-    negative at the ill-posed gain, where y1 = 0. The margin alone refuses
-    a zero-flux outlet at k <= 0: there phi1 = phi2 = 1, eta >= 1 and r <= 0,
-    so |1 + r| <= |1 - r| and the term is at most 0.
+    alpha (the root's alpha is 1), so each verdict is the same at alpha = 1,
+    and the outlet's is that of ``_Channel.cap``. A terminal's margin is
+    alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2) at the outlet: f1 lam1 y1^2 -
+    f2 lam2 y2^2 at the traces of ``outlet_traces``, with no pole in the gain
+    and negative at the ill-posed gain, where y1 = 0. The margin alone
+    refuses a zero-flux outlet at k <= 0: there phi1 = phi2 = 1, eta >= 1 and
+    r <= 0, so |1 + r| <= |1 - r| and the term is at most 0.
     """
     topo = ws.topo
     i = cw.channel
@@ -579,49 +578,31 @@ def _attempt(
     epsilon: float,
     channels: dict[int, _Channel],
     last: bool,
-    first: int | None,
-) -> tuple[NetworkCertificate, int]:
-    """Build and check the weights at one epsilon in two passes from each
-    channel's epsilon-free record in ``channels``: (its certificate, with
-    halvings 0, the channel where it stopped).
-
-    The first pass forms the comparison function at the ends of channel
-    ``first``, where the last attempt stopped, then of the rest in traversal
-    order, and runs ``_channel_checks`` on each channel's weights there at
-    alpha = 1, the fine grid's ends to the bit. Unless this is the ``last``
-    attempt, it fails at the first channel that fails one, with no weights
-    and no margins. The second pass
-    scales each channel by its alpha on the fine grid, in traversal order,
-    and runs every check; its margins are the ones reported. Unless this is
-    the ``last`` attempt it stops at the first channel with a failed check.
-    A missing comparison function fails the attempt as "weight_existence"
-    with no weights and no margins.
+) -> NetworkCertificate:
+    """Build and check the weights at one epsilon in one pass from each
+    channel's record in ``channels``: its certificate, with halvings 0.
+    Each channel in traversal order is scaled by its alpha on the fine grid
+    (``_scaled``) and runs every check that its weights complete; unless
+    this is the ``last`` attempt, the pass stops at the first failure. A
+    missing comparison function fails the attempt as "weight_existence"
+    with no weights and no margins. No pass at the channel ends comes
+    first: the end caps refuse those rungs, all but the one within rounding.
     """
-    unit = WeightSet(topo=topo, channels={})
-    # channel first, then the rest in traversal order: the sort is stable
-    for i in sorted(traversal_order(topo), key=lambda j: j != first):
-        try:
-            ends = channels[i].at(epsilon, _ENDS)
-        except EpsilonTooLarge:
-            return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",)), i
-        unit.channels[i] = cw = _channel_weights(channels[i].coeffs.ends, *ends, 1.0, epsilon)
-        failed = _channel_checks(unit, cw, gains, defaultdict(dict))
-        if failed and not last:
-            failed = tuple(name for name in CHECK_ORDER if name in failed)
-            return NetworkCertificate(False, epsilon, 0, None, failed), i
-
     ws = WeightSet(topo=topo, channels={})
     detail = defaultdict(dict)
     failed = set()
-    for cw in _scaled(topo, epsilon, channels, unit.channels):
-        ws.channels[cw.channel] = cw
-        detail["alphas"][cw.channel] = cw.alpha
-        failed.update(_channel_checks(ws, cw, gains, detail))
-        failed.update(_fine_checks(ws, cw, detail))
-        if failed and not last:
-            break
+    try:
+        for cw in _scaled(topo, epsilon, channels):
+            ws.channels[cw.channel] = cw
+            detail["alphas"][cw.channel] = cw.alpha
+            failed.update(_channel_checks(ws, cw, gains, detail))
+            failed.update(_fine_checks(ws, cw, detail))
+            if failed and not last:
+                break
+    except EpsilonTooLarge:
+        return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",))
     failed = tuple(name for name in CHECK_ORDER if name in failed)
-    return NetworkCertificate(not failed, epsilon, 0, ws, failed, **detail), cw.channel
+    return NetworkCertificate(not failed, epsilon, 0, ws, failed, **detail)
 
 
 def _check_epsilon_start(epsilon_start: float) -> float:
@@ -644,24 +625,25 @@ def certify_network(
     inlet, positive definite junction matrices, a positive trunk inlet
     coefficient, positive terminal margins for the supplied gains, and a
     positive definite interior matrix N(x) at every fine-grid point of every
-    channel. Epsilon is halved (at most ``MAX_HALVINGS`` times) whenever the
-    comparison function fails to exist or any check fails. Each attempt
-    first forms the channels' comparison functions at their ends, the one
-    where the last attempt stopped first, and decides there at alpha = 1; only one whose every
-    channel passes there reaches the fine grid (``_attempt``). The last
-    attempt runs every check on the fine grid, so a refused certificate
-    lists every failure at the final epsilon. An ``epsilon_start`` that is
-    not positive and finite raises ValueError.
+    channel. The schedule is the ladder epsilon_start * 0.5**k, k = 0 ...
+    ``MAX_HALVINGS``, whose normal rungs have the bits of k halvings. Let
+    ``first`` be its first rung below the smallest end cap
+    (``_Channel.cap``), or ``MAX_HALVINGS`` if there is none: every rung
+    before it fails an outlet check or its existence. The search starts at
+    rung max(first - 1, 0), so that the checks decide a rung within
+    rounding of the cap, and halves epsilon while an attempt (``_attempt``)
+    fails. The last attempt runs every check on the fine grid, so a refused
+    certificate lists every failure at the final epsilon. An
+    ``epsilon_start`` that is not positive and finite raises ValueError.
     """
-    _check_epsilon_start(epsilon_start)
+    start = float(_check_epsilon_start(epsilon_start))
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)
     channels = _channels(topo, profiles)
-    epsilon = float(epsilon_start)
-    stop = None
-    for halvings in range(MAX_HALVINGS + 1):
-        cert, stop = _attempt(topo, gains, epsilon, channels, halvings == MAX_HALVINGS, stop)
+    cap = min(c.cap(None if i in topo.junctions else gains[i]) for i, c in channels.items())
+    first = next((k for k in range(MAX_HALVINGS) if start * 0.5**k < cap), MAX_HALVINGS)
+    for halvings in range(max(first - 1, 0), MAX_HALVINGS + 1):
+        cert = _attempt(topo, gains, start * 0.5**halvings, channels, halvings == MAX_HALVINGS)
         if cert.certified or halvings == MAX_HALVINGS:
             return replace(cert, halvings=halvings)
-        epsilon *= 0.5

@@ -8,6 +8,7 @@ oracle of the Newton solve for the blow-up depth. The simulator's sparse
 operators have their oracle in scipy's diags, block_diag and bmat chains.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from channet.steady import (
 from channet.topology import ChannelSpec, NetworkTopology
 import channet.weights as weights_module
 from channet.weights import (
+    DEFAULT_EPSILON,
     PhiProfiles,
     certify_network,
     m_value,
@@ -383,6 +385,34 @@ def draw_tree(rng, cells=24):
     return topo, H0, flux
 
 
+def draw_random_tree(n, seed, cells=24):
+    """The random tree Tn/s of ROADMAP items 11-15: channel 1 at inlet depth
+    3.5 and flux 2.0; then, while the next id is at most n, the oldest leaf
+    gets 2 or 3 children, each with its share of the leaf's flux and fed at
+    its outlet depth. Returns (topo, H0, flux, gains), every terminal at its
+    non-reflecting gain sqrt(g / H(L))."""
+    rng = np.random.default_rng(seed)
+    chans = {1: draw_channel_into(rng, 1, 3.5, 2.0, cells)}
+    outlet = {1: integrate_channel_steady(chans[1], 3.5, 2.0)}
+    junctions, splits, leaves = {}, {}, [1]
+    while (next_id := len(chans) + 1) <= n:
+        parent = leaves.pop(0)
+        k = 2 + int(rng.integers(2))
+        u = rng.uniform(0.5, 1.5, k)
+        fracs = tuple(float(f) for f in u / np.sum(u))
+        junctions[parent] = tuple(range(next_id, next_id + k))
+        splits[parent] = fracs
+        H_B, flux = outlet[parent].outlet_depth, outlet[parent].flux
+        for cid, f in zip(junctions[parent], fracs):
+            chans[cid] = draw_channel_into(rng, cid, H_B, f * flux, cells)
+            outlet[cid] = integrate_channel_steady(chans[cid], H_B, f * flux)
+            leaves.append(cid)
+    topo = NetworkTopology(channels=chans, root_channel=1, junctions=junctions,
+                           split_fractions=splits)
+    gains = {j: math.sqrt(G / outlet[j].outlet_depth) for j in topo.terminal_channels}
+    return topo, 3.5, 2.0, gains
+
+
 def admissible_gain(rng, profile):
     """Random gain outside the forbidden interval of the given profile.
 
@@ -407,6 +437,24 @@ def certify_once(topo, profiles, gains, epsilon):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weights_module, "MAX_HALVINGS", 0)
         return certify_network(topo, profiles, gains, epsilon_start=epsilon)
+
+
+def certify_by_ladder(topo, profiles, gains):
+    """The epsilon ladder by its definition: the certificate of the first
+    rung k <= MAX_HALVINGS at which a single attempt at DEFAULT_EPSILON *
+    0.5**k (``certify_once``) certifies, else the single attempt at rung
+    MAX_HALVINGS, each with its halvings set to k. The oracle of
+    certify_network's search, which starts below the rungs its end caps
+    refuse. The channels' epsilon-free records are made once and shared by
+    the attempts, as in a search."""
+    last = weights_module.MAX_HALVINGS
+    channels = weights_module._channels(topo, profiles)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights_module, "_channels", lambda *args: channels)
+        for k in range(last + 1):
+            cert = certify_once(topo, profiles, gains, DEFAULT_EPSILON * 0.5**k)
+            if cert.certified or k == last:
+                return dataclasses.replace(cert, halvings=k)
 
 
 def small_star(cells=100):

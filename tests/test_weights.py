@@ -11,11 +11,11 @@ import pytest
 from scipy.integrate import quad
 
 from channet.characteristics import (
-    _ENDS,
     CharCoeffs,
     eigenvalues,
     log_phi,
     phi_exponents,
+    reflection_coefficient,
     speeds_couplings,
 )
 from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain
@@ -45,8 +45,10 @@ from conftest import (
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
     admissible_gain,
+    certify_by_ladder,
     certify_once,
     draw_channel,
+    draw_random_tree,
     draw_star,
     draw_tree,
     eta_bar_by_ode,
@@ -596,8 +598,11 @@ def test_lyapunov_value_positive_definite(star_weights):
 
 
 def _certificate_bytes(cert, halvings):
+    """The report with ``halvings`` and the bytes of every channel's f1, f2,
+    Z and W, none for a certificate without weights."""
     record = dict(cert.to_dict(), halvings=halvings)
-    arrays = {i: (cw.f1.tobytes(), cw.f2.tobytes()) for i, cw in cert.weights.channels.items()}
+    channels = cert.weights.channels if cert.weights is not None else {}
+    arrays = {i: [a.tobytes() for a in (cw.f1, cw.f2, cw.Z, cw.W)] for i, cw in channels.items()}
     return json.dumps(record), arrays
 
 
@@ -636,19 +641,23 @@ def test_stopping_search_never_skips_a_passing_epsilon(star_profiles):
     assert set(refused.interior_min_eig) == set(topo.channels)
 
 
-def test_end_pass_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, monkeypatch):
-    # an attempt but the last may refuse its epsilon in its first pass, at
-    # the channel ends and at alpha = 1, with no weights; a single full
-    # attempt at every epsilon so refused must fail too, and one at the
-    # reported epsilon must give the same certificate
-    refused = []
+def _assert_search_is_the_ladder(topo, profiles, gains):
+    """certify_network's certificate and weights are the ladder's to the byte."""
+    cert, ladder = certify_network(topo, profiles, gains), certify_by_ladder(topo, profiles, gains)
+    assert _certificate_bytes(cert, cert.halvings) == _certificate_bytes(
+        ladder, ladder.halvings), (list(topo.channels), gains)
+
+
+def test_every_rung_the_search_skips_is_refused_by_a_single_attempt(star_profiles, monkeypatch):
+    # the search starts one rung before the first rung below its smallest end
+    # cap; a single full attempt at every rung before its first attempt must
+    # fail, and one at the reported epsilon must give the same certificate
+    tried = []
     attempt = weights_module._attempt
 
     def recording(topo, gains, epsilon, *args):
-        outcome = attempt(topo, gains, epsilon, *args)
-        if outcome[0].weights is None:
-            refused.append(epsilon)
-        return outcome
+        tried.append(epsilon)
+        return attempt(topo, gains, epsilon, *args)
 
     monkeypatch.setattr(weights_module, "_attempt", recording)
     rng = np.random.default_rng(2718)
@@ -656,9 +665,13 @@ def test_end_pass_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, mo
     for net, profs in criterion_05_networks(star_profiles):
         drawn = {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}
         for gains in (drawn, dict.fromkeys(net.terminal_channels, 0.0)):
-            refused.clear()
+            tried.clear()
             cert = certify_network(net, profs, gains)
-            for epsilon in list(refused):
+            start = tried[0]
+            for k in range(MAX_HALVINGS + 1):
+                epsilon = DEFAULT_EPSILON * 0.5**k
+                if epsilon <= start:
+                    break
                 single = certify_once(net, profs, gains, epsilon)
                 assert not single.certified, (net.channels.keys(), epsilon)
                 checked += 1
@@ -667,45 +680,162 @@ def test_end_pass_refuses_only_epsilons_a_full_attempt_refuses(star_profiles, mo
     assert checked > 500
 
 
-def test_end_pass_decides_a_terminal_margin_at_its_exact_sign_change(star_profiles):
-    # A terminal margin is alpha times an outlet term free of alpha, so the
-    # end pass decides it at alpha = 1 exactly as the fine pass does at the
-    # channel's own alpha. Bisect channel 2's gain to the sign change of its
-    # term at the 8th epsilon, the first that the zero gain passes. At both
-    # bracketing gains a full attempt there has the term's sign, and the
-    # search agrees with full attempts rung by rung.
+def test_search_agrees_with_the_ladder_at_every_terminal_tie_gain(star_profiles):
+    # A terminal margin passes exactly when eta(L) < phi(L) / |rho|, whose
+    # root in epsilon is the terminal's end cap, taken in floats. Bisect each
+    # branch's gain, the others at 0, from its non-reflecting gain (rho = 0,
+    # which passes at every epsilon) to its forbidden midpoint, to the sign
+    # change of its margin at every rung from 8 to 19. At both bracketing
+    # gains the search gives the ladder's certificate. At 16 of the low
+    # gains, the ladder certifies at the tie's rung and the first rung below
+    # the cap, taken in floats, is the next one: a search that started
+    # there, not one rung earlier, would skip a rung that certifies.
     topo, profiles = star_profiles
-    epsilon = DEFAULT_EPSILON * 0.5**8
-    prof = profiles[2]
-    coeffs = CharCoeffs.from_profile(prof)
-    channel = weights_module._Channel.of(coeffs, False)
-    cw = weights_module._channel_weights(coeffs.ends, *channel.at(epsilon, _ENDS), 1.0, epsilon)
-    unit = weights_module.WeightSet(topo=topo, channels={2: cw})
+    for j in (2, 3, 4):
+        a, b = is_admissible(profiles[j], 0.0).forbidden
+        for k in range(8, 20):
+            ws = network_weights(topo, profiles, DEFAULT_EPSILON * 0.5**k)
 
-    def term(gain):
-        detail = defaultdict(dict)
-        weights_module._channel_checks(unit, cw, {2: gain}, detail)
-        return detail["terminal_margins"][2]
+            def margin(gain):
+                detail = defaultdict(dict)
+                weights_module._channel_checks(ws, ws.channels[j], {j: gain}, detail)
+                return detail["terminal_margins"][j]
 
-    a, b = is_admissible(prof, 0.0).forbidden
-    low, high = 0.0, 0.5 * (a + b)
-    assert term(low) > 0.0 >= term(high)
-    while (mid := 0.5 * (low + high)) not in (low, high):
-        if term(mid) > 0.0:
-            low = mid
-        else:
-            high = mid
-    for gain in (low, high):
-        gains = {**STAR_GAINS, 2: gain}
-        single = certify_once(topo, profiles, gains, epsilon)
-        assert (single.terminal_margins[2] > 0.0) == (gain == low)
+            prof = profiles[j]
+            low, high = math.sqrt(prof.gravity / prof.outlet_depth), 0.5 * (a + b)
+            assert margin(low) > 0.0 >= margin(high)
+            while (mid := 0.5 * (low + high)) not in (low, high):
+                if margin(mid) > 0.0:
+                    low = mid
+                else:
+                    high = mid
+            for gain in (low, high):
+                _assert_search_is_the_ladder(topo, profiles, {**STAR_GAINS, j: gain})
+
+
+def _non_reflecting(topo, profiles):
+    return {j: math.sqrt(profiles[j].gravity / profiles[j].outlet_depth)
+            for j in topo.terminal_channels}
+
+
+def _ladder_cases(star_profiles, which):
+    """(topo, profiles, gains) of one set of the ladder oracle's cases:
+    "star", the README star at zero and non-reflecting gains and with
+    channel 2 at its forbidden midpoint and at its ill-posed gain; "suite",
+    the 70 criterion-5 networks at drawn, zero and non-reflecting gains;
+    "sweep", ROADMAP item 8's sweep: the star's channel 2, the other gains
+    0, and each suite network's first terminal, the others non-reflecting,
+    at a relative distance delta = 1e-1 ... 1e-8 outside either end of its
+    forbidden interval and inside its upper end."""
+    topo, profiles = star_profiles
+    if which == "star":
+        a, b = is_admissible(profiles[2], 0.0).forbidden
+        pole = -math.sqrt(profiles[2].gravity / profiles[2].outlet_depth)
+        for gains in (STAR_GAINS, _non_reflecting(topo, profiles),
+                      {**STAR_GAINS, 2: 0.5 * (a + b)}, {**STAR_GAINS, 2: pole}):
+            yield topo, profiles, gains
+    networks = criterion_05_networks(star_profiles)
+    if which == "suite":
+        rng = np.random.default_rng(1618)
+        for net, profs in networks[1:]:
+            yield net, profs, {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}
+            yield net, profs, dict.fromkeys(net.terminal_channels, 0.0)
+            yield net, profs, _non_reflecting(net, profs)
+    if which == "sweep":
+        for n, (net, profs) in enumerate(networks):
+            j = min(net.terminal_channels)
+            base = STAR_GAINS if n == 0 else _non_reflecting(net, profs)
+            a, b = is_admissible(profs[j], 0.0).forbidden
+            for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
+                for gain in (a - delta * abs(a), b + delta * abs(b), b - delta * abs(b)):
+                    if math.isfinite(gain):
+                        yield net, profs, {**base, j: gain}
+
+
+@pytest.mark.parametrize("which", ["star", "suite", "sweep"])
+def test_search_gives_the_ladders_certificate(star_profiles, which):
+    # the search against the ladder by its definition, certificate and
+    # weights to the byte: starting below the rungs that the end caps
+    # refuse skips no rung that certifies
+    cases = 0
+    for topo, profiles, gains in _ladder_cases(star_profiles, which):
+        _assert_search_is_the_ladder(topo, profiles, gains)
+        cases += 1
+    assert cases == {"star": 4, "suite": 210, "sweep": 1278}[which]
+
+
+def test_search_gives_the_ladders_certificate_on_a_five_level_tree(monkeypatch):
+    # T40/1 at 40 halvings: the ladder refuses the first two rungs for
+    # existence and the next twenty for a junction outflow and a junction
+    # matrix, a fine check, and certifies at the 22nd. The search tries the
+    # 21st, one before the first rung below its end caps, then certifies at
+    # the 22nd, to the ladder's bytes.
+    monkeypatch.setattr(weights_module, "MAX_HALVINGS", 40)
+    topo, H0, flux, gains = draw_random_tree(40, 1)
+    assert (len(topo.channels), len(topo.junctions)) == (40, 14)
+    profiles = solve_network_steady(topo, H0, flux)
+    tried = []
+    attempt = weights_module._attempt
+
+    def recording(topo, gains, epsilon, *args):
+        tried.append(epsilon)
+        return attempt(topo, gains, epsilon, *args)
+
+    monkeypatch.setattr(weights_module, "_attempt", recording)
+    cert = certify_network(topo, profiles, gains)
+    assert (cert.certified, cert.halvings) == (True, 22)
+    assert tried == [DEFAULT_EPSILON * 0.5**21, DEFAULT_EPSILON * 0.5**22]
+    monkeypatch.setattr(weights_module, "_attempt", attempt)
+    _assert_search_is_the_ladder(topo, profiles, gains)
+    refused = certify_once(topo, profiles, gains, DEFAULT_EPSILON * 0.5**21)
+    assert refused.failed_checks == ("junction_outflow_positive", "junction_matrix")
+
+
+def test_uncoupled_terminal_at_its_non_reflecting_gain_has_no_cap():
+    # a channel without friction or without flow has c = 0, so J = 0, and at
+    # its non-reflecting gain rho is exactly 0, so its terminal's bound
+    # phi(L) / |rho| is +inf: no epsilon fails its margin or its existence,
+    # and its cap is +inf, not 1 / 0. The frictionless single channel and
+    # the README star with channel 4 at zero flux certify at the first rung.
+    single = NetworkTopology(channels={1: ChannelSpec(id=1, length=200.0, friction=0.0, cells=16)},
+                             root_channel=1, junctions={}, split_fractions={})
+    star = dataclasses.replace(small_star(), split_fractions={1: (0.5, 0.5, 0.0)})
+    for topo, H0, flux, j in ((single, 2.0, 1.0, 1), (star, STAR_ROOT_DEPTH, STAR_ROOT_FLUX, 4)):
+        profiles = solve_network_steady(topo, H0, flux)
+        gains = _non_reflecting(topo, profiles)
+        prof = profiles[j]
+        assert reflection_coefficient(gains[j], prof.outlet_depth, prof.gravity) == 0.0
+        channel = weights_module._channels(topo, profiles)[j]
+        assert channel.J[-1] == 0.0
+        assert channel.cap(gains[j]) == math.inf
+        assert 0.0 < channel.cap(0.5 * gains[j]) < math.inf
         cert = certify_network(topo, profiles, gains)
-        assert cert.halvings >= 8
-        for k in range(cert.halvings):
-            single = certify_once(topo, profiles, gains, DEFAULT_EPSILON * 0.5**k)
-            assert not single.certified, (gain, k)
-        last = certify_once(topo, profiles, gains, cert.epsilon)
-        assert _certificate_bytes(last, cert.halvings) == _certificate_bytes(cert, cert.halvings)
+        assert (cert.certified, cert.epsilon, cert.halvings) == (True, DEFAULT_EPSILON, 0)
+
+
+def test_search_takes_few_attempts(star_profiles, monkeypatch):
+    # the README star at zero gains takes two attempts, the rung before its
+    # first rung below the caps and that rung; a pass over the 70
+    # criterion-5 networks at drawn gains takes at most 140 (134 measured),
+    # where a ladder from the first rung took 368
+    calls = []
+    attempt = weights_module._attempt
+
+    def counting(*args):
+        calls.append(args[2])
+        return attempt(*args)
+
+    monkeypatch.setattr(weights_module, "_attempt", counting)
+    topo, profiles = star_profiles
+    cert = certify_network(topo, profiles, STAR_GAINS)
+    assert cert.halvings == 12
+    assert calls == [DEFAULT_EPSILON * 0.5**11, DEFAULT_EPSILON * 0.5**12]
+    calls.clear()
+    rng = np.random.default_rng(1618)
+    for net, profs in criterion_05_networks(star_profiles)[1:]:
+        gains = {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}
+        certify_network(net, profs, gains)
+    assert len(calls) <= 140
 
 
 def test_speeds_couplings_array_path_is_within_three_ulp_of_the_scalar_path(star_profiles):
@@ -843,37 +973,6 @@ def test_certificate_limit_is_the_gain_screens_ratio(star_profiles):
             assert abs(limit - rec.eta_bar_L / rec.phi_L) <= 1e-14 * limit, j
             checked += 1
     assert checked == 276
-
-
-def test_channel_end_weights_are_the_fine_grid_ends_to_the_bit(star_profiles):
-    # an attempt's first pass decides at the channel ends; it may refuse an
-    # epsilon there only because the fine grid holds the same values
-    # every array field of the record, so that none can skip its end copy
-    def arrays(cw):
-        c = cw.coeffs
-        fields = [getattr(c, f.name) for f in dataclasses.fields(c) if f.name != "profile"]
-        return (cw.eta_eps, cw.slack, cw.f1, cw.f2, cw.Z, cw.W, *interior_matrix(cw), *fields)
-
-    compared = 0
-    for topo, profiles in criterion_05_networks(star_profiles):
-        for epsilon in (DEFAULT_EPSILON, DEFAULT_EPSILON * 0.5**12):
-            # the first rung of the ladder from epsilon down whose weights exist
-            while True:
-                try:
-                    ws = network_weights(topo, profiles, epsilon)
-                    break
-                except EpsilonTooLarge:
-                    epsilon *= 0.5
-            for i, fine in ws.channels.items():
-                coeffs = CharCoeffs.from_profile(profiles[i])
-                channel = weights_module._Channel.of(coeffs, i == topo.root_channel)
-                ends = weights_module._channel_weights(
-                    coeffs.ends, *channel.at(epsilon, _ENDS), fine.alpha, epsilon)
-                for a, b in zip(arrays(ends), arrays(fine), strict=True):
-                    assert a.size == 2
-                    assert a.tobytes() == b[[0, -1]].tobytes(), (i, epsilon)
-                compared += 1
-    assert compared > 600
 
 
 # README-star certificate (cells = 100, zero gains) with the closed-form
