@@ -9,9 +9,10 @@ travelling with speeds lambda1 = V* + sqrt(g H*) (downstream) and
 -lambda2 = V* - sqrt(g H*) (upstream). Friction couples the two families
 through four zero-order coefficients gamma1, delta1, gamma2, delta2. One
 kernel, ``speeds_couplings``, gives the speeds and the couplings together,
-written with the friction term g C V*^2 / H*^p; ``CharCoeffs`` samples it on
-a profile's fine grid, with the factors phi1 and phi2 that absorb the
-couplings, and only the tests call it on scalars. The same
+written with the friction term g C V*^2 / H*^p; ``CharCoeffs.rows`` samples
+it on a stack of profiles' fine grids, one row each with its parameters as
+columns, with the factors phi1 and phi2 that absorb the couplings, and only
+the tests call it on scalars. The same
 term is -(H*_x / H*) lambda1 lambda2 through the steady depth gradient; the
 tests check that identity, and the code does not form it.
 ``phi_exponents`` gives the exponents I1 and I2 of those factors in closed
@@ -44,16 +45,32 @@ def eigenvalues(depth, velocity, gravity):
     return lam1, lam2
 
 
+def row_power(H, p):
+    """H ** p, where p is a float or a column (m x 1) of one exponent per row
+    of the stack H (m x n). Each row has the bits of its one-row call, numpy's
+    power with a Python float exponent, which numpy takes as H * H at p = 2,
+    where an array of exponents would call pow: each distinct exponent takes
+    one masked call over its rows."""
+    if np.ndim(p) == 0:
+        return H**p
+    out = np.empty(H.shape)
+    for e in set(p[:, 0].tolist()):
+        np.power(H, e, out=out, where=p == e)
+    return out
+
+
 def speeds_couplings(H, flux, friction, p, g):
     """(lambda1, lambda2, gamma1, delta1, gamma2, delta2) at depth H, friction form.
 
     The kernel behind CharCoeffs. A scalar H takes math.sqrt and the C
     library's pow, an array H numpy's sqrt and power, whose vectorised power
-    may differ from pow by an ulp. Needs flux > 0.
+    may differ from pow by an ulp. On a stack of depth rows (m x n) each
+    parameter may be a column (m x 1), and each row has the bits of its
+    one-row call (``row_power``). Needs flux > 0.
     """
     # np.ndim(H) == 0, without its microsecond of overhead per scalar call
     scalar = not isinstance(H, np.ndarray) or H.ndim == 0
-    c, Hp = (math.sqrt if scalar else np.sqrt)(g * H), H**p
+    c, Hp = (math.sqrt if scalar else np.sqrt)(g * H), row_power(H, p)
     V = flux / H
     lam1 = V + c
     lam2 = c - V
@@ -78,12 +95,14 @@ def phi_exponents(H, inlet_depth, flux, p, g):
 
     each minus its value at the inlet. The differences are taken term by
     term, so both are exactly 0 at the inlet depth. A scalar H takes math
-    and an array H numpy. Needs flux > 0 and H above the critical depth.
+    and an array H numpy; on a stack of depth rows (m x n) each parameter
+    may be a column (m x 1), and each row has the bits of its one-row call.
+    Needs flux > 0 and H above the critical depth.
     """
     array = isinstance(H, np.ndarray) and H.ndim > 0
     sqrt, log = (np.sqrt, np.log) if array else (math.sqrt, math.log)
     s = sqrt(g * H * H * H) / flux
-    s0 = math.sqrt(g * inlet_depth * inlet_depth * inlet_depth) / flux
+    s0 = sqrt(g * inlet_depth * inlet_depth * inlet_depth) / flux
     shared = 0.5 * p * (1.0 / s - 1.0 / s0) - (s - s0)
     log_s = (0.25 + 0.5 * p) * log(s / s0)
     I1 = (2.0 / 3.0) * (shared + log_s + 1.5 * log((s + 1.0) / (s0 + 1.0)))
@@ -161,6 +180,15 @@ def reflection_coefficient(gain, outlet_depth, gravity):
     return math.inf if y1 == 0.0 else y2 / y1
 
 
+def parameter_columns(profiles) -> tuple[np.ndarray, ...]:
+    """(inlet depth, flux, friction, friction exponent, gravity) of each
+    profile, each a column (m x 1): the parameters of a stack of rows."""
+    values = np.array([(q.inlet_depth, q.flux, q.spec.friction, q.spec.friction_exponent,
+                        q.gravity) for q in profiles])
+    # contiguous columns: numpy broadcasts a strided one more slowly
+    return tuple(values.T.copy()[:, :, None])
+
+
 @dataclass(frozen=True, eq=False)
 class CharCoeffs:
     """Characteristic speeds and couplings sampled on a profile's fine grid,
@@ -180,20 +208,39 @@ class CharCoeffs:
 
     @classmethod
     def from_profile(cls, profile: SteadyProfile) -> "CharCoeffs":
-        """One ``speeds_couplings`` and one ``phi_exponents`` call on the
-        fine grid, with one degenerate case: a channel without flow or without
-        friction has no coupling, so its couplings are exact zeros, its factors
-        exact ones and its speeds from ``eigenvalues``. Where a coupled channel's
-        depth stays H0 to the last bit, s == s0 and ``phi_exponents`` returns
-        exact zeros, so every factor is exactly 1. phi is exp(I1 + I2) from
-        the exponents that phi1^2 and phi2^2 need, not a ``log_phi`` pass."""
-        H, spec = profile.H_fine, profile.spec
-        if profile.flux == 0.0 or spec.friction == 0.0:
-            lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)
-            return cls(profile, lam1, lam2, *(np.zeros_like(H) for _ in range(4)),
-                       *(np.ones_like(H) for _ in range(3)))
-        I1, I2 = phi_exponents(H, profile.inlet_depth, profile.flux,
-                               spec.friction_exponent, profile.gravity)
-        return cls(profile, *speeds_couplings(
-            H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity),
+        """The one-row case of ``rows``."""
+        return cls(profile, *(a[0] for a in cls.rows([profile], profile.H_fine[None])))
+
+    @staticmethod
+    def rows(profiles, H: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The arrays of every field after ``profile``, each (m x n), on a
+        stack H of fine depth rows, row r those of profiles[r]; each row has
+        the bits of its one-row call. One ``speeds_couplings`` and one
+        ``phi_exponents`` call on the coupled rows give them, with one
+        degenerate case: a channel without flow or without friction has no
+        coupling, so its couplings are exact zeros, its factors exact ones
+        and its speeds from ``eigenvalues``, whose operations are those of
+        the kernel, and no kernel sees it. Where a coupled channel's depth
+        stays H0 to the last bit, s == s0 and ``phi_exponents`` returns exact
+        zeros, so every factor is exactly 1. phi is exp(I1 + I2) from the
+        exponents that phi1^2 and phi2^2 need, not a ``log_phi`` pass."""
+        columns = parameter_columns(profiles)
+        _, flux, friction, _, g = columns
+        coupled = (flux[:, 0] != 0.0) & (friction[:, 0] != 0.0)
+        if coupled.all():
+            return _coupled_rows(H, *columns)
+        lam1, lam2 = eigenvalues(H, flux / H, g)
+        out = (lam1, lam2, *(np.zeros_like(H) for _ in range(4)),
+               *(np.ones_like(H) for _ in range(3)))
+        if coupled.any():
+            for a, value in zip(out, _coupled_rows(H[coupled], *(c[coupled] for c in columns))):
+                a[coupled] = value
+        return out
+
+
+def _coupled_rows(H, inlet_depth, flux, friction, p, g):
+    """The arrays of ``CharCoeffs.rows`` on rows that all carry flux and
+    friction: one ``speeds_couplings`` and one ``phi_exponents`` call."""
+    I1, I2 = phi_exponents(H, inlet_depth, flux, p, g)
+    return (*speeds_couplings(H, flux, friction, p, g),
             np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2)

@@ -44,10 +44,16 @@ The exponents of phi1 and phi2 and the existence integral I4 are closed-form
 functions of the local depth too (``characteristics.phi_exponents`` and
 ``characteristics.existence_integral``), so ``phi_profiles`` solves no ODE.
 
-Each channel's epsilon-free record (``_Channel``) is made once per
-certificate, before the first attempt: its ``CharCoeffs`` (the speeds,
-couplings and phi factors on the fine grid) and eta_bar, u and J on the same
-grid, u and J as cumulative trapezoid sums. eta_bar[0] is the inlet value
+A network's epsilon-free record (``_Record``) is made once per certificate,
+before the first attempt, on one (m x n) array per quantity: one row per
+channel in traversal order, each edge-padded to the longest channel by
+repeating its last abscissa and depth. A padded point adds dx = 0, so +0.0,
+to every cumulative trapezoid sum: the last column holds each channel's
+outlet values, and the minimum of a row is its channel's. The record holds
+the speeds, couplings and phi factors (``CharCoeffs.rows``) and eta_bar, u
+and J, u and J as cumulative trapezoid sums along the rows; each channel's
+``CharCoeffs`` is a view of its row, made when first read. Every row has
+the bits of its one-row record, which ``eta_eps`` makes. eta_bar[0] is the inlet value
 exactly, so eta(0) is that value + epsilon to the bit.
 
 The search (``certify_network``) walks the ladder epsilon_start * 0.5**k
@@ -56,15 +62,18 @@ Z(L) > 0 or a terminal margin, is alpha > 0 times a term free of alpha that
 is positive exactly when eta(L) < C: C = phi(L) at a junction and
 phi(L) / |rho| at a terminal of reflection rho. As eta(L) is explicit in
 epsilon, so is the root of that condition, the channel's end cap
-(``_Channel.cap``), which lies below the existence bound 1 / J(L); every
+(``_Record.cap``), which lies below the existence bound 1 / J(L); every
 rung at or above the smallest cap is refused. The search starts one rung
 before the first rung below it, so that the checks decide a rung within
-rounding of the cap. An attempt (``_attempt``) is one pass: in traversal
-order it forms eta on each channel's fine grid in one array expression and
-runs every check. It returns its own ``NetworkCertificate``, whose fields
-other than the weights are the report. The test suite
-(``tests/conftest.py``) keeps the ODE forms of I4 and of the comparison
-solution, solved by scipy, as oracles of the closed forms.
+rounding of the cap. An attempt (``_attempt``) is one pass over the
+record's arrays: eta, the alpha walk (parents first), Z, W, f1, f2 and N(x)
+with its 2 x 2 bounds, each one array expression over every channel. Only
+the end checks and each junction's eigenvalues are taken per channel or
+junction, from the arrays' end columns. Each channel's ``ChannelWeights``
+is a view of its row, made when first read. An attempt returns its own
+``NetworkCertificate``, whose fields other than the weights are the report. The test suite (``tests/conftest.py``) keeps the
+per-channel path (``certify_per_channel``) and the ODE forms of I4 and of
+the comparison solution, solved by scipy, as oracles.
 """
 
 from __future__ import annotations
@@ -80,8 +89,10 @@ from .characteristics import (
     CharCoeffs,
     existence_integral,
     outlet_traces,
+    parameter_columns,
     phi_exponents,
     reflection_coefficient,
+    row_power,
 )
 from .errors import (
     DegenerateFlux,
@@ -160,19 +171,22 @@ def phi_profiles(profile: SteadyProfile) -> PhiProfiles:
 
 
 def m_value(H, inlet_depth, flux, friction_exponent, gravity):
-    """Closed-form ratio m = eta_bar / eta0 as a function of the local depth."""
-    if flux == 0.0:
-        raise DegenerateFlux("m is undefined for a zero-flux channel")
+    """Closed-form ratio m = eta_bar / eta0 as a function of the local depth.
+
+    On a stack of depth rows (m x n) each parameter may be a column (m x 1),
+    and each row has the bits of its one-row call: the powers of the depth
+    take ``row_power``, and the terms free of it are Python floats, taken
+    row by row (``_m_terms``)."""
+    params = (inlet_depth, flux, friction_exponent, gravity)
+    if np.ndim(flux) == 0:
+        terms = _m_terms(*params)
+    else:
+        rows = zip(*(v[:, 0].tolist() for v in params))
+        terms = np.array([_m_terms(*row) for row in rows]).T.copy()[:, :, None]
+    high, p, s, scale_high, inlet, scale_p, inlet_p = terms
     H = np.asarray(H, dtype=float)
-    p = friction_exponent
-    sg = math.sqrt(gravity)
-    s = (3.0 + 2.0 * p) / 2.0
-    shared = (
-        (sg / ((3.0 + p) * flux)) * H ** (3.0 + p)
-        + ((1.0 + p) * sg / (2.0 * (3.0 + p) * flux)) * inlet_depth ** (3.0 + p)
-        + (flux / (2.0 * sg)) * (H**p - inlet_depth**p)
-    )
-    half = 0.5 * H**s
+    shared = scale_high * row_power(H, high) + inlet + scale_p * (row_power(H, p) - inlet_p)
+    half = 0.5 * row_power(H, s)
     num = half + shared
     den = shared - half
     if np.any(den <= 0.0):
@@ -181,92 +195,149 @@ def m_value(H, inlet_depth, flux, friction_exponent, gravity):
     return float(out) if out.ndim == 0 else out
 
 
-def _cumulative(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The integral of f from x[0] on the grid x by the trapezoid rule,
-    exactly 0 at x[0]."""
-    out = np.zeros_like(x)
-    np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x), out=out[1:])
+def _m_terms(inlet_depth, flux, p, gravity):
+    """The exponents 3 + p, p and (3 + 2p)/2 of ``m_value``'s powers of the
+    depth H and its terms free of H, the scales of H^(3+p) and of H^p -
+    H0^p, the inlet term and H0^p, from one channel's Python floats."""
+    if flux == 0.0:
+        raise DegenerateFlux("m is undefined for a zero-flux channel")
+    sg = math.sqrt(gravity)
+    return (3.0 + p, p, (3.0 + 2.0 * p) / 2.0, sg / ((3.0 + p) * flux),
+            ((1.0 + p) * sg / (2.0 * (3.0 + p) * flux)) * inlet_depth ** (3.0 + p),
+            flux / (2.0 * sg), inlet_depth**p)
+
+
+def _riccati_terms(lambda1, lambda2, delta1, gamma2, phi):
+    """(delta1 phi / lambda1, c), c = gamma2 / (lambda2 phi): the terms of
+    the Riccati right-hand side E(eta) = delta1 phi / lambda1 + c eta^2."""
+    return delta1 * phi / lambda1, gamma2 / (lambda2 * phi)
+
+
+def _cumulative(f: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The integral of each row of f from its first point by the trapezoid
+    rule on the abscissa steps dx, exactly 0 at the first point."""
+    out = np.zeros(f.shape)
+    np.cumsum(0.5 * (f[:, 1:] + f[:, :-1]) * dx, axis=1, out=out[:, 1:])
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _Channel:
-    """The epsilon-free record of one channel, made once per channel and
-    certificate: its ``coeffs`` and, on its fine grid, the epsilon = 0
-    comparison solution ``eta_bar`` and the terms ``u`` and ``J`` of the
-    super-solution eta = eta_bar + epsilon u / (1 - epsilon J) (see the
-    module docstring). The inlet value ``eta_bar[0]`` is
-    lambda2(0)/lambda1(0) on the trunk, from the inlet speeds of ``coeffs``,
-    which take the operations of ``eigenvalues`` and so its bits, and 1 on
-    branch channels; u[0] = 1 and J[0] = 0 exactly. u = exp(B) (1 + int exp(-B)) with B =
-    int 2 c eta_bar, and J = int c u, each integral a cumulative trapezoid
-    sum: their O(h^2) error enters eta only times epsilon. ``cap`` is the
-    root in epsilon of its outlet check, in floats: rounding may move it by a rung."""
+def _stack(rows: list[np.ndarray], n: int) -> np.ndarray:
+    """The 1-D arrays ``rows`` as the rows of one (m x n) array, each
+    edge-padded to n points by repeating its last value."""
+    return np.array([a if a.size == n else np.concatenate((a, np.full(n - a.size, a[-1])))
+                     for a in rows])
 
-    coeffs: CharCoeffs
+
+@dataclass(frozen=True, eq=False)
+class _Record:
+    """The epsilon-free record of a set of channels, made once per
+    certificate: row r holds the channel of ``profiles[r]`` (see the module
+    docstring). Its fields are the arrays of ``CharCoeffs``, the terms
+    ``source`` and ``c`` of E (``_riccati_terms``), the epsilon = 0 comparison
+    solution ``eta_bar`` and the terms ``u`` and ``J`` of the super-solution
+    eta = eta_bar + epsilon u / (1 - epsilon J). The inlet value
+    ``eta_bar[:, 0]`` is lambda2(0)/lambda1(0) on a trunk, from the inlet
+    speeds, which take the operations of ``eigenvalues`` and so its bits,
+    and 1 on branch channels; u[:, 0] = 1 and J[:, 0] = 0 exactly. u =
+    exp(B) (1 + int exp(-B)) with B = int 2 c eta_bar, and J = int c u, each
+    integral a cumulative trapezoid sum: their O(h^2) error enters eta only
+    times epsilon."""
+
+    profiles: tuple[SteadyProfile, ...]
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    gamma1: np.ndarray
+    delta1: np.ndarray
+    gamma2: np.ndarray
+    delta2: np.ndarray
+    phi: np.ndarray
+    phi1_sq: np.ndarray
+    phi2_sq: np.ndarray
+    source: np.ndarray
+    c: np.ndarray
     eta_bar: np.ndarray
     u: np.ndarray
     J: np.ndarray
 
     @classmethod
-    def of(cls, coeffs: CharCoeffs, trunk_inlet: bool) -> "_Channel":
-        profile = coeffs.profile
+    def of(cls, profiles: list[SteadyProfile], trunk: bool) -> "_Record":
+        """The record of ``profiles``, one row each in their order: the first
+        is a trunk if ``trunk``, and every other channel a branch."""
+        if trunk and profiles[0].flux == 0.0:
+            raise DegenerateFlux("trunk channels carry positive flux")
+        n = max(q.x_fine.size for q in profiles)
+        x, H = (_stack(rows, n) for rows in zip(*((q.x_fine, q.H_fine) for q in profiles)))
+        arrays = CharCoeffs.rows(profiles, H)
+        lam1, lam2, _, delta1, gamma2, _, phi, _, _ = arrays
         # eta0 = (lambda2/lambda1) phi, exactly lambda2(0)/lambda1(0) at the
         # inlet, where phi is exactly 1
-        eta_bar = coeffs.lambda2 / coeffs.lambda1 * coeffs.phi
-        if trunk_inlet:
-            if profile.flux == 0.0:
-                raise DegenerateFlux("trunk channels carry positive flux")
-        else:
-            # at zero flux eta0 is exactly 1 and uncoupled
-            if profile.flux > 0.0:
-                eta_bar *= m_value(profile.H_fine, profile.inlet_depth, profile.flux,
-                                   profile.spec.friction_exponent, profile.gravity)
-            eta_bar[0] = 1.0
-        c = coeffs.gamma2 / (coeffs.lambda2 * coeffs.phi)
-        x = profile.x_fine
-        B = _cumulative(2.0 * c * eta_bar, x)
-        u = np.exp(B) * (1.0 + _cumulative(np.exp(-B), x))
-        return cls(coeffs, eta_bar, u, _cumulative(c * u, x))
+        eta_bar = lam2 / lam1 * phi
+        first = 1 if trunk else 0
+        # at zero flux eta0 is exactly 1 and uncoupled
+        flowing = [r for r in range(first, len(profiles)) if profiles[r].flux > 0.0]
+        if flowing:
+            H0, flux, _, p, g = parameter_columns([profiles[r] for r in flowing])
+            eta_bar[flowing] *= m_value(H[flowing], H0, flux, p, g)
+        eta_bar[first:, 0] = 1.0
+        source, c = _riccati_terms(lam1, lam2, delta1, gamma2, phi)
+        dx = np.diff(x, axis=1)
+        B = _cumulative(2.0 * c * eta_bar, dx)
+        u = np.exp(B) * (1.0 + _cumulative(np.exp(-B), dx))
+        return cls(tuple(profiles), *arrays, source, c, eta_bar, u, _cumulative(c * u, dx))
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """The row of each channel."""
+        return {q.channel: r for r, q in enumerate(self.profiles)}
+
+    @cached_property
+    def coeffs(self) -> tuple[CharCoeffs, ...]:
+        """Each row's ``CharCoeffs``, views of the row trimmed to its
+        channel's fine grid, made when first read."""
+        names = [f.name for f in fields(CharCoeffs)[1:]]
+        return tuple(CharCoeffs(q, *(getattr(self, name)[r, : q.x_fine.size] for name in names))
+                     for r, q in enumerate(self.profiles))
 
     def at(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        """(eta, epsilon / (1 - epsilon J)) at ``epsilon`` on the fine grid,
-        the super-solution and its interior slack eta' - E(eta).
-        EpsilonTooLarge where 1 - epsilon J(L) <= 0: J grows to the outlet,
-        so eta exists on the channel exactly where it exists at the outlet."""
+        """(eta, epsilon / (1 - epsilon J)) at ``epsilon`` on every row, the
+        super-solution and its interior slack eta' - E(eta).
+        EpsilonTooLarge, naming the first such channel, where 1 - epsilon
+        J(L) <= 0: J grows to the outlet, so eta exists on a channel exactly
+        where it exists at the outlet."""
         room = 1.0 - epsilon * self.J
-        if not room[-1] > 0.0:
+        exists = room[:, -1] > 0.0
+        if not exists.all():
             raise EpsilonTooLarge(
-                f"channel {self.coeffs.profile.channel}: comparison function with "
-                f"epsilon={epsilon:g} does not exist on the whole channel"
+                f"channel {self.profiles[int(exists.argmin())].channel}: comparison function "
+                f"with epsilon={epsilon:g} does not exist on the whole channel"
             )
         slack = epsilon / room
         return self.eta_bar + self.u * slack, slack
 
-    def cap(self, gain: float | None) -> float:
-        """The end cap: the root in epsilon of eta(L) < C, the outlet's
-        check (see the module docstring). C is phi(L) at a junction outflow
-        (``gain`` None) and phi(L) / |rho| at a terminal of reflection rho,
-        +inf at rho = 0 and 0 at the ill-posed gain. With d = C -
-        eta_bar(L), it is 1 / (u(L) / d + J(L)) if d > 0, else 0, and +inf
-        where d = +inf and J(L) = 0: an uncoupled terminal at its
-        non-reflecting gain. Taken in Python floats: the root within rounding."""
-        phi, prof = float(self.coeffs.phi[-1]), self.coeffs.profile
+    def cap(self, r: int, gain: float | None) -> float:
+        """The end cap of row r: the root in epsilon of eta(L) < C, the
+        outlet's check (see the module docstring). C is phi(L) at a junction
+        outflow (``gain`` None) and phi(L) / |rho| at a terminal of
+        reflection rho, +inf at rho = 0 and 0 at the ill-posed gain. With d =
+        C - eta_bar(L), it is 1 / (u(L) / d + J(L)) if d > 0, else 0, and
+        +inf where d = +inf and J(L) = 0: an uncoupled terminal at its
+        non-reflecting gain. Taken in Python floats: the root within
+        rounding, which may move it by a rung."""
+        phi, prof = float(self.phi[r, -1]), self.profiles[r]
         bound = phi
         if gain is not None:
             rho = abs(reflection_coefficient(gain, prof.outlet_depth, prof.gravity))
             bound = math.inf if rho == 0.0 else phi / rho
-        d = bound - float(self.eta_bar[-1])
+        d = bound - float(self.eta_bar[r, -1])
         if not d > 0.0:
             return 0.0
-        J = float(self.J[-1])
-        return math.inf if d == math.inf and J == 0.0 else 1.0 / (float(self.u[-1]) / d + J)
+        J = float(self.J[r, -1])
+        return math.inf if d == math.inf and J == 0.0 else 1.0 / (float(self.u[r, -1]) / d + J)
 
 
-def _channels(topo: NetworkTopology, profiles: dict[int, SteadyProfile]) -> dict[int, _Channel]:
-    """Every channel's epsilon-free record, in traversal order."""
-    return {i: _Channel.of(CharCoeffs.from_profile(profiles[i]), i == topo.root_channel)
-            for i in traversal_order(topo)}
+def _record(topo: NetworkTopology, profiles: dict[int, SteadyProfile]) -> _Record:
+    """The record of every channel of ``topo``, in traversal order."""
+    return _Record.of([profiles[i] for i in traversal_order(topo)], trunk=True)
 
 
 def eta_eps(
@@ -281,13 +352,14 @@ def eta_eps(
     epsilon / (1 - epsilon J) >= |delta1 phi / lambda1 + (gamma2/(lambda2
     phi)) eta^2| + epsilon from the inlet value lambda2(0)/lambda1(0) +
     epsilon on the trunk and 1 + epsilon on branch channels (see
-    ``_Channel``). EpsilonTooLarge is raised where 1 - epsilon J reaches 0
-    before the channel end. A channel without flow or without friction has
-    eta = eta_bar[0] + epsilon (1 + x), the exact solution of an uncoupled
-    channel; a zero-flux trunk raises DegenerateFlux.
+    ``_Record``, whose one-row case this is). EpsilonTooLarge is raised
+    where 1 - epsilon J reaches 0 before the channel end. A channel without
+    flow or without friction has eta = eta_bar[0] + epsilon (1 + x), the
+    exact solution of an uncoupled channel; a zero-flux trunk raises
+    DegenerateFlux.
     """
-    channel = _Channel.of(CharCoeffs.from_profile(profile), trunk_inlet)
-    return channel.at(epsilon)[0] / channel.coeffs.phi
+    record = _Record.of([profile], trunk_inlet)
+    return (record.at(epsilon)[0] / record.phi)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,9 +367,11 @@ class ChannelWeights:
     """Weight profiles of one channel, sampled on its fine grid, whose first
     and last points are the inlet and the outlet and whose every
     FINE_REFINEMENT-th points from the middle of the first cell are the
-    cell centers. ``slack`` is the comparison function's interior slack
-    eta' - E(eta) = epsilon / (1 - epsilon J), which the interior matrix
-    reads. The weights f1 and f2 are formed once, when first read."""
+    cell centers; each array is a view of the channel's row of its
+    ``WeightSet``'s arrays. ``slack`` is the comparison function's interior
+    slack eta' - E(eta) = epsilon / (1 - epsilon J), which the interior
+    matrix reads. The weights are f1 = alpha phi1^2 / (lambda1 eta) and f2 =
+    alpha phi2^2 eta / lambda2."""
 
     coeffs: CharCoeffs
     alpha: float
@@ -306,14 +380,8 @@ class ChannelWeights:
     slack: np.ndarray
     Z: np.ndarray
     W: np.ndarray
-
-    @cached_property
-    def f1(self) -> np.ndarray:
-        return self.alpha * (self.coeffs.phi1_sq / self.eta_eps) / self.coeffs.lambda1
-
-    @cached_property
-    def f2(self) -> np.ndarray:
-        return self.alpha * (self.coeffs.phi2_sq * self.eta_eps) / self.coeffs.lambda2
+    f1: np.ndarray
+    f2: np.ndarray
 
     @property
     def profile(self) -> SteadyProfile:
@@ -326,32 +394,51 @@ class ChannelWeights:
 
 @dataclass(frozen=True, eq=False)
 class WeightSet:
-    """Weight profiles for every channel of a network; each carries its epsilon."""
+    """Weight profiles of every channel of a network at one epsilon, on the
+    rows of its ``record``: each channel's alpha and the (m x n) arrays of
+    eta, its slack, Z, W, f1 and f2. ``channels`` maps each channel to its
+    ``ChannelWeights``, views of its row, made when first read."""
 
     topo: NetworkTopology
-    channels: dict[int, ChannelWeights]
+    record: _Record
+    epsilon: float
+    alphas: tuple[float, ...]
+    eta_eps: np.ndarray
+    slack: np.ndarray
+    Z: np.ndarray
+    W: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+
+    @cached_property
+    def channels(self) -> dict[int, ChannelWeights]:
+        arrays = (self.eta_eps, self.slack, self.Z, self.W, self.f1, self.f2)
+        return {c.profile.channel: ChannelWeights(c, alpha, self.epsilon,
+                                                  *(a[r, : c.lambda1.size] for a in arrays))
+                for r, (c, alpha) in enumerate(zip(self.record.coeffs, self.alphas))}
 
 
-def _scaled(topo: NetworkTopology, epsilon: float, channels: dict[int, _Channel]):
-    """Yield the fine-grid weights at ``epsilon`` of every channel from its
-    record in ``channels``, parents first, each at its alpha;
-    EpsilonTooLarge where a comparison function does not exist. Times alpha
-    and over (lambda1, lambda2), (phi1^2 / eta, phi2^2 eta) are (f1, f2), and
-    their difference and sum are Z / alpha and W~ = W / alpha. alpha_child =
-    alpha_parent W~_parent(L) / W~_child(0) makes W continuous across every
-    junction; the root's alpha is 1, as an overall rescale changes no
+def _weights(topo: NetworkTopology, record: _Record, epsilon: float) -> WeightSet:
+    """The weights at ``epsilon`` of every row of ``record``; EpsilonTooLarge
+    where a comparison function does not exist. Times alpha and over (lambda1,
+    lambda2), (phi1^2 / eta, phi2^2 eta) are (f1, f2), and their difference
+    and sum are Z / alpha and W~ = W / alpha. alpha_child = alpha_parent
+    W~_parent(L) / W~_child(0), parents first, makes W continuous across
+    every junction; the root's alpha is 1, as an overall rescale changes no
     verdict. At a branch inlet phi1 = phi2 = 1 and eta = 1 + epsilon, so
     W~(0) = 1 / eta + eta >= 2."""
-    outlet_W: dict[int, float] = {}  # alpha W~(L) of each channel yielded
-    for i in traversal_order(topo):
-        c = channels[i]
-        eta, slack = c.at(epsilon)
-        a, b = c.coeffs.phi1_sq / eta, c.coeffs.phi2_sq * eta
-        W = a + b
-        alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / float(W[0])
-        outlet_W[i] = alpha * float(W[-1])
-        yield ChannelWeights(coeffs=c.coeffs, alpha=alpha, epsilon=epsilon, eta_eps=eta,
-                             slack=slack, Z=alpha * (a - b), W=alpha * W)
+    eta, slack = record.at(epsilon)
+    a, b = record.phi1_sq / eta, record.phi2_sq * eta
+    W = a + b
+    alphas, outlet_W = [], {}  # alpha W~(L) of each channel walked
+    for q, W0, WL in zip(record.profiles, W[:, 0].tolist(), W[:, -1].tolist()):
+        i = q.channel
+        alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / W0
+        outlet_W[i] = alpha * WL
+        alphas.append(alpha)
+    alpha = np.array(alphas)[:, None]
+    return WeightSet(topo, record, epsilon, tuple(alphas), eta, slack, alpha * (a - b),
+                     alpha * W, alpha * a / record.lambda1, alpha * b / record.lambda2)
 
 
 def network_weights(
@@ -361,8 +448,7 @@ def network_weights(
 ) -> WeightSet:
     """Assemble junction-matched weights for the whole tree at one epsilon.
     Raises EpsilonTooLarge where a comparison function does not exist."""
-    scaled = _scaled(topo, epsilon, _channels(topo, profiles))
-    return WeightSet(topo=topo, channels={cw.channel: cw for cw in scaled})
+    return _weights(topo, _record(topo, profiles), epsilon)
 
 
 def junction_matrix(ws: WeightSet, incoming: int):
@@ -373,16 +459,16 @@ def junction_matrix(ws: WeightSet, incoming: int):
     depth-velocity couplings removed, which is exact once the alpha scales
     match W across the junction.
     """
-    topo = ws.topo
-    children = topo.junctions[incoming]
-    cw_in = ws.channels[incoming]
-    prof = cw_in.profile
+    children = ws.topo.junctions[incoming]
+    row = ws.record.index
+    r = row[incoming]
+    prof = ws.record.profiles[r]
     H_B = prof.outlet_depth
     g = prof.gravity
-    Z_in, W_in = float(cw_in.Z[-1]), float(cw_in.W[-1])
+    Z_in, W_in = float(ws.Z[r, -1]), float(ws.W[r, -1])
     # every outgoing channel starts at the junction depth H_B
-    Z0 = [float(ws.channels[c].Z[0]) for c in children]
-    W0 = [float(ws.channels[c].W[0]) for c in children]
+    Z0 = [float(ws.Z[row[c], 0]) for c in children]
+    W0 = [float(ws.W[row[c], 0]) for c in children]
     m = len(children)
     M = np.full((m + 1, m + 1), Z_in)
     for l in range(m):
@@ -406,14 +492,15 @@ def trunk_inlet_coefficient(ws: WeightSet) -> float:
     in that form it keeps every digit, where the difference of the two terms
     would lose about 1/epsilon of them.
     """
-    cw = ws.channels[ws.topo.root_channel]
-    prof = cw.profile
+    record = ws.record
+    r = record.index[ws.topo.root_channel]
+    prof = record.profiles[r]
     V0 = prof.velocity_of(prof.inlet_depth)
     # the inlet speeds of eigenvalues, to the bit
-    lam1, lam2 = float(cw.coeffs.lambda1[0]), float(cw.coeffs.lambda2[0])
-    eps = cw.epsilon
+    lam1, lam2 = float(record.lambda1[r, 0]), float(record.lambda2[r, 0])
+    eps = ws.epsilon
     eta0 = lam2 / lam1 + eps
-    return cw.alpha * lam1 * eps * (2.0 * lam2 + lam1 * eps) / (eta0 * V0**2)
+    return ws.alphas[r] * lam1 * eps * (2.0 * lam2 + lam1 * eps) / (eta0 * V0**2)
 
 
 def interior_matrix(cw: ChannelWeights):
@@ -432,15 +519,17 @@ def interior_matrix(cw: ChannelWeights):
     (1 - epsilon J), the super-solution's identity. Returns (N11, N12, N22)
     arrays.
     """
-    c = cw.coeffs
-    lam1, lam2, phi = c.lambda1, c.lambda2, c.phi
-    eta = cw.eta_eps
-    eta_slope = c.delta1 * phi / lam1 + c.gamma2 / (lam2 * phi) * eta**2 + cw.slack
-    growth = eta_slope / eta
-    N11 = cw.f1 * lam1 * growth
-    N22 = cw.f2 * lam2 * growth
-    N12 = cw.f1 * c.delta1 + cw.f2 * c.gamma2
-    return N11, N12, N22
+    k = cw.coeffs
+    terms = _riccati_terms(k.lambda1, k.lambda2, k.delta1, k.gamma2, k.phi)
+    return _interior(k, *terms, cw.eta_eps, cw.slack, cw.f1, cw.f2)
+
+
+def _interior(k, source, c, eta, slack, f1, f2):
+    """(N11, N12, N22) of ``interior_matrix`` from the speeds and couplings
+    of ``k``, a ``CharCoeffs`` or a ``_Record``, the terms of E
+    (``_riccati_terms``) and the weights, all on the same points."""
+    growth = (source + c * eta**2 + slack) / eta
+    return f1 * k.lambda1 * growth, f1 * k.delta1 + f2 * k.gamma2, f2 * k.lambda2 * growth
 
 
 def _sym2x2_eig_bounds(a11, a12, a22):
@@ -498,29 +587,29 @@ CHECK_ORDER = (
 
 def _channel_checks(
     ws: WeightSet,
-    cw: ChannelWeights,
+    i: int,
     gains: dict[int, float],
     detail: dict,
 ) -> list[str]:
-    """The checks that read channel ``cw`` alone, at its ends: the sign of Z
+    """The checks that read channel ``i`` alone, at its ends: the sign of Z
     at a junction outflow and at a branch inflow, the trunk inlet and the
     terminal margin. Records every margin in ``detail`` and returns the
     names of the failed checks; a check passes only on a strict margin, so
     a NaN margin fails it. Each margin is alpha > 0 times a term free of
     alpha (the root's alpha is 1), so each verdict is the same at alpha = 1,
-    and the outlet's is that of ``_Channel.cap``. A terminal's margin is
+    and the outlet's is that of ``_Record.cap``. A terminal's margin is
     alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2) at the outlet: f1 lam1 y1^2 -
     f2 lam2 y2^2 at the traces of ``outlet_traces``, with no pole in the gain
     and negative at the ill-posed gain, where y1 = 0. The margin alone
     refuses a zero-flux outlet at k <= 0: there phi1 = phi2 = 1, eta >= 1 and
     r <= 0, so |1 + r| <= |1 - r| and the term is at most 0.
     """
-    topo = ws.topo
-    i = cw.channel
-    prof = cw.profile
+    topo, record = ws.topo, ws.record
+    r = record.index[i]
+    prof = record.profiles[r]
     failed: list[str] = []
     if i in topo.junctions:
-        z = float(cw.Z[-1])
+        z = float(ws.Z[r, -1])
         detail["z_end"][i] = z
         if not z > 0.0:
             failed.append("junction_outflow_positive")
@@ -528,9 +617,9 @@ def _channel_checks(
         k = float(gains[i])
         detail["reflection"][i] = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
         y1, y2 = outlet_traces(k, prof.outlet_depth, prof.gravity)
-        c, eta = cw.coeffs, cw.eta_eps[-1]
-        term = c.phi1_sq[-1] / eta * y1**2 - c.phi2_sq[-1] * eta * y2**2
-        margin = cw.alpha * float(term)
+        eta = ws.eta_eps[r, -1]
+        term = record.phi1_sq[r, -1] / eta * y1**2 - record.phi2_sq[r, -1] * eta * y2**2
+        margin = ws.alphas[r] * float(term)
         detail["terminal_margins"][i] = margin
         if not margin > 0.0:
             failed.append("terminal_margin")
@@ -541,34 +630,10 @@ def _channel_checks(
         if not f1 > 0.0:
             failed.append("trunk_inlet")
     else:
-        z = float(cw.Z[0])
+        z = float(ws.Z[r, 0])
         detail["z_start"][i] = z
         if not z < 0.0:
             failed.append("branch_inflow_negative")
-    return failed
-
-
-def _fine_checks(ws: WeightSet, cw: ChannelWeights, detail: dict) -> list[str]:
-    """The checks that read more than the ends of channel ``cw``, as
-    ``_channel_checks`` records and returns its checks: the interior matrix
-    N(x) at every point of its weights and, once the last of its siblings is
-    built, the junction matrix that feeds it."""
-    failed: list[str] = []
-    N11, N12, N22 = interior_matrix(cw)
-    low, norm = _sym2x2_eig_bounds(N11, N12, N22)
-    detail["interior_min_eig"][cw.channel] = float(np.min(low))
-    if not np.all(low > POSITIVITY_REL_TOL * norm):
-        failed.append("interior_matrix")
-    topo = ws.topo
-    if cw.channel != topo.root_channel:
-        parent = topo.parent_of(cw.channel)
-        if all(c in ws.channels for c in topo.junctions[parent]):
-            _, M_bar = junction_matrix(ws, parent)
-            eigs = np.linalg.eigvalsh(M_bar)
-            detail["junction_min_eig"][parent] = float(eigs[0])
-            norm = float(np.max(np.abs(eigs)))
-            if not eigs[0] > POSITIVITY_REL_TOL * norm:
-                failed.append("junction_matrix")
     return failed
 
 
@@ -576,31 +641,42 @@ def _attempt(
     topo: NetworkTopology,
     gains: dict[int, float],
     epsilon: float,
-    channels: dict[int, _Channel],
-    last: bool,
+    record: _Record,
 ) -> NetworkCertificate:
-    """Build and check the weights at one epsilon in one pass from each
-    channel's record in ``channels``: its certificate, with halvings 0.
-    Each channel in traversal order is scaled by its alpha on the fine grid
-    (``_scaled``) and runs every check that its weights complete; unless
-    this is the ``last`` attempt, the pass stops at the first failure. A
-    missing comparison function fails the attempt as "weight_existence"
-    with no weights and no margins. No pass at the channel ends comes
-    first: the end caps refuse those rungs, all but the one within rounding.
+    """Build and check the weights at one epsilon in one pass over the arrays
+    of ``record``: its certificate, with halvings 0. The weights
+    (``_weights``) and the interior matrix N(x) at every point of every
+    channel are one array expression each, and N's 2 x 2 bounds reduce
+    along the rows; the end checks (``_channel_checks``) run per channel in
+    traversal order and the junction matrices per junction, each on the
+    arrays' end columns, so no channel's views are made. Every check
+    runs. A missing comparison function fails the attempt as
+    "weight_existence" with no weights and no margins. No pass at the
+    channel ends comes first: the end caps refuse those rungs, all but the
+    one within rounding.
     """
-    ws = WeightSet(topo=topo, channels={})
-    detail = defaultdict(dict)
-    failed = set()
     try:
-        for cw in _scaled(topo, epsilon, channels):
-            ws.channels[cw.channel] = cw
-            detail["alphas"][cw.channel] = cw.alpha
-            failed.update(_channel_checks(ws, cw, gains, detail))
-            failed.update(_fine_checks(ws, cw, detail))
-            if failed and not last:
-                break
+        ws = _weights(topo, record, epsilon)
     except EpsilonTooLarge:
         return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",))
+    low, norm = _sym2x2_eig_bounds(
+        *_interior(record, record.source, record.c, ws.eta_eps, ws.slack, ws.f1, ws.f2))
+    lowest = low.min(axis=1).tolist()
+    positive = (low > POSITIVITY_REL_TOL * norm).all(axis=1).tolist()
+    detail = defaultdict(dict)
+    failed = set()
+    for q, alpha, low_r, positive_r in zip(record.profiles, ws.alphas, lowest, positive):
+        detail["alphas"][q.channel] = alpha
+        failed.update(_channel_checks(ws, q.channel, gains, detail))
+        detail["interior_min_eig"][q.channel] = low_r
+        if not positive_r:
+            failed.add("interior_matrix")
+    for parent in topo.junctions:
+        _, M_bar = junction_matrix(ws, parent)
+        eigs = np.linalg.eigvalsh(M_bar)
+        detail["junction_min_eig"][parent] = float(eigs[0])
+        if not eigs[0] > POSITIVITY_REL_TOL * max(abs(e) for e in eigs.tolist()):
+            failed.add("junction_matrix")
     failed = tuple(name for name in CHECK_ORDER if name in failed)
     return NetworkCertificate(not failed, epsilon, 0, ws, failed, **detail)
 
@@ -628,11 +704,11 @@ def certify_network(
     channel. The schedule is the ladder epsilon_start * 0.5**k, k = 0 ...
     ``MAX_HALVINGS``, whose normal rungs have the bits of k halvings. Let
     ``first`` be its first rung below the smallest end cap
-    (``_Channel.cap``), or ``MAX_HALVINGS`` if there is none: every rung
+    (``_Record.cap``), or ``MAX_HALVINGS`` if there is none: every rung
     before it fails an outlet check or its existence. The search starts at
     rung max(first - 1, 0), so that the checks decide a rung within
     rounding of the cap, and halves epsilon while an attempt (``_attempt``)
-    fails. The last attempt runs every check on the fine grid, so a refused
+    fails. Every attempt runs every check on the fine grid, so a refused
     certificate lists every failure at the final epsilon. An
     ``epsilon_start`` that is not positive and finite raises ValueError.
     """
@@ -640,10 +716,11 @@ def certify_network(
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)
-    channels = _channels(topo, profiles)
-    cap = min(c.cap(None if i in topo.junctions else gains[i]) for i, c in channels.items())
+    record = _record(topo, profiles)
+    cap = min(record.cap(r, None if q.channel in topo.junctions else gains[q.channel])
+              for r, q in enumerate(record.profiles))
     first = next((k for k in range(MAX_HALVINGS) if start * 0.5**k < cap), MAX_HALVINGS)
     for halvings in range(max(first - 1, 0), MAX_HALVINGS + 1):
-        cert = _attempt(topo, gains, start * 0.5**halvings, channels, halvings == MAX_HALVINGS)
+        cert = _attempt(topo, gains, start * 0.5**halvings, record)
         if cert.certified or halvings == MAX_HALVINGS:
             return replace(cert, halvings=halvings)

@@ -4,12 +4,16 @@ The potential helpers evaluate the first integral of the steady depth
 equation with plain algebra. The ODE oracles go the other way: they
 integrate the ODE forms of quantities that the library evaluates in closed
 form, the steady depth included. brentq, at its tightest setting, is the
-oracle of the Newton solve for the blow-up depth. The simulator's sparse
+oracle of the Newton solve for the blow-up depth. The certificate, which
+the library builds on one array per network, has its oracle in the
+per-channel path (``certify_per_channel``). The simulator's sparse
 operators have their oracle in scipy's diags, block_diag and bmat chains.
 """
 
 import dataclasses
 import math
+from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +22,14 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from channet.characteristics import (
+    CharCoeffs,
     eigenvalues,
+    outlet_traces,
     phi_exponents,
+    reflection_coefficient,
     speeds_couplings,
 )
-from channet.errors import DegenerateFlux, WeightError
+from channet.errors import DegenerateFlux, EpsilonTooLarge, MissingGain, WeightError
 from channet.gains import is_admissible
 from channet.steady import (
     FINE_REFINEMENT,
@@ -34,12 +41,18 @@ from channet.steady import (
     potential_slope,
     solve_network_steady,
 )
-from channet.topology import ChannelSpec, NetworkTopology
+from channet.topology import ChannelSpec, NetworkTopology, traversal_order
 import channet.weights as weights_module
 from channet.weights import (
+    CHECK_ORDER,
     DEFAULT_EPSILON,
+    POSITIVITY_REL_TOL,
+    ChannelWeights,
+    NetworkCertificate,
     PhiProfiles,
+    _sym2x2_eig_bounds,
     certify_network,
+    interior_matrix,
     m_value,
 )
 
@@ -445,16 +458,240 @@ def certify_by_ladder(topo, profiles, gains):
     0.5**k (``certify_once``) certifies, else the single attempt at rung
     MAX_HALVINGS, each with its halvings set to k. The oracle of
     certify_network's search, which starts below the rungs its end caps
-    refuse. The channels' epsilon-free records are made once and shared by
+    refuse. The network's epsilon-free record is made once and shared by
     the attempts, as in a search."""
     last = weights_module.MAX_HALVINGS
-    channels = weights_module._channels(topo, profiles)
+    record = weights_module._record(topo, profiles)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(weights_module, "_channels", lambda *args: channels)
+        patch.setattr(weights_module, "_record", lambda *args: record)
         for k in range(last + 1):
             cert = certify_once(topo, profiles, gains, DEFAULT_EPSILON * 0.5**k)
             if cert.certified or k == last:
                 return dataclasses.replace(cert, halvings=k)
+
+
+def record_rows(topo, profiles):
+    """Each channel's row of the certificate's epsilon-free record, in
+    traversal order: its ``coeffs`` and, on its fine grid, ``eta_bar``,
+    ``u`` and ``J``, with ``at(epsilon)`` and ``cap(gain)`` of the one-row
+    record that the row trims to, so that no other channel's existence
+    bounds its epsilon."""
+    record = weights_module._record(topo, profiles)
+    names = [f.name for f in dataclasses.fields(record) if f.name != "profiles"]
+    rows = {}
+    for r, prof in enumerate(record.profiles):
+        n = prof.x_fine.size
+        one = dataclasses.replace(record, profiles=(prof,),
+                                  **{name: getattr(record, name)[r : r + 1, :n] for name in names})
+        rows[prof.channel] = SimpleNamespace(
+            coeffs=one.coeffs[0], eta_bar=one.eta_bar[0], u=one.u[0], J=one.J[0],
+            at=lambda epsilon, one=one: tuple(a[0] for a in one.at(epsilon)),
+            cap=lambda gain, one=one: one.cap(0, gain))
+    return rows
+
+
+def _char_coeffs_1d(profile):
+    """CharCoeffs of one profile by the one-dimensional kernel calls, each
+    parameter a Python float: the coefficients of the per-channel path."""
+    H, spec = profile.H_fine, profile.spec
+    if profile.flux == 0.0 or spec.friction == 0.0:
+        lam1, lam2 = eigenvalues(H, profile.velocity_of(H), profile.gravity)
+        return CharCoeffs(profile, lam1, lam2, *(np.zeros_like(H) for _ in range(4)),
+                          *(np.ones_like(H) for _ in range(3)))
+    I1, I2 = phi_exponents(H, profile.inlet_depth, profile.flux,
+                           spec.friction_exponent, profile.gravity)
+    return CharCoeffs(profile, *speeds_couplings(
+        H, profile.flux, spec.friction, spec.friction_exponent, profile.gravity),
+        np.exp(I1 + I2), np.exp(I1) ** 2, np.exp(-I2) ** 2)
+
+
+def _cumulative_1d(f, x):
+    """The integral of f from x[0] on the grid x by the trapezoid rule."""
+    out = np.zeros_like(x)
+    np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x), out=out[1:])
+    return out
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Channel:
+    """The epsilon-free record of one channel on its own fine grid: its
+    coefficients and eta_bar, u and J, with the super-solution at an
+    epsilon (``at``) and the end cap of its outlet check (``cap``)."""
+
+    coeffs: CharCoeffs
+    eta_bar: np.ndarray
+    u: np.ndarray
+    J: np.ndarray
+
+    @classmethod
+    def of(cls, profile, trunk_inlet):
+        coeffs = _char_coeffs_1d(profile)
+        eta_bar = coeffs.lambda2 / coeffs.lambda1 * coeffs.phi
+        if trunk_inlet:
+            if profile.flux == 0.0:
+                raise DegenerateFlux("trunk channels carry positive flux")
+        else:
+            if profile.flux > 0.0:
+                eta_bar *= m_value(profile.H_fine, profile.inlet_depth, profile.flux,
+                                   profile.spec.friction_exponent, profile.gravity)
+            eta_bar[0] = 1.0
+        c = coeffs.gamma2 / (coeffs.lambda2 * coeffs.phi)
+        x = profile.x_fine
+        B = _cumulative_1d(2.0 * c * eta_bar, x)
+        u = np.exp(B) * (1.0 + _cumulative_1d(np.exp(-B), x))
+        return cls(coeffs, eta_bar, u, _cumulative_1d(c * u, x))
+
+    def at(self, epsilon):
+        room = 1.0 - epsilon * self.J
+        if not room[-1] > 0.0:
+            raise EpsilonTooLarge(f"channel {self.coeffs.profile.channel}")
+        slack = epsilon / room
+        return self.eta_bar + self.u * slack, slack
+
+    def cap(self, gain):
+        phi, prof = float(self.coeffs.phi[-1]), self.coeffs.profile
+        bound = phi
+        if gain is not None:
+            rho = abs(reflection_coefficient(gain, prof.outlet_depth, prof.gravity))
+            bound = math.inf if rho == 0.0 else phi / rho
+        d = bound - float(self.eta_bar[-1])
+        if not d > 0.0:
+            return 0.0
+        J = float(self.J[-1])
+        return math.inf if d == math.inf and J == 0.0 else 1.0 / (float(self.u[-1]) / d + J)
+
+
+def _scaled_per_channel(topo, epsilon, channels):
+    """Each channel's weights at epsilon from its record, parents first, at
+    the alpha that makes W continuous across every junction."""
+    outlet_W = {}
+    for i in traversal_order(topo):
+        c = channels[i]
+        eta, slack = c.at(epsilon)
+        a, b = c.coeffs.phi1_sq / eta, c.coeffs.phi2_sq * eta
+        W = a + b
+        alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / float(W[0])
+        outlet_W[i] = alpha * float(W[-1])
+        yield ChannelWeights(
+            coeffs=c.coeffs, alpha=alpha, epsilon=epsilon, eta_eps=eta, slack=slack,
+            Z=alpha * (a - b), W=alpha * W,
+            f1=alpha * (c.coeffs.phi1_sq / eta) / c.coeffs.lambda1,
+            f2=alpha * (c.coeffs.phi2_sq * eta) / c.coeffs.lambda2)
+
+
+def _junction_matrix_per_channel(ws, incoming):
+    """M_bar of ``junction_matrix`` from the channels' weights in ``ws``."""
+    children = ws.topo.junctions[incoming]
+    cw_in = ws.channels[incoming]
+    H_B, g = cw_in.profile.outlet_depth, cw_in.profile.gravity
+    Z_in, W_in = float(cw_in.Z[-1]), float(cw_in.W[-1])
+    Z0 = [float(ws.channels[c].Z[0]) for c in children]
+    W0 = [float(ws.channels[c].W[0]) for c in children]
+    m = len(children)
+    M = np.full((m + 1, m + 1), Z_in)
+    for l in range(m):
+        M[l, l] = Z_in - Z0[l]
+    s = math.sqrt(g * H_B) / H_B
+    for l in range(m):
+        M[l, m] = M[m, l] = s * (W_in - W0[l])
+    M[m, m] = (g / H_B) * (Z_in - sum(Z0))
+    M[:m, m] = 0.0
+    M[m, :m] = 0.0
+    return M
+
+
+def _channel_checks_per_channel(ws, cw, gains, detail):
+    """The end checks of ``weights._channel_checks`` from the channel's weights."""
+    topo, i, prof = ws.topo, cw.channel, cw.profile
+    failed = []
+    if i in topo.junctions:
+        z = float(cw.Z[-1])
+        detail["z_end"][i] = z
+        if not z > 0.0:
+            failed.append("junction_outflow_positive")
+    else:
+        k = float(gains[i])
+        detail["reflection"][i] = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
+        y1, y2 = outlet_traces(k, prof.outlet_depth, prof.gravity)
+        c, eta = cw.coeffs, cw.eta_eps[-1]
+        term = c.phi1_sq[-1] / eta * y1**2 - c.phi2_sq[-1] * eta * y2**2
+        margin = cw.alpha * float(term)
+        detail["terminal_margins"][i] = margin
+        if not margin > 0.0:
+            failed.append("terminal_margin")
+    if i == topo.root_channel:
+        V0 = prof.velocity_of(prof.inlet_depth)
+        lam1, lam2 = float(cw.coeffs.lambda1[0]), float(cw.coeffs.lambda2[0])
+        eps = cw.epsilon
+        coefficient = cw.alpha * lam1 * eps * (2.0 * lam2 + lam1 * eps) / ((lam2 / lam1 + eps) * V0**2)
+        detail["trunk_inlet"] = coefficient
+        if not coefficient > 0.0:
+            failed.append("trunk_inlet")
+    else:
+        z = float(cw.Z[0])
+        detail["z_start"][i] = z
+        if not z < 0.0:
+            failed.append("branch_inflow_negative")
+    return failed
+
+
+def _fine_checks_per_channel(ws, cw, detail):
+    """The interior matrix of one channel and, once the last of its siblings
+    is built, the junction matrix that feeds it."""
+    failed = []
+    low, norm = _sym2x2_eig_bounds(*interior_matrix(cw))
+    detail["interior_min_eig"][cw.channel] = float(np.min(low))
+    if not np.all(low > POSITIVITY_REL_TOL * norm):
+        failed.append("interior_matrix")
+    topo = ws.topo
+    if cw.channel != topo.root_channel:
+        parent = topo.parent_of(cw.channel)
+        if all(c in ws.channels for c in topo.junctions[parent]):
+            eigs = np.linalg.eigvalsh(_junction_matrix_per_channel(ws, parent))
+            detail["junction_min_eig"][parent] = float(eigs[0])
+            if not eigs[0] > POSITIVITY_REL_TOL * float(np.max(np.abs(eigs))):
+                failed.append("junction_matrix")
+    return failed
+
+
+def _attempt_per_channel(topo, gains, epsilon, channels, last):
+    """One attempt, channel by channel in traversal order, stopping at the
+    first failure unless it is the ``last``."""
+    ws = SimpleNamespace(topo=topo, channels={})
+    detail = defaultdict(dict)
+    failed = set()
+    try:
+        for cw in _scaled_per_channel(topo, epsilon, channels):
+            ws.channels[cw.channel] = cw
+            detail["alphas"][cw.channel] = cw.alpha
+            failed.update(_channel_checks_per_channel(ws, cw, gains, detail))
+            failed.update(_fine_checks_per_channel(ws, cw, detail))
+            if failed and not last:
+                break
+    except EpsilonTooLarge:
+        return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",))
+    failed = tuple(name for name in CHECK_ORDER if name in failed)
+    return NetworkCertificate(not failed, epsilon, 0, ws, failed, **detail)
+
+
+def certify_per_channel(topo, profiles, gains, epsilon_start=DEFAULT_EPSILON):
+    """certify_network channel by channel: each channel's record on its own
+    fine grid, by one-dimensional kernel calls, and each attempt a pass over
+    the channels in traversal order. The oracle of the certificate on one
+    array per network, which must give its certificate and weights to the
+    byte."""
+    last = weights_module.MAX_HALVINGS
+    for j in topo.terminal_channels:
+        if j not in gains:
+            raise MissingGain(j)
+    channels = {i: _Channel.of(profiles[i], i == topo.root_channel) for i in traversal_order(topo)}
+    cap = min(c.cap(None if i in topo.junctions else gains[i]) for i, c in channels.items())
+    first = next((k for k in range(last) if epsilon_start * 0.5**k < cap), last)
+    for halvings in range(max(first - 1, 0), last + 1):
+        cert = _attempt_per_channel(topo, gains, epsilon_start * 0.5**halvings, channels,
+                                    halvings == last)
+        if cert.certified or halvings == last:
+            return dataclasses.replace(cert, halvings=halvings)
 
 
 def small_star(cells=100):

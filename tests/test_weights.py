@@ -14,6 +14,7 @@ from channet.characteristics import (
     CharCoeffs,
     eigenvalues,
     log_phi,
+    parameter_columns,
     phi_exponents,
     reflection_coefficient,
     speeds_couplings,
@@ -34,6 +35,7 @@ from channet.weights import (
     eta_eps,
     interior_matrix,
     junction_matrix,
+    m_value,
     network_weights,
     phi_profiles,
     trunk_inlet_coefficient,
@@ -47,6 +49,7 @@ from conftest import (
     admissible_gain,
     certify_by_ladder,
     certify_once,
+    certify_per_channel,
     draw_channel,
     draw_random_tree,
     draw_star,
@@ -56,6 +59,7 @@ from conftest import (
     eta_eps_by_ode_in_x,
     existence_integral_by_ode,
     m_profile,
+    record_rows,
     riccati_existence_margin,
     small_star,
 )
@@ -457,7 +461,7 @@ def test_epsilon_too_large(star_profiles):
     topo, profiles = star_profiles
     for i, prof in profiles.items():
         trunk = i == topo.root_channel
-        J_L = float(weights_module._Channel.of(CharCoeffs.from_profile(prof), trunk).J[-1])
+        J_L = float(weights_module._Record.of([prof], trunk).J[0, -1])
         assert J_L > 0.0
         for epsilon in (1.01 / J_L, 1e3):
             with pytest.raises(EpsilonTooLarge, match=f"channel {i}: "):
@@ -698,7 +702,7 @@ def test_search_agrees_with_the_ladder_at_every_terminal_tie_gain(star_profiles)
 
             def margin(gain):
                 detail = defaultdict(dict)
-                weights_module._channel_checks(ws, ws.channels[j], {j: gain}, detail)
+                weights_module._channel_checks(ws, j, {j: gain}, detail)
                 return detail["terminal_margins"][j]
 
             prof = profiles[j]
@@ -764,6 +768,85 @@ def test_search_gives_the_ladders_certificate(star_profiles, which):
     assert cases == {"star": 4, "suite": 210, "sweep": 1278}[which]
 
 
+@pytest.mark.parametrize("which", ["star", "suite", "sweep"])
+def test_certificate_is_the_per_channel_paths(star_profiles, which):
+    # the certificate on one array per network against the per-channel path
+    # it replaced, each channel's record on its own grid by one-dimensional
+    # kernel calls: certificate and weights to the byte
+    cases = 0
+    for topo, profiles, gains in _ladder_cases(star_profiles, which):
+        cert, oracle = certify_network(topo, profiles, gains), certify_per_channel(topo, profiles, gains)
+        assert _certificate_bytes(cert, cert.halvings) == _certificate_bytes(
+            oracle, oracle.halvings), (list(topo.channels), gains)
+        cases += 1
+    assert cases == {"star": 4, "suite": 210, "sweep": 1278}[which]
+
+
+def _unequal_cells(topo, cells=(100, 37, 64, 16)):
+    """``topo`` with channel k at the k-th of ``cells`` cells."""
+    channels = {i: dataclasses.replace(spec, cells=n)
+                for (i, spec), n in zip(sorted(topo.channels.items()), cells)}
+    return dataclasses.replace(topo, channels=channels)
+
+
+def test_channels_of_unequal_length_give_the_per_channel_certificate():
+    # every benchmark network has one cell count on all its channels; here
+    # the rows have 401, 149, 257 and 65 fine points, so three are padded
+    # with their last abscissa and depth. The README star, the star with
+    # channel 4 at a split of 0.0 and the star with a frictionless channel 3
+    # give the per-channel path's certificate and weights to the byte
+    star = _unequal_cells(small_star())
+    zero_split = dataclasses.replace(star, split_fractions={1: (0.6, 0.4, 0.0)})
+    frictionless = dataclasses.replace(star, channels={
+        **star.channels, 3: dataclasses.replace(star.channels[3], friction=0.0)})
+    for topo, gains in ((star, STAR_GAINS), (zero_split, {2: 0.0, 3: 0.0, 4: 0.5}),
+                        (frictionless, STAR_GAINS)):
+        profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+        record = weights_module._record(topo, profiles)
+        assert [q.x_fine.size for q in record.profiles] == [401, 149, 257, 65]
+        assert record.eta_bar.shape == (4, 401)
+        cert, oracle = certify_network(topo, profiles, gains), certify_per_channel(topo, profiles, gains)
+        assert cert.weights is not None
+        assert _certificate_bytes(cert, cert.halvings) == _certificate_bytes(
+            oracle, oracle.halvings), topo.split_fractions
+    profiles = solve_network_steady(star, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+    cert = certify_network(star, profiles, STAR_GAINS)
+    assert (cert.certified, cert.epsilon, cert.halvings) == (True, 2.44140625e-07, 12)
+
+
+def test_kernels_on_a_row_stack_have_each_rows_bits():
+    # speeds_couplings, phi_exponents and m_value on five depth rows at once,
+    # each parameter a column, against their one-row calls on Python floats:
+    # numpy takes H ** 2.0 as H * H, so every power is taken row by row
+    rows = []
+    for k, p in enumerate((0.0, 1.0, 4.0 / 3.0, 2.0, 4.5)):
+        g, flux, H0 = (9.81, 3.71)[k % 2], 0.6 + 0.4 * k, 1.5 + 0.2 * k
+        probe = ChannelSpec(id=k + 1, length=1.0, friction=1e-3, friction_exponent=p,
+                            gravity=g, cells=24)
+        bound = integrate_channel_steady(probe, H0, flux).blowup_bound
+        spec = dataclasses.replace(probe, length=0.6 * bound)
+        rows.append(integrate_channel_steady(spec, H0, flux))
+    H = np.array([q.H_fine for q in rows])
+    H0, flux, friction, p, g = parameter_columns(rows)
+    stacked = {
+        "speeds_couplings": speeds_couplings(H, flux, friction, p, g),
+        "phi_exponents": phi_exponents(H, H0, flux, p, g),
+        "m_value": (m_value(H, H0, flux, p, g),),
+    }
+    for r, q in enumerate(rows):
+        terms = (q.inlet_depth, q.flux, q.spec.friction, q.spec.friction_exponent, q.gravity)
+        assert all(isinstance(t, float) for t in terms)
+        assert np.any(q.H_fine != q.inlet_depth)
+        one = {
+            "speeds_couplings": speeds_couplings(q.H_fine, *terms[1:]),
+            "phi_exponents": phi_exponents(q.H_fine, *terms[:2], *terms[3:]),
+            "m_value": (m_value(q.H_fine, *terms[:2], *terms[3:]),),
+        }
+        for name, arrays in one.items():
+            for a, b in zip(stacked[name], arrays):
+                assert a[r].tobytes() == b.tobytes(), (name, q.spec.friction_exponent)
+
+
 def test_search_gives_the_ladders_certificate_on_a_five_level_tree(monkeypatch):
     # T40/1 at 40 halvings: the ladder refuses the first two rungs for
     # existence and the next twenty for a junction outflow and a junction
@@ -805,7 +888,7 @@ def test_uncoupled_terminal_at_its_non_reflecting_gain_has_no_cap():
         gains = _non_reflecting(topo, profiles)
         prof = profiles[j]
         assert reflection_coefficient(gains[j], prof.outlet_depth, prof.gravity) == 0.0
-        channel = weights_module._channels(topo, profiles)[j]
+        channel = record_rows(topo, profiles)[j]
         assert channel.J[-1] == 0.0
         assert channel.cap(gains[j]) == math.inf
         assert 0.0 < channel.cap(0.5 * gains[j]) < math.inf
@@ -867,7 +950,7 @@ def test_channel_record_starts_at_the_inlet_value(star_profiles):
     # start + epsilon and its slack epsilon to the bit
     checked = 0
     for topo, profiles in criterion_05_networks(star_profiles):
-        channels = weights_module._channels(topo, profiles)
+        channels = record_rows(topo, profiles)
         assert list(channels) == traversal_order(topo)
         for i, c in channels.items():
             prof = profiles[i]
@@ -894,7 +977,7 @@ def test_eta_bar_is_the_comparison_solution_on_every_channel(star_profiles):
     # (the oracle at a tolerance three times tighter halves that gap)
     checked = 0
     for topo, profiles in criterion_05_networks(star_profiles):
-        for i, c in weights_module._channels(topo, profiles).items():
+        for i, c in record_rows(topo, profiles).items():
             prof = profiles[i]
             ref = eta_eps_by_ode_in_x(prof, 0.0, c.eta_bar[0])(prof.x_fine)
             error = np.abs(c.eta_bar - ref) / ref
@@ -911,7 +994,7 @@ def test_eta_is_the_comparison_solution_to_first_order_on_the_star(star_profiles
     # and u and J by the trapezoid rule's error, both times epsilon
     topo, profiles = star_profiles
     epsilon = 2.44140625e-07
-    for i, c in weights_module._channels(topo, profiles).items():
+    for i, c in record_rows(topo, profiles).items():
         prof = profiles[i]
         ref = eta_eps_by_ode_in_x(prof, epsilon, c.eta_bar[0] + epsilon)(prof.x_fine)
         assert np.max(np.abs(c.at(epsilon)[0] - ref) / ref) <= 1e-10, i
@@ -925,7 +1008,7 @@ def test_eta_bar_is_the_comparison_solution_at_the_largest_friction_exponent():
     channels = {i: dataclasses.replace(s, friction_exponent=4.5) for i, s in topo.channels.items()}
     topo = dataclasses.replace(topo, channels=channels)
     profiles = solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
-    for i, c in weights_module._channels(topo, profiles).items():
+    for i, c in record_rows(topo, profiles).items():
         prof = profiles[i]
         assert np.all(c.coeffs.gamma2 >= 0.0)
         ref = eta_eps_by_ode_in_x(prof, 0.0, c.eta_bar[0])(prof.x_fine)
@@ -944,7 +1027,7 @@ def test_super_solution_has_its_slack(star_profiles):
     networks = criterion_05_networks(star_profiles)
     checked = 0
     for topo, profiles in networks[:1] + networks[1::7]:
-        for i, c in weights_module._channels(topo, profiles).items():
+        for i, c in record_rows(topo, profiles).items():
             if not c.J[-1] > 0.0:
                 continue
             epsilon = 0.5 / float(c.J[-1])
@@ -966,7 +1049,7 @@ def test_certificate_limit_is_the_gain_screens_ratio(star_profiles):
     # the 70 criterion-5 networks
     checked = 0
     for topo, profiles in criterion_05_networks(star_profiles):
-        channels = weights_module._channels(topo, profiles)
+        channels = record_rows(topo, profiles)
         for j in topo.terminal_channels:
             c, rec = channels[j], is_admissible(profiles[j], 0.0)
             limit = c.eta_bar[-1] / c.coeffs.phi[-1]
