@@ -439,7 +439,7 @@ class NetworkSimulator:
                             + [(i, int(k) - 1, "outlet") for i, k in zip(ids, n)])
 
     def _face_relations(self):
-        """Each face relation's constants in Python floats and the faces it sets (_solve_faces)."""
+        """Each face relation's constants in Python floats and the faces it sets (_faces)."""
         m, topo = self.m, self.topo
         ordinal = {i: k for k, i in enumerate(self.ids)}
         # one unknown depth per relation: the root inlet, then the outlet of each
@@ -499,30 +499,29 @@ class NetworkSimulator:
         return {i: (y[sh], y[sv]) for i, sh, sv in self._slices}
 
     def _face_dict(self, faces):
-        """id -> (h0, v0, hL, vL) of the lists (fh, fv) of _solve_faces."""
+        """id -> (h0, v0, hL, vL) of the lists (fh, fv) of _faces."""
         (fh, fv), m = faces, self.m
         return {i: (fh[k], fv[k], fh[m + k], fv[m + k]) for k, i in enumerate(self.ids)}
 
     def _linear_operator(self):
         """(A, F, influx row) of the linear right-hand side, by the chain rule.
 
-        The faces are linear in the end cells, F holding the faces of each
-        unit end cell, and the tendency is linear in the state and the faces:
-        A is the state's part of the flux matrix plus the source's diagonals
-        plus T F, T being K's boundary columns times J, the Jacobian of the
-        face fluxes (B1, B2). Each face's fluxes read only its own (h, v), so
-        two _boundary_fluxes calls give J: every face at unit depth, then at
-        unit velocity. The influx row is J's B1 rows, inlets in and outlets
-        out, times F. F, J, T and K_y + S, K_y the state's columns of K, are
-        one pass each; scipy adds T @ F, in the entry order that A @ A then
-        follows.
+        The faces are linear in the 4m end entries y[self._ends], F holding
+        the faces (_faces) of each unit list of them, and the tendency is
+        linear in the state and the faces: A is the state's part of the flux
+        matrix plus the source's diagonals plus T F, T being K's boundary
+        columns times J, the Jacobian of the face fluxes (B1, B2). Each
+        face's fluxes read only its own (h, v), so two _boundary_fluxes calls
+        give J: every face at unit depth, then at unit velocity. The influx
+        row is J's B1 rows, inlets in and outlets out, times F. F, J, T and
+        K_y + S, K_y the state's columns of K, are one pass each; scipy adds
+        T @ F, in the entry order that A @ A then follows.
         """
-        N, m2, ends = self.N, 2 * self.m, np.unique(self._ends)
-        unit = np.zeros((ends.size, 2 * N))
-        unit[np.arange(ends.size), ends] = 1.0
-        face = np.array([self._solve_faces(y)[0] for y in unit]).reshape(ends.size, 2 * m2)
+        N, m2, m4 = self.N, 2 * self.m, 4 * self.m
+        face = np.array([self._faces([0.0] * b + [1.0] + [0.0] * (m4 - 1 - b))
+                         for b in range(m4)]).reshape(m4, m4)
         b, k = np.nonzero(face)
-        F = _csr((2 * m2, 2 * N), [(k, ends[b], face[b, k])])
+        F = _csr((2 * m2, 2 * N), [(k, self._ends[b], face[b, k])])
         one, none = [1.0] * m2, [0.0] * m2
         (h1, h2, _), (v1, v2, _) = (self._boundary_fluxes(*f) for f in ((one, none), (none, one)))
         k, f = np.arange(2 * m2), np.tile(np.arange(m2), 2)  # J's rows, B1 then B2
@@ -594,8 +593,14 @@ class NetworkSimulator:
 
     def _solve_faces(self, y):
         """((fh, fv), B1, B2, net boundary mass influx) of the flat state y:
-        the lists of face depths fh and velocities fv and the boundary
-        fluxes, each of the m inlet then the m outlet faces.
+        its faces (_faces), then their boundary fluxes."""
+        faces = self._faces(y[self._ends].tolist())
+        return (faces, *self._boundary_fluxes(*faces))
+
+    def _faces(self, end):
+        """(fh, fv), the lists of face depths and velocities of the m inlet
+        then the m outlet faces, from the list ``end`` of the 4m end entries
+        y[self._ends] of a flat state y, which are all that a face reads.
 
         The root's relation is its mass flux H v + V h + q h v with v = y2 +
         s(h), s the depth shift and y2 the outgoing invariant of its inlet
@@ -608,10 +613,9 @@ class NetworkSimulator:
         the end cells' invariants with _shift's formula, and each face is set
         where its relation is solved: the root face at velocity y2 + s, an
         outlet face at k h (terminal) or y1 - Y (junction), and each child's
-        inlet face at y2_c + Y. The boundary fluxes follow from the faces.
+        inlet face at y2_c + Y.
         """
         m, q = self.m, self.phys.quadratic
-        end = y[self._ends].tolist()
         # y2 of the m inlet cells, then y1 of the m outlet cells
         inv = []
         for h, v, (H, g, c, site, sign) in zip(end[: 2 * m], end[2 * m :], self._end_cells):
@@ -627,7 +631,7 @@ class NetworkSimulator:
             fh[f], fv[f] = h, inv[f] - Y if ch else k * h
             for c in ch:
                 fh[c], fv[c] = h, inv[c] + Y
-        return ((fh, fv), *self._boundary_fluxes(fh, fv))
+        return fh, fv
 
     def _boundary_fluxes(self, fh, fv):
         """(B1, B2, net boundary mass influx) of the lists fh, fv of face
@@ -641,7 +645,7 @@ class NetworkSimulator:
     def face_states(self, y: np.ndarray, flat: bool = False):
         """Every boundary and junction face: channel id -> (h0, v0, hL, vL), or
         the (2, 2m) array if flat, solved from the flat state y alone."""
-        f = self._solve_faces(y)[0]
+        f = self._faces(y[self._ends].tolist())
         return np.array(f) if flat else self._face_dict(f)
 
     # -- semi-discrete right-hand side ---------------------------------------

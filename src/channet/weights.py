@@ -56,30 +56,32 @@ and J, u and J as cumulative trapezoid sums along the rows; each channel's
 the bits of its one-row record, which ``eta_eps`` makes. eta_bar[0] is the inlet value
 exactly, so eta(0) is that value + epsilon to the bit.
 
-The search (``certify_network``) walks the ladder epsilon_start * 0.5**k
-from the rung that the end caps name. Each outlet check, a junction outflow
-Z(L) > 0 or a terminal margin, is alpha > 0 times a term free of alpha that
-is positive exactly when eta(L) < C: C = phi(L) at a junction and
-phi(L) / |rho| at a terminal of reflection rho. As eta(L) is explicit in
-epsilon, so is the root of that condition, the channel's end cap
-(``_Record.cap``), which lies below the existence bound 1 / J(L); every
-rung at or above the smallest cap is refused. The search starts one rung
-before the first rung below it, so that the checks decide a rung within
-rounding of the cap. An attempt (``_attempt``) is one pass over the
-record's arrays: eta, the alpha walk (parents first), Z, W, f1, f2 and N(x)
-with its 2 x 2 bounds, each one array expression over every channel. Only
-the end checks and each junction's eigenvalues are taken per channel or
-junction, from the arrays' end columns. Each channel's ``ChannelWeights``
-is a view of its row, made when first read. An attempt returns its own
-``NetworkCertificate``, whose fields other than the weights are the report. The test suite (``tests/conftest.py``) keeps the
-per-channel path (``certify_per_channel``) and the ODE forms of I4 and of
-the comparison solution, solved by scipy, as oracles.
+The search (``certify_network``) reads each terminal's outlet once, its
+traces and reflection at its gain (``_ends``), and walks the ladder
+epsilon_start * 0.5**k from the rung that the end caps name. Each outlet
+check, a junction outflow Z(L) > 0 or a terminal margin, is alpha > 0 times
+a term free of alpha that is positive exactly when eta(L) < C: C = phi(L)
+at a junction and phi(L) / |rho| at a terminal of reflection rho. As eta(L)
+is explicit in epsilon, so is the root of that condition, the channel's end
+cap, which lies below the existence bound 1 / J(L); the caps of all
+channels are one array expression over the record's last column
+(``_end_caps``), and every rung at or above the smallest is refused. The
+search starts one rung before the first rung below it, so that the checks
+decide a rung within rounding of the cap. An attempt (``_attempt``) is one
+pass over the record's arrays: eta, the alpha walk (parents first), Z, W,
+f1, f2, N(x) with its 2 x 2 bounds and the end checks, each one array
+expression over every channel. Only the trunk inlet and each junction's
+eigenvalues are taken one at a time. Each channel's ``ChannelWeights`` is a
+view of its row, made when first read. An attempt returns its own
+``NetworkCertificate``, whose fields other than the weights are the report.
+The test suite (``tests/conftest.py``) keeps the per-channel path
+(``certify_per_channel``) and the ODE forms of I4 and of the comparison
+solution, solved by scipy, as oracles.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -314,30 +316,55 @@ class _Record:
         slack = epsilon / room
         return self.eta_bar + self.u * slack, slack
 
-    def cap(self, r: int, gain: float | None) -> float:
-        """The end cap of row r: the root in epsilon of eta(L) < C, the
-        outlet's check (see the module docstring). C is phi(L) at a junction
-        outflow (``gain`` None) and phi(L) / |rho| at a terminal of
-        reflection rho, +inf at rho = 0 and 0 at the ill-posed gain. With d =
-        C - eta_bar(L), it is 1 / (u(L) / d + J(L)) if d > 0, else 0, and
-        +inf where d = +inf and J(L) = 0: an uncoupled terminal at its
-        non-reflecting gain. Taken in Python floats: the root within
-        rounding, which may move it by a rung."""
-        phi, prof = float(self.phi[r, -1]), self.profiles[r]
-        bound = phi
-        if gain is not None:
-            rho = abs(reflection_coefficient(gain, prof.outlet_depth, prof.gravity))
-            bound = math.inf if rho == 0.0 else phi / rho
-        d = bound - float(self.eta_bar[r, -1])
-        if not d > 0.0:
-            return 0.0
-        J = float(self.J[r, -1])
-        return math.inf if d == math.inf and J == 0.0 else 1.0 / (float(self.u[r, -1]) / d + J)
-
 
 def _record(topo: NetworkTopology, profiles: dict[int, SteadyProfile]) -> _Record:
     """The record of every channel of ``topo``, in traversal order."""
     return _Record.of([profiles[i] for i in traversal_order(topo)], trunk=True)
+
+
+@dataclass(frozen=True, eq=False)
+class _Ends:
+    """The outlets of a record's rows at a network's gains, read once per
+    certificate (``_ends``): the rows that feed a junction, the terminal
+    rows and, at each terminal, its reflection rho
+    (``reflection_coefficient``) and the squares of the traces y1, y2 that
+    its gain sets (``outlet_traces``), each squared as a Python float."""
+
+    junctions: np.ndarray
+    terminals: np.ndarray
+    reflection: np.ndarray
+    y1_sq: np.ndarray
+    y2_sq: np.ndarray
+
+
+def _ends(topo: NetworkTopology, record: _Record, gains: dict[int, float]) -> _Ends:
+    """The ``_Ends`` of ``record``, each terminal at the float of its gain."""
+    junctions, terminals, reads = [], [], []
+    for r, q in enumerate(record.profiles):
+        if q.channel in topo.junctions:
+            junctions.append(r)
+            continue
+        k = float(gains[q.channel])
+        y1, y2 = outlet_traces(k, q.outlet_depth, q.gravity)
+        terminals.append(r)
+        reads.append((reflection_coefficient(k, q.outlet_depth, q.gravity), y1**2, y2**2))
+    rows = (np.array(junctions, dtype=np.intp), np.array(terminals, dtype=np.intp))
+    return _Ends(*rows, *np.array(reads).reshape(-1, 3).T)
+
+
+def _end_caps(record: _Record, ends: _Ends) -> np.ndarray:
+    """The end cap of each row: the root in epsilon of eta(L) < C, its
+    outlet's check (see the module docstring). C is phi(L) on a junction row
+    and phi(L) / |rho| on a terminal's, +inf at rho = 0 and 0 at the
+    ill-posed gain. With d = C - eta_bar(L), the cap is 1 / (u(L) / d +
+    J(L)) where d > 0, else 0, and so +inf where d = +inf and J(L) = 0: an
+    uncoupled terminal at its non-reflecting gain. The root within rounding,
+    which may move it by a rung."""
+    C = record.phi[:, -1].copy()
+    with np.errstate(divide="ignore"):
+        C[ends.terminals] /= np.abs(ends.reflection)
+        d = C - record.eta_bar[:, -1]
+        return np.where(d > 0.0, 1.0 / (record.u[:, -1] / d + record.J[:, -1]), 0.0)
 
 
 def eta_eps(
@@ -585,75 +612,29 @@ CHECK_ORDER = (
 )
 
 
-def _channel_checks(
-    ws: WeightSet,
-    i: int,
-    gains: dict[int, float],
-    detail: dict,
-) -> list[str]:
-    """The checks that read channel ``i`` alone, at its ends: the sign of Z
-    at a junction outflow and at a branch inflow, the trunk inlet and the
-    terminal margin. Records every margin in ``detail`` and returns the
-    names of the failed checks; a check passes only on a strict margin, so
-    a NaN margin fails it. Each margin is alpha > 0 times a term free of
-    alpha (the root's alpha is 1), so each verdict is the same at alpha = 1,
-    and the outlet's is that of ``_Record.cap``. A terminal's margin is
-    alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2) at the outlet: f1 lam1 y1^2 -
-    f2 lam2 y2^2 at the traces of ``outlet_traces``, with no pole in the gain
-    and negative at the ill-posed gain, where y1 = 0. The margin alone
-    refuses a zero-flux outlet at k <= 0: there phi1 = phi2 = 1, eta >= 1 and
-    r <= 0, so |1 + r| <= |1 - r| and the term is at most 0.
-    """
-    topo, record = ws.topo, ws.record
-    r = record.index[i]
-    prof = record.profiles[r]
-    failed: list[str] = []
-    if i in topo.junctions:
-        z = float(ws.Z[r, -1])
-        detail["z_end"][i] = z
-        if not z > 0.0:
-            failed.append("junction_outflow_positive")
-    else:
-        k = float(gains[i])
-        detail["reflection"][i] = reflection_coefficient(k, prof.outlet_depth, prof.gravity)
-        y1, y2 = outlet_traces(k, prof.outlet_depth, prof.gravity)
-        eta = ws.eta_eps[r, -1]
-        term = record.phi1_sq[r, -1] / eta * y1**2 - record.phi2_sq[r, -1] * eta * y2**2
-        margin = ws.alphas[r] * float(term)
-        detail["terminal_margins"][i] = margin
-        if not margin > 0.0:
-            failed.append("terminal_margin")
-
-    if i == topo.root_channel:
-        f1 = trunk_inlet_coefficient(ws)
-        detail["trunk_inlet"] = f1
-        if not f1 > 0.0:
-            failed.append("trunk_inlet")
-    else:
-        z = float(ws.Z[r, 0])
-        detail["z_start"][i] = z
-        if not z < 0.0:
-            failed.append("branch_inflow_negative")
-    return failed
-
-
 def _attempt(
     topo: NetworkTopology,
-    gains: dict[int, float],
+    ends: _Ends,
     epsilon: float,
     record: _Record,
 ) -> NetworkCertificate:
     """Build and check the weights at one epsilon in one pass over the arrays
     of ``record``: its certificate, with halvings 0. The weights
-    (``_weights``) and the interior matrix N(x) at every point of every
-    channel are one array expression each, and N's 2 x 2 bounds reduce
-    along the rows; the end checks (``_channel_checks``) run per channel in
-    traversal order and the junction matrices per junction, each on the
-    arrays' end columns, so no channel's views are made. Every check
-    runs. A missing comparison function fails the attempt as
-    "weight_existence" with no weights and no margins. No pass at the
-    channel ends comes first: the end caps refuse those rungs, all but the
-    one within rounding.
+    (``_weights``), N(x) at every point of every channel and each end check
+    are one array expression each, the end checks on the arrays' end columns
+    at the outlets of ``ends``: Z(L) > 0 on the rows that feed a junction,
+    Z(0) < 0 on the rows after the root's, row 0, and a terminal's margin
+    alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2), f1 lam1 y1^2 - f2 lam2 y2^2
+    at its outlet traces. It has no pole in the gain and is negative at the
+    ill-posed gain, where y1 = 0, and at a zero-flux outlet at k <= 0, where
+    phi1 = phi2 = 1, eta >= 1 and |1 + r| <= |1 - r|. An outlet margin is
+    alpha > 0 times a term free of alpha, with the verdict of its end cap
+    (``_end_caps``). Only the trunk inlet and each junction's matrix are
+    taken one at a time. A check passes only on strict margins, so a NaN
+    margin fails it. Every check runs. A missing comparison function fails
+    the attempt as "weight_existence" with no weights and no margins. No
+    pass at the channel ends comes first: the end caps refuse those rungs,
+    all but the one within rounding.
     """
     try:
         ws = _weights(topo, record, epsilon)
@@ -661,24 +642,36 @@ def _attempt(
         return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",))
     low, norm = _sym2x2_eig_bounds(
         *_interior(record, record.source, record.c, ws.eta_eps, ws.slack, ws.f1, ws.f2))
-    lowest = low.min(axis=1).tolist()
-    positive = (low > POSITIVITY_REL_TOL * norm).all(axis=1).tolist()
-    detail = defaultdict(dict)
-    failed = set()
-    for q, alpha, low_r, positive_r in zip(record.profiles, ws.alphas, lowest, positive):
-        detail["alphas"][q.channel] = alpha
-        failed.update(_channel_checks(ws, q.channel, gains, detail))
-        detail["interior_min_eig"][q.channel] = low_r
-        if not positive_r:
-            failed.add("interior_matrix")
-    for parent in topo.junctions:
-        _, M_bar = junction_matrix(ws, parent)
-        eigs = np.linalg.eigvalsh(M_bar)
-        detail["junction_min_eig"][parent] = float(eigs[0])
-        if not eigs[0] > POSITIVITY_REL_TOL * max(abs(e) for e in eigs.tolist()):
-            failed.add("junction_matrix")
-    failed = tuple(name for name in CHECK_ORDER if name in failed)
-    return NetworkCertificate(not failed, epsilon, 0, ws, failed, **detail)
+    channels = [q.channel for q in record.profiles]
+    t = ends.terminals
+    eta = ws.eta_eps[:, -1][t]
+    margins = np.array(ws.alphas)[t] * (record.phi1_sq[:, -1][t] / eta * ends.y1_sq
+                                        - record.phi2_sq[:, -1][t] * eta * ends.y2_sq)
+    z_end, z_start = ws.Z[:, -1][ends.junctions], ws.Z[1:, 0]
+    trunk = trunk_inlet_coefficient(ws)
+    eigs = {i: np.linalg.eigvalsh(junction_matrix(ws, i)[1]) for i in topo.junctions}
+    passed = {
+        "junction_outflow_positive": (z_end > 0.0).all(),
+        "branch_inflow_negative": (z_start < 0.0).all(),
+        "junction_matrix": all(e[0] > POSITIVITY_REL_TOL * max(abs(v) for v in e.tolist())
+                               for e in eigs.values()),
+        "trunk_inlet": trunk > 0.0,
+        "terminal_margin": (margins > 0.0).all(),
+        "interior_matrix": (low > POSITIVITY_REL_TOL * norm).all(),
+    }
+    failed = tuple(name for name in CHECK_ORDER if not passed[name])
+    terminals = [channels[r] for r in t.tolist()]
+    return NetworkCertificate(
+        not failed, epsilon, 0, ws, failed,
+        alphas=dict(zip(channels, ws.alphas)),
+        z_end=dict(zip([channels[r] for r in ends.junctions.tolist()], z_end.tolist())),
+        z_start=dict(zip(channels[1:], z_start.tolist())),
+        junction_min_eig={i: float(e[0]) for i, e in eigs.items()},
+        trunk_inlet=trunk,
+        terminal_margins=dict(zip(terminals, margins.tolist())),
+        reflection=dict(zip(terminals, ends.reflection.tolist())),
+        interior_min_eig=dict(zip(channels, low.min(axis=1).tolist())),
+    )
 
 
 def _check_epsilon_start(epsilon_start: float) -> float:
@@ -702,25 +695,27 @@ def certify_network(
     coefficient, positive terminal margins for the supplied gains, and a
     positive definite interior matrix N(x) at every fine-grid point of every
     channel. The schedule is the ladder epsilon_start * 0.5**k, k = 0 ...
-    ``MAX_HALVINGS``, whose normal rungs have the bits of k halvings. Let
-    ``first`` be its first rung below the smallest end cap
-    (``_Record.cap``), or ``MAX_HALVINGS`` if there is none: every rung
-    before it fails an outlet check or its existence. The search starts at
-    rung max(first - 1, 0), so that the checks decide a rung within
-    rounding of the cap, and halves epsilon while an attempt (``_attempt``)
-    fails. Every attempt runs every check on the fine grid, so a refused
-    certificate lists every failure at the final epsilon. An
-    ``epsilon_start`` that is not positive and finite raises ValueError.
+    ``MAX_HALVINGS``, whose normal rungs have the bits of k halvings. Each
+    terminal's traces and reflection at its gain are read once (``_ends``)
+    and serve the end caps and every attempt. Let ``first`` be the ladder's
+    first rung below the smallest end cap (``_end_caps``), or
+    ``MAX_HALVINGS`` if there is none: every rung before it fails an outlet
+    check or its existence. The search starts at rung max(first - 1, 0), so
+    that the checks decide a rung within rounding of the cap, and halves
+    epsilon while an attempt (``_attempt``) fails. Every attempt runs every
+    check on the fine grid, so a refused certificate lists every failure at
+    the final epsilon. An ``epsilon_start`` that is not positive and finite
+    raises ValueError.
     """
     start = float(_check_epsilon_start(epsilon_start))
     for j in topo.terminal_channels:
         if j not in gains:
             raise MissingGain(j)
     record = _record(topo, profiles)
-    cap = min(record.cap(r, None if q.channel in topo.junctions else gains[q.channel])
-              for r, q in enumerate(record.profiles))
+    ends = _ends(topo, record, gains)
+    cap = float(_end_caps(record, ends).min())
     first = next((k for k in range(MAX_HALVINGS) if start * 0.5**k < cap), MAX_HALVINGS)
     for halvings in range(max(first - 1, 0), MAX_HALVINGS + 1):
-        cert = _attempt(topo, gains, start * 0.5**halvings, record)
+        cert = _attempt(topo, ends, start * 0.5**halvings, record)
         if cert.certified or halvings == MAX_HALVINGS:
             return replace(cert, halvings=halvings)

@@ -5,6 +5,7 @@ import decimal
 import gc
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -32,7 +33,7 @@ from channet.simulate import (
 )
 from channet.steady import FINE_REFINEMENT, solve_network_steady
 from channet.topology import ChannelSpec, NetworkTopology
-from channet.weights import certify_network, network_weights
+from channet.weights import DEFAULT_EPSILON, certify_network, network_weights
 
 from conftest import (
     FACE_FAILURES,
@@ -41,6 +42,7 @@ from conftest import (
     STAR_ROOT_DEPTH,
     STAR_ROOT_FLUX,
     admissible_gain,
+    draw_random_tree,
     draw_tree,
     dry_junction,
     dry_outlet_cell,
@@ -1019,10 +1021,20 @@ def test_linear_face_solve_is_exact_at_any_amplitude(star_sim_parts):
         assert relative_gap(np.ravel(face), sim.F @ y) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def t40_parts():
+    # T40/1, 14 junctions of 2 or 3 children, at the rung where the ladder
+    # certifies it
+    topo, H0, flux, gains = draw_random_tree(40, 1)
+    profiles = solve_network_steady(topo, H0, flux)
+    return topo, profiles, network_weights(topo, profiles, DEFAULT_EPSILON * 0.5**22), gains
+
+
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-@pytest.mark.parametrize("network", ["star", "tree", "zero-flux"])
+@pytest.mark.parametrize("network", ["star", "tree", "zero-flux", "T40/1"])
 def test_operators_match_the_bmat_assembly_entry_for_entry(star_sim_parts, tree_parts,
-                                                            zero_flux_parts, network, mode):
+                                                            zero_flux_parts, t40_parts,
+                                                            network, mode):
     # a product sums in the entry order of its operands, so the operators of
     # the one-pass assembly hold the same entries in the same order as the
     # chains of diags, block_diag and bmat: every product a run takes is then
@@ -1030,14 +1042,15 @@ def test_operators_match_the_bmat_assembly_entry_for_entry(star_sim_parts, tree_
     if network == "star":
         sim = make_sim(star_sim_parts, mode)
     else:
-        _, _, weights, gains = tree_parts if network == "tree" else zero_flux_parts
+        parts = {"tree": tree_parts, "zero-flux": zero_flux_parts, "T40/1": t40_parts}[network]
+        _, _, weights, gains = parts
         sim = NetworkSimulator(weights, gains, mode=mode)
     N = sim.N
     got = {"L": sim._LL[: 2 * N], "LL": sim._LL}
     dt = None
     if mode == "linear":
-        # 2505, 113 and 2449 steps: two samples
-        stride = {"star": 1252, "tree": 56, "zero-flux": 1224}[network]
+        # 2505, 113, 2449 and 26 steps: two samples
+        stride = {"star": 1252, "tree": 56, "zero-flux": 1224, "T40/1": 13}[network]
         dt = sim.run(None, T=200.0, sample_stride=stride).dt
         got |= {"F": sim.F, "A": sim.A, "O": sim._O, "W": sim._W, "M": sim._heun(dt)[0]}
     ref = operators_by_bmat(sim, dt)
@@ -1046,6 +1059,23 @@ def test_operators_match_the_bmat_assembly_entry_for_entry(star_sim_parts, tree_
         assert op.shape == ref[name].shape, name
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op, part), getattr(ref[name], part)), (name, part)
+
+
+def test_linear_build_probes_the_faces_with_the_end_entries_alone():
+    # F is probed with unit lists of the 4m end entries that a face reads,
+    # not with rows of a dense (4m x 2N) state array: T161/1's linear build
+    # peaks below that array's 4m 2N 8 bytes (39.8 MB), where a build that
+    # made it peaked at 57.7 MB
+    topo, H0, flux, gains = draw_random_tree(161, 1)
+    weights = network_weights(topo, solve_network_steady(topo, H0, flux), 1e-12)
+    tracemalloc.start()
+    try:
+        sim = NetworkSimulator(weights, gains, mode="linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sim.m, sim.N) == (161, 3864)
+    assert peak < 4 * sim.m * 2 * sim.N * 8
 
 
 @pytest.mark.parametrize("network", ["star", "tree"])

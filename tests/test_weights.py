@@ -3,7 +3,7 @@
 import dataclasses
 import json
 import math
-from collections import defaultdict
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -659,9 +659,9 @@ def test_every_rung_the_search_skips_is_refused_by_a_single_attempt(star_profile
     tried = []
     attempt = weights_module._attempt
 
-    def recording(topo, gains, epsilon, *args):
+    def recording(topo, ends, epsilon, *args):
         tried.append(epsilon)
-        return attempt(topo, gains, epsilon, *args)
+        return attempt(topo, ends, epsilon, *args)
 
     monkeypatch.setattr(weights_module, "_attempt", recording)
     rng = np.random.default_rng(2718)
@@ -695,15 +695,15 @@ def test_search_agrees_with_the_ladder_at_every_terminal_tie_gain(star_profiles)
     # the cap, taken in floats, is the next one: a search that started
     # there, not one rung earlier, would skip a rung that certifies.
     topo, profiles = star_profiles
+    record = weights_module._record(topo, profiles)
     for j in (2, 3, 4):
         a, b = is_admissible(profiles[j], 0.0).forbidden
         for k in range(8, 20):
-            ws = network_weights(topo, profiles, DEFAULT_EPSILON * 0.5**k)
+            epsilon = DEFAULT_EPSILON * 0.5**k
 
             def margin(gain):
-                detail = defaultdict(dict)
-                weights_module._channel_checks(ws, j, {j: gain}, detail)
-                return detail["terminal_margins"][j]
+                ends = weights_module._ends(topo, record, {**STAR_GAINS, j: gain})
+                return weights_module._attempt(topo, ends, epsilon, record).terminal_margins[j]
 
             prof = profiles[j]
             low, high = math.sqrt(prof.gravity / prof.outlet_depth), 0.5 * (a + b)
@@ -860,9 +860,9 @@ def test_search_gives_the_ladders_certificate_on_a_five_level_tree(monkeypatch):
     tried = []
     attempt = weights_module._attempt
 
-    def recording(topo, gains, epsilon, *args):
+    def recording(topo, ends, epsilon, *args):
         tried.append(epsilon)
-        return attempt(topo, gains, epsilon, *args)
+        return attempt(topo, ends, epsilon, *args)
 
     monkeypatch.setattr(weights_module, "_attempt", recording)
     cert = certify_network(topo, profiles, gains)
@@ -919,6 +919,29 @@ def test_search_takes_few_attempts(star_profiles, monkeypatch):
         gains = {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}
         certify_network(net, profs, gains)
     assert len(calls) <= 140
+
+
+def test_search_reads_each_terminals_outlet_once(star_profiles, monkeypatch):
+    # the README star at zero gains takes two attempts; its end caps and the
+    # terminal margins of both read one copy of each terminal's traces and
+    # reflection, so each kernel runs at most once per terminal (a read per
+    # attempt and one for the caps made 6 and 9 calls)
+    topo, profiles = star_profiles
+    calls = {}
+    for name in ("outlet_traces", "reflection_coefficient"):
+        kernel = getattr(weights_module, name)
+
+        def counting(gain, outlet_depth, gravity, name=name, kernel=kernel):
+            calls.setdefault(name, []).append(outlet_depth)
+            return kernel(gain, outlet_depth, gravity)
+
+        monkeypatch.setattr(weights_module, name, counting)
+    cert = certify_network(topo, profiles, dict.fromkeys(topo.terminal_channels, 0.0))
+    assert (cert.certified, cert.halvings) == (True, 12)
+    outlets = Counter(profiles[j].outlet_depth for j in topo.terminal_channels)
+    assert len(outlets) == 3
+    for name in ("outlet_traces", "reflection_coefficient"):
+        assert Counter(calls.get(name, [])) <= outlets, (name, calls)
 
 
 def test_speeds_couplings_array_path_is_within_three_ulp_of_the_scalar_path(star_profiles):
