@@ -56,24 +56,26 @@ and J, u and J as cumulative trapezoid sums along the rows; each channel's
 the bits of its one-row record, which ``eta_eps`` makes. eta_bar[0] is the inlet value
 exactly, so eta(0) is that value + epsilon to the bit.
 
-The search (``certify_network``) reads each terminal's outlet once, its
-traces and reflection at its gain (``_ends``), and walks the ladder
-epsilon_start * 0.5**k from the rung that the end caps name. Each outlet
-check, a junction outflow Z(L) > 0 or a terminal margin, is alpha > 0 times
-a term free of alpha that is positive exactly when eta(L) < C: C = phi(L)
-at a junction and phi(L) / |rho| at a terminal of reflection rho. As eta(L)
-is explicit in epsilon, so is the root of that condition, the channel's end
-cap, which lies below the existence bound 1 / J(L); the caps of all
-channels are one array expression over the record's last column
-(``_end_caps``), and every rung at or above the smallest is refused. The
-search starts one rung before the first rung below it, so that the checks
-decide a rung within rounding of the cap. An attempt (``_attempt``) is one
-pass over the record's arrays: eta, the alpha walk (parents first), Z, W,
-f1, f2, N(x) with its 2 x 2 bounds and the end checks, each one array
-expression over every channel. Only the trunk inlet and each junction's
-eigenvalues are taken one at a time. Each channel's ``ChannelWeights`` is a
-view of its row, made when first read. An attempt returns its own
-``NetworkCertificate``, whose fields other than the weights are the report.
+The search (``certify_network``) reads each terminal's traces and
+reflection at its gain (``_ends``) and the rows' end values as Python floats
+(``_Record.ends``) once, and walks the ladder epsilon_start * 0.5**k from
+the rung that the end caps name. Each outlet check, a junction outflow Z(L)
+> 0 or a terminal margin, is alpha > 0 times a term free of alpha that is
+positive exactly when eta(L) < C: C = phi(L) at a junction and phi(L) /
+|rho| at a terminal of reflection rho. Its root in epsilon is the channel's
+end cap (``_end_caps``), below the existence bound 1 / J(L), and the search
+starts one rung before the first rung below the smallest cap, so that the
+checks decide a rung within rounding of it. An attempt (``_attempt``) first
+takes every check that reads only channel ends from those floats
+(``_walk``), each with the bits of the fine-grid arrays' end column, as
+Python's float operations are the IEEE operations of numpy's element-wise
+ones. One that fails refuses the attempt exactly, and unless it is the
+search's last, before any fine-grid array is formed. Otherwise eta, Z, W,
+f1, f2 and N(x) with its 2 x 2 bounds are one array expression each over
+every channel, and each junction's eigenvalues follow. Each channel's
+``ChannelWeights`` is a view of its row, made when first read. An attempt
+returns its own ``NetworkCertificate``, whose fields other than the weights
+are the report.
 The test suite (``tests/conftest.py``) keeps the per-channel path
 (``certify_per_channel``) and the ODE forms of I4 and of the comparison
 solution, solved by scipy, as oracles.
@@ -82,7 +84,7 @@ solution, solved by scipy, as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -96,12 +98,7 @@ from .characteristics import (
     reflection_coefficient,
     row_power,
 )
-from .errors import (
-    DegenerateFlux,
-    EpsilonTooLarge,
-    MissingGain,
-    WeightError,
-)
+from .errors import DegenerateFlux, EpsilonTooLarge, MissingGain, WeightError
 from .steady import SteadyProfile
 from .topology import NetworkTopology, traversal_order
 
@@ -300,20 +297,35 @@ class _Record:
         return tuple(CharCoeffs(q, *(getattr(self, name)[r, : q.x_fine.size] for name in names))
                      for r, q in enumerate(self.profiles))
 
+    @cached_property
+    def ends(self) -> tuple[list, list, list[float], tuple[float, float, float]]:
+        """(inlet, outlet, phi(L), root) as Python floats, made when first
+        read: each row's (eta_bar, u, J, phi1^2, phi2^2) at its inlet and at
+        its outlet, and (lambda1, lambda2, V) at the inlet of row 0."""
+        arrays = (self.eta_bar, self.u, self.J, self.phi1_sq, self.phi2_sq)
+        step = self.J.shape[1] - 1  # the first and the last column, a row has two points or more
+        inlet, outlet = np.array([a[:, ::step] for a in arrays]).transpose(2, 1, 0).tolist()
+        q = self.profiles[0]
+        root = float(self.lambda1[0, 0]), float(self.lambda2[0, 0]), q.velocity_of(q.inlet_depth)
+        return inlet, outlet, self.phi[:, -1].tolist(), root
+
+    def outlet_room(self, epsilon: float) -> list[float]:
+        """1 - epsilon J(L) of every row; EpsilonTooLarge, naming the first
+        such channel, where it is not positive: J grows to the outlet, so
+        eta exists on a channel exactly where it exists at the outlet."""
+        rooms = [1.0 - epsilon * J for _, _, J, _, _ in self.ends[1]]
+        for q, room in zip(self.profiles, rooms):
+            if not room > 0.0:
+                raise EpsilonTooLarge(f"channel {q.channel}: comparison function with "
+                                      f"epsilon={epsilon:g} does not exist on the whole channel")
+        return rooms
+
     def at(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
         """(eta, epsilon / (1 - epsilon J)) at ``epsilon`` on every row, the
-        super-solution and its interior slack eta' - E(eta).
-        EpsilonTooLarge, naming the first such channel, where 1 - epsilon
-        J(L) <= 0: J grows to the outlet, so eta exists on a channel exactly
-        where it exists at the outlet."""
-        room = 1.0 - epsilon * self.J
-        exists = room[:, -1] > 0.0
-        if not exists.all():
-            raise EpsilonTooLarge(
-                f"channel {self.profiles[int(exists.argmin())].channel}: comparison function "
-                f"with epsilon={epsilon:g} does not exist on the whole channel"
-            )
-        slack = epsilon / room
+        super-solution and its interior slack eta' - E(eta), where it exists
+        (``outlet_room``)."""
+        self.outlet_room(epsilon)
+        slack = epsilon / (1.0 - epsilon * self.J)
         return self.eta_bar + self.u * slack, slack
 
 
@@ -324,54 +336,74 @@ def _record(topo: NetworkTopology, profiles: dict[int, SteadyProfile]) -> _Recor
 
 @dataclass(frozen=True, eq=False)
 class _Ends:
-    """The outlets of a record's rows at a network's gains, read once per
-    certificate (``_ends``): the rows that feed a junction, the terminal
-    rows and, at each terminal, its reflection rho
-    (``reflection_coefficient``) and the squares of the traces y1, y2 that
-    its gain sets (``outlet_traces``), each squared as a Python float."""
+    """The rows that feed a junction, the terminal rows and, at each
+    terminal's gain, its reflection rho and the squares of its traces y1,
+    y2 as Python floats, read once per certificate (``_ends``)."""
 
-    junctions: np.ndarray
-    terminals: np.ndarray
-    reflection: np.ndarray
-    y1_sq: np.ndarray
-    y2_sq: np.ndarray
+    junctions: list[int]
+    terminals: list[int]
+    reflection: list[float]
+    y1_sq: list[float]
+    y2_sq: list[float]
 
 
 def _ends(topo: NetworkTopology, record: _Record, gains: dict[int, float]) -> _Ends:
     """The ``_Ends`` of ``record``, each terminal at the float of its gain."""
-    junctions, terminals, reads = [], [], []
+    ends = _Ends([], [], [], [], [])
     for r, q in enumerate(record.profiles):
         if q.channel in topo.junctions:
-            junctions.append(r)
+            ends.junctions.append(r)
             continue
-        k = float(gains[q.channel])
-        y1, y2 = outlet_traces(k, q.outlet_depth, q.gravity)
-        terminals.append(r)
-        reads.append((reflection_coefficient(k, q.outlet_depth, q.gravity), y1**2, y2**2))
-    rows = (np.array(junctions, dtype=np.intp), np.array(terminals, dtype=np.intp))
-    return _Ends(*rows, *np.array(reads).reshape(-1, 3).T)
+        k, H, g = float(gains[q.channel]), q.outlet_depth, q.gravity
+        y1, y2 = outlet_traces(k, H, g)
+        ends.terminals.append(r)
+        ends.reflection.append(reflection_coefficient(k, H, g))
+        ends.y1_sq.append(y1**2)
+        ends.y2_sq.append(y2**2)
+    return ends
 
 
-def _end_caps(record: _Record, ends: _Ends) -> np.ndarray:
-    """The end cap of each row: the root in epsilon of eta(L) < C, its
-    outlet's check (see the module docstring). C is phi(L) on a junction row
-    and phi(L) / |rho| on a terminal's, +inf at rho = 0 and 0 at the
-    ill-posed gain. With d = C - eta_bar(L), the cap is 1 / (u(L) / d +
-    J(L)) where d > 0, else 0, and so +inf where d = +inf and J(L) = 0: an
-    uncoupled terminal at its non-reflecting gain. The root within rounding,
-    which may move it by a rung."""
-    C = record.phi[:, -1].copy()
-    with np.errstate(divide="ignore"):
-        C[ends.terminals] /= np.abs(ends.reflection)
-        d = C - record.eta_bar[:, -1]
-        return np.where(d > 0.0, 1.0 / (record.u[:, -1] / d + record.J[:, -1]), 0.0)
+def _end_caps(record: _Record, ends: _Ends) -> list[float]:
+    """Each row's end cap, the root in epsilon of eta(L) < C, within
+    rounding: C is phi(L) on a junction row and phi(L) / |rho| on a
+    terminal's, +inf at rho = 0. With d = C - eta_bar(L), the cap is 1 /
+    (u(L) / d + J(L)) where d > 0, else 0, and +inf where d = +inf and J(L)
+    = 0: an uncoupled terminal at its non-reflecting gain."""
+    _, outlet, bound, _ = record.ends
+    bound = list(bound)
+    for r, rho in zip(ends.terminals, ends.reflection):
+        bound[r] = bound[r] / abs(rho) if rho else math.inf
+    caps = []
+    for C, (eta_bar, u, J, _, _) in zip(bound, outlet):
+        d = C - eta_bar
+        total = u / d + J if d > 0.0 else math.inf
+        caps.append(1.0 / total if total else math.inf)
+    return caps
 
 
-def eta_eps(
-    profile: SteadyProfile,
-    epsilon: float,
-    trunk_inlet: bool = False,
-) -> np.ndarray:
+def _walk(topo: NetworkTopology, record: _Record, epsilon: float) -> list[tuple[float, ...]]:
+    """Each row's (alpha, a(0), b(0), a(L), b(L)), (a, b) = (phi1^2 / eta,
+    phi2^2 eta), at ``epsilon`` from its end values, parents first: the bits
+    of ``_weights``' end columns. alpha_child = alpha_parent W~_parent(L) /
+    W~_child(0), W~ = a + b, makes W continuous across every junction; the
+    root's alpha is 1, as an overall rescale changes no verdict. At a branch
+    inlet W~(0) = 1 / eta + eta >= 2.
+    EpsilonTooLarge where eta does not exist (``_Record.outlet_room``)."""
+    inlet, outlet, _, _ = record.ends
+    rows, outlet_W = [], {}  # alpha W~(L) of each channel walked
+    for q, (eb0, u0, J0, p10, p20), (ebL, uL, _, p1L, p2L), room in zip(
+            record.profiles, inlet, outlet, record.outlet_room(epsilon)):
+        eta0 = eb0 + u0 * (epsilon / (1.0 - epsilon * J0))
+        etaL = ebL + uL * (epsilon / room)
+        a0, b0, aL, bL = p10 / eta0, p20 * eta0, p1L / etaL, p2L * etaL
+        i = q.channel
+        alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / (a0 + b0)
+        outlet_W[i] = alpha * (aL + bL)
+        rows.append((alpha, a0, b0, aL, bL))
+    return rows
+
+
+def eta_eps(profile: SteadyProfile, epsilon: float, trunk_inlet: bool = False) -> np.ndarray:
     """Strictly increasing comparison function with slope margin epsilon,
     as eta / phi on the channel's fine grid.
 
@@ -445,37 +477,26 @@ class WeightSet:
                 for r, (c, alpha) in enumerate(zip(self.record.coeffs, self.alphas))}
 
 
-def _weights(topo: NetworkTopology, record: _Record, epsilon: float) -> WeightSet:
-    """The weights at ``epsilon`` of every row of ``record``; EpsilonTooLarge
-    where a comparison function does not exist. Times alpha and over (lambda1,
-    lambda2), (phi1^2 / eta, phi2^2 eta) are (f1, f2), and their difference
-    and sum are Z / alpha and W~ = W / alpha. alpha_child = alpha_parent
-    W~_parent(L) / W~_child(0), parents first, makes W continuous across
-    every junction; the root's alpha is 1, as an overall rescale changes no
-    verdict. At a branch inlet phi1 = phi2 = 1 and eta = 1 + epsilon, so
-    W~(0) = 1 / eta + eta >= 2."""
+def _weights(topo: NetworkTopology, record: _Record, epsilon: float,
+             alphas: list[float]) -> WeightSet:
+    """The weights at ``epsilon`` of every row of ``record``, row r at the
+    scale ``alphas[r]`` of ``_walk``; EpsilonTooLarge where a comparison
+    function does not exist. Times alpha and over (lambda1, lambda2),
+    (phi1^2 / eta, phi2^2 eta) are (f1, f2), and their difference and sum
+    are Z / alpha and W~ = W / alpha."""
     eta, slack = record.at(epsilon)
     a, b = record.phi1_sq / eta, record.phi2_sq * eta
-    W = a + b
-    alphas, outlet_W = [], {}  # alpha W~(L) of each channel walked
-    for q, W0, WL in zip(record.profiles, W[:, 0].tolist(), W[:, -1].tolist()):
-        i = q.channel
-        alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / W0
-        outlet_W[i] = alpha * WL
-        alphas.append(alpha)
     alpha = np.array(alphas)[:, None]
     return WeightSet(topo, record, epsilon, tuple(alphas), eta, slack, alpha * (a - b),
-                     alpha * W, alpha * a / record.lambda1, alpha * b / record.lambda2)
+                     alpha * (a + b), alpha * a / record.lambda1, alpha * b / record.lambda2)
 
 
-def network_weights(
-    topo: NetworkTopology,
-    profiles: dict[int, SteadyProfile],
-    epsilon: float,
-) -> WeightSet:
+def network_weights(topo: NetworkTopology, profiles: dict[int, SteadyProfile],
+                    epsilon: float) -> WeightSet:
     """Assemble junction-matched weights for the whole tree at one epsilon.
     Raises EpsilonTooLarge where a comparison function does not exist."""
-    return _weights(topo, _record(topo, profiles), epsilon)
+    record = _record(topo, profiles)
+    return _weights(topo, record, epsilon, [row[0] for row in _walk(topo, record, epsilon)])
 
 
 def junction_matrix(ws: WeightSet, incoming: int):
@@ -490,23 +511,20 @@ def junction_matrix(ws: WeightSet, incoming: int):
     row = ws.record.index
     r = row[incoming]
     prof = ws.record.profiles[r]
-    H_B = prof.outlet_depth
-    g = prof.gravity
+    H_B, g = prof.outlet_depth, prof.gravity
     Z_in, W_in = float(ws.Z[r, -1]), float(ws.W[r, -1])
     # every outgoing channel starts at the junction depth H_B
     Z0 = [float(ws.Z[row[c], 0]) for c in children]
     W0 = [float(ws.W[row[c], 0]) for c in children]
     m = len(children)
     M = np.full((m + 1, m + 1), Z_in)
-    for l in range(m):
-        M[l, l] = Z_in - Z0[l]
     s = math.sqrt(g * H_B) / H_B
     for l in range(m):
+        M[l, l] = Z_in - Z0[l]
         M[l, m] = M[m, l] = s * (W_in - W0[l])
     M[m, m] = (g / H_B) * (Z_in - sum(Z0))
     M_bar = M.copy()
-    M_bar[:m, m] = 0.0
-    M_bar[m, :m] = 0.0
+    M_bar[:m, m] = M_bar[m, :m] = 0.0
     return M, M_bar
 
 
@@ -519,15 +537,13 @@ def trunk_inlet_coefficient(ws: WeightSet) -> float:
     in that form it keeps every digit, where the difference of the two terms
     would lose about 1/epsilon of them.
     """
-    record = ws.record
-    r = record.index[ws.topo.root_channel]
-    prof = record.profiles[r]
-    V0 = prof.velocity_of(prof.inlet_depth)
-    # the inlet speeds of eigenvalues, to the bit
-    lam1, lam2 = float(record.lambda1[r, 0]), float(record.lambda2[r, 0])
-    eps = ws.epsilon
-    eta0 = lam2 / lam1 + eps
-    return ws.alphas[r] * lam1 * eps * (2.0 * lam2 + lam1 * eps) / (eta0 * V0**2)
+    return _trunk_inlet(ws.record, ws.alphas[0], ws.epsilon)
+
+
+def _trunk_inlet(record: _Record, alpha: float, eps: float) -> float:
+    """``trunk_inlet_coefficient`` of row 0, the trunk, at ``alpha``."""
+    lam1, lam2, V0 = record.ends[3]  # eta(0) = lambda2 / lambda1 + epsilon
+    return alpha * lam1 * eps * (2.0 * lam2 + lam1 * eps) / ((lam2 / lam1 + eps) * V0**2)
 
 
 def interior_matrix(cw: ChannelWeights):
@@ -543,8 +559,10 @@ def interior_matrix(cw: ChannelWeights):
 
     so the 2 f1 gamma1 and 2 f2 delta2 terms cancel and N11 = f1 lambda1
     eta' / eta, N22 = f2 lambda2 eta' / eta, with eta' = E(eta) + epsilon /
-    (1 - epsilon J), the super-solution's identity. Returns (N11, N12, N22)
-    arrays.
+    (1 - epsilon J), the super-solution's identity. It is exact for the
+    exact u and J; the record holds their cumulative trapezoid sums, so the
+    eta on the fine grid meets it only up to the sums' O(h^2) error, which
+    enters eta times epsilon. Returns (N11, N12, N22) arrays.
     """
     k = cw.coeffs
     terms = _riccati_terms(k.lambda1, k.lambda2, k.delta1, k.gamma2, k.phi)
@@ -563,9 +581,7 @@ def _sym2x2_eig_bounds(a11, a12, a22):
     mid = 0.5 * (a11 + a22)
     rad = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12**2)
     low = mid - rad
-    high = mid + rad
-    norm = np.maximum(np.abs(low), np.abs(high))
-    return low, norm
+    return low, np.maximum(np.abs(low), np.abs(mid + rad))
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,66 +628,53 @@ CHECK_ORDER = (
 )
 
 
-def _attempt(
-    topo: NetworkTopology,
-    ends: _Ends,
-    epsilon: float,
-    record: _Record,
-) -> NetworkCertificate:
-    """Build and check the weights at one epsilon in one pass over the arrays
-    of ``record``: its certificate, with halvings 0. The weights
-    (``_weights``), N(x) at every point of every channel and each end check
-    are one array expression each, the end checks on the arrays' end columns
-    at the outlets of ``ends``: Z(L) > 0 on the rows that feed a junction,
-    Z(0) < 0 on the rows after the root's, row 0, and a terminal's margin
-    alpha (phi1^2 / eta y1^2 - phi2^2 eta y2^2), f1 lam1 y1^2 - f2 lam2 y2^2
-    at its outlet traces. It has no pole in the gain and is negative at the
-    ill-posed gain, where y1 = 0, and at a zero-flux outlet at k <= 0, where
-    phi1 = phi2 = 1, eta >= 1 and |1 + r| <= |1 - r|. An outlet margin is
-    alpha > 0 times a term free of alpha, with the verdict of its end cap
-    (``_end_caps``). Only the trunk inlet and each junction's matrix are
-    taken one at a time. A check passes only on strict margins, so a NaN
-    margin fails it. Every check runs. A missing comparison function fails
-    the attempt as "weight_existence" with no weights and no margins. No
-    pass at the channel ends comes first: the end caps refuse those rungs,
-    all but the one within rounding.
-    """
+def _attempt(topo: NetworkTopology, ends: _Ends, epsilon: float, record: _Record,
+             halvings: int) -> NetworkCertificate:
+    """The certificate of one epsilon, the search's rung ``halvings``. The
+    end checks come first, in Python floats (``_walk``) at the outlets of
+    ``ends``: Z(L) > 0 on the rows that feed a junction, Z(0) < 0 on the
+    rows after the root's, the trunk inlet and a terminal's margin alpha
+    (phi1^2 / eta y1^2 - phi2^2 eta y2^2), f1 lam1 y1^2 - f2 lam2 y2^2 at
+    its traces, with no pole in the gain, negative at the ill-posed gain (y1
+    = 0) and at a zero-flux outlet at k <= 0. An attempt that fails one and
+    is not the last (halvings < ``MAX_HALVINGS``) is refused there, with
+    those margins and no weights. Otherwise the weights (``_weights``),
+    N(x) and each junction's matrix are checked too. A check passes only on
+    a strict margin, so a NaN margin fails it; a missing comparison function
+    fails as "weight_existence", with no weights and no margins."""
     try:
-        ws = _weights(topo, record, epsilon)
+        walk = _walk(topo, record, epsilon)
     except EpsilonTooLarge:
-        return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",))
-    low, norm = _sym2x2_eig_bounds(
-        *_interior(record, record.source, record.c, ws.eta_eps, ws.slack, ws.f1, ws.f2))
+        return NetworkCertificate(False, epsilon, halvings, None, ("weight_existence",))
+    alphas = [row[0] for row in walk]
+    z_end = [alpha * (aL - bL) for alpha, _, _, aL, bL in (walk[r] for r in ends.junctions)]
+    z_start = [alpha * (a0 - b0) for alpha, a0, b0, _, _ in walk[1:]]
+    margins = [alpha * (aL * y1_sq - bL * y2_sq) for (alpha, _, _, aL, bL), y1_sq, y2_sq
+               in zip((walk[r] for r in ends.terminals), ends.y1_sq, ends.y2_sq)]
+    trunk = _trunk_inlet(record, alphas[0], epsilon)
+    passed = {"junction_outflow_positive": all(z > 0.0 for z in z_end),
+              "branch_inflow_negative": all(z < 0.0 for z in z_start),
+              "trunk_inlet": trunk > 0.0, "terminal_margin": all(m > 0.0 for m in margins)}
     channels = [q.channel for q in record.profiles]
-    t = ends.terminals
-    eta = ws.eta_eps[:, -1][t]
-    margins = np.array(ws.alphas)[t] * (record.phi1_sq[:, -1][t] / eta * ends.y1_sq
-                                        - record.phi2_sq[:, -1][t] * eta * ends.y2_sq)
-    z_end, z_start = ws.Z[:, -1][ends.junctions], ws.Z[1:, 0]
-    trunk = trunk_inlet_coefficient(ws)
-    eigs = {i: np.linalg.eigvalsh(junction_matrix(ws, i)[1]) for i in topo.junctions}
-    passed = {
-        "junction_outflow_positive": (z_end > 0.0).all(),
-        "branch_inflow_negative": (z_start < 0.0).all(),
-        "junction_matrix": all(e[0] > POSITIVITY_REL_TOL * max(abs(v) for v in e.tolist())
-                               for e in eigs.values()),
-        "trunk_inlet": trunk > 0.0,
-        "terminal_margin": (margins > 0.0).all(),
-        "interior_matrix": (low > POSITIVITY_REL_TOL * norm).all(),
-    }
-    failed = tuple(name for name in CHECK_ORDER if not passed[name])
-    terminals = [channels[r] for r in t.tolist()]
-    return NetworkCertificate(
-        not failed, epsilon, 0, ws, failed,
-        alphas=dict(zip(channels, ws.alphas)),
-        z_end=dict(zip([channels[r] for r in ends.junctions.tolist()], z_end.tolist())),
-        z_start=dict(zip(channels[1:], z_start.tolist())),
-        junction_min_eig={i: float(e[0]) for i, e in eigs.items()},
-        trunk_inlet=trunk,
-        terminal_margins=dict(zip(terminals, margins.tolist())),
-        reflection=dict(zip(terminals, ends.reflection.tolist())),
-        interior_min_eig=dict(zip(channels, low.min(axis=1).tolist())),
-    )
+    terminals = [channels[r] for r in ends.terminals]
+    report = dict(alphas=dict(zip(channels, alphas)), trunk_inlet=trunk,
+                  z_end=dict(zip([channels[r] for r in ends.junctions], z_end)),
+                  z_start=dict(zip(channels[1:], z_start)),
+                  terminal_margins=dict(zip(terminals, margins)),
+                  reflection=dict(zip(terminals, ends.reflection)))
+    ws = None
+    if all(passed.values()) or halvings == MAX_HALVINGS:
+        ws = _weights(topo, record, epsilon, alphas)
+        low, norm = _sym2x2_eig_bounds(
+            *_interior(record, record.source, record.c, ws.eta_eps, ws.slack, ws.f1, ws.f2))
+        eigs = {i: np.linalg.eigvalsh(junction_matrix(ws, i)[1]) for i in topo.junctions}
+        passed["junction_matrix"] = all(
+            e[0] > POSITIVITY_REL_TOL * max(abs(v) for v in e.tolist()) for e in eigs.values())
+        passed["interior_matrix"] = (low > POSITIVITY_REL_TOL * norm).all()
+        report.update(junction_min_eig={i: float(e[0]) for i, e in eigs.items()},
+                      interior_min_eig=dict(zip(channels, low.min(axis=1).tolist())))
+    failed = tuple(name for name in CHECK_ORDER if not passed.get(name, True))
+    return NetworkCertificate(not failed, epsilon, halvings, ws, failed, **report)
 
 
 def _check_epsilon_start(epsilon_start: float) -> float:
@@ -681,12 +684,9 @@ def _check_epsilon_start(epsilon_start: float) -> float:
     return epsilon_start
 
 
-def certify_network(
-    topo: NetworkTopology,
-    profiles: dict[int, SteadyProfile],
-    gains: dict[int, float],
-    epsilon_start: float = DEFAULT_EPSILON,
-) -> NetworkCertificate:
+def certify_network(topo: NetworkTopology, profiles: dict[int, SteadyProfile],
+                    gains: dict[int, float],
+                    epsilon_start: float = DEFAULT_EPSILON) -> NetworkCertificate:
     """Search a decreasing epsilon schedule for a full positivity certificate.
 
     Verifies, at each epsilon: positive outflow coefficient Z at every
@@ -695,17 +695,16 @@ def certify_network(
     coefficient, positive terminal margins for the supplied gains, and a
     positive definite interior matrix N(x) at every fine-grid point of every
     channel. The schedule is the ladder epsilon_start * 0.5**k, k = 0 ...
-    ``MAX_HALVINGS``, whose normal rungs have the bits of k halvings. Each
-    terminal's traces and reflection at its gain are read once (``_ends``)
-    and serve the end caps and every attempt. Let ``first`` be the ladder's
-    first rung below the smallest end cap (``_end_caps``), or
-    ``MAX_HALVINGS`` if there is none: every rung before it fails an outlet
-    check or its existence. The search starts at rung max(first - 1, 0), so
-    that the checks decide a rung within rounding of the cap, and halves
-    epsilon while an attempt (``_attempt``) fails. Every attempt runs every
-    check on the fine grid, so a refused certificate lists every failure at
-    the final epsilon. An ``epsilon_start`` that is not positive and finite
-    raises ValueError.
+    ``MAX_HALVINGS``, whose normal rungs have the bits of k halvings. The
+    outlets (``_ends``) and the rows' end values are read once. Let
+    ``first`` be the ladder's first rung below the smallest end cap
+    (``_end_caps``), or ``MAX_HALVINGS`` if there is none: every rung before
+    it fails an outlet check or its existence. The search starts at rung
+    max(first - 1, 0), so that the checks decide a rung within rounding of
+    the cap, and halves epsilon while an attempt (``_attempt``) fails. The
+    attempt returned has run every check: a refused certificate lists every
+    failure at the final epsilon. An ``epsilon_start`` that is not positive
+    and finite raises ValueError.
     """
     start = float(_check_epsilon_start(epsilon_start))
     for j in topo.terminal_channels:
@@ -713,9 +712,9 @@ def certify_network(
             raise MissingGain(j)
     record = _record(topo, profiles)
     ends = _ends(topo, record, gains)
-    cap = float(_end_caps(record, ends).min())
+    cap = min(_end_caps(record, ends))
     first = next((k for k in range(MAX_HALVINGS) if start * 0.5**k < cap), MAX_HALVINGS)
     for halvings in range(max(first - 1, 0), MAX_HALVINGS + 1):
-        cert = _attempt(topo, ends, start * 0.5**halvings, record)
+        cert = _attempt(topo, ends, start * 0.5**halvings, record, halvings)
         if cert.certified or halvings == MAX_HALVINGS:
-            return replace(cert, halvings=halvings)
+            return cert

@@ -474,7 +474,8 @@ def record_rows(topo, profiles):
     """Each channel's row of the certificate's epsilon-free record, in
     traversal order: its ``coeffs`` and, on its fine grid, ``eta_bar``,
     ``u`` and ``J``, with ``at(epsilon)`` and ``cap(gain)``, the end cap
-    (``_end_caps``) at a terminal's gain or, given None, at a junction, of
+    (``_end_caps``, from the row's end values as Python floats) at a
+    terminal's gain or, given None, at a junction, of
     the one-row record that the row trims to, so that no other channel's
     existence bounds its epsilon."""
     record = weights_module._record(topo, profiles)
@@ -487,8 +488,8 @@ def record_rows(topo, profiles):
         rows[prof.channel] = SimpleNamespace(
             coeffs=one.coeffs[0], eta_bar=one.eta_bar[0], u=one.u[0], J=one.J[0],
             at=lambda epsilon, one=one: tuple(a[0] for a in one.at(epsilon)),
-            cap=lambda gain, one=one, i=prof.channel: float(weights_module._end_caps(
-                one, weights_module._ends(topo, one, {i: gain}))[0]))
+            cap=lambda gain, one=one, i=prof.channel: weights_module._end_caps(
+                one, weights_module._ends(topo, one, {i: gain}))[0])
     return rows
 
 

@@ -703,7 +703,8 @@ def test_search_agrees_with_the_ladder_at_every_terminal_tie_gain(star_profiles)
 
             def margin(gain):
                 ends = weights_module._ends(topo, record, {**STAR_GAINS, j: gain})
-                return weights_module._attempt(topo, ends, epsilon, record).terminal_margins[j]
+                return weights_module._attempt(topo, ends, epsilon, record,
+                                              MAX_HALVINGS).terminal_margins[j]
 
             prof = profiles[j]
             low, high = math.sqrt(prof.gravity / prof.outlet_depth), 0.5 * (a + b)
@@ -942,6 +943,117 @@ def test_search_reads_each_terminals_outlet_once(star_profiles, monkeypatch):
     assert len(outlets) == 3
     for name in ("outlet_traces", "reflection_coefficient"):
         assert Counter(calls.get(name, [])) <= outlets, (name, calls)
+
+
+END_CHECKS = ("weight_existence", "junction_outflow_positive", "branch_inflow_negative",
+              "trunk_inlet", "terminal_margin")
+
+
+def test_fine_grid_weights_are_formed_once_per_certificate(star_profiles, monkeypatch):
+    # an attempt decides its end checks on the rows' end values first, and
+    # forms the fine-grid weights (_Record.at) only if it passes them all or
+    # is the search's last. The README star at zero gains still attempts
+    # rungs 11 and 12, but forms the weights once, at rung 12. On the 70
+    # criterion-5 networks at drawn gains the fine passes are exactly the
+    # attempts that pass every end check: 70 of 134, each network's last
+    attempts, fine = [], []
+    attempt, at = weights_module._attempt, weights_module._Record.at
+
+    def recording(*args):
+        attempts.append(attempt(*args))
+        return attempts[-1]
+
+    def counting(self, epsilon):
+        fine.append(epsilon)
+        return at(self, epsilon)
+
+    monkeypatch.setattr(weights_module, "_attempt", recording)
+    monkeypatch.setattr(weights_module._Record, "at", counting)
+    topo, profiles = star_profiles
+    cert = certify_network(topo, profiles, STAR_GAINS)
+    assert (cert.certified, cert.halvings) == (True, 12)
+    assert [c.epsilon for c in attempts] == [DEFAULT_EPSILON * 0.5**11, DEFAULT_EPSILON * 0.5**12]
+    assert fine == [DEFAULT_EPSILON * 0.5**12]
+    attempts.clear()
+    fine.clear()
+    rng = np.random.default_rng(1618)
+    for net, profs in criterion_05_networks(star_profiles)[1:]:
+        gains = {j: admissible_gain(rng, profs[j]) for j in net.terminal_channels}
+        certify_network(net, profs, gains)
+    passing = [c.epsilon for c in attempts if not set(c.failed_checks) & set(END_CHECKS)]
+    assert fine == passing
+    assert (len(fine), len(attempts)) == (70, 134)
+
+
+def _end_columns(topo, record, ends, epsilon):
+    """The end checks of an attempt as array expressions on the end columns
+    of the fine-grid weights, the alpha walk on W~'s end columns: (alphas,
+    z_end, z_start, terminal margins, trunk inlet), each a float64 array."""
+    eta, _ = record.at(epsilon)
+    a, b = record.phi1_sq / eta, record.phi2_sq * eta
+    W = a + b
+    alphas, outlet_W = [], {}
+    for q, W0, WL in zip(record.profiles, W[:, 0].tolist(), W[:, -1].tolist()):
+        i = q.channel
+        alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / W0
+        outlet_W[i] = alpha * WL
+        alphas.append(alpha)
+    alpha = np.array(alphas)
+    Z = alpha[:, None] * (a - b)
+    t = np.array(ends.terminals, dtype=np.intp)
+    eta_L = eta[:, -1][t]
+    margins = alpha[t] * (record.phi1_sq[:, -1][t] / eta_L * np.array(ends.y1_sq)
+                          - record.phi2_sq[:, -1][t] * eta_L * np.array(ends.y2_sq))
+    lam1, lam2 = record.lambda1[0, 0], record.lambda2[0, 0]
+    prof = record.profiles[0]
+    V0 = np.float64(prof.velocity_of(prof.inlet_depth))
+    eta0 = lam2 / lam1 + epsilon
+    trunk = alpha[0] * lam1 * epsilon * (2.0 * lam2 + lam1 * epsilon) / (eta0 * V0**2)
+    z_end = Z[:, -1][np.array(ends.junctions, dtype=np.intp)]
+    return alpha, z_end, Z[1:, 0], margins, np.array([trunk])
+
+
+def _end_caps_on_columns(record, ends):
+    """The end caps as one array expression over the record's last column."""
+    C = record.phi[:, -1].copy()
+    with np.errstate(divide="ignore"):
+        C[np.array(ends.terminals, dtype=np.intp)] /= np.abs(np.array(ends.reflection))
+        d = C - record.eta_bar[:, -1]
+        return np.where(d > 0.0, 1.0 / (record.u[:, -1] / d + record.J[:, -1]), 0.0)
+
+
+@pytest.mark.parametrize("which", ["star", "suite"])
+def test_end_values_are_the_arrays_end_columns(star_profiles, which):
+    # the end checks and the end caps are taken in Python floats from the
+    # rows' end values; each is the same IEEE operation on the same operands
+    # as the array expression on the fine-grid weights' end columns, so
+    # alpha, Z(L), Z(0), the terminal margins, the trunk inlet and the caps
+    # equal them to the bit, at the search's first and last rungs
+    cases = rungs = 0
+    for topo, profiles, gains in _ladder_cases(star_profiles, which):
+        _assert_search_is_the_ladder(topo, profiles, gains)
+        record = weights_module._record(topo, profiles)
+        ends = weights_module._ends(topo, record, gains)
+        caps = weights_module._end_caps(record, ends)
+        assert np.array(caps).tobytes() == _end_caps_on_columns(record, ends).tobytes()
+        cap = min(caps)
+        first = next((k for k in range(MAX_HALVINGS) if DEFAULT_EPSILON * 0.5**k < cap),
+                     MAX_HALVINGS)
+        cert = certify_network(topo, profiles, gains)
+        for k in sorted({max(first - 1, 0), cert.halvings}):
+            epsilon = DEFAULT_EPSILON * 0.5**k
+            if record.J[:, -1].max() * epsilon >= 1.0:
+                continue
+            full = weights_module._attempt(topo, ends, epsilon, record, MAX_HALVINGS)
+            floats = (list(full.alphas.values()), list(full.z_end.values()),
+                      list(full.z_start.values()), list(full.terminal_margins.values()),
+                      [full.trunk_inlet])
+            for got, want in zip(floats, _end_columns(topo, record, ends, epsilon)):
+                assert np.array(got, dtype=float).tobytes() == want.tobytes(), (
+                    list(topo.channels), k)
+            rungs += 1
+        cases += 1
+    assert (cases, rungs) == {"star": (4, 7), "suite": (210, 384)}[which]
 
 
 def test_speeds_couplings_array_path_is_within_three_ulp_of_the_scalar_path(star_profiles):
