@@ -66,7 +66,7 @@ def boundary_constants(profile: SteadyProfile) -> tuple[float, float, float]:
     VL = profile.outlet_velocity
     cL = math.sqrt(profile.gravity * HL)
     p = profile.spec.friction_exponent
-    m_L = float(m_value(HL, profile.inlet_depth, profile.flux, p, profile.gravity))
+    m_L = m_value(HL, profile.inlet_depth, profile.flux, p, profile.gravity)
     return cL + VL, cL - VL, m_L
 
 

@@ -21,12 +21,27 @@ the subcritical range needs no safeguard. A profile is sampled once, on its
 fine grid of FINE_REFINEMENT * cells + 1 points: every face is the fine
 point R k and every center the fine point R k + R/2, R = FINE_REFINEMENT, so
 the face and center samples are slices of the fine ones.
+
+A network is solved in two passes. The scalar pass (``_outlet``) goes
+root-first on Python floats: each channel's checks, in the order flux, inlet
+margin, blow-up bound, then its outlet depth H(L) by Newton's method, which
+is its children's inlet depth. The array pass (``_sample``) then inverts P
+at every fine point of every channel in one Newton loop, on a (channels x
+fine points) stack whose rows are edge-padded to the longest by repeating
+their last abscissa, each parameter a column. Each row's samples at x = L
+take its outlet depth from the scalar pass, so the depth is continuous to
+the bit across every junction, and each ``SteadyProfile`` holds views of its
+row. Every row has the bits of its one-row pass, ``integrate_channel_steady``.
+The float and array Newton iterations may stop an ulp apart, so a fine depth
+can differ from a per-channel array solve, and the last sample from the
+array iteration, in its last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,10 +133,10 @@ class SteadyProfile:
 
     def depth(self, x):
         """Depth at abscissae x, clipped to [0, L], inverting the depth
-        potential; on the sample grids, H_faces, H_centers and H_fine hold
-        it already."""
+        potential as one row of the array pass; on the sample grids,
+        H_faces, H_centers and H_fine hold it already."""
         x = np.clip(x, 0.0, self.length)
-        H = _depth_from_potential(self.spec, self.inlet_depth, self.flux, x)
+        H = _depth_from_potential(np.reshape(x, (1, -1)), *_columns([self])).reshape(x.shape)
         return float(H) if H.ndim == 0 else H
 
     def velocity(self, x):
@@ -133,11 +148,18 @@ def _potential_drop(H_hi, H_lo, flux, p, g):
 
     The Q^2 term is taken as H_lo^p expm1(p log r) / p with r = H_hi / H_lo,
     which tends to its p = 0 form log r without cancellation as p -> 0.
-    A scalar H_lo takes math and an array H_lo numpy.
+    A scalar H_lo takes math and an array H_lo numpy. On a stack of depth
+    rows (m x n) each parameter may be a column (m x 1) and p an array of
+    the stack's shape, and a row with p = 0 takes log r without dividing
+    by p, so without a RuntimeWarning.
     """
-    log, expm1 = (np.log, np.expm1) if isinstance(H_lo, np.ndarray) else (math.log, math.expm1)
-    log_r = log(H_hi / H_lo)
-    q_term = log_r if p == 0.0 else H_lo**p * expm1(p * log_r) / p
+    if isinstance(H_lo, np.ndarray):
+        log_r = np.log(H_hi / H_lo)
+        flat = p == 0.0
+        q_term = np.where(flat, log_r, H_lo**p * np.expm1(p * log_r) / np.where(flat, 1.0, p))
+    else:
+        log_r = math.log(H_hi / H_lo)
+        q_term = log_r if p == 0.0 else H_lo**p * math.expm1(p * log_r) / p
     return g * (H_hi ** (p + 3.0) - H_lo ** (p + 3.0)) / (p + 3.0) - flux * flux * q_term
 
 
@@ -165,31 +187,41 @@ def potential_slope(H, flux, p, g):
     """P'(H) = H^(p-1) (g H^3 - Q^2), positive on the subcritical range.
 
     The depth slope along a profile is H' = -g C Q^2 / P'(H). Scalar or
-    array H.
+    array H, and on a stack of depth rows (m x n) each parameter may be a
+    column (m x 1) and p an array of the stack's shape.
     """
     return H ** (p - 1.0) * (g * H * H * H - flux * flux)
 
 
-def _depth_from_potential(spec: ChannelSpec, inlet_depth: float, flux: float, x):
-    """Depths H(x) with P(H0) - P(H) = g C Q^2 x, by Newton's method on arrays.
+def _depth_from_potential(x, inlet_depth, flux, friction, p, g, length, outlet_depth):
+    """Depths H(x) with P(H0) - P(H) = g C Q^2 x on a stack of abscissa rows
+    (m x n), each parameter a column (m x 1), by one Newton loop on arrays:
+    the array pass of a network, and with one row that of a channel.
 
     Newton starts from the inlet tangent H0 + H'(0) x. The profile is
     concave in x, so the start lies above it; P is increasing and convex on
     the subcritical range, so the iterates fall monotonically to the root.
-    Each sample stops at its first step that does not fall. A zero drop rate
-    (no flux or no friction) returns H0 bitwise.
+    Each sample stops at its first step that does not fall, so no row's
+    samples depend on another row, and each row has the bits of its
+    one-row call. A zero drop rate (no flux or no friction) returns H0
+    bitwise. The samples at x = L take the outlet depth of the scalar pass
+    (``_outlet``), whose float iteration may stop an ulp from the array's.
     """
-    g, p = spec.gravity, spec.friction_exponent
-    rate = g * spec.friction * flux * flux
-    x = np.asarray(x, dtype=float)
+    # Every power takes an exponent array of the samples' shape. numpy
+    # raises an array to an exponent broadcast from a single value, as a
+    # one-row stack's column is, by another loop (H * H at exponent 2),
+    # which may round differently from that of an (m x 1) column.
+    p = p + np.zeros(x.shape)
+    rate = g * friction * flux * flux
     H = inlet_depth - rate / potential_slope(inlet_depth, flux, p, g) * x
+    rate_x = rate * x
     falling = np.ones(x.shape, dtype=bool)
     while falling.any():
-        residual = rate * x - _potential_drop(inlet_depth, H, flux, p, g)
+        residual = rate_x - _potential_drop(inlet_depth, H, flux, p, g)
         H_next = H - residual / potential_slope(H, flux, p, g)
         falling &= H_next < H
         H = np.where(falling, H_next, H)
-    return H
+    return np.where(x == length, outlet_depth, H)
 
 
 def _margin_excess(H, flux, threshold, g):
@@ -216,24 +248,30 @@ def _blowup_depth(inlet_depth, flux, threshold, g):
         H = H_next
 
 
-def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float) -> SteadyProfile:
-    """Sample the steady profile over [0, L] and certify subcriticality.
+class _Outlet(NamedTuple):
+    """The scalar pass's Python floats for one channel (``_outlet``)."""
 
-    Raises SupercriticalStart if the inlet margin g H - V^2 is already within
-    MARGIN_TOL * g * H0 of zero, and SteadyStateBlowup if the margin reaches
-    that tolerance at or before the channel end: the blow-up bound, the
-    abscissa where it does, is closed form in the depth potential (+inf for
-    frictionless or zero-flux channels). One Newton solve inverts the
-    potential on the fine grid, and the faces and centers are its slices.
-    """
+    spec: ChannelSpec
+    flux: float
+    inlet_depth: float
+    critical_depth: float
+    blowup_bound: float
+    outlet_depth: float
+
+
+def _outlet(spec: ChannelSpec, inlet_depth: float, flux: float) -> _Outlet:
+    """The scalar pass over one channel, on Python floats: the checks of
+    ``integrate_channel_steady``, in its order, then the outlet depth H(L)
+    by the Newton iteration of ``_depth_from_potential`` at x = L, from the
+    inlet tangent, stopping at its first step that does not fall."""
     # each check in a form that NaN fails
     if not 0.0 <= flux < math.inf:
         raise NegativeFlux(f"channel {spec.id}: flux must be >= 0 and finite, got {flux!r}")
-    g = spec.gravity
+    flux = float(flux) + 0.0  # +0.0 for the -0.0 that a split fraction -0.0 gives
+    g, p, L = spec.gravity, spec.friction_exponent, spec.length
     H0 = float(inlet_depth)
     if not 0.0 < H0 < math.inf:
         raise SupercriticalStart(f"channel {spec.id}: inlet depth must be positive and finite")
-    Hc = critical_depth(flux, g)
     threshold = MARGIN_TOL * g * H0
     inlet_margin = g * H0 - (flux / H0) ** 2
     if not inlet_margin > threshold:
@@ -245,28 +283,72 @@ def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float)
     blowup = math.inf
     if flux > 0.0 and spec.friction > 0.0:
         H_t = _blowup_depth(H0, flux, threshold, g)
-        drop = _blowup_drop(H0, H_t, flux, spec.friction_exponent, g)
-        blowup = drop / (g * spec.friction * flux**2)
-        if blowup <= spec.length:
+        blowup = _blowup_drop(H0, H_t, flux, p, g) / (g * spec.friction * flux**2)
+        if blowup <= L:
             raise SteadyStateBlowup(spec.id, x_reached=blowup)
 
+    rate = g * spec.friction * flux * flux
+    H = H0 - rate / potential_slope(H0, flux, p, g) * L
+    while True:
+        H_next = H - (rate * L - _potential_drop(H0, H, flux, p, g)) / potential_slope(H, flux, p, g)
+        if not H_next < H:
+            break
+        H = H_next
+    return _Outlet(spec, flux, H0, critical_depth(flux, g), blowup, H)
+
+
+def _columns(channels) -> tuple[np.ndarray, ...]:
+    """(H0, Q, C, p, g, L, H(L)) of each channel, each a column (m x 1):
+    the parameters of ``_depth_from_potential`` on a stack of rows."""
+    values = np.array([(c.inlet_depth, c.flux, c.spec.friction, c.spec.friction_exponent,
+                        c.spec.gravity, c.spec.length, c.outlet_depth) for c in channels])
+    # contiguous columns: numpy broadcasts a strided one more slowly
+    return tuple(values.T.copy()[:, :, None])
+
+
+def _sample(channels: list[_Outlet]) -> list[SteadyProfile]:
+    """The array pass: each channel's profile on its fine grid, from one
+    ``_depth_from_potential`` call on the stack of their fine grids. Row r,
+    channels[r]'s, is np.linspace(0, L, FINE_REFINEMENT * cells + 1) to the
+    bit, k L / (size - 1) at the k-th point and L from the last on."""
     R = FINE_REFINEMENT
-    x_fine = np.linspace(0.0, spec.length, R * spec.cells + 1)
-    H_fine = _depth_from_potential(spec, H0, flux, x_fine)
+    sizes = [R * c.spec.cells + 1 for c in channels]
+    columns = _columns(channels)
+    L, last, k = columns[5], np.array(sizes)[:, None] - 1, np.arange(max(sizes))
+    x = np.where(k < last, k * (L / last), L)
+    H = _depth_from_potential(x, *columns)
     faces, centers = slice(None, None, R), slice(R // 2, None, R)
-    return SteadyProfile(
-        spec=spec,
-        flux=float(flux) + 0.0,  # +0.0 for the -0.0 that a split fraction -0.0 gives
-        inlet_depth=H0,
-        critical_depth=Hc,
-        blowup_bound=blowup,
-        x_faces=x_fine[faces],
-        x_centers=x_fine[centers],
-        x_fine=x_fine,
-        H_faces=H_fine[faces],
-        H_centers=H_fine[centers],
-        H_fine=H_fine,
-    )
+    profiles = []
+    for c, x_fine, H_fine, size in zip(channels, x, H, sizes):
+        x_fine, H_fine = x_fine[:size], H_fine[:size]
+        profiles.append(SteadyProfile(
+            spec=c.spec,
+            flux=c.flux,
+            inlet_depth=c.inlet_depth,
+            critical_depth=c.critical_depth,
+            blowup_bound=c.blowup_bound,
+            x_faces=x_fine[faces],
+            x_centers=x_fine[centers],
+            x_fine=x_fine,
+            H_faces=H_fine[faces],
+            H_centers=H_fine[centers],
+            H_fine=H_fine,
+        ))
+    return profiles
+
+
+def integrate_channel_steady(spec: ChannelSpec, inlet_depth: float, flux: float) -> SteadyProfile:
+    """Sample the steady profile over [0, L] and certify subcriticality: the
+    one-channel case of ``solve_network_steady``, its scalar pass
+    (``_outlet``) and then its array pass (``_sample``) on one row.
+
+    Raises SupercriticalStart if the inlet margin g H - V^2 is already within
+    MARGIN_TOL * g * H0 of zero, and SteadyStateBlowup if the margin reaches
+    that tolerance at or before the channel end: the blow-up bound, the
+    abscissa where it does, is closed form in the depth potential (+inf for
+    frictionless or zero-flux channels).
+    """
+    return _sample([_outlet(spec, inlet_depth, flux)])[0]
 
 
 def solve_network_steady(
@@ -276,19 +358,22 @@ def solve_network_steady(
 
     At a junction the water depth is continuous (every outgoing channel starts
     at the incoming channel's end depth) and the flux splits according to the
-    prescribed fractions.
+    prescribed fractions. The scalar pass (``_outlet``) checks each channel
+    and finds its outlet depth, parents first; one array pass (``_sample``)
+    then samples every channel, each row with the bits of its
+    ``integrate_channel_steady`` call.
     """
     if not 0.0 < root_flux < math.inf:
         raise NegativeFlux(f"root flux must be positive and finite, got {root_flux!r}")
-    profiles: dict[int, SteadyProfile] = {}
-    for i in traversal_order(topo):
-        spec = topo.channels[i]
+    order = traversal_order(topo)
+    outlets: dict[int, _Outlet] = {}
+    for i in order:
         if i == topo.root_channel:
             H0, Q = root_depth, root_flux
         else:
             parent = topo.parent_of(i)
-            upstream = profiles[parent]
+            upstream = outlets[parent]
             H0 = upstream.outlet_depth
             Q = topo.split_of(parent, i) * upstream.flux
-        profiles[i] = integrate_channel_steady(spec, H0, Q)
-    return profiles
+        outlets[i] = _outlet(topo.channels[i], H0, Q)
+    return dict(zip(order, _sample([outlets[i] for i in order])))

@@ -175,8 +175,21 @@ def m_value(H, inlet_depth, flux, friction_exponent, gravity):
     On a stack of depth rows (m x n) each parameter may be a column (m x 1),
     and each row has the bits of its one-row call: the powers of the depth
     take ``row_power``, and the terms free of it are Python floats, taken
-    row by row (``_m_terms``)."""
+    row by row (``_m_terms``). A Python float depth, the gain screen's
+    outlet, takes the same operations on Python floats, the powers by the
+    C library's pow, and returns a float, which may differ from the array
+    path's in its last bits. Either path raises WeightError where the
+    denominator vanishes."""
     params = (inlet_depth, flux, friction_exponent, gravity)
+    if isinstance(H, float):
+        high, p, s, scale_high, inlet, scale_p, inlet_p = _m_terms(*params)
+        H = float(H)  # a numpy float64 is a float too
+        shared = scale_high * H**high + inlet + scale_p * (H**p - inlet_p)
+        half = 0.5 * H**s
+        den = shared - half
+        if den <= 0.0:
+            raise WeightError("m denominator vanished: depth beyond the subcritical range")
+        return (half + shared) / den
     if np.ndim(flux) == 0:
         terms = _m_terms(*params)
     else:

@@ -4,7 +4,10 @@ The potential helpers evaluate the first integral of the steady depth
 equation with plain algebra. The ODE oracles go the other way: they
 integrate the ODE forms of quantities that the library evaluates in closed
 form, the steady depth included. brentq, at its tightest setting, is the
-oracle of the Newton solve for the blow-up depth. The certificate, which
+oracle of the Newton solve for the blow-up depth. The steady depths, which
+the library samples in one Newton pass per network, have their oracles in a
+Newton solve of each channel alone (``depth_by_channel_newton``) and a
+bisection of the depth potential (``depth_by_bisection``). The certificate, which
 the library builds on one array per network, has its oracle in the
 per-channel path (``certify_per_channel``). The simulator's sparse
 operators have their oracle in scipy's diags, block_diag and bmat chains.
@@ -424,6 +427,54 @@ def draw_random_tree(n, seed, cells=24):
                            split_fractions=splits)
     gains = {j: math.sqrt(G / outlet[j].outlet_depth) for j in topo.terminal_channels}
     return topo, 3.5, 2.0, gains
+
+
+def criterion_05_networks(star_profiles):
+    """The README star and the 70 criterion-5 networks, with their profiles."""
+    rng = np.random.default_rng(31514)
+    networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
+    networks += [draw_tree(rng) for _ in range(20)]
+    return [star_profiles] + [
+        (topo, solve_network_steady(topo, H0, flux)) for topo, H0, flux in networks
+    ]
+
+
+def depth_by_channel_newton(profile):
+    """The fine depths of one channel by a Newton solve of its own, every
+    parameter a Python float: the per-channel array iteration that the
+    steady pass ran before it stacked a network's channels, from the inlet
+    tangent, each sample stopping at its first step that does not fall, its
+    last sample its own. The oracle of the stacked pass, which may differ
+    from it in the last bit."""
+    spec, H0, flux, x = profile.spec, profile.inlet_depth, profile.flux, profile.x_fine
+    g, p = spec.gravity, spec.friction_exponent
+    rate = g * spec.friction * flux * flux
+
+    def drop(H):
+        log_r = np.log(H0 / H)
+        q_term = log_r if p == 0.0 else H**p * np.expm1(p * log_r) / p
+        return g * (H0 ** (p + 3.0) - H ** (p + 3.0)) / (p + 3.0) - flux * flux * q_term
+
+    H = H0 - rate / potential_slope(H0, flux, p, g) * x
+    falling = np.ones(x.shape, dtype=bool)
+    while falling.any():
+        H_next = H - (rate * x - drop(H)) / potential_slope(H, flux, p, g)
+        falling &= H_next < H
+        H = np.where(falling, H_next, H)
+    return H
+
+
+def depth_by_bisection(profile, x):
+    """Depth at abscissa x of one channel at gravity G, by bisection of its
+    depth potential between the critical and the inlet depth."""
+    spec, H0, flux = profile.spec, profile.inlet_depth, profile.flux
+    assert spec.gravity == G
+    p = spec.friction_exponent
+    target = depth_potential(H0, flux, p) - G * spec.friction * flux * flux * x
+    lo, hi = critical_depth(flux, G), H0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if depth_potential(mid, flux, p) < target else (lo, mid)
+    return mid
 
 
 def admissible_gain(rng, profile):

@@ -12,14 +12,16 @@ from channet.gains import (
 )
 import channet.steady
 import channet.weights
-from channet.steady import integrate_channel_steady, solve_network_steady
+from channet.errors import WeightError
+from channet.steady import critical_depth, integrate_channel_steady, solve_network_steady
 from channet.topology import ChannelSpec
-from channet.weights import phi_profiles
+from channet.weights import m_value, phi_profiles
 
 from conftest import (
     G,
     STAR_GAINS,
     admissible_gain,
+    criterion_05_networks,
     draw_channel,
     draw_star,
     draw_tree,
@@ -217,3 +219,32 @@ def test_single_channel_conditions(sample_profiles):
     assert not single_channel_conditions(prof, 0.2, k_good)
     # outlet gain inside the forbidden interval
     assert not single_channel_conditions(prof, 0.0, 0.5 * (a + b))
+
+
+def test_m_value_on_a_float_is_its_one_element_array_path(star_profiles):
+    # the gain screen's float path against the stacked one, on every terminal
+    # of the README star and the 70 criterion-5 networks and on 2000 draws
+    # of a depth between 1.05 times critical and the inlet depth
+    cases = [(q.outlet_depth, q.inlet_depth, q.flux, q.spec.friction_exponent, q.gravity)
+             for topo, profiles in criterion_05_networks(star_profiles)
+             for q in (profiles[j] for j in topo.terminal_channels)]
+    assert len(cases) == 276
+    rng = np.random.default_rng(4141)
+    for p in (0.0, 1.0, 4.0 / 3.0, 2.0, 4.5):
+        for _ in range(400):
+            flux = rng.uniform(0.2, 3.0)
+            Hc = critical_depth(flux, G)
+            H0 = rng.uniform(1.1 * Hc, 5.0)
+            cases.append((rng.uniform(1.05 * Hc, H0), H0, flux, p, G))
+    for H, *terms in cases:
+        m = m_value(H, *terms)
+        assert type(m) is float
+        ref = m_value(np.array([H]), *terms)[0]
+        assert abs(m - ref) <= 1e-14 * abs(ref), (H, terms)
+    # both paths refuse a depth where the denominator vanishes
+    flux = 1.0
+    Hc = critical_depth(flux, G)
+    for p in (1.0, 2.0, 4.5):
+        for H in (0.5 * Hc, np.array([0.5 * Hc])):
+            with pytest.raises(WeightError):
+                m_value(H, 1.05 * Hc, flux, p, G)

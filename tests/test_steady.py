@@ -19,7 +19,7 @@ from channet.steady import (
     integrate_channel_steady,
     solve_network_steady,
 )
-from channet.topology import ChannelSpec
+from channet.topology import ChannelSpec, NetworkTopology
 import channet.steady as steady_module
 import channet.weights as weights_module
 
@@ -31,8 +31,12 @@ from conftest import (
     blowup_bound_by_brentq,
     blowup_depth_by_brentq,
     closed_form_blowup,
+    criterion_05_networks,
+    depth_by_bisection,
+    depth_by_channel_newton,
     depth_potential,
     draw_channel,
+    draw_random_tree,
     draw_star,
     draw_tree,
     small_star,
@@ -404,7 +408,93 @@ def test_grid_layout():
     assert R % 2 == 0
     for spec in (spec, ChannelSpec(id=1, length=73.3, friction=1e-3, cells=17)):
         prof = integrate_channel_steady(spec, 2.0, 1.0)
+        assert np.array_equal(prof.x_fine, np.linspace(0.0, spec.length, R * spec.cells + 1))
         assert np.array_equal(prof.x_faces, np.linspace(0.0, spec.length, spec.cells + 1))
         assert np.array_equal(prof.x_centers, prof.x_fine[R // 2 :: R])
         assert np.array_equal(prof.H_faces, prof.H_fine[::R])
         assert np.array_equal(prof.H_centers, prof.H_fine[R // 2 :: R])
+
+
+def mixed_star():
+    """A star of 16, 37, 64 and 8 cells: the trunk feeds a branch at friction
+    exponent 4.5, a frictionless branch and a branch split no flux."""
+    chans = {
+        1: ChannelSpec(id=1, length=80.0, friction=2e-3, friction_exponent=1.0, cells=16),
+        2: ChannelSpec(id=2, length=60.0, friction=1.5e-3, friction_exponent=4.5, cells=37),
+        3: ChannelSpec(id=3, length=50.0, friction=0.0, friction_exponent=0.0, cells=64),
+        4: ChannelSpec(id=4, length=40.0, friction=2e-3, friction_exponent=0.0, cells=8),
+    }
+    return NetworkTopology(channels=chans, root_channel=1, junctions={1: (2, 3, 4)},
+                           split_fractions={1: (0.6, 0.4, 0.0)})
+
+
+@pytest.fixture(scope="module")
+def steady_networks(star_profiles):
+    """(topo, profiles) of the README star, the 70 criterion-5 networks,
+    T12/1, T40/1 and the mixed star."""
+    networks = criterion_05_networks(star_profiles)
+    for n in (12, 40):
+        topo, H0, flux, _ = draw_random_tree(n, 1)
+        networks.append((topo, solve_network_steady(topo, H0, flux)))
+    topo = mixed_star()
+    networks.append((topo, solve_network_steady(topo, STAR_ROOT_DEPTH, STAR_ROOT_FLUX)))
+    return networks
+
+
+def test_network_rows_have_the_bits_of_their_one_row_calls(steady_networks):
+    # every profile of the network's one array pass against the one-row pass
+    # of its channel, inlet depth and flux, field by field
+    rows = 0
+    for _, profiles in steady_networks:
+        for prof in profiles.values():
+            one = integrate_channel_steady(prof.spec, prof.inlet_depth, prof.flux)
+            for field in dataclasses.fields(prof):
+                a, b = getattr(prof, field.name), getattr(one, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), (prof.channel, field.name)
+                else:
+                    assert a == b, (prof.channel, field.name)
+            rows += 1
+    assert rows == 367 + 12 + 40 + 4
+
+
+def test_depth_is_continuous_to_the_bit_at_every_junction(steady_networks):
+    # each child starts at the outlet depth of the scalar pass, which is also
+    # the last sample of its parent's row
+    checked = 0
+    for topo, profiles in steady_networks:
+        for parent, children in topo.junctions.items():
+            up = profiles[parent]
+            for child in children:
+                down = profiles[child]
+                assert down.inlet_depth == up.outlet_depth == up.H_fine[-1] == down.H_fine[0]
+                checked += 1
+    assert checked == 349
+
+
+def test_network_is_sampled_by_one_newton_pass(monkeypatch):
+    tree, H0, flux, _ = draw_random_tree(40, 1)
+    calls = []
+    newton = steady_module._depth_from_potential
+
+    def counting(x, *columns):
+        calls.append(x.shape)
+        return newton(x, *columns)
+
+    monkeypatch.setattr(steady_module, "_depth_from_potential", counting)
+    solve_network_steady(tree, H0, flux)
+    # one row per channel, each edge-padded to the longest fine grid
+    assert calls == [(40, 4 * 24 + 1)]
+    calls.clear()
+    solve_network_steady(mixed_star(), STAR_ROOT_DEPTH, STAR_ROOT_FLUX)
+    assert calls == [(4, 4 * 64 + 1)]
+
+
+def test_depths_within_two_ulp_of_the_per_channel_newton(steady_networks):
+    # the stacked pass against a Newton solve of each channel alone, and each
+    # outlet against a bisection of the depth potential
+    for _, profiles in steady_networks:
+        for prof in profiles.values():
+            H = depth_by_channel_newton(prof)
+            assert np.all(np.abs(prof.H_fine - H) <= 2.0 * np.spacing(H)), prof.spec
+            assert abs(prof.outlet_depth / depth_by_bisection(prof, prof.length) - 1.0) <= 1e-12

@@ -50,6 +50,7 @@ from conftest import (
     certify_by_ladder,
     certify_once,
     certify_per_channel,
+    criterion_05_networks,
     draw_channel,
     draw_random_tree,
     draw_star,
@@ -160,16 +161,6 @@ def test_existence_margin_zero_flux_rejected():
     prof = integrate_channel_steady(spec, 1.5, 0.0)
     with pytest.raises(DegenerateFlux):
         riccati_existence_margin(phi_profiles(prof), 10.0)
-
-
-def criterion_05_networks(star_profiles):
-    """The README star and the 70 criterion-5 networks, with their profiles."""
-    rng = np.random.default_rng(31514)
-    networks = [draw_star(rng, 2 + int(rng.integers(5))) for _ in range(50)]
-    networks += [draw_tree(rng) for _ in range(20)]
-    return [star_profiles] + [
-        (topo, solve_network_steady(topo, H0, flux)) for topo, H0, flux in networks
-    ]
 
 
 def coupled_suite_profiles(star_profiles):
