@@ -52,9 +52,8 @@ to every cumulative trapezoid sum: the last column holds each channel's
 outlet values, and the minimum of a row is its channel's. The record holds
 the speeds, couplings and phi factors (``CharCoeffs.rows``) and eta_bar, u
 and J, u and J as cumulative trapezoid sums along the rows; each channel's
-``CharCoeffs`` is a view of its row, made when first read. Every row has
-the bits of its one-row record, which ``eta_eps`` makes. eta_bar[0] is the inlet value
-exactly, so eta(0) is that value + epsilon to the bit.
+``CharCoeffs`` is a view of its row, made when first read. Every row has the
+bits of its one-row record, which ``eta_eps`` makes.
 
 The search (``certify_network``) reads each terminal's traces and
 reflection at its gain (``_ends``) and the rows' end values as Python floats
@@ -65,20 +64,16 @@ positive exactly when eta(L) < C: C = phi(L) at a junction and phi(L) /
 |rho| at a terminal of reflection rho. Its root in epsilon is the channel's
 end cap (``_end_caps``), below the existence bound 1 / J(L), and the search
 starts one rung before the first rung below the smallest cap, so that the
-checks decide a rung within rounding of it. An attempt (``_attempt``) first
-takes every check that reads only channel ends from those floats
-(``_walk``), each with the bits of the fine-grid arrays' end column, as
-Python's float operations are the IEEE operations of numpy's element-wise
-ones. One that fails refuses the attempt exactly, and unless it is the
-search's last, before any fine-grid array is formed. Otherwise eta, Z, W,
-f1, f2 and N(x) with its 2 x 2 bounds are one array expression each over
-every channel, and each junction's eigenvalues follow. Each channel's
-``ChannelWeights`` is a view of its row, made when first read. An attempt
-returns its own ``NetworkCertificate``, whose fields other than the weights
-are the report.
-The test suite (``tests/conftest.py``) keeps the per-channel path
-(``certify_per_channel``) and the ODE forms of I4 and of the comparison
-solution, solved by scipy, as oracles.
+checks decide a rung within rounding of it. An attempt (``_attempt``) takes
+its verdict, the existence of eta and four end checks, which imply positive
+definite junction and interior matrices, from those floats (``_walk``),
+each with the bits of the fine-grid arrays' end column. Unless it passes or
+is the search's last, it forms no fine-grid array; otherwise eta, Z, W, f1,
+f2 and the interior margin are one array expression each over every
+channel. Each channel's ``ChannelWeights`` is a view of its row, made when
+first read. An attempt returns its own ``NetworkCertificate``.
+The test suite (``tests/conftest.py``) keeps the per-channel path, the ODE
+forms of I4 and of eta by scipy and the matrices' LAPACK eigenvalues as oracles.
 """
 
 from __future__ import annotations
@@ -102,7 +97,6 @@ from .errors import DegenerateFlux, EpsilonTooLarge, MissingGain, WeightError
 from .steady import SteadyProfile
 from .topology import NetworkTopology, traversal_order
 
-POSITIVITY_REL_TOL = 1e-12
 DEFAULT_EPSILON = 1e-3
 MAX_HALVINGS = 20
 
@@ -395,12 +389,12 @@ def _end_caps(record: _Record, ends: _Ends) -> list[float]:
 
 
 def _walk(topo: NetworkTopology, record: _Record, epsilon: float) -> list[tuple[float, ...]]:
-    """Each row's (alpha, a(0), b(0), a(L), b(L)), (a, b) = (phi1^2 / eta,
-    phi2^2 eta), at ``epsilon`` from its end values, parents first: the bits
-    of ``_weights``' end columns. alpha_child = alpha_parent W~_parent(L) /
+    """Each row's (alpha, a(L), b(L)), (a, b) = (phi1^2 / eta, phi2^2 eta),
+    at ``epsilon`` from its end values, parents first: the bits of
+    ``_weights``' end columns. alpha_child = alpha_parent W~_parent(L) /
     W~_child(0), W~ = a + b, makes W continuous across every junction; the
     root's alpha is 1, as an overall rescale changes no verdict. At a branch
-    inlet W~(0) = 1 / eta + eta >= 2.
+    inlet W~(0) = 1 / eta + eta >= 2, the same for every child of a junction.
     EpsilonTooLarge where eta does not exist (``_Record.outlet_room``)."""
     inlet, outlet, _, _ = record.ends
     rows, outlet_W = [], {}  # alpha W~(L) of each channel walked
@@ -412,7 +406,7 @@ def _walk(topo: NetworkTopology, record: _Record, epsilon: float) -> list[tuple[
         i = q.channel
         alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / (a0 + b0)
         outlet_W[i] = alpha * (aL + bL)
-        rows.append((alpha, a0, b0, aL, bL))
+        rows.append((alpha, aL, bL))
     return rows
 
 
@@ -421,10 +415,9 @@ def eta_eps(profile: SteadyProfile, epsilon: float, trunk_inlet: bool = False) -
     as eta / phi on the channel's fine grid.
 
     eta = eta_bar + epsilon u / (1 - epsilon J) satisfies eta' = E(eta) +
-    epsilon / (1 - epsilon J) >= |delta1 phi / lambda1 + (gamma2/(lambda2
-    phi)) eta^2| + epsilon from the inlet value lambda2(0)/lambda1(0) +
-    epsilon on the trunk and 1 + epsilon on branch channels (see
-    ``_Record``, whose one-row case this is). EpsilonTooLarge is raised
+    epsilon / (1 - epsilon J) from the inlet value lambda2(0)/lambda1(0) +
+    epsilon on the trunk and 1 + epsilon on branch channels (``_Record``,
+    whose one-row case this is). EpsilonTooLarge is raised
     where 1 - epsilon J reaches 0 before the channel end. A channel without
     flow or without friction has eta = eta_bar[0] + epsilon (1 + x), the
     exact solution of an uncoupled channel; a zero-flux trunk raises
@@ -496,12 +489,20 @@ def _weights(topo: NetworkTopology, record: _Record, epsilon: float,
     scale ``alphas[r]`` of ``_walk``; EpsilonTooLarge where a comparison
     function does not exist. Times alpha and over (lambda1, lambda2),
     (phi1^2 / eta, phi2^2 eta) are (f1, f2), and their difference and sum
-    are Z / alpha and W~ = W / alpha."""
+    are Z / alpha and W~ = W / alpha; a branch's Z(0) is closed form."""
     eta, slack = record.at(epsilon)
     a, b = record.phi1_sq / eta, record.phi2_sq * eta
     alpha = np.array(alphas)[:, None]
-    return WeightSet(topo, record, epsilon, tuple(alphas), eta, slack, alpha * (a - b),
+    Z = alpha * (a - b)
+    Z[1:, 0] = alpha[1:, 0] * -_branch_inflow(epsilon)
+    return WeightSet(topo, record, epsilon, tuple(alphas), eta, slack, Z,
                      alpha * (a + b), alpha * a / record.lambda1, alpha * b / record.lambda2)
+
+
+def _branch_inflow(epsilon: float) -> float:
+    """-Z(0) / alpha = eta - 1 / eta at a branch inlet, where phi1 = phi2 = 1
+    and eta = 1 + epsilon, without the cancellation of the difference."""
+    return epsilon * (2.0 + epsilon) / (1.0 + epsilon)
 
 
 def network_weights(topo: NetworkTopology, profiles: dict[int, SteadyProfile],
@@ -520,22 +521,16 @@ def junction_matrix(ws: WeightSet, incoming: int):
     depth-velocity couplings removed, which is exact once the alpha scales
     match W across the junction.
     """
-    children = ws.topo.junctions[incoming]
-    row = ws.record.index
-    r = row[incoming]
+    r = ws.record.index[incoming]
+    rows = [ws.record.index[c] for c in ws.topo.junctions[incoming]]
     prof = ws.record.profiles[r]
     H_B, g = prof.outlet_depth, prof.gravity
-    Z_in, W_in = float(ws.Z[r, -1]), float(ws.W[r, -1])
     # every outgoing channel starts at the junction depth H_B
-    Z0 = [float(ws.Z[row[c], 0]) for c in children]
-    W0 = [float(ws.W[row[c], 0]) for c in children]
-    m = len(children)
+    Z_in, Z0, m = ws.Z[r, -1], ws.Z[rows, 0], len(rows)
     M = np.full((m + 1, m + 1), Z_in)
-    s = math.sqrt(g * H_B) / H_B
-    for l in range(m):
-        M[l, l] = Z_in - Z0[l]
-        M[l, m] = M[m, l] = s * (W_in - W0[l])
-    M[m, m] = (g / H_B) * (Z_in - sum(Z0))
+    M[range(m), range(m)] = Z_in - Z0
+    M[:m, m] = M[m, :m] = math.sqrt(g * H_B) / H_B * (ws.W[r, -1] - ws.W[rows, 0])
+    M[m, m] = (g / H_B) * (Z_in - Z0.sum())
     M_bar = M.copy()
     M_bar[:m, m] = M_bar[m, :m] = 0.0
     return M, M_bar
@@ -572,37 +567,32 @@ def interior_matrix(cw: ChannelWeights):
 
     so the 2 f1 gamma1 and 2 f2 delta2 terms cancel and N11 = f1 lambda1
     eta' / eta, N22 = f2 lambda2 eta' / eta, with eta' = E(eta) + epsilon /
-    (1 - epsilon J), the super-solution's identity. It is exact for the
-    exact u and J; the record holds their cumulative trapezoid sums, so the
-    eta on the fine grid meets it only up to the sums' O(h^2) error, which
-    enters eta times epsilon. Returns (N11, N12, N22) arrays.
+    (1 - epsilon J), the super-solution's identity, up to the O(h^2) error
+    of the record's trapezoid sums u and J, which enters eta times epsilon.
+    Returns (N11, N12, N22) arrays.
     """
     k = cw.coeffs
     terms = _riccati_terms(k.lambda1, k.lambda2, k.delta1, k.gamma2, k.phi)
-    return _interior(k, *terms, cw.eta_eps, cw.slack, cw.f1, cw.f2)
+    return _interior(k, *terms, cw.eta_eps, cw.slack, cw.f1, cw.f2)[:3]
 
 
 def _interior(k, source, c, eta, slack, f1, f2):
-    """(N11, N12, N22) of ``interior_matrix`` from the speeds and couplings
-    of ``k``, a ``CharCoeffs`` or a ``_Record``, the terms of E
-    (``_riccati_terms``) and the weights, all on the same points."""
-    growth = (source + c * eta**2 + slack) / eta
-    return f1 * k.lambda1 * growth, f1 * k.delta1 + f2 * k.gamma2, f2 * k.lambda2 * growth
-
-
-def _sym2x2_eig_bounds(a11, a12, a22):
-    mid = 0.5 * (a11 + a22)
-    rad = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12**2)
-    low = mid - rad
-    return low, np.maximum(np.abs(low), np.abs(mid + rad))
+    """(N11, N12, N22) of ``interior_matrix`` and det N / (mid + rad), its
+    smallest eigenvalue (``_attempt``), from the speeds and couplings of
+    ``k``, a ``CharCoeffs`` or a ``_Record``, the terms of E and the weights."""
+    E = source + c * eta**2
+    a, b = f1 * k.lambda1, f2 * k.lambda2
+    growth = (E + slack) / eta
+    N11, N12, N22 = a * growth, f1 * k.delta1 + f2 * k.gamma2, b * growth
+    high = 0.5 * (N11 + N22) + np.sqrt((0.5 * (N11 - N22)) ** 2 + N12**2)
+    return N11, N12, N22, a * b * slack * (2.0 * E + slack) / eta**2 / high
 
 
 @dataclass(frozen=True, eq=False)
 class NetworkCertificate:
-    """Outcome of the network positivity checks at one epsilon. Its fields
-    other than ``weights`` are its report (``to_dict``). Each margin map
-    holds the channels whose check ran, and ``trunk_inlet`` is NaN until its
-    check runs, so a refusal before any check has empty maps."""
+    """Outcome of the network positivity checks at one epsilon; its fields
+    other than ``weights`` are its report (``to_dict``), whose junction and
+    interior margins are not checks (``_attempt``)."""
 
     certified: bool
     epsilon: float
@@ -631,38 +621,50 @@ class NetworkCertificate:
         return report
 
 
-CHECK_ORDER = (
-    "junction_outflow_positive",
-    "branch_inflow_negative",
-    "junction_matrix",
-    "trunk_inlet",
-    "terminal_margin",
-    "interior_matrix",
-)
+CHECK_ORDER = ("junction_outflow_positive", "branch_inflow_negative", "trunk_inlet",
+               "terminal_margin")
 
 
 def _attempt(topo: NetworkTopology, ends: _Ends, epsilon: float, record: _Record,
              halvings: int) -> NetworkCertificate:
-    """The certificate of one epsilon, the search's rung ``halvings``. The
-    end checks come first, in Python floats (``_walk``) at the outlets of
-    ``ends``: Z(L) > 0 on the rows that feed a junction, Z(0) < 0 on the
-    rows after the root's, the trunk inlet and a terminal's margin alpha
-    (phi1^2 / eta y1^2 - phi2^2 eta y2^2), f1 lam1 y1^2 - f2 lam2 y2^2 at
-    its traces, with no pole in the gain, negative at the ill-posed gain (y1
-    = 0) and at a zero-flux outlet at k <= 0. An attempt that fails one and
-    is not the last (halvings < ``MAX_HALVINGS``) is refused there, with
-    those margins and no weights. Otherwise the weights (``_weights``),
-    N(x) and each junction's matrix are checked too. A check passes only on
-    a strict margin, so a NaN margin fails it; a missing comparison function
-    fails as "weight_existence", with no weights and no margins."""
+    """The certificate of one epsilon, the search's rung ``halvings``, from
+    checks in Python floats (``_walk``) at the outlets of ``ends``: Z(L) > 0
+    on the rows that feed a junction, Z(0) < 0 on the rows after the root's,
+    the trunk inlet and a terminal's margin alpha (phi1^2 / eta y1^2 -
+    phi2^2 eta y2^2), f1 lam1 y1^2 - f2 lam2 y2^2 at its traces, with no
+    pole in the gain, negative at the ill-posed gain (y1 = 0) and at a
+    zero-flux outlet at k <= 0. A check passes only on a strict margin, so a
+    NaN margin fails it; a missing comparison function fails as
+    "weight_existence", with no weights and no margins. The weights
+    (``_weights``) and the interior margin are formed when the checks pass
+    or at the last rung, ``MAX_HALVINGS``.
+
+    The checks imply that both matrices of dV/dt are positive definite. Each
+    child of a junction starts at eta = 1 + epsilon with phi1 = phi2 = 1, so
+    the children share W~(0) and alpha, and Z(0) = -d, d = alpha epsilon (2
+    + epsilon) / (1 + epsilon) (``_branch_inflow``). With z_in = Z(L) of the
+    channel that feeds them, M_bar has the velocity block z_in 1 1^T + d I
+    (m x m) and the depth entry (g / H_B)(z_in + m d). Its eigenvalues are d
+    (m - 1 times), d + m z_in and (g / H_B)(z_in + m d), all positive exactly
+    when z_in > 0 and d > 0. In the interior, with s = epsilon / (1 -
+    epsilon J) the slack and E = E(eta) >= 0,
+
+        N11 = f1 lam1 (E + s) / eta,  N22 = f2 lam2 (E + s) / eta,
+        N12 = f1 delta1 + f2 gamma2 = sqrt(f1 lam1 f2 lam2) E / eta,
+
+    so det N = f1 lam1 f2 lam2 s (2E + s) / eta^2 > 0 wherever eta exists,
+    and lambda_min(N) = det N / lambda_max with lambda_max = mid + rad, a sum
+    without cancellation (``_interior``); ``interior_min_eig`` is its
+    minimum over each channel's fine grid."""
     try:
         walk = _walk(topo, record, epsilon)
     except EpsilonTooLarge:
         return NetworkCertificate(False, epsilon, halvings, None, ("weight_existence",))
     alphas = [row[0] for row in walk]
-    z_end = [alpha * (aL - bL) for alpha, _, _, aL, bL in (walk[r] for r in ends.junctions)]
-    z_start = [alpha * (a0 - b0) for alpha, a0, b0, _, _ in walk[1:]]
-    margins = [alpha * (aL * y1_sq - bL * y2_sq) for (alpha, _, _, aL, bL), y1_sq, y2_sq
+    z_end = [alpha * (aL - bL) for alpha, aL, bL in (walk[r] for r in ends.junctions)]
+    inflow = _branch_inflow(epsilon)
+    z_start = [alpha * -inflow for alpha in alphas[1:]]
+    margins = [alpha * (aL * y1_sq - bL * y2_sq) for (alpha, aL, bL), y1_sq, y2_sq
                in zip((walk[r] for r in ends.terminals), ends.y1_sq, ends.y2_sq)]
     trunk = _trunk_inlet(record, alphas[0], epsilon)
     passed = {"junction_outflow_positive": all(z > 0.0 for z in z_end),
@@ -675,18 +677,18 @@ def _attempt(topo: NetworkTopology, ends: _Ends, epsilon: float, record: _Record
                   z_start=dict(zip(channels[1:], z_start)),
                   terminal_margins=dict(zip(terminals, margins)),
                   reflection=dict(zip(terminals, ends.reflection)))
+    report["junction_min_eig"] = junction = {}
+    for q, z_in in zip((record.profiles[r] for r in ends.junctions), z_end):
+        children = topo.junctions[q.channel]
+        d, m = -report["z_start"][children[0]], len(children)
+        eig = min(d + m * z_in, q.gravity / q.outlet_depth * (z_in + m * d))
+        junction[q.channel] = min(d, eig) if m > 1 else eig
+    failed = tuple(name for name in CHECK_ORDER if not passed[name])
     ws = None
-    if all(passed.values()) or halvings == MAX_HALVINGS:
+    if not failed or halvings == MAX_HALVINGS:
         ws = _weights(topo, record, epsilon, alphas)
-        low, norm = _sym2x2_eig_bounds(
-            *_interior(record, record.source, record.c, ws.eta_eps, ws.slack, ws.f1, ws.f2))
-        eigs = {i: np.linalg.eigvalsh(junction_matrix(ws, i)[1]) for i in topo.junctions}
-        passed["junction_matrix"] = all(
-            e[0] > POSITIVITY_REL_TOL * max(abs(v) for v in e.tolist()) for e in eigs.values())
-        passed["interior_matrix"] = (low > POSITIVITY_REL_TOL * norm).all()
-        report.update(junction_min_eig={i: float(e[0]) for i, e in eigs.items()},
-                      interior_min_eig=dict(zip(channels, low.min(axis=1).tolist())))
-    failed = tuple(name for name in CHECK_ORDER if not passed.get(name, True))
+        low = _interior(record, record.source, record.c, ws.eta_eps, ws.slack, ws.f1, ws.f2)[3]
+        report["interior_min_eig"] = dict(zip(channels, low.min(axis=1).tolist()))
     return NetworkCertificate(not failed, epsilon, halvings, ws, failed, **report)
 
 
@@ -702,22 +704,19 @@ def certify_network(topo: NetworkTopology, profiles: dict[int, SteadyProfile],
                     epsilon_start: float = DEFAULT_EPSILON) -> NetworkCertificate:
     """Search a decreasing epsilon schedule for a full positivity certificate.
 
-    Verifies, at each epsilon: positive outflow coefficient Z at every
-    junction inflow face, negative inflow coefficient Z at every non-trunk
-    inlet, positive definite junction matrices, a positive trunk inlet
-    coefficient, positive terminal margins for the supplied gains, and a
-    positive definite interior matrix N(x) at every fine-grid point of every
-    channel. The schedule is the ladder epsilon_start * 0.5**k, k = 0 ...
-    ``MAX_HALVINGS``, whose normal rungs have the bits of k halvings. The
-    outlets (``_ends``) and the rows' end values are read once. Let
-    ``first`` be the ladder's first rung below the smallest end cap
-    (``_end_caps``), or ``MAX_HALVINGS`` if there is none: every rung before
-    it fails an outlet check or its existence. The search starts at rung
-    max(first - 1, 0), so that the checks decide a rung within rounding of
-    the cap, and halves epsilon while an attempt (``_attempt``) fails. The
-    attempt returned has run every check: a refused certificate lists every
-    failure at the final epsilon. An ``epsilon_start`` that is not positive
-    and finite raises ValueError.
+    Verifies, at each epsilon, that the comparison function exists and that
+    the end checks of ``_attempt`` pass, which imply positive definite
+    junction and interior matrices. The schedule is the ladder epsilon_start
+    * 0.5**k, k = 0 ... ``MAX_HALVINGS``, whose normal rungs have the bits
+    of k halvings. The outlets (``_ends``) and the rows' end values are read
+    once. Let ``first`` be the ladder's first rung below the smallest end
+    cap (``_end_caps``), or ``MAX_HALVINGS`` if there is none: every rung
+    before it fails an outlet check or its existence. The search starts at
+    rung max(first - 1, 0), so that the checks decide a rung within rounding
+    of the cap, and halves epsilon while an attempt fails. The attempt
+    returned has run every check and formed the weights: a refused
+    certificate lists every failure at the final epsilon. An
+    ``epsilon_start`` that is not positive and finite raises ValueError.
     """
     start = float(_check_epsilon_start(epsilon_start))
     for j in topo.terminal_channels:

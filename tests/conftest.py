@@ -9,8 +9,11 @@ the library samples in one Newton pass per network, have their oracles in a
 Newton solve of each channel alone (``depth_by_channel_newton``) and a
 bisection of the depth potential (``depth_by_bisection``). The certificate, which
 the library builds on one array per network, has its oracle in the
-per-channel path (``certify_per_channel``). The simulator's sparse
-operators have their oracle in scipy's diags, block_diag and bmat chains.
+per-channel path (``certify_per_channel``), and its closed-form junction
+and interior margins in LAPACK's eigenvalues of the matrices (``eigvalsh``),
+with which the certificate once checked them (``certify_by_eigvalsh``). The
+simulator's sparse operators have their oracle in scipy's diags, block_diag
+and bmat chains.
 """
 
 import dataclasses
@@ -47,15 +50,13 @@ from channet.steady import (
 from channet.topology import ChannelSpec, NetworkTopology, traversal_order
 import channet.weights as weights_module
 from channet.weights import (
-    CHECK_ORDER,
     DEFAULT_EPSILON,
-    POSITIVITY_REL_TOL,
     ChannelWeights,
     NetworkCertificate,
     PhiProfiles,
-    _sym2x2_eig_bounds,
     certify_network,
     interior_matrix,
+    junction_matrix,
     m_value,
 )
 
@@ -66,6 +67,12 @@ P_CHOICES = (0.0, 1.0, 4.0 / 3.0, 2.0)
 INTEGRAL_RTOL = 1e-12
 INTEGRAL_ATOL = 1e-14
 ORACLE_TOL = 1e-12
+# the eigenvalue checks that the certificate ran before it took the junction
+# and interior margins in closed form: each smallest eigenvalue had to exceed
+# POSITIVITY_REL_TOL times the largest eigenvalue magnitude
+POSITIVITY_REL_TOL = 1e-12
+EIGVALSH_CHECK_ORDER = ("junction_outflow_positive", "branch_inflow_negative", "junction_matrix",
+                        "trunk_inlet", "terminal_margin", "interior_matrix")
 
 
 def depth_potential(H, flux, exponent):
@@ -521,6 +528,61 @@ def certify_by_ladder(topo, profiles, gains):
                 return dataclasses.replace(cert, halvings=k)
 
 
+def sym2x2_eig_bounds(a11, a12, a22):
+    """(mid - rad, max(|mid - rad|, |mid + rad|)) of the symmetric 2 x 2
+    matrices [[a11, a12], [a12, a22]]: the smallest eigenvalue, a difference
+    that loses about lambda_max / lambda_min of its relative accuracy, and
+    the largest magnitude."""
+    mid = 0.5 * (a11 + a22)
+    rad = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12**2)
+    low = mid - rad
+    return low, np.maximum(np.abs(low), np.abs(mid + rad))
+
+
+def eigvalsh_failures(cert):
+    """The checks that ``cert`` fails by the eigenvalue forms, in
+    EIGVALSH_CHECK_ORDER: the four end checks by the signs of the margins in
+    its report, and, where it formed the weights, each junction's M_bar
+    (``junction_matrix``) by eigvalsh and N(x) by its 2 x 2 bounds, each
+    positive definite when its smallest eigenvalue exceeds
+    POSITIVITY_REL_TOL times its largest magnitude."""
+    if cert.failed_checks == ("weight_existence",):
+        return cert.failed_checks
+    failed = {"junction_outflow_positive": not all(z > 0.0 for z in cert.z_end.values()),
+              "branch_inflow_negative": not all(z < 0.0 for z in cert.z_start.values()),
+              "trunk_inlet": not cert.trunk_inlet > 0.0,
+              "terminal_margin": not all(m > 0.0 for m in cert.terminal_margins.values())}
+    ws = cert.weights
+    if ws is not None:
+        eigs = [np.linalg.eigvalsh(junction_matrix(ws, i)[1]) for i in ws.topo.junctions]
+        failed["junction_matrix"] = not all(
+            e[0] > POSITIVITY_REL_TOL * np.abs(e).max() for e in eigs)
+        bounds = [sym2x2_eig_bounds(*interior_matrix(cw)) for cw in ws.channels.values()]
+        failed["interior_matrix"] = not all(
+            np.all(low > POSITIVITY_REL_TOL * norm) for low, norm in bounds)
+    return tuple(name for name in EIGVALSH_CHECK_ORDER if failed.get(name))
+
+
+def certify_by_eigvalsh(topo, profiles, gains, attempts=None):
+    """certify_network with the junction and interior checks that it ran by
+    eigenvalues before it took those margins in closed form: each attempt
+    certifies only where ``eigvalsh_failures`` names no check, and a
+    refusal lists those names. The failures of every attempt are appended
+    to ``attempts`` if given."""
+    attempt = weights_module._attempt
+
+    def checked(*args):
+        cert = attempt(*args)
+        failed = eigvalsh_failures(cert)
+        if attempts is not None:
+            attempts.append(failed)
+        return dataclasses.replace(cert, certified=not failed, failed_checks=failed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights_module, "_attempt", checked)
+        return certify_network(topo, profiles, gains)
+
+
 def record_rows(topo, profiles):
     """Each channel's row of the certificate's epsilon-free record, in
     traversal order: its ``coeffs`` and, on its fine grid, ``eta_bar``,
@@ -626,32 +688,15 @@ def _scaled_per_channel(topo, epsilon, channels):
         W = a + b
         alpha = 1.0 if i == topo.root_channel else outlet_W[topo.parent_of(i)] / float(W[0])
         outlet_W[i] = alpha * float(W[-1])
+        Z = alpha * (a - b)
+        if i != topo.root_channel:
+            # at a branch inlet eta is 1 + epsilon: Z(0) without cancellation
+            Z[0] = alpha * -(epsilon * (2.0 + epsilon) / (1.0 + epsilon))
         yield ChannelWeights(
             coeffs=c.coeffs, alpha=alpha, epsilon=epsilon, eta_eps=eta, slack=slack,
-            Z=alpha * (a - b), W=alpha * W,
+            Z=Z, W=alpha * W,
             f1=alpha * (c.coeffs.phi1_sq / eta) / c.coeffs.lambda1,
             f2=alpha * (c.coeffs.phi2_sq * eta) / c.coeffs.lambda2)
-
-
-def _junction_matrix_per_channel(ws, incoming):
-    """M_bar of ``junction_matrix`` from the channels' weights in ``ws``."""
-    children = ws.topo.junctions[incoming]
-    cw_in = ws.channels[incoming]
-    H_B, g = cw_in.profile.outlet_depth, cw_in.profile.gravity
-    Z_in, W_in = float(cw_in.Z[-1]), float(cw_in.W[-1])
-    Z0 = [float(ws.channels[c].Z[0]) for c in children]
-    W0 = [float(ws.channels[c].W[0]) for c in children]
-    m = len(children)
-    M = np.full((m + 1, m + 1), Z_in)
-    for l in range(m):
-        M[l, l] = Z_in - Z0[l]
-    s = math.sqrt(g * H_B) / H_B
-    for l in range(m):
-        M[l, m] = M[m, l] = s * (W_in - W0[l])
-    M[m, m] = (g / H_B) * (Z_in - sum(Z0))
-    M[:m, m] = 0.0
-    M[m, :m] = 0.0
-    return M
 
 
 def _channel_checks_per_channel(ws, cw, gains, detail):
@@ -689,23 +734,28 @@ def _channel_checks_per_channel(ws, cw, gains, detail):
     return failed
 
 
-def _fine_checks_per_channel(ws, cw, detail):
-    """The interior matrix of one channel and, once the last of its siblings
-    is built, the junction matrix that feeds it."""
-    failed = []
-    low, norm = _sym2x2_eig_bounds(*interior_matrix(cw))
+def _margins_per_channel(ws, cw, detail):
+    """The interior margin of one channel, det N / lambda_max at each point,
+    and, once the last of its siblings is built, the junction margin of the
+    junction that feeds it, min(d, d + m Z_in, (g / H_B)(Z_in + m d)) with d
+    = -Z(0) of the children, without d at a single child."""
+    k = cw.coeffs
+    E = k.delta1 * k.phi / k.lambda1 + k.gamma2 / (k.lambda2 * k.phi) * cw.eta_eps**2
+    a, b = cw.f1 * k.lambda1, cw.f2 * k.lambda2
+    growth = (E + cw.slack) / cw.eta_eps
+    N11, N12, N22 = a * growth, cw.f1 * k.delta1 + cw.f2 * k.gamma2, b * growth
+    high = 0.5 * (N11 + N22) + np.sqrt((0.5 * (N11 - N22)) ** 2 + N12**2)
+    low = a * b * cw.slack * (2.0 * E + cw.slack) / cw.eta_eps**2 / high
     detail["interior_min_eig"][cw.channel] = float(np.min(low))
-    if not np.all(low > POSITIVITY_REL_TOL * norm):
-        failed.append("interior_matrix")
     topo = ws.topo
     if cw.channel != topo.root_channel:
         parent = topo.parent_of(cw.channel)
-        if all(c in ws.channels for c in topo.junctions[parent]):
-            eigs = np.linalg.eigvalsh(_junction_matrix_per_channel(ws, parent))
-            detail["junction_min_eig"][parent] = float(eigs[0])
-            if not eigs[0] > POSITIVITY_REL_TOL * float(np.max(np.abs(eigs))):
-                failed.append("junction_matrix")
-    return failed
+        children = topo.junctions[parent]
+        if all(c in ws.channels for c in children):
+            feed, m = ws.channels[parent].profile, len(children)
+            z_in, d = float(ws.channels[parent].Z[-1]), -float(ws.channels[children[0]].Z[0])
+            eig = min(d + m * z_in, feed.gravity / feed.outlet_depth * (z_in + m * d))
+            detail["junction_min_eig"][parent] = min(d, eig) if m > 1 else eig
 
 
 def _attempt_per_channel(topo, gains, epsilon, channels, last):
@@ -719,12 +769,12 @@ def _attempt_per_channel(topo, gains, epsilon, channels, last):
             ws.channels[cw.channel] = cw
             detail["alphas"][cw.channel] = cw.alpha
             failed.update(_channel_checks_per_channel(ws, cw, gains, detail))
-            failed.update(_fine_checks_per_channel(ws, cw, detail))
+            _margins_per_channel(ws, cw, detail)
             if failed and not last:
                 break
     except EpsilonTooLarge:
         return NetworkCertificate(False, epsilon, 0, None, ("weight_existence",))
-    failed = tuple(name for name in CHECK_ORDER if name in failed)
+    failed = tuple(name for name in EIGVALSH_CHECK_ORDER if name in failed)
     return NetworkCertificate(not failed, epsilon, 0, ws, failed, **detail)
 
 
